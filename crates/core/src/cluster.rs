@@ -33,8 +33,8 @@
 //!
 //! # Host failure
 //!
-//! Arm [`FaultSite::HostCrash`] on the cluster's fault plan and the
-//! per-host injector is checked at every service start on that host. A
+//! Arm [`fireworks_sim::FaultSite::HostCrash`] on the cluster's fault
+//! plan and the per-host injector is checked at every service start. A
 //! firing permanently fails the host: its queued requests drain and
 //! re-route through the router (counted in `cluster.rebalances`),
 //! invocations already in flight still complete (their events are on the
@@ -49,12 +49,9 @@
 //! and every router policy is deterministic. Two runs with the same
 //! inputs produce byte-identical reports for any host count.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::ops::{Deref, DerefMut};
 
-use fireworks_obs::{cat, Obs, Recorder, SpanContext, SpanId, TraceId};
-use fireworks_sim::engine::EventQueue;
-use fireworks_sim::fault::FaultSite;
-use fireworks_sim::trace::Phase;
+use fireworks_obs::{Gauge, Obs};
 use fireworks_sim::{Clock, Nanos};
 
 use crate::api::{
@@ -62,14 +59,11 @@ use crate::api::{
     SnapshotResidency,
 };
 use crate::config::PlatformConfig;
+pub use crate::driver::Fleet;
+use crate::driver::{self, Control, Driver, Host, HostPhase, RunStats};
 use crate::engine::{CompletionPolicy, EngineRequest};
 use crate::env::{EnvConfig, PlatformEnv};
-use crate::mesh::{ChunkMesh, SharedChunkMesh};
 use crate::symbols::{FunctionId, HostId};
-
-/// Per-host seed spacing for the derived fault plans (golden-ratio
-/// increment, the SplitMix64 stream constant).
-pub(crate) const HOST_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Cluster shape and per-host configuration.
 #[derive(Debug, Clone)]
@@ -408,49 +402,60 @@ pub struct ClusterReport<T> {
     pub crash_reroutes: u64,
 }
 
-struct Host<P: ConcurrentPlatform> {
-    platform: P,
-    env: PlatformEnv,
-    healthy: bool,
-    free: usize,
-    waiting: VecDeque<usize>,
-    inflight: BTreeMap<usize, P::InFlight>,
-    /// Preformatted host-index label for metrics.
-    label: String,
-    /// Pre-resolved `engine.inflight{host=..}` gauge handle.
-    g_inflight: fireworks_obs::Gauge,
-    /// Pre-resolved `engine.queue_depth{host=..}` gauge handle.
-    g_queue_depth: fireworks_obs::Gauge,
-}
-
-enum Event {
-    Arrive(usize),
-    Complete { host: usize, index: usize },
-}
-
 /// N per-host platforms on one virtual timeline, driven by a [`Router`].
+///
+/// Dereferences to its [`Fleet`] — the host table — for the clock, obs
+/// plane, mesh and per-host accessors.
 pub struct Cluster<P: ConcurrentPlatform> {
-    clock: Clock,
-    obs: Obs,
-    config: ClusterConfig,
-    hosts: Vec<Host<P>>,
-    /// Alive-host count, maintained incrementally so the per-event gauge
-    /// sample never scans the host table.
-    healthy_hosts: usize,
-    /// Cluster-wide invocations currently in service, maintained
-    /// incrementally (same reason).
-    inflight_total: usize,
-    /// Simulator events processed by [`Cluster::run`] across this
-    /// cluster's lifetime (arrivals + completions).
-    events_processed: u64,
-    /// Pre-resolved cluster-wide gauge handles.
-    g_hosts: fireworks_obs::Gauge,
-    g_inflight: fireworks_obs::Gauge,
-    g_queue_depth: fireworks_obs::Gauge,
-    /// Cluster-wide chunk mesh (content-addressed snapshot distribution).
-    /// Every host is attached at construction; platforms without a chunk
-    /// store ignore it.
-    mesh: SharedChunkMesh,
+    fleet: Fleet<P>,
+    gauges: ClusterGauges,
+}
+
+impl<P: ConcurrentPlatform> Deref for Cluster<P> {
+    type Target = Fleet<P>;
+
+    fn deref(&self) -> &Fleet<P> {
+        &self.fleet
+    }
+}
+
+impl<P: ConcurrentPlatform> DerefMut for Cluster<P> {
+    fn deref_mut(&mut self) -> &mut Fleet<P> {
+        &mut self.fleet
+    }
+}
+
+/// The fixed cluster's control plane: no control events, only the
+/// `cluster.*` and per-host `engine.*{host=}` gauges. Handles are
+/// resolved at construction and the totals they publish are maintained
+/// incrementally, so sampling is O(hosts touched by the event).
+struct ClusterGauges {
+    hosts: Gauge,
+    inflight: Gauge,
+    queue_depth: Gauge,
+    /// Per host: `engine.inflight{host=}`, `engine.queue_depth{host=}`.
+    per_host: Vec<(Gauge, Gauge)>,
+}
+
+impl<P: ConcurrentPlatform> Control<P, P> for ClusterGauges {
+    type Event = ();
+
+    fn on_host_changed(&mut self, h: usize, host: &Host<P>) {
+        let (inflight, queue_depth) = &self.per_host[h];
+        inflight.set(host.inflight.len() as i64);
+        queue_depth.set(host.waiting.len() as i64);
+    }
+
+    fn on_host_failed(&mut self, d: &mut Driver<'_, P, P, Self>, host: usize) {
+        let m = d.fleet.obs.metrics();
+        m.inc("cluster.host_crashes", &[("host", &host.to_string())]);
+    }
+
+    fn after_event(&mut self, d: &Driver<'_, P, P, Self>) {
+        self.hosts.set(d.fleet.count(HostPhase::Active) as i64);
+        self.inflight.set(d.fleet.inflight_total as i64);
+        self.queue_depth.set(d.cluster_waiting.len() as i64);
+    }
 }
 
 impl<P: ConcurrentPlatform> Cluster<P> {
@@ -469,108 +474,45 @@ impl<P: ConcurrentPlatform> Cluster<P> {
         mut factory: impl FnMut(PlatformEnv, &PlatformConfig) -> P,
     ) -> Self {
         assert!(config.hosts > 0, "need at least one host");
-        assert!(config.slots_per_host > 0, "need at least one slot per host");
         let clock = Clock::new();
         let obs = Obs::new(clock.clone());
-        let mesh = ChunkMesh::shared();
-        let hosts: Vec<Host<P>> = (0..config.hosts)
-            .map(|h| {
-                let mut env_config = config.env.clone();
-                env_config.fault_plan.seed = env_config
-                    .fault_plan
-                    .seed
-                    .wrapping_add((h as u64).wrapping_mul(HOST_SEED_STRIDE));
-                let env = PlatformEnv::with_shared(env_config, clock.clone(), obs.clone());
-                let mut platform = factory(env.clone(), &config.platform);
-                platform.attach_mesh(mesh.clone(), HostId::from_index(h));
+        let mut fleet = Fleet::new(
+            clock,
+            obs.clone(),
+            config.slots_per_host,
+            config.host_queue_cap,
+            config.completion,
+        );
+        let m = obs.metrics();
+        let per_host = (0..config.hosts)
+            .map(|_| {
+                let h = fleet.add_host(&config.env, &config.platform, &mut factory);
+                fleet.set_phase(h, HostPhase::Active);
                 let label = h.to_string();
-                let m = obs.metrics();
-                let host_labels: &[(&'static str, &str)] = &[("host", &label)];
-                let g_inflight = m.gauge("engine.inflight", host_labels);
-                let g_queue_depth = m.gauge("engine.queue_depth", host_labels);
-                Host {
-                    platform,
-                    env,
-                    healthy: true,
-                    free: config.slots_per_host,
-                    waiting: VecDeque::new(),
-                    inflight: BTreeMap::new(),
-                    label,
-                    g_inflight,
-                    g_queue_depth,
-                }
+                let labels: &[(&'static str, &str)] = &[("host", &label)];
+                (
+                    m.gauge("engine.inflight", labels),
+                    m.gauge("engine.queue_depth", labels),
+                )
             })
             .collect();
-        let healthy_hosts = hosts.len();
-        let m = obs.metrics();
-        let g_hosts = m.gauge("cluster.hosts", &[]);
-        let g_inflight = m.gauge("cluster.inflight", &[]);
-        let g_queue_depth = m.gauge("cluster.queue_depth", &[]);
-        Cluster {
-            clock,
-            obs,
-            config,
-            hosts,
-            healthy_hosts,
-            inflight_total: 0,
-            events_processed: 0,
-            g_hosts,
-            g_inflight,
-            g_queue_depth,
-            mesh,
-        }
-    }
-
-    /// The shared virtual clock.
-    pub fn clock(&self) -> &Clock {
-        &self.clock
-    }
-
-    /// The shared observability plane.
-    pub fn obs(&self) -> &Obs {
-        &self.obs
-    }
-
-    /// Number of hosts (alive or crashed).
-    pub fn len(&self) -> usize {
-        self.hosts.len()
-    }
-
-    /// Whether the cluster has no hosts (never true: construction
-    /// requires at least one).
-    pub fn is_empty(&self) -> bool {
-        self.hosts.is_empty()
-    }
-
-    /// Host `h`'s platform.
-    pub fn host(&self, h: HostId) -> &P {
-        &self.hosts[h.index()].platform
-    }
-
-    /// Host `h`'s platform, mutably.
-    pub fn host_mut(&mut self, h: HostId) -> &mut P {
-        &mut self.hosts[h.index()].platform
-    }
-
-    /// Host `h`'s environment (its RAM, bus, store, injector, …).
-    pub fn host_env(&self, h: HostId) -> &PlatformEnv {
-        &self.hosts[h.index()].env
-    }
-
-    /// Simulator events (arrivals + completions) processed by
-    /// [`Cluster::run`] so far — the denominator of the events/sec
-    /// throughput metric the sweeps report.
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        let gauges = ClusterGauges {
+            hosts: m.gauge("cluster.hosts", &[]),
+            inflight: m.gauge("cluster.inflight", &[]),
+            queue_depth: m.gauge("cluster.queue_depth", &[]),
+            per_host,
+        };
+        Cluster { fleet, gauges }
     }
 
     /// Installs a function on every host (each host needs its own
     /// snapshot to restore from). Returns per-host reports in host
     /// order.
     pub fn install(&mut self, spec: &FunctionSpec) -> Result<Vec<InstallReport>, PlatformError> {
-        self.hosts
+        self.fleet
+            .hosts
             .iter_mut()
-            .map(|host| host.platform.install(spec))
+            .map(|host| host.platform_mut().install(spec))
             .collect()
     }
 
@@ -580,37 +522,16 @@ impl<P: ConcurrentPlatform> Cluster<P> {
     /// first time a request lands on them; on a flat cluster they rebuild
     /// from source. Returns the home host's report.
     pub fn install_home(&mut self, spec: &FunctionSpec) -> Result<InstallReport, PlatformError> {
-        let home = (fnv1a(&spec.name) % self.hosts.len() as u64) as usize;
+        let home = (fnv1a(&spec.name) % self.fleet.len() as u64) as usize;
         let mut report = None;
-        for (h, host) in self.hosts.iter_mut().enumerate() {
+        for (h, host) in self.fleet.hosts.iter_mut().enumerate() {
             if h == home {
-                report = Some(host.platform.install(spec)?);
+                report = Some(host.platform_mut().install(spec)?);
             } else {
-                host.platform.register(spec)?;
+                host.platform_mut().register(spec)?;
             }
         }
         Ok(report.expect("home host is in range"))
-    }
-
-    /// The cluster's chunk mesh.
-    pub fn mesh(&self) -> &SharedChunkMesh {
-        &self.mesh
-    }
-
-    /// Fills `buf` with the current per-host views for `function`. The
-    /// buffer is reused across routing decisions so the hot path never
-    /// allocates.
-    fn views_into(&self, function: FunctionId, buf: &mut Vec<HostView>) {
-        buf.clear();
-        buf.extend(self.hosts.iter().enumerate().map(|(id, host)| HostView {
-            id: HostId::from_index(id),
-            healthy: host.healthy,
-            inflight: host.inflight.len(),
-            queue_depth: host.waiting.len(),
-            slots: self.config.slots_per_host,
-            queue_cap: self.config.host_queue_cap,
-            residency: host.platform.residency(function),
-        }));
     }
 
     /// Drives `requests` (sorted by arrival) through the cluster under
@@ -618,453 +539,33 @@ impl<P: ConcurrentPlatform> Cluster<P> {
     ///
     /// # Panics
     ///
-    /// Panics if `requests` are not sorted by arrival time.
-    pub fn run<R: Router + ?Sized>(
+    /// Panics if `requests` are not sorted by arrival time, or if any
+    /// request fails to reach a terminal outcome (request conservation).
+    pub fn run(
         &mut self,
-        router: &mut R,
+        router: &mut dyn Router,
         requests: &[EngineRequest],
     ) -> ClusterReport<P::InFlight> {
-        assert!(
-            requests.windows(2).all(|w| w[0].arrival <= w[1].arrival),
-            "requests must be sorted by arrival time"
-        );
-        let mut queue: EventQueue<Event> = EventQueue::new();
-        for (i, r) in requests.iter().enumerate() {
-            queue.schedule(r.arrival, Event::Arrive(i));
-        }
-
-        let mut run = RunState {
-            out: {
-                let mut v: Vec<Option<ClusterCompletion>> = Vec::with_capacity(requests.len());
-                v.resize_with(requests.len(), || None);
-                v
-            },
-            cluster_waiting: VecDeque::new(),
-            retained: Vec::new(),
-            rebalances: 0,
-            locality_hits: 0,
-            peak_inflight: 0,
-            peak_host_queue_depth: 0,
-            peak_cluster_queue_depth: 0,
-            failed_hosts: Vec::new(),
-            crash_reroutes: 0,
-            roots: BTreeMap::new(),
-            views_buf: Vec::with_capacity(self.hosts.len()),
-        };
-        let rec = self.obs.recorder().clone();
-
-        while let Some(ev) = queue.pop() {
-            self.clock.warp_to(ev.at);
-            self.events_processed += 1;
-            match ev.event {
-                Event::Arrive(i) => {
-                    // Admission mints the request's trace: one detached
-                    // root span per request, so spans from interleaved
-                    // requests (and hosts) never adopt each other.
-                    let trace = rec.next_trace_id();
-                    let root = rec.start_detached("request", cat::INVOKE, trace);
-                    rec.attr(root, "function", &*requests[i].invoke.function.name());
-                    run.roots.insert(i, (trace, root));
-                    if !self.dispatch(router, requests, i, None, &mut run, &mut queue) {
-                        run.cluster_waiting.push_back(i);
-                    }
-                }
-                Event::Complete { host, index } => {
-                    if let Some(token) = self.hosts[host].inflight.remove(&index) {
-                        self.inflight_total -= 1;
-                        match self.config.completion {
-                            CompletionPolicy::Release => {
-                                self.hosts[host].platform.finish_invoke(token)
-                            }
-                            CompletionPolicy::Retain => {
-                                run.retained.push((HostId::from_index(host), token))
-                            }
-                        }
-                    }
-                    self.hosts[host].free += 1;
-                    self.touch_host(host, &mut run);
-                    // Drain this host's own queue first (FIFO)…
-                    if self.hosts[host].healthy {
-                        while let Some(next) = self.hosts[host].waiting.pop_front() {
-                            if reject_if_expired(
-                                &mut run,
-                                &rec,
-                                requests,
-                                next,
-                                self.clock.now(),
-                                None,
-                            ) {
-                                continue;
-                            }
-                            self.start_service(router, requests, host, next, &mut run, &mut queue);
-                            break;
-                        }
-                    }
-                    // …then let cluster-queued requests try the router
-                    // again, stopping at the first that still can't place.
-                    while let Some(next) = run.cluster_waiting.pop_front() {
-                        if reject_if_expired(&mut run, &rec, requests, next, self.clock.now(), None)
-                        {
-                            continue;
-                        }
-                        if !self.dispatch(router, requests, next, None, &mut run, &mut queue) {
-                            run.cluster_waiting.push_front(next);
-                            break;
-                        }
-                    }
-                }
-            }
-            self.reap_mesh_dead(router, requests, &mut run, &mut queue);
-            self.sample_gauges(&mut run);
-        }
-
-        // Request conservation: every submitted request — including any
-        // displaced from a crashed host's queue — must have reached a
-        // terminal outcome. A hole here means a crash drain dropped a
-        // request instead of rerouting it.
-        let lost: Vec<usize> = run
-            .out
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_none())
-            .map(|(i, _)| i)
-            .collect();
-        assert!(
-            lost.is_empty(),
-            "request conservation violated: requests {lost:?} have no outcome \
-             ({} crash-displaced requests were rerouted, failed hosts: {:?})",
-            run.crash_reroutes,
-            run.failed_hosts,
-        );
-
+        let out = driver::run(&mut self.fleet, &mut self.gauges, router, requests);
+        let stats = out.stats;
+        let counters = [
+            ("cluster.rebalances", stats.rebalances),
+            ("cluster.locality_hits", stats.locality_hits),
+            ("cluster.crash_reroutes", stats.crash_reroutes),
+        ];
+        RunStats::publish(self.fleet.obs.metrics(), counters);
         ClusterReport {
-            completions: run
-                .out
-                .into_iter()
-                .map(|c| c.expect("checked above"))
-                .collect(),
-            retained: run.retained,
-            peak_inflight: run.peak_inflight,
-            peak_host_queue_depth: run.peak_host_queue_depth,
-            peak_cluster_queue_depth: run.peak_cluster_queue_depth,
-            rebalances: run.rebalances,
-            locality_hits: run.locality_hits,
-            failed_hosts: run.failed_hosts,
-            crash_reroutes: run.crash_reroutes,
+            completions: out.completions,
+            retained: out.retained,
+            peak_inflight: stats.peak_inflight,
+            peak_host_queue_depth: stats.peak_host_queue_depth,
+            peak_cluster_queue_depth: stats.peak_cluster_queue_depth,
+            rebalances: stats.rebalances,
+            locality_hits: stats.locality_hits,
+            failed_hosts: stats.failed_hosts,
+            crash_reroutes: stats.crash_reroutes,
         }
     }
-
-    /// Routes request `i` and places it: service, host queue, cluster
-    /// queue, or terminal rejection. Returns `false` only when the
-    /// request was parked on the cluster queue (so drains know to stop).
-    /// `rerouted_from` marks a request displaced by a host crash: its
-    /// placement counts as a rebalance and its terminal failure names
-    /// that host.
-    fn dispatch<R: Router + ?Sized>(
-        &mut self,
-        router: &mut R,
-        requests: &[EngineRequest],
-        i: usize,
-        rerouted_from: Option<usize>,
-        run: &mut RunState<P::InFlight>,
-        queue: &mut EventQueue<Event>,
-    ) -> bool {
-        let now = self.clock.now();
-        let rec = self.obs.recorder().clone();
-        if reject_if_expired(run, &rec, requests, i, now, rerouted_from) {
-            return true;
-        }
-        let r = &requests[i];
-        if let Some(from) = rerouted_from {
-            // A crash displaced this request off host `from`; the router
-            // consult below is a second routing decision on its trace.
-            if let Some(&(_, root)) = run.roots.get(&i) {
-                rec.instant_under(
-                    root,
-                    "rerouted",
-                    cat::ROUTE,
-                    vec![("from_host", from.into())],
-                );
-            }
-        }
-        if !self.hosts.iter().any(|h| h.healthy) {
-            // Nothing can ever serve this request: the cluster queue
-            // only drains on completions, and completions on dead hosts
-            // don't restore capacity a router could use.
-            if let Some((_, root)) = run.roots.remove(&i) {
-                rec.record_closed_under(root, "queued", cat::QUEUE, Phase::Other, r.arrival, now);
-                rec.attr(root, "rejected", "host_unavailable");
-                rec.end_detached(root);
-            }
-            run.out[i] = Some(ClusterCompletion {
-                index: i,
-                host: rerouted_from.map(HostId::from_index),
-                function: r.invoke.function,
-                arrived: r.arrival,
-                started: now,
-                finished: now,
-                result: Err(PlatformError::HostUnavailable {
-                    function: r.invoke.function.name().to_string(),
-                    host: rerouted_from,
-                }),
-            });
-            return true;
-        }
-        let mut views = std::mem::take(&mut run.views_buf);
-        self.views_into(r.invoke.function, &mut views);
-        let decision = router.route(&r.invoke, &views);
-        let (host, rebalanced) = match decision {
-            Route::Host(h) => (h.index(), false),
-            Route::Fallback(h) => (h.index(), true),
-            // The caller parks the request on the cluster queue (front or
-            // back, depending on whether it's a drain or an arrival).
-            Route::Defer => {
-                run.views_buf = views;
-                return false;
-            }
-        };
-        debug_assert!(views[host].has_capacity(), "router picked a full host");
-        run.views_buf = views;
-        if rebalanced || rerouted_from.is_some() {
-            run.rebalances += 1;
-            self.obs.metrics().inc("cluster.rebalances", &[]);
-        }
-        if self.hosts[host].free > 0 {
-            self.start_service(router, requests, host, i, run, queue);
-        } else {
-            self.hosts[host].waiting.push_back(i);
-            self.touch_host(host, run);
-        }
-        true
-    }
-
-    /// Starts request `i` on host `h` at the current instant — unless
-    /// the host's injector fires [`FaultSite::HostCrash`] at this
-    /// service boundary, in which case the host fails and everything it
-    /// was queueing (this request included) re-routes.
-    fn start_service<R: Router + ?Sized>(
-        &mut self,
-        router: &mut R,
-        requests: &[EngineRequest],
-        h: usize,
-        i: usize,
-        run: &mut RunState<P::InFlight>,
-        queue: &mut EventQueue<Event>,
-    ) {
-        let crashed = self.hosts[h]
-            .env
-            .injector
-            .borrow_mut()
-            .should_fail(FaultSite::HostCrash);
-        if crashed {
-            self.crash_host(router, requests, h, i, run, queue);
-            return;
-        }
-        let rec = self.obs.recorder().clone();
-        let host = &mut self.hosts[h];
-        host.free -= 1;
-        let started = self.clock.now();
-        let r = &requests[i];
-        if host.platform.residency(r.invoke.function).is_full() {
-            run.locality_hits += 1;
-            self.obs.metrics().inc("cluster.locality_hits", &[]);
-        }
-        let (trace, root) = run.roots.remove(&i).expect("request admitted");
-        rec.record_closed_under(root, "queued", cat::QUEUE, Phase::Other, r.arrival, started);
-        // The service span goes on the shared open stack: every span the
-        // host platform records nests under it and inherits the trace.
-        // The flow pair draws the admission → service causal arrow
-        // (rendered as a cross-track arrow in Perfetto).
-        let service = rec.start_under(root, "service", cat::INVOKE);
-        rec.attr(service, "host", h);
-        rec.flow_out(root, trace.raw());
-        rec.flow_in(service, trace.raw());
-        let invoke = r.invoke.clone().with_trace(SpanContext {
-            trace,
-            parent: service,
-        });
-        let result = host.platform.begin_invoke(&invoke);
-        let finished = self.clock.now();
-        rec.end(service);
-        rec.end_detached(root);
-        let result = match result {
-            Ok((invocation, token)) => {
-                host.inflight.insert(i, token);
-                self.inflight_total += 1;
-                Ok(invocation)
-            }
-            Err(e) => Err(e),
-        };
-        run.out[i] = Some(ClusterCompletion {
-            index: i,
-            host: Some(HostId::from_index(h)),
-            function: r.invoke.function,
-            arrived: r.arrival,
-            started,
-            finished,
-            result,
-        });
-        self.touch_host(h, run);
-        queue.schedule(finished, Event::Complete { host: h, index: i });
-    }
-
-    /// Fails host `h` permanently: marks it unhealthy, then re-routes
-    /// `trigger` and every request in its admission queue through the
-    /// router. In-flight invocations on the host finish normally — their
-    /// completion events are already on the timeline.
-    fn crash_host<R: Router + ?Sized>(
-        &mut self,
-        router: &mut R,
-        requests: &[EngineRequest],
-        h: usize,
-        trigger: usize,
-        run: &mut RunState<P::InFlight>,
-        queue: &mut EventQueue<Event>,
-    ) {
-        let mut displaced = self.fail_host(h, run);
-        displaced.push_front(trigger);
-        run.crash_reroutes += displaced.len() as u64;
-        self.obs
-            .metrics()
-            .add("cluster.crash_reroutes", &[], displaced.len() as u64);
-        while let Some(i) = displaced.pop_front() {
-            if !self.dispatch(router, requests, i, Some(h), run, queue) {
-                run.cluster_waiting.push_back(i);
-            }
-        }
-    }
-
-    /// Marks host `h` failed (metrics, mesh, report) and hands back its
-    /// queued requests for re-routing.
-    fn fail_host(&mut self, h: usize, run: &mut RunState<P::InFlight>) -> VecDeque<usize> {
-        self.hosts[h].healthy = false;
-        self.healthy_hosts -= 1;
-        self.mesh.borrow_mut().mark_dead(HostId::from_index(h));
-        run.failed_hosts.push(HostId::from_index(h));
-        self.obs.metrics().inc(
-            "cluster.host_crashes",
-            &[("host", self.hosts[h].label.as_str())],
-        );
-        self.obs
-            .recorder()
-            .instant(format!("host_crash:{h}"), fireworks_obs::cat::FAULT);
-        let drained = std::mem::take(&mut self.hosts[h].waiting);
-        self.touch_host(h, run);
-        drained
-    }
-
-    /// Fails hosts whose crash was first observed by a peer's delta
-    /// fetch (the mesh marks them dead mid-transfer, before any service
-    /// boundary on the host itself would have drawn the fault). Their
-    /// queued requests drain and re-route exactly like a service-boundary
-    /// crash.
-    fn reap_mesh_dead<R: Router + ?Sized>(
-        &mut self,
-        router: &mut R,
-        requests: &[EngineRequest],
-        run: &mut RunState<P::InFlight>,
-        queue: &mut EventQueue<Event>,
-    ) {
-        // Collect first: `fail_host` needs the mesh borrow back.
-        let dead = self.mesh.borrow().dead_hosts();
-        for h in dead {
-            let h = h.index();
-            if !self.hosts.get(h).is_some_and(|host| host.healthy) {
-                continue;
-            }
-            let mut displaced = self.fail_host(h, run);
-            run.crash_reroutes += displaced.len() as u64;
-            if !displaced.is_empty() {
-                self.obs
-                    .metrics()
-                    .add("cluster.crash_reroutes", &[], displaced.len() as u64);
-            }
-            while let Some(i) = displaced.pop_front() {
-                if !self.dispatch(router, requests, i, Some(h), run, queue) {
-                    run.cluster_waiting.push_back(i);
-                }
-            }
-        }
-    }
-
-    /// Publishes host `h`'s gauges after its state changed and advances
-    /// the per-host high-water mark. Called at the mutation sites instead
-    /// of rescanning every host per event: the per-event work is O(hosts
-    /// touched by the event), not O(cluster size).
-    fn touch_host(&self, h: usize, run: &mut RunState<P::InFlight>) {
-        let host = &self.hosts[h];
-        host.g_inflight.set(host.inflight.len() as i64);
-        host.g_queue_depth.set(host.waiting.len() as i64);
-        run.peak_host_queue_depth = run.peak_host_queue_depth.max(host.waiting.len());
-    }
-
-    /// Publishes the cluster-wide gauges at an event boundary, and
-    /// advances the report's high-water marks. O(1): the totals are
-    /// maintained incrementally and the handles are pre-resolved.
-    fn sample_gauges(&self, run: &mut RunState<P::InFlight>) {
-        run.peak_inflight = run.peak_inflight.max(self.inflight_total);
-        run.peak_cluster_queue_depth = run.peak_cluster_queue_depth.max(run.cluster_waiting.len());
-        self.g_hosts.set(self.healthy_hosts as i64);
-        self.g_inflight.set(self.inflight_total as i64);
-        self.g_queue_depth.set(run.cluster_waiting.len() as i64);
-    }
-}
-
-/// Mutable per-run bookkeeping, separated from the cluster so host
-/// borrows and run borrows don't fight.
-struct RunState<T> {
-    out: Vec<Option<ClusterCompletion>>,
-    cluster_waiting: VecDeque<usize>,
-    retained: Vec<(HostId, T)>,
-    rebalances: u64,
-    locality_hits: u64,
-    peak_inflight: usize,
-    peak_host_queue_depth: usize,
-    peak_cluster_queue_depth: usize,
-    failed_hosts: Vec<HostId>,
-    crash_reroutes: u64,
-    // Per-request detached trace roots, opened at arrival and closed at
-    // completion or rejection.
-    roots: BTreeMap<usize, (TraceId, SpanId)>,
-    // Reusable per-decision host-view scratch buffer.
-    views_buf: Vec<HostView>,
-}
-
-/// Rejects request `i` with [`PlatformError::DeadlineExceeded`] if its
-/// deadline has passed at `now`; returns whether it was rejected.
-fn reject_if_expired<T>(
-    run: &mut RunState<T>,
-    rec: &Recorder,
-    requests: &[EngineRequest],
-    i: usize,
-    now: Nanos,
-    rerouted_from: Option<usize>,
-) -> bool {
-    let r = &requests[i];
-    let Some(deadline) = r.invoke.deadline else {
-        return false;
-    };
-    if now <= deadline {
-        return false;
-    }
-    if let Some((_, root)) = run.roots.remove(&i) {
-        rec.record_closed_under(root, "queued", cat::QUEUE, Phase::Other, r.arrival, now);
-        rec.attr(root, "rejected", "deadline");
-        rec.end_detached(root);
-    }
-    run.out[i] = Some(ClusterCompletion {
-        index: i,
-        host: rerouted_from.map(HostId::from_index),
-        function: r.invoke.function,
-        arrived: r.arrival,
-        started: now,
-        finished: now,
-        result: Err(PlatformError::DeadlineExceeded {
-            function: r.invoke.function.name().to_string(),
-            deadline,
-        }),
-    });
-    true
 }
 
 #[cfg(test)]
@@ -1075,7 +576,7 @@ mod tests {
     use crate::symbols::fid;
     use fireworks_lang::Value;
     use fireworks_runtime::RuntimeKind;
-    use fireworks_sim::fault::FaultPlan;
+    use fireworks_sim::fault::{FaultPlan, FaultSite};
 
     fn hid(i: usize) -> HostId {
         HostId::from_index(i)

@@ -60,28 +60,26 @@
 //!
 //! # Determinism
 //!
-//! Everything is a pure function of config, schedule, and fault seed:
-//! host ids are never reused, per-host fault seeds derive from the host
-//! id, all bookkeeping iterates `BTreeMap`s, and the event queue orders
-//! by `(time, seq)`. Two same-seed runs are byte-identical.
+//! As for the fixed cluster, plus: host ids are never reused and all
+//! control-plane bookkeeping iterates `BTreeMap`s.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
 use fireworks_guestmem::SnapshotManifest;
-use fireworks_obs::{cat, Obs, SpanContext, SpanId, TraceId};
-use fireworks_sim::engine::EventQueue;
+use fireworks_obs::{cat, Gauge, Obs, SpanId};
 use fireworks_sim::fault::{self, FaultInjector, FaultPlan, FaultSite};
-use fireworks_sim::trace::Phase;
 use fireworks_sim::{Clock, Nanos};
 
 use crate::api::{ConcurrentPlatform, FunctionSpec, PlatformError, StoreAudit};
-use crate::cluster::{ClusterCompletion, HostView, Route, Router, HOST_SEED_STRIDE};
+use crate::cluster::{ClusterCompletion, Router};
 use crate::config::{PlatformConfig, RecoveryPolicy};
-use crate::engine::EngineRequest;
+pub use crate::driver::HostPhase;
+use crate::driver::{self, Control, Driver, Fleet, RunStats};
+use crate::engine::{CompletionPolicy, EngineRequest};
 use crate::env::{EnvConfig, PlatformEnv};
-use crate::mesh::{ChunkMesh, SharedChunkMesh};
 use crate::symbols::{fid, FunctionId, HostId};
 use fireworks_store::ChunkStore;
 
@@ -193,34 +191,6 @@ impl ElasticConfig {
     }
 }
 
-/// Lifecycle phase of one elastic host. Ids are never reused, so every
-/// host the cluster ever powered has a phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HostPhase {
-    /// Provisioning: boot scheduled, not yet admitting.
-    Booting,
-    /// Serving and admitting.
-    Active,
-    /// Admissions stopped; finishing in-flight work and handing hot
-    /// snapshots to survivors.
-    Draining,
-    /// Left gracefully (drain completed or deadline-forced removal).
-    Retired,
-    /// Crashed, or failed to boot. Permanent, like a cluster crash.
-    Dead,
-}
-
-impl HostPhase {
-    /// Whether the host consumes machine-time right now (powered
-    /// phases are what [`ElasticReport::host_time`] integrates).
-    pub fn is_powered(self) -> bool {
-        matches!(
-            self,
-            HostPhase::Booting | HostPhase::Active | HostPhase::Draining
-        )
-    }
-}
-
 /// A consecutive-failure circuit breaker driven by [`RecoveryPolicy`]
 /// thresholds (per-function migration breakers and the scale-up
 /// breaker).
@@ -318,50 +288,35 @@ pub struct ElasticReport {
     pub events_processed: u64,
 }
 
-struct EHost<P: ConcurrentPlatform> {
-    platform: P,
-    env: PlatformEnv,
-    phase: HostPhase,
-    free: usize,
-    waiting: VecDeque<usize>,
-    inflight: BTreeMap<usize, P::InFlight>,
-    idle_ticks: u32,
-    label: String,
-}
-
+/// The control plane's own events on the shared driver's timeline.
 enum Ev {
-    Arrive(usize),
-    Complete {
-        host: usize,
-        index: usize,
-    },
-    ControlTick,
-    BootDone {
-        host: usize,
-    },
-    DrainDeadline {
-        host: usize,
-    },
-    Migrate {
-        dest: usize,
-        donor: usize,
-        function: FunctionId,
-        attempt: u32,
-    },
+    Tick,
+    BootDone(usize),
+    DrainDeadline(usize),
+    Migrate(Handoff),
 }
 
-/// Per-run bookkeeping, separated from the cluster so host borrows and
-/// run borrows don't fight (same split as the fixed cluster).
-struct ERun {
-    out: Vec<Option<ClusterCompletion>>,
-    cluster_waiting: VecDeque<usize>,
+/// One drain-time snapshot hand-off attempt: `donor`'s copy of
+/// `function` to `dest`.
+#[derive(Clone, Copy)]
+struct Handoff {
+    dest: usize,
+    donor: usize,
+    function: FunctionId,
+    attempt: u32,
+}
+
+/// The shared driver as the control plane sees it.
+type D<'a, P> = Driver<'a, P, P, ControlPlane<P>>;
+
+/// Per-run control-plane bookkeeping, reset by every
+/// [`ElasticCluster::run`].
+#[derive(Default)]
+struct PlaneRun {
     stats: ElasticStats,
     peak_hosts: usize,
-    peak_inflight: usize,
-    peak_cluster_queue_depth: usize,
     host_time: Nanos,
     last_sample: Nanos,
-    failed_hosts: Vec<HostId>,
     audit_violations: Vec<String>,
     /// Per-function arrivals in the current control interval.
     tick_counts: BTreeMap<FunctionId, u64>,
@@ -375,12 +330,6 @@ struct ERun {
     pending: BTreeMap<usize, usize>,
     boot_failures_row: u32,
     boot_give_up: bool,
-    /// Per-request detached trace roots, opened at arrival and closed at
-    /// completion or rejection.
-    roots: BTreeMap<usize, (TraceId, SpanId)>,
-    /// Reused router-view scratch buffer (one allocation per run, not
-    /// per routing decision).
-    views_buf: Vec<HostView>,
 }
 
 /// A boxed host-platform constructor, retained by the cluster so the
@@ -392,12 +341,32 @@ pub type HostFactory<P> = Box<dyn FnMut(PlatformEnv, &PlatformConfig) -> P>;
 /// The factory passed to [`ElasticCluster::new`] is retained so the
 /// control plane can stamp out new hosts mid-run; installed specs are
 /// retained so new hosts can register every function on boot.
+/// Dereferences to its [`Fleet`] — the host table — for the clock, obs
+/// plane, mesh, phases and per-host accessors.
 pub struct ElasticCluster<P: ConcurrentPlatform> {
-    clock: Clock,
-    obs: Obs,
+    fleet: Fleet<P>,
+    plane: ControlPlane<P>,
+}
+
+impl<P: ConcurrentPlatform> Deref for ElasticCluster<P> {
+    type Target = Fleet<P>;
+
+    fn deref(&self) -> &Fleet<P> {
+        &self.fleet
+    }
+}
+
+impl<P: ConcurrentPlatform> DerefMut for ElasticCluster<P> {
+    fn deref_mut(&mut self) -> &mut Fleet<P> {
+        &mut self.fleet
+    }
+}
+
+/// What is genuinely the elastic cluster's own: policy, host factory,
+/// archive, breakers, predictor and auditor — the [`Control`] the shared
+/// driver runs the fleet under.
+struct ControlPlane<P> {
     config: ElasticConfig,
-    hosts: Vec<EHost<P>>,
-    mesh: SharedChunkMesh,
     factory: HostFactory<P>,
     specs: BTreeMap<FunctionId, FunctionSpec>,
     /// The scale-to-zero archive: a cluster-durable chunk store
@@ -413,13 +382,13 @@ pub struct ElasticCluster<P: ConcurrentPlatform> {
     archived: BTreeSet<FunctionId>,
     migration_breakers: BTreeMap<FunctionId, Breaker>,
     scale_up_breaker: Breaker,
-    /// Invocations currently in service across the fleet, maintained
-    /// incrementally so gauge sampling is O(1) per event.
-    inflight_total: usize,
-    g_hosts: fireworks_obs::Gauge,
-    g_active: fireworks_obs::Gauge,
-    g_inflight: fireworks_obs::Gauge,
-    g_queue: fireworks_obs::Gauge,
+    /// Per host: consecutive control ticks it sat fully idle.
+    idle_ticks: Vec<u32>,
+    g_hosts: Gauge,
+    g_active: Gauge,
+    g_inflight: Gauge,
+    g_queue: Gauge,
+    run: PlaneRun,
 }
 
 impl<P: ConcurrentPlatform> ElasticCluster<P> {
@@ -447,30 +416,27 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
             config.policy.max_hosts < ARCHIVE_HOST,
             "max_hosts collides with the archive's reserved mesh id"
         );
-        assert!(config.slots_per_host > 0, "need at least one slot");
         let clock = Clock::new();
         let obs = Obs::new(clock.clone());
-        let mesh = ChunkMesh::shared();
+        let mut fleet = Fleet::new(
+            clock.clone(),
+            obs.clone(),
+            config.slots_per_host,
+            config.host_queue_cap,
+            CompletionPolicy::Release,
+        );
         let mut archive_env_config = config.env.clone();
         // The archive never fails: empty plan, disabled injector.
         archive_env_config.fault_plan = FaultPlan::default();
-        let archive_env = PlatformEnv::with_shared(archive_env_config, clock.clone(), obs.clone());
+        let archive_env = PlatformEnv::with_shared(archive_env_config, clock, obs.clone());
         let archive = Rc::new(RefCell::new(ChunkStore::new(archive_env.host_mem.clone())));
-        mesh.borrow_mut().register(
+        fleet.mesh.borrow_mut().register(
             archive_host_id(),
             archive.clone(),
             fault::shared(FaultInjector::disabled()),
         );
-        let g_hosts = obs.metrics().gauge("elastic.hosts", &[]);
-        let g_active = obs.metrics().gauge("elastic.active_hosts", &[]);
-        let g_inflight = obs.metrics().gauge("elastic.inflight", &[]);
-        let g_queue = obs.metrics().gauge("elastic.queue_depth", &[]);
-        let mut cluster = ElasticCluster {
-            clock,
-            obs,
-            config,
-            hosts: Vec::new(),
-            mesh,
+        let m = obs.metrics();
+        let mut plane = ControlPlane {
             factory: Box::new(factory),
             specs: BTreeMap::new(),
             archive,
@@ -479,87 +445,24 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
             archived: BTreeSet::new(),
             migration_breakers: BTreeMap::new(),
             scale_up_breaker: Breaker::default(),
-            inflight_total: 0,
-            g_hosts,
-            g_active,
-            g_inflight,
-            g_queue,
+            idle_ticks: Vec::new(),
+            g_hosts: m.gauge("elastic.hosts", &[]),
+            g_active: m.gauge("elastic.active_hosts", &[]),
+            g_inflight: m.gauge("elastic.inflight", &[]),
+            g_queue: m.gauge("elastic.queue_depth", &[]),
+            run: PlaneRun::default(),
+            config,
         };
-        for _ in 0..cluster.config.policy.min_hosts {
-            let h = cluster.create_host();
-            cluster.hosts[h].phase = HostPhase::Active;
+        for _ in 0..plane.config.policy.min_hosts {
+            let h = plane.create_host(&mut fleet);
+            fleet.set_phase(h, HostPhase::Active);
         }
-        cluster
-    }
-
-    /// Stamps out one host in [`HostPhase::Booting`] and returns its id.
-    fn create_host(&mut self) -> usize {
-        let h = self.hosts.len();
-        let mut env_config = self.config.env.clone();
-        env_config.fault_plan.seed = env_config
-            .fault_plan
-            .seed
-            .wrapping_add((h as u64).wrapping_mul(HOST_SEED_STRIDE));
-        let env = PlatformEnv::with_shared(env_config, self.clock.clone(), self.obs.clone());
-        let mut platform = (self.factory)(env.clone(), &self.config.platform);
-        platform.attach_mesh(self.mesh.clone(), HostId::from_index(h));
-        self.hosts.push(EHost {
-            platform,
-            env,
-            phase: HostPhase::Booting,
-            free: self.config.slots_per_host,
-            waiting: VecDeque::new(),
-            inflight: BTreeMap::new(),
-            idle_ticks: 0,
-            label: h.to_string(),
-        });
-        h
-    }
-
-    /// The shared virtual clock.
-    pub fn clock(&self) -> &Clock {
-        &self.clock
-    }
-
-    /// The shared observability plane.
-    pub fn obs(&self) -> &Obs {
-        &self.obs
-    }
-
-    /// The cluster's chunk mesh.
-    pub fn mesh(&self) -> &SharedChunkMesh {
-        &self.mesh
-    }
-
-    /// Host `h`'s current lifecycle phase.
-    pub fn phase(&self, h: HostId) -> HostPhase {
-        self.hosts[h.index()].phase
-    }
-
-    /// Ids of currently powered hosts (booting, active, or draining),
-    /// ascending.
-    pub fn powered_hosts(&self) -> Vec<HostId> {
-        self.hosts
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| h.phase.is_powered())
-            .map(|(id, _)| HostId::from_index(id))
-            .collect()
-    }
-
-    /// Host `h`'s platform.
-    pub fn host(&self, h: HostId) -> &P {
-        &self.hosts[h.index()].platform
-    }
-
-    /// Host `h`'s platform, mutably.
-    pub fn host_mut(&mut self, h: HostId) -> &mut P {
-        &mut self.hosts[h.index()].platform
+        ElasticCluster { fleet, plane }
     }
 
     /// Functions currently scaled to zero (archived, no live replica).
     pub fn archived_functions(&self) -> Vec<FunctionId> {
-        self.archived.iter().copied().collect()
+        self.plane.archived.iter().copied().collect()
     }
 
     /// Installs `spec` on the lowest-id active host (building its
@@ -568,31 +471,163 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
     /// other hosts pick the snapshot up by delta fetch on first demand.
     pub fn install(&mut self, spec: &FunctionSpec) -> Result<(), PlatformError> {
         let mut installed = false;
-        for host in self.hosts.iter_mut() {
+        for host in self.fleet.hosts.iter_mut() {
             if host.phase != HostPhase::Active {
                 continue;
             }
             if installed {
-                host.platform.register(spec)?;
+                host.platform_mut().register(spec)?;
             } else {
-                host.platform.install(spec)?;
+                host.platform_mut().install(spec)?;
                 installed = true;
             }
         }
         assert!(installed, "no active host to install on");
-        self.specs.insert(fid(&spec.name), spec.clone());
+        self.plane.specs.insert(fid(&spec.name), spec.clone());
         Ok(())
     }
 
     /// Runs the cluster's invariant audit now (see the module docs for
     /// the three checks). Empty means consistent.
     pub fn audit(&self) -> Vec<String> {
+        self.plane.audit(&self.fleet)
+    }
+
+    /// Drives `requests` (sorted by arrival) through the elastic
+    /// cluster under `router` and returns the completions with
+    /// control-plane statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `requests` are not sorted by arrival time, or if any
+    /// request fails to reach a terminal outcome (request-conservation
+    /// violation — a control-plane bug by definition).
+    pub fn run(&mut self, router: &mut dyn Router, requests: &[EngineRequest]) -> ElasticReport {
+        let ElasticCluster { fleet, plane } = self;
+        plane.run = PlaneRun {
+            peak_hosts: fleet.powered(),
+            last_sample: fleet.clock.now(),
+            ..PlaneRun::default()
+        };
+        let out = driver::run(fleet, plane, router, requests);
+        let driven = out.stats;
+        plane.audit_into(fleet);
+        let run = std::mem::take(&mut plane.run);
+        let mut stats = run.stats;
+        stats.crash_reroutes += driven.crash_reroutes;
+        stats.rebalances = driven.rebalances;
+        stats.locality_hits = driven.locality_hits;
+        let counters = [
+            ("elastic.rebalances", stats.rebalances),
+            ("elastic.locality_hits", stats.locality_hits),
+            ("elastic.crash_reroutes", driven.crash_reroutes),
+        ];
+        RunStats::publish(fleet.obs.metrics(), counters);
+        ElasticReport {
+            completions: out.completions,
+            stats,
+            peak_hosts: run.peak_hosts,
+            peak_inflight: driven.peak_inflight,
+            peak_cluster_queue_depth: driven.peak_cluster_queue_depth,
+            host_time: run.host_time,
+            audit_violations: run.audit_violations,
+            failed_hosts: driven.failed_hosts,
+            events_processed: driven.events,
+        }
+    }
+}
+
+impl<P: ConcurrentPlatform> Control<P, P> for ControlPlane<P> {
+    type Event = Ev;
+
+    fn on_start(&mut self, d: &mut D<'_, P>) {
+        // Anchor the control loop to the schedule itself: installs may
+        // have advanced the clock far past the first arrival instant.
+        let anchor = d
+            .requests
+            .first()
+            .map_or(d.fleet.clock.now(), |r| r.arrival);
+        d.schedule(anchor + self.config.policy.control_interval, Ev::Tick);
+    }
+
+    /// Integrates powered-host machine time up to this event with the
+    /// pre-event fleet size.
+    fn before_event(&mut self, fleet: &Fleet<P>, at: Nanos) {
+        let dt = at.saturating_sub(self.run.last_sample);
+        self.run.host_time += dt * fleet.powered() as u64;
+        self.run.last_sample = at;
+    }
+
+    fn on_arrive(&mut self, d: &mut D<'_, P>, f: FunctionId, root: SpanId) {
+        *self.run.tick_counts.entry(f).or_insert(0) += 1;
+        self.run.last_arrival.insert(f, d.fleet.clock.now());
+        if self.archived.remove(&f) {
+            // Demand resurrection: the archive (or any later replica)
+            // serves the delta fetch when a host first restores it.
+            self.run.stats.resurrections += 1;
+            d.rec.attr(root, "resurrected", true);
+            let m = d.fleet.obs.metrics();
+            m.inc("elastic.resurrections", &[("function", &f.name())]);
+        }
+    }
+
+    fn on_service_start(&mut self, host: usize) {
+        self.idle_ticks[host] = 0;
+    }
+
+    fn on_complete(&mut self, d: &mut D<'_, P>, host: usize) {
+        self.try_finish_drain(d.fleet, host);
+    }
+
+    fn on_control(&mut self, d: &mut D<'_, P>, event: Ev) {
+        match event {
+            Ev::Tick => self.on_tick(d),
+            Ev::BootDone(host) => self.on_boot_done(d, host),
+            Ev::DrainDeadline(host) => self.on_drain_deadline(d, host),
+            Ev::Migrate(handoff) => self.on_migrate(d, handoff),
+        }
+    }
+
+    /// A crash (or drain interrupt) cancels the host's pending
+    /// hand-offs; membership changed, so the auditor runs.
+    fn on_host_failed(&mut self, d: &mut D<'_, P>, host: usize) {
+        self.run.pending.remove(&host);
+        let m = d.fleet.obs.metrics();
+        m.inc("elastic.host_crashes", &[("host", &host.to_string())]);
+        self.audit_into(d.fleet);
+    }
+
+    /// With no active host, requests wait if capacity is on its way (a
+    /// boot in flight) or the control loop can still provision some.
+    fn capacity_may_return(&self, fleet: &Fleet<P>) -> bool {
+        fleet.count(HostPhase::Booting) > 0
+            || (!self.run.boot_give_up && fleet.powered() < self.config.policy.max_hosts)
+    }
+
+    fn after_event(&mut self, d: &D<'_, P>) {
+        let (fleet, powered) = (&*d.fleet, d.fleet.powered());
+        self.run.peak_hosts = self.run.peak_hosts.max(powered);
+        self.g_hosts.set(powered as i64);
+        self.g_active.set(fleet.count(HostPhase::Active) as i64);
+        self.g_inflight.set(fleet.inflight_total as i64);
+        self.g_queue.set(d.cluster_waiting.len() as i64);
+    }
+}
+
+impl<P: ConcurrentPlatform> ControlPlane<P> {
+    /// Stamps out one host in [`HostPhase::Booting`] and returns its id.
+    fn create_host(&mut self, fleet: &mut Fleet<P>) -> usize {
+        self.idle_ticks.push(0);
+        fleet.add_host(&self.config.env, &self.config.platform, &mut self.factory)
+    }
+
+    fn audit(&self, fleet: &Fleet<P>) -> Vec<String> {
         let mut violations = Vec::new();
-        for (id, host) in self.hosts.iter().enumerate() {
+        for (id, host) in fleet.hosts.iter().enumerate() {
             if !host.phase.is_powered() {
                 continue;
             }
-            if let Some(audit) = host.platform.store_audit() {
+            if let Some(audit) = host.platform().store_audit() {
                 violations.extend(
                     audit
                         .verify()
@@ -615,11 +650,11 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
                 .into_iter()
                 .map(|v| format!("archive: {v}")),
         );
-        for id in self.mesh.borrow().alive_hosts() {
+        for id in fleet.mesh.borrow().alive_hosts() {
             if id.index() == ARCHIVE_HOST {
                 continue;
             }
-            let powered = self
+            let powered = fleet
                 .hosts
                 .get(id.index())
                 .is_some_and(|h| h.phase.is_powered());
@@ -633,8 +668,9 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
         violations
     }
 
-    fn audit_into(&self, run: &mut ERun) {
-        run.audit_violations.extend(self.audit());
+    fn audit_into(&mut self, fleet: &Fleet<P>) {
+        let violations = self.audit(fleet);
+        self.run.audit_violations.extend(violations);
     }
 
     /// Copies `name`'s snapshot chunks from a live mesh donor into the
@@ -644,11 +680,11 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
     /// Returns whether the archive now holds the function. The copy is
     /// modeled as background replication traffic — it does not charge
     /// the serving timeline.
-    fn archive_function(&mut self, function: FunctionId) -> bool {
+    fn archive_function(&mut self, fleet: &Fleet<P>, function: FunctionId) -> bool {
         if self.archive_manifests.contains_key(&function) {
             return true;
         }
-        let Some(donor) = self.mesh.borrow().donor_for(function, archive_host_id()) else {
+        let Some(donor) = fleet.mesh.borrow().donor_for(function, archive_host_id()) else {
             return false;
         };
         {
@@ -680,633 +716,86 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
                 archive.ingest_remote_chunk(chunk.hash, frames);
             }
         }
-        self.mesh.borrow_mut().publish(
+        fleet.mesh.borrow_mut().publish(
             archive_host_id(),
             function,
             donor.manifest.clone(),
             donor.template,
         );
         self.archive_manifests.insert(function, donor.manifest);
-        let name = function.name();
-        self.obs
-            .metrics()
-            .inc("elastic.archived", &[("function", &name)]);
+        let m = fleet.obs.metrics();
+        m.inc("elastic.archived", &[("function", &function.name())]);
         true
     }
 
-    /// Current router views: only [`HostPhase::Active`] hosts are
-    /// healthy — booting and draining hosts admit nothing. Fills the
-    /// caller's scratch buffer instead of allocating per decision.
-    fn views_into(&self, function: FunctionId, buf: &mut Vec<HostView>) {
-        buf.clear();
-        buf.extend(self.hosts.iter().enumerate().map(|(id, host)| HostView {
-            id: HostId::from_index(id),
-            healthy: host.phase == HostPhase::Active,
-            inflight: host.inflight.len(),
-            queue_depth: host.waiting.len(),
-            slots: self.config.slots_per_host,
-            queue_cap: self.config.host_queue_cap,
-            residency: host.platform.residency(function),
-        }));
-    }
-
-    fn powered_count(&self) -> usize {
-        self.hosts.iter().filter(|h| h.phase.is_powered()).count()
-    }
-
-    fn active_count(&self) -> usize {
-        self.hosts
-            .iter()
-            .filter(|h| h.phase == HostPhase::Active)
-            .count()
-    }
-
-    fn booting_count(&self) -> usize {
-        self.hosts
-            .iter()
-            .filter(|h| h.phase == HostPhase::Booting)
-            .count()
-    }
-}
-
-impl<P: ConcurrentPlatform> ElasticCluster<P> {
-    /// Drives `requests` (sorted by arrival) through the elastic
-    /// cluster under `router` and returns the completions with
-    /// control-plane statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `requests` are not sorted by arrival time, or if any
-    /// request fails to reach a terminal outcome (request-conservation
-    /// violation — a control-plane bug by definition).
-    pub fn run<R: Router + ?Sized>(
-        &mut self,
-        router: &mut R,
-        requests: &[EngineRequest],
-    ) -> ElasticReport {
-        assert!(
-            requests.windows(2).all(|w| w[0].arrival <= w[1].arrival),
-            "requests must be sorted by arrival time"
-        );
-        let mut queue: EventQueue<Ev> = EventQueue::new();
-        for (i, r) in requests.iter().enumerate() {
-            queue.schedule(r.arrival, Ev::Arrive(i));
-        }
-        let start = self.clock.now();
-        // Anchor the control loop to the schedule itself: installs may
-        // have advanced the clock far past the first arrival instant.
-        let anchor = requests.first().map_or(start, |r| r.arrival);
-        queue.schedule(
-            anchor + self.config.policy.control_interval,
-            Ev::ControlTick,
-        );
-
-        let mut run = ERun {
-            out: {
-                let mut v: Vec<Option<ClusterCompletion>> = Vec::with_capacity(requests.len());
-                v.resize_with(requests.len(), || None);
-                v
-            },
-            cluster_waiting: VecDeque::new(),
-            stats: ElasticStats::default(),
-            peak_hosts: self.powered_count(),
-            peak_inflight: 0,
-            peak_cluster_queue_depth: 0,
-            host_time: Nanos::ZERO,
-            last_sample: start,
-            failed_hosts: Vec::new(),
-            audit_violations: Vec::new(),
-            tick_counts: BTreeMap::new(),
-            prev_tick_total: 0,
-            window: BTreeMap::new(),
-            last_arrival: BTreeMap::new(),
-            pending: BTreeMap::new(),
-            boot_failures_row: 0,
-            boot_give_up: false,
-            roots: BTreeMap::new(),
-            views_buf: Vec::new(),
-        };
-
-        let mut events_processed = 0u64;
-        while let Some(ev) = queue.pop() {
-            events_processed += 1;
-            // Integrate powered-host machine time up to this event with
-            // the pre-event fleet size.
-            let dt = ev.at.saturating_sub(run.last_sample);
-            run.host_time += dt * self.powered_count() as u64;
-            run.last_sample = ev.at;
-            self.clock.warp_to(ev.at);
-            match ev.event {
-                Ev::Arrive(i) => self.on_arrive(router, requests, i, &mut run, &mut queue),
-                Ev::Complete { host, index } => {
-                    self.on_complete(router, requests, host, index, &mut run, &mut queue)
-                }
-                Ev::ControlTick => self.on_tick(router, requests, &mut run, &mut queue),
-                Ev::BootDone { host } => {
-                    self.on_boot_done(router, requests, host, &mut run, &mut queue)
-                }
-                Ev::DrainDeadline { host } => {
-                    self.on_drain_deadline(router, requests, host, &mut run, &mut queue)
-                }
-                Ev::Migrate {
-                    dest,
-                    donor,
-                    function,
-                    attempt,
-                } => self.on_migrate(dest, donor, function, attempt, &mut run, &mut queue),
-            }
-            self.reap_mesh_dead(router, requests, &mut run, &mut queue);
-            self.sample_gauges(&mut run);
-        }
-
-        self.audit_into(&mut run);
-        let lost: Vec<usize> = run
-            .out
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.is_none())
-            .map(|(i, _)| i)
-            .collect();
-        assert!(
-            lost.is_empty(),
-            "request conservation violated: requests {lost:?} have no outcome \
-             ({} reroutes, failed hosts: {:?})",
-            run.stats.crash_reroutes,
-            run.failed_hosts,
-        );
-
-        ElasticReport {
-            completions: run
-                .out
-                .into_iter()
-                .map(|c| c.expect("checked above"))
-                .collect(),
-            stats: run.stats,
-            peak_hosts: run.peak_hosts,
-            peak_inflight: run.peak_inflight,
-            peak_cluster_queue_depth: run.peak_cluster_queue_depth,
-            host_time: run.host_time,
-            audit_violations: run.audit_violations,
-            failed_hosts: run.failed_hosts,
-            events_processed,
-        }
-    }
-
-    fn on_arrive<R: Router + ?Sized>(
-        &mut self,
-        router: &mut R,
-        requests: &[EngineRequest],
-        i: usize,
-        run: &mut ERun,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        let f = requests[i].invoke.function;
-        *run.tick_counts.entry(f).or_insert(0) += 1;
-        run.last_arrival.insert(f, self.clock.now());
-        // Admission mints the request's trace: one detached root span
-        // per request, so spans from interleaved requests (and hosts)
-        // never adopt each other.
-        let rec = self.obs.recorder().clone();
-        let trace = rec.next_trace_id();
-        let root = rec.start_detached("request", cat::INVOKE, trace);
-        let name = f.name();
-        rec.attr(root, "function", &*name);
-        run.roots.insert(i, (trace, root));
-        if self.archived.remove(&f) {
-            // Demand resurrection: the archive (or any later replica)
-            // serves the delta fetch when a host first restores it.
-            run.stats.resurrections += 1;
-            rec.attr(root, "resurrected", true);
-            self.obs
-                .metrics()
-                .inc("elastic.resurrections", &[("function", &name)]);
-        }
-        if !self.dispatch(router, requests, i, None, run, queue) {
-            run.cluster_waiting.push_back(i);
-        }
-    }
-
-    fn on_complete<R: Router + ?Sized>(
-        &mut self,
-        router: &mut R,
-        requests: &[EngineRequest],
-        h: usize,
-        index: usize,
-        run: &mut ERun,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        if let Some(token) = self.hosts[h].inflight.remove(&index) {
-            self.hosts[h].platform.finish_invoke(token);
-            self.inflight_total -= 1;
-        }
-        self.hosts[h].free += 1;
-        match self.hosts[h].phase {
-            HostPhase::Active => {
-                while let Some(next) = self.hosts[h].waiting.pop_front() {
-                    if self.reject_if_expired(requests, next, run, None) {
-                        continue;
-                    }
-                    self.start_service(router, requests, h, next, run, queue);
-                    break;
-                }
-                self.drain_cluster_queue(router, requests, run, queue);
-            }
-            HostPhase::Draining => self.try_finish_drain(h, run),
-            _ => {}
-        }
-    }
-
-    /// FIFO-drains the cluster admission queue through the router,
-    /// stopping at the first request that still cannot place.
-    fn drain_cluster_queue<R: Router + ?Sized>(
-        &mut self,
-        router: &mut R,
-        requests: &[EngineRequest],
-        run: &mut ERun,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        while let Some(next) = run.cluster_waiting.pop_front() {
-            if self.reject_if_expired(requests, next, run, None) {
-                continue;
-            }
-            if !self.dispatch(router, requests, next, None, run, queue) {
-                run.cluster_waiting.push_front(next);
-                break;
-            }
-        }
-    }
-
-    /// Routes request `i` and places it: service, host queue, cluster
-    /// queue, or terminal rejection. Returns `false` only when the
-    /// request should wait on the cluster queue.
-    fn dispatch<R: Router + ?Sized>(
-        &mut self,
-        router: &mut R,
-        requests: &[EngineRequest],
-        i: usize,
-        rerouted_from: Option<usize>,
-        run: &mut ERun,
-        queue: &mut EventQueue<Ev>,
-    ) -> bool {
-        let now = self.clock.now();
-        if self.reject_if_expired(requests, i, run, rerouted_from) {
-            return true;
-        }
-        let rec = self.obs.recorder().clone();
-        let r = &requests[i];
-        if let Some(from) = rerouted_from {
-            // A crash or drain displaced this request off host `from`;
-            // the router consult below is a second routing decision.
-            if let Some(&(_, root)) = run.roots.get(&i) {
-                rec.instant_under(
-                    root,
-                    "rerouted",
-                    cat::ROUTE,
-                    vec![("from_host", from.into())],
-                );
-            }
-        }
-        if self.active_count() == 0 {
-            // No serving capacity. If capacity is on its way (a boot in
-            // flight) or the control loop can still provision some, the
-            // request waits; otherwise nothing will ever serve it.
-            let can_recover = self.booting_count() > 0
-                || (!run.boot_give_up && self.powered_count() < self.config.policy.max_hosts);
-            if can_recover {
-                return false;
-            }
-            if let Some((_, root)) = run.roots.remove(&i) {
-                rec.record_closed_under(root, "queued", cat::QUEUE, Phase::Other, r.arrival, now);
-                rec.attr(root, "rejected", "host_unavailable");
-                rec.end_detached(root);
-            }
-            run.out[i] = Some(ClusterCompletion {
-                index: i,
-                host: rerouted_from.map(HostId::from_index),
-                function: r.invoke.function,
-                arrived: r.arrival,
-                started: now,
-                finished: now,
-                result: Err(PlatformError::HostUnavailable {
-                    function: r.invoke.function.name().to_string(),
-                    host: rerouted_from,
-                }),
-            });
-            return true;
-        }
-        let mut views = std::mem::take(&mut run.views_buf);
-        self.views_into(r.invoke.function, &mut views);
-        let decision = router.route(&r.invoke, &views);
-        let (host, rebalanced) = match decision {
-            Route::Host(h) => (h.index(), false),
-            Route::Fallback(h) => (h.index(), true),
-            Route::Defer => {
-                run.views_buf = views;
-                return false;
-            }
-        };
-        debug_assert!(views[host].has_capacity(), "router picked a full host");
-        run.views_buf = views;
-        if rebalanced || rerouted_from.is_some() {
-            run.stats.rebalances += 1;
-            self.obs.metrics().inc("elastic.rebalances", &[]);
-        }
-        if self.hosts[host].free > 0 {
-            self.start_service(router, requests, host, i, run, queue);
-        } else {
-            self.hosts[host].waiting.push_back(i);
-        }
-        true
-    }
-
-    /// Starts request `i` on host `h` now — unless the host's injector
-    /// fires [`FaultSite::HostCrash`] at this service boundary.
-    fn start_service<R: Router + ?Sized>(
-        &mut self,
-        router: &mut R,
-        requests: &[EngineRequest],
-        h: usize,
-        i: usize,
-        run: &mut ERun,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        let crashed = self.hosts[h]
-            .env
-            .injector
-            .borrow_mut()
-            .should_fail(FaultSite::HostCrash);
-        if crashed {
-            self.fail_host_and_reroute(router, requests, h, Some(i), run, queue);
-            return;
-        }
-        let rec = self.obs.recorder().clone();
-        let host = &mut self.hosts[h];
-        host.free -= 1;
-        host.idle_ticks = 0;
-        let started = self.clock.now();
-        let r = &requests[i];
-        if host.platform.residency(r.invoke.function).is_full() {
-            run.stats.locality_hits += 1;
-            self.obs.metrics().inc("elastic.locality_hits", &[]);
-        }
-        let (trace, root) = run.roots.remove(&i).expect("request admitted");
-        rec.record_closed_under(root, "queued", cat::QUEUE, Phase::Other, r.arrival, started);
-        // The service span goes on the shared open stack: every span the
-        // host platform records nests under it and inherits the trace.
-        // The flow pair draws the admission → service causal arrow.
-        let service = rec.start_under(root, "service", cat::INVOKE);
-        rec.attr(service, "host", h);
-        rec.flow_out(root, trace.raw());
-        rec.flow_in(service, trace.raw());
-        let invoke = r.invoke.clone().with_trace(SpanContext {
-            trace,
-            parent: service,
-        });
-        let result = host.platform.begin_invoke(&invoke);
-        let finished = self.clock.now();
-        rec.end(service);
-        rec.end_detached(root);
-        let result = match result {
-            Ok((invocation, token)) => {
-                host.inflight.insert(i, token);
-                self.inflight_total += 1;
-                Ok(invocation)
-            }
-            Err(e) => Err(e),
-        };
-        run.out[i] = Some(ClusterCompletion {
-            index: i,
-            host: Some(HostId::from_index(h)),
-            function: r.invoke.function,
-            arrived: r.arrival,
-            started,
-            finished,
-            result,
-        });
-        queue.schedule(finished, Ev::Complete { host: h, index: i });
-    }
-
-    /// Fails host `h` permanently (crash or drain interrupt): marks it
-    /// dead in the mesh, cancels its pending hand-offs, and reroutes
-    /// `trigger` plus everything in its admission queue. In-flight
-    /// invocations still complete — their events are on the timeline.
-    fn fail_host_and_reroute<R: Router + ?Sized>(
-        &mut self,
-        router: &mut R,
-        requests: &[EngineRequest],
-        h: usize,
-        trigger: Option<usize>,
-        run: &mut ERun,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        self.hosts[h].phase = HostPhase::Dead;
-        self.hosts[h].idle_ticks = 0;
-        self.mesh.borrow_mut().mark_dead(HostId::from_index(h));
-        run.pending.remove(&h);
-        run.failed_hosts.push(HostId::from_index(h));
-        self.obs.metrics().inc(
-            "elastic.host_crashes",
-            &[("host", self.hosts[h].label.as_str())],
-        );
-        self.obs
-            .recorder()
-            .instant(format!("host_crash:{h}"), fireworks_obs::cat::FAULT);
-        let mut displaced = std::mem::take(&mut self.hosts[h].waiting);
-        if let Some(t) = trigger {
-            displaced.push_front(t);
-        }
-        run.stats.crash_reroutes += displaced.len() as u64;
-        if !displaced.is_empty() {
-            self.obs
-                .metrics()
-                .add("elastic.crash_reroutes", &[], displaced.len() as u64);
-        }
-        while let Some(i) = displaced.pop_front() {
-            if !self.dispatch(router, requests, i, Some(h), run, queue) {
-                run.cluster_waiting.push_back(i);
-            }
-        }
-        self.audit_into(run);
-    }
-
-    /// Fails hosts whose crash was first observed by a peer's delta
-    /// fetch (the mesh marked them dead mid-transfer).
-    fn reap_mesh_dead<R: Router + ?Sized>(
-        &mut self,
-        router: &mut R,
-        requests: &[EngineRequest],
-        run: &mut ERun,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        let dead = self.mesh.borrow().dead_hosts();
-        for h in dead {
-            let h = h.index();
-            if h == ARCHIVE_HOST {
-                continue;
-            }
-            if !self
-                .hosts
-                .get(h)
-                .is_some_and(|host| host.phase.is_powered())
-            {
-                continue;
-            }
-            self.fail_host_and_reroute(router, requests, h, None, run, queue);
-        }
-    }
-
-    fn sample_gauges(&self, run: &mut ERun) {
-        let powered = self.powered_count();
-        run.peak_inflight = run.peak_inflight.max(self.inflight_total);
-        run.peak_cluster_queue_depth = run.peak_cluster_queue_depth.max(run.cluster_waiting.len());
-        run.peak_hosts = run.peak_hosts.max(powered);
-        self.g_hosts.set(powered as i64);
-        self.g_active.set(self.active_count() as i64);
-        self.g_inflight.set(self.inflight_total as i64);
-        self.g_queue.set(run.cluster_waiting.len() as i64);
-    }
-
-    /// Rejects request `i` with [`PlatformError::DeadlineExceeded`] if
-    /// its deadline passed; returns whether it was rejected.
-    fn reject_if_expired(
-        &self,
-        requests: &[EngineRequest],
-        i: usize,
-        run: &mut ERun,
-        rerouted_from: Option<usize>,
-    ) -> bool {
-        let now = self.clock.now();
-        let r = &requests[i];
-        let Some(deadline) = r.invoke.deadline else {
-            return false;
-        };
-        if now <= deadline {
-            return false;
-        }
-        if let Some((_, root)) = run.roots.remove(&i) {
-            let rec = self.obs.recorder();
-            rec.record_closed_under(root, "queued", cat::QUEUE, Phase::Other, r.arrival, now);
-            rec.attr(root, "rejected", "deadline");
-            rec.end_detached(root);
-        }
-        run.out[i] = Some(ClusterCompletion {
-            index: i,
-            host: rerouted_from.map(HostId::from_index),
-            function: r.invoke.function,
-            arrived: r.arrival,
-            started: now,
-            finished: now,
-            result: Err(PlatformError::DeadlineExceeded {
-                function: r.invoke.function.name().to_string(),
-                deadline,
-            }),
-        });
-        true
-    }
-}
-
-impl<P: ConcurrentPlatform> ElasticCluster<P> {
     /// One control-loop evaluation: predictor update, retirement,
     /// scale-up, scale-down, queue drain, and rescheduling.
-    fn on_tick<R: Router + ?Sized>(
-        &mut self,
-        router: &mut R,
-        requests: &[EngineRequest],
-        run: &mut ERun,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        let now = self.clock.now();
+    fn on_tick(&mut self, d: &mut D<'_, P>) {
+        let now = d.fleet.clock.now();
         let policy = self.config.policy.clone();
 
         // Slide the arrival predictor's window forward one interval.
-        let tick_total: u64 = run.tick_counts.values().sum();
-        let counts = std::mem::take(&mut run.tick_counts);
+        let tick_total: u64 = self.run.tick_counts.values().sum();
+        let counts = std::mem::take(&mut self.run.tick_counts);
         for (f, n) in &counts {
-            let w = run.window.entry(*f).or_default();
-            w.push_back(*n);
+            self.run.window.entry(*f).or_default().push_back(*n);
+        }
+        for (f, w) in self.run.window.iter_mut() {
+            if !counts.contains_key(f) {
+                w.push_back(0);
+            }
             while w.len() > policy.predictor_window {
                 w.pop_front();
             }
         }
-        for (f, w) in run.window.iter_mut() {
-            if !counts.contains_key(f) {
-                w.push_back(0);
-                while w.len() > policy.predictor_window {
-                    w.pop_front();
-                }
-            }
-        }
 
         // Idleness accounting.
-        for host in self.hosts.iter_mut() {
-            if host.phase == HostPhase::Active
+        for (h, host) in d.fleet.hosts.iter().enumerate() {
+            let idle = host.phase == HostPhase::Active
                 && host.inflight.is_empty()
-                && host.waiting.is_empty()
-            {
-                host.idle_ticks += 1;
-            } else {
-                host.idle_ticks = 0;
-            }
+                && host.waiting.is_empty();
+            self.idle_ticks[h] = if idle { self.idle_ticks[h] + 1 } else { 0 };
         }
 
         // Scale-to-zero retirement.
         if let Some(after) = policy.retire_after {
-            self.retire_idle_functions(after, now, requests, run);
+            self.retire_idle_functions(d, after, now);
         }
 
         // Scale up on queue pressure (or a rising trend, when the
         // predictor is armed for proactive capacity).
-        let active = self.active_count();
-        let pressure: usize = run.cluster_waiting.len()
-            + self
+        let active = d.fleet.count(HostPhase::Active);
+        let pressure: usize = d.cluster_waiting.len()
+            + d.fleet
                 .hosts
                 .iter()
                 .filter(|h| h.phase == HostPhase::Active)
                 .map(|h| h.waiting.len())
                 .sum::<usize>();
         let overloaded = pressure > policy.scale_up_queue * active.max(1);
-        let starved = active == 0 && (pressure > 0 || !run.cluster_waiting.is_empty());
+        let starved = active == 0 && pressure > 0;
         let rising = policy.prewarm
-            && tick_total > run.prev_tick_total
+            && tick_total > self.run.prev_tick_total
             && tick_total as usize > policy.scale_up_queue;
-        run.prev_tick_total = tick_total;
+        self.run.prev_tick_total = tick_total;
         if (overloaded || starved || rising)
-            && self.booting_count() == 0
-            && self.powered_count() < policy.max_hosts
-            && !run.boot_give_up
+            && d.fleet.count(HostPhase::Booting) == 0
+            && d.fleet.powered() < policy.max_hosts
+            && !self.run.boot_give_up
             && !self.scale_up_breaker.is_open(now)
         {
-            let h = self.create_host();
-            run.stats.scale_ups += 1;
-            self.obs.metrics().inc("elastic.scale_ups", &[]);
-            queue.schedule(now + policy.boot_delay, Ev::BootDone { host: h });
+            let host = self.create_host(d.fleet);
+            self.run.stats.scale_ups += 1;
+            d.fleet.obs.metrics().inc("elastic.scale_ups", &[]);
+            d.schedule(now + policy.boot_delay, Ev::BootDone(host));
         }
 
-        // Give up on scale-up after too many consecutive boot failures
-        // with no serving capacity: fail parked admissions fast so the
-        // run terminates under ScaleUpFail = 1.0.
-        if run.boot_failures_row >= SCALE_UP_GIVE_UP {
-            run.boot_give_up = true;
-        }
-        if run.boot_give_up && self.active_count() == 0 && self.booting_count() == 0 {
-            while let Some(i) = run.cluster_waiting.pop_front() {
-                if self.reject_if_expired(requests, i, run, None) {
-                    continue;
-                }
-                let r = &requests[i];
-                run.out[i] = Some(ClusterCompletion {
-                    index: i,
-                    host: None,
-                    function: r.invoke.function,
-                    arrived: r.arrival,
-                    started: now,
-                    finished: now,
-                    result: Err(PlatformError::HostUnavailable {
-                        function: r.invoke.function.name().to_string(),
-                        host: None,
-                    }),
-                });
-            }
+        // Give up on scale-up after too many consecutive boot failures:
+        // with no serving capacity left either, `capacity_may_return`
+        // turns false and the queue drain below fails parked admissions
+        // fast, so the run terminates under ScaleUpFail = 1.0.
+        if self.run.boot_failures_row >= SCALE_UP_GIVE_UP {
+            self.run.boot_give_up = true;
         }
 
         // Scale down: drain at most one idle host at a time, highest id
@@ -1315,148 +804,129 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
         // next to a backlogged peer is the cluster's catch-up capacity,
         // and draining it forces a boot (and a snapshot rebuild) the
         // moment the backlog surfaces as pressure.
-        let draining = self.hosts.iter().any(|h| h.phase == HostPhase::Draining);
-        if !draining && pressure == 0 && self.active_count() > policy.min_hosts {
-            let victim = self
-                .hosts
-                .iter()
-                .enumerate()
-                .rev()
-                .find(|(_, h)| {
-                    h.phase == HostPhase::Active && h.idle_ticks >= policy.scale_down_idle_ticks
-                })
-                .map(|(id, _)| id);
+        if d.fleet.count(HostPhase::Draining) == 0
+            && pressure == 0
+            && d.fleet.count(HostPhase::Active) > policy.min_hosts
+        {
+            let victim = (0..d.fleet.hosts.len()).rev().find(|&h| {
+                d.fleet.hosts[h].phase == HostPhase::Active
+                    && self.idle_ticks[h] >= policy.scale_down_idle_ticks
+            });
             if let Some(h) = victim {
-                self.start_drain(router, requests, h, run, queue);
+                self.start_drain(d, h);
             }
         }
 
-        self.drain_cluster_queue(router, requests, run, queue);
+        // The tick re-offers the cluster queue to the router (and so
+        // rejects expired requests earlier than a completion would).
+        d.drain_cluster_queue(self);
 
         // Keep ticking while anything still needs the control loop:
         // unresolved requests, boots, drains, or pending hand-offs.
-        let work_remains = run.out.iter().any(|c| c.is_none())
-            || self.booting_count() > 0
-            || self.hosts.iter().any(|h| h.phase == HostPhase::Draining)
-            || run.pending.values().any(|&n| n > 0);
+        let work_remains = d.resolved < d.requests.len()
+            || d.fleet.count(HostPhase::Booting) > 0
+            || d.fleet.count(HostPhase::Draining) > 0
+            || self.run.pending.values().any(|&n| n > 0);
         if work_remains {
-            queue.schedule(now + policy.control_interval, Ev::ControlTick);
+            d.schedule(now + policy.control_interval, Ev::Tick);
         }
     }
 
     /// Retires functions unseen for longer than `after`: their chunks
     /// are copied to the archive, then every live replica is dropped.
-    fn retire_idle_functions(
-        &mut self,
-        after: Nanos,
-        now: Nanos,
-        requests: &[EngineRequest],
-        run: &mut ERun,
-    ) {
+    fn retire_idle_functions(&mut self, d: &mut D<'_, P>, after: Nanos, now: Nanos) {
+        let function_of = |i: &usize| d.requests[*i].invoke.function;
         let mut resident: BTreeSet<FunctionId> = BTreeSet::new();
-        for host in self.hosts.iter().filter(|h| h.phase == HostPhase::Active) {
-            resident.extend(host.platform.hot_functions());
-        }
         // Functions with outstanding demand — queued anywhere or in
         // service — are never retirement candidates, even when their
         // last *arrival* is past the horizon (a backlog served slower
         // than it arrived would otherwise thrash retire/resurrect).
-        let mut busy: BTreeSet<FunctionId> = BTreeSet::new();
-        for &i in &run.cluster_waiting {
-            busy.insert(requests[i].invoke.function);
-        }
-        for host in &self.hosts {
-            busy.extend(host.waiting.iter().map(|&i| requests[i].invoke.function));
-            busy.extend(host.inflight.keys().map(|&i| requests[i].invoke.function));
+        let mut busy: BTreeSet<FunctionId> = d.cluster_waiting.iter().map(function_of).collect();
+        for host in &d.fleet.hosts {
+            if host.phase == HostPhase::Active {
+                resident.extend(host.platform().hot_functions());
+            }
+            busy.extend(host.waiting.iter().map(function_of));
+            busy.extend(host.inflight.keys().map(function_of));
         }
         for f in resident {
             if busy.contains(&f) {
                 continue;
             }
-            let last = run.last_arrival.get(&f).copied().unwrap_or(Nanos::ZERO);
+            let last = self.run.last_arrival.get(&f).map_or(Nanos::ZERO, |t| *t);
             if now.saturating_sub(last) <= after {
                 continue;
             }
             // Crash safety: the archive copy must exist before any
             // replica is dropped — a retirement that cannot reach the
             // archive keeps its live replicas.
-            if !self.archive_function(f) {
+            if !self.archive_function(d.fleet, f) {
                 continue;
             }
             let mut any = false;
-            for host in self.hosts.iter_mut() {
+            for host in d.fleet.hosts.iter_mut() {
                 if host.phase.is_powered() {
-                    any |= host.platform.retire(f);
+                    any |= host.platform_mut().retire(f);
                 }
             }
             if any {
-                run.stats.retired_functions += 1;
+                self.run.stats.retired_functions += 1;
                 self.archived.insert(f);
-                let name = f.name();
-                self.obs
-                    .metrics()
-                    .inc("elastic.retired", &[("function", &name)]);
-                self.audit_into(run);
+                let m = d.fleet.obs.metrics();
+                m.inc("elastic.retired", &[("function", &f.name())]);
+                self.audit_into(d.fleet);
             }
         }
     }
 
     /// A scale-up host finishes provisioning — or draws
     /// [`FaultSite::ScaleUpFail`] and dies unprovisioned.
-    fn on_boot_done<R: Router + ?Sized>(
-        &mut self,
-        router: &mut R,
-        requests: &[EngineRequest],
-        h: usize,
-        run: &mut ERun,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        if self.hosts[h].phase != HostPhase::Booting {
+    fn on_boot_done(&mut self, d: &mut D<'_, P>, h: usize) {
+        if d.fleet.hosts[h].phase != HostPhase::Booting {
             return;
         }
-        let now = self.clock.now();
-        let failed = self.hosts[h]
-            .env
-            .injector
-            .borrow_mut()
-            .should_fail(FaultSite::ScaleUpFail);
-        if failed {
-            self.hosts[h].phase = HostPhase::Dead;
+        let now = d.fleet.clock.now();
+        if self.draws(d.fleet, h, FaultSite::ScaleUpFail) {
+            d.fleet.set_phase(h, HostPhase::Dead);
             // The host never served: deregister (no crash record for
             // the reaper — there is nothing to drain).
-            self.mesh.borrow_mut().deregister(HostId::from_index(h));
-            run.failed_hosts.push(HostId::from_index(h));
-            run.stats.scale_up_failures += 1;
-            run.boot_failures_row += 1;
+            d.fleet.mesh.borrow_mut().deregister(HostId::from_index(h));
+            d.stats.failed_hosts.push(HostId::from_index(h));
+            self.run.stats.scale_up_failures += 1;
+            self.run.boot_failures_row += 1;
             self.scale_up_breaker
                 .failure(now, &self.config.policy.migration);
-            self.obs.metrics().inc("elastic.scale_up_failures", &[]);
-            self.obs
-                .recorder()
-                .instant(format!("scale_up_fail:{h}"), fireworks_obs::cat::FAULT);
-            self.audit_into(run);
+            d.fleet.obs.metrics().inc("elastic.scale_up_failures", &[]);
+            d.rec.instant(format!("scale_up_fail:{h}"), cat::FAULT);
+            self.audit_into(d.fleet);
             return;
         }
-        self.hosts[h].phase = HostPhase::Active;
-        run.boot_failures_row = 0;
+        d.fleet.set_phase(h, HostPhase::Active);
+        self.run.boot_failures_row = 0;
         self.scale_up_breaker.success();
         // A late joiner must know every installed function.
-        let specs: Vec<FunctionSpec> = self.specs.values().cloned().collect();
-        for spec in &specs {
+        for spec in self.specs.values() {
             // Registration failures surface on first invocation; a boot
             // must not abort the whole run.
-            let _ = self.hosts[h].platform.register(spec);
+            let _ = d.fleet.hosts[h].platform_mut().register(spec);
         }
         if self.config.policy.prewarm {
-            self.prewarm_host(h, run);
+            self.prewarm_host(d.fleet, h);
         }
-        self.audit_into(run);
-        self.drain_cluster_queue(router, requests, run, queue);
+        self.audit_into(d.fleet);
+        d.drain_cluster_queue(self);
+    }
+
+    /// Whether host `h`'s injector fires `site` now.
+    fn draws(&self, fleet: &Fleet<P>, h: usize, site: FaultSite) -> bool {
+        let injector = &fleet.host_env(HostId::from_index(h)).injector;
+        injector.borrow_mut().should_fail(site)
     }
 
     /// Prewarms the predictor's hottest functions on host `h`.
-    fn prewarm_host(&mut self, h: usize, run: &mut ERun) {
-        let mut scored: Vec<(u64, FunctionId)> = run
+    fn prewarm_host(&mut self, fleet: &mut Fleet<P>, h: usize) {
+        let mut scored: Vec<(u64, FunctionId)> = self
+            .run
             .window
             .iter()
             .map(|(f, w)| (w.iter().sum::<u64>(), *f))
@@ -1464,97 +934,90 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
             .collect();
         scored.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
         for (_, f) in scored.into_iter().take(PREWARM_TOP_K) {
-            if self.hosts[h].platform.prewarm(f) {
-                run.stats.prewarms += 1;
+            if fleet.hosts[h].platform_mut().prewarm(f) {
+                self.run.stats.prewarms += 1;
                 let name = f.name();
-                self.obs
-                    .metrics()
-                    .inc("elastic.prewarms", &[("function", &name)]);
+                let m = fleet.obs.metrics();
+                m.inc("elastic.prewarms", &[("function", &name)]);
                 if self.archived.remove(&f) {
                     // Predictor-signal resurrection: the prewarm pulled
                     // an archived function back into live service.
-                    run.stats.resurrections += 1;
-                    self.obs
-                        .metrics()
-                        .inc("elastic.resurrections", &[("function", &name)]);
+                    self.run.stats.resurrections += 1;
+                    m.inc("elastic.resurrections", &[("function", &name)]);
                 }
             }
+        }
+    }
+
+    /// Hands the requests queued on departing host `h` back to the
+    /// router; they count as reroutes in the report.
+    fn displace_queue(&mut self, d: &mut D<'_, P>, h: usize) {
+        let displaced = std::mem::take(&mut d.fleet.hosts[h].waiting);
+        self.run.stats.crash_reroutes += displaced.len() as u64;
+        for i in displaced {
+            d.place(self, i, Some(h));
         }
     }
 
     /// Begins a graceful drain of host `h`: stop admitting, displace
     /// its queue, schedule one hand-off per hot function, and arm the
     /// drain deadline.
-    fn start_drain<R: Router + ?Sized>(
-        &mut self,
-        router: &mut R,
-        requests: &[EngineRequest],
-        h: usize,
-        run: &mut ERun,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        let now = self.clock.now();
-        run.stats.drains_started += 1;
-        self.obs
-            .metrics()
-            .inc("elastic.drains", &[("host", self.hosts[h].label.as_str())]);
-        self.hosts[h].phase = HostPhase::Draining;
-        let mut displaced = std::mem::take(&mut self.hosts[h].waiting);
-        run.stats.crash_reroutes += displaced.len() as u64;
-        while let Some(i) = displaced.pop_front() {
-            if !self.dispatch(router, requests, i, Some(h), run, queue) {
-                run.cluster_waiting.push_back(i);
-            }
-        }
+    fn start_drain(&mut self, d: &mut D<'_, P>, h: usize) {
+        let now = d.fleet.clock.now();
+        self.run.stats.drains_started += 1;
+        let m = d.fleet.obs.metrics();
+        m.inc("elastic.drains", &[("host", &h.to_string())]);
+        d.fleet.set_phase(h, HostPhase::Draining);
+        self.displace_queue(d, h);
         // The drain itself can be interrupted before any hand-off.
-        if self.hosts[h]
-            .env
-            .injector
-            .borrow_mut()
-            .should_fail(FaultSite::DrainInterrupt)
-        {
-            run.stats.drain_interrupts += 1;
-            self.obs.metrics().inc("elastic.drain_interrupts", &[]);
-            self.fail_host_and_reroute(router, requests, h, None, run, queue);
+        if self.draws(d.fleet, h, FaultSite::DrainInterrupt) {
+            self.run.stats.drain_interrupts += 1;
+            d.fleet.obs.metrics().inc("elastic.drain_interrupts", &[]);
+            d.fail_host(self, h, None);
             return;
         }
         // Schedule one hand-off per hot function to the cheapest
         // survivor that doesn't already hold it.
-        let hot = self.hosts[h].platform.hot_functions();
         let mut scheduled = 0usize;
-        for f in hot {
-            let Some(dest) = self.pick_migration_dest(f, h) else {
+        for function in d.fleet.hosts[h].platform().hot_functions() {
+            let Some(dest) = self.pick_migration_dest(d.fleet, function, h) else {
                 continue;
             };
-            queue.schedule(
+            d.schedule(
                 now,
-                Ev::Migrate {
+                Ev::Migrate(Handoff {
                     dest,
                     donor: h,
-                    function: f,
+                    function,
                     attempt: 1,
-                },
+                }),
             );
             scheduled += 1;
         }
-        run.pending.insert(h, scheduled);
-        queue.schedule(
+        self.run.pending.insert(h, scheduled);
+        d.schedule(
             now + self.config.policy.drain_deadline,
-            Ev::DrainDeadline { host: h },
+            Ev::DrainDeadline(h),
         );
-        self.try_finish_drain(h, run);
+        self.try_finish_drain(d.fleet, h);
     }
 
     /// The cheapest active host (fewest missing bytes, then load, then
     /// id) that does not already fully hold `function`; `None` when no
     /// active host exists or every one already holds it.
-    fn pick_migration_dest(&self, function: FunctionId, donor: usize) -> Option<usize> {
-        self.hosts
+    fn pick_migration_dest(
+        &self,
+        fleet: &Fleet<P>,
+        function: FunctionId,
+        donor: usize,
+    ) -> Option<usize> {
+        fleet
+            .hosts
             .iter()
             .enumerate()
             .filter(|(id, h)| *id != donor && h.phase == HostPhase::Active)
             .map(|(id, h)| {
-                let residency = h.platform.residency(function);
+                let residency = h.platform().residency(function);
                 (residency, h.inflight.len() + h.waiting.len(), id)
             })
             .filter(|(residency, _, _)| !residency.is_full())
@@ -1562,92 +1025,73 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
             .map(|(_, _, id)| id)
     }
 
-    /// One drain-time snapshot hand-off attempt.
-    fn on_migrate(
-        &mut self,
-        dest: usize,
-        donor: usize,
-        function: FunctionId,
-        attempt: u32,
-        run: &mut ERun,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        if self.hosts[donor].phase != HostPhase::Draining {
+    /// Attempts one hand-off.
+    fn on_migrate(&mut self, d: &mut D<'_, P>, handoff: Handoff) {
+        let Handoff {
+            dest,
+            donor,
+            function,
+            attempt,
+        } = handoff;
+        if d.fleet.hosts[donor].phase != HostPhase::Draining {
             // The drain already ended (deadline, interrupt, crash);
             // nothing left to hand off.
             return;
         }
-        let now = self.clock.now();
-        let policy = self.config.policy.migration.clone();
+        let now = d.fleet.clock.now();
         // The donor can die mid-hand-off.
-        if self.hosts[donor]
-            .env
-            .injector
-            .borrow_mut()
-            .should_fail(FaultSite::DrainInterrupt)
+        if self.draws(d.fleet, donor, FaultSite::DrainInterrupt) {
+            self.run.stats.drain_interrupts += 1;
+            d.fleet.obs.metrics().inc("elastic.drain_interrupts", &[]);
+            self.run.pending.remove(&donor);
+            // A draining host admits nothing and its queue was displaced
+            // when the drain began, so there is nothing to reroute: the
+            // host just leaves, dead to the mesh and the reaper alike.
+            d.fleet.set_phase(donor, HostPhase::Dead);
+            let donor = HostId::from_index(donor);
+            d.fleet.mesh.borrow_mut().mark_dead(donor);
+            d.stats.failed_hosts.push(donor);
+            self.audit_into(d.fleet);
+            return;
+        }
+        if self
+            .migration_breakers
+            .entry(function)
+            .or_default()
+            .is_open(now)
         {
-            run.stats.drain_interrupts += 1;
-            self.obs.metrics().inc("elastic.drain_interrupts", &[]);
-            run.pending.remove(&donor);
-            // Rerouting of the donor's queue happens in the shared
-            // failure path; the reaper sees the mesh death immediately.
-            self.hosts[donor].phase = HostPhase::Dead;
-            self.mesh.borrow_mut().mark_dead(HostId::from_index(donor));
-            run.failed_hosts.push(HostId::from_index(donor));
-            self.audit_into(run);
+            self.abandon_handoff(d.fleet, donor, None);
             return;
         }
-        let breaker = self.migration_breakers.entry(function).or_default();
-        if breaker.is_open(now) {
-            run.stats.migration_failures += 1;
-            self.resolve_handoff(donor, run);
-            return;
-        }
+        let failed = Some((function, now));
         // Re-validate the destination; it may have drained or died
         // since the hand-off was scheduled.
-        let dest = if self.hosts[dest].phase == HostPhase::Active {
+        let dest = if d.fleet.hosts[dest].phase == HostPhase::Active {
             Some(dest)
         } else {
-            self.pick_migration_dest(function, donor)
+            self.pick_migration_dest(d.fleet, function, donor)
         };
         let Some(dest) = dest else {
-            run.stats.migration_failures += 1;
-            self.migration_breakers
-                .get_mut(&function)
-                .expect("entry created above")
-                .failure(now, &policy);
-            self.resolve_handoff(donor, run);
+            self.abandon_handoff(d.fleet, donor, failed);
             return;
         };
         // The transfer can stall (receiver-side wedge): retry with
         // exponential virtual-time backoff on a re-picked destination.
-        let stalled = self.hosts[dest]
-            .env
-            .injector
-            .borrow_mut()
-            .should_fail(FaultSite::MigrationStall);
-        if stalled {
-            run.stats.migration_stalls += 1;
-            self.obs.metrics().inc("elastic.migration_stalls", &[]);
+        if self.draws(d.fleet, dest, FaultSite::MigrationStall) {
+            self.run.stats.migration_stalls += 1;
+            d.fleet.obs.metrics().inc("elastic.migration_stalls", &[]);
+            let policy = &self.config.policy.migration;
             if attempt < policy.max_attempts {
-                run.stats.migration_retries += 1;
-                queue.schedule(
-                    now + policy.backoff(attempt),
-                    Ev::Migrate {
-                        dest,
-                        donor,
-                        function,
-                        attempt: attempt + 1,
-                    },
-                );
+                self.run.stats.migration_retries += 1;
+                let retry = Handoff {
+                    dest,
+                    attempt: attempt + 1,
+                    ..handoff
+                };
+                d.schedule(now + policy.backoff(attempt), Ev::Migrate(retry));
                 return;
             }
-            run.stats.migration_failures += 1;
-            self.migration_breakers
-                .get_mut(&function)
-                .expect("entry created above")
-                .failure(now, &policy);
-            self.resolve_handoff(donor, run);
+            self.abandon_handoff(d.fleet, donor, failed);
             return;
         }
         // The hand-off is the mesh's ordinary delta fetch: the
@@ -1655,7 +1099,7 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
         // draining host — the lowest-id full holder). It gets its own
         // control-plane trace: the delta-fetch spans the prewarm records
         // nest under the hand-off span and inherit the migration trace.
-        let rec = self.obs.recorder().clone();
+        let rec = &d.rec;
         let mtrace = rec.next_trace_id();
         let mroot = rec.start_detached("migration", cat::MIGRATE, mtrace);
         let name = function.name();
@@ -1663,98 +1107,91 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
         rec.attr(mroot, "donor", donor);
         rec.attr(mroot, "dest", dest);
         let handoff = rec.start_under(mroot, "handoff", cat::MIGRATE);
-        let migrated = self.hosts[dest].platform.prewarm(function);
+        let migrated = d.fleet.hosts[dest].platform_mut().prewarm(function);
         rec.end(handoff);
-        rec.attr(
-            mroot,
-            "outcome",
-            if migrated {
-                "migrated"
-            } else {
-                "rebuild_fallback"
-            },
-        );
-        rec.end_detached(mroot);
-        if migrated {
-            run.stats.migrations += 1;
-            self.obs
-                .metrics()
-                .inc("elastic.migrations", &[("function", &name)]);
-            self.migration_breakers
-                .get_mut(&function)
-                .expect("entry created above")
-                .success();
+        let outcome = if migrated {
+            "migrated"
         } else {
+            "rebuild_fallback"
+        };
+        rec.attr(mroot, "outcome", outcome);
+        rec.end_detached(mroot);
+        if !migrated {
             // No donor qualified (publication raced away): fall back to
             // rebuild-from-source on first demand at the destination.
-            run.stats.migration_failures += 1;
-            self.migration_breakers
-                .get_mut(&function)
-                .expect("entry created above")
-                .failure(now, &policy);
+            self.abandon_handoff(d.fleet, donor, failed);
+            return;
         }
-        self.resolve_handoff(donor, run);
+        self.run.stats.migrations += 1;
+        let m = d.fleet.obs.metrics();
+        m.inc("elastic.migrations", &[("function", &name)]);
+        if let Some(breaker) = self.migration_breakers.get_mut(&function) {
+            breaker.success();
+        }
+        self.resolve_handoff(d.fleet, donor);
+    }
+
+    /// Gives up on one of `donor`'s hand-offs (the survivor rebuilds on
+    /// demand instead); `failed` charges the function's breaker.
+    fn abandon_handoff(
+        &mut self,
+        fleet: &mut Fleet<P>,
+        donor: usize,
+        failed: Option<(FunctionId, Nanos)>,
+    ) {
+        self.run.stats.migration_failures += 1;
+        if let Some((function, now)) = failed {
+            let policy = &self.config.policy.migration;
+            if let Some(breaker) = self.migration_breakers.get_mut(&function) {
+                breaker.failure(now, policy);
+            }
+        }
+        self.resolve_handoff(fleet, donor);
     }
 
     /// Marks one of `donor`'s outstanding hand-offs finished and checks
     /// whether the drain can now complete.
-    fn resolve_handoff(&mut self, donor: usize, run: &mut ERun) {
-        if let Some(n) = run.pending.get_mut(&donor) {
+    fn resolve_handoff(&mut self, fleet: &mut Fleet<P>, donor: usize) {
+        if let Some(n) = self.run.pending.get_mut(&donor) {
             *n = n.saturating_sub(1);
         }
-        self.try_finish_drain(donor, run);
+        self.try_finish_drain(fleet, donor);
     }
 
     /// Completes a graceful drain once the host has no in-flight work
     /// and no outstanding hand-offs.
-    fn try_finish_drain(&mut self, h: usize, run: &mut ERun) {
-        if self.hosts[h].phase != HostPhase::Draining {
+    fn try_finish_drain(&mut self, fleet: &mut Fleet<P>, h: usize) {
+        if fleet.hosts[h].phase != HostPhase::Draining
+            || !fleet.hosts[h].inflight.is_empty()
+            || self.run.pending.get(&h).copied().unwrap_or(0) > 0
+        {
             return;
         }
-        if !self.hosts[h].inflight.is_empty() {
-            return;
-        }
-        if run.pending.get(&h).copied().unwrap_or(0) > 0 {
-            return;
-        }
-        run.pending.remove(&h);
-        run.stats.graceful_drains += 1;
-        self.obs.metrics().inc("elastic.graceful_drains", &[]);
-        self.hosts[h].phase = HostPhase::Retired;
-        self.mesh.borrow_mut().deregister(HostId::from_index(h));
-        self.audit_into(run);
+        self.run.pending.remove(&h);
+        self.run.stats.graceful_drains += 1;
+        fleet.obs.metrics().inc("elastic.graceful_drains", &[]);
+        fleet.set_phase(h, HostPhase::Retired);
+        fleet.mesh.borrow_mut().deregister(HostId::from_index(h));
+        self.audit_into(fleet);
     }
 
     /// The drain deadline fired: if the host is still draining, degrade
     /// to hard removal. Unfinished hand-offs are abandoned (survivors
     /// rebuild on demand); in-flight invocations still complete.
-    fn on_drain_deadline<R: Router + ?Sized>(
-        &mut self,
-        router: &mut R,
-        requests: &[EngineRequest],
-        h: usize,
-        run: &mut ERun,
-        queue: &mut EventQueue<Ev>,
-    ) {
-        if self.hosts[h].phase != HostPhase::Draining {
+    fn on_drain_deadline(&mut self, d: &mut D<'_, P>, h: usize) {
+        if d.fleet.hosts[h].phase != HostPhase::Draining {
             return;
         }
-        run.stats.hard_removals += 1;
-        self.obs.metrics().inc("elastic.hard_removals", &[]);
-        run.pending.remove(&h);
-        self.hosts[h].phase = HostPhase::Retired;
-        self.mesh.borrow_mut().deregister(HostId::from_index(h));
+        self.run.stats.hard_removals += 1;
+        d.fleet.obs.metrics().inc("elastic.hard_removals", &[]);
+        self.run.pending.remove(&h);
+        d.fleet.set_phase(h, HostPhase::Retired);
+        d.fleet.mesh.borrow_mut().deregister(HostId::from_index(h));
         // A draining host admits nothing, but displaced requests may
         // have been parked back on its queue before the drain started;
         // conservation demands they reroute.
-        let mut displaced = std::mem::take(&mut self.hosts[h].waiting);
-        run.stats.crash_reroutes += displaced.len() as u64;
-        while let Some(i) = displaced.pop_front() {
-            if !self.dispatch(router, requests, i, Some(h), run, queue) {
-                run.cluster_waiting.push_back(i);
-            }
-        }
-        self.audit_into(run);
+        self.displace_queue(d, h);
+        self.audit_into(d.fleet);
     }
 }
 

@@ -16,34 +16,18 @@
 //!
 //! # Event model
 //!
-//! Each request contributes two events:
-//!
-//! - **Arrive**: at the request's arrival instant. If a slot is free the
-//!   service activity runs immediately (charging its cost on the clock,
-//!   which lands at the invocation's finish instant); otherwise the
-//!   request joins the FIFO admission queue.
-//! - **Complete**: scheduled at the invocation's finish instant. The
-//!   in-flight token is released (warm-pool return / clone teardown),
-//!   the slot frees, and the head of the admission queue — if any —
-//!   starts service at this instant.
-//!
-//! Requests carrying an [`InvokeRequest::deadline`] that passes while
-//! they wait are rejected at their would-be service start with
-//! [`PlatformError::DeadlineExceeded`]; they never consume a slot.
-//!
-//! Determinism follows from the event queue's `(time, seq)` ordering plus
-//! the deterministic platforms underneath; identical request schedules
-//! produce byte-identical reports.
+//! [`run_concurrent`] is the cluster driver over a one-host fleet: the
+//! borrowed platform, `slots` invoker slots and an unbounded FIFO
+//! admission queue. Arrivals, completions, deadline rejection and the
+//! determinism argument are the ones [`crate::cluster`] documents; a
+//! rejected request never consumes a slot.
 
-use std::collections::{BTreeMap, VecDeque};
-
-use fireworks_obs::{cat, Obs, Recorder, SpanContext, SpanId, TraceId};
-use fireworks_sim::engine::EventQueue;
-use fireworks_sim::trace::Phase;
+use fireworks_obs::{Gauge, Obs};
 use fireworks_sim::{Clock, Nanos};
 
-use crate::api::{ConcurrentPlatform, InFlightToken, Invocation, InvokeRequest, PlatformError};
-use crate::symbols::FunctionId;
+use crate::api::{ConcurrentPlatform, InFlightToken, InvokeRequest};
+use crate::cluster::{ClusterCompletion, RoundRobin};
+use crate::driver::{self, Control, Driver, Fleet, HostPhase};
 
 /// One request offered to the engine: an invocation plus its arrival
 /// instant on the virtual timeline.
@@ -99,35 +83,10 @@ impl EngineConfig {
     }
 }
 
-/// One request's outcome, with its queueing timeline.
-#[derive(Debug)]
-pub struct EngineCompletion {
-    /// Index of the request in the submitted schedule.
-    pub index: usize,
-    /// The function invoked.
-    pub function: FunctionId,
-    /// When the request arrived.
-    pub arrived: Nanos,
-    /// When a slot picked it up (for a missed deadline: when the engine
-    /// rejected it).
-    pub started: Nanos,
-    /// When its service activity finished (success or failure).
-    pub finished: Nanos,
-    /// The invocation, or the error that ended it.
-    pub result: Result<Invocation, PlatformError>,
-}
-
-impl EngineCompletion {
-    /// Time spent waiting for a slot.
-    pub fn waited(&self) -> Nanos {
-        self.started.saturating_sub(self.arrived)
-    }
-
-    /// Total time in the system (what the client observes).
-    pub fn sojourn(&self) -> Nanos {
-        self.finished.saturating_sub(self.arrived)
-    }
-}
+/// One request's outcome with its queueing timeline — the driver's one
+/// completion type; `host` is always the engine's single host 0 (or
+/// `None` for a request rejected at its deadline).
+pub type EngineCompletion = ClusterCompletion;
 
 /// The engine's output: completions in request order, plus concurrency
 /// high-water marks.
@@ -151,9 +110,40 @@ pub struct EngineReport<T> {
     pub events_processed: u64,
 }
 
-enum Event {
-    Arrive(usize),
-    Complete(usize),
+/// The engine's control plane: nothing to control, only the six
+/// unlabelled `engine.*` gauges and the live-PSS sample to publish.
+/// Handles are resolved once, so the per-event sampling is a handful of
+/// `Cell` stores.
+struct EngineGauges {
+    inflight: Gauge,
+    queue_depth: Gauge,
+    live_pss: Gauge,
+    peak_inflight: Gauge,
+    peak_queue_depth: Gauge,
+    peak_live_pss: Gauge,
+    peak_live_pss_bytes: u64,
+}
+
+impl<P: ConcurrentPlatform> Control<P, &mut P> for EngineGauges {
+    type Event = ();
+
+    fn after_event(&mut self, d: &Driver<'_, P, &mut P, Self>) {
+        let host = &d.fleet.hosts[0];
+        let live: u64 = host
+            .inflight
+            .values()
+            .chain(d.retained.iter().map(|(_, token)| token))
+            .map(InFlightToken::pss_bytes)
+            .fold(0u64, u64::saturating_add);
+        self.peak_live_pss_bytes = self.peak_live_pss_bytes.max(live);
+        self.inflight.set(host.inflight.len() as i64);
+        self.queue_depth.set(host.waiting.len() as i64);
+        self.live_pss.set(live as i64);
+        self.peak_inflight.set(d.stats.peak_inflight as i64);
+        self.peak_queue_depth
+            .set(d.stats.peak_host_queue_depth as i64);
+        self.peak_live_pss.set(self.peak_live_pss_bytes as i64);
+    }
 }
 
 /// Drives `requests` (sorted by arrival) through `platform` on the
@@ -175,224 +165,39 @@ pub fn run_concurrent<P: ConcurrentPlatform>(
     config: &EngineConfig,
     requests: &[EngineRequest],
 ) -> EngineReport<P::InFlight> {
-    assert!(config.slots > 0, "need at least one invoker slot");
-    assert!(
-        requests.windows(2).all(|w| w[0].arrival <= w[1].arrival),
-        "requests must be sorted by arrival time"
+    let mut fleet = Fleet::new(
+        clock.clone(),
+        obs.clone(),
+        config.slots,
+        usize::MAX,
+        config.completion,
     );
-
-    let mut queue: EventQueue<Event> = EventQueue::new();
-    for (i, r) in requests.iter().enumerate() {
-        queue.schedule(r.arrival, Event::Arrive(i));
-    }
-
-    // The engine's mutable state between events.
-    struct State<T> {
-        free: usize,
-        waiting: VecDeque<usize>,
-        // BTreeMap keeps iteration (PSS sampling) deterministic.
-        inflight: BTreeMap<usize, T>,
-        retained: Vec<T>,
-        out: Vec<Option<EngineCompletion>>,
-        // Per-request detached trace roots, opened at arrival and closed
-        // at completion or rejection.
-        roots: BTreeMap<usize, (TraceId, SpanId)>,
-        peak_inflight: usize,
-        peak_queue_depth: usize,
-        peak_live_pss: u64,
-    }
-
-    impl<T: InFlightToken> State<T> {
-        // Opens request `i`'s trace: one detached root span per request,
-        // so interleaved requests never adopt each other's spans.
-        fn admit(&mut self, rec: &Recorder, requests: &[EngineRequest], i: usize) {
-            let trace = rec.next_trace_id();
-            let root = rec.start_detached("request", cat::INVOKE, trace);
-            rec.attr(root, "function", &*requests[i].invoke.function.name());
-            self.roots.insert(i, (trace, root));
-        }
-
-        // Starts request `i`'s service activity at the current clock
-        // instant and schedules its completion at the finish instant.
-        fn start_service<P: ConcurrentPlatform<InFlight = T>>(
-            &mut self,
-            platform: &mut P,
-            clock: &Clock,
-            rec: &Recorder,
-            queue: &mut EventQueue<Event>,
-            requests: &[EngineRequest],
-            i: usize,
-        ) {
-            self.free -= 1;
-            let started = clock.now();
-            let r = &requests[i];
-            let (trace, root) = self.roots[&i];
-            rec.record_closed_under(root, "queued", cat::QUEUE, Phase::Other, r.arrival, started);
-            // The service span goes on the open stack: everything the
-            // platform records nests under it and inherits the trace.
-            // The flow pair draws the admission → service causal arrow.
-            let service = rec.start_under(root, "service", cat::INVOKE);
-            rec.flow_out(root, trace.raw());
-            rec.flow_in(service, trace.raw());
-            let invoke = r.invoke.clone().with_trace(SpanContext {
-                trace,
-                parent: service,
-            });
-            let result = platform.begin_invoke(&invoke);
-            let finished = clock.now();
-            rec.end(service);
-            rec.end_detached(root);
-            let result = match result {
-                Ok((invocation, token)) => {
-                    self.inflight.insert(i, token);
-                    Ok(invocation)
-                }
-                // A failed invocation held its slot up to the failure
-                // instant; the Complete event frees it there.
-                Err(e) => Err(e),
-            };
-            self.out[i] = Some(EngineCompletion {
-                index: i,
-                function: r.invoke.function,
-                arrived: r.arrival,
-                started,
-                finished,
-                result,
-            });
-            queue.schedule(finished, Event::Complete(i));
-        }
-
-        // Whether request `i`'s deadline has passed at `now`; a missed
-        // deadline is recorded as a completion without consuming a slot.
-        fn reject_if_expired(
-            &mut self,
-            rec: &Recorder,
-            requests: &[EngineRequest],
-            i: usize,
-            now: Nanos,
-        ) -> bool {
-            let r = &requests[i];
-            let Some(deadline) = r.invoke.deadline else {
-                return false;
-            };
-            if now <= deadline {
-                return false;
-            }
-            if let Some((_, root)) = self.roots.get(&i).copied() {
-                rec.record_closed_under(root, "queued", cat::QUEUE, Phase::Other, r.arrival, now);
-                rec.attr(root, "rejected", "deadline");
-                rec.end_detached(root);
-            }
-            self.out[i] = Some(EngineCompletion {
-                index: i,
-                function: r.invoke.function,
-                arrived: r.arrival,
-                started: now,
-                finished: now,
-                result: Err(PlatformError::DeadlineExceeded {
-                    function: r.invoke.function.name().to_string(),
-                    deadline,
-                }),
-            });
-            true
-        }
-    }
-
-    let mut out: Vec<Option<EngineCompletion>> = Vec::with_capacity(requests.len());
-    out.resize_with(requests.len(), || None);
-    let mut state: State<P::InFlight> = State {
-        free: config.slots,
-        waiting: VecDeque::new(),
-        inflight: BTreeMap::new(),
-        retained: Vec::new(),
-        out,
-        roots: BTreeMap::new(),
-        peak_inflight: 0,
-        peak_queue_depth: 0,
-        peak_live_pss: 0,
-    };
-    let rec = obs.recorder().clone();
-    // Gauge handles resolved once: the per-event sampling below is a
-    // handful of Cell stores instead of six key allocations + lookups.
+    fleet.push_host(platform, None, HostPhase::Active);
     let m = obs.metrics();
-    let g_inflight = m.gauge("engine.inflight", &[]);
-    let g_queue_depth = m.gauge("engine.queue_depth", &[]);
-    let g_live_pss = m.gauge("engine.live_pss_bytes", &[]);
-    let g_peak_inflight = m.gauge("engine.peak_inflight", &[]);
-    let g_peak_queue_depth = m.gauge("engine.peak_queue_depth", &[]);
-    let g_peak_live_pss = m.gauge("engine.peak_live_pss_bytes", &[]);
-
-    let mut events_processed = 0u64;
-    while let Some(ev) = queue.pop() {
-        events_processed += 1;
-        clock.warp_to(ev.at);
-        match ev.event {
-            Event::Arrive(i) => {
-                state.admit(&rec, requests, i);
-                if state.reject_if_expired(&rec, requests, i, clock.now()) {
-                    // Arrived already past its deadline: rejected above.
-                } else if state.free > 0 {
-                    state.start_service(platform, clock, &rec, &mut queue, requests, i);
-                } else {
-                    state.waiting.push_back(i);
-                }
-            }
-            Event::Complete(i) => {
-                if let Some(token) = state.inflight.remove(&i) {
-                    match config.completion {
-                        CompletionPolicy::Release => platform.finish_invoke(token),
-                        CompletionPolicy::Retain => state.retained.push(token),
-                    }
-                }
-                state.free += 1;
-                // Skip over queued requests whose deadline passed while
-                // they waited; serve the first still-admissible one.
-                while let Some(next) = state.waiting.pop_front() {
-                    if state.reject_if_expired(&rec, requests, next, clock.now()) {
-                        continue;
-                    }
-                    state.start_service(platform, clock, &rec, &mut queue, requests, next);
-                    break;
-                }
-            }
-        }
-
-        // Sample the engine gauges at the event boundary.
-        let live: u64 = state
-            .inflight
-            .values()
-            .map(InFlightToken::pss_bytes)
-            .chain(state.retained.iter().map(InFlightToken::pss_bytes))
-            .fold(0u64, u64::saturating_add);
-        state.peak_inflight = state.peak_inflight.max(state.inflight.len());
-        state.peak_queue_depth = state.peak_queue_depth.max(state.waiting.len());
-        state.peak_live_pss = state.peak_live_pss.max(live);
-        g_inflight.set(state.inflight.len() as i64);
-        g_queue_depth.set(state.waiting.len() as i64);
-        g_live_pss.set(live as i64);
-        g_peak_inflight.set(state.peak_inflight as i64);
-        g_peak_queue_depth.set(state.peak_queue_depth as i64);
-        g_peak_live_pss.set(state.peak_live_pss as i64);
-    }
-
+    let mut gauges = EngineGauges {
+        inflight: m.gauge("engine.inflight", &[]),
+        queue_depth: m.gauge("engine.queue_depth", &[]),
+        live_pss: m.gauge("engine.live_pss_bytes", &[]),
+        peak_inflight: m.gauge("engine.peak_inflight", &[]),
+        peak_queue_depth: m.gauge("engine.peak_queue_depth", &[]),
+        peak_live_pss: m.gauge("engine.peak_live_pss_bytes", &[]),
+        peak_live_pss_bytes: 0,
+    };
+    let out = driver::run(&mut fleet, &mut gauges, &mut RoundRobin::new(), requests);
     EngineReport {
-        completions: state
-            .out
-            .into_iter()
-            .map(|c| c.expect("every request completes"))
-            .collect(),
-        retained: state.retained,
-        peak_inflight: state.peak_inflight,
-        peak_queue_depth: state.peak_queue_depth,
-        peak_live_pss_bytes: state.peak_live_pss,
-        events_processed,
+        completions: out.completions,
+        retained: out.retained.into_iter().map(|(_, token)| token).collect(),
+        peak_inflight: out.stats.peak_inflight,
+        peak_queue_depth: out.stats.peak_host_queue_depth,
+        peak_live_pss_bytes: gauges.peak_live_pss_bytes,
+        events_processed: out.stats.events,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{FunctionSpec, StartKind};
+    use crate::api::{FunctionSpec, PlatformError, StartKind};
     use crate::env::PlatformEnv;
     use crate::fireworks::FireworksPlatform;
     use crate::symbols::fid;

@@ -31,6 +31,7 @@ pub mod audit;
 pub mod cache;
 pub mod cluster;
 pub mod config;
+mod driver;
 pub mod elastic;
 pub mod engine;
 pub mod env;
@@ -44,7 +45,7 @@ pub use api::{
     Platform, PlatformError, SnapshotResidency, StartKind, StartMode,
 };
 pub use cluster::{
-    Cluster, ClusterCompletion, ClusterConfig, ClusterReport, HostView, LeastLoaded,
+    Cluster, ClusterCompletion, ClusterConfig, ClusterReport, Fleet, HostView, LeastLoaded,
     LocalityAffinity, RoundRobin, Route, Router,
 };
 pub use config::{

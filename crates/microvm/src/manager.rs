@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use fireworks_guestmem::{AddressSpace, HostMemory, SnapshotFile};
-use fireworks_lang::{JitConfig, JitPolicy, LangError};
+use fireworks_lang::{JitConfig, LangError};
 use fireworks_obs::{cat, Obs, SpanId};
 use fireworks_runtime::{GuestRuntime, MemoryModel, RuntimeProfile};
 use fireworks_sim::fault::{FaultSite, SharedInjector};
@@ -191,27 +191,6 @@ impl VmManager {
         Ok(())
     }
 
-    /// Launches a language runtime with a bare tier-up policy override.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use `launch_runtime` with a `JitConfig` (wrap the policy \
-                via `JitConfig::default().with_policy(..)`)"
-    )]
-    pub fn launch_runtime_with_policy(
-        &mut self,
-        vm: &mut MicroVm,
-        profile: RuntimeProfile,
-        source: &str,
-        policy: Option<JitPolicy>,
-    ) -> Result<(), LangError> {
-        self.launch_runtime(
-            vm,
-            profile,
-            source,
-            JitConfig::default().with_policy(policy),
-        )
-    }
-
     /// Pauses a running VM in memory (warm pool).
     pub fn pause(&mut self, vm: &mut MicroVm) {
         assert_eq!(vm.state, VmState::Running, "pause a running VM");
@@ -345,7 +324,7 @@ impl VmManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fireworks_lang::{NoopHost, Value};
+    use fireworks_lang::{JitPolicy, NoopHost, Value};
     use fireworks_runtime::guest::RunOutcome;
     use fireworks_sim::fault::{self, FaultInjector, FaultPlan};
 
@@ -516,48 +495,6 @@ mod tests {
         b.mmds_set("instance-id", "vm-b");
         assert_eq!(mgr.mmds_get(&a, "instance-id").as_deref(), Some("vm-a"));
         assert_eq!(mgr.mmds_get(&b, "instance-id").as_deref(), Some("vm-b"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_policy_launch_matches_jitconfig_launch() {
-        let mut mgr_a = manager();
-        let mut vm_a = mgr_a.create(MicroVmConfig::default());
-        mgr_a.boot(&mut vm_a).expect("boots");
-        mgr_a
-            .launch_runtime_with_policy(
-                &mut vm_a,
-                RuntimeProfile::node(),
-                SRC,
-                Some(JitPolicy::Off),
-            )
-            .expect("launches");
-
-        let mut mgr_b = manager();
-        let mut vm_b = mgr_b.create(MicroVmConfig::default());
-        mgr_b.boot(&mut vm_b).expect("boots");
-        mgr_b
-            .launch_runtime(
-                &mut vm_b,
-                RuntimeProfile::node(),
-                SRC,
-                JitConfig::default().with_policy(Some(JitPolicy::Off)),
-            )
-            .expect("launches");
-
-        assert_eq!(vm_a.boot_time(), vm_b.boot_time());
-        let ra = vm_a
-            .runtime_mut()
-            .expect("rt")
-            .invoke(mgr_a.clock(), "main", vec![Value::Int(500)], &mut NoopHost)
-            .expect("runs");
-        let rb = vm_b
-            .runtime_mut()
-            .expect("rt")
-            .invoke(mgr_b.clock(), "main", vec![Value::Int(500)], &mut NoopHost)
-            .expect("runs");
-        assert_eq!(ra.value, rb.value);
-        assert_eq!(ra.exec_time, rb.exec_time);
     }
 
     #[test]

@@ -146,25 +146,9 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// Drains `queue`, warping `clock` to each event's instant before calling
-/// `handler`. The handler may schedule follow-up events (at or after the
-/// handled instant) and may advance the clock to charge service time; the
-/// driver re-warps before the next event either way.
-pub fn drive<E>(
-    clock: &crate::Clock,
-    queue: &mut EventQueue<E>,
-    mut handler: impl FnMut(&crate::Clock, Scheduled<E>, &mut EventQueue<E>),
-) {
-    while let Some(ev) = queue.pop() {
-        clock.warp_to(ev.at);
-        handler(clock, ev, queue);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Clock;
 
     fn ms(v: u64) -> Nanos {
         Nanos::from_millis(v)
@@ -198,30 +182,6 @@ mod tests {
         let b = q.schedule(ms(2), ());
         assert!(b > a);
         assert_eq!(q.scheduled(), 2);
-    }
-
-    #[test]
-    fn drive_warps_the_clock_and_allows_followups() {
-        let clock = Clock::new();
-        let mut q = EventQueue::new();
-        q.schedule(ms(10), "start");
-        let mut seen = Vec::new();
-        drive(&clock, &mut q, |clock, ev, q| {
-            seen.push((ev.at, ev.event));
-            if ev.event == "start" {
-                // Charge 5 ms of service, then schedule completion.
-                clock.advance(ms(5));
-                q.schedule(clock.now(), "done");
-                // An unrelated event that begins before the service ends.
-                q.schedule(ms(12), "overlap");
-            }
-        });
-        assert_eq!(
-            seen,
-            vec![(ms(10), "start"), (ms(12), "overlap"), (ms(15), "done")]
-        );
-        // The clock ends at the last event's instant.
-        assert_eq!(clock.now(), ms(15));
     }
 
     #[test]

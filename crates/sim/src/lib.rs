@@ -15,8 +15,8 @@
 //! - [`rng::SplitMix64`]: a tiny deterministic RNG used where workloads
 //!   need pseudo-random data without pulling randomness into results.
 //! - [`engine`]: a deterministic discrete-event queue over virtual time —
-//!   the substrate for genuinely concurrent activities (see
-//!   [`queueing`] and the platform invocation engine built on top).
+//!   the substrate for genuinely concurrent activities (the platform
+//!   invocation driver is built on top).
 //! - [`trace`]: phase spans used to produce the paper's latency breakdowns
 //!   (start-up / exec / others).
 //! - [`fault`]: a seeded, deterministic fault-injection plane used to
@@ -29,7 +29,6 @@ pub mod clock;
 pub mod cost;
 pub mod engine;
 pub mod fault;
-pub mod queueing;
 pub mod rng;
 pub mod stats;
 pub mod time;

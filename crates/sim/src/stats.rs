@@ -36,8 +36,7 @@ pub fn geomean_f64(xs: &[f64]) -> f64 {
 ///
 /// Nearest-rank makes p99 collapse to the maximum whenever `n < 100`,
 /// which skews small-sample tails like chaos_sweep's 40 invocations;
-/// interpolating fixes that. Use [`percentile_nearest`] where figure
-/// parity with older runs matters.
+/// interpolating fixes that.
 ///
 /// # Interpolation contract
 ///
@@ -72,20 +71,6 @@ pub fn percentile(xs: &[Nanos], p: f64) -> Nanos {
     let a = sorted[lo].as_nanos() as f64;
     let b = sorted[hi].as_nanos() as f64;
     Nanos::from_nanos((a + (b - a) * frac).round() as u64)
-}
-
-/// The `p`-th percentile (0–100) using the historical nearest-rank rule
-/// (round to the closest index). Kept for parity with figures produced
-/// before [`percentile`] switched to linear interpolation.
-pub fn percentile_nearest(xs: &[Nanos], p: f64) -> Nanos {
-    if xs.is_empty() {
-        return Nanos::ZERO;
-    }
-    let mut sorted: Vec<Nanos> = xs.to_vec();
-    sorted.sort_unstable();
-    let p = p.clamp(0.0, 100.0);
-    let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
-    sorted[rank]
 }
 
 #[cfg(test)]
@@ -138,7 +123,6 @@ mod tests {
                                                    // p99 on a small sample no longer collapses to the max.
         let two = [ms(0), ms(100)];
         assert_eq!(percentile(&two, 99.0), ms(99));
-        assert_eq!(percentile_nearest(&two, 99.0), ms(100));
     }
 
     #[test]
@@ -146,7 +130,6 @@ mod tests {
         let one = [ms(37)];
         for p in [0.0, 1.0, 50.0, 99.0, 100.0, -5.0, 250.0] {
             assert_eq!(percentile(&one, p), ms(37), "p={p}");
-            assert_eq!(percentile_nearest(&one, p), ms(37), "p={p}");
         }
     }
 
@@ -173,15 +156,5 @@ mod tests {
         let xs = [ms(10), ms(20), ms(30)];
         assert_eq!(percentile(&xs, -10.0), ms(10));
         assert_eq!(percentile(&xs, 1000.0), ms(30));
-    }
-
-    #[test]
-    fn percentile_nearest_keeps_the_old_rule() {
-        let xs = [ms(10), ms(20), ms(30), ms(40), ms(50)];
-        assert_eq!(percentile_nearest(&xs, 0.0), ms(10));
-        assert_eq!(percentile_nearest(&xs, 50.0), ms(30));
-        assert_eq!(percentile_nearest(&xs, 60.0), ms(30)); // rank 2.4 rounds to 2
-        assert_eq!(percentile_nearest(&xs, 100.0), ms(50));
-        assert_eq!(percentile_nearest(&[], 50.0), Nanos::ZERO);
     }
 }

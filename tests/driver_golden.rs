@@ -96,7 +96,11 @@ fn dump_completion(
 ) {
     let host = host.map_or("-".to_string(), |h| h.index().to_string());
     let outcome = match result {
-        Ok(inv) => format!("ok {:?} startup={}", inv.value, inv.breakdown.startup.as_nanos()),
+        Ok(inv) => format!(
+            "ok {:?} startup={}",
+            inv.value,
+            inv.breakdown.startup.as_nanos()
+        ),
         Err(e) => format!("err {e}"),
     };
     writeln!(
@@ -158,7 +162,13 @@ fn engine_release_under_a_fault_plan() {
         5,
         Nanos::from_millis(2),
     );
-    let report = run_concurrent(&mut p, &env.clock, &env.obs, &EngineConfig::new(2), &requests);
+    let report = run_concurrent(
+        &mut p,
+        &env.clock,
+        &env.obs,
+        &EngineConfig::new(2),
+        &requests,
+    );
     check("engine_release_faulted", &dump_engine(&report, &env.obs));
 }
 
@@ -296,7 +306,14 @@ fn dump_elastic(report: &ElasticReport, obs: &Obs) -> String {
 /// A flash crowd that forces scale-up, an idle valley that forces a
 /// drain, and a second, smaller burst with deadlines on some requests.
 fn flash_crowd(start: Nanos) -> Vec<EngineRequest> {
-    let mut requests = schedule(&["f", "g"], 24, start, Nanos::from_millis(2), 0, Nanos::ZERO);
+    let mut requests = schedule(
+        &["f", "g"],
+        24,
+        start,
+        Nanos::from_millis(2),
+        0,
+        Nanos::ZERO,
+    );
     requests.extend(schedule(
         &["g", "f"],
         12,

@@ -389,3 +389,55 @@ fn same_seed_elastic_chaos_runs_are_identical() {
     };
     assert_eq!(run_once(), run_once(), "same seed, same bytes");
 }
+
+/// With every host dead and every boot failing, the control plane gives
+/// up after `SCALE_UP_GIVE_UP` consecutive boot failures and fails the
+/// parked admissions fast instead of ticking forever.
+#[test]
+fn hopeless_scale_up_fails_parked_requests_and_terminates() {
+    let policy = ElasticPolicy {
+        min_hosts: 1,
+        max_hosts: 3,
+        scale_up_queue: 1,
+        control_interval: Nanos::from_millis(10),
+        boot_delay: Nanos::from_millis(20),
+        ..ElasticPolicy::default()
+    };
+    let plan = FaultPlan::new(3)
+        .nth(FaultSite::HostCrash, 1)
+        .probability(FaultSite::ScaleUpFail, 1.0);
+    let mut cluster = dedup_elastic(policy, plan);
+    cluster.install(&spec("f")).expect("installs");
+    let reqs: Vec<EngineRequest> = (0..6)
+        .map(|i| req_at(Nanos::from_millis(2) * i, "f"))
+        .collect();
+    let report = cluster.run(&mut LocalityAffinity::new(), &reqs);
+    assert_eq!(report.completions.len(), reqs.len());
+    for c in &report.completions {
+        assert!(
+            matches!(c.result, Err(PlatformError::HostUnavailable { .. })),
+            "nothing can serve, got {:?}",
+            c.result
+        );
+    }
+    assert!(report.stats.scale_up_failures >= 10, "{:?}", report.stats);
+    assert!(
+        report.audit_violations.is_empty(),
+        "{:?}",
+        report.audit_violations
+    );
+    // Each rejection closed its request's trace root.
+    let rejected_roots = cluster
+        .obs()
+        .recorder()
+        .events()
+        .iter()
+        .filter(|e| match e {
+            fireworks::obs::Event::Span(s) => {
+                s.end.is_some() && s.attrs.iter().any(|(k, _)| *k == "rejected")
+            }
+            fireworks::obs::Event::Instant(_) => false,
+        })
+        .count();
+    assert_eq!(rejected_roots, reqs.len());
+}

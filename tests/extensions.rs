@@ -2,7 +2,6 @@
 //! trace, load sweep), so the bench binaries cannot silently rot.
 
 use fireworks::prelude::*;
-use fireworks::sim::queueing::{simulate, Arrival};
 use fireworks::workloads::faasdom::Bench;
 use fireworks::workloads::trace::{generate, unpopular_fraction, TraceConfig};
 
@@ -73,43 +72,6 @@ fn zipf_traces_have_an_unpopular_majority() {
         ..TraceConfig::default()
     };
     assert!(unpopular_fraction(&cfg) > 0.5);
-}
-
-/// Load sweep in miniature: with identical arrivals, a service time that
-/// mixes cold starts has a far worse p99 than uniform snapshot starts.
-#[test]
-fn cold_starts_poison_the_tail_under_load() {
-    let ms = Nanos::from_millis;
-    let cold = ms(1_800);
-    let warm = ms(50);
-    let snapshot = ms(18);
-    let mut seen = std::collections::HashSet::new();
-    let arrivals_ow: Vec<Arrival> = (0..400)
-        .map(|i| Arrival {
-            at: ms(20 * i),
-            service: if seen.insert(i % 30) { cold } else { warm },
-        })
-        .collect();
-    let arrivals_fw: Vec<Arrival> = arrivals_ow
-        .iter()
-        .map(|a| Arrival {
-            at: a.at,
-            service: snapshot,
-        })
-        .collect();
-    let p99 = |done: &[fireworks::sim::queueing::Completion]| {
-        let mut s: Vec<Nanos> = done.iter().map(|c| c.sojourn()).collect();
-        s.sort_unstable();
-        s[s.len() * 99 / 100]
-    };
-    let ow = simulate(4, &arrivals_ow);
-    let fw = simulate(4, &arrivals_fw);
-    assert!(
-        p99(&ow).as_nanos() > 20 * p99(&fw).as_nanos(),
-        "ow p99 {} vs fw p99 {}",
-        p99(&ow),
-        p99(&fw)
-    );
 }
 
 /// The REAP paging ablation shape: cold storage hurts every invocation;
