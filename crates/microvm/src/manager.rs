@@ -8,6 +8,7 @@ use fireworks_lang::{JitConfig, LangError};
 use fireworks_obs::{cat, Obs, SpanId};
 use fireworks_runtime::{GuestRuntime, MemoryModel, RuntimeProfile};
 use fireworks_sim::fault::{FaultSite, SharedInjector};
+use fireworks_sim::trace::Phase;
 use fireworks_sim::{Clock, CostModel, Nanos};
 
 use crate::error::VmError;
@@ -256,7 +257,12 @@ impl VmManager {
     /// ([`FaultSite::VmCrash`]). Costs accrued before the failure stay
     /// charged.
     pub fn restore(&mut self, snapshot: &VmFullSnapshot) -> Result<MicroVm, VmError> {
-        let restore_span = self.span_start("snapshot_restore", cat::RESTORE);
+        // The restore is start-up latency wherever it runs; the
+        // read/verify/map children inherit the phase.
+        let restore_span = self.obs.as_ref().map(|o| {
+            o.recorder()
+                .start_phase("snapshot_restore", cat::RESTORE, Phase::Startup)
+        });
         if let (Some(obs), Some(id)) = (&self.obs, restore_span) {
             obs.recorder().attr(id, "pages", snapshot.mem.pages());
         }
