@@ -3,8 +3,8 @@
 use std::rc::Rc;
 
 use fireworks_core::api::{
-    ConcurrentPlatform, FunctionSpec, InFlightToken, InstallReport, Invocation, InvokeRequest,
-    Platform, PlatformError, SnapshotResidency, StartKind, StartMode,
+    attribute_run, run_guest, ConcurrentPlatform, FunctionSpec, InFlightToken, InstallReport,
+    Invocation, InvokeRequest, Platform, PlatformError, SnapshotResidency, StartKind, StartMode,
 };
 use fireworks_core::config::PlatformConfig;
 use fireworks_core::env::PlatformEnv;
@@ -12,10 +12,10 @@ use fireworks_core::host::{GuestHost, NetMode};
 use fireworks_core::{fid, FunctionId, IdMap};
 use fireworks_lang::{JitConfig, Value};
 use fireworks_microvm::{MicroVm, MicroVmConfig, VmFullSnapshot, VmManager};
-use fireworks_obs::cat;
+use fireworks_obs::{cat, RootSpan};
 use fireworks_runtime::RuntimeProfile;
 use fireworks_sandbox::{IoPath, IoPathKind, IsolationLevel};
-use fireworks_sim::trace::{Phase, Trace};
+use fireworks_sim::trace::Phase;
 
 /// Whether the platform uses VM-level snapshots for starts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,78 +141,6 @@ impl FirecrackerPlatform {
         Ok(vm)
     }
 
-    fn execute(
-        &mut self,
-        function: FunctionId,
-        vm: &mut MicroVm,
-        args: &Value,
-        trace: &mut Trace,
-        rec: &fireworks_obs::Recorder,
-    ) -> Result<(Value, fireworks_lang::ExecStats, GuestHost), PlatformError> {
-        let clock = self.env.clock.clone();
-        let (default_params, timeout) = {
-            let e = self.registry.get(function).expect("checked by caller");
-            (e.spec.default_params.deep_clone(), e.spec.timeout)
-        };
-        let mut host = self.guest_host(&default_params);
-        let result = {
-            let rt = vm
-                .runtime_mut()
-                .ok_or_else(|| PlatformError::Other("VM has no runtime".into()))?;
-            rt.run_toplevel(&clock, &mut host)?;
-            // Framework request path: interpreted and cold on the first
-            // request of a fresh or OS-snapshot-restored VM.
-            let sp = rec.start_phase("framework", cat::EXEC, Phase::Exec);
-            trace.scope(&clock, "framework", Phase::Exec, || {
-                rt.charge_request_overhead(&clock);
-            });
-            rec.end(sp);
-            rt.set_invocation_timeout(timeout);
-            match rt.invoke(&clock, "main", vec![args.deep_clone()], &mut host) {
-                Ok(r) => r,
-                Err(fireworks_lang::LangError::Timeout { ops }) => {
-                    return Err(PlatformError::Timeout {
-                        function: function.name().to_string(),
-                        ops,
-                    })
-                }
-                Err(e) => return Err(e.into()),
-            }
-        };
-        trace.scope(&clock, "page_faults", Phase::Exec, || {
-            vm.sync_runtime_memory();
-            vm.dirty_invocation();
-        });
-        let anchor = clock.now();
-        trace.record(
-            "exec",
-            Phase::Exec,
-            anchor - result.exec_time - host.external_time,
-            anchor - host.external_time,
-        );
-        trace.record(
-            "guest_io",
-            Phase::Other,
-            anchor - host.external_time,
-            anchor,
-        );
-        rec.record_closed(
-            "exec",
-            cat::EXEC,
-            Phase::Exec,
-            anchor - result.exec_time - host.external_time,
-            anchor - host.external_time,
-        );
-        rec.record_closed(
-            "guest_io",
-            cat::EXEC,
-            Phase::Other,
-            anchor - host.external_time,
-            anchor,
-        );
-        Ok((result.value, result.stats, host))
-    }
-
     fn invoke_on_vm(
         &mut self,
         function: FunctionId,
@@ -220,45 +148,50 @@ impl FirecrackerPlatform {
         mode: StartMode,
         trace_ctx: Option<fireworks_obs::SpanContext>,
     ) -> Result<(Invocation, MicroVm), PlatformError> {
-        // Root observability span mirroring the one Fireworks records, so
-        // side-by-side traces line up (`trace_dump`). The VM manager's
-        // boot/restore/resume spans nest underneath it. A propagated
-        // context is adopted only when no ambient span is open (a cluster
-        // driver's service span already carries the trace).
+        // Root span mirroring the one Fireworks records, so side-by-side
+        // traces line up (`trace_dump`). The VM manager's boot/restore/
+        // resume spans nest underneath it, and the guard closes it on
+        // every exit.
         let obs = self.env.obs.clone();
-        let rec = obs.recorder().clone();
-        let inv_span = match trace_ctx.filter(|_| rec.current().is_none()) {
-            Some(ctx) => rec.start_under(ctx.parent, "invoke", cat::INVOKE),
-            None => rec.start("invoke", cat::INVOKE),
-        };
+        let rec = obs.recorder();
+        let root = rec.root("invoke", cat::INVOKE, trace_ctx);
         let fname = function.name();
-        rec.attr(inv_span, "function", &*fname);
-        rec.attr(inv_span, "platform", self.name());
+        rec.attr(root.id(), "function", &*fname);
+        rec.attr(root.id(), "platform", self.name());
         obs.metrics()
             .inc("baseline.invoke.attempts", &[("function", &fname)]);
-        let result = self.invoke_on_vm_inner(function, args, mode, &rec);
+        let result = self.invoke_under(root, function, args, mode);
         if result.is_err() {
             obs.metrics()
                 .inc("baseline.invoke.failures", &[("function", &fname)]);
         }
-        rec.end(inv_span);
         result
     }
 
-    fn invoke_on_vm_inner(
+    fn invoke_under(
         &mut self,
+        root: RootSpan<'_>,
         function: FunctionId,
         args: &Value,
         mode: StartMode,
-        rec: &fireworks_obs::Recorder,
     ) -> Result<(Invocation, MicroVm), PlatformError> {
-        if !self.registry.contains(function) {
-            return Err(PlatformError::UnknownFunction(function.name().to_string()));
-        }
+        let (default_params, timeout, snapshot) = {
+            let e = self
+                .registry
+                .get(function)
+                .ok_or_else(|| PlatformError::UnknownFunction(function.name().to_string()))?;
+            (
+                e.spec.default_params.deep_clone(),
+                e.spec.timeout,
+                e.snapshot.clone(),
+            )
+        };
         self.purge_expired();
         let clock = self.env.clock.clone();
-        let mut trace = Trace::new();
+        let rec = self.env.obs.recorder().clone();
 
+        // The start-up wrappers carry the phase; the manager's own
+        // `vm_boot` / `snapshot_restore` / `vm_resume` spans nest inside.
         let (mut vm, start) = match mode {
             StartMode::Warm | StartMode::Auto
                 if self
@@ -272,7 +205,7 @@ impl FirecrackerPlatform {
                     .get_mut(function)
                     .and_then(Vec::pop)
                     .expect("non-empty checked");
-                trace.scope(&clock, "vm_resume", Phase::Startup, || {
+                rec.scope_phase("warm_start", cat::BOOT, Phase::Startup, || {
                     self.mgr.resume(&mut vm);
                 });
                 (vm, StartKind::WarmPool)
@@ -280,11 +213,10 @@ impl FirecrackerPlatform {
             StartMode::Warm => {
                 return Err(PlatformError::NoWarmSandbox(function.name().to_string()))
             }
-            _ => {
-                let snapshot = self.registry.get(function).and_then(|e| e.snapshot.clone());
-                match snapshot {
-                    Some(snap) => {
-                        let vm = trace.scope(&clock, "snapshot_restore", Phase::Startup, || {
+            _ => match snapshot {
+                Some(snap) => {
+                    let vm =
+                        rec.scope_phase("snapshot_start", cat::RESTORE, Phase::Startup, || {
                             // Clones restored from one snapshot need the
                             // same network-for-clones setup as Fireworks
                             // (namespace + tap + NAT); charged here as a
@@ -296,29 +228,33 @@ impl FirecrackerPlatform {
                             clock.advance(net_costs.nat_rule_install);
                             self.mgr.restore(&snap)
                         })?;
-                        (vm, StartKind::SnapshotRestore)
-                    }
-                    None => {
-                        let vm = trace.scope(&clock, "vm_boot", Phase::Startup, || {
-                            self.cold_boot(function)
-                        })?;
-                        (vm, StartKind::ColdBoot)
-                    }
+                    (vm, StartKind::SnapshotRestore)
                 }
-            }
+                None => {
+                    let vm = rec.scope_phase("cold_start", cat::BOOT, Phase::Startup, || {
+                        self.cold_boot(function)
+                    })?;
+                    (vm, StartKind::ColdBoot)
+                }
+            },
         };
 
-        let (value, stats, host) = self.execute(function, &mut vm, args, &mut trace, rec)?;
-        let invocation = Invocation {
-            value,
-            breakdown: trace.breakdown(),
-            trace,
-            start,
-            stats,
-            printed: host.printed,
-            response: host.responses.into_iter().next_back(),
-        };
-        Ok((invocation, vm))
+        let mut host = self.guest_host(&default_params);
+        let rt = vm
+            .runtime_mut()
+            .ok_or_else(|| PlatformError::Other("VM has no runtime".into()))?;
+        rt.run_toplevel(&clock, &mut host)?;
+        // The framework request path is interpreted and cold on the first
+        // request of a fresh or OS-snapshot-restored VM.
+        let result = run_guest(&self.env, function, timeout, rt, |rt| {
+            rt.invoke(&clock, "main", vec![args.deep_clone()], &mut host)
+        })?;
+        rec.scope_phase("page_faults", cat::MEM, Phase::Exec, || {
+            vm.sync_runtime_memory();
+            vm.dirty_invocation();
+        });
+        attribute_run(&self.env, &result, &host);
+        Ok((Invocation::from_run(root, result, host, start), vm))
     }
 
     /// Invokes without releasing the serving VM; pair with

@@ -1,18 +1,19 @@
 //! The gVisor baseline: secure-container sandbox manager.
 
 use fireworks_core::api::{
-    ConcurrentPlatform, FunctionSpec, InFlightToken, InstallReport, Invocation, InvokeRequest,
-    Platform, PlatformError, SnapshotResidency, StartKind, StartMode,
+    attribute_run, run_guest, ConcurrentPlatform, FunctionSpec, InFlightToken, InstallReport,
+    Invocation, InvokeRequest, Platform, PlatformError, SnapshotResidency, StartKind, StartMode,
 };
 use fireworks_core::config::PlatformConfig;
 use fireworks_core::env::PlatformEnv;
 use fireworks_core::host::{GuestHost, NetMode};
 use fireworks_core::{fid, FunctionId, IdMap};
-use fireworks_lang::{JitConfig, Value};
+use fireworks_lang::JitConfig;
+use fireworks_obs::cat;
 use fireworks_runtime::RuntimeProfile;
 use fireworks_sandbox::container::ContainerCheckpoint;
 use fireworks_sandbox::{Container, ContainerKind, ContainerManager, IsolationLevel};
-use fireworks_sim::trace::{Phase, Trace};
+use fireworks_sim::trace::Phase;
 
 struct Entry {
     spec: FunctionSpec,
@@ -81,10 +82,9 @@ impl GvisorPlatform {
     /// out until [`ConcurrentPlatform::finish_invoke`].
     fn begin_invoke_internal(
         &mut self,
-        function: FunctionId,
-        args: &Value,
-        mode: StartMode,
+        req: &InvokeRequest,
     ) -> Result<(Invocation, InFlightSandbox), PlatformError> {
+        let (function, args, mode) = (req.function, &req.args, req.mode);
         if mode == StartMode::Cold {
             self.evict(function);
         }
@@ -102,7 +102,11 @@ impl GvisorPlatform {
             )
         };
         let clock = self.env.clock.clone();
-        let mut trace = Trace::new();
+        // Root span of the invocation; the guard closes it on every exit.
+        let rec = self.env.obs.recorder().clone();
+        let root = rec.root("invoke", cat::INVOKE, req.trace);
+        rec.attr(root.id(), "function", &*function.name());
+        rec.attr(root.id(), "platform", self.name());
         let have_warm = self
             .warm
             .get(function)
@@ -116,7 +120,7 @@ impl GvisorPlatform {
                     .get_mut(function)
                     .and_then(Vec::pop)
                     .expect("non-empty checked");
-                trace.scope(&clock, "warm_attach", Phase::Startup, || {
+                rec.scope_phase("warm_attach", cat::BOOT, Phase::Startup, || {
                     self.containers.warm_attach(&mut c);
                 });
                 (c, StartKind::WarmPool)
@@ -131,20 +135,24 @@ impl GvisorPlatform {
                     .and_then(|e| e.checkpoint.as_ref());
                 match checkpoint {
                     Some(ckpt) => {
-                        let c = trace.scope(&clock, "checkpoint_restore", Phase::Startup, || {
-                            self.containers.restore(ckpt)
-                        });
+                        let c = rec.scope_phase(
+                            "checkpoint_restore",
+                            cat::RESTORE,
+                            Phase::Startup,
+                            || self.containers.restore(ckpt),
+                        );
                         (c, StartKind::SnapshotRestore)
                     }
                     None => {
-                        let c = trace.scope(&clock, "sandbox_create", Phase::Startup, || {
-                            self.containers.create(
-                                ContainerKind::Gvisor,
-                                profile,
-                                &source,
-                                JitConfig::default(),
-                            )
-                        })?;
+                        let c =
+                            rec.scope_phase("sandbox_create", cat::BOOT, Phase::Startup, || {
+                                self.containers.create(
+                                    ContainerKind::Gvisor,
+                                    profile,
+                                    &source,
+                                    JitConfig::default(),
+                                )
+                            })?;
                         (c, StartKind::ColdBoot)
                     }
                 }
@@ -161,56 +169,23 @@ impl GvisorPlatform {
             self.env.store.clone(),
             default_params,
         );
-        let result = {
-            let rt = container
-                .runtime_mut()
-                .ok_or_else(|| PlatformError::Other("sandbox has no runtime".into()))?;
-            rt.run_toplevel(&clock, &mut host)?;
-            trace.scope(&clock, "framework", Phase::Exec, || {
-                rt.charge_request_overhead(&clock);
-            });
-            rt.set_invocation_timeout(timeout);
-            match rt.invoke(&clock, "main", vec![args.deep_clone()], &mut host) {
-                Ok(r) => r,
-                Err(fireworks_lang::LangError::Timeout { ops }) => {
-                    return Err(PlatformError::Timeout {
-                        function: function.name().to_string(),
-                        ops,
-                    })
-                }
-                Err(e) => return Err(e.into()),
-            }
-        };
+        let rt = container
+            .runtime_mut()
+            .ok_or_else(|| PlatformError::Other("sandbox has no runtime".into()))?;
+        rt.run_toplevel(&clock, &mut host)?;
+        let result = run_guest(&self.env, function, timeout, rt, |rt| {
+            rt.invoke(&clock, "main", vec![args.deep_clone()], &mut host)
+        })?;
         // Sentry intercepts the guest's syscalls; charge interception for
         // the call-outs the guest made.
         let intercepts = result.stats.host_calls + result.stats.builtin_calls;
-        trace.scope(&clock, "sentry_intercept", Phase::Exec, || {
+        rec.scope_phase("sentry_intercept", cat::EXEC, Phase::Exec, || {
             container.io().charge_syscalls(&clock, intercepts);
         });
         container.sync_runtime_memory();
-        let anchor = clock.now();
-        trace.record(
-            "exec",
-            Phase::Exec,
-            anchor - result.exec_time - host.external_time,
-            anchor - host.external_time,
-        );
-        trace.record(
-            "guest_io",
-            Phase::Other,
-            anchor - host.external_time,
-            anchor,
-        );
+        attribute_run(&self.env, &result, &host);
 
-        let invocation = Invocation {
-            value: result.value,
-            breakdown: trace.breakdown(),
-            trace,
-            start,
-            stats: result.stats,
-            printed: host.printed,
-            response: host.responses.into_iter().next_back(),
-        };
+        let invocation = Invocation::from_run(root, result, host, start);
         let inflight = InFlightSandbox {
             container,
             function,
@@ -241,7 +216,7 @@ impl ConcurrentPlatform for GvisorPlatform {
         &mut self,
         req: &InvokeRequest,
     ) -> Result<(Invocation, InFlightSandbox), PlatformError> {
-        self.begin_invoke_internal(req.function, &req.args, req.mode)
+        self.begin_invoke_internal(req)
     }
 
     fn finish_invoke(&mut self, inflight: InFlightSandbox) {
@@ -330,8 +305,7 @@ impl Platform for GvisorPlatform {
     fn invoke(&mut self, req: &InvokeRequest) -> Result<Invocation, PlatformError> {
         // A blocking invoke is the degenerate one-event schedule: service
         // and completion at the same instant.
-        let (invocation, inflight) =
-            self.begin_invoke_internal(req.function, &req.args, req.mode)?;
+        let (invocation, inflight) = self.begin_invoke_internal(req)?;
         self.finish_invoke(inflight);
         Ok(invocation)
     }
@@ -345,6 +319,7 @@ impl Platform for GvisorPlatform {
 mod tests {
     use super::*;
     use crate::{FirecrackerPlatform, OpenWhiskPlatform, SnapshotPolicy};
+    use fireworks_lang::Value;
     use fireworks_runtime::RuntimeKind;
 
     const DISKIO_SRC: &str = "
@@ -397,19 +372,16 @@ mod tests {
     fn gvisor_io_is_slowest_of_all_sandboxes() {
         // §5.2.1(2): Sentry+Gofer I/O costs dominate; container overlayfs
         // is fastest, virtio in between.
-        let io_time = |inv: &Invocation| inv.trace.total_for("guest_io");
-
-        let mut gv = GvisorPlatform::new(PlatformEnv::default_env());
-        gv.install(&spec()).expect("installs");
-        let gv_io = io_time(&gv.invoke(&req(100, StartMode::Cold)).expect("gv"));
-
-        let mut ow = OpenWhiskPlatform::new(PlatformEnv::default_env());
-        ow.install(&spec()).expect("installs");
-        let ow_io = io_time(&ow.invoke(&req(100, StartMode::Cold)).expect("ow"));
-
-        let mut fc = FirecrackerPlatform::new(PlatformEnv::default_env(), SnapshotPolicy::None);
-        fc.install(&spec()).expect("installs");
-        let fc_io = io_time(&fc.invoke(&req(100, StartMode::Cold)).expect("fc"));
+        fn cold_io<P: Platform>(make: impl FnOnce(PlatformEnv) -> P) -> fireworks_sim::Nanos {
+            let env = PlatformEnv::default_env();
+            let mut p = make(env.clone());
+            p.install(&spec()).expect("installs");
+            let inv = p.invoke(&req(100, StartMode::Cold)).expect("invokes");
+            inv.total_for(env.obs.recorder(), "guest_io")
+        }
+        let gv_io = cold_io(GvisorPlatform::new);
+        let ow_io = cold_io(OpenWhiskPlatform::new);
+        let fc_io = cold_io(|env| FirecrackerPlatform::new(env, SnapshotPolicy::None));
 
         assert!(ow_io < fc_io, "overlayfs {ow_io} < virtio {fc_io}");
         assert!(fc_io < gv_io, "virtio {fc_io} < gofer {gv_io}");

@@ -1,17 +1,19 @@
 //! The OpenWhisk baseline: container platform with a controller front end.
 
 use fireworks_core::api::{
-    run_chain, ConcurrentPlatform, FunctionSpec, InFlightToken, InstallReport, Invocation,
-    InvokeRequest, Platform, PlatformError, SnapshotResidency, StartKind, StartMode,
+    attribute_run, run_chain, run_guest, ConcurrentPlatform, FunctionSpec, InFlightToken,
+    InstallReport, Invocation, InvokeRequest, Platform, PlatformError, SnapshotResidency,
+    StartKind, StartMode,
 };
 use fireworks_core::config::PlatformConfig;
 use fireworks_core::env::PlatformEnv;
 use fireworks_core::host::{GuestHost, NetMode};
 use fireworks_core::{fid, FunctionId, IdMap};
 use fireworks_lang::{JitConfig, Value};
+use fireworks_obs::cat;
 use fireworks_runtime::RuntimeProfile;
 use fireworks_sandbox::{Container, ContainerKind, ContainerManager, IsolationLevel};
-use fireworks_sim::trace::{Phase, Trace};
+use fireworks_sim::trace::Phase;
 
 struct Entry {
     spec: FunctionSpec,
@@ -101,10 +103,9 @@ impl OpenWhiskPlatform {
     /// checked out until [`ConcurrentPlatform::finish_invoke`].
     fn begin_invoke_internal(
         &mut self,
-        function: FunctionId,
-        args: &Value,
-        mode: StartMode,
+        req: &InvokeRequest,
     ) -> Result<(Invocation, InFlightContainer), PlatformError> {
+        let (function, args, mode) = (req.function, &req.args, req.mode);
         if mode == StartMode::Cold {
             self.evict(function);
         }
@@ -122,7 +123,11 @@ impl OpenWhiskPlatform {
             )
         };
         let clock = self.env.clock.clone();
-        let mut trace = Trace::new();
+        // Root span of the invocation; the guard closes it on every exit.
+        let rec = self.env.obs.recorder().clone();
+        let root = rec.root("invoke", cat::INVOKE, req.trace);
+        rec.attr(root.id(), "function", &*function.name());
+        rec.attr(root.id(), "platform", self.name());
 
         // Controller front end: authentication and dispatch to an invoker
         // (the paper's "authentication and message queue initialization"
@@ -134,7 +139,7 @@ impl OpenWhiskPlatform {
             .get(function)
             .map(|v| !v.is_empty())
             .unwrap_or(false);
-        trace.scope(&clock, "controller", Phase::Startup, || {
+        rec.scope_phase("controller", cat::INVOKE, Phase::Startup, || {
             if have_warm {
                 clock.advance(costs.container.controller_dispatch);
             } else {
@@ -150,7 +155,7 @@ impl OpenWhiskPlatform {
                     .get_mut(function)
                     .and_then(Vec::pop)
                     .expect("non-empty checked");
-                trace.scope(&clock, "warm_attach", Phase::Startup, || {
+                rec.scope_phase("warm_attach", cat::BOOT, Phase::Startup, || {
                     self.containers.warm_attach(&mut c);
                 });
                 self.warm_starts += 1;
@@ -160,7 +165,7 @@ impl OpenWhiskPlatform {
                 return Err(PlatformError::NoWarmSandbox(function.name().to_string()))
             }
             _ => {
-                let c = trace.scope(&clock, "container_create", Phase::Startup, || {
+                let c = rec.scope_phase("container_create", cat::BOOT, Phase::Startup, || {
                     self.containers.create(
                         ContainerKind::Plain,
                         profile,
@@ -174,55 +179,22 @@ impl OpenWhiskPlatform {
         };
 
         // The `/init` + `/run` action proxy round trip.
-        trace.scope(&clock, "action_proxy", Phase::Startup, || {
+        rec.scope_phase("action_proxy", cat::INVOKE, Phase::Startup, || {
             clock.advance(self.env.costs.container.action_proxy);
         });
 
         let mut host = self.guest_host(&container, &default_params);
-        let result = {
-            let rt = container
-                .runtime_mut()
-                .ok_or_else(|| PlatformError::Other("container has no runtime".into()))?;
-            rt.run_toplevel(&clock, &mut host)?;
-            trace.scope(&clock, "framework", Phase::Exec, || {
-                rt.charge_request_overhead(&clock);
-            });
-            rt.set_invocation_timeout(timeout);
-            match rt.invoke(&clock, "main", vec![args.deep_clone()], &mut host) {
-                Ok(r) => r,
-                Err(fireworks_lang::LangError::Timeout { ops }) => {
-                    return Err(PlatformError::Timeout {
-                        function: function.name().to_string(),
-                        ops,
-                    })
-                }
-                Err(e) => return Err(e.into()),
-            }
-        };
+        let rt = container
+            .runtime_mut()
+            .ok_or_else(|| PlatformError::Other("container has no runtime".into()))?;
+        rt.run_toplevel(&clock, &mut host)?;
+        let result = run_guest(&self.env, function, timeout, rt, |rt| {
+            rt.invoke(&clock, "main", vec![args.deep_clone()], &mut host)
+        })?;
         container.sync_runtime_memory();
-        let anchor = clock.now();
-        trace.record(
-            "exec",
-            Phase::Exec,
-            anchor - result.exec_time - host.external_time,
-            anchor - host.external_time,
-        );
-        trace.record(
-            "guest_io",
-            Phase::Other,
-            anchor - host.external_time,
-            anchor,
-        );
+        attribute_run(&self.env, &result, &host);
 
-        let invocation = Invocation {
-            value: result.value,
-            breakdown: trace.breakdown(),
-            trace,
-            start,
-            stats: result.stats,
-            printed: host.printed,
-            response: host.responses.into_iter().next_back(),
-        };
+        let invocation = Invocation::from_run(root, result, host, start);
         let inflight = InFlightContainer {
             container,
             function,
@@ -253,7 +225,7 @@ impl ConcurrentPlatform for OpenWhiskPlatform {
         &mut self,
         req: &InvokeRequest,
     ) -> Result<(Invocation, InFlightContainer), PlatformError> {
-        self.begin_invoke_internal(req.function, &req.args, req.mode)
+        self.begin_invoke_internal(req)
     }
 
     fn finish_invoke(&mut self, inflight: InFlightContainer) {
@@ -321,8 +293,7 @@ impl Platform for OpenWhiskPlatform {
     fn invoke(&mut self, req: &InvokeRequest) -> Result<Invocation, PlatformError> {
         // A blocking invoke is the degenerate one-event schedule: service
         // and completion at the same instant.
-        let (invocation, inflight) =
-            self.begin_invoke_internal(req.function, &req.args, req.mode)?;
+        let (invocation, inflight) = self.begin_invoke_internal(req)?;
         self.finish_invoke(inflight);
         Ok(invocation)
     }
@@ -382,8 +353,9 @@ mod tests {
         let inv = p.invoke(&req(10, StartMode::Cold)).expect("invokes");
         assert_eq!(inv.start, StartKind::ColdBoot);
         assert_eq!(inv.value, Value::Int(45));
-        assert!(inv.trace.total_for("controller") > Nanos::ZERO);
-        assert!(inv.trace.total_for("container_create") > Nanos::ZERO);
+        let rec = p.env().obs.recorder();
+        assert!(inv.total_for(rec, "controller") > Nanos::ZERO);
+        assert!(inv.total_for(rec, "container_create") > Nanos::ZERO);
     }
 
     #[test]

@@ -112,7 +112,7 @@ fn cache_ablation() {
         let inv = p
             .invoke(&InvokeRequest::new(fid(&spec_a.name), args.deep_clone()))
             .expect("invoke");
-        let rebuild = inv.trace.total_for("snapshot_rebuild");
+        let rebuild = inv.total_for(p.env().obs.recorder(), "snapshot_rebuild");
         let label = if budget == u64::MAX {
             "unbounded".to_string()
         } else {

@@ -107,8 +107,9 @@ fn run_rate(seed: u64, rate: f64) -> RatePoint {
                 Ok(inv) => {
                     successes += 1;
                     total_latency += inv.total();
-                    let recovered = inv.trace.total_for("recovery_backoff")
-                        + inv.trace.total_for("snapshot_rebuild");
+                    let rec = env.obs.recorder();
+                    let recovered = inv.total_for(rec, "recovery_backoff")
+                        + inv.total_for(rec, "snapshot_rebuild");
                     recovery_latency += recovered;
                     recovery_latencies.observe(recovered.as_nanos());
                 }

@@ -27,7 +27,7 @@ use fireworks_lang::Value;
 use fireworks_obs::LogHistogram;
 use fireworks_runtime::RuntimeKind;
 use fireworks_sandbox::IsolationLevel;
-use fireworks_sim::trace::{Breakdown, Trace};
+use fireworks_sim::trace::Breakdown;
 use fireworks_sim::Nanos;
 use fireworks_workloads::azure::TraceSpec;
 
@@ -166,7 +166,7 @@ impl ConcurrentPlatform for SimPlatform {
                 exec,
                 other: Nanos::ZERO,
             },
-            trace: Trace::new(),
+            span: None,
             start,
             stats: Default::default(),
             printed: Vec::new(),

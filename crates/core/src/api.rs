@@ -25,15 +25,19 @@
 
 use std::fmt;
 
+use crate::env::PlatformEnv;
+use crate::host::GuestHost;
 use crate::symbols::{FunctionId, HostId};
 
 use fireworks_lang::{ExecStats, LangError, Value};
 use fireworks_microvm::VmError;
 use fireworks_msgbus::BusError;
 use fireworks_netsim::NetError;
-use fireworks_runtime::RuntimeKind;
+use fireworks_obs::{cat, Recorder, RootSpan, SpanId};
+use fireworks_runtime::guest::InvokeResult;
+use fireworks_runtime::{GuestRuntime, RuntimeKind};
 use fireworks_sandbox::IsolationLevel;
-use fireworks_sim::trace::{Breakdown, Trace};
+use fireworks_sim::trace::{Breakdown, Phase};
 use fireworks_sim::Nanos;
 use fireworks_store::StoreError;
 
@@ -330,10 +334,14 @@ impl InvokeRequest {
 pub struct Invocation {
     /// Value returned by the function.
     pub value: Value,
-    /// Start-up / exec / others split (paper Figs. 6, 7, 9).
+    /// Start-up / exec / others split (paper Figs. 6, 7, 9): the
+    /// self-time fold of the `invoke` root's span subtree, taken when
+    /// the root closed.
     pub breakdown: Breakdown,
-    /// Labelled spans behind the breakdown.
-    pub trace: Trace,
+    /// The invocation's `invoke` root span on the platform's recorder —
+    /// the labelled spans behind the breakdown hang underneath it.
+    /// `None` only for cost-model platforms that record no spans.
+    pub span: Option<SpanId>,
     /// Which start path served it.
     pub start: StartKind,
     /// Guest execution counters.
@@ -345,10 +353,82 @@ pub struct Invocation {
 }
 
 impl Invocation {
+    /// Closes the invocation's root span and builds the invocation from
+    /// the guest's result: the breakdown is the fold of the root's
+    /// subtree at this instant, the captured output comes from `host`.
+    pub fn from_run(
+        root: RootSpan<'_>,
+        result: InvokeResult,
+        host: GuestHost,
+        start: StartKind,
+    ) -> Self {
+        let span = root.id();
+        Invocation {
+            value: result.value,
+            breakdown: root.close(),
+            span: Some(span),
+            start,
+            stats: result.stats,
+            printed: host.printed,
+            response: host.responses.into_iter().next_back(),
+        }
+    }
+
     /// End-to-end latency.
     pub fn total(&self) -> Nanos {
         self.breakdown.total()
     }
+
+    /// Summed duration of this invocation's spans named `label`, on the
+    /// recorder of the platform that served it.
+    pub fn total_for(&self, rec: &Recorder, label: &str) -> Nanos {
+        self.span
+            .map_or(Nanos::ZERO, |root| rec.total_under(root, label))
+    }
+}
+
+/// The guest-run step every platform shares: charges the
+/// request-handling framework path as an `Exec` span, arms the
+/// invocation timeout, runs the guest through `run` (Fireworks resumes
+/// past the snapshot point, the baselines call `main`), and maps a guest
+/// timeout to [`PlatformError::Timeout`].
+pub fn run_guest(
+    env: &PlatformEnv,
+    function: FunctionId,
+    timeout: Option<Nanos>,
+    rt: &mut GuestRuntime,
+    run: impl FnOnce(&mut GuestRuntime) -> Result<InvokeResult, LangError>,
+) -> Result<InvokeResult, PlatformError> {
+    env.obs
+        .recorder()
+        .scope_phase("framework", cat::EXEC, Phase::Exec, || {
+            rt.charge_request_overhead(&env.clock);
+        });
+    rt.set_invocation_timeout(timeout);
+    run(rt).map_err(|e| match e {
+        LangError::Timeout { ops } => PlatformError::Timeout {
+            function: function.name().to_string(),
+            ops,
+        },
+        e => e.into(),
+    })
+}
+
+/// Attributes the guest's run slice, which ends now and charged
+/// `exec_time + external_time` on the clock: compute to `exec`, host I/O
+/// to `guest_io` (others).
+pub fn attribute_run(env: &PlatformEnv, result: &InvokeResult, host: &GuestHost) {
+    let rec = env.obs.recorder();
+    let anchor = env.clock.now();
+    let io_start = anchor - host.external_time;
+    rec.record_closed(
+        "exec",
+        cat::EXEC,
+        Phase::Exec,
+        io_start - result.exec_time,
+        io_start,
+    );
+    rec.record_closed("guest_io", cat::EXEC, Phase::Other, io_start, anchor);
 }
 
 /// A serverless platform under test.
@@ -716,7 +796,7 @@ mod tests {
                 exec: Nanos::from_millis(20),
                 other: Nanos::from_millis(5),
             },
-            trace: Trace::new(),
+            span: None,
             start: StartKind::ColdBoot,
             stats: ExecStats::default(),
             printed: vec![],

@@ -7,7 +7,7 @@ use fireworks_guestmem::HostMemory;
 use fireworks_lang::Value;
 use fireworks_msgbus::MessageBus;
 use fireworks_netsim::HostNetwork;
-use fireworks_obs::Obs;
+use fireworks_obs::{cat, Obs};
 use fireworks_sim::fault::{self, FaultInjector, FaultPlan, SharedInjector};
 use fireworks_sim::{Clock, CostModel};
 use fireworks_store::{DocumentStore, StoreCosts};
@@ -120,6 +120,23 @@ impl PlatformEnv {
             fault_plan: plan,
             ..EnvConfig::default()
         })
+    }
+
+    /// Surfaces every fault the injector fired since the last flush as a
+    /// `fault:<site>` instant, stamped with the instant it fired, under
+    /// the innermost open span. Platforms call this just before an
+    /// invocation's root span closes — failed invocations included — so
+    /// recovery is auditable beside the latency spans and no fault bleeds
+    /// into the next invocation.
+    pub fn flush_faults(&self) {
+        let rec = self.obs.recorder();
+        for fault in self.injector.borrow_mut().drain_fired() {
+            rec.instant_at(
+                format!("fault:{}", fault.site.label()),
+                cat::FAULT,
+                fault.at,
+            );
+        }
     }
 }
 

@@ -16,13 +16,13 @@ use fireworks_runtime::guest::RunOutcome;
 use fireworks_runtime::RuntimeProfile;
 use fireworks_sandbox::{IoPath, IoPathKind, IsolationLevel};
 use fireworks_sim::fault::{FaultSite, FaultTrigger};
-use fireworks_sim::trace::{Phase, Trace};
+use fireworks_sim::trace::Phase;
 use fireworks_sim::Nanos;
 use fireworks_store::ChunkStore;
 
 use crate::api::{
-    ConcurrentPlatform, FunctionSpec, InFlightToken, InstallReport, Invocation, InvokeRequest,
-    Platform, PlatformError, SnapshotResidency, StartKind, StoreAudit,
+    attribute_run, run_guest, ConcurrentPlatform, FunctionSpec, InFlightToken, InstallReport,
+    Invocation, InvokeRequest, Platform, PlatformError, SnapshotResidency, StartKind, StoreAudit,
 };
 use crate::audit::{SecurityAudit, SecurityPolicy};
 use crate::cache::SnapshotCache;
@@ -600,24 +600,15 @@ impl FireworksPlatform {
             )
         };
 
-        // Root observability span for the invocation; every recorder
-        // span, instant, and counter below lands underneath it. It must
-        // be closed on every exit path (closing it also closes any still-
-        // open descendants).
+        // Root span of the invocation: every span and instant below lands
+        // underneath it, each phase recorded once, and the guard closes
+        // it (with any still-open descendant) on every exit path.
         let obs = self.env.obs.clone();
-        let rec = obs.recorder().clone();
-        // Inside a cluster driver the service span is already open and
-        // the plain start() nests (and inherits the trace) under it; on
-        // the direct path an explicit context adopts the caller's tree.
-        let inv_span = match trace_ctx.filter(|_| rec.current().is_none()) {
-            Some(ctx) => rec.start_under(ctx.parent, "invoke", cat::INVOKE),
-            None => rec.start("invoke", cat::INVOKE),
-        };
-        rec.attr(inv_span, "function", &*name);
+        let rec = obs.recorder();
+        let root = rec.root("invoke", cat::INVOKE, trace_ctx);
+        rec.attr(root.id(), "function", &*name);
         obs.metrics().inc("core.invoke.attempts", name_labels);
         let t_start = clock.now();
-
-        let mut trace = Trace::new();
 
         // Snapshot lookup; on an LRU miss the platform first tries to
         // delta-fetch the snapshot's missing chunks from a mesh peer
@@ -626,63 +617,37 @@ impl FireworksPlatform {
         // to this invocation as a labelled start-up span.
         let mut snapshot = match self.cache.get(function) {
             Some(s) => s,
-            None => {
-                let t0 = clock.now();
-                match self.fetch_snapshot_delta(function) {
-                    Some(s) => {
-                        trace.record("snapshot_delta_fetch", Phase::Startup, t0, clock.now());
-                        s
-                    }
-                    None => {
-                        let sp = rec.start_phase("snapshot_rebuild", cat::SNAPSHOT, Phase::Startup);
-                        let s = self.refresh_snapshot(function);
-                        rec.end(sp);
-                        let s = match s {
-                            Ok(s) => s,
-                            Err(e) => {
-                                rec.end(inv_span);
-                                return Err(e);
-                            }
-                        };
-                        trace.record("snapshot_rebuild", Phase::Startup, t0, clock.now());
-                        s
-                    }
+            None => match self.fetch_snapshot_delta(function) {
+                Some(s) => s,
+                None => {
+                    rec.scope_phase("snapshot_rebuild", cat::SNAPSHOT, Phase::Startup, || {
+                        self.refresh_snapshot(function)
+                    })?
                 }
-            }
+            },
         };
 
         // Parameter passer: produce the arguments into the per-instance
         // topic before resuming (paper §3.6).
         let instance = format!("vm-{}", self.next_instance);
         self.next_instance += 1;
-        let sp = rec.start_phase("param_produce", cat::INVOKE, Phase::Other);
-        trace.scope(&clock, "param_produce", Phase::Other, || {
+        rec.scope_phase("param_produce", cat::INVOKE, Phase::Other, || {
             self.env.bus.borrow_mut().produce(
                 &format!("params-{instance}"),
                 args.deep_clone(),
                 args.heap_estimate() as u64,
             );
         });
-        rec.end(sp);
 
         // Network namespace + NAT for the clone (paper §3.5).
-        let sp = rec.start_phase("netns_setup", cat::NET, Phase::Startup);
-        let ns = trace.scope(&clock, "netns_setup", Phase::Startup, || {
+        let ns = rec.scope_phase("netns_setup", cat::NET, Phase::Startup, || {
             let mut net = self.env.net.borrow_mut();
             let ns = net.create_namespace();
             net.attach_tap(ns, GUEST_TAP, GUEST_IP, GUEST_MAC)?;
             let ext = net.alloc_external_ip(ns)?;
             net.install_nat(ns, ext, GUEST_IP)?;
             Ok::<NsId, PlatformError>(ns)
-        });
-        rec.end(sp);
-        let ns = match ns {
-            Ok(ns) => ns,
-            Err(e) => {
-                rec.end(inv_span);
-                return Err(e);
-            }
-        };
+        })?;
 
         // Restore the snapshot, recovering from infrastructure faults:
         // transient failures (read errors, restore crashes) retry after an
@@ -697,13 +662,11 @@ impl FireworksPlatform {
         let mut restore_retries_now = 0u64;
         let restored = loop {
             attempt += 1;
-            // `VmManager::restore` opens its own `snapshot_restore` span
-            // (with read/verify/map children) under `inv_span`, so only
-            // the retry bookkeeping is recorded here.
-            let result = trace.scope(&clock, "snapshot_restore", Phase::Startup, || {
-                self.mgr.restore(&snapshot)
-            });
-            match result {
+            // `VmManager::restore` records its own start-up
+            // `snapshot_restore` span (with read/verify/map children)
+            // under the root, so only the retry bookkeeping is recorded
+            // here.
+            match self.mgr.restore(&snapshot) {
                 Ok(vm) => break Ok(vm),
                 Err(err) if attempt >= self.recovery.max_attempts => {
                     break Err(PlatformError::Vm(err))
@@ -724,13 +687,12 @@ impl FireworksPlatform {
                         cat::CACHE,
                         vec![("attempt", attempt.into())],
                     );
-                    let t0 = clock.now();
-                    let sp = rec.start_phase("snapshot_rebuild", cat::SNAPSHOT, Phase::Startup);
-                    let refreshed = self.refresh_snapshot(function);
-                    rec.end(sp);
+                    let refreshed =
+                        rec.scope_phase("snapshot_rebuild", cat::SNAPSHOT, Phase::Startup, || {
+                            self.refresh_snapshot(function)
+                        });
                     match refreshed {
                         Ok(s) => {
-                            trace.record("snapshot_rebuild", Phase::Startup, t0, clock.now());
                             snapshot = s;
                             recovered = true;
                         }
@@ -741,11 +703,9 @@ impl FireworksPlatform {
                     restore_retries_now += 1;
                     obs.metrics()
                         .inc("core.recovery.restore_retries", name_labels);
-                    let sp = rec.start_phase("recovery_backoff", cat::RESTORE, Phase::Startup);
-                    trace.scope(&clock, "recovery_backoff", Phase::Startup, || {
+                    rec.scope_phase("recovery_backoff", cat::RESTORE, Phase::Startup, || {
                         clock.advance(self.recovery.backoff(attempt));
                     });
-                    rec.end(sp);
                     recovered = true;
                 }
             }
@@ -763,12 +723,9 @@ impl FireworksPlatform {
                     entry.restore_retries += restore_retries_now;
                 }
                 obs.metrics().inc("core.invoke.failures", name_labels);
-                // The failed invocation returns no trace; its fault events
-                // go to the recorder (as instants) instead of bleeding
-                // into the next invocation's trace.
-                let fault_trace = self.env.injector.borrow_mut().drain_trace();
-                rec.ingest_trace(&fault_trace, cat::FAULT);
-                rec.end(inv_span);
+                // The failed invocation's fault events land under its own
+                // root instead of bleeding into the next invocation's.
+                self.env.flush_faults();
                 return Err(e);
             }
         };
@@ -788,8 +745,7 @@ impl FireworksPlatform {
             };
             let ws = known_working_set.unwrap_or_default();
             let injector = self.env.injector.clone();
-            let sp = rec.start_phase("paging", cat::PREFETCH, Phase::Exec);
-            recorded_ws = trace.scope(&clock, "paging", Phase::Exec, || {
+            recorded_ws = rec.scope_phase("paging", cat::PREFETCH, Phase::Exec, || {
                 let mut session = match ReapSession::start_observed(
                     &clock,
                     mode,
@@ -813,7 +769,6 @@ impl FireworksPlatform {
                 }
                 session.finish()
             });
-            rec.end(sp);
             if prefetch_degraded_now {
                 obs.metrics()
                     .inc("core.reap.prefetch_degraded", name_labels);
@@ -834,27 +789,14 @@ impl FireworksPlatform {
                     "snapshot is not suspended at the resume point".into(),
                 ));
             }
-            // Request-handling framework path (already warmed into the
-            // post-JIT snapshot, so this is the steady-state cost).
-            let sp = rec.start_phase("framework", cat::EXEC, Phase::Exec);
-            trace.scope(&clock, "framework", Phase::Exec, || {
-                rt.charge_request_overhead(&clock);
-            });
-            rec.end(sp);
-            rt.set_invocation_timeout(timeout);
-            loop {
-                match rt.run(&clock, &mut host) {
-                    Ok(RunOutcome::Done(r)) => return Ok(r),
-                    Ok(RunOutcome::SnapshotPoint) => continue,
-                    Err(fireworks_lang::LangError::Timeout { ops }) => {
-                        return Err(PlatformError::Timeout {
-                            function: name.to_string(),
-                            ops,
-                        })
-                    }
-                    Err(e) => return Err(e.into()),
+            // The framework path is already warmed into the post-JIT
+            // snapshot, so the shared step charges its steady-state cost.
+            run_guest(&self.env, function, timeout, rt, |rt| loop {
+                match rt.run(&clock, &mut host)? {
+                    RunOutcome::Done(r) => return Ok(r),
+                    RunOutcome::SnapshotPoint => continue,
                 }
-            }
+            })
         })();
         let result = match run_result {
             Ok(r) => r,
@@ -867,54 +809,18 @@ impl FireworksPlatform {
                     .bus
                     .borrow_mut()
                     .delete_topic(&format!("params-{instance}"));
-                let fault_trace = self.env.injector.borrow_mut().drain_trace();
-                rec.ingest_trace(&fault_trace, cat::FAULT);
+                self.env.flush_faults();
                 obs.metrics().inc("core.invoke.failures", name_labels);
-                rec.end(inv_span);
                 return Err(e);
             }
         };
 
         // Copy-on-write page faults of this invocation's write set.
-        let sp = rec.start_phase("page_faults", cat::MEM, Phase::Exec);
-        let fault_time = trace.scope(&clock, "page_faults", Phase::Exec, || {
-            let t0 = clock.now();
+        rec.scope_phase("page_faults", cat::MEM, Phase::Exec, || {
             vm.sync_runtime_memory();
             vm.dirty_invocation();
-            clock.now() - t0
         });
-        rec.end(sp);
-        let _ = fault_time;
-
-        // Attribute the guest's time: compute to exec, host I/O to others.
-        // The run slice charged `exec_time + external_time` on the clock.
-        let anchor = clock.now();
-        trace.record(
-            "exec",
-            Phase::Exec,
-            anchor - result.exec_time - host.external_time,
-            anchor - host.external_time,
-        );
-        trace.record(
-            "guest_io",
-            Phase::Other,
-            anchor - host.external_time,
-            anchor,
-        );
-        rec.record_closed(
-            "exec",
-            cat::EXEC,
-            Phase::Exec,
-            anchor - result.exec_time - host.external_time,
-            anchor - host.external_time,
-        );
-        rec.record_closed(
-            "guest_io",
-            cat::EXEC,
-            Phase::Other,
-            anchor - host.external_time,
-            anchor,
-        );
+        attribute_run(&self.env, &result, &host);
 
         // Guest-memory accounting after this invocation's CoW faults
         // (paper §5.4): recompute PSS and publish per-function sharing
@@ -956,25 +862,11 @@ impl FireworksPlatform {
         let needs_refresh = self.security.refresh_after_invocations > 0
             && entry.clones_since_snapshot >= self.security.refresh_after_invocations;
 
-        // Surface every fault injected during this invocation in its
-        // trace, so recovery is auditable alongside the latency spans.
-        // The recorder gets the same events (zero-width ones as instant
-        // events, per the `Recorder::ingest_trace` convention).
-        let fault_trace = self.env.injector.borrow_mut().drain_trace();
-        trace.extend(&fault_trace);
-        rec.ingest_trace(&fault_trace, cat::FAULT);
-
-        let invocation = Invocation {
-            value: result.value,
-            breakdown: trace.breakdown(),
-            trace,
-            start: StartKind::SnapshotRestore,
-            stats: result.stats,
-            printed: host.printed,
-            response: host.responses.into_iter().next_back(),
-        };
+        // Surface every fault injected during this invocation under its
+        // root, so recovery is auditable alongside the latency spans.
+        self.env.flush_faults();
+        let invocation = Invocation::from_run(root, result, host, StartKind::SnapshotRestore);
         let clone = ResidentClone { vm, ns, instance };
-        rec.end(inv_span);
         obs.metrics().observe(
             "core.invoke.latency_ns",
             name_labels,
@@ -1408,7 +1300,7 @@ mod tests {
         let inv = p.invoke(&req("f1", 10)).expect("rebuilds");
         assert_eq!(inv.value, Value::Int(2));
         assert!(
-            inv.trace.total_for("snapshot_rebuild") > Nanos::ZERO,
+            inv.total_for(p.env().obs.recorder(), "snapshot_rebuild") > Nanos::ZERO,
             "rebuild must be visible in the trace"
         );
         assert!(
@@ -1493,7 +1385,10 @@ mod tests {
         let mut warm = platform();
         warm.install(&spec("fact")).expect("installs");
         let warm_inv = warm.invoke(&req10).expect("ok");
-        assert_eq!(warm_inv.trace.total_for("paging"), Nanos::ZERO);
+        let paging = |p: &FireworksPlatform, inv: &Invocation| {
+            inv.total_for(p.env().obs.recorder(), "paging")
+        };
+        assert_eq!(paging(&warm, &warm_inv), Nanos::ZERO);
 
         // Cold storage without REAP: every invocation faults the whole
         // working set from storage.
@@ -1506,12 +1401,12 @@ mod tests {
         cold.install(&spec("fact")).expect("installs");
         let c1 = cold.invoke(&req10).expect("ok");
         let c2 = cold.invoke(&req10).expect("ok");
-        let cold_paging = c1.trace.total_for("paging");
+        let cold_paging = paging(&cold, &c1);
         assert!(
             cold_paging > Nanos::from_millis(5),
             "major faults hurt: {cold_paging}"
         );
-        assert_eq!(c2.trace.total_for("paging"), cold_paging, "no learning");
+        assert_eq!(paging(&cold, &c2), cold_paging, "no learning");
 
         // Cold storage with REAP: first invocation records, later ones
         // prefetch in one sequential read — much cheaper.
@@ -1525,11 +1420,11 @@ mod tests {
         let r1 = reap.invoke(&req10).expect("ok");
         let r2 = reap.invoke(&req10).expect("ok");
         assert_eq!(
-            r1.trace.total_for("paging"),
+            paging(&reap, &r1),
             cold_paging,
             "recording pass pays the same faults"
         );
-        let prefetch = r2.trace.total_for("paging");
+        let prefetch = paging(&reap, &r2);
         assert!(
             prefetch.as_nanos() * 4 < cold_paging.as_nanos(),
             "prefetch {prefetch} vs faulting {cold_paging}"
@@ -1546,18 +1441,17 @@ mod tests {
         p.install(&spec("fact")).expect("installs");
         let inv = p.invoke(&req("fact", 360)).expect("recovers");
         assert_eq!(inv.value, Value::Int(6), "result unaffected by the fault");
+        let rec = p.env().obs.recorder();
         assert!(
-            inv.trace.total_for("recovery_backoff") > Nanos::ZERO,
+            inv.total_for(rec, "recovery_backoff") > Nanos::ZERO,
             "retry backoff must be visible in the trace"
         );
         assert!(
-            inv.trace.total_for("fault:snapshot_read") == Nanos::ZERO
-                && inv
-                    .trace
-                    .spans()
-                    .iter()
-                    .any(|s| s.label == "fault:snapshot_read"),
-            "the injected fault appears as a zero-width span"
+            inv.total_for(rec, "fault:snapshot_read") == Nanos::ZERO
+                && rec.subtree(inv.span.expect("recorded")).iter().any(
+                    |e| matches!(e, fireworks_obs::Event::Instant(i) if i.name == "fault:snapshot_read")
+                ),
+            "the injected fault appears as a zero-width event"
         );
         let health = p.health(fid("fact")).expect("installed");
         assert_eq!(health.recoveries, 1);
@@ -1682,7 +1576,7 @@ mod tests {
         let inv = p.invoke(&req("fact", 360)).expect("self-heals");
         assert_eq!(inv.value, Value::Int(6));
         assert!(
-            inv.trace.total_for("snapshot_rebuild") > Nanos::ZERO,
+            inv.total_for(p.env().obs.recorder(), "snapshot_rebuild") > Nanos::ZERO,
             "recovery rebuilds the snapshot from source"
         );
         let health = p.health(fid("fact")).expect("installed");
@@ -1691,8 +1585,9 @@ mod tests {
         // The rebuilt snapshot serves the next invocation cleanly.
         let inv2 = p.invoke(&req("fact", 360)).expect("restores");
         assert_eq!(inv2.start, StartKind::SnapshotRestore);
-        assert_eq!(inv2.trace.total_for("snapshot_rebuild"), Nanos::ZERO);
-        assert_eq!(inv2.trace.total_for("recovery_backoff"), Nanos::ZERO);
+        let rec = p.env().obs.recorder();
+        assert_eq!(inv2.total_for(rec, "snapshot_rebuild"), Nanos::ZERO);
+        assert_eq!(inv2.total_for(rec, "recovery_backoff"), Nanos::ZERO);
     }
 
     #[test]

@@ -2,18 +2,22 @@
 //!
 //! The paper's core claims are latency *breakdowns* (Figs. 6/7/9 split
 //! start-up vs exec vs others) and memory *attribution* (PSS/RSS sharing
-//! in Fig. 11). The flat three-phase [`fireworks_sim::trace::Trace`] can
-//! report those totals, but it cannot see *inside* a restore (checksum
-//! verify vs page mapping vs REAP prefetch), attribute a cache eviction,
-//! or correlate an injected fault with the recovery latency it caused.
-//! This crate is the measurement substrate for all of that:
+//! in Fig. 11). Those totals, what happens *inside* a restore (checksum
+//! verify vs page mapping vs REAP prefetch), which invocation paid for a
+//! cache eviction, and which injected fault caused which recovery
+//! latency all come from one timeline. This crate is the measurement
+//! substrate for all of that:
 //!
-//! - [`Recorder`] — hierarchical spans over virtual time. Spans have
-//!   parent/child [`SpanId`]s, a category (see [`cat`]), typed
-//!   [`AttrValue`] attributes, and an optional
-//!   [`fireworks_sim::trace::Phase`]; [`Recorder::breakdown`] folds them
-//!   into the same [`fireworks_sim::trace::Breakdown`] the paper's
-//!   figures use (self-time attribution, so nesting never double-counts).
+//! - [`Recorder`] — hierarchical spans over virtual time, the only span
+//!   model in the workspace. Spans have parent/child [`SpanId`]s, a
+//!   category (see [`cat`]), typed [`AttrValue`] attributes, and an
+//!   optional [`fireworks_sim::trace::Phase`]. Every platform opens one
+//!   [`Recorder::root`] per invocation; closing it ([`RootSpan::close`])
+//!   folds the root's subtree into the
+//!   [`fireworks_sim::trace::Breakdown`] the paper's figures use
+//!   (self-time attribution, so nesting never double-counts), and
+//!   [`Recorder::total_under`] answers per-label questions of the same
+//!   subtree.
 //! - [`Metrics`] — a deterministic registry of counters, gauges, and
 //!   fixed-bucket histograms keyed by `&'static str` names plus label
 //!   pairs, with a [`Metrics::snapshot`] for tests and benches. Names
@@ -37,16 +41,19 @@
 //! let obs = Obs::new(clock.clone());
 //! let rec = obs.recorder();
 //!
+//! let invoke = rec.root("invoke", cat::INVOKE, None);
 //! let boot = rec.start_phase("vm_boot", cat::BOOT, Phase::Startup);
 //! rec.scope("kernel_boot", cat::BOOT, || {
 //!     clock.advance(Nanos::from_millis(125));
 //! });
 //! rec.attr(boot, "os_pages", 18_432u64);
 //! rec.end(boot);
+//! let id = invoke.id();
+//! assert_eq!(invoke.close().startup, Nanos::from_millis(125));
+//! assert_eq!(rec.total_under(id, "kernel_boot"), Nanos::from_millis(125));
 //!
 //! obs.metrics().inc("microvm.manager.boots", &[]);
 //! assert_eq!(obs.metrics().snapshot().counter("microvm.manager.boots", &[]), 1);
-//! assert_eq!(rec.breakdown().startup, Nanos::from_millis(125));
 //! ```
 
 #![warn(missing_docs)]
@@ -65,7 +72,8 @@ pub use attribution::{
 pub use metrics::{BatchedCounter, Counter, Gauge, HistogramSnapshot, Metrics, MetricsSnapshot};
 pub use sketch::LogHistogram;
 pub use span::{
-    cat, AttrValue, Event, InstantRecord, Recorder, SpanContext, SpanId, SpanRecord, TraceId,
+    cat, AttrValue, Event, InstantRecord, Recorder, RootSpan, SpanContext, SpanId, SpanRecord,
+    TraceId,
 };
 
 use fireworks_sim::Clock;

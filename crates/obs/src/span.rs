@@ -3,7 +3,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use fireworks_sim::trace::{Breakdown, Phase, Trace};
+use fireworks_sim::trace::{Breakdown, Phase};
 use fireworks_sim::{Clock, Nanos};
 
 /// Span category names used across the workspace.
@@ -263,6 +263,33 @@ impl Inner {
         self.span_ref(id).trace
     }
 
+    /// Whether `id` is `root` or one of its descendants. Parents always
+    /// have smaller ids than their children, so the climb stops as soon
+    /// as it passes `root`.
+    fn descends(&self, root: SpanId, id: SpanId) -> bool {
+        let mut cur = id;
+        while cur > root {
+            match self.span_ref(cur).parent {
+                Some(parent) => cur = parent,
+                None => return false,
+            }
+        }
+        cur == root
+    }
+
+    /// `root` and its descendant spans, in id (= recording) order. Ids
+    /// are positional, so the walk starts at `root` and never looks at
+    /// the log before it.
+    fn subtree_spans(&self, root: SpanId) -> impl Iterator<Item = &SpanRecord> {
+        self.span_pos[(root.0 - 1) as usize..]
+            .iter()
+            .map(|&pos| match &self.events[pos] {
+                Event::Span(s) => s,
+                Event::Instant(_) => unreachable!("span_pos points at spans only"),
+            })
+            .filter(move |s| self.descends(root, s.id))
+    }
+
     /// Appends a span record, wiring the id/position tables. The caller
     /// decides whether it goes on the open stack.
     #[allow(clippy::too_many_arguments)]
@@ -299,12 +326,18 @@ impl Inner {
 /// An append-only log of hierarchical spans and instant events, stamped
 /// on a virtual [`Clock`].
 ///
-/// The recorder subsumes the flat [`Trace`]: every flat span maps to one
-/// recorder span, [`Recorder::ingest_trace`] imports a `Trace` wholesale
-/// (zero-width spans become instants — the fault-injector convention),
-/// and [`Recorder::breakdown`] reproduces [`Trace::breakdown`] exactly
-/// for flat recordings while attributing only *self time* for nested
-/// ones, so hierarchy never double-counts.
+/// This is the workspace's only span model. A platform opens one root
+/// span per invocation ([`Recorder::root`]) and records each phase once
+/// underneath it; the paper's start-up / exec / others split is the
+/// self-time fold of that root's subtree ([`RootSpan::close`]), so
+/// hierarchy never double-counts, and per-label totals are asked of the
+/// same subtree ([`Recorder::total_under`]).
+///
+/// The fold is taken at the instant the root closes and the result is
+/// handed to the caller by value: a recorder that later bounds its
+/// memory (sampling, a ring buffer) may drop a closed subtree without
+/// moving any figure. Only post-hoc queries ([`Recorder::total_under`],
+/// [`Recorder::subtree`]) need the subtree to still be in the log.
 ///
 /// Orphan handling: ending a span that has open descendants closes the
 /// descendants at the same instant; ending a span that is not open at
@@ -572,35 +605,39 @@ impl Recorder {
         self.inner.borrow().open.last().copied()
     }
 
-    /// Imports a flat [`Trace`] under the innermost open span: zero-width
-    /// trace spans (the fault-injector convention) become instants, all
-    /// others become closed child spans keeping their phase.
-    pub fn ingest_trace(&self, trace: &Trace, category: &'static str) {
-        for span in trace.spans() {
-            let mut inner = self.inner.borrow_mut();
-            let parent = inner.open.last().copied();
-            let trace_id = parent.and_then(|p| inner.trace_of(p));
-            if span.start == span.end {
-                inner.events.push(Event::Instant(InstantRecord {
-                    parent,
-                    name: span.label.clone(),
-                    category,
-                    at: span.start,
-                    attrs: Vec::new(),
-                    trace: trace_id,
-                }));
-            } else {
-                inner.push_span(
-                    parent,
-                    span.label.clone(),
-                    category,
-                    Some(span.phase),
-                    trace_id,
-                    span.start,
-                    Some(span.end),
-                );
-            }
-        }
+    /// Records a zero-width event that happened at `at` (not now) under
+    /// the innermost open span — e.g. an injected fault surfaced when the
+    /// invocation it hit ends.
+    pub fn instant_at(&self, name: impl Into<String>, category: &'static str, at: Nanos) {
+        let mut inner = self.inner.borrow_mut();
+        let parent = inner.open.last().copied();
+        let trace = parent.and_then(|p| inner.trace_of(p));
+        inner.events.push(Event::Instant(InstantRecord {
+            parent,
+            name: name.into(),
+            category,
+            at,
+            attrs: Vec::new(),
+            trace,
+        }));
+    }
+
+    /// Opens the root span of one platform invocation and returns the
+    /// guard that closes it on every exit. Inside a cluster driver the
+    /// `service` span is already open and the root nests (and inherits
+    /// the trace) under it; on a direct blocking invoke with nothing
+    /// open, `ctx` adopts the caller's tree instead.
+    pub fn root(
+        &self,
+        name: impl Into<String>,
+        category: &'static str,
+        ctx: Option<SpanContext>,
+    ) -> RootSpan<'_> {
+        let id = match ctx.filter(|_| self.current().is_none()) {
+            Some(ctx) => self.start_under(ctx.parent, name, category),
+            None => self.start(name, category),
+        };
+        RootSpan { rec: self, id }
     }
 
     /// Records an already-measured interval as a closed child of the
@@ -654,46 +691,101 @@ impl Recorder {
         self.inner.borrow().events.is_empty()
     }
 
-    /// Folds the recorded spans into the paper's three-way [`Breakdown`].
+    /// Folds the subtree of `root` into the paper's three-way
+    /// [`Breakdown`].
     ///
     /// Each span contributes its *self time* (duration minus the summed
-    /// durations of its direct children) to its phase; spans without a
-    /// phase inherit the nearest phased ancestor's. For a flat recording
-    /// this equals [`Trace::breakdown`] over the same spans.
-    pub fn breakdown(&self) -> Breakdown {
+    /// durations of its direct children) to its phase; a span without a
+    /// phase inherits the nearest phased ancestor's, up to and including
+    /// `root`, and time no phased span covers is not attributed. Still-
+    /// open spans count up to now. Costs O(events since `root` opened).
+    pub fn breakdown_under(&self, root: SpanId) -> Breakdown {
         let now = self.clock.now();
         let inner = self.inner.borrow();
-        let n = inner.span_pos.len();
-        let mut eff: Vec<Option<Phase>> = vec![None; n];
-        let mut child_sum: Vec<Nanos> = vec![Nanos::ZERO; n];
-        // Parents always precede children in id order.
-        for &pos in &inner.span_pos {
-            let Event::Span(s) = &inner.events[pos] else {
-                continue;
+        let slot = |id: SpanId| (id.0 - root.0) as usize;
+        // Effective phase and summed child durations, by id - root.
+        let mut phase: Vec<Option<Phase>> = vec![None; inner.span_pos.len() - slot(root)];
+        let mut children = vec![Nanos::ZERO; phase.len()];
+        for s in inner.subtree_spans(root) {
+            let inherited = match s.parent {
+                Some(parent) if s.id != root => {
+                    children[slot(parent)] += s.duration_at(now);
+                    phase[slot(parent)]
+                }
+                _ => None,
             };
-            let idx = (s.id.0 - 1) as usize;
-            eff[idx] = s
-                .phase
-                .or_else(|| s.parent.and_then(|p| eff[(p.0 - 1) as usize]));
-            if let Some(p) = s.parent {
-                child_sum[(p.0 - 1) as usize] += s.duration_at(now);
-            }
+            phase[slot(s.id)] = s.phase.or(inherited);
         }
         let mut b = Breakdown::default();
-        for &pos in &inner.span_pos {
-            let Event::Span(s) = &inner.events[pos] else {
-                continue;
-            };
-            let idx = (s.id.0 - 1) as usize;
-            let Some(phase) = eff[idx] else { continue };
-            let self_time = s.duration_at(now).saturating_sub(child_sum[idx]);
-            match phase {
-                Phase::Startup => b.startup += self_time,
-                Phase::Exec => b.exec += self_time,
-                Phase::Other => b.other += self_time,
+        for s in inner.subtree_spans(root) {
+            let self_time = s.duration_at(now).saturating_sub(children[slot(s.id)]);
+            match phase[slot(s.id)] {
+                Some(Phase::Startup) => b.startup += self_time,
+                Some(Phase::Exec) => b.exec += self_time,
+                Some(Phase::Other) => b.other += self_time,
+                None => {}
             }
         }
         b
+    }
+
+    /// Summed duration of the spans named `name` under `root`.
+    pub fn total_under(&self, root: SpanId, name: &str) -> Nanos {
+        let now = self.clock.now();
+        let inner = self.inner.borrow();
+        let total = inner
+            .subtree_spans(root)
+            .filter(|s| s.id != root && s.name == name)
+            .map(|s| s.duration_at(now))
+            .sum();
+        total
+    }
+
+    /// The spans and instants recorded under `root` (excluding `root`
+    /// itself), in recording order.
+    pub fn subtree(&self, root: SpanId) -> Vec<Event> {
+        let inner = self.inner.borrow();
+        let after_root = inner.span_pos[(root.0 - 1) as usize] + 1;
+        inner.events[after_root..]
+            .iter()
+            .filter(|event| {
+                let parent = match event {
+                    Event::Span(s) => s.parent,
+                    Event::Instant(i) => i.parent,
+                };
+                parent.is_some_and(|p| inner.descends(root, p))
+            })
+            .cloned()
+            .collect()
+    }
+}
+
+/// Guard over the root span of one invocation ([`Recorder::root`]):
+/// dropping it closes the root — and any descendant an early return left
+/// open — so no exit path can leak an open root.
+#[derive(Debug)]
+pub struct RootSpan<'r> {
+    rec: &'r Recorder,
+    id: SpanId,
+}
+
+impl RootSpan<'_> {
+    /// The root span's id.
+    pub fn id(&self) -> SpanId {
+        self.id
+    }
+
+    /// Closes the root and folds its subtree (the tail of the event log
+    /// at this instant) into the invocation's [`Breakdown`].
+    pub fn close(self) -> Breakdown {
+        self.rec.end(self.id);
+        self.rec.breakdown_under(self.id)
+    }
+}
+
+impl Drop for RootSpan<'_> {
+    fn drop(&mut self) {
+        self.rec.end(self.id);
     }
 }
 
@@ -761,94 +853,136 @@ mod tests {
     }
 
     #[test]
-    fn flat_breakdown_matches_trace_breakdown() {
+    fn subtree_fold_attributes_self_time_by_inherited_phase() {
         let clock = Clock::new();
         let rec = Recorder::new(clock.clone());
-        let mut trace = Trace::new();
-        for (label, phase, dur) in [
-            ("boot", Phase::Startup, 5),
-            ("exec", Phase::Exec, 20),
-            ("io", Phase::Other, 3),
-        ] {
-            let t0 = clock.now();
-            rec.scope_phase(label, cat::EXEC, phase, || clock.advance(ms(dur)));
-            trace.record(label, phase, t0, clock.now());
-        }
-        assert_eq!(rec.breakdown(), trace.breakdown());
+        let root = rec.root("invoke", cat::INVOKE, None);
+        clock.advance(ms(1)); // Unphased root self time: not attributed.
+        let restore = rec.start_phase("snapshot_restore", cat::RESTORE, Phase::Startup);
+        clock.advance(ms(2)); // Phased child's own self time.
+        rec.scope("restore_read", cat::RESTORE, || clock.advance(ms(3)));
+        rec.scope("map_pages", cat::RESTORE, || clock.advance(ms(4)));
+        rec.end(restore);
+        clock.advance(ms(10));
+        // A fault that fired during the restore, surfaced afterwards.
+        rec.instant_at("fault:snapshot_read", cat::FAULT, ms(4));
+        // Retroactively split the last 10 ms into compute and I/O.
+        let exec = rec.record_closed("exec", cat::EXEC, Phase::Exec, ms(10), ms(17));
+        rec.record_closed("guest_io", cat::EXEC, Phase::Other, ms(17), ms(20));
+        let root_id = root.id();
+        let b = root.close();
+        assert_eq!(
+            b,
+            Breakdown {
+                startup: ms(9), // 2 own + 3 + 4 inherited, counted once.
+                exec: ms(7),
+                other: ms(3),
+            }
+        );
+        assert_eq!(rec.current(), None);
+        assert_eq!(rec.total_under(root_id, "restore_read"), ms(3));
+        assert_eq!(
+            rec.total_under(root_id, "invoke"),
+            Nanos::ZERO,
+            "root excluded"
+        );
+        let events = rec.subtree(root_id);
+        assert_eq!(events.len(), 6, "5 spans + 1 instant, root excluded");
+        let Event::Instant(i) = &events[3] else {
+            panic!()
+        };
+        assert_eq!(
+            (i.parent, i.at),
+            (Some(root_id), ms(4)),
+            "keeps its instant"
+        );
+        let Event::Span(s) = &events[4] else { panic!() };
+        assert_eq!((s.id, s.parent, s.end), (exec, Some(root_id), Some(ms(17))));
+        // The fold was taken at close; later clock movement changes nothing.
+        clock.advance(ms(100));
+        assert_eq!(rec.breakdown_under(root_id), b);
     }
 
     #[test]
-    fn nested_spans_attribute_self_time_only() {
+    fn a_second_root_folds_only_its_own_subtree() {
         let clock = Clock::new();
         let rec = Recorder::new(clock.clone());
-        let outer = rec.start_phase("startup", cat::BOOT, Phase::Startup);
-        clock.advance(ms(2)); // Outer self time.
-        rec.scope_phase("verify", cat::RESTORE, Phase::Startup, || {
-            clock.advance(ms(3));
+        let first = rec.root("invoke", cat::INVOKE, None);
+        rec.scope_phase("boot", cat::BOOT, Phase::Startup, || clock.advance(ms(50)));
+        let first_id = first.id();
+        assert_eq!(first.close().startup, ms(50));
+        // Work between invocations lands under no root.
+        rec.scope_phase("refresh", cat::SNAPSHOT, Phase::Startup, || {
+            clock.advance(ms(7));
         });
-        // Unphased child inherits the parent's phase.
-        rec.scope("map", cat::RESTORE, || clock.advance(ms(4)));
-        rec.end(outer);
-        let b = rec.breakdown();
-        assert_eq!(b.startup, ms(9), "no double counting");
-        assert_eq!(b.exec, Nanos::ZERO);
+        let second = rec.root("invoke", cat::INVOKE, None);
+        rec.scope_phase("exec", cat::EXEC, Phase::Exec, || clock.advance(ms(5)));
+        let second_id = second.id();
+        assert_eq!(
+            second.close(),
+            Breakdown {
+                startup: Nanos::ZERO,
+                exec: ms(5),
+                other: Nanos::ZERO,
+            }
+        );
+        assert_eq!(rec.total_under(second_id, "boot"), Nanos::ZERO);
+        assert_eq!(rec.total_under(first_id, "exec"), Nanos::ZERO);
+        assert_eq!(rec.breakdown_under(first_id).startup, ms(50));
+    }
+
+    #[test]
+    fn dropping_the_root_guard_closes_open_descendants() {
+        let clock = Clock::new();
+        let rec = Recorder::new(clock.clone());
+        let failing = || -> Result<(), ()> {
+            let _root = rec.root("invoke", cat::INVOKE, None);
+            rec.start_phase("snapshot_restore", cat::RESTORE, Phase::Startup);
+            rec.start("restore_read", cat::RESTORE);
+            clock.advance(ms(2));
+            Err(()) // Early return with two descendants still open.
+        };
+        assert!(failing().is_err());
+        assert_eq!(rec.current(), None, "no leaked root");
+        for ev in rec.events() {
+            let Event::Span(s) = ev else { panic!() };
+            assert_eq!(s.end, Some(ms(2)), "{}", s.name);
+        }
+    }
+
+    #[test]
+    fn root_adopts_a_context_only_when_nothing_is_open() {
+        let rec = Recorder::new(Clock::new());
+        let t = rec.next_trace_id();
+        let request = rec.start_detached("request", cat::INVOKE, t);
+        let ctx = rec.context_of(request);
+        // Direct blocking invoke: nothing open, the context is adopted.
+        let direct = rec.root("invoke", cat::INVOKE, ctx);
+        assert_eq!(rec.trace_of(direct.id()), Some(t));
+        drop(direct);
+        // Under a driver's service span the root nests there instead.
+        let service = rec.start("service", cat::INVOKE);
+        let nested = rec.root("invoke", cat::INVOKE, ctx);
+        let Event::Span(s) = &rec.events()[3] else {
+            panic!()
+        };
+        assert_eq!((s.id, s.parent), (nested.id(), Some(service)));
     }
 
     #[test]
     fn open_spans_count_up_to_now() {
         let clock = Clock::new();
         let rec = Recorder::new(clock.clone());
-        rec.start_phase("running", cat::EXEC, Phase::Exec);
+        let running = rec.start_phase("running", cat::EXEC, Phase::Exec);
         clock.advance(ms(7));
-        assert_eq!(rec.breakdown().exec, ms(7));
+        assert_eq!(rec.breakdown_under(running).exec, ms(7));
         rec.finish();
         clock.advance(ms(100));
-        assert_eq!(rec.breakdown().exec, ms(7), "finish pinned the end");
-    }
-
-    #[test]
-    fn ingest_trace_maps_zero_width_to_instants() {
-        let clock = Clock::new();
-        let rec = Recorder::new(clock.clone());
-        let mut trace = Trace::new();
-        trace.record("fault:net_loss", Phase::Other, ms(1), ms(1));
-        trace.record("recovery_backoff", Phase::Startup, ms(1), ms(5));
-        let root = rec.start("invoke", cat::INVOKE);
-        rec.ingest_trace(&trace, cat::FAULT);
-        rec.end(root);
-        let events = rec.events();
-        let Event::Instant(i) = &events[1] else {
-            panic!("zero-width trace span becomes an instant")
-        };
-        assert_eq!(i.name, "fault:net_loss");
-        assert_eq!(i.parent, Some(root));
-        let Event::Span(s) = &events[2] else { panic!() };
-        assert_eq!(s.phase, Some(Phase::Startup));
-        assert_eq!(s.duration_at(clock.now()), ms(4));
-        // Ingested spans contribute to the breakdown like native ones.
-        assert_eq!(rec.breakdown().startup, ms(4));
-    }
-
-    #[test]
-    fn record_closed_nests_and_feeds_the_breakdown() {
-        let clock = Clock::new();
-        let rec = Recorder::new(clock.clone());
-        let root = rec.start("invoke", cat::INVOKE);
-        clock.advance(ms(10));
-        // Retroactively split the last 10 ms into compute and I/O.
-        let exec = rec.record_closed("exec", cat::EXEC, Phase::Exec, ms(0), ms(7));
-        rec.record_closed("guest_io", cat::EXEC, Phase::Other, ms(7), ms(10));
-        rec.end(root);
-        let Event::Span(s) = &rec.events()[1] else {
-            panic!()
-        };
-        assert_eq!(s.id, exec);
-        assert_eq!(s.parent, Some(root));
-        assert_eq!(s.end, Some(ms(7)));
-        let b = rec.breakdown();
-        assert_eq!(b.exec, ms(7));
-        assert_eq!(b.other, ms(3));
-        assert_eq!(b.startup, Nanos::ZERO, "root self time is fully covered");
+        assert_eq!(
+            rec.breakdown_under(running).exec,
+            ms(7),
+            "finish pinned the end"
+        );
     }
 
     #[test]

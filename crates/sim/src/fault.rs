@@ -9,9 +9,11 @@
 //! schedule is a pure function of the plan's seed and the sequence of
 //! checks the platform performs: the same seed replays the same faults.
 //!
-//! Every injected fault is appended to a log and recorded as a zero-width
-//! [`Trace`] event (label `fault:<site>`), so recovery behaviour is fully
-//! observable in the same traces that carry the latency breakdowns.
+//! Every injected fault is appended to a log with its virtual instant;
+//! platforms drain the log ([`FaultInjector::drain_fired`]) into
+//! `fault:<site>` instants on the `obs` recorder, so recovery behaviour
+//! is observable on the same timeline that carries the latency
+//! breakdowns.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -19,7 +21,6 @@ use std::rc::Rc;
 use crate::clock::Clock;
 use crate::rng::SplitMix64;
 use crate::time::Nanos;
-use crate::trace::{Phase, Trace};
 
 /// A place in the platform where a fault can be injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -188,8 +189,9 @@ pub struct FaultInjector {
     occurrences: [u64; FaultSite::ALL.len()],
     checks: u64,
     injected: Vec<InjectedFault>,
+    /// How many of `injected` [`FaultInjector::drain_fired`] has handed out.
+    drained: usize,
     clock: Option<Clock>,
-    trace: Trace,
 }
 
 impl FaultInjector {
@@ -202,8 +204,8 @@ impl FaultInjector {
             occurrences: [0; FaultSite::ALL.len()],
             checks: 0,
             injected: Vec::new(),
+            drained: 0,
             clock: None,
-            trace: Trace::new(),
         }
     }
 
@@ -212,8 +214,8 @@ impl FaultInjector {
         FaultInjector::new(FaultPlan::new(0))
     }
 
-    /// Attaches the virtual clock so injected faults are timestamped and
-    /// recorded as trace events at the moment they fire.
+    /// Attaches the virtual clock so injected faults are timestamped at
+    /// the moment they fire.
     pub fn attach_clock(&mut self, clock: Clock) {
         self.clock = Some(clock);
     }
@@ -262,8 +264,6 @@ impl FaultInjector {
         }
         if fired {
             let at = self.clock.as_ref().map(Clock::now).unwrap_or(Nanos::ZERO);
-            self.trace
-                .record(format!("fault:{}", site.label()), Phase::Other, at, at);
             self.injected.push(InjectedFault {
                 site,
                 occurrence,
@@ -289,10 +289,13 @@ impl FaultInjector {
         self.checks
     }
 
-    /// Takes the accumulated `fault:*` trace events, leaving the internal
-    /// log empty (platforms merge this into per-invocation traces).
-    pub fn drain_trace(&mut self) -> Trace {
-        std::mem::take(&mut self.trace)
+    /// The faults fired since the previous call, in firing order.
+    /// Platforms surface them as `fault:<site>` instants on the
+    /// invocation that was running (or runs next).
+    pub fn drain_fired(&mut self) -> &[InjectedFault] {
+        let fired = &self.injected[self.drained..];
+        self.drained = self.injected.len();
+        fired
     }
 
     /// A digest of the injected-fault schedule: two runs with the same
@@ -384,18 +387,19 @@ mod tests {
     }
 
     #[test]
-    fn injections_are_recorded_as_trace_events() {
+    fn fired_faults_drain_once_with_their_instant() {
         let clock = Clock::new();
         clock.advance(Nanos::from_millis(5));
         let mut inj = FaultInjector::new(FaultPlan::new(0).nth(FaultSite::VmCrash, 1));
         inj.attach_clock(clock.clone());
         assert!(inj.should_fail(FaultSite::VmCrash));
-        let trace = inj.drain_trace();
-        assert_eq!(trace.spans().len(), 1);
-        assert_eq!(trace.spans()[0].label, "fault:vm_crash");
-        assert_eq!(trace.spans()[0].start, Nanos::from_millis(5));
-        // Draining leaves the log empty.
-        assert!(inj.drain_trace().spans().is_empty());
+        let fired = inj.drain_fired();
+        assert_eq!(fired.len(), 1);
+        assert_eq!(fired[0].site, FaultSite::VmCrash);
+        assert_eq!(fired[0].at, Nanos::from_millis(5));
+        // Draining hands each fault out once; the cumulative log stays.
+        assert!(inj.drain_fired().is_empty());
+        assert_eq!(inj.injected().len(), 1);
     }
 
     #[test]

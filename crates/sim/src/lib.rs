@@ -17,8 +17,9 @@
 //! - [`engine`]: a deterministic discrete-event queue over virtual time —
 //!   the substrate for genuinely concurrent activities (the platform
 //!   invocation driver is built on top).
-//! - [`trace`]: phase spans used to produce the paper's latency breakdowns
-//!   (start-up / exec / others).
+//! - [`trace`]: the paper's latency categories ([`Phase`]) and the
+//!   start-up / exec / others [`Breakdown`] value; the spans themselves
+//!   live on the `obs` recorder.
 //! - [`fault`]: a seeded, deterministic fault-injection plane used to
 //!   exercise the platform's recovery paths.
 
@@ -38,4 +39,4 @@ pub use clock::Clock;
 pub use cost::CostModel;
 pub use fault::{FaultInjector, FaultPlan, FaultSite};
 pub use time::Nanos;
-pub use trace::{Phase, Span, Trace};
+pub use trace::{Breakdown, Phase};

@@ -1,10 +1,10 @@
-//! Phase spans and latency breakdowns.
+//! The paper's latency categories.
 //!
-//! The paper's latency figures (Fig. 6/7/9) split end-to-end latency into
-//! *start-up*, *exec*, and *others*. Platforms record [`Span`]s on a
-//! [`Trace`] as they work, and the harness folds them into a [`Breakdown`].
+//! The latency figures (Fig. 6/7/9) split end-to-end latency into
+//! *start-up*, *exec*, and *others*. Spans recorded on the `obs`
+//! recorder carry a [`Phase`]; folding an invocation's span subtree
+//! yields its [`Breakdown`].
 
-use crate::clock::Clock;
 use crate::time::Nanos;
 
 /// The latency category a span belongs to, matching the paper's breakdown.
@@ -17,100 +17,6 @@ pub enum Phase {
     Exec,
     /// Everything else: network hops, parameter passing, response delivery.
     Other,
-}
-
-/// One labelled interval of virtual time attributed to a [`Phase`].
-#[derive(Debug, Clone)]
-pub struct Span {
-    /// Human-readable label (e.g. `"kernel_boot"`).
-    pub label: String,
-    /// Latency category.
-    pub phase: Phase,
-    /// Virtual start instant.
-    pub start: Nanos,
-    /// Virtual end instant.
-    pub end: Nanos,
-}
-
-impl Span {
-    /// Span duration.
-    pub fn duration(&self) -> Nanos {
-        self.end - self.start
-    }
-}
-
-/// An append-only log of [`Span`]s for one invocation.
-#[derive(Debug, Clone, Default)]
-pub struct Trace {
-    spans: Vec<Span>,
-}
-
-impl Trace {
-    /// Creates an empty trace.
-    pub fn new() -> Self {
-        Trace::default()
-    }
-
-    /// Records a span with explicit endpoints.
-    ///
-    /// Inverted intervals are normalised to empty spans at `start`.
-    pub fn record(&mut self, label: impl Into<String>, phase: Phase, start: Nanos, end: Nanos) {
-        let end = end.max(start);
-        self.spans.push(Span {
-            label: label.into(),
-            phase,
-            start,
-            end,
-        });
-    }
-
-    /// Runs `f`, attributing the virtual time it charges on `clock` to a
-    /// span with the given label and phase, and returns `f`'s result.
-    pub fn scope<T>(
-        &mut self,
-        clock: &Clock,
-        label: impl Into<String>,
-        phase: Phase,
-        f: impl FnOnce() -> T,
-    ) -> T {
-        let start = clock.now();
-        let value = f();
-        self.record(label, phase, start, clock.now());
-        value
-    }
-
-    /// All recorded spans, in recording order.
-    pub fn spans(&self) -> &[Span] {
-        &self.spans
-    }
-
-    /// Appends all spans of another trace.
-    pub fn extend(&mut self, other: &Trace) {
-        self.spans.extend(other.spans.iter().cloned());
-    }
-
-    /// Aggregates the spans into the paper's three-way breakdown.
-    pub fn breakdown(&self) -> Breakdown {
-        let mut b = Breakdown::default();
-        for span in &self.spans {
-            let d = span.duration();
-            match span.phase {
-                Phase::Startup => b.startup += d,
-                Phase::Exec => b.exec += d,
-                Phase::Other => b.other += d,
-            }
-        }
-        b
-    }
-
-    /// Sum of the durations of spans whose label matches `label`.
-    pub fn total_for(&self, label: &str) -> Nanos {
-        self.spans
-            .iter()
-            .filter(|s| s.label == label)
-            .map(Span::duration)
-            .sum()
-    }
 }
 
 /// The start-up / exec / others latency split used in Figs. 6, 7 and 9.
@@ -145,56 +51,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scope_attributes_charged_time() {
-        let clock = Clock::new();
-        let mut trace = Trace::new();
-        let out = trace.scope(&clock, "boot", Phase::Startup, || {
-            clock.advance(Nanos::from_millis(9));
-            "ok"
-        });
-        assert_eq!(out, "ok");
-        assert_eq!(trace.spans().len(), 1);
-        assert_eq!(trace.spans()[0].duration(), Nanos::from_millis(9));
-    }
-
-    #[test]
-    fn breakdown_sums_by_phase() {
-        let mut trace = Trace::new();
-        let ms = Nanos::from_millis;
-        trace.record("a", Phase::Startup, ms(0), ms(5));
-        trace.record("b", Phase::Startup, ms(5), ms(7));
-        trace.record("c", Phase::Exec, ms(7), ms(27));
-        trace.record("d", Phase::Other, ms(27), ms(30));
-        let b = trace.breakdown();
-        assert_eq!(b.startup, ms(7));
-        assert_eq!(b.exec, ms(20));
-        assert_eq!(b.other, ms(3));
-        assert_eq!(b.total(), ms(30));
-    }
-
-    #[test]
-    fn inverted_spans_are_normalised() {
-        let mut trace = Trace::new();
-        trace.record(
-            "x",
-            Phase::Exec,
-            Nanos::from_millis(5),
-            Nanos::from_millis(1),
-        );
-        assert_eq!(trace.breakdown().exec, Nanos::ZERO);
-    }
-
-    #[test]
-    fn total_for_filters_by_label() {
-        let mut trace = Trace::new();
-        let ms = Nanos::from_millis;
-        trace.record("io", Phase::Other, ms(0), ms(2));
-        trace.record("io", Phase::Other, ms(2), ms(5));
-        trace.record("net", Phase::Other, ms(5), ms(6));
-        assert_eq!(trace.total_for("io"), ms(5));
-    }
-
-    #[test]
     fn merge_combines_components() {
         let a = Breakdown {
             startup: Nanos::from_millis(1),
@@ -203,15 +59,5 @@ mod tests {
         };
         let b = a.merge(&a);
         assert_eq!(b.total(), Nanos::from_millis(12));
-    }
-
-    #[test]
-    fn extend_appends_spans() {
-        let mut a = Trace::new();
-        a.record("x", Phase::Exec, Nanos::ZERO, Nanos::from_millis(1));
-        let mut b = Trace::new();
-        b.record("y", Phase::Other, Nanos::ZERO, Nanos::from_millis(2));
-        a.extend(&b);
-        assert_eq!(a.spans().len(), 2);
     }
 }

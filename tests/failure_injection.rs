@@ -2,6 +2,7 @@
 //! and resource pressure must be contained by the platform — errors are
 //! reported, state stays consistent, and subsequent invocations work.
 
+use fireworks::obs::Event;
 use fireworks::prelude::*;
 use fireworks::workloads::faasdom::Bench;
 
@@ -111,6 +112,56 @@ fn timeout_applies_on_baselines_too() {
         ),
         Err(PlatformError::Timeout { .. })
     ));
+}
+
+/// Every platform closes its `invoke` root span on error exits too: a
+/// leaked open root would adopt the next invocation's spans.
+#[test]
+fn failed_invocations_leave_no_open_root_span() {
+    fn closed(err: Result<Invocation, PlatformError>, env: &PlatformEnv) -> PlatformError {
+        let rec = env.obs.recorder();
+        assert!(rec.current().is_none(), "{err:?} leaked an open span");
+        err.expect_err("the invocation must fail")
+    }
+    let n = |n: i64| Value::map([("n".to_string(), Value::Int(n))]);
+
+    let mut ow = OpenWhiskPlatform::new(PlatformEnv::default_env());
+    install(&mut ow, "f", "fn main(params) { return 1; }");
+    let warm = InvokeRequest::new(fid("f"), n(1)).with_mode(StartMode::Warm);
+    let err = closed(ow.invoke(&warm), ow.env());
+    assert!(matches!(err, PlatformError::NoWarmSandbox(_)), "{err}");
+    assert!(
+        !ow.env().obs.recorder().is_empty(),
+        "the attempt was recorded"
+    );
+
+    let mut gv = GvisorPlatform::new(PlatformEnv::default_env());
+    let err = closed(gv.invoke(&InvokeRequest::new(fid("ghost"), n(1))), gv.env());
+    assert!(matches!(err, PlatformError::UnknownFunction(_)), "{err}");
+
+    let mut fc = FirecrackerPlatform::new(PlatformEnv::default_env(), SnapshotPolicy::None);
+    install(
+        &mut fc,
+        "div",
+        "fn main(params) { return 1 / params[\"n\"]; }",
+    );
+    let err = closed(fc.invoke(&InvokeRequest::new(fid("div"), n(0))), fc.env());
+    assert!(matches!(err, PlatformError::Lang(_)), "{err}");
+
+    let mut fw = FireworksPlatform::new(PlatformEnv::default_env());
+    let spin = FunctionSpec::new(
+        "spin",
+        "fn main(params) { let i = 0; while (i < params[\"n\"]) { i = i + 1; } return i; }",
+        RuntimeKind::NodeLike,
+        n(5),
+    )
+    .with_timeout(Nanos::from_millis(1));
+    fw.install(&spin).expect("install");
+    let err = closed(
+        fw.invoke(&InvokeRequest::new(fid("spin"), n(1 << 40))),
+        fw.env(),
+    );
+    assert!(matches!(err, PlatformError::Timeout { .. }), "{err}");
 }
 
 #[test]
@@ -243,12 +294,23 @@ fn same_fault_seed_gives_identical_schedule_and_recovery_trace() {
             )) {
                 Ok(inv) => {
                     outcomes.push(format!("ok:{}", inv.value));
-                    for s in inv.trace.spans() {
-                        if s.label.starts_with("fault:")
-                            || s.label == "recovery_backoff"
-                            || s.label == "snapshot_rebuild"
-                        {
-                            spans.push(format!("{}@{}+{}", s.label, s.start, s.duration()));
+                    let root = inv.span.expect("recorded");
+                    for event in env.obs.recorder().subtree(root) {
+                        match event {
+                            Event::Instant(i) if i.name.starts_with("fault:") => {
+                                spans.push(format!("{}@{}", i.name, i.at));
+                            }
+                            Event::Span(s)
+                                if s.name == "recovery_backoff" || s.name == "snapshot_rebuild" =>
+                            {
+                                spans.push(format!(
+                                    "{}@{}+{}",
+                                    s.name,
+                                    s.start,
+                                    s.duration_at(s.start)
+                                ));
+                            }
+                            _ => {}
                         }
                     }
                 }
@@ -295,7 +357,7 @@ fn corrupted_snapshot_self_heals_end_to_end() {
     assert_eq!(healed.value, clean.value, "healed run returns the answer");
     assert_eq!(healed.start, StartKind::SnapshotRestore);
     assert!(
-        healed.trace.total_for("snapshot_rebuild") > Nanos::ZERO,
+        healed.total_for(p.env().obs.recorder(), "snapshot_rebuild") > Nanos::ZERO,
         "the rebuild must be visible in the trace"
     );
     let health = p.health(fid(&spec.name)).expect("installed");
@@ -310,7 +372,7 @@ fn corrupted_snapshot_self_heals_end_to_end() {
     assert_eq!(after.start, StartKind::SnapshotRestore);
     assert_eq!(after.value, clean.value);
     assert_eq!(
-        after.trace.total_for("snapshot_rebuild"),
+        after.total_for(p.env().obs.recorder(), "snapshot_rebuild"),
         Nanos::ZERO,
         "no further rebuilds once healed"
     );

@@ -6,14 +6,17 @@
 //! `tests/golden/invocations.txt`.
 //!
 //! The golden was generated while every platform still recorded a flat
-//! per-invocation span list beside the `obs` recorder, and is not
-//! re-blessed by refactors of how spans are recorded or folded. To
+//! per-invocation span list beside the `obs` recorder (only the two
+//! helpers that read a label total and the fault events have changed
+//! since), and is not re-blessed by refactors of how spans are recorded
+//! or folded. To
 //! regenerate after an *intentional* behaviour change:
 //! `BLESS=1 cargo test --test invocation_golden`.
 
 use std::fmt::Write as _;
 
 use fireworks::core::{ChunkMesh, ConcurrentPlatform, SnapshotStorePolicy};
+use fireworks::obs::Event;
 use fireworks::prelude::*;
 
 /// Every label some test, bench or example asks an invocation for.
@@ -29,17 +32,18 @@ const LABELS: [&str; 8] = [
 ];
 
 /// Summed duration of the invocation's spans labelled `label`.
-fn label_total(inv: &Invocation, _rec: &Recorder, label: &str) -> Nanos {
-    inv.trace.total_for(label)
+fn label_total(inv: &Invocation, rec: &Recorder, label: &str) -> Nanos {
+    inv.total_for(rec, label)
 }
 
 /// The invocation's `fault:*` events as `(label, instant)`.
-fn faults(inv: &Invocation, _rec: &Recorder) -> Vec<(String, Nanos)> {
-    inv.trace
-        .spans()
-        .iter()
-        .filter(|s| s.label.starts_with("fault:"))
-        .map(|s| (s.label.clone(), s.start))
+fn faults(inv: &Invocation, rec: &Recorder) -> Vec<(String, Nanos)> {
+    rec.subtree(inv.span.expect("real platforms record a root span"))
+        .into_iter()
+        .filter_map(|event| match event {
+            Event::Instant(i) if i.name.starts_with("fault:") => Some((i.name, i.at)),
+            _ => None,
+        })
         .collect()
 }
 

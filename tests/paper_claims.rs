@@ -8,16 +8,22 @@
 use fireworks::prelude::*;
 use fireworks::workloads::faasdom::Bench;
 
-fn fw_invocation(bench: Bench, runtime: RuntimeKind) -> Invocation {
-    let mut p = FireworksPlatform::new(PlatformEnv::default_env());
+/// The helpers below run on the caller's `env` so a test can ask its
+/// recorder for an invocation's label totals afterwards.
+fn fw_invocation(env: &PlatformEnv, bench: Bench, runtime: RuntimeKind) -> Invocation {
+    let mut p = FireworksPlatform::new(env.clone());
     let spec = bench.spec(runtime);
     p.install(&spec).expect("install");
     p.invoke(&InvokeRequest::new(fid(&spec.name), bench.request_params()))
         .expect("invoke")
 }
 
-fn baseline_cold_warm(bench: Bench, runtime: RuntimeKind) -> (Invocation, Invocation) {
-    let mut p = FirecrackerPlatform::new(PlatformEnv::default_env(), SnapshotPolicy::None);
+fn baseline_cold_warm(
+    env: &PlatformEnv,
+    bench: Bench,
+    runtime: RuntimeKind,
+) -> (Invocation, Invocation) {
+    let mut p = FirecrackerPlatform::new(env.clone(), SnapshotPolicy::None);
     let spec = bench.spec(runtime);
     p.install(&spec).expect("install");
     let cold = p
@@ -42,16 +48,16 @@ fn heavy_fact_args() -> Value {
     ])
 }
 
-fn fw_heavy(runtime: RuntimeKind) -> Invocation {
-    let mut p = FireworksPlatform::new(PlatformEnv::default_env());
+fn fw_heavy(env: &PlatformEnv, runtime: RuntimeKind) -> Invocation {
+    let mut p = FireworksPlatform::new(env.clone());
     let spec = Bench::Fact.paper_spec(runtime);
     p.install(&spec).expect("install");
     p.invoke(&InvokeRequest::new(fid(&spec.name), heavy_fact_args()))
         .expect("invoke")
 }
 
-fn baseline_heavy(runtime: RuntimeKind) -> (Invocation, Invocation) {
-    let mut p = FirecrackerPlatform::new(PlatformEnv::default_env(), SnapshotPolicy::None);
+fn baseline_heavy(env: &PlatformEnv, runtime: RuntimeKind) -> (Invocation, Invocation) {
+    let mut p = FirecrackerPlatform::new(env.clone(), SnapshotPolicy::None);
     let spec = Bench::Fact.paper_spec(runtime);
     p.install(&spec).expect("install");
     let cold = p
@@ -68,8 +74,16 @@ fn baseline_heavy(runtime: RuntimeKind) -> (Invocation, Invocation) {
 /// than warm starts (paper: up to 3.8×).
 #[test]
 fn startup_ratios_match_fig6_shape() {
-    let fw = fw_invocation(Bench::Fact, RuntimeKind::NodeLike);
-    let (cold, warm) = baseline_cold_warm(Bench::Fact, RuntimeKind::NodeLike);
+    let fw = fw_invocation(
+        &PlatformEnv::default_env(),
+        Bench::Fact,
+        RuntimeKind::NodeLike,
+    );
+    let (cold, warm) = baseline_cold_warm(
+        &PlatformEnv::default_env(),
+        Bench::Fact,
+        RuntimeKind::NodeLike,
+    );
 
     let cold_ratio = cold.breakdown.startup.ratio(fw.breakdown.startup);
     assert!(
@@ -88,17 +102,13 @@ fn startup_ratios_match_fig6_shape() {
 /// the pure-compute `exec` span (page-fault costs are a separate span).
 #[test]
 fn node_exec_gap_is_modest() {
-    let fw = fw_heavy(RuntimeKind::NodeLike);
-    let (cold, warm) = baseline_heavy(RuntimeKind::NodeLike);
+    let (fw_env, fc_env) = (PlatformEnv::default_env(), PlatformEnv::default_env());
+    let fw = fw_heavy(&fw_env, RuntimeKind::NodeLike);
+    let (cold, warm) = baseline_heavy(&fc_env, RuntimeKind::NodeLike);
+    let fw_exec = fw.total_for(fw_env.obs.recorder(), "exec");
 
-    let vs_cold = cold
-        .trace
-        .total_for("exec")
-        .ratio(fw.trace.total_for("exec"));
-    let vs_warm = warm
-        .trace
-        .total_for("exec")
-        .ratio(fw.trace.total_for("exec"));
+    let vs_cold = cold.total_for(fc_env.obs.recorder(), "exec").ratio(fw_exec);
+    let vs_warm = warm.total_for(fc_env.obs.recorder(), "exec").ratio(fw_exec);
     assert!(
         (1.1..3.0).contains(&vs_cold),
         "node exec vs cold {vs_cold:.2} (paper ~1.38)"
@@ -113,12 +123,12 @@ fn node_exec_gap_is_modest() {
 /// an order of magnitude (paper: 12–20× for faas-fact).
 #[test]
 fn python_exec_speedup_is_an_order_of_magnitude() {
-    let fw = fw_heavy(RuntimeKind::PythonLike);
-    let (cold, _) = baseline_heavy(RuntimeKind::PythonLike);
+    let (fw_env, fc_env) = (PlatformEnv::default_env(), PlatformEnv::default_env());
+    let fw = fw_heavy(&fw_env, RuntimeKind::PythonLike);
+    let (cold, _) = baseline_heavy(&fc_env, RuntimeKind::PythonLike);
     let ratio = cold
-        .trace
-        .total_for("exec")
-        .ratio(fw.trace.total_for("exec"));
+        .total_for(fc_env.obs.recorder(), "exec")
+        .ratio(fw.total_for(fw_env.obs.recorder(), "exec"));
     assert!(
         ratio > 10.0,
         "python exec speedup {ratio:.1} (paper: 12.3–20×)"
@@ -131,10 +141,12 @@ fn python_exec_speedup_is_an_order_of_magnitude() {
 /// dominated by the sandbox path, similar for Node and Python.
 #[test]
 fn io_bound_latency_is_runtime_independent() {
-    let node = fw_invocation(Bench::DiskIo, RuntimeKind::NodeLike);
-    let py = fw_invocation(Bench::DiskIo, RuntimeKind::PythonLike);
-    let node_io = node.trace.total_for("guest_io");
-    let py_io = py.trace.total_for("guest_io");
+    let io_of = |runtime| {
+        let env = PlatformEnv::default_env();
+        fw_invocation(&env, Bench::DiskIo, runtime).total_for(env.obs.recorder(), "guest_io")
+    };
+    let node_io = io_of(RuntimeKind::NodeLike);
+    let py_io = io_of(RuntimeKind::PythonLike);
     let ratio = py_io.ratio(node_io);
     assert!(
         (0.8..1.3).contains(&ratio),
@@ -148,21 +160,21 @@ fn io_bound_latency_is_runtime_independent() {
 fn disk_io_sandbox_ordering_matches_paper() {
     let spec = Bench::DiskIo.spec(RuntimeKind::NodeLike);
     let args = Bench::DiskIo.request_params();
-    let io_of = |inv: &Invocation| inv.trace.total_for("guest_io");
+    let io_of = |inv: &Invocation, env: &PlatformEnv| inv.total_for(env.obs.recorder(), "guest_io");
 
     let mut ow = OpenWhiskPlatform::new(PlatformEnv::default_env());
     ow.install(&spec).expect("install");
     let cold =
         |name: &str| InvokeRequest::new(fid(name), args.deep_clone()).with_mode(StartMode::Cold);
-    let ow_io = io_of(&ow.invoke(&cold(&spec.name)).expect("ow"));
+    let ow_io = io_of(&ow.invoke(&cold(&spec.name)).expect("ow"), ow.env());
 
     let mut fc = FirecrackerPlatform::new(PlatformEnv::default_env(), SnapshotPolicy::None);
     fc.install(&spec).expect("install");
-    let fc_io = io_of(&fc.invoke(&cold(&spec.name)).expect("fc"));
+    let fc_io = io_of(&fc.invoke(&cold(&spec.name)).expect("fc"), fc.env());
 
     let mut gv = GvisorPlatform::new(PlatformEnv::default_env());
     gv.install(&spec).expect("install");
-    let gv_io = io_of(&gv.invoke(&cold(&spec.name)).expect("gv"));
+    let gv_io = io_of(&gv.invoke(&cold(&spec.name)).expect("gv"), gv.env());
 
     assert!(ow_io < fc_io, "overlayfs {ow_io} < virtio {fc_io}");
     assert!(fc_io < gv_io, "virtio {fc_io} < gofer {gv_io}");
@@ -259,7 +271,7 @@ fn factor_analysis_ordering_holds() {
         .expect("os")
         .total();
 
-    let t_fw = fw_invocation(bench, runtime).total();
+    let t_fw = fw_invocation(&PlatformEnv::default_env(), bench, runtime).total();
 
     assert!(t_os < t_base, "+OS snapshot {t_os} < baseline {t_base}");
     assert!(t_fw < t_os, "+post-JIT {t_fw} < +OS snapshot {t_os}");
