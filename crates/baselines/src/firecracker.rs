@@ -12,7 +12,7 @@ use fireworks_core::host::{GuestHost, NetMode};
 use fireworks_core::{fid, FunctionId, IdMap};
 use fireworks_lang::{JitConfig, Value};
 use fireworks_microvm::{MicroVm, MicroVmConfig, VmFullSnapshot, VmManager};
-use fireworks_obs::{cat, RootSpan};
+use fireworks_obs::{cat, Recorder, RootSpan};
 use fireworks_runtime::RuntimeProfile;
 use fireworks_sandbox::{IoPath, IoPathKind, IsolationLevel};
 use fireworks_sim::trace::Phase;
@@ -160,7 +160,7 @@ impl FirecrackerPlatform {
         rec.attr(root.id(), "platform", self.name());
         obs.metrics()
             .inc("baseline.invoke.attempts", &[("function", &fname)]);
-        let result = self.invoke_under(root, function, args, mode);
+        let result = self.invoke_under(root, rec, function, args, mode);
         if result.is_err() {
             obs.metrics()
                 .inc("baseline.invoke.failures", &[("function", &fname)]);
@@ -171,6 +171,7 @@ impl FirecrackerPlatform {
     fn invoke_under(
         &mut self,
         root: RootSpan<'_>,
+        rec: &Recorder,
         function: FunctionId,
         args: &Value,
         mode: StartMode,
@@ -188,7 +189,6 @@ impl FirecrackerPlatform {
         };
         self.purge_expired();
         let clock = self.env.clock.clone();
-        let rec = self.env.obs.recorder().clone();
 
         // The start-up wrappers carry the phase; the manager's own
         // `vm_boot` / `snapshot_restore` / `vm_resume` spans nest inside.

@@ -103,7 +103,7 @@ impl GvisorPlatform {
         };
         let clock = self.env.clock.clone();
         // Root span of the invocation; the guard closes it on every exit.
-        let rec = self.env.obs.recorder().clone();
+        let rec = self.env.obs.recorder();
         let root = rec.root("invoke", cat::INVOKE, req.trace);
         rec.attr(root.id(), "function", &*function.name());
         rec.attr(root.id(), "platform", self.name());

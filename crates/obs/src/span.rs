@@ -263,6 +263,26 @@ impl Inner {
         self.span_ref(id).trace
     }
 
+    /// Appends a zero-width event under `parent`, inheriting its trace.
+    fn push_instant(
+        &mut self,
+        parent: Option<SpanId>,
+        name: String,
+        category: &'static str,
+        at: Nanos,
+        attrs: Vec<(&'static str, AttrValue)>,
+    ) {
+        let trace = parent.and_then(|p| self.trace_of(p));
+        self.events.push(Event::Instant(InstantRecord {
+            parent,
+            name,
+            category,
+            at,
+            attrs,
+            trace,
+        }));
+    }
+
     /// Whether `id` is `root` or one of its descendants. Parents always
     /// have smaller ids than their children, so the climb stops as soon
     /// as it passes `root`.
@@ -473,16 +493,9 @@ impl Recorder {
         attrs: Vec<(&'static str, AttrValue)>,
     ) {
         let at = self.clock.now();
-        let mut inner = self.inner.borrow_mut();
-        let trace = inner.trace_of(parent);
-        inner.events.push(Event::Instant(InstantRecord {
-            parent: Some(parent),
-            name: name.into(),
-            category,
-            at,
-            attrs,
-            trace,
-        }));
+        self.inner
+            .borrow_mut()
+            .push_instant(Some(parent), name.into(), category, at, attrs);
     }
 
     /// The trace a recorded span belongs to, if any.
@@ -589,15 +602,7 @@ impl Recorder {
         let at = self.clock.now();
         let mut inner = self.inner.borrow_mut();
         let parent = inner.open.last().copied();
-        let trace = parent.and_then(|p| inner.trace_of(p));
-        inner.events.push(Event::Instant(InstantRecord {
-            parent,
-            name: name.into(),
-            category,
-            at,
-            attrs,
-            trace,
-        }));
+        inner.push_instant(parent, name.into(), category, at, attrs);
     }
 
     /// The innermost open span, if any.
@@ -611,15 +616,7 @@ impl Recorder {
     pub fn instant_at(&self, name: impl Into<String>, category: &'static str, at: Nanos) {
         let mut inner = self.inner.borrow_mut();
         let parent = inner.open.last().copied();
-        let trace = parent.and_then(|p| inner.trace_of(p));
-        inner.events.push(Event::Instant(InstantRecord {
-            parent,
-            name: name.into(),
-            category,
-            at,
-            attrs: Vec::new(),
-            trace,
-        }));
+        inner.push_instant(parent, name.into(), category, at, Vec::new());
     }
 
     /// Opens the root span of one platform invocation and returns the
@@ -703,23 +700,23 @@ impl Recorder {
         let now = self.clock.now();
         let inner = self.inner.borrow();
         let slot = |id: SpanId| (id.0 - root.0) as usize;
-        // Effective phase and summed child durations, by id - root.
-        let mut phase: Vec<Option<Phase>> = vec![None; inner.span_pos.len() - slot(root)];
-        let mut children = vec![Nanos::ZERO; phase.len()];
+        // (effective phase, summed child durations), by id - root.
+        let mut acc = vec![(None::<Phase>, Nanos::ZERO); inner.span_pos.len() - slot(root)];
         for s in inner.subtree_spans(root) {
             let inherited = match s.parent {
                 Some(parent) if s.id != root => {
-                    children[slot(parent)] += s.duration_at(now);
-                    phase[slot(parent)]
+                    acc[slot(parent)].1 += s.duration_at(now);
+                    acc[slot(parent)].0
                 }
                 _ => None,
             };
-            phase[slot(s.id)] = s.phase.or(inherited);
+            acc[slot(s.id)].0 = s.phase.or(inherited);
         }
         let mut b = Breakdown::default();
         for s in inner.subtree_spans(root) {
-            let self_time = s.duration_at(now).saturating_sub(children[slot(s.id)]);
-            match phase[slot(s.id)] {
+            let (phase, children) = acc[slot(s.id)];
+            let self_time = s.duration_at(now).saturating_sub(children);
+            match phase {
                 Some(Phase::Startup) => b.startup += self_time,
                 Some(Phase::Exec) => b.exec += self_time,
                 Some(Phase::Other) => b.other += self_time,
@@ -733,12 +730,11 @@ impl Recorder {
     pub fn total_under(&self, root: SpanId, name: &str) -> Nanos {
         let now = self.clock.now();
         let inner = self.inner.borrow();
-        let total = inner
+        inner
             .subtree_spans(root)
             .filter(|s| s.id != root && s.name == name)
             .map(|s| s.duration_at(now))
-            .sum();
-        total
+            .sum()
     }
 
     /// The spans and instants recorded under `root` (excluding `root`

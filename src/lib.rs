@@ -8,7 +8,7 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`sim`] | virtual clock, calibrated cost model, deterministic RNG, trace spans |
+//! | [`sim`] | virtual clock, calibrated cost model, deterministic RNG, latency phases + breakdown |
 //! | [`obs`] | observability plane: hierarchical spans, metrics registry, JSONL + Chrome trace exporters |
 //! | [`guestmem`] | page frames, copy-on-write, snapshot files, PSS accounting |
 //! | [`lang`] | Flame: a dynamic language with a profiling interpreter, quickening JIT, deopt, and snapshot/resume |
