@@ -283,31 +283,24 @@ impl Inner {
         }));
     }
 
-    /// Whether `id` is `root` or one of its descendants. Parents always
-    /// have smaller ids than their children, so the climb stops as soon
-    /// as it passes `root`.
-    fn descends(&self, root: SpanId, id: SpanId) -> bool {
-        let mut cur = id;
-        while cur > root {
-            match self.span_ref(cur).parent {
-                Some(parent) => cur = parent,
-                None => return false,
-            }
-        }
-        cur == root
-    }
-
-    /// `root` and its descendant spans, in id (= recording) order. Ids
-    /// are positional, so the walk starts at `root` and never looks at
-    /// the log before it.
+    /// `root` and its descendant spans, in id (= recording) order.
+    ///
+    /// Spans nest through the open stack, so everything recorded while
+    /// `root` was open sits directly behind it in the log: the subtree is
+    /// the run of spans after `root` whose parent is inside the run, and
+    /// the walk stops at the first span parented outside it (the cost is
+    /// the subtree's size, wherever `root` sits in the log). An id this
+    /// recorder never issued has an empty subtree.
     fn subtree_spans(&self, root: SpanId) -> impl Iterator<Item = &SpanRecord> {
-        self.span_pos[(root.0 - 1) as usize..]
+        self.span_pos
+            .get((root.0 - 1) as usize..)
+            .unwrap_or_default()
             .iter()
             .map(|&pos| match &self.events[pos] {
                 Event::Span(s) => s,
                 Event::Instant(_) => unreachable!("span_pos points at spans only"),
             })
-            .filter(move |s| self.descends(root, s.id))
+            .take_while(move |s| s.id == root || s.parent.is_some_and(|p| p >= root))
     }
 
     /// Appends a span record, wiring the id/position tables. The caller
@@ -695,26 +688,23 @@ impl Recorder {
     /// durations of its direct children) to its phase; a span without a
     /// phase inherits the nearest phased ancestor's, up to and including
     /// `root`, and time no phased span covers is not attributed. Still-
-    /// open spans count up to now. Costs O(events since `root` opened).
-    pub fn breakdown_under(&self, root: SpanId) -> Breakdown {
+    /// open spans count up to now. Costs O(spans under `root`).
+    fn breakdown_under(&self, root: SpanId) -> Breakdown {
         let now = self.clock.now();
         let inner = self.inner.borrow();
-        let slot = |id: SpanId| (id.0 - root.0) as usize;
-        // (effective phase, summed child durations), by id - root.
-        let mut acc = vec![(None::<Phase>, Nanos::ZERO); inner.span_pos.len() - slot(root)];
+        // (effective phase, summed child durations) of span `root + i`:
+        // the subtree's ids are consecutive and parents precede children.
+        let mut acc: Vec<(Option<Phase>, Nanos)> = Vec::new();
         for s in inner.subtree_spans(root) {
-            let inherited = match s.parent {
-                Some(parent) if s.id != root => {
-                    acc[slot(parent)].1 += s.duration_at(now);
-                    acc[slot(parent)].0
-                }
-                _ => None,
-            };
-            acc[slot(s.id)].0 = s.phase.or(inherited);
+            let inherited = s.parent.filter(|_| s.id != root).and_then(|parent| {
+                let (phase, children) = &mut acc[(parent.0 - root.0) as usize];
+                *children += s.duration_at(now);
+                *phase
+            });
+            acc.push((s.phase.or(inherited), Nanos::ZERO));
         }
         let mut b = Breakdown::default();
-        for s in inner.subtree_spans(root) {
-            let (phase, children) = acc[slot(s.id)];
+        for (s, (phase, children)) in inner.subtree_spans(root).zip(acc) {
             let self_time = s.duration_at(now).saturating_sub(children);
             match phase {
                 Some(Phase::Startup) => b.startup += self_time,
@@ -726,13 +716,15 @@ impl Recorder {
         b
     }
 
-    /// Summed duration of the spans named `name` under `root`.
+    /// Summed duration of the spans named `name` under `root`
+    /// (`root` itself excluded).
     pub fn total_under(&self, root: SpanId, name: &str) -> Nanos {
         let now = self.clock.now();
         let inner = self.inner.borrow();
         inner
             .subtree_spans(root)
-            .filter(|s| s.id != root && s.name == name)
+            .skip(1)
+            .filter(|s| s.name == name)
             .map(|s| s.duration_at(now))
             .sum()
     }
@@ -741,15 +733,17 @@ impl Recorder {
     /// itself), in recording order.
     pub fn subtree(&self, root: SpanId) -> Vec<Event> {
         let inner = self.inner.borrow();
-        let after_root = inner.span_pos[(root.0 - 1) as usize] + 1;
-        inner.events[after_root..]
+        let Some(&root_pos) = inner.span_pos.get((root.0 - 1) as usize) else {
+            return Vec::new();
+        };
+        inner.events[root_pos + 1..]
             .iter()
-            .filter(|event| {
+            .take_while(|event| {
                 let parent = match event {
                     Event::Span(s) => s.parent,
                     Event::Instant(i) => i.parent,
                 };
-                parent.is_some_and(|p| inner.descends(root, p))
+                parent.is_some_and(|p| p >= root)
             })
             .cloned()
             .collect()
@@ -925,6 +919,50 @@ mod tests {
         assert_eq!(rec.total_under(second_id, "boot"), Nanos::ZERO);
         assert_eq!(rec.total_under(first_id, "exec"), Nanos::ZERO);
         assert_eq!(rec.breakdown_under(first_id).startup, ms(50));
+    }
+
+    #[test]
+    fn subtree_queries_cost_the_subtree_not_the_log() {
+        let clock = Clock::new();
+        let rec = Recorder::new(clock.clone());
+        // Closes 100 roots of 14 children each, then asks `early` (or the
+        // first of them) for its label total and events; returns the wall
+        // time of both and the first root.
+        let invoke = |early: Option<SpanId>| {
+            let t0 = std::time::Instant::now();
+            let mut first = None;
+            for _ in 0..100 {
+                let root = rec.root("invoke", cat::INVOKE, None);
+                for _ in 0..14 {
+                    rec.scope_phase("exec", cat::EXEC, Phase::Exec, || clock.advance(ms(1)));
+                }
+                first.get_or_insert(root.id());
+                assert_eq!(root.close().exec, ms(14));
+            }
+            let asked = early.or(first).unwrap();
+            for _ in 0..100 {
+                assert_eq!(rec.total_under(asked, "exec"), ms(14));
+                assert_eq!(rec.subtree(asked).len(), 14);
+            }
+            (t0.elapsed(), asked)
+        };
+        let (on_empty_log, early) = invoke(None);
+        for _ in 0..300_000 {
+            rec.scope("background", cat::STORE, || {});
+        }
+        let (on_long_log, _) = invoke(Some(early));
+        // A fold that sized its scratch by the log, or a query that walked
+        // on to the end of it, is 30x slower here (debug build); equal
+        // work leaves room for noise.
+        assert!(
+            on_long_log < on_empty_log * 10 + std::time::Duration::from_millis(50),
+            "{on_long_log:?} around 300k events vs {on_empty_log:?} on an empty log"
+        );
+        // An id this recorder never issued has an empty subtree.
+        let foreign = SpanId(rec.len() as u64 + 1);
+        assert_eq!(rec.total_under(foreign, "exec"), Nanos::ZERO);
+        assert!(rec.subtree(foreign).is_empty());
+        assert_eq!(rec.breakdown_under(foreign), Breakdown::default());
     }
 
     #[test]

@@ -307,7 +307,7 @@ fn same_fault_seed_gives_identical_schedule_and_recovery_trace() {
                                     "{}@{}+{}",
                                     s.name,
                                     s.start,
-                                    s.duration_at(s.start)
+                                    s.end.expect("closed with the invocation") - s.start
                                 ));
                             }
                             _ => {}
