@@ -952,8 +952,8 @@ mod tests {
         }
         let (on_long_log, _) = invoke(Some(early));
         // A fold that sized its scratch by the log, or a query that walked
-        // on to the end of it, is 30x slower here (debug build); equal
-        // work leaves room for noise.
+        // on to the end of it, is tens of times slower here; equal work
+        // leaves room for noise.
         assert!(
             on_long_log < on_empty_log * 10 + std::time::Duration::from_millis(50),
             "{on_long_log:?} around 300k events vs {on_empty_log:?} on an empty log"
