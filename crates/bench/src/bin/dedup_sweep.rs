@@ -24,6 +24,7 @@
 //!
 //! Usage: `dedup_sweep [seed]` (default 42).
 
+use fireworks_bench::nearest_rank;
 use fireworks_core::api::{FunctionSpec, Platform};
 use fireworks_core::cluster::{Cluster, ClusterConfig, LocalityAffinity};
 use fireworks_core::env::PlatformEnv;
@@ -73,11 +74,6 @@ fn mix() -> Vec<(String, String, Value)> {
             )
         })
         .collect()
-}
-
-fn percentile(sorted: &[Nanos], p: f64) -> Nanos {
-    let idx = ((sorted.len() as f64 - 1.0) * p / 100.0).round() as usize;
-    sorted[idx]
 }
 
 /// One point on the dedup-ratio curve: a fresh host with `count`
@@ -175,8 +171,8 @@ fn run_point(arm: &'static str, delta_fetch: bool, rate_ms: u64, seed: u64) -> P
     Point {
         arm,
         rate_ms,
-        p50_start: percentile(&starts, 50.0),
-        p99_start: percentile(&starts, 99.0),
+        p50_start: nearest_rank(&starts, 50.0),
+        p99_start: nearest_rank(&starts, 99.0),
         delta_fetches: sum_prefix("core.delta.fetches"),
         delta_fallbacks: sum_prefix("core.delta.fallbacks"),
         locality_hits: report.locality_hits,

@@ -22,6 +22,7 @@
 //! the seed: two same-seed runs are byte-identical.
 
 use fireworks_baselines::{FirecrackerPlatform, OpenWhiskPlatform, SnapshotPolicy};
+use fireworks_bench::nearest_rank;
 use fireworks_core::engine::{run_concurrent, EngineCompletion, EngineConfig};
 use fireworks_core::env::EnvConfig;
 use fireworks_core::fid;
@@ -55,17 +56,10 @@ fn mix() -> Vec<(String, Value)> {
         .collect()
 }
 
-fn percentile(completions: &[EngineCompletion], p: f64) -> Nanos {
-    let mut s: Vec<Nanos> = completions.iter().map(EngineCompletion::sojourn).collect();
-    s.sort_unstable();
-    let idx = ((s.len() as f64 - 1.0) * p / 100.0).round() as usize;
-    s[idx]
-}
-
 /// Installs the mix and drives one rate point's schedule through the
-/// engine; returns `(completions, peak_inflight, peak_queue_depth,
+/// engine; returns `(sorted sojourns, peak_inflight, peak_queue_depth,
 /// events_processed)`.
-fn run_rate<P, F>(make: F, seed: u64, mean: Nanos) -> (Vec<EngineCompletion>, usize, usize, u64)
+fn run_rate<P, F>(make: F, seed: u64, mean: Nanos) -> (Vec<Nanos>, usize, usize, u64)
 where
     P: ConcurrentPlatform,
     F: FnOnce(PlatformEnv) -> P,
@@ -92,8 +86,14 @@ where
     for c in &report.completions {
         assert!(c.result.is_ok(), "fault-free sweep");
     }
+    let mut sojourns: Vec<Nanos> = report
+        .completions
+        .iter()
+        .map(EngineCompletion::sojourn)
+        .collect();
+    sojourns.sort_unstable();
     (
-        report.completions,
+        sojourns,
         report.peak_inflight,
         report.peak_queue_depth,
         report.events_processed,
@@ -188,11 +188,11 @@ fn main() {
         println!(
             "{:>9}ms {:>12} {:>12} {:>12} {:>12} {:>11.1}x {:>9} {:>9}",
             mean_ms,
-            format!("{}", percentile(&ow_done, 50.0)),
-            format!("{}", percentile(&ow_done, 99.0)),
-            format!("{}", percentile(&fw_done, 50.0)),
-            format!("{}", percentile(&fw_done, 99.0)),
-            percentile(&ow_done, 99.0).ratio(percentile(&fw_done, 99.0)),
+            format!("{}", nearest_rank(&ow_done, 50.0)),
+            format!("{}", nearest_rank(&ow_done, 99.0)),
+            format!("{}", nearest_rank(&fw_done, 50.0)),
+            format!("{}", nearest_rank(&fw_done, 99.0)),
+            nearest_rank(&ow_done, 99.0).ratio(nearest_rank(&fw_done, 99.0)),
             ow_queue,
             fw_queue,
         );

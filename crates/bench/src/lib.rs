@@ -51,6 +51,14 @@ impl LatencyBar {
     }
 }
 
+/// Nearest-rank percentile (`p` in 0–100) of an ascending-sorted sample.
+/// The sweeps print this one: `sim::stats::percentile` interpolates
+/// between ranks, which would move their golden bytes.
+pub fn nearest_rank(sorted: &[Nanos], p: f64) -> Nanos {
+    let idx = ((sorted.len() as f64 - 1.0) * p / 100.0).round() as usize;
+    sorted[idx]
+}
+
 /// Prints a latency table with a ratio column against the last row
 /// (Fireworks, by convention).
 pub fn print_latency_table(title: &str, bars: &[LatencyBar]) {

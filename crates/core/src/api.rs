@@ -461,17 +461,20 @@ pub trait Platform {
     /// next function's arguments. The request's `args` seed the first
     /// stage; its mode and deadline apply to every stage ( its
     /// `function` field is ignored — stages come from `stages`). Returns
-    /// one invocation per stage.
+    /// one invocation per stage. A platform that does not support chains
+    /// refuses.
     fn invoke_chain(
         &mut self,
         stages: &[FunctionId],
         req: &InvokeRequest,
     ) -> Result<Vec<Invocation>, PlatformError> {
-        let _ = (stages, req);
-        Err(PlatformError::Other(format!(
-            "{} cannot process a chain of serverless functions",
-            self.name()
-        )))
+        if !self.supports_chains() {
+            return Err(PlatformError::Other(format!(
+                "{} cannot process a chain of serverless functions",
+                self.name()
+            )));
+        }
+        run_chain(self, stages, req)
     }
 }
 

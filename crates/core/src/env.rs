@@ -8,9 +8,12 @@ use fireworks_lang::Value;
 use fireworks_msgbus::MessageBus;
 use fireworks_netsim::HostNetwork;
 use fireworks_obs::{cat, Obs};
+use fireworks_sandbox::IoPath;
 use fireworks_sim::fault::{self, FaultInjector, FaultPlan, SharedInjector};
 use fireworks_sim::{Clock, CostModel};
 use fireworks_store::{DocumentStore, StoreCosts};
+
+use crate::host::{GuestHost, NetMode};
 
 /// Host configuration for one experiment.
 #[derive(Debug, Clone)]
@@ -120,6 +123,22 @@ impl PlatformEnv {
             fault_plan: plan,
             ..EnvConfig::default()
         })
+    }
+
+    /// The host-call environment of one guest run on this host: disk I/O
+    /// charged on `io`, responses in `net_mode`, `default_params` served
+    /// by the `default_params` host call.
+    pub fn guest_host(&self, io: IoPath, net_mode: NetMode, default_params: Value) -> GuestHost {
+        GuestHost::new(
+            self.clock.clone(),
+            io,
+            &self.costs.net,
+            net_mode,
+            self.costs.microvm.mmds_lookup,
+            self.bus.clone(),
+            self.store.clone(),
+            default_params,
+        )
     }
 
     /// Surfaces every fault the injector fired since the last flush as a

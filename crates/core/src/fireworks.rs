@@ -96,6 +96,8 @@ pub struct ResidentClone {
     ns: NsId,
     /// The clone's instance id (MMDS).
     pub instance: String,
+    /// The clone's parameter-passer topic, `params-<instance>`.
+    topic: String,
 }
 
 impl ResidentClone {
@@ -225,42 +227,28 @@ impl FireworksPlatform {
         self.chunk_store.as_ref().map(|s| s.borrow().stats())
     }
 
-    fn guest_host(&self, default_params: &Value) -> GuestHost {
-        GuestHost::new(
-            self.env.clock.clone(),
-            IoPath::new(IoPathKind::VirtioBlk, self.env.costs.clone()),
-            &self.env.costs.net,
-            NetMode::ThroughNat,
-            self.env.costs.microvm.mmds_lookup,
-            self.env.bus.clone(),
-            self.env.store.clone(),
-            default_params.deep_clone(),
-        )
+    fn guest_host(env: &PlatformEnv, default_params: Value) -> GuestHost {
+        let io = IoPath::new(IoPathKind::VirtioBlk, env.costs.clone());
+        env.guest_host(io, NetMode::ThroughNat, default_params)
     }
 
     /// A host for the install phase: same cost model, but side effects go
     /// to a staging store and bus so JIT warm-up never pollutes
     /// production state.
     fn install_host(&self, default_params: &Value) -> GuestHost {
-        use std::cell::RefCell;
-        let scratch_store = Rc::new(RefCell::new(fireworks_store::DocumentStore::new(
-            self.env.clock.clone(),
-            fireworks_store::StoreCosts::default(),
-        )));
-        let scratch_bus = Rc::new(RefCell::new(fireworks_msgbus::MessageBus::new(
-            self.env.clock.clone(),
-            self.env.costs.bus.clone(),
-        )));
-        GuestHost::new(
-            self.env.clock.clone(),
-            IoPath::new(IoPathKind::VirtioBlk, self.env.costs.clone()),
-            &self.env.costs.net,
-            NetMode::ThroughNat,
-            self.env.costs.microvm.mmds_lookup,
-            scratch_bus,
-            scratch_store,
-            default_params.deep_clone(),
-        )
+        let clock = &self.env.clock;
+        let staging = PlatformEnv {
+            bus: Rc::new(RefCell::new(fireworks_msgbus::MessageBus::new(
+                clock.clone(),
+                self.env.costs.bus.clone(),
+            ))),
+            store: Rc::new(RefCell::new(fireworks_store::DocumentStore::new(
+                clock.clone(),
+                fireworks_store::StoreCosts::default(),
+            ))),
+            ..self.env.clone()
+        };
+        FireworksPlatform::guest_host(&staging, default_params.deep_clone())
     }
 
     /// Runs the install pipeline and returns the snapshot.
@@ -630,10 +618,11 @@ impl FireworksPlatform {
         // Parameter passer: produce the arguments into the per-instance
         // topic before resuming (paper §3.6).
         let instance = format!("vm-{}", self.next_instance);
+        let topic = format!("params-{instance}");
         self.next_instance += 1;
         rec.scope_phase("param_produce", cat::INVOKE, Phase::Other, || {
             self.env.bus.borrow_mut().produce(
-                &format!("params-{instance}"),
+                &topic,
                 args.deep_clone(),
                 args.heap_estimate() as u64,
             );
@@ -713,11 +702,7 @@ impl FireworksPlatform {
         let mut vm = match restored {
             Ok(vm) => vm,
             Err(e) => {
-                let _ = self.env.net.borrow_mut().destroy_namespace(ns);
-                self.env
-                    .bus
-                    .borrow_mut()
-                    .delete_topic(&format!("params-{instance}"));
+                self.teardown_clone(ns, &topic);
                 self.note_infra_failure(function);
                 if let Some(entry) = self.registry.get_mut(function) {
                     entry.restore_retries += restore_retries_now;
@@ -778,7 +763,7 @@ impl FireworksPlatform {
 
         // Resume right after the snapshot point. Any failure from here on
         // must tear down the clone's namespace and parameter topic.
-        let mut host = self.guest_host(&default_params);
+        let mut host = FireworksPlatform::guest_host(&self.env, default_params);
         host.mmds_set("instance-id", &instance);
         let run_result = (|| {
             let rt = vm
@@ -804,11 +789,7 @@ impl FireworksPlatform {
                 // Kill the clone: namespace, topic, and VM all go. Guest
                 // errors are not infrastructure failures and do not feed
                 // the circuit breaker.
-                let _ = self.env.net.borrow_mut().destroy_namespace(ns);
-                self.env
-                    .bus
-                    .borrow_mut()
-                    .delete_topic(&format!("params-{instance}"));
+                self.teardown_clone(ns, &topic);
                 self.env.flush_faults();
                 obs.metrics().inc("core.invoke.failures", name_labels);
                 return Err(e);
@@ -866,7 +847,12 @@ impl FireworksPlatform {
         // root, so recovery is auditable alongside the latency spans.
         self.env.flush_faults();
         let invocation = Invocation::from_run(root, result, host, StartKind::SnapshotRestore);
-        let clone = ResidentClone { vm, ns, instance };
+        let clone = ResidentClone {
+            vm,
+            ns,
+            instance,
+            topic,
+        };
         obs.metrics().observe(
             "core.invoke.latency_ns",
             name_labels,
@@ -916,12 +902,16 @@ impl FireworksPlatform {
     /// Tears down a resident clone: namespace, parameter topic, and guest
     /// memory.
     pub fn release_clone(&mut self, clone: ResidentClone) {
-        let _ = self.env.net.borrow_mut().destroy_namespace(clone.ns);
-        self.env
-            .bus
-            .borrow_mut()
-            .delete_topic(&format!("params-{}", clone.instance));
+        self.teardown_clone(clone.ns, &clone.topic);
         drop(clone.vm);
+    }
+
+    /// The one place a clone's host-side resources go: every exit of an
+    /// invocation that set them up — restore failure, guest error,
+    /// release — ends here.
+    fn teardown_clone(&self, ns: NsId, topic: &str) {
+        let _ = self.env.net.borrow_mut().destroy_namespace(ns);
+        self.env.bus.borrow_mut().delete_topic(topic);
     }
 
     /// Security audit for an installed function (paper §6).
@@ -1023,14 +1013,6 @@ impl Platform for FireworksPlatform {
 
     fn supports_chains(&self) -> bool {
         true
-    }
-
-    fn invoke_chain(
-        &mut self,
-        stages: &[FunctionId],
-        req: &InvokeRequest,
-    ) -> Result<Vec<Invocation>, PlatformError> {
-        crate::api::run_chain(self, stages, req)
     }
 }
 
