@@ -339,6 +339,7 @@ pub fn run_scale_point(point: &ScalePoint) -> ScaleReport {
     let mut mix = |x: u64| {
         for b in x.to_le_bytes() {
             fingerprint ^= b as u64;
+            // Not the FNV prime (one zero too many); frozen by goldens.
             fingerprint = fingerprint.wrapping_mul(0x1000_0000_01b3);
         }
     };

@@ -323,12 +323,7 @@ fn least_loaded(hosts: &[HostView], accept: impl Fn(&HostView) -> bool) -> Optio
 /// which is randomly keyed per process) so home-host assignment is
 /// deterministic across runs.
 pub(crate) fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fireworks_sim::hash::fnv1a(s.as_bytes())
 }
 
 /// One request's outcome on the cluster, with its placement.

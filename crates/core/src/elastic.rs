@@ -374,7 +374,6 @@ struct ControlPlane<P> {
     /// injector (the archive never crashes — it models replicated
     /// durable storage).
     archive: Rc<RefCell<ChunkStore>>,
-    archive_env: PlatformEnv,
     /// Manifests archived so far, for the audit (the mesh holds the
     /// serving copies).
     archive_manifests: BTreeMap<FunctionId, SnapshotManifest>,
@@ -440,7 +439,6 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
             factory: Box::new(factory),
             specs: BTreeMap::new(),
             archive,
-            archive_env,
             archive_manifests: BTreeMap::new(),
             archived: BTreeSet::new(),
             migration_breakers: BTreeMap::new(),
@@ -687,34 +685,14 @@ impl<P: ConcurrentPlatform> ControlPlane<P> {
         let Some(donor) = fleet.mesh.borrow().donor_for(function, archive_host_id()) else {
             return false;
         };
-        {
-            let mut archive = self.archive.borrow_mut();
-            let missing: BTreeSet<usize> = archive
-                .missing_chunks(&donor.manifest)
-                .into_iter()
-                .collect();
-            let donor_store = donor.store.borrow();
-            for (i, chunk) in donor.manifest.chunks.iter().enumerate() {
-                if !missing.contains(&i) {
-                    archive.retain_chunk(chunk.hash);
-                    continue;
-                }
-                let Some(run) = donor_store.chunk_frames(chunk.hash) else {
-                    return false;
-                };
-                let frames: Vec<_> = run
-                    .iter()
-                    .map(|&(page, f)| {
-                        (
-                            page,
-                            self.archive_env
-                                .host_mem
-                                .clone_frame_from(donor_store.host(), f),
-                        )
-                    })
-                    .collect();
-                archive.ingest_remote_chunk(chunk.hash, frames);
-            }
+        // Background replication: no wire cost on the serving timeline.
+        let adopted = self.archive.borrow_mut().adopt_manifest(
+            &donor.store.borrow(),
+            &donor.manifest,
+            |_| true,
+        );
+        if !adopted {
+            return false;
         }
         fleet.mesh.borrow_mut().publish(
             archive_host_id(),

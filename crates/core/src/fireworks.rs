@@ -1,35 +1,36 @@
-//! The FIREWORKS platform.
+//! The FIREWORKS platform: install builds a function's post-JIT snapshot
+//! and hands it to `crate::supply`; an invocation clones it in five
+//! stages — `admit`, `start`, `page_in`, `run`, `settle` — each a private
+//! function recording its own spans under the `invoke` root.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use fireworks_annotator::{annotate, Annotated, AnnotationConfig};
-use fireworks_guestmem::{ChunkHash, FrameId, SnapshotFile};
 use fireworks_lang::{JitConfig, JitPolicy, Value};
 use fireworks_microvm::reap::PagingCosts;
 use fireworks_microvm::{
     MicroVm, MicroVmConfig, ReapMode, ReapSession, VmError, VmFullSnapshot, VmManager, WorkingSet,
 };
 use fireworks_netsim::{Ip, Mac, NsId};
-use fireworks_obs::cat;
-use fireworks_runtime::guest::RunOutcome;
+use fireworks_obs::{cat, RootSpan};
+use fireworks_runtime::guest::{InvokeResult, RunOutcome};
 use fireworks_runtime::RuntimeProfile;
 use fireworks_sandbox::{IoPath, IoPathKind, IsolationLevel};
 use fireworks_sim::fault::{FaultSite, FaultTrigger};
 use fireworks_sim::trace::Phase;
 use fireworks_sim::Nanos;
-use fireworks_store::ChunkStore;
 
 use crate::api::{
     attribute_run, run_guest, ConcurrentPlatform, FunctionSpec, InFlightToken, InstallReport,
     Invocation, InvokeRequest, Platform, PlatformError, SnapshotResidency, StartKind, StoreAudit,
 };
 use crate::audit::{SecurityAudit, SecurityPolicy};
-use crate::cache::SnapshotCache;
-use crate::config::{PagingPolicy, PlatformConfig, RecoveryPolicy, SnapshotStorePolicy};
+use crate::config::{PagingPolicy, PlatformConfig, RecoveryPolicy};
 use crate::env::PlatformEnv;
 use crate::host::{GuestHost, NetMode};
 use crate::mesh::SharedChunkMesh;
+use crate::supply::SnapshotSupply;
 use crate::symbols::{fid, FunctionId, HostId, IdMap};
 
 /// The guest IP baked into every snapshot (identical across clones —
@@ -42,7 +43,7 @@ pub const GUEST_TAP: &str = "tap0";
 
 /// Reliability counters for one installed function (see
 /// [`FireworksPlatform::health`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FunctionHealth {
     /// Infrastructure failures since the last successful invocation.
     pub consecutive_failures: u32,
@@ -70,22 +71,34 @@ struct FunctionEntry {
     profile: RuntimeProfile,
     install_report: InstallReport,
     clones_since_snapshot: u64,
-    refreshes: u64,
     refresh_time: Nanos,
     /// REAP-recorded working set (ColdStorage + reap only).
     working_set: Option<WorkingSet>,
-    /// Infrastructure failures since the last success (breaker input).
-    consecutive_failures: u32,
-    /// Open-circuit deadline, if the breaker has tripped.
-    circuit_open_until: Option<Nanos>,
-    /// Invocations that needed at least one retry to succeed.
-    recoveries: u64,
-    /// Snapshots evicted for failing their integrity check.
-    quarantines: u64,
-    /// Restore attempts that had to be retried.
-    restore_retries: u64,
-    /// Invocations whose REAP prefetch degraded to major faults.
-    prefetch_degraded: u64,
+    /// Breaker state and reliability counters; `rebuilds` is also the
+    /// security audit's refresh count.
+    health: FunctionHealth,
+}
+
+impl FunctionEntry {
+    /// Annotates `spec` into a registered, not yet built, function.
+    fn new(spec: &FunctionSpec) -> Result<Self, PlatformError> {
+        let annotated = annotate(&spec.source, &AnnotationConfig::default())?;
+        Ok(FunctionEntry {
+            spec: spec.clone(),
+            profile: RuntimeProfile::for_kind(spec.runtime),
+            install_report: InstallReport {
+                install_time: Nanos::ZERO,
+                snapshot_pages: 0,
+                snapshot_bytes: 0,
+                annotated_functions: annotated.annotated_functions,
+            },
+            annotated,
+            clones_since_snapshot: 0,
+            refresh_time: Nanos::ZERO,
+            working_set: None,
+            health: FunctionHealth::default(),
+        })
+    }
 }
 
 /// A restored microVM kept resident after its invocation (for memory
@@ -125,27 +138,32 @@ impl InFlightToken for ResidentClone {
     }
 }
 
+/// What the stages of one invocation hand forward: the clone being
+/// served plus the recovery and paging bookkeeping `settle` folds into
+/// the function's health.
+struct Flight {
+    clone: ResidentClone,
+    /// The snapshot the clone was restored from (REAP re-verifies the
+    /// working-set pages it prefetches from it).
+    snapshot: Rc<VmFullSnapshot>,
+    started_at: Nanos,
+    /// Restore attempts that had to be retried before one succeeded.
+    restore_retries: u64,
+    recorded_ws: Option<WorkingSet>,
+    prefetch_degraded: bool,
+}
+
 /// The Fireworks serverless platform.
 pub struct FireworksPlatform {
     env: PlatformEnv,
     mgr: VmManager,
     registry: IdMap<FunctionEntry>,
-    cache: SnapshotCache,
+    supply: SnapshotSupply,
     next_instance: u64,
     security: SecurityPolicy,
     paging: PagingPolicy,
     recovery: RecoveryPolicy,
     jit: JitConfig,
-    /// Content-addressed chunk store
-    /// ([`SnapshotStorePolicy::Dedup`] only).
-    chunk_store: Option<Rc<RefCell<ChunkStore>>>,
-    /// Chunking granularity for ingests (Dedup only).
-    chunk_pages: usize,
-    /// Whether a cache miss may be served by fetching missing chunks from
-    /// a mesh peer instead of rebuilding from source.
-    delta_fetch: bool,
-    /// The cluster's chunk mesh and this host's id in it, once attached.
-    mesh: Option<(SharedChunkMesh, HostId)>,
 }
 
 impl FireworksPlatform {
@@ -163,21 +181,7 @@ impl FireworksPlatform {
         let mut mgr = VmManager::new(env.clock.clone(), env.costs.clone(), env.host_mem.clone());
         mgr.set_fault_injector(env.injector.clone());
         mgr.set_obs(env.obs.clone());
-        let mut cache = SnapshotCache::new(config.cache_budget_bytes);
-        cache.set_obs(env.obs.clone());
-        let (chunk_store, chunk_pages, delta_fetch) = match config.snapshot_store {
-            SnapshotStorePolicy::Flat => (None, 0, false),
-            SnapshotStorePolicy::Dedup {
-                chunk_pages,
-                delta_fetch,
-            } => {
-                let mut store = ChunkStore::new(env.host_mem.clone());
-                store.set_obs(env.obs.clone());
-                let store = Rc::new(RefCell::new(store));
-                cache.attach_store(store.clone());
-                (Some(store), chunk_pages, delta_fetch)
-            }
-        };
+        let supply = SnapshotSupply::new(config.cache_budget_bytes, config.snapshot_store, &env);
         // Layer the config's outage/loss knobs on top of the
         // environment's base fault plan. Probability-zero rules still
         // consume RNG draws, so only arm sites that can actually fire —
@@ -198,16 +202,12 @@ impl FireworksPlatform {
             env,
             mgr,
             registry: IdMap::new(),
-            cache,
+            supply,
             next_instance: 1,
             security: config.security,
             paging: config.paging,
             recovery: config.recovery,
             jit: config.jit,
-            chunk_store,
-            chunk_pages,
-            delta_fetch,
-            mesh: None,
         }
     }
 
@@ -218,13 +218,14 @@ impl FireworksPlatform {
 
     /// Snapshot-cache eviction count (for the disk-budget ablation).
     pub fn cache_evictions(&self) -> u64 {
-        self.cache.evictions()
+        self.supply.evictions()
     }
 
     /// Chunk-store statistics — `None` unless the platform runs the
-    /// content-addressed store ([`SnapshotStorePolicy::Dedup`]).
+    /// content-addressed store
+    /// ([`crate::config::SnapshotStorePolicy::Dedup`]).
     pub fn chunk_stats(&self) -> Option<fireworks_store::ChunkStoreStats> {
-        self.chunk_store.as_ref().map(|s| s.borrow().stats())
+        self.supply.chunk_stats()
     }
 
     fn guest_host(env: &PlatformEnv, default_params: Value) -> GuestHost {
@@ -303,12 +304,11 @@ impl FireworksPlatform {
             // The warm-up served real requests: the snapshot starts warm.
             rt.mark_warmed();
         }
-        let snapshot = Rc::new(self.mgr.snapshot(&mut vm));
-        Ok(snapshot)
+        Ok(Rc::new(self.mgr.snapshot(&mut vm)))
     }
 
     /// Regenerates a function's snapshot (security refresh / cache-miss
-    /// reinstall). Returns the new snapshot.
+    /// reinstall). Returns the snapshot as cached.
     fn refresh_snapshot(
         &mut self,
         function: FunctionId,
@@ -323,231 +323,15 @@ impl FireworksPlatform {
         let t0 = self.env.clock.now();
         let snapshot = self.build_snapshot(&spec, &annotated, &profile)?;
         let took = self.env.clock.now() - t0;
-        let snapshot = self.cache_insert(function, snapshot);
+        let snapshot = self.supply.insert(function, snapshot);
         let entry = self
             .registry
             .get_mut(function)
             .ok_or_else(|| PlatformError::UnknownFunction(function.name().to_string()))?;
         entry.clones_since_snapshot = 0;
-        entry.refreshes += 1;
+        entry.health.rebuilds += 1;
         entry.refresh_time += took;
         Ok(snapshot)
-    }
-
-    /// Caches a snapshot under the active store policy.
-    ///
-    /// Flat: the snapshot goes into the LRU as-is. Dedup: its pages are
-    /// ingested into the chunk store first and the cached copy is a
-    /// *canonical remap* — a snapshot whose frame list points at the
-    /// store's canonical chunk frames — so byte-identical chunks across
-    /// functions occupy host memory once and the manifest is published to
-    /// the mesh for peers to delta-fetch. Returns the snapshot actually
-    /// cached (the canonical remap in dedup mode).
-    fn cache_insert(
-        &mut self,
-        function: FunctionId,
-        snapshot: Rc<VmFullSnapshot>,
-    ) -> Rc<VmFullSnapshot> {
-        let (cached, evicted) = match &self.chunk_store {
-            Some(store) => {
-                let template = snapshot.template();
-                let (manifest, frames) = store
-                    .borrow_mut()
-                    .ingest_snapshot(snapshot.mem(), self.chunk_pages);
-                let mem = SnapshotFile::from_mapped(
-                    &self.env.host_mem,
-                    snapshot.mem().size_bytes(),
-                    frames,
-                    snapshot.mem().device_state().to_vec(),
-                );
-                let canonical = Rc::new(VmFullSnapshot::from_template(mem, &template));
-                let evicted =
-                    self.cache
-                        .insert_dedup(function, canonical.clone(), manifest.clone());
-                if let Some((mesh, id)) = &self.mesh {
-                    mesh.borrow_mut().publish(*id, function, manifest, template);
-                }
-                (canonical, evicted)
-            }
-            None => {
-                let evicted = self.cache.insert(function, snapshot.clone());
-                (snapshot, evicted)
-            }
-        };
-        if let Some((mesh, id)) = &self.mesh {
-            let mut mesh = mesh.borrow_mut();
-            for &victim in &evicted {
-                mesh.retract(*id, victim);
-            }
-        }
-        cached
-    }
-
-    /// Drops a snapshot from the cache and withdraws its mesh
-    /// publication (quarantine, security refresh).
-    fn uncache(&mut self, function: FunctionId) {
-        self.cache.remove(function);
-        if let Some((mesh, id)) = &self.mesh {
-            mesh.borrow_mut().retract(*id, function);
-        }
-    }
-
-    /// Serves a cache miss from the cluster mesh: picks a donor holding
-    /// the function's full chunk set, ships only the chunks this host is
-    /// missing over the simulated network (64 KiB segments with the
-    /// network's loss/retransmit machinery), and reassembles the snapshot
-    /// from store chunks. The wire time is charged *after* subtracting
-    /// the restore-side work it can overlap with (a prefetch pipeline:
-    /// chunks stream in while the restore maps already-present pages).
-    ///
-    /// Returns `None` — falling back to rebuild-from-source — when
-    /// delta fetch is off, no donor qualifies, the donor crashes
-    /// mid-transfer, or a chunk transfer exhausts its retries.
-    fn fetch_snapshot_delta(&mut self, function: FunctionId) -> Option<Rc<VmFullSnapshot>> {
-        if !self.delta_fetch {
-            return None;
-        }
-        let store = self.chunk_store.clone()?;
-        let (mesh, my_id) = self.mesh.clone()?;
-        let donor = mesh.borrow().donor_for(function, my_id)?;
-        let obs = self.env.obs.clone();
-        let rec = obs.recorder().clone();
-        let sp = rec.start_phase("snapshot_delta_fetch", cat::SNAPSHOT, Phase::Startup);
-        rec.attr(sp, "donor", donor.host.raw() as u64);
-
-        let missing = store.borrow().missing_chunks(&donor.manifest);
-        let peer = Ip::new(10, 42, 0, donor.host.index() as u8);
-        let mut staged: Vec<(ChunkHash, Vec<(usize, FrameId)>)> = Vec::new();
-        let mut wire = Nanos::ZERO;
-        let mut fetched_bytes = 0u64;
-        let mut failed = false;
-        for &idx in &missing {
-            let chunk = &donor.manifest.chunks[idx];
-            // The donor can drop out mid-transfer; its crash is drawn on
-            // *its* injector, so the schedule matches what the cluster
-            // would have seen at the donor's own service boundaries.
-            if donor
-                .injector
-                .borrow_mut()
-                .should_fail(FaultSite::HostCrash)
-            {
-                mesh.borrow_mut().mark_dead(donor.host);
-                rec.instant(format!("donor_crash:{}", donor.host), cat::FAULT);
-                failed = true;
-                break;
-            }
-            match self.env.net.borrow().transfer_cost(peer, chunk.bytes) {
-                Ok(report) => {
-                    wire += report.elapsed;
-                    fetched_bytes += chunk.bytes;
-                }
-                Err(_) => {
-                    failed = true;
-                    break;
-                }
-            }
-            let donor_store = donor.store.borrow();
-            let Some(run) = donor_store.chunk_frames(chunk.hash) else {
-                failed = true;
-                break;
-            };
-            let frames: Vec<(usize, FrameId)> = run
-                .iter()
-                .map(|&(page, f)| {
-                    (
-                        page,
-                        self.env.host_mem.clone_frame_from(donor_store.host(), f),
-                    )
-                })
-                .collect();
-            staged.push((chunk.hash, frames));
-        }
-        if failed {
-            for (_, frames) in staged {
-                for (_, f) in frames {
-                    self.env.host_mem.release(f);
-                }
-            }
-            let name = function.name();
-            obs.metrics()
-                .inc("core.delta.fallbacks", &[("function", &name)]);
-            rec.instant(format!("delta_fallback:{name}"), cat::SNAPSHOT);
-            rec.end(sp);
-            return None;
-        }
-
-        // Commit: the manifest takes one reference on every chunk —
-        // already-present ones are retained, shipped ones adopted.
-        {
-            let mut st = store.borrow_mut();
-            let missing_set: std::collections::BTreeSet<usize> = missing.iter().copied().collect();
-            for (i, chunk) in donor.manifest.chunks.iter().enumerate() {
-                if !missing_set.contains(&i) {
-                    st.retain_chunk(chunk.hash);
-                }
-            }
-            for (hash, frames) in staged {
-                st.ingest_remote_chunk(hash, frames);
-            }
-        }
-        let frames = store.borrow().claim_manifest_frames(&donor.manifest)?;
-        let mem = SnapshotFile::from_mapped(
-            &self.env.host_mem,
-            donor.manifest.size_bytes,
-            frames,
-            donor.manifest.device_state.clone(),
-        );
-        let snapshot = Rc::new(VmFullSnapshot::from_template(mem, &donor.template));
-
-        // Prefetch pipeline: the transfer overlaps the restore's base
-        // cost and page mapping, so only the excess wire time is charged.
-        let pages = donor.manifest.total_pages() as u64;
-        let overlap = self.env.costs.microvm.snapshot_restore_base
-            + self.env.costs.microvm.snapshot_map_per_page * pages;
-        let charged = wire.saturating_sub(overlap);
-        self.env.clock.advance(charged);
-
-        let name = function.name();
-        let labels: &[(&'static str, &str)] = &[("function", &name)];
-        let m = obs.metrics();
-        m.inc("core.delta.fetches", labels);
-        m.add("core.delta.chunks_fetched", labels, missing.len() as u64);
-        m.add("core.delta.bytes_fetched", labels, fetched_bytes);
-        m.observe("core.delta.fetch_ns", labels, wire.as_nanos());
-        m.add(
-            "core.delta.overlap_saved_ns",
-            &[],
-            (wire - charged).as_nanos(),
-        );
-
-        let evicted = self
-            .cache
-            .insert_dedup(function, snapshot.clone(), donor.manifest.clone());
-        {
-            let mut mesh = mesh.borrow_mut();
-            mesh.publish(my_id, function, donor.manifest, donor.template);
-            for &victim in &evicted {
-                mesh.retract(my_id, victim);
-            }
-        }
-        rec.end(sp);
-        Some(snapshot)
-    }
-
-    /// Records an infrastructure failure against `name`'s breaker,
-    /// opening the circuit once the threshold is reached.
-    fn note_infra_failure(&mut self, function: FunctionId) {
-        let now = self.env.clock.now();
-        let (threshold, cooldown) = (
-            self.recovery.circuit_threshold,
-            self.recovery.circuit_cooldown,
-        );
-        if let Some(entry) = self.registry.get_mut(function) {
-            entry.consecutive_failures += 1;
-            if entry.consecutive_failures >= threshold {
-                entry.circuit_open_until = Some(now + cooldown);
-            }
-        }
     }
 
     /// The common invoke path; returns the invocation and the still-live
@@ -561,58 +345,86 @@ impl FireworksPlatform {
         args: &Value,
         trace_ctx: Option<fireworks_obs::SpanContext>,
     ) -> Result<(Invocation, ResidentClone), PlatformError> {
-        let clock = self.env.clock.clone();
         // Resolve the label once; every metric and span below borrows it.
         let name = function.name();
-        let name_labels: &[(&'static str, &str)] = &[("function", &name)];
-        let (default_params, known_working_set, timeout) = {
-            let entry = self
-                .registry
-                .get(function)
-                .ok_or_else(|| PlatformError::UnknownFunction(name.to_string()))?;
-            // Open breaker: fail fast without touching any resources.
-            // Past the cooldown the attempt is let through (half-open);
-            // it either resets the breaker or re-opens it.
-            if let Some(until) = entry.circuit_open_until {
-                if clock.now() < until {
-                    return Err(PlatformError::CircuitOpen {
-                        function: name.to_string(),
-                        until,
-                    });
-                }
-            }
-            (
-                entry.spec.default_params.deep_clone(),
-                entry.working_set.clone(),
-                entry.spec.timeout,
-            )
-        };
+        let (default_params, known_working_set, timeout) = self.admit(function, &name)?;
 
-        // Root span of the invocation: every span and instant below lands
-        // underneath it, each phase recorded once, and the guard closes
-        // it (with any still-open descendant) on every exit path.
+        // Root span of the invocation: every span and instant the stages
+        // record lands underneath it, each phase recorded once, and the
+        // guard closes it (with any still-open descendant) on every exit
+        // path.
+        let obs = self.env.obs.clone();
+        let root = obs.recorder().root("invoke", cat::INVOKE, trace_ctx);
+        obs.recorder().attr(root.id(), "function", &*name);
+        obs.metrics()
+            .inc("core.invoke.attempts", &[("function", &name)]);
+
+        let mut flight = self.start(function, &name, args)?;
+        if let PagingPolicy::ColdStorage { reap } = self.paging {
+            self.page_in(&name, reap, known_working_set, &mut flight);
+        }
+        let (result, host) =
+            self.run(function, &name, timeout, default_params, &mut flight.clone)?;
+        self.settle(function, &name, root, flight, result, host)
+    }
+
+    /// Stage 1 — admit: the function must be installed and its circuit
+    /// breaker closed. An open breaker fails fast without touching any
+    /// resources; past the cooldown the attempt is let through
+    /// (half-open) and either resets the breaker or re-opens it. Returns
+    /// what the later stages need from the registry: default parameters,
+    /// the REAP working set recorded so far, and the invocation timeout.
+    fn admit(
+        &self,
+        function: FunctionId,
+        name: &str,
+    ) -> Result<(Value, Option<WorkingSet>, Option<Nanos>), PlatformError> {
+        let entry = self
+            .registry
+            .get(function)
+            .ok_or_else(|| PlatformError::UnknownFunction(name.to_string()))?;
+        if let Some(until) = entry.health.circuit_open_until {
+            if self.env.clock.now() < until {
+                return Err(PlatformError::CircuitOpen {
+                    function: name.to_string(),
+                    until,
+                });
+            }
+        }
+        Ok((
+            entry.spec.default_params.deep_clone(),
+            entry.working_set.clone(),
+            entry.spec.timeout,
+        ))
+    }
+
+    /// Stage 2 — start: everything up to a restored clone. Spans:
+    /// `snapshot_delta_fetch` or `snapshot_rebuild` on a supply miss,
+    /// `param_produce`, `netns_setup`, and those of the restore itself.
+    /// A restore failure that survives the recovery policy tears the
+    /// clone's resources down, counts toward the function's circuit
+    /// breaker, and surfaces as a typed error.
+    fn start(
+        &mut self,
+        function: FunctionId,
+        name: &str,
+        args: &Value,
+    ) -> Result<Flight, PlatformError> {
         let obs = self.env.obs.clone();
         let rec = obs.recorder();
-        let root = rec.root("invoke", cat::INVOKE, trace_ctx);
-        rec.attr(root.id(), "function", &*name);
-        obs.metrics().inc("core.invoke.attempts", name_labels);
-        let t_start = clock.now();
+        let started_at = self.env.clock.now();
 
-        // Snapshot lookup; on an LRU miss the platform first tries to
-        // delta-fetch the snapshot's missing chunks from a mesh peer
-        // (content-addressed store only), and otherwise must rebuild it
-        // from source (the §6 disk-budget trade-off) — either way charged
-        // to this invocation as a labelled start-up span.
-        let mut snapshot = match self.cache.get(function) {
+        // Snapshot lookup; on an LRU miss the supply first tries to
+        // delta-fetch the snapshot's missing chunks from a mesh peer,
+        // and otherwise the platform must rebuild it from source (the §6
+        // disk-budget trade-off) — either way charged to this invocation
+        // as a labelled start-up span.
+        let hit = self.supply.get(function);
+        let mut snapshot = match hit.or_else(|| self.supply.fetch_delta(function, &self.env)) {
             Some(s) => s,
-            None => match self.fetch_snapshot_delta(function) {
-                Some(s) => s,
-                None => {
-                    rec.scope_phase("snapshot_rebuild", cat::SNAPSHOT, Phase::Startup, || {
-                        self.refresh_snapshot(function)
-                    })?
-                }
-            },
+            None => rec.scope_phase("snapshot_rebuild", cat::SNAPSHOT, Phase::Startup, || {
+                self.refresh_snapshot(function)
+            })?,
         };
 
         // Parameter passer: produce the arguments into the per-instance
@@ -621,11 +433,9 @@ impl FireworksPlatform {
         let topic = format!("params-{instance}");
         self.next_instance += 1;
         rec.scope_phase("param_produce", cat::INVOKE, Phase::Other, || {
-            self.env.bus.borrow_mut().produce(
-                &topic,
-                args.deep_clone(),
-                args.heap_estimate() as u64,
-            );
+            let bytes = args.heap_estimate() as u64;
+            let mut bus = self.env.bus.borrow_mut();
+            bus.produce(&topic, args.deep_clone(), bytes);
         });
 
         // Network namespace + NAT for the clone (paper §3.5).
@@ -638,76 +448,24 @@ impl FireworksPlatform {
             Ok::<NsId, PlatformError>(ns)
         })?;
 
-        // Restore the snapshot, recovering from infrastructure faults:
-        // transient failures (read errors, restore crashes) retry after an
-        // exponential virtual-time backoff; a failed integrity check
-        // quarantines the cached snapshot and rebuilds it from source —
-        // this start degrades to roughly a cold install, but the
-        // invocation still succeeds. A failure that survives the policy
-        // tears the clone's resources down, counts toward the function's
-        // circuit breaker, and surfaces as a typed error.
-        let mut attempt = 0u32;
-        let mut recovered = false;
-        let mut restore_retries_now = 0u64;
-        let restored = loop {
-            attempt += 1;
-            // `VmManager::restore` records its own start-up
-            // `snapshot_restore` span (with read/verify/map children)
-            // under the root, so only the retry bookkeeping is recorded
-            // here.
-            match self.mgr.restore(&snapshot) {
-                Ok(vm) => break Ok(vm),
-                Err(err) if attempt >= self.recovery.max_attempts => {
-                    break Err(PlatformError::Vm(err))
-                }
-                Err(VmError::Corrupt(_)) => {
-                    // Every later restore would fail the same checksums:
-                    // evict the damaged snapshot and rebuild from source.
-                    restore_retries_now += 1;
-                    obs.metrics()
-                        .inc("core.recovery.restore_retries", name_labels);
-                    self.uncache(function);
-                    if let Some(entry) = self.registry.get_mut(function) {
-                        entry.quarantines += 1;
-                    }
-                    obs.metrics().inc("core.recovery.quarantines", name_labels);
-                    rec.instant_with(
-                        format!("snapshot_quarantine:{name}"),
-                        cat::CACHE,
-                        vec![("attempt", attempt.into())],
-                    );
-                    let refreshed =
-                        rec.scope_phase("snapshot_rebuild", cat::SNAPSHOT, Phase::Startup, || {
-                            self.refresh_snapshot(function)
-                        });
-                    match refreshed {
-                        Ok(s) => {
-                            snapshot = s;
-                            recovered = true;
-                        }
-                        Err(e) => break Err(e),
-                    }
-                }
-                Err(_transient) => {
-                    restore_retries_now += 1;
-                    obs.metrics()
-                        .inc("core.recovery.restore_retries", name_labels);
-                    rec.scope_phase("recovery_backoff", cat::RESTORE, Phase::Startup, || {
-                        clock.advance(self.recovery.backoff(attempt));
-                    });
-                    recovered = true;
-                }
-            }
-        };
+        let (restored, restore_retries) = self.restore_recovering(function, name, &mut snapshot);
         let mut vm = match restored {
             Ok(vm) => vm,
             Err(e) => {
                 self.teardown_clone(ns, &topic);
-                self.note_infra_failure(function);
                 if let Some(entry) = self.registry.get_mut(function) {
-                    entry.restore_retries += restore_retries_now;
+                    // An infrastructure failure feeds the breaker, which
+                    // opens once the streak reaches the threshold.
+                    let health = &mut entry.health;
+                    health.consecutive_failures += 1;
+                    if health.consecutive_failures >= self.recovery.circuit_threshold {
+                        let cooldown = self.recovery.circuit_cooldown;
+                        health.circuit_open_until = Some(self.env.clock.now() + cooldown);
+                    }
+                    health.restore_retries += restore_retries;
                 }
-                obs.metrics().inc("core.invoke.failures", name_labels);
+                obs.metrics()
+                    .inc("core.invoke.failures", &[("function", name)]);
                 // The failed invocation's fault events land under its own
                 // root instead of bleeding into the next invocation's.
                 self.env.flush_faults();
@@ -715,58 +473,154 @@ impl FireworksPlatform {
             }
         };
         vm.mmds_set("instance-id", &instance);
+        Ok(Flight {
+            clone: ResidentClone {
+                vm,
+                ns,
+                instance,
+                topic,
+            },
+            snapshot,
+            started_at,
+            restore_retries,
+            recorded_ws: None,
+            prefetch_degraded: false,
+        })
+    }
 
-        // Cold-storage paging (the REAP extension, §7): when snapshot
-        // pages are not in the host page cache, the invocation's working
-        // set must come from storage — one major fault per page, or one
-        // bulk prefetch of the recorded set.
-        let mut recorded_ws: Option<WorkingSet> = None;
-        let mut prefetch_degraded_now = false;
-        if let PagingPolicy::ColdStorage { reap } = self.paging {
-            let mode = match (&known_working_set, reap) {
-                (_, false) => ReapMode::Off,
-                (Some(_), true) => ReapMode::Prefetch,
-                (None, true) => ReapMode::Record,
-            };
-            let ws = known_working_set.unwrap_or_default();
-            let injector = self.env.injector.clone();
-            recorded_ws = rec.scope_phase("paging", cat::PREFETCH, Phase::Exec, || {
-                let mut session = match ReapSession::start_observed(
-                    &clock,
-                    mode,
-                    PagingCosts::default(),
-                    ws.clone(),
-                    Some(&injector),
-                    Some(snapshot.mem()),
-                    Some(&obs),
-                ) {
-                    Ok(session) => session,
-                    // Prefetch failed (read fault or corrupt working-set
-                    // page): degrade gracefully to per-page major faults
-                    // instead of failing the invocation.
-                    Err(_) => {
-                        prefetch_degraded_now = true;
-                        ReapSession::start(&clock, ReapMode::Off, PagingCosts::default(), ws)
-                    }
-                };
-                for (first, count) in vm.working_set_ranges() {
-                    session.touch_range(&clock, first, count);
+    /// The restore step of `start`, recovering from infrastructure
+    /// faults: transient failures (read errors, restore crashes) retry
+    /// after an exponential virtual-time backoff (`recovery_backoff`); a
+    /// failed integrity check quarantines the cached snapshot and
+    /// rebuilds it from source (`snapshot_rebuild`, replacing `snapshot`)
+    /// — this start degrades to roughly a cold install, but the
+    /// invocation still succeeds. Returns the outcome once the policy's
+    /// attempts are spent, and how many attempts had to be retried.
+    fn restore_recovering(
+        &mut self,
+        function: FunctionId,
+        name: &str,
+        snapshot: &mut Rc<VmFullSnapshot>,
+    ) -> (Result<MicroVm, PlatformError>, u64) {
+        let obs = self.env.obs.clone();
+        let rec = obs.recorder();
+        let labels: &[(&'static str, &str)] = &[("function", name)];
+        let mut attempt = 0u32;
+        let mut retries = 0u64;
+        let restored = loop {
+            attempt += 1;
+            // `VmManager::restore` records its own start-up
+            // `snapshot_restore` span (with read/verify/map children)
+            // under the root, so only the retry bookkeeping is recorded
+            // here.
+            let err = match self.mgr.restore(snapshot) {
+                Ok(vm) => break Ok(vm),
+                Err(err) if attempt >= self.recovery.max_attempts => {
+                    break Err(PlatformError::Vm(err))
                 }
-                session.finish()
-            });
-            if prefetch_degraded_now {
-                obs.metrics()
-                    .inc("core.reap.prefetch_degraded", name_labels);
-                rec.instant(format!("prefetch_degraded:{name}"), cat::PREFETCH);
+                Err(err) => err,
+            };
+            retries += 1;
+            obs.metrics().inc("core.recovery.restore_retries", labels);
+            if !matches!(err, VmError::Corrupt(_)) {
+                rec.scope_phase("recovery_backoff", cat::RESTORE, Phase::Startup, || {
+                    self.env.clock.advance(self.recovery.backoff(attempt));
+                });
+                continue;
             }
-        }
+            // Every later restore would fail the same checksums: evict
+            // the damaged snapshot and rebuild from source.
+            self.supply.remove(function);
+            if let Some(entry) = self.registry.get_mut(function) {
+                entry.health.quarantines += 1;
+            }
+            obs.metrics().inc("core.recovery.quarantines", labels);
+            rec.instant_with(
+                format!("snapshot_quarantine:{name}"),
+                cat::CACHE,
+                vec![("attempt", attempt.into())],
+            );
+            match rec.scope_phase("snapshot_rebuild", cat::SNAPSHOT, Phase::Startup, || {
+                self.refresh_snapshot(function)
+            }) {
+                Ok(rebuilt) => *snapshot = rebuilt,
+                Err(e) => break Err(e),
+            }
+        };
+        (restored, retries)
+    }
 
-        // Resume right after the snapshot point. Any failure from here on
-        // must tear down the clone's namespace and parameter topic.
+    /// Stage 3 — page-in, under [`PagingPolicy::ColdStorage`] only (the
+    /// REAP extension, §7): when snapshot pages are not in the host page
+    /// cache, the invocation's working set must come from storage — one
+    /// major fault per page, or one bulk prefetch of the recorded set.
+    /// Span: `paging`.
+    fn page_in(
+        &self,
+        name: &str,
+        reap: bool,
+        known_working_set: Option<WorkingSet>,
+        flight: &mut Flight,
+    ) {
+        let clock = &self.env.clock;
+        let obs = &self.env.obs;
+        let rec = obs.recorder();
+        let mode = match (&known_working_set, reap) {
+            (_, false) => ReapMode::Off,
+            (Some(_), true) => ReapMode::Prefetch,
+            (None, true) => ReapMode::Record,
+        };
+        let ws = known_working_set.unwrap_or_default();
+        flight.recorded_ws = rec.scope_phase("paging", cat::PREFETCH, Phase::Exec, || {
+            let mut session = match ReapSession::start_observed(
+                clock,
+                mode,
+                PagingCosts::default(),
+                ws.clone(),
+                Some(&self.env.injector),
+                Some(flight.snapshot.mem()),
+                Some(obs),
+            ) {
+                Ok(session) => session,
+                // Prefetch failed (read fault or corrupt working-set
+                // page): degrade gracefully to per-page major faults
+                // instead of failing the invocation.
+                Err(_) => {
+                    flight.prefetch_degraded = true;
+                    ReapSession::start(clock, ReapMode::Off, PagingCosts::default(), ws)
+                }
+            };
+            for (first, count) in flight.clone.vm.working_set_ranges() {
+                session.touch_range(clock, first, count);
+            }
+            session.finish()
+        });
+        if flight.prefetch_degraded {
+            obs.metrics()
+                .inc("core.reap.prefetch_degraded", &[("function", name)]);
+            rec.instant(format!("prefetch_degraded:{name}"), cat::PREFETCH);
+        }
+    }
+
+    /// Stage 4 — run: resume the guest right after the snapshot point.
+    /// Spans: `framework`, then whatever the guest's I/O records. A
+    /// failure kills the clone — namespace, topic, and VM all go — but
+    /// guest errors are not infrastructure failures and do not feed the
+    /// circuit breaker.
+    fn run(
+        &self,
+        function: FunctionId,
+        name: &str,
+        timeout: Option<Nanos>,
+        default_params: Value,
+        clone: &mut ResidentClone,
+    ) -> Result<(InvokeResult, GuestHost), PlatformError> {
+        let clock = &self.env.clock;
         let mut host = FireworksPlatform::guest_host(&self.env, default_params);
-        host.mmds_set("instance-id", &instance);
-        let run_result = (|| {
-            let rt = vm
+        host.mmds_set("instance-id", &clone.instance);
+        let ran = (|| {
+            let rt = clone
+                .vm
                 .runtime_mut()
                 .ok_or_else(|| PlatformError::Other("snapshot has no runtime".into()))?;
             if !rt.is_suspended() {
@@ -777,41 +631,64 @@ impl FireworksPlatform {
             // The framework path is already warmed into the post-JIT
             // snapshot, so the shared step charges its steady-state cost.
             run_guest(&self.env, function, timeout, rt, |rt| loop {
-                match rt.run(&clock, &mut host)? {
+                match rt.run(clock, &mut host)? {
                     RunOutcome::Done(r) => return Ok(r),
                     RunOutcome::SnapshotPoint => continue,
                 }
             })
         })();
-        let result = match run_result {
-            Ok(r) => r,
+        match ran {
+            Ok(result) => Ok((result, host)),
             Err(e) => {
-                // Kill the clone: namespace, topic, and VM all go. Guest
-                // errors are not infrastructure failures and do not feed
-                // the circuit breaker.
-                self.teardown_clone(ns, &topic);
+                self.teardown_clone(clone.ns, &clone.topic);
                 self.env.flush_faults();
-                obs.metrics().inc("core.invoke.failures", name_labels);
-                return Err(e);
+                self.env
+                    .obs
+                    .metrics()
+                    .inc("core.invoke.failures", &[("function", name)]);
+                Err(e)
             }
-        };
+        }
+    }
 
-        // Copy-on-write page faults of this invocation's write set.
+    /// Stage 5 — settle: the invocation succeeded; account for it. Spans:
+    /// `page_faults` (the CoW faults of this invocation's write set),
+    /// `exec` / `guest_io` (the guest's run slice, attributed), and
+    /// `pss_recompute`. Then the function's health, the fault flush, the
+    /// invocation itself (closing the root), the latency and guest-JIT
+    /// metrics, and — off the invocation path — the security refresh.
+    fn settle(
+        &mut self,
+        function: FunctionId,
+        name: &str,
+        root: RootSpan<'_>,
+        flight: Flight,
+        result: InvokeResult,
+        host: GuestHost,
+    ) -> Result<(Invocation, ResidentClone), PlatformError> {
+        let obs = self.env.obs.clone();
+        let rec = obs.recorder();
+        let m = obs.metrics();
+        let labels: &[(&'static str, &str)] = &[("function", name)];
+        let mut clone = flight.clone;
+
         rec.scope_phase("page_faults", cat::MEM, Phase::Exec, || {
-            vm.sync_runtime_memory();
-            vm.dirty_invocation();
+            clone.vm.sync_runtime_memory();
+            clone.vm.dirty_invocation();
         });
         attribute_run(&self.env, &result, &host);
 
         // Guest-memory accounting after this invocation's CoW faults
-        // (paper §5.4): recompute PSS and publish per-function sharing
-        // gauges.
+        // (paper §5.4): one pass over the clone's address space yields
+        // PSS and the sharing split; RSS is a maintained counter.
         rec.scope("pss_recompute", cat::MEM, || {
-            let sharing = vm.sharing_stats();
-            let labels = name_labels;
-            let m = obs.metrics();
-            m.gauge_set("guestmem.clone.pss_bytes", labels, vm.pss_bytes() as i64);
-            m.gauge_set("guestmem.clone.rss_bytes", labels, vm.rss_bytes() as i64);
+            let sharing = clone.vm.sharing_stats();
+            m.gauge_set("guestmem.clone.pss_bytes", labels, sharing.pss_bytes as i64);
+            m.gauge_set(
+                "guestmem.clone.rss_bytes",
+                labels,
+                clone.vm.rss_bytes() as i64,
+            );
             m.gauge_set(
                 "guestmem.clone.shared_pages",
                 labels,
@@ -829,17 +706,16 @@ impl FireworksPlatform {
             .get_mut(function)
             .ok_or_else(|| PlatformError::UnknownFunction(name.to_string()))?;
         entry.clones_since_snapshot += 1;
-        if let Some(ws) = recorded_ws {
+        if let Some(ws) = flight.recorded_ws {
             entry.working_set = Some(ws);
         }
         // Success closes the breaker and resets the failure streak.
-        entry.consecutive_failures = 0;
-        entry.circuit_open_until = None;
-        entry.restore_retries += restore_retries_now;
-        entry.prefetch_degraded += u64::from(prefetch_degraded_now);
-        if recovered {
-            entry.recoveries += 1;
-        }
+        let health = &mut entry.health;
+        health.consecutive_failures = 0;
+        health.circuit_open_until = None;
+        health.restore_retries += flight.restore_retries;
+        health.prefetch_degraded += u64::from(flight.prefetch_degraded);
+        health.recoveries += u64::from(flight.restore_retries > 0);
         let needs_refresh = self.security.refresh_after_invocations > 0
             && entry.clones_since_snapshot >= self.security.refresh_after_invocations;
 
@@ -847,45 +723,40 @@ impl FireworksPlatform {
         // root, so recovery is auditable alongside the latency spans.
         self.env.flush_faults();
         let invocation = Invocation::from_run(root, result, host, StartKind::SnapshotRestore);
-        let clone = ResidentClone {
-            vm,
-            ns,
-            instance,
-            topic,
-        };
-        obs.metrics().observe(
+        m.observe(
             "core.invoke.latency_ns",
-            name_labels,
-            (clock.now() - t_start).as_nanos(),
+            labels,
+            (self.env.clock.now() - flight.started_at).as_nanos(),
         );
         // Guest-JIT health for this invocation: inline-cache hit/miss
         // traffic, deopts, and code-cache evictions. Restore-side deopt
         // storms (snapshot taken before IC warm-up, or shape drift in
         // live traffic) surface here.
-        {
-            let m = obs.metrics();
-            let stats = &invocation.stats;
-            m.add("vm.ic.hits", name_labels, stats.ic_hits);
-            m.add("vm.ic.misses", name_labels, stats.ic_misses);
-            m.add("vm.jit.deopts", name_labels, stats.deopts);
-            m.add("vm.code_cache.evictions", name_labels, stats.code_evictions);
-            if let Some(rt) = clone.vm.runtime() {
-                m.gauge_set(
-                    "vm.code_cache.used_bytes",
-                    name_labels,
-                    rt.vm().code_cache_used_bytes() as i64,
-                );
-                let ic = rt.vm().ic_summary();
-                m.gauge_set("vm.ic.sites", name_labels, ic.sites as i64);
-                m.gauge_set("vm.ic.megamorphic_sites", name_labels, ic.mega as i64);
-            }
+        let stats = &invocation.stats;
+        m.add("vm.ic.hits", labels, stats.ic_hits);
+        m.add("vm.ic.misses", labels, stats.ic_misses);
+        m.add("vm.jit.deopts", labels, stats.deopts);
+        m.add("vm.code_cache.evictions", labels, stats.code_evictions);
+        if let Some(rt) = clone.vm.runtime() {
+            m.gauge_set(
+                "vm.code_cache.used_bytes",
+                labels,
+                rt.vm().code_cache_used_bytes() as i64,
+            );
+            let ic = rt.vm().ic_summary();
+            m.gauge_set("vm.ic.sites", labels, ic.sites as i64);
+            m.gauge_set("vm.ic.megamorphic_sites", labels, ic.mega as i64);
         }
 
-        // Security maintenance off the invocation path (paper §6).
-        if needs_refresh {
-            self.refresh_snapshot(function)?;
+        // Security maintenance off the invocation path (paper §6): a
+        // failed rebuild must not fail the request it rode behind. The
+        // old snapshot keeps serving and, `clones_since_snapshot` being
+        // untouched, the next invocation retries the refresh.
+        if needs_refresh && self.refresh_snapshot(function).is_err() {
+            m.inc("core.security.refresh_failures", labels);
+            rec.instant(format!("refresh_failed:{name}"), cat::SNAPSHOT);
+            self.env.flush_faults();
         }
-
         Ok((invocation, clone))
     }
 
@@ -922,7 +793,7 @@ impl FireworksPlatform {
             clones_from_current_snapshot: entry.clones_since_snapshot,
             shared_aslr_layout: entry.clones_since_snapshot > 0,
             rng_reseeded_on_restore: self.security.reseed_rng_on_restore,
-            refreshes: entry.refreshes,
+            refreshes: entry.health.rebuilds,
             refresh_time: entry.refresh_time,
         })
     }
@@ -936,21 +807,12 @@ impl FireworksPlatform {
     /// the LRU like any other access. Handy for inspecting (or, in
     /// robustness tests, damaging) the exact pages later restores read.
     pub fn cached_snapshot(&mut self, function: FunctionId) -> Option<Rc<VmFullSnapshot>> {
-        self.cache.get(function)
+        self.supply.get(function)
     }
 
     /// Reliability counters and breaker state of an installed function.
     pub fn health(&self, function: FunctionId) -> Option<FunctionHealth> {
-        let entry = self.registry.get(function)?;
-        Some(FunctionHealth {
-            consecutive_failures: entry.consecutive_failures,
-            circuit_open_until: entry.circuit_open_until,
-            recoveries: entry.recoveries,
-            quarantines: entry.quarantines,
-            rebuilds: entry.refreshes,
-            restore_retries: entry.restore_retries,
-            prefetch_degraded: entry.prefetch_degraded,
-        })
+        self.registry.get(function).map(|e| e.health.clone())
     }
 }
 
@@ -964,38 +826,19 @@ impl Platform for FireworksPlatform {
     }
 
     fn install(&mut self, spec: &FunctionSpec) -> Result<InstallReport, PlatformError> {
-        let clock = self.env.clock.clone();
-        let t0 = clock.now();
-        let annotated = annotate(&spec.source, &AnnotationConfig::default())?;
-        let profile = RuntimeProfile::for_kind(spec.runtime);
-        let snapshot = self.build_snapshot(spec, &annotated, &profile)?;
+        let t0 = self.env.clock.now();
+        let mut entry = FunctionEntry::new(spec)?;
+        let snapshot = self.build_snapshot(spec, &entry.annotated, &entry.profile)?;
         let report = InstallReport {
-            install_time: clock.now() - t0,
+            install_time: self.env.clock.now() - t0,
             snapshot_pages: snapshot.pages(),
             snapshot_bytes: snapshot.file_bytes(),
-            annotated_functions: annotated.annotated_functions,
+            ..entry.install_report
         };
+        entry.install_report = report.clone();
         let function = fid(&spec.name);
-        self.cache_insert(function, snapshot);
-        self.registry.insert(
-            function,
-            FunctionEntry {
-                spec: spec.clone(),
-                annotated,
-                profile,
-                install_report: report.clone(),
-                clones_since_snapshot: 0,
-                refreshes: 0,
-                refresh_time: Nanos::ZERO,
-                working_set: None,
-                consecutive_failures: 0,
-                circuit_open_until: None,
-                recoveries: 0,
-                quarantines: 0,
-                restore_retries: 0,
-                prefetch_degraded: 0,
-            },
-        );
+        self.supply.insert(function, snapshot);
+        self.registry.insert(function, entry);
         Ok(report)
     }
 
@@ -1035,28 +878,11 @@ impl ConcurrentPlatform for FireworksPlatform {
     }
 
     fn residency(&self, function: FunctionId) -> SnapshotResidency {
-        // The locality signal a cluster router steers by. Full: this
-        // host's LRU holds the function's post-JIT snapshot. Partial: a
-        // mesh peer published the manifest and this host's chunk store
-        // already holds all but `missing_bytes` of it (shared runtime/OS
-        // chunks), so a delta fetch beats a rebuild. `contains` — not
-        // `get` — so router probes never perturb the LRU.
-        if self.cache.contains(function) {
-            return SnapshotResidency::Full;
-        }
-        if let (Some((mesh, _)), Some(store)) = (&self.mesh, &self.chunk_store) {
-            let mesh = mesh.borrow();
-            if let Some(manifest) = mesh.manifest_for(function) {
-                return SnapshotResidency::Partial {
-                    missing_bytes: store.borrow().missing_bytes(manifest),
-                };
-            }
-        }
-        SnapshotResidency::Absent
+        self.supply.residency(function)
     }
 
     fn hot_functions(&self) -> Vec<FunctionId> {
-        self.cache.names()
+        self.supply.names()
     }
 
     fn prewarm(&mut self, function: FunctionId) -> bool {
@@ -1064,42 +890,25 @@ impl ConcurrentPlatform for FireworksPlatform {
         // chunks from a mesh donor. Prewarming is opportunistic: with no
         // donor (or a donor crash) it reports `false` and the next
         // invocation pays the ordinary rebuild.
-        if self.cache.contains(function) {
+        if self.supply.contains(function) {
             return true;
         }
         if !self.registry.contains(function) {
             return false;
         }
-        self.fetch_snapshot_delta(function).is_some()
+        self.supply.fetch_delta(function, &self.env).is_some()
     }
 
     fn retire(&mut self, function: FunctionId) -> bool {
-        let was_resident = self.cache.contains(function);
-        self.uncache(function);
-        was_resident
+        self.supply.remove(function).is_some()
     }
 
     fn store_audit(&self) -> Option<StoreAudit> {
-        let store = self.chunk_store.as_ref()?;
-        Some(StoreAudit {
-            chunk_refs: store.borrow().chunk_refcounts(),
-            manifests: self
-                .cache
-                .manifests()
-                .into_iter()
-                .map(|(id, m)| (id.name().to_string(), m.clone()))
-                .collect(),
-        })
+        self.supply.audit()
     }
 
     fn attach_mesh(&mut self, mesh: SharedChunkMesh, host_id: HostId) {
-        // Flat-store platforms have nothing to publish or donate; they
-        // stay off the mesh and report Full/Absent residency only.
-        if let Some(store) = &self.chunk_store {
-            mesh.borrow_mut()
-                .register(host_id, store.clone(), self.env.injector.clone());
-            self.mesh = Some((mesh, host_id));
-        }
+        self.supply.attach_mesh(mesh, host_id, &self.env);
     }
 
     fn register(&mut self, spec: &FunctionSpec) -> Result<(), PlatformError> {
@@ -1107,33 +916,8 @@ impl ConcurrentPlatform for FireworksPlatform {
         // invocable, and its first invocation pays a delta fetch (if a
         // mesh peer holds the snapshot) or a rebuild from source. This is
         // how a cluster installs a function on its home host only.
-        let annotated = annotate(&spec.source, &AnnotationConfig::default())?;
-        let profile = RuntimeProfile::for_kind(spec.runtime);
-        let annotated_functions = annotated.annotated_functions;
-        self.registry.insert(
-            fid(&spec.name),
-            FunctionEntry {
-                spec: spec.clone(),
-                annotated,
-                profile,
-                install_report: InstallReport {
-                    install_time: Nanos::ZERO,
-                    snapshot_pages: 0,
-                    snapshot_bytes: 0,
-                    annotated_functions,
-                },
-                clones_since_snapshot: 0,
-                refreshes: 0,
-                refresh_time: Nanos::ZERO,
-                working_set: None,
-                consecutive_failures: 0,
-                circuit_open_until: None,
-                recoveries: 0,
-                quarantines: 0,
-                restore_retries: 0,
-                prefetch_degraded: 0,
-            },
-        );
+        self.registry
+            .insert(fid(&spec.name), FunctionEntry::new(spec)?);
         Ok(())
     }
 }
@@ -1310,6 +1094,50 @@ mod tests {
         assert_eq!(audit.refreshes, 1, "refresh after 2 invocations");
         assert_eq!(audit.clones_from_current_snapshot, 0);
         assert!(audit.refresh_time > Nanos::ZERO);
+    }
+
+    #[test]
+    fn failed_security_refresh_keeps_the_invocation_and_retries() {
+        use fireworks_sim::fault::{FaultPlan, FaultSite};
+        // VmCrash is drawn once per boot and once per restore: install
+        // boot (1), two restores (2, 3), then the refresh's boot (4).
+        let plan = FaultPlan::new(5).nth(FaultSite::VmCrash, 4);
+        let mut p = FireworksPlatform::with_config(
+            PlatformEnv::with_fault_plan(plan),
+            PlatformConfig::builder()
+                .security(SecurityPolicy {
+                    reseed_rng_on_restore: true,
+                    refresh_after_invocations: 2,
+                })
+                .recovery(RecoveryPolicy {
+                    max_attempts: 1,
+                    ..RecoveryPolicy::default()
+                })
+                .build(),
+        );
+        p.install(&spec("fact")).expect("installs");
+        let ns_before = p.env().net.borrow().namespace_count();
+        p.invoke(&req("fact", 360)).expect("first");
+
+        // The refresh behind the second invocation fails to boot; the
+        // invocation itself already succeeded and must stay that way.
+        let inv = p.invoke(&req("fact", 360)).expect("refresh is off-path");
+        assert_eq!(inv.value, Value::Int(6));
+        assert_eq!(p.env().net.borrow().namespace_count(), ns_before);
+        assert!(!p.env().bus.borrow().has_topic("params-vm-2"));
+        let audit = p.audit(fid("fact")).expect("installed");
+        assert_eq!(audit.refreshes, 0);
+        assert_eq!(audit.clones_from_current_snapshot, 2, "old snapshot serves");
+        let fact = &[("function", "fact")];
+        let snap = p.env().obs.metrics().snapshot();
+        assert_eq!(snap.counter("core.security.refresh_failures", fact), 1);
+        assert_eq!(snap.counter("core.invoke.failures", fact), 0);
+
+        // The next invocation retries the refresh, which now succeeds.
+        p.invoke(&req("fact", 360)).expect("third");
+        let audit = p.audit(fid("fact")).expect("installed");
+        assert_eq!(audit.refreshes, 1);
+        assert_eq!(audit.clones_from_current_snapshot, 0);
     }
 
     #[test]
@@ -1550,8 +1378,7 @@ mod tests {
         p.install(&spec("fact")).expect("installs");
         // Damage a page of the cached snapshot behind the platform's back
         // (disk corruption, not an armed injector).
-        p.cache
-            .get(fid("fact"))
+        p.cached_snapshot(fid("fact"))
             .expect("cached")
             .mem()
             .corrupt_page(123);

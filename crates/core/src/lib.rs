@@ -22,13 +22,21 @@
 //! The [`api`] module defines the [`api::Platform`] trait shared with the
 //! `fireworks-baselines` crate, and [`host::GuestHost`] is the common
 //! embedding that serves guest I/O against the sandbox's data path.
+//!
+//! Modules: [`fireworks`] is the platform — install, and the five-stage
+//! clone lifecycle of an invocation — over the private `supply` module,
+//! which owns where snapshots come from (the disk-budget LRU, the flat
+//! or content-addressed store behind it, mesh publication and peer delta
+//! fetch). [`config`], [`mod@env`] and [`audit`] are what a platform is built
+//! from; [`engine`], [`cluster`] and [`elastic`] are the three front-ends
+//! of the one event-loop driver; [`mesh`] is the cluster's chunk-holding
+//! registry and [`symbols`] the interned ids.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod api;
 pub mod audit;
-pub mod cache;
 pub mod cluster;
 pub mod config;
 mod driver;
@@ -38,6 +46,7 @@ pub mod env;
 pub mod fireworks;
 pub mod host;
 pub mod mesh;
+mod supply;
 pub mod symbols;
 
 pub use api::{

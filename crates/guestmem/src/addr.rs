@@ -27,6 +27,9 @@ use crate::host::{FrameId, HostMemory, PAGE_SIZE};
 pub struct AddressSpace {
     host: HostMemory,
     slots: Vec<Option<FrameId>>,
+    /// How many slots are mapped; kept in step by the two places that
+    /// fill an empty slot, so RSS needs no scan.
+    resident: usize,
 }
 
 impl AddressSpace {
@@ -37,6 +40,7 @@ impl AddressSpace {
         AddressSpace {
             host,
             slots: vec![None; pages],
+            resident: 0,
         }
     }
 
@@ -73,6 +77,7 @@ impl AddressSpace {
             None => {
                 let f = self.host.alloc_zero();
                 self.slots[page] = Some(f);
+                self.resident += 1;
                 f
             }
             Some(f) => {
@@ -146,8 +151,9 @@ impl AddressSpace {
     /// by snapshot restore. Takes a new reference on the frame.
     pub fn map_shared(&mut self, page: usize, frame: FrameId) {
         assert!(page < self.slots.len(), "map beyond guest memory");
-        if let Some(old) = self.slots[page] {
-            self.host.release(old);
+        match self.slots[page] {
+            Some(old) => self.host.release(old),
+            None => self.resident += 1,
         }
         self.host.retain(frame);
         self.slots[page] = Some(frame);
@@ -163,7 +169,7 @@ impl AddressSpace {
 
     /// Number of resident (mapped) pages.
     pub fn resident_pages(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.resident
     }
 
     /// Resident set size in bytes.
@@ -174,25 +180,26 @@ impl AddressSpace {
     /// Proportional set size in bytes: each mapped frame contributes
     /// `PAGE_SIZE / mappers`, as reported by Linux `smem` (paper §5.4).
     pub fn pss_bytes(&self) -> u64 {
-        let mut pss = 0.0f64;
-        for (_, frame) in self.mapped() {
-            let mappers = self.host.mappers(frame).max(1);
-            pss += PAGE_SIZE as f64 / f64::from(mappers);
-        }
-        pss.round() as u64
+        self.sharing_stats().pss_bytes
     }
 
-    /// Splits the resident set into CoW-shared and private pages, the
-    /// two terms PSS proportions between (Fig. 11's sharing story).
+    /// The one accounting pass over the resident set: splits it into
+    /// CoW-shared and private pages — the two terms PSS proportions
+    /// between (Fig. 11's sharing story) — and sums the PSS itself, in
+    /// page order, so the `f64` total rounds the same way every time.
     pub fn sharing_stats(&self) -> SharingStats {
         let mut stats = SharingStats::default();
+        let mut pss = 0.0f64;
         for (_, frame) in self.mapped() {
-            if self.host.mappers(frame) > 1 {
+            let mappers = self.host.mappers(frame);
+            if mappers > 1 {
                 stats.shared_pages += 1;
             } else {
                 stats.private_pages += 1;
             }
+            pss += PAGE_SIZE as f64 / f64::from(mappers.max(1));
         }
+        stats.pss_bytes = pss.round() as u64;
         stats
     }
 }
@@ -204,6 +211,9 @@ pub struct SharingStats {
     pub shared_pages: usize,
     /// Resident pages mapped only here (allocated or CoW-copied).
     pub private_pages: usize,
+    /// Proportional set size in bytes: each resident page contributes
+    /// `PAGE_SIZE / mappers`.
+    pub pss_bytes: u64,
 }
 
 impl SharingStats {
@@ -319,7 +329,8 @@ mod tests {
             b.sharing_stats(),
             SharingStats {
                 shared_pages: 3,
-                private_pages: 1
+                private_pages: 1,
+                pss_bytes: PAGE_SIZE as u64 + 3 * PAGE_SIZE as u64 / 2,
             }
         );
         assert_eq!(b.sharing_stats().resident_pages(), 4);

@@ -5,22 +5,11 @@ use std::num::NonZeroU32;
 use std::rc::Rc;
 
 use fireworks_sim::cost::MemCosts;
+use fireworks_sim::hash::fnv1a;
 use fireworks_sim::Clock;
 
 /// Size of one guest-physical page / host frame in bytes.
 pub const PAGE_SIZE: usize = 4096;
-
-/// FNV-1a over `bytes`.
-const fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut i = 0;
-    while i < bytes.len() {
-        h ^= bytes[i] as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        i += 1;
-    }
-    h
-}
 
 /// FNV-1a of an all-zero page: the checksum of every frame that was only
 /// touched for accounting (no data write), precomputed so checksumming a

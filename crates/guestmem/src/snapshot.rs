@@ -5,6 +5,8 @@
 
 use std::fmt;
 
+use fireworks_sim::hash;
+
 use crate::addr::AddressSpace;
 use crate::host::{FrameId, HostMemory, PAGE_SIZE};
 
@@ -191,18 +193,15 @@ impl SnapshotFile {
         }
     }
 
-    /// Folds page numbers and page checksums into a whole-snapshot digest.
+    /// Folds page numbers and page checksums into one digest: the id of
+    /// a whole snapshot, or the hash of one chunk of it.
     fn fold_digest(frames: &[(usize, FrameId)], checksums: &[u64]) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        for ((page, _), sum) in frames.iter().zip(checksums) {
-            mix(*page as u64);
-            mix(*sum);
-        }
-        h
+        frames
+            .iter()
+            .zip(checksums)
+            .fold(hash::OFFSET, |h, ((page, _), sum)| {
+                hash::mix(hash::mix(h, *page as u64), *sum)
+            })
     }
 
     /// Rebuilds a snapshot from an explicit frame list — the delta-fetch
@@ -285,16 +284,7 @@ impl SnapshotFile {
         for start in (0..self.frames.len()).step_by(chunk_pages) {
             let end = (start + chunk_pages).min(self.frames.len());
             let run = &self.frames[start..end];
-            let sums = &self.checksums[start..end];
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            let mut mix = |v: u64| {
-                h ^= v;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            };
-            for ((page, _), sum) in run.iter().zip(sums) {
-                mix(*page as u64);
-                mix(*sum);
-            }
+            let h = Self::fold_digest(run, &self.checksums[start..end]);
             chunks.push(ChunkRef {
                 hash: ChunkHash::from_raw(h),
                 pages: run.len(),

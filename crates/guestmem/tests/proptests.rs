@@ -130,3 +130,95 @@ proptest! {
         prop_assert_eq!(h.live_frames(), 0);
     }
 }
+
+/// What `AddressSpace` accounting computed before it became one pass: the
+/// three whole-space loops (`pss_bytes`, `sharing_stats`,
+/// `resident_pages`), kept verbatim as the reference the single pass and
+/// the maintained resident counter are checked against.
+fn three_loop_reference(space: &AddressSpace) -> (u64, usize, usize, usize) {
+    let host = space.host();
+    let mut pss = 0.0f64;
+    for (_, frame) in space.mapped() {
+        let mappers = host.mappers(frame).max(1);
+        pss += PAGE_SIZE as f64 / f64::from(mappers);
+    }
+    let (mut shared_pages, mut private_pages) = (0usize, 0usize);
+    for (_, frame) in space.mapped() {
+        if host.mappers(frame) > 1 {
+            shared_pages += 1;
+        } else {
+            private_pages += 1;
+        }
+    }
+    let resident = space.mapped().count();
+    (pss.round() as u64, shared_pages, private_pages, resident)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The one-pass `sharing_stats()` and the resident counter agree with
+    /// the three-loop reference after every step of a random interleaving
+    /// of writes, accounting-only touches, shared mappings, captures,
+    /// sibling restores and drops. Every case starts from the Dedup
+    /// layout: two snapshot files over one frame list.
+    #[test]
+    fn one_pass_accounting_matches_the_three_loops(
+        base_pages in 1usize..48,
+        ops in proptest::collection::vec((0u8..8, any::<u16>(), any::<u16>()), 1..48),
+    ) {
+        let h = host();
+        let mut base = AddressSpace::new(h.clone(), SPACE_BYTES);
+        base.touch_dirty(0, (base_pages * PAGE_SIZE) as u64);
+        let first = SnapshotFile::capture(&base, Vec::new());
+        // `from_mapped` consumes one owner reference per frame.
+        for (_, frame) in first.frames() {
+            h.retain(*frame);
+        }
+        let twin = SnapshotFile::from_mapped(&h, SPACE_BYTES, first.frames().to_vec(), Vec::new());
+        let mut snapshots = vec![first, twin];
+        let mut spaces = vec![base, snapshots[0].restore(&h), snapshots[1].restore(&h)];
+
+        for (kind, x, y) in ops {
+            let (x, y) = (x as usize, y as usize);
+            if spaces.is_empty() {
+                spaces.push(AddressSpace::new(h.clone(), SPACE_BYTES));
+            }
+            let s = x % spaces.len();
+            match kind {
+                0 => spaces[s].write((y as u64 * 31) % (SPACE_BYTES - 1), &[y as u8]),
+                1 => {
+                    let page = y % 64;
+                    let pages = (1 + x % 4).min(64 - page);
+                    spaces[s].touch_dirty((page * PAGE_SIZE) as u64, (pages * PAGE_SIZE) as u64);
+                }
+                2 => {
+                    // Map one of another space's frames at the same page.
+                    let src = y % spaces.len();
+                    let mapped = spaces[src].mapped().nth(x % 64);
+                    if let (true, Some((page, frame))) = (src != s, mapped) {
+                        spaces[s].map_shared(page, frame);
+                    }
+                }
+                3 => snapshots.push(SnapshotFile::capture(&spaces[s], Vec::new())),
+                4 if !snapshots.is_empty() => {
+                    let clone = snapshots[y % snapshots.len()].restore(&h);
+                    spaces.push(clone);
+                }
+                5 => drop(spaces.swap_remove(s)),
+                6 if !snapshots.is_empty() => drop(snapshots.swap_remove(y % snapshots.len())),
+                _ => {}
+            }
+            for space in &spaces {
+                let (pss_bytes, shared_pages, private_pages, resident) = three_loop_reference(space);
+                let stats = space.sharing_stats();
+                prop_assert_eq!(stats.pss_bytes, pss_bytes);
+                prop_assert_eq!(space.pss_bytes(), pss_bytes);
+                prop_assert_eq!(stats.shared_pages, shared_pages);
+                prop_assert_eq!(stats.private_pages, private_pages);
+                prop_assert_eq!(space.resident_pages(), resident);
+                prop_assert_eq!(space.rss_bytes(), (resident * PAGE_SIZE) as u64);
+            }
+        }
+    }
+}

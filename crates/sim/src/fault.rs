@@ -19,6 +19,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::clock::Clock;
+use crate::hash;
 use crate::rng::SplitMix64;
 use crate::time::Nanos;
 
@@ -301,17 +302,10 @@ impl FaultInjector {
     /// A digest of the injected-fault schedule: two runs with the same
     /// plan and check sequence produce the same fingerprint.
     pub fn schedule_fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        for f in &self.injected {
-            mix(f.site.index() as u64);
-            mix(f.occurrence);
-            mix(f.sequence);
-        }
-        h
+        self.injected.iter().fold(hash::OFFSET, |h, f| {
+            let h = hash::mix(h, f.site.index() as u64);
+            hash::mix(hash::mix(h, f.occurrence), f.sequence)
+        })
     }
 }
 

@@ -22,6 +22,8 @@
 //!   live on the `obs` recorder.
 //! - [`fault`]: a seeded, deterministic fault-injection plane used to
 //!   exercise the platform's recovery paths.
+//! - [`hash`]: the FNV-1a behind page checksums, snapshot and chunk ids,
+//!   home-host assignment and fault-schedule fingerprints.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -30,6 +32,7 @@ pub mod clock;
 pub mod cost;
 pub mod engine;
 pub mod fault;
+pub mod hash;
 pub mod rng;
 pub mod stats;
 pub mod time;

@@ -15,7 +15,9 @@
 
 use std::collections::BTreeMap;
 
-use fireworks_guestmem::{ChunkHash, FrameId, HostMemory, SnapshotFile, SnapshotManifest};
+use fireworks_guestmem::{
+    ChunkHash, ChunkRef, FrameId, HostMemory, SnapshotFile, SnapshotManifest,
+};
 use fireworks_obs::Obs;
 
 /// One stored chunk: the canonical (guest page, host frame) run plus its
@@ -245,6 +247,54 @@ impl ChunkStore {
         self.record_gauges();
     }
 
+    /// Takes one reference on every chunk of `manifest`, copying the
+    /// chunks this store lacks out of `donor` — the receive side of a
+    /// cross-host snapshot transfer. All or nothing: missing chunks are
+    /// first *staged* (copied into fresh frames on this store's host, in
+    /// manifest order), and only when every one has arrived does the
+    /// manifest take its references — present chunks retained, staged
+    /// ones adopted. `per_chunk` is asked before each missing chunk is
+    /// copied (the caller's wire cost and fault draws live there); if it
+    /// answers `false`, or the donor turns out not to hold a chunk, the
+    /// staged frames are released, no reference count has moved, and the
+    /// result is `false`.
+    pub fn adopt_manifest(
+        &mut self,
+        donor: &ChunkStore,
+        manifest: &SnapshotManifest,
+        mut per_chunk: impl FnMut(&ChunkRef) -> bool,
+    ) -> bool {
+        let missing = self.missing_chunks(manifest);
+        let mut staged: Vec<(ChunkHash, Vec<(usize, FrameId)>)> = Vec::new();
+        for &idx in &missing {
+            let chunk = &manifest.chunks[idx];
+            let run = per_chunk(chunk)
+                .then(|| donor.chunk_frames(chunk.hash))
+                .flatten();
+            let Some(run) = run else {
+                for (_, f) in staged.iter().flat_map(|(_, frames)| frames) {
+                    self.host.release(*f);
+                }
+                return false;
+            };
+            let frames = run
+                .iter()
+                .map(|&(page, f)| (page, self.host.clone_frame_from(&donor.host, f)))
+                .collect();
+            staged.push((chunk.hash, frames));
+        }
+        for (i, chunk) in manifest.chunks.iter().enumerate() {
+            // `missing` is ascending.
+            if missing.binary_search(&i).is_err() {
+                self.retain_chunk(chunk.hash);
+            }
+        }
+        for (hash, frames) in staged {
+            self.ingest_remote_chunk(hash, frames);
+        }
+        true
+    }
+
     /// Assembles the full frame list for a registered manifest from
     /// stored chunks, giving the caller one owner reference per frame
     /// (for [`SnapshotFile::from_mapped`]). Returns `None` if any chunk
@@ -445,6 +495,43 @@ mod tests {
         );
         assert_eq!(rebuilt.id(), manifest.id, "delta fetch is faithful");
         assert!(rebuilt.verify().is_ok());
+    }
+
+    #[test]
+    fn adopt_manifest_is_all_or_nothing() {
+        let (h_src, h_dst) = (host(), host());
+        let mut src = ChunkStore::new(h_src.clone());
+        let mut dst = ChunkStore::new(h_dst.clone());
+        // dst already holds the first of the donor's three chunks.
+        let (_, held) = dst.ingest_snapshot(&snapshot_with(&h_dst, 3, 4), 4);
+        let (manifest, claimed) = src.ingest_snapshot(&snapshot_with(&h_src, 3, 12), 4);
+        for (_, f) in &held {
+            h_dst.release(*f);
+        }
+        for (_, f) in &claimed {
+            h_src.release(*f);
+        }
+        assert_eq!(dst.missing_chunks(&manifest), vec![1, 2]);
+
+        // The transfer dies on the second missing chunk: the first one's
+        // staged frames go back and no reference count has moved.
+        let (ledger, live) = (dst.chunk_refcounts(), h_dst.live_frames());
+        let mut asked = 0;
+        let adopted = dst.adopt_manifest(&src, &manifest, |_| {
+            asked += 1;
+            asked < 2
+        });
+        assert!(!adopted);
+        assert_eq!(dst.chunk_refcounts(), ledger);
+        assert_eq!(h_dst.live_frames(), live);
+
+        // Undisturbed, the manifest takes one reference on every chunk.
+        assert!(dst.adopt_manifest(&src, &manifest, |_| true));
+        assert_eq!(dst.missing_bytes(&manifest), 0);
+        assert_eq!(dst.chunk_refs(manifest.chunks[0].hash), Some(2));
+        assert_eq!(dst.chunk_refs(manifest.chunks[2].hash), Some(1));
+        dst.release_manifest(&manifest);
+        assert_eq!(dst.chunk_refcounts(), ledger);
     }
 
     #[test]

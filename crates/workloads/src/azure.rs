@@ -353,6 +353,7 @@ impl AzureTrace {
         let mut mix = |x: u64| {
             for b in x.to_le_bytes() {
                 h ^= b as u64;
+                // Not the FNV prime (one zero too many); frozen by goldens.
                 h = h.wrapping_mul(0x1000_0000_01b3);
             }
         };
