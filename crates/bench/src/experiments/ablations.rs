@@ -214,11 +214,12 @@ fn reap_ablation() {
     println!("  warm-page-cache latency for snapshots served from cold storage.");
 }
 
-fn main() {
+pub fn run(_args: &[String]) -> Result<u64, String> {
     println!("=== Ablations of Fireworks design choices (paper §6) ===\n");
     deopt_ablation();
     cache_ablation();
     refresh_ablation();
     println!();
     reap_ablation();
+    Ok(0)
 }

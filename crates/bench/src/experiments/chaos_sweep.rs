@@ -18,8 +18,9 @@
 //! host's full metrics-registry snapshot (counters, gauges, histograms
 //! from every layer) so recovery behaviour is auditable per rate.
 //!
-//! Usage: `chaos_sweep [seed]` (default seed 42).
+//! Usage: `experiments chaos_sweep [seed]` (default seed 42).
 
+use super::seed_arg;
 use fireworks_core::api::{Platform, PlatformError};
 use fireworks_core::engine::{run_concurrent, EngineConfig};
 use fireworks_core::fid;
@@ -65,6 +66,7 @@ struct RatePoint {
     p99_recovery_latency: Nanos,
     schedule_fingerprint: u64,
     metrics_json: String,
+    events_processed: u64,
 }
 
 fn run_rate(seed: u64, rate: f64) -> RatePoint {
@@ -86,6 +88,7 @@ fn run_rate(seed: u64, rate: f64) -> RatePoint {
     let mut peak_inflight = 0;
     let mut peak_queue_depth = 0;
     let mut peak_live_pss_bytes = 0;
+    let mut events_processed = 0;
     let mut remaining = INVOCATIONS;
     while remaining > 0 {
         let batch = remaining.min(WAVE);
@@ -98,6 +101,7 @@ fn run_rate(seed: u64, rate: f64) -> RatePoint {
             &EngineConfig::new(SLOTS),
             &wave,
         );
+        events_processed += report.events_processed;
         peak_inflight = peak_inflight.max(report.peak_inflight);
         peak_queue_depth = peak_queue_depth.max(report.peak_queue_depth);
         peak_live_pss_bytes = peak_live_pss_bytes.max(report.peak_live_pss_bytes);
@@ -159,21 +163,14 @@ fn run_rate(seed: u64, rate: f64) -> RatePoint {
         p99_recovery_latency: Nanos::from_nanos(recovery_latencies.quantile(99.0)),
         schedule_fingerprint: injector.schedule_fingerprint(),
         metrics_json: env.obs.metrics().snapshot().to_json(),
+        events_processed,
     }
 }
 
-fn main() {
-    let seed = match std::env::args().nth(1) {
-        None => 42,
-        Some(arg) => match arg.parse::<u64>() {
-            Ok(seed) => seed,
-            Err(_) => {
-                eprintln!("error: seed must be a non-negative integer, got {arg:?}");
-                eprintln!("usage: chaos_sweep [seed]");
-                std::process::exit(2);
-            }
-        },
-    };
+pub const USAGE: &str = "chaos_sweep [seed]";
+
+pub fn run(args: &[String]) -> Result<u64, String> {
+    let seed = seed_arg(args, USAGE);
 
     let points: Vec<RatePoint> = RATES.iter().map(|&rate| run_rate(seed, rate)).collect();
 
@@ -226,4 +223,5 @@ fn main() {
     }
     println!("  ]");
     println!("}}");
+    Ok(points.iter().map(|p| p.events_processed).sum())
 }

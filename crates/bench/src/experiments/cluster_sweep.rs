@@ -22,15 +22,16 @@
 //! Output is a single JSON document on stdout, a pure function of the
 //! seed: two same-seed runs are byte-identical (CI diffs them).
 //!
-//! Usage: `cluster_sweep [seed]` (default 42).
+//! Usage: `experiments cluster_sweep [seed]` (default 42).
 
+use super::seed_arg;
+use crate::{request_mix, service_specs};
 use fireworks_core::cluster::{
     Cluster, ClusterConfig, ClusterReport, LeastLoaded, LocalityAffinity, RoundRobin, Router,
 };
 use fireworks_core::engine::CompletionPolicy;
 use fireworks_core::env::EnvConfig;
 use fireworks_core::{fid, FireworksPlatform, HostId, PlatformConfig, ResidentClone};
-use fireworks_lang::Value;
 use fireworks_obs::LogHistogram;
 use fireworks_runtime::RuntimeKind;
 use fireworks_sim::Nanos;
@@ -57,27 +58,6 @@ const DENSITY_RAM: u64 = 2 << 30;
 const DENSITY_WAVE: usize = 8;
 /// Safety cap on density waves.
 const DENSITY_MAX_WAVES: usize = 120;
-
-/// A compute-light function: installs fast, yet its snapshot carries the
-/// full runtime image, so cache pressure is real.
-const SRC: &str = "
-    fn main(params) {
-        let n = params[\"n\"];
-        let t = 0;
-        for (let i = 0; i < n; i = i + 1) { t = t + i; }
-        return t;
-    }";
-
-fn mix() -> Vec<(String, Value)> {
-    (0..FUNCTIONS)
-        .map(|i| {
-            (
-                format!("svc-{i}"),
-                Value::map([("n".to_string(), Value::Int(2_000))]),
-            )
-        })
-        .collect()
-}
 
 fn make_router(policy: &str) -> Box<dyn Router> {
     match policy {
@@ -120,23 +100,15 @@ fn run_point(policy: &'static str, hosts: usize, rate_ms: u64, seed: u64) -> Poi
     let mut cluster = Cluster::new(config, |env, cfg| {
         FireworksPlatform::with_config(env, cfg.clone())
     });
-    let mix = mix();
-    for (name, args) in &mix {
-        let spec = fireworks_core::api::FunctionSpec::new(
-            name,
-            SRC,
-            RuntimeKind::NodeLike,
-            args.deep_clone(),
-        );
-        cluster.install(&spec).expect("install on every host");
+    let specs = service_specs(FUNCTIONS);
+    for spec in &specs {
+        cluster.install(spec).expect("install on every host");
     }
-    let interned: Vec<(fireworks_core::FunctionId, Value)> =
-        mix.iter().map(|(n, a)| (fid(n), a.deep_clone())).collect();
     let schedule = poisson_schedule(
         seed.wrapping_add(rate_ms),
         REQUESTS,
         Nanos::from_millis(rate_ms),
-        &interned,
+        &request_mix(&specs),
     );
     let mut router = make_router(policy);
     let report = cluster.run(router.as_mut(), &schedule);
@@ -203,20 +175,11 @@ fn density(hosts: usize) -> usize {
     resident.len().saturating_sub(over)
 }
 
-fn main() {
-    let seed = match std::env::args().nth(1) {
-        None => 42,
-        Some(arg) => match arg.parse::<u64>() {
-            Ok(seed) => seed,
-            Err(_) => {
-                eprintln!("error: seed must be a non-negative integer, got {arg:?}");
-                eprintln!("usage: cluster_sweep [seed]");
-                std::process::exit(2);
-            }
-        },
-    };
+pub const USAGE: &str = "cluster_sweep [seed]";
 
-    let wall = std::time::Instant::now();
+pub fn run(args: &[String]) -> Result<u64, String> {
+    let seed = seed_arg(args, USAGE);
+
     let mut points = Vec::new();
     for policy in ["round_robin", "least_loaded", "locality"] {
         for hosts in HOSTS {
@@ -226,12 +189,6 @@ fn main() {
         }
     }
     let events: u64 = points.iter().map(|p| p.events_processed).sum();
-    // Wall-clock throughput is machine-dependent: stderr only, so
-    // stdout stays byte-identical across runs.
-    eprintln!(
-        "{{\"bench\": \"cluster_sweep\", \"events\": {events}, \"events_per_sec\": {:.0}}}",
-        events as f64 / wall.elapsed().as_secs_f64().max(1e-9)
-    );
 
     let fw_density: Vec<(usize, usize)> = HOSTS.iter().map(|&h| (h, density(h))).collect();
 
@@ -303,4 +260,5 @@ fn main() {
 
     fireworks_obs::json::validate(&out).expect("cluster_sweep emits valid JSON");
     print!("{out}");
+    Ok(events)
 }

@@ -22,13 +22,14 @@
 //! Output is a single JSON document on stdout, a pure function of the
 //! seed: two same-seed runs are byte-identical (CI diffs them).
 //!
-//! Usage: `dedup_sweep [seed]` (default 42).
+//! Usage: `experiments dedup_sweep [seed]` (default 42).
 
-use fireworks_bench::nearest_rank;
+use super::seed_arg;
+use crate::{nearest_rank, request_mix};
 use fireworks_core::api::{FunctionSpec, Platform};
 use fireworks_core::cluster::{Cluster, ClusterConfig, LocalityAffinity};
 use fireworks_core::env::PlatformEnv;
-use fireworks_core::{fid, FireworksPlatform, FunctionId, PlatformConfig, SnapshotStorePolicy};
+use fireworks_core::{FireworksPlatform, PlatformConfig, SnapshotStorePolicy};
 use fireworks_lang::Value;
 use fireworks_runtime::RuntimeKind;
 use fireworks_sim::Nanos;
@@ -64,13 +65,15 @@ fn src(i: usize) -> String {
     )
 }
 
-fn mix() -> Vec<(String, String, Value)> {
+fn specs() -> Vec<FunctionSpec> {
+    let args = Value::map([("n".to_string(), Value::Int(2_000))]);
     (0..FUNCTIONS)
         .map(|i| {
-            (
+            FunctionSpec::new(
                 format!("svc-{i}"),
                 src(i),
-                Value::map([("n".to_string(), Value::Int(2_000))]),
+                RuntimeKind::NodeLike,
+                args.deep_clone(),
             )
         })
         .collect()
@@ -92,9 +95,8 @@ fn ratio_point(count: usize) -> RatioPoint {
             .snapshot_store(SnapshotStorePolicy::dedup())
             .build(),
     );
-    for (name, source, args) in mix().into_iter().take(count) {
-        let spec = FunctionSpec::new(&name, &source, RuntimeKind::NodeLike, args);
-        p.install(&spec).expect("install");
+    for spec in specs().iter().take(count) {
+        p.install(spec).expect("install");
     }
     let stats = p.chunk_stats().expect("dedup store attached");
     RatioPoint {
@@ -135,20 +137,15 @@ fn run_point(arm: &'static str, delta_fetch: bool, rate_ms: u64, seed: u64) -> P
     let mut cluster = Cluster::new(config, |env, cfg| {
         FireworksPlatform::with_config(env, cfg.clone())
     });
-    let mix = mix();
-    for (name, source, args) in &mix {
-        let spec = FunctionSpec::new(name, source, RuntimeKind::NodeLike, args.deep_clone());
-        cluster.install_home(&spec).expect("install on home host");
+    let specs = specs();
+    for spec in &specs {
+        cluster.install_home(spec).expect("install on home host");
     }
-    let interned: Vec<(FunctionId, Value)> = mix
-        .iter()
-        .map(|(n, _, a)| (fid(n), a.deep_clone()))
-        .collect();
     let schedule = poisson_schedule(
         seed.wrapping_add(rate_ms),
         REQUESTS,
         Nanos::from_millis(rate_ms),
-        &interned,
+        &request_mix(&specs),
     );
     let mut router = LocalityAffinity::new();
     let report = cluster.run(&mut router, &schedule);
@@ -180,18 +177,10 @@ fn run_point(arm: &'static str, delta_fetch: bool, rate_ms: u64, seed: u64) -> P
     }
 }
 
-fn main() {
-    let seed = match std::env::args().nth(1) {
-        None => 42,
-        Some(arg) => match arg.parse::<u64>() {
-            Ok(seed) => seed,
-            Err(_) => {
-                eprintln!("error: seed must be a non-negative integer, got {arg:?}");
-                eprintln!("usage: dedup_sweep [seed]");
-                std::process::exit(2);
-            }
-        },
-    };
+pub const USAGE: &str = "dedup_sweep [seed]";
+
+pub fn run(args: &[String]) -> Result<u64, String> {
+    let seed = seed_arg(args, USAGE);
 
     // Phase 1: dedup ratio vs function count on one host.
     let curve: Vec<RatioPoint> = [1, 2, 4, FUNCTIONS]
@@ -218,19 +207,12 @@ fn main() {
     );
 
     // Phase 2: delta fetch vs rebuild under overflow load.
-    let wall = std::time::Instant::now();
     let mut points = Vec::new();
     for rate_ms in RATES_MS {
         points.push(run_point("delta", true, rate_ms, seed));
         points.push(run_point("rebuild", false, rate_ms, seed));
     }
     let events: u64 = points.iter().map(|p| p.events_processed).sum();
-    // Wall-clock throughput is machine-dependent: stderr only, so
-    // stdout stays byte-identical across runs.
-    eprintln!(
-        "{{\"bench\": \"dedup_sweep\", \"events\": {events}, \"events_per_sec\": {:.0}}}",
-        events as f64 / wall.elapsed().as_secs_f64().max(1e-9)
-    );
     for rate_ms in RATES_MS {
         let of = |arm: &str| {
             points
@@ -307,4 +289,5 @@ fn main() {
 
     fireworks_obs::json::validate(&out).expect("dedup_sweep emits valid JSON");
     print!("{out}");
+    Ok(events)
 }

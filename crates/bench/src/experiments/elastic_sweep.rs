@@ -28,9 +28,10 @@
 //! Output is a single JSON document on stdout, a pure function of the
 //! seed: two same-seed runs are byte-identical (CI diffs them).
 //!
-//! Usage: `elastic_sweep [seed]` (default 42).
+//! Usage: `experiments elastic_sweep [seed]` (default 42).
 
-use fireworks_core::api::FunctionSpec;
+use super::seed_arg;
+use crate::{request_mix, service_specs};
 use fireworks_core::cluster::LocalityAffinity;
 use fireworks_core::config::{PlatformConfig, SnapshotStorePolicy};
 use fireworks_core::elastic::{ElasticCluster, ElasticConfig, ElasticPolicy, ElasticReport};
@@ -39,7 +40,6 @@ use fireworks_core::fid;
 use fireworks_core::{FireworksPlatform, InvokeRequest};
 use fireworks_lang::Value;
 use fireworks_obs::LogHistogram;
-use fireworks_runtime::RuntimeKind;
 use fireworks_sim::fault::{FaultPlan, FaultSite};
 use fireworks_sim::Nanos;
 use fireworks_workloads::arrivals::flash_crowd;
@@ -67,31 +67,6 @@ const CROWD_END: Nanos = Nanos::from_millis(5_000);
 const CHAOS_REQUESTS: usize = 120;
 /// The swept per-draw probabilities for each control-plane fault site.
 const CHAOS_RATES: [f64; 3] = [0.1, 0.5, 1.0];
-
-/// A compute-light function; its snapshot still carries the full
-/// post-JIT runtime image, so hand-offs move real bytes.
-const SRC: &str = "
-    fn main(params) {
-        let n = params[\"n\"];
-        let t = 0;
-        for (let i = 0; i < n; i = i + 1) { t = t + i; }
-        return t;
-    }";
-
-fn mix() -> Vec<(String, Value)> {
-    (0..FUNCTIONS)
-        .map(|i| {
-            (
-                format!("svc-{i}"),
-                Value::map([("n".to_string(), Value::Int(2_000))]),
-            )
-        })
-        .collect()
-}
-
-fn spec_for(name: &str, args: &Value) -> FunctionSpec {
-    FunctionSpec::new(name, SRC, RuntimeKind::NodeLike, args.deep_clone())
-}
 
 /// The policy all scenarios share; control periods are sized to the
 /// observed service times (~17 ms warm, ~470 ms rebuild-from-source)
@@ -123,18 +98,13 @@ fn build(config: ElasticConfig) -> ElasticCluster<FireworksPlatform> {
     let mut cluster = ElasticCluster::new(config, |env, cfg| {
         FireworksPlatform::with_config(env, cfg.clone())
     });
-    for (name, args) in &mix() {
-        cluster
-            .install(&spec_for(name, args))
-            .expect("install is fault-free");
+    for spec in &service_specs(FUNCTIONS) {
+        cluster.install(spec).expect("install is fault-free");
     }
     cluster
 }
 
 fn schedule(seed: u64, count: usize) -> Vec<EngineRequest> {
-    let m = mix();
-    let interned: Vec<(fireworks_core::FunctionId, Value)> =
-        m.iter().map(|(n, a)| (fid(n), a.deep_clone())).collect();
     flash_crowd(
         seed,
         count,
@@ -142,7 +112,7 @@ fn schedule(seed: u64, count: usize) -> Vec<EngineRequest> {
         CROWD_MEAN,
         CROWD_START,
         CROWD_END,
-        &interned,
+        &request_mix(&service_specs(FUNCTIONS)),
     )
 }
 
@@ -312,18 +282,10 @@ fn run_chaos(site: FaultSite, rate: f64, seed: u64) -> ChaosPoint {
     }
 }
 
-fn main() {
-    let seed = match std::env::args().nth(1) {
-        None => 42,
-        Some(arg) => match arg.parse::<u64>() {
-            Ok(seed) => seed,
-            Err(_) => {
-                eprintln!("error: seed must be a non-negative integer, got {arg:?}");
-                eprintln!("usage: elastic_sweep [seed]");
-                std::process::exit(2);
-            }
-        },
-    };
+pub const USAGE: &str = "elastic_sweep [seed]";
+
+pub fn run(args: &[String]) -> Result<u64, String> {
+    let seed = seed_arg(args, USAGE);
 
     let fixed_max = ElasticPolicy {
         min_hosts: MAX_FLEET,
@@ -339,7 +301,6 @@ fn main() {
         ..base_policy()
     };
 
-    let wall = std::time::Instant::now();
     let scenarios = [
         run_scenario("fixed_max", fixed_max, seed),
         run_scenario("fixed_min", fixed_min, seed),
@@ -347,12 +308,6 @@ fn main() {
         run_scenario("elastic_prewarm", elastic_prewarm, seed),
     ];
     let events: u64 = scenarios.iter().map(|s| s.report.events_processed).sum();
-    // Wall-clock throughput is machine-dependent: stderr only, so
-    // stdout stays byte-identical across runs.
-    eprintln!(
-        "{{\"bench\": \"elastic_sweep\", \"events\": {events}, \"events_per_sec\": {:.0}}}",
-        events as f64 / wall.elapsed().as_secs_f64().max(1e-9)
-    );
 
     let by_name = |n: &str| scenarios.iter().find(|s| s.name == n).expect("scenario");
     let (fmax, fmin) = (by_name("fixed_max"), by_name("fixed_min"));
@@ -468,4 +423,5 @@ fn main() {
 
     fireworks_obs::json::validate(&out).expect("elastic_sweep emits valid JSON");
     print!("{out}");
+    Ok(events)
 }

@@ -9,15 +9,11 @@
 //! and every completed clone stays resident (and keeps serving, via
 //! `age_ops`) while later waves restore against the live population.
 
+use crate::density_until_swap;
 use fireworks_baselines::{FirecrackerPlatform, SnapshotPolicy};
-use fireworks_core::engine::{run_concurrent, EngineConfig};
 use fireworks_core::env::EnvConfig;
-use fireworks_core::fid;
-use fireworks_core::{ConcurrentPlatform, FireworksPlatform, PlatformEnv};
-use fireworks_runtime::RuntimeKind;
+use fireworks_core::{FireworksPlatform, PlatformEnv};
 use fireworks_sim::CostModel;
-use fireworks_workloads::arrivals::burst;
-use fireworks_workloads::faasdom::Bench;
 
 const HOST_RAM: u64 = 16 << 30;
 
@@ -38,46 +34,7 @@ fn env() -> PlatformEnv {
     })
 }
 
-/// Grows a resident population through the engine until the host swaps;
-/// returns the host-memory series (one sample per aged clone).
-fn sweep<P, F, A>(make: F, age: A) -> Vec<u64>
-where
-    P: ConcurrentPlatform,
-    F: FnOnce(PlatformEnv) -> P,
-    A: Fn(&mut P::InFlight, u64),
-{
-    let host_env = env();
-    let mut platform = make(host_env.clone());
-    let spec = Bench::Fact.paper_spec(RuntimeKind::NodeLike);
-    let args = Bench::Fact.paper_params();
-    platform.install(&spec).expect("install");
-    let mut resident: Vec<P::InFlight> = Vec::new();
-    let mut series = Vec::new();
-    while !host_env.host_mem.is_swapping() {
-        let wave = burst(fid(&spec.name), &args, WAVE, host_env.clock.now());
-        let report = run_concurrent(
-            &mut platform,
-            &host_env.clock,
-            &host_env.obs,
-            &EngineConfig::new(WAVE).retain_completed(),
-            &wave,
-        );
-        for c in &report.completions {
-            assert!(c.result.is_ok(), "density waves are fault-free");
-        }
-        for mut token in report.retained {
-            age(&mut token, SERVICE_AGE_OPS);
-            resident.push(token);
-            series.push(host_env.host_mem.used_bytes());
-            if host_env.host_mem.is_swapping() {
-                break;
-            }
-        }
-    }
-    series
-}
-
-fn main() {
+pub fn run(_args: &[String]) -> Result<u64, String> {
     println!("=== Fig.10: Memory usage vs concurrent microVMs (faas-fact, Node.js) ===");
     println!(
         "host: {} GiB RAM, vm.swappiness=60 → swap onset at {:.1} GiB\n",
@@ -90,10 +47,16 @@ fn main() {
         "microVMs", "fireworks (GiB)", "firecracker (GiB)"
     );
 
-    let fw_series = sweep(FireworksPlatform::new, |clone, ops| clone.age_ops(ops));
-    let fc_series = sweep(
+    // The host-memory series, one sample per aged clone.
+    let fw_series = density_until_swap(&env(), FireworksPlatform::new, WAVE, usize::MAX, |c| {
+        c.age_ops(SERVICE_AGE_OPS)
+    });
+    let fc_series = density_until_swap(
+        &env(),
         |e| FirecrackerPlatform::new(e, SnapshotPolicy::None),
-        |vm, ops| vm.age_ops(ops),
+        WAVE,
+        usize::MAX,
+        |vm| vm.age_ops(SERVICE_AGE_OPS),
     );
     let fw_max = fw_series.len();
     let fc_max = fc_series.len();
@@ -123,4 +86,5 @@ fn main() {
         gib(*fw_series.last().expect("nonempty")) * 1024.0 / fw_max as f64,
         gib(*fc_series.last().expect("nonempty")) * 1024.0 / fc_max as f64,
     );
+    Ok(0)
 }

@@ -11,7 +11,7 @@ use fireworks_runtime::RuntimeKind;
 use fireworks_sim::Nanos;
 use fireworks_workloads::faasdom::Bench;
 
-fn main() {
+pub fn run(_args: &[String]) -> Result<u64, String> {
     println!("=== Fig.11: Performance impact of Fireworks optimizations ===");
     println!("(cold-start end-to-end latency; speedups are vs the Firecracker baseline)\n");
     println!(
@@ -63,4 +63,5 @@ fn main() {
     println!("paper: +OS snapshot gives ~2.3x on Node compute and up to 6.1x on");
     println!("       net-latency; +post-JIT adds large gains where JIT compilation");
     println!("       lands late in execution (Node I/O benchmarks) or never (Python).");
+    Ok(0)
 }

@@ -52,7 +52,7 @@ where
         / VMS as u64
 }
 
-fn main() {
+pub fn run(_args: &[String]) -> Result<u64, String> {
     println!("=== Fig.12: Memory impact of Fireworks optimizations ===");
     println!("(PSS per microVM with {VMS} concurrent microVMs, light request)\n");
     println!(
@@ -101,4 +101,5 @@ fn main() {
     println!("       execution-state allocation lands in the shared snapshot), but");
     println!("       shows no significant improvement for Python (Numba/MCJIT");
     println!("       duplicates JITted code per module).");
+    Ok(0)
 }

@@ -52,7 +52,7 @@ fn merge(stages_fw: &[StageResult], stages_ow: &[StageResult]) -> Vec<StageRow> 
         .collect()
 }
 
-fn main() {
+pub fn run(_args: &[String]) -> Result<u64, String> {
     println!("=== Fig.9: Real-world serverless applications ===");
     println!("(exec columns include I/O time, as in the paper's breakdown)\n");
 
@@ -134,4 +134,5 @@ fn main() {
     println!("  paper: 25.6x shorter start-up, 11.8x faster execution\n");
     print_rows("Fig.9(b) Data Analysis — analysis step", &analysis_rows);
     println!("  paper: 27x faster start-up, 4.9x faster execution");
+    Ok(0)
 }

@@ -3,14 +3,14 @@
 //! The paper reports 0.36–0.47 s (Node.js) and 0.38–0.44 s (Python) for
 //! the snapshot write itself, on top of package install and JIT warm-up.
 
-use fireworks_bench::mib;
+use crate::mib;
 use fireworks_core::api::Platform;
 use fireworks_core::{FireworksPlatform, PlatformEnv};
 use fireworks_runtime::RuntimeKind;
 use fireworks_sim::CostModel;
 use fireworks_workloads::faasdom::Bench;
 
-fn main() {
+pub fn run(_args: &[String]) -> Result<u64, String> {
     println!("=== §5.1: Post-JIT snapshot creation time (install phase) ===\n");
     println!(
         "{:<30} {:>14} {:>14} {:>14} {:>12}",
@@ -37,4 +37,5 @@ fn main() {
     println!();
     println!("paper: snapshot write 0.36–0.47 s (Node.js), 0.38–0.44 s (Python);");
     println!("       install total dominated by package install + JIT warm-up.");
+    Ok(0)
 }

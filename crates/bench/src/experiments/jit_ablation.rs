@@ -18,9 +18,11 @@
 //! - **p99 delta**: the warm snapshot's tail latency is strictly better.
 //!
 //! Output is one JSON document on stdout that is a pure function of the
-//! seed and knobs (all latencies are virtual) — CI runs it twice and
-//! byte-diffs. Usage: `jit_ablation [--seed N] [--clones N] [--requests N]`.
+//! seed and knobs (all latencies are virtual) — the determinism check
+//! runs it twice per seed and byte-diffs.
+//! Usage: `experiments jit_ablation [--seed N] [--clones N] [--requests N]`.
 
+use super::flag_args;
 use fireworks_guestmem::HostMemory;
 use fireworks_lang::{JitConfig, JitPolicy, NoopHost, Value};
 use fireworks_microvm::{MicroVmConfig, VmManager};
@@ -64,33 +66,15 @@ struct Args {
     requests: u64,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        seed: 42,
-        clones: 8,
-        requests: 32,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> u64 {
-            it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("error: {name} needs a non-negative integer");
-                eprintln!("usage: jit_ablation [--seed N] [--clones N] [--requests N]");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--seed" => args.seed = value("--seed"),
-            "--clones" => args.clones = value("--clones").max(1),
-            "--requests" => args.requests = value("--requests").max(1),
-            other => {
-                eprintln!("error: unknown flag {other:?}");
-                eprintln!("usage: jit_ablation [--seed N] [--clones N] [--requests N]");
-                std::process::exit(2);
-            }
-        }
+pub const USAGE: &str = "jit_ablation [--seed N] [--clones N] [--requests N]";
+
+fn parse_args(args: &[String]) -> Args {
+    let [seed, clones, requests] = flag_args(args, ["--seed", "--clones", "--requests"], USAGE);
+    Args {
+        seed: seed.unwrap_or(42),
+        clones: clones.unwrap_or(8).max(1),
+        requests: requests.unwrap_or(32).max(1),
     }
-    args
 }
 
 /// Per-variant aggregate over all clones and requests.
@@ -251,8 +235,8 @@ fn variant_json(r: &VariantReport) -> String {
     )
 }
 
-fn main() {
-    let args = parse_args();
+pub fn run(args: &[String]) -> Result<u64, String> {
+    let args = parse_args(args);
     let before = run_variant("snapshot_before_warmup", 0, &args);
     let after = run_variant("snapshot_after_warmup", WARMUP_CALLS, &args);
 
@@ -297,4 +281,5 @@ fn main() {
         p99_before * 1000 / p99_after.max(1)
     );
     println!("}}");
+    Ok(0)
 }

@@ -18,11 +18,12 @@
 //! JIT code and warmed heap in shared copy-on-write pages, while the OS
 //! snapshot's clones re-JIT privately.
 //!
-//! Usage: `load_sweep [seed]` (default 42). Output is a pure function of
-//! the seed: two same-seed runs are byte-identical.
+//! Usage: `experiments load_sweep [seed]` (default 42). Output is a pure
+//! function of the seed: two same-seed runs are byte-identical.
 
+use super::seed_arg;
+use crate::{density_until_swap, nearest_rank};
 use fireworks_baselines::{FirecrackerPlatform, OpenWhiskPlatform, SnapshotPolicy};
-use fireworks_bench::nearest_rank;
 use fireworks_core::engine::{run_concurrent, EngineCompletion, EngineConfig};
 use fireworks_core::env::EnvConfig;
 use fireworks_core::fid;
@@ -30,7 +31,7 @@ use fireworks_core::{ConcurrentPlatform, FireworksPlatform, PlatformEnv};
 use fireworks_lang::Value;
 use fireworks_runtime::RuntimeKind;
 use fireworks_sim::{CostModel, Nanos};
-use fireworks_workloads::arrivals::{burst, poisson_schedule};
+use fireworks_workloads::arrivals::poisson_schedule;
 use fireworks_workloads::faasdom::Bench;
 
 /// Invoker slots for the latency sweep.
@@ -109,61 +110,22 @@ fn density_env() -> PlatformEnv {
     })
 }
 
-/// Admits waves of concurrent clones through the engine (retain mode)
-/// until the host starts swapping; returns the sustained clone count.
-fn density<P, F>(make: F) -> usize
-where
-    P: ConcurrentPlatform,
-    F: FnOnce(PlatformEnv) -> P,
-{
+/// Clones sustained before swap onset on the density host: the
+/// population [`density_until_swap`] reached, less the clone that tipped
+/// the host over.
+fn density<P: ConcurrentPlatform>(make: impl FnOnce(PlatformEnv) -> P) -> usize {
     let env = density_env();
-    let mut platform = make(env.clone());
-    let spec = Bench::Fact.paper_spec(RuntimeKind::NodeLike);
-    let args = Bench::Fact.paper_params();
-    platform.install(&spec).expect("install");
-    let mut resident: Vec<P::InFlight> = Vec::new();
-    for _ in 0..DENSITY_MAX_WAVES {
-        if env.host_mem.is_swapping() {
-            break;
-        }
-        let wave = burst(fid(&spec.name), &args, DENSITY_WAVE, env.clock.now());
-        let report = run_concurrent(
-            &mut platform,
-            &env.clock,
-            &env.obs,
-            &EngineConfig::new(DENSITY_WAVE).retain_completed(),
-            &wave,
-        );
-        for c in &report.completions {
-            assert!(c.result.is_ok(), "density waves are fault-free");
-        }
-        for token in report.retained {
-            resident.push(token);
-            if env.host_mem.is_swapping() {
-                break;
-            }
-        }
-    }
-    // Count the clones live before swap onset.
-    let mut count = resident.len();
-    if env.host_mem.is_swapping() && count > 0 {
-        count -= 1;
-    }
-    count
+    let series = density_until_swap(&env, make, DENSITY_WAVE, DENSITY_MAX_WAVES, |_| {});
+    let tipped = series
+        .last()
+        .is_some_and(|&used| used > env.host_mem.swap_threshold_bytes());
+    series.len() - usize::from(tipped)
 }
 
-fn main() {
-    let seed = match std::env::args().nth(1) {
-        None => 42,
-        Some(arg) => match arg.parse::<u64>() {
-            Ok(seed) => seed,
-            Err(_) => {
-                eprintln!("error: seed must be a non-negative integer, got {arg:?}");
-                eprintln!("usage: load_sweep [seed]");
-                std::process::exit(2);
-            }
-        },
-    };
+pub const USAGE: &str = "load_sweep [seed]";
+
+pub fn run(args: &[String]) -> Result<u64, String> {
+    let seed = seed_arg(args, USAGE);
 
     println!("=== Load sweep: sojourn time vs offered load ({SLOTS} invoker slots) ===");
     println!(
@@ -174,7 +136,6 @@ fn main() {
         "load", "ow p50", "ow p99", "fw p50", "fw p99", "p99 ratio", "ow queue", "fw queue"
     );
 
-    let wall = std::time::Instant::now();
     let mut events = 0u64;
     for mean_ms in RATES_MS {
         let mean = Nanos::from_millis(mean_ms);
@@ -199,12 +160,6 @@ fn main() {
     }
     println!();
     println!("simulator events processed: {events}");
-    // Wall-clock throughput is machine-dependent: stderr only, so
-    // stdout stays byte-identical across runs.
-    eprintln!(
-        "{{\"bench\": \"load_sweep\", \"events\": {events}, \"events_per_sec\": {:.0}}}",
-        events as f64 / wall.elapsed().as_secs_f64().max(1e-9)
-    );
     println!("(load = mean inter-arrival time; queue = peak admission-queue depth)");
     println!("Cold starts poison the tail even at low load — and under pressure the");
     println!("slots they occupy push the whole queue out. Snapshot starts keep the");
@@ -227,4 +182,5 @@ fn main() {
         (fw_count as f64 / fc_count as f64) * 100.0 - 100.0
     );
     println!("and warmed heap in shared CoW pages; OS-snapshot clones re-JIT privately)");
+    Ok(events)
 }

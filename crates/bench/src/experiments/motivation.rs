@@ -51,7 +51,7 @@ fn class_of(func: usize) -> usize {
 
 const CLASS_NAMES: [&str; 3] = ["head (top 4)", "middle (5-12)", "tail (13-24)"];
 
-fn main() {
+pub fn run(_args: &[String]) -> Result<u64, String> {
     println!("=== §2.2 motivation: warm pools vs snapshot starts on a Zipf trace ===");
     println!(
         "{FUNCTIONS} functions, {EVENTS} invocations over {TRACE_MINUTES} virtual minutes, 60 s keep-alive\n"
@@ -160,4 +160,5 @@ fn main() {
     println!("Warm pools only help the popular head; the unpopular tail pays cold");
     println!("starts anyway *and* the host pays idle memory — the paper's argument");
     println!("for snapshot-based starts (§2.2).");
+    Ok(0)
 }

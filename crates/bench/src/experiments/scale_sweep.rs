@@ -7,77 +7,44 @@
 //!
 //! - **stdout**: one JSON document that is a pure function of the
 //!   seed and knobs — routing quality, latency quantiles, start mix,
-//!   and the deterministic `events_processed` denominator. CI runs the
-//!   sweep twice and byte-diffs this.
+//!   and the deterministic `events_processed` denominator. The
+//!   determinism check runs the sweep twice per seed and byte-diffs this.
 //! - **stderr**: one JSON line per point with wall-clock milliseconds
 //!   and simulator events/sec — real-machine throughput, excluded from
 //!   stdout so determinism survives noisy hardware.
 //!
-//! Usage: `scale_sweep [--hosts N] [--invocations N] [--seed N]
-//! [--budget-ms N]`. With `--hosts` the sweep collapses to that single
+//! Usage: `experiments scale_sweep [--hosts N] [--invocations N]
+//! [--seed N] [--budget-ms N]`. With `--hosts` the sweep collapses to that single
 //! width (CI smoke: `--hosts 16 --invocations 100000`); `--budget-ms`
 //! asserts the whole run's wall clock stays under the budget.
 
-use fireworks_bench::scale::{run_scale_point, ScalePoint, ScaleReport};
+use super::flag_args;
+use crate::scale::{run_scale_point, ScalePoint, ScaleReport};
 
 /// Default swept widths.
 const HOSTS: [usize; 3] = [64, 128, 256];
 /// Default trace size per point.
 const INVOCATIONS: u64 = 1_000_000;
 
-struct Args {
-    hosts: Option<usize>,
-    invocations: u64,
-    seed: u64,
-    budget_ms: Option<u64>,
-}
+pub const USAGE: &str = "scale_sweep [--hosts N] [--invocations N] [--seed N] [--budget-ms N]";
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        hosts: None,
-        invocations: INVOCATIONS,
-        seed: 42,
-        budget_ms: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> u64 {
-            it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("error: {name} needs a non-negative integer");
-                eprintln!(
-                    "usage: scale_sweep [--hosts N] [--invocations N] [--seed N] [--budget-ms N]"
-                );
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--hosts" => args.hosts = Some(value("--hosts") as usize),
-            "--invocations" => args.invocations = value("--invocations"),
-            "--seed" => args.seed = value("--seed"),
-            "--budget-ms" => args.budget_ms = Some(value("--budget-ms")),
-            other => {
-                eprintln!("error: unknown flag {other:?}");
-                eprintln!(
-                    "usage: scale_sweep [--hosts N] [--invocations N] [--seed N] [--budget-ms N]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
-
-fn main() {
-    let args = parse_args();
-    let widths: Vec<usize> = match args.hosts {
-        Some(h) => vec![h],
+pub fn run(args: &[String]) -> Result<u64, String> {
+    let [hosts, invocations, seed, budget_ms] = flag_args(
+        args,
+        ["--hosts", "--invocations", "--seed", "--budget-ms"],
+        USAGE,
+    );
+    let invocations = invocations.unwrap_or(INVOCATIONS);
+    let seed = seed.unwrap_or(42);
+    let widths: Vec<usize> = match hosts {
+        Some(h) => vec![h as usize],
         None => HOSTS.to_vec(),
     };
 
     let sweep_clock = std::time::Instant::now();
     let mut reports: Vec<ScaleReport> = Vec::new();
     for hosts in widths {
-        let point = ScalePoint::new(hosts, args.invocations, args.seed);
+        let point = ScalePoint::new(hosts, invocations, seed);
         let wall = std::time::Instant::now();
         let report = run_scale_point(&point);
         let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
@@ -109,8 +76,7 @@ fn main() {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!(
-        "  \"seed\": {},\n  \"invocations\": {},\n",
-        args.seed, args.invocations
+        "  \"seed\": {seed},\n  \"invocations\": {invocations},\n"
     ));
     out.push_str("  \"sweep\": [\n");
     for (i, r) in reports.iter().enumerate() {
@@ -142,10 +108,11 @@ fn main() {
     fireworks_obs::json::validate(&out).expect("scale_sweep emits valid JSON");
     print!("{out}");
 
-    if let Some(budget) = args.budget_ms {
+    if let Some(budget) = budget_ms {
         assert!(
             total_wall_ms <= budget as f64,
             "scale_sweep blew its wall-clock budget: {total_wall_ms:.0}ms > {budget}ms"
         );
     }
+    Ok(reports.iter().map(|r| r.events_processed).sum())
 }

@@ -4,7 +4,7 @@ use fireworks_baselines::{FirecrackerPlatform, GvisorPlatform, OpenWhiskPlatform
 use fireworks_core::api::Platform;
 use fireworks_core::{FireworksPlatform, PlatformEnv};
 
-fn main() {
+pub fn run(_args: &[String]) -> Result<u64, String> {
     println!("=== Table 1: Design comparison of serverless platforms ===\n");
     println!(
         "{:<28} {:<28} {:<26} {:<26}",
@@ -62,4 +62,5 @@ fn main() {
     println!();
     println!("(Cloudflare Workers and Catalyzer are shown for design comparison only —");
     println!(" like the paper, they are not in the quantitative evaluation.)");
+    Ok(0)
 }

@@ -17,12 +17,12 @@
 //! (well-formed JSON, ≥ 6 distinct span categories) and exits non-zero
 //! on any violation, so CI can run it as a smoke test.
 //!
-//! Usage: `trace_dump [seed] [outdir]` (defaults: 42, `target/obs`).
+//! Usage: `experiments trace_dump [seed] [outdir]` (defaults: 42, `target/obs`).
 
 use std::collections::BTreeSet;
 use std::path::Path;
-use std::process::ExitCode;
 
+use super::{seed_arg, usage_error};
 use fireworks_baselines::{FirecrackerPlatform, SnapshotPolicy};
 use fireworks_core::api::{InvokeRequest, Platform};
 use fireworks_core::fid;
@@ -98,7 +98,7 @@ fn validate_json(label: &str, text: &str) -> Result<(), String> {
     json::validate(text).map_err(|e| format!("{label}: invalid JSON: {e}"))
 }
 
-fn run(seed: u64, outdir: &Path) -> Result<(), String> {
+fn dump(seed: u64, outdir: &Path) -> Result<(), String> {
     let fireworks = run_fireworks(seed);
     let firecracker = run_firecracker(seed);
 
@@ -157,25 +157,16 @@ fn run(seed: u64, outdir: &Path) -> Result<(), String> {
     Ok(())
 }
 
-fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let seed = match args.next() {
-        None => 42,
-        Some(arg) => match arg.parse::<u64>() {
-            Ok(seed) => seed,
-            Err(_) => {
-                eprintln!("error: seed must be a non-negative integer, got {arg:?}");
-                eprintln!("usage: trace_dump [seed] [outdir]");
-                return ExitCode::from(2);
-            }
-        },
+pub const USAGE: &str = "trace_dump [seed] [outdir]";
+
+pub fn run(args: &[String]) -> Result<u64, String> {
+    let (seed, rest) = args.split_at(args.len().min(1));
+    let seed = seed_arg(seed, USAGE);
+    let outdir = match rest {
+        [] => "target/obs",
+        [dir] => dir,
+        [_, extra, ..] => usage_error(&format!("unexpected argument {extra:?}"), USAGE),
     };
-    let outdir = args.next().unwrap_or_else(|| "target/obs".to_string());
-    match run(seed, Path::new(&outdir)) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(err) => {
-            eprintln!("trace_dump: FAILED: {err}");
-            ExitCode::FAILURE
-        }
-    }
+    dump(seed, Path::new(outdir))?;
+    Ok(0)
 }

@@ -21,20 +21,20 @@
 //! any violation.
 //!
 //! Usage:
-//!   `trace_query [seed] [top_n]`     — run + report (JSON on stdout)
-//!   `trace_query --check-schema DIR` — schema-check exported artifacts
-//!                                      (`*.jsonl`, `trace.chrome.json`,
-//!                                      `metrics.json`) in `DIR`
+//!   `experiments trace_query [seed] [top_n]`     — run + report (JSON
+//!                                                  on stdout)
+//!   `experiments trace_query --check-schema DIR` — schema-check exported
+//!                                                  artifacts (`*.jsonl`,
+//!                                                  `trace.chrome.json`,
+//!                                                  `metrics.json`) in `DIR`
 
 use std::path::Path;
-use std::process::ExitCode;
 
-use fireworks_core::api::FunctionSpec;
+use super::{seed_arg, usage_error};
+use crate::{request_mix, service_specs};
 use fireworks_core::cluster::{Cluster, ClusterConfig, LocalityAffinity};
-use fireworks_core::{fid, FireworksPlatform, FunctionId, PlatformConfig};
-use fireworks_lang::Value;
+use fireworks_core::{FireworksPlatform, PlatformConfig};
 use fireworks_obs::{export, json, slo_burn, LogHistogram, PhaseClass, RequestTrace, TraceForest};
-use fireworks_runtime::RuntimeKind;
 use fireworks_sim::Nanos;
 use fireworks_workloads::arrivals::poisson_schedule;
 
@@ -60,43 +60,26 @@ const SLO: Nanos = Nanos::from_millis(100);
 /// Allowed SLO violation fraction (99% target).
 const SLO_BUDGET: f64 = 0.01;
 
-const SRC: &str = "
-    fn main(params) {
-        let n = params[\"n\"];
-        let t = 0;
-        for (let i = 0; i < n; i = i + 1) { t = t + i; }
-        return t;
-    }";
-
-fn mix() -> Vec<(String, Value)> {
-    (0..FUNCTIONS)
-        .map(|i| {
-            (
-                format!("svc-{i}"),
-                Value::map([("n".to_string(), Value::Int(2_000))]),
-            )
-        })
-        .collect()
-}
-
-/// Runs the traced cluster and returns its forest plus the exports to
-/// self-validate.
-fn run_cluster(seed: u64) -> Result<(TraceForest, usize), String> {
+/// Runs the traced cluster, self-validates its exports, and returns its
+/// forest plus the simulator events the run processed.
+fn run_cluster(seed: u64) -> Result<(TraceForest, u64), String> {
     let mut config = ClusterConfig::new(HOSTS, SLOTS_PER_HOST);
     config.platform = PlatformConfig::builder().cache_budget(CACHE_BUDGET).build();
     let mut cluster = Cluster::new(config, |env, cfg| {
         FireworksPlatform::with_config(env, cfg.clone())
     });
-    let mix = mix();
-    for (name, args) in &mix {
-        let spec = FunctionSpec::new(name, SRC, RuntimeKind::NodeLike, args.deep_clone());
+    let specs = service_specs(FUNCTIONS);
+    for spec in &specs {
         cluster
-            .install(&spec)
-            .map_err(|e| format!("install {name}: {e:?}"))?;
+            .install(spec)
+            .map_err(|e| format!("install {}: {e:?}", spec.name))?;
     }
-    let interned: Vec<(FunctionId, Value)> =
-        mix.iter().map(|(n, a)| (fid(n), a.deep_clone())).collect();
-    let schedule = poisson_schedule(seed, REQUESTS, Nanos::from_millis(RATE_MS), &interned);
+    let schedule = poisson_schedule(
+        seed,
+        REQUESTS,
+        Nanos::from_millis(RATE_MS),
+        &request_mix(&specs),
+    );
     let mut router = LocalityAffinity::new();
     let report = cluster.run(&mut router, &schedule);
     for c in &report.completions {
@@ -138,22 +121,7 @@ fn run_cluster(seed: u64) -> Result<(TraceForest, usize), String> {
             ));
         }
     }
-    Ok((forest, REQUESTS))
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    Ok((forest, cluster.events_processed()))
 }
 
 fn sketch_json(h: &LogHistogram) -> String {
@@ -177,8 +145,8 @@ fn slowest_json(requests: &[&RequestTrace]) -> String {
                 .map(|h| {
                     format!(
                         "{{\"name\":{},\"class\":{},\"dur_ns\":{}}}",
-                        json_str(&h.name),
-                        json_str(h.class.name()),
+                        json::escape(&h.name),
+                        json::escape(h.class.name()),
                         h.duration.as_nanos()
                     )
                 })
@@ -187,7 +155,7 @@ fn slowest_json(requests: &[&RequestTrace]) -> String {
             format!(
                 "{{\"trace\":{},\"function\":{},\"sojourn_ns\":{},\"spans\":{},\"hosts\":[{}],\"critical_path\":[{}]}}",
                 r.trace.raw(),
-                json_str(r.function.as_deref().unwrap_or("?")),
+                json::escape(r.function.as_deref().unwrap_or("?")),
                 r.sojourn.as_nanos(),
                 r.spans,
                 hosts.join(","),
@@ -198,8 +166,8 @@ fn slowest_json(requests: &[&RequestTrace]) -> String {
     format!("[{}]", entries.join(","))
 }
 
-fn run(seed: u64, top_n: usize) -> Result<(), String> {
-    let (forest, requests) = run_cluster(seed)?;
+fn report(seed: u64, top_n: usize) -> Result<u64, String> {
+    let (forest, events) = run_cluster(seed)?;
 
     // Per-function sojourn sketches, then merged cluster-wide — the
     // merge is the point: sketches built independently (per function,
@@ -231,14 +199,14 @@ fn run(seed: u64, top_n: usize) -> Result<(), String> {
 
     let attribution: Vec<String> = PhaseClass::all()
         .iter()
-        .map(|c| format!("{}:{}", json_str(c.name()), total.get(*c).as_nanos()))
+        .map(|c| format!("{}:{}", json::escape(c.name()), total.get(*c).as_nanos()))
         .collect();
     let slo: Vec<String> = slo_burn(&forest.requests, SLO, SLO_BUDGET)
         .iter()
         .map(|s| {
             format!(
                 "{{\"function\":{},\"total\":{},\"violations\":{},\"burn_rate\":{:.4}}}",
-                json_str(&s.function),
+                json::escape(&s.function),
                 s.total,
                 s.violations,
                 s.burn_rate
@@ -248,7 +216,7 @@ fn run(seed: u64, top_n: usize) -> Result<(), String> {
 
     let slo_json = format!("[{}]", slo.join(","));
     let doc = format!(
-        "{{\n\"seed\":{seed},\n\"hosts\":{HOSTS},\n\"requests\":{requests},\n\"traces\":{},\n\"orphans\":0,\n\"sojourn_ns\":{},\n\"attribution_ns\":{{{}}},\n\"slowest\":{},\n\"slo\":{slo_json}\n}}",
+        "{{\n\"seed\":{seed},\n\"hosts\":{HOSTS},\n\"requests\":{REQUESTS},\n\"traces\":{},\n\"orphans\":0,\n\"sojourn_ns\":{},\n\"attribution_ns\":{{{}}},\n\"slowest\":{},\n\"slo\":{slo_json}\n}}",
         forest.requests.len(),
         sketch_json(&merged),
         attribution.join(","),
@@ -256,7 +224,7 @@ fn run(seed: u64, top_n: usize) -> Result<(), String> {
     );
     json::validate(&doc).map_err(|e| format!("report is invalid JSON: {e}"))?;
     println!("{doc}");
-    Ok(())
+    Ok(events)
 }
 
 /// Schema-checks previously exported artifacts (e.g. `trace_dump`
@@ -315,37 +283,19 @@ fn check_schema(dir: &Path) -> Result<(), String> {
     Ok(())
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("--check-schema") => match args.get(1) {
-            Some(dir) => check_schema(Path::new(dir)),
-            None => Err("usage: trace_query --check-schema DIR".to_string()),
+pub const USAGE: &str = "trace_query [seed] [top_n] | --check-schema DIR";
+
+pub fn run(args: &[String]) -> Result<u64, String> {
+    match args {
+        [flag, rest @ ..] if flag == "--check-schema" => match rest {
+            [dir] => check_schema(Path::new(dir)).map(|()| 0),
+            _ => usage_error("--check-schema needs one directory", USAGE),
         },
+        [_, _, extra, ..] => usage_error(&format!("unexpected argument {extra:?}"), USAGE),
         _ => {
-            let seed = match args.first() {
-                None => 42,
-                Some(arg) => match arg.parse::<u64>() {
-                    Ok(seed) => seed,
-                    Err(_) => {
-                        eprintln!("error: seed must be a non-negative integer, got {arg:?}");
-                        eprintln!("usage: trace_query [seed] [top_n] | --check-schema DIR");
-                        return ExitCode::from(2);
-                    }
-                },
-            };
-            let top_n = args
-                .get(1)
-                .and_then(|a| a.parse::<usize>().ok())
-                .unwrap_or(5);
-            run(seed, top_n)
-        }
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(err) => {
-            eprintln!("trace_query: FAILED: {err}");
-            ExitCode::FAILURE
+            let seed = seed_arg(&args[..args.len().min(1)], USAGE);
+            let top_n = args.get(1).and_then(|a| a.parse().ok()).unwrap_or(5);
+            report(seed, top_n)
         }
     }
 }

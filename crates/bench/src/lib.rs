@@ -1,23 +1,27 @@
 //! Shared harness for regenerating the paper's tables and figures.
 //!
-//! Each binary in `src/bin/` reproduces one table or figure (see
-//! DESIGN.md's experiment index); this library holds the common sweep and
-//! formatting code. All latencies are virtual time, so every run prints
+//! Each row of [`experiments::ALL`] reproduces one table, figure or sweep
+//! (see DESIGN.md's experiment index) and the `experiments` binary runs
+//! them by name; the rest of this library is the sweep and formatting
+//! code they share. All latencies are virtual time, so every run prints
 //! identical numbers.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod experiments;
 pub mod scale;
 
 use fireworks_baselines::{FirecrackerPlatform, GvisorPlatform, OpenWhiskPlatform, SnapshotPolicy};
-use fireworks_core::api::{Invocation, InvokeRequest, Platform, StartMode};
+use fireworks_core::api::{FunctionSpec, Invocation, InvokeRequest, Platform, StartMode};
+use fireworks_core::engine::{run_concurrent, EngineConfig};
 use fireworks_core::env::PlatformEnv;
-use fireworks_core::{fid, FireworksPlatform};
+use fireworks_core::{fid, ConcurrentPlatform, FireworksPlatform, FunctionId};
 use fireworks_lang::Value;
 use fireworks_runtime::RuntimeKind;
 use fireworks_sim::stats::geomean;
 use fireworks_sim::Nanos;
+use fireworks_workloads::arrivals::burst;
 use fireworks_workloads::faasdom::Bench;
 
 /// One bar of a latency figure: a platform/start-mode label with the
@@ -51,9 +55,8 @@ impl LatencyBar {
     }
 }
 
-/// Nearest-rank percentile (`p` in 0–100) of an ascending-sorted sample.
-/// The sweeps print this one: `sim::stats::percentile` interpolates
-/// between ranks, which would move their golden bytes.
+/// Nearest-rank percentile (`p` in 0–100) of an ascending-sorted sample:
+/// always one of the samples, never an interpolation between two.
 pub fn nearest_rank(sorted: &[Nanos], p: f64) -> Nanos {
     let idx = ((sorted.len() as f64 - 1.0) * p / 100.0).round() as usize;
     sorted[idx]
@@ -163,10 +166,87 @@ pub fn print_faasdom_figure(figure: &str, runtime: RuntimeKind) {
     print_latency_table(&format!("{figure}(e) geometric mean"), &gm);
 }
 
-/// Builds the `{"n", "reps"}`-style argument maps used by several
-/// binaries.
-pub fn map_args(entries: &[(&str, i64)]) -> Value {
-    Value::map(entries.iter().map(|(k, v)| (k.to_string(), Value::Int(*v))))
+/// The §5.4 density experiment on one host: grows a resident population
+/// of `faas-fact` (Node.js) clones through the concurrent engine in
+/// retain mode, `wave` at a time, until `env`'s host starts swapping or
+/// `max_waves` were admitted. Each wave genuinely coexists; every
+/// completed clone is handed to `age` (it keeps serving) and then stays
+/// resident while later waves restore against the live population.
+/// Returns the host's used bytes after each clone joined — the length is
+/// the population, and the last sample is past the swap threshold iff
+/// swapping ended the run.
+pub fn density_until_swap<P: ConcurrentPlatform>(
+    env: &PlatformEnv,
+    make: impl FnOnce(PlatformEnv) -> P,
+    wave: usize,
+    max_waves: usize,
+    age: impl Fn(&mut P::InFlight),
+) -> Vec<u64> {
+    let mut platform = make(env.clone());
+    let spec = Bench::Fact.paper_spec(RuntimeKind::NodeLike);
+    let args = Bench::Fact.paper_params();
+    platform.install(&spec).expect("install");
+    let mut resident: Vec<P::InFlight> = Vec::new();
+    let mut series = Vec::new();
+    for _ in 0..max_waves {
+        if env.host_mem.is_swapping() {
+            break;
+        }
+        let requests = burst(fid(&spec.name), &args, wave, env.clock.now());
+        let report = run_concurrent(
+            &mut platform,
+            &env.clock,
+            &env.obs,
+            &EngineConfig::new(wave).retain_completed(),
+            &requests,
+        );
+        for c in &report.completions {
+            assert!(c.result.is_ok(), "density waves are fault-free");
+        }
+        for mut token in report.retained {
+            age(&mut token);
+            resident.push(token);
+            series.push(env.host_mem.used_bytes());
+            if env.host_mem.is_swapping() {
+                break;
+            }
+        }
+    }
+    series
+}
+
+/// `count` copies (`svc-0`, `svc-1`, …) of the compute-light service the
+/// cluster-scale sweeps install: it installs fast, yet its snapshot
+/// carries the full post-JIT runtime image, so cache pressure is real and
+/// hand-offs move real bytes.
+pub(crate) fn service_specs(count: usize) -> Vec<FunctionSpec> {
+    const SRC: &str = "
+    fn main(params) {
+        let n = params[\"n\"];
+        let t = 0;
+        for (let i = 0; i < n; i = i + 1) { t = t + i; }
+        return t;
+    }";
+    let args = Value::map([("n".to_string(), Value::Int(2_000))]);
+    (0..count)
+        .map(|i| {
+            FunctionSpec::new(
+                format!("svc-{i}"),
+                SRC,
+                RuntimeKind::NodeLike,
+                args.deep_clone(),
+            )
+        })
+        .collect()
+}
+
+/// The request mix over `specs` — every function, called with its default
+/// parameters — interned as the arrival generators take it.
+pub(crate) fn request_mix(specs: &[FunctionSpec]) -> Vec<(FunctionId, Value)> {
+    specs
+        .iter()
+        .map(|s| (fid(&s.name), s.default_params.deep_clone()))
+        .collect()
 }
 
 /// Formats a byte count as MiB with one decimal.
@@ -191,14 +271,6 @@ mod tests {
         // geomean(1, 100) = 10.
         assert_eq!(folded[0].startup.as_millis(), 10);
         assert_eq!(folded[0].exec.as_millis(), 20);
-    }
-
-    #[test]
-    fn map_args_builds_int_maps() {
-        let v = map_args(&[("n", 5), ("reps", 2)]);
-        let Value::Map(m) = &v else { panic!("map") };
-        assert_eq!(m.borrow()["n"], Value::Int(5));
-        assert_eq!(m.borrow()["reps"], Value::Int(2));
     }
 
     #[test]

@@ -239,15 +239,6 @@ impl<P: ConcurrentPlatform, B: borrow::BorrowMut<P>> Fleet<P, B> {
         self.hosts[h.index()].phase
     }
 
-    /// Ids of currently powered hosts (booting, active, or draining),
-    /// ascending.
-    pub fn powered_hosts(&self) -> Vec<HostId> {
-        (0..self.len())
-            .map(HostId::from_index)
-            .filter(|&h| self.phase(h).is_powered())
-            .collect()
-    }
-
     /// Simulator events processed by every run on this fleet so far —
     /// the denominator of the events/sec throughput metric the sweeps
     /// report.

@@ -458,11 +458,6 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
         ElasticCluster { fleet, plane }
     }
 
-    /// Functions currently scaled to zero (archived, no live replica).
-    pub fn archived_functions(&self) -> Vec<FunctionId> {
-        self.plane.archived.iter().copied().collect()
-    }
-
     /// Installs `spec` on the lowest-id active host (building its
     /// snapshot there) and registers it on every other host; hosts
     /// booted later register it too. On a content-addressed cluster the

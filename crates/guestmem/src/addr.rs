@@ -44,11 +44,6 @@ impl AddressSpace {
         }
     }
 
-    /// Size of the address space in pages.
-    pub fn size_pages(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Size of the address space in bytes.
     pub fn size_bytes(&self) -> u64 {
         (self.slots.len() * PAGE_SIZE) as u64

@@ -506,11 +506,6 @@ impl Vm {
             .sum()
     }
 
-    /// The JIT configuration this VM runs under.
-    pub fn jit_config(&self) -> JitConfig {
-        self.jit
-    }
-
     /// Modelled code-cache occupancy in bytes (always within the
     /// configured `code_cache_capacity_bytes` budget).
     pub fn code_cache_used_bytes(&self) -> u64 {

@@ -1,12 +1,11 @@
-//! Minimal JSON helpers: string escaping, a well-formedness checker,
-//! and a small parse-to-[`Value`] reader for schema checks.
+//! Minimal JSON helpers: string escaping and one recursive-descent
+//! reader, [`parse`], with [`validate`] as its well-formedness-only face.
 //!
 //! The workspace carries no serde; exporters hand-roll their JSON and
-//! this module keeps that honest. [`validate`] is a recursive-descent
-//! checker used by the golden-file tests and by `trace_dump`'s
-//! self-validation step; [`parse`] builds an owned [`Value`] tree so
-//! [`crate::export::schema`] can check required keys and types, so CI
-//! can verify emitted traces offline.
+//! this module keeps that honest. [`validate`] is what the golden-file
+//! tests and the sweeps' self-validation steps call; [`parse`] builds an
+//! owned [`Value`] tree so [`crate::export::schema`] can check required
+//! keys and types, so CI can verify emitted traces offline.
 
 /// Escapes `s` as a JSON string literal, including the surrounding
 /// quotes.
@@ -30,179 +29,17 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Maximum nesting depth [`validate`] accepts.
+/// Maximum nesting depth [`parse`] (and so [`validate`]) accepts.
 const MAX_DEPTH: usize = 64;
 
-/// Checks that `input` is exactly one well-formed JSON value.
+/// Checks that `input` is exactly one well-formed JSON value: whatever
+/// [`parse`] accepts, with the tree dropped.
 ///
 /// Accepts objects, arrays, strings (with escapes), numbers, `true`,
 /// `false`, and `null`. Returns a human-readable error naming the byte
 /// offset where parsing failed.
 pub fn validate(input: &str) -> Result<(), String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0;
-    skip_ws(bytes, &mut pos);
-    value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<(), String> {
-    if depth > MAX_DEPTH {
-        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
-    }
-    match bytes.get(*pos) {
-        None => Err(format!("expected a value at byte {pos}")),
-        Some(b'{') => object(bytes, pos, depth),
-        Some(b'[') => array(bytes, pos, depth),
-        Some(b'"') => string(bytes, pos),
-        Some(b't') => literal(bytes, pos, b"true"),
-        Some(b'f') => literal(bytes, pos, b"false"),
-        Some(b'n') => literal(bytes, pos, b"null"),
-        Some(b'-' | b'0'..=b'9') => number(bytes, pos),
-        Some(&c) => Err(format!("unexpected byte {c:#04x} at byte {pos}")),
-    }
-}
-
-fn object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<(), String> {
-    *pos += 1; // '{'
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(bytes, pos);
-        string(bytes, pos).map_err(|e| format!("object key: {e}"))?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}"));
-        }
-        *pos += 1;
-        skip_ws(bytes, pos);
-        value(bytes, pos, depth + 1)?;
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-        }
-    }
-}
-
-fn array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<(), String> {
-    *pos += 1; // '['
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(bytes, pos);
-        value(bytes, pos, depth + 1)?;
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-        }
-    }
-}
-
-fn string(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(format!("expected '\"' at byte {pos}"));
-    }
-    *pos += 1;
-    while let Some(&c) = bytes.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        *pos += 1;
-                        for _ in 0..4 {
-                            match bytes.get(*pos) {
-                                Some(h) if h.is_ascii_hexdigit() => *pos += 1,
-                                _ => return Err(format!("bad \\u escape at byte {pos}")),
-                            }
-                        }
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-            }
-            0x00..=0x1f => return Err(format!("raw control byte in string at byte {pos}")),
-            _ => *pos += 1,
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn number(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let digits_start = *pos;
-    while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
-        *pos += 1;
-    }
-    if *pos == digits_start {
-        return Err(format!("expected digits at byte {start}"));
-    }
-    if bytes.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        let frac_start = *pos;
-        while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
-            *pos += 1;
-        }
-        if *pos == frac_start {
-            return Err(format!("expected fraction digits at byte {pos}"));
-        }
-    }
-    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        let exp_start = *pos;
-        while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
-            *pos += 1;
-        }
-        if *pos == exp_start {
-            return Err(format!("expected exponent digits at byte {pos}"));
-        }
-    }
-    Ok(())
-}
-
-fn literal(bytes: &[u8], pos: &mut usize, word: &[u8]) -> Result<(), String> {
-    if bytes.len() >= *pos + word.len() && &bytes[*pos..*pos + word.len()] == word {
-        *pos += word.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {pos}"))
-    }
+    parse(input).map(drop)
 }
 
 /// An owned JSON value, produced by [`parse`]. Numbers keep their raw
@@ -298,8 +135,8 @@ pub fn to_text(v: &Value) -> String {
     }
 }
 
-/// Parses exactly one JSON value into an owned [`Value`] tree. Same
-/// grammar and depth limit as [`validate`].
+/// Parses exactly one JSON value into an owned [`Value`] tree — the one
+/// recursive-descent walker of this module.
 pub fn parse(input: &str) -> Result<Value, String> {
     let bytes = input.as_bytes();
     let mut pos = 0;
@@ -312,6 +149,44 @@ pub fn parse(input: &str) -> Result<Value, String> {
     Ok(v)
 }
 
+fn skip_ws(bytes: &[u8], pos: &mut usize) {
+    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
+        *pos += 1;
+    }
+}
+
+/// The shared tail of `{…}` and `[…]`: after the opening bracket, zero or
+/// more comma-separated items (each read by `item`) up to `close`.
+fn parse_items(
+    bytes: &[u8],
+    pos: &mut usize,
+    close: u8,
+    mut item: impl FnMut(&mut usize) -> Result<(), String>,
+) -> Result<(), String> {
+    *pos += 1;
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) == Some(&close) {
+        *pos += 1;
+        return Ok(());
+    }
+    loop {
+        skip_ws(bytes, pos);
+        item(pos)?;
+        skip_ws(bytes, pos);
+        match bytes.get(*pos) {
+            Some(b',') => *pos += 1,
+            Some(&c) if c == close => {
+                *pos += 1;
+                return Ok(());
+            }
+            _ => {
+                let close = close as char;
+                return Err(format!("expected ',' or '{close}' at byte {pos}"));
+            }
+        }
+    }
+}
+
 fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     if depth > MAX_DEPTH {
         return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
@@ -319,15 +194,8 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Str
     match bytes.get(*pos) {
         None => Err(format!("expected a value at byte {pos}")),
         Some(b'{') => {
-            *pos += 1;
             let mut fields = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Value::Object(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
+            parse_items(bytes, pos, b'}', |pos| {
                 let key = parse_string(bytes, pos).map_err(|e| format!("object key: {e}"))?;
                 skip_ws(bytes, pos);
                 if bytes.get(*pos) != Some(&b':') {
@@ -336,38 +204,17 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Str
                 *pos += 1;
                 skip_ws(bytes, pos);
                 fields.push((key, parse_value(bytes, pos, depth + 1)?));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Value::Object(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
+                Ok(())
+            })?;
+            Ok(Value::Object(fields))
         }
         Some(b'[') => {
-            *pos += 1;
             let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Value::Array(items));
-            }
-            loop {
-                skip_ws(bytes, pos);
+            parse_items(bytes, pos, b']', |pos| {
                 items.push(parse_value(bytes, pos, depth + 1)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Value::Array(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
+                Ok(())
+            })?;
+            Ok(Value::Array(items))
         }
         Some(b'"') => parse_string(bytes, pos).map(Value::Str),
         Some(b't') => literal(bytes, pos, b"true").map(|()| Value::Bool(true)),
@@ -386,48 +233,101 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Str
     }
 }
 
+/// Reads one string literal, resolving escapes as it goes.
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    let start = *pos;
-    string(bytes, pos)?;
-    // Re-walk the validated range, resolving escapes.
-    let raw = &bytes[start + 1..*pos - 1];
-    let mut out = String::with_capacity(raw.len());
-    let mut i = 0;
-    while i < raw.len() {
-        if raw[i] == b'\\' {
-            i += 1;
-            match raw[i] {
-                b'"' => out.push('"'),
-                b'\\' => out.push('\\'),
-                b'/' => out.push('/'),
-                b'b' => out.push('\u{8}'),
-                b'f' => out.push('\u{c}'),
-                b'n' => out.push('\n'),
-                b'r' => out.push('\r'),
-                b't' => out.push('\t'),
-                b'u' => {
-                    let hex = std::str::from_utf8(&raw[i + 1..i + 5])
-                        .map_err(|_| "bad \\u digits".to_string())?;
-                    let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    i += 4;
-                }
-                _ => unreachable!("string() accepted the escape"),
+    if bytes.get(*pos) != Some(&b'"') {
+        return Err(format!("expected '\"' at byte {pos}"));
+    }
+    *pos += 1;
+    let mut out = String::new();
+    loop {
+        // Copy the longest run of plain bytes in one go.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| matches!(b, b'"' | b'\\' | 0x00..=0x1f))
+            .ok_or("unterminated string")?;
+        out.push_str(
+            std::str::from_utf8(&bytes[*pos..*pos + run])
+                .map_err(|_| "non-utf8 string".to_string())?,
+        );
+        *pos += run;
+        match bytes[*pos] {
+            b'"' => {
+                *pos += 1;
+                return Ok(out);
             }
-            i += 1;
-        } else {
-            // Copy the longest run of plain bytes in one go.
-            let run_end = raw[i..]
-                .iter()
-                .position(|&b| b == b'\\')
-                .map_or(raw.len(), |p| i + p);
-            out.push_str(
-                std::str::from_utf8(&raw[i..run_end]).map_err(|_| "non-utf8 string".to_string())?,
-            );
-            i = run_end;
+            b'\\' => {
+                *pos += 1;
+                out.push(match bytes.get(*pos) {
+                    Some(b'"') => '"',
+                    Some(b'\\') => '\\',
+                    Some(b'/') => '/',
+                    Some(b'b') => '\u{8}',
+                    Some(b'f') => '\u{c}',
+                    Some(b'n') => '\n',
+                    Some(b'r') => '\r',
+                    Some(b't') => '\t',
+                    Some(b'u') => {
+                        let code = bytes
+                            .get(*pos + 1..*pos + 5)
+                            .filter(|hex| hex.iter().all(u8::is_ascii_hexdigit))
+                            .and_then(|hex| std::str::from_utf8(hex).ok())
+                            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                            .ok_or_else(|| format!("bad \\u escape at byte {pos}"))?;
+                        *pos += 4;
+                        char::from_u32(code).unwrap_or('\u{fffd}')
+                    }
+                    _ => return Err(format!("bad escape at byte {pos}")),
+                });
+                *pos += 1;
+            }
+            _ => return Err(format!("raw control byte in string at byte {pos}")),
         }
     }
-    Ok(out)
+}
+
+/// Skips a run of ASCII digits; returns how many there were.
+fn digits(bytes: &[u8], pos: &mut usize) -> usize {
+    let start = *pos;
+    while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
+        *pos += 1;
+    }
+    *pos - start
+}
+
+fn number(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
+    let start = *pos;
+    if bytes.get(*pos) == Some(&b'-') {
+        *pos += 1;
+    }
+    if digits(bytes, pos) == 0 {
+        return Err(format!("expected digits at byte {start}"));
+    }
+    if bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        if digits(bytes, pos) == 0 {
+            return Err(format!("expected fraction digits at byte {pos}"));
+        }
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if digits(bytes, pos) == 0 {
+            return Err(format!("expected exponent digits at byte {pos}"));
+        }
+    }
+    Ok(())
+}
+
+fn literal(bytes: &[u8], pos: &mut usize, word: &[u8]) -> Result<(), String> {
+    if bytes.len() >= *pos + word.len() && &bytes[*pos..*pos + word.len()] == word {
+        *pos += word.len();
+        Ok(())
+    } else {
+        Err(format!("bad literal at byte {pos}"))
+    }
 }
 
 #[cfg(test)]
@@ -524,7 +424,29 @@ mod tests {
 
     #[test]
     fn parse_rejects_what_validate_rejects() {
-        for doc in ["", "{", "[1,]", "nul", "{} extra"] {
+        for doc in [
+            "",
+            "{",
+            "[1,]",
+            "{\"a\"}",
+            "{\"a\":1,}",
+            "nul",
+            "01abc",
+            "\"unterminated",
+            "{} extra",
+            "1.",
+            "1e",
+        ] {
+            assert!(parse(doc).is_err(), "{doc:?}");
+        }
+        // Escapes the one-pass string reader must refuse on its own.
+        for doc in [
+            "\"\\x\"",
+            "\"\\u12\"",
+            "\"\\u+123\"",
+            "\"\\",
+            "\"raw\u{1}\"",
+        ] {
             assert!(parse(doc).is_err(), "{doc:?}");
         }
     }

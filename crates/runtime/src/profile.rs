@@ -181,12 +181,6 @@ impl RuntimeProfile {
         }
     }
 
-    /// The policy used when Fireworks installs an annotated function:
-    /// compile `@jit`-annotated functions eagerly on first call.
-    pub fn annotated_policy(&self) -> JitPolicy {
-        JitPolicy::AnnotatedEager
-    }
-
     /// Converts execution counters into virtual time and charges it on
     /// `clock`, returning the total charged.
     pub fn charge(&self, clock: &Clock, stats: &ExecStats) -> Nanos {

@@ -125,11 +125,6 @@ impl<E> EventQueue<E> {
         })
     }
 
-    /// The instant of the next event, if any.
-    pub fn peek_at(&self) -> Option<Nanos> {
-        self.heap.peek().map(|e| e.at)
-    }
-
     /// Pending event count.
     pub fn len(&self) -> usize {
         self.heap.len()

@@ -71,12 +71,6 @@ impl Nanos {
         self.0
     }
 
-    /// Duration in microseconds, rounded down.
-    #[inline]
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Duration in milliseconds, rounded down.
     #[inline]
     pub const fn as_millis(self) -> u64 {

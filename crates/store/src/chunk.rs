@@ -158,11 +158,6 @@ impl ChunkStore {
         (manifest, canonical)
     }
 
-    /// Whether a chunk is present.
-    pub fn has_chunk(&self, hash: ChunkHash) -> bool {
-        self.chunks.contains_key(&hash)
-    }
-
     /// Adds one manifest reference to an already-present chunk (the
     /// delta-fetch destination does this for the chunks it did *not*
     /// need shipped). Returns `false` — and changes nothing — when the

@@ -316,14 +316,6 @@ impl DocumentStore {
         Ok(out)
     }
 
-    /// All document ids in a database.
-    pub fn all_ids(&self, db: &str) -> Result<Vec<String>, StoreError> {
-        let database = self.db(db)?;
-        self.clock
-            .advance(self.costs.scan_per_doc * database.docs.len() as u64);
-        Ok(database.docs.keys().cloned().collect())
-    }
-
     /// Changes with sequence number greater than `since` — the feed the
     /// Cloud trigger polls to start the Data-Analysis chain.
     pub fn changes_since(&self, db: &str, since: u64) -> Result<Vec<Change>, StoreError> {

@@ -143,12 +143,6 @@ impl TraceSpec {
         self
     }
 
-    /// Sets the Zipf skew exponent.
-    pub fn zipf_alpha(mut self, alpha: f64) -> Self {
-        self.alpha = alpha;
-        self
-    }
-
     /// Sets the trace duration.
     pub fn horizon(mut self, horizon: Nanos) -> Self {
         self.horizon = horizon;
@@ -174,13 +168,6 @@ impl TraceSpec {
         self.bursts = count;
         self.burst_factor = factor.max(1.0);
         self.burst_minutes = minutes.max(1);
-        self
-    }
-
-    /// Sets the log-normal execution-time model (median, σ).
-    pub fn exec_model(mut self, median: Nanos, sigma: f64) -> Self {
-        self.exec_median = median;
-        self.exec_sigma = sigma.max(0.0);
         self
     }
 
