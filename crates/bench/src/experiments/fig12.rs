@@ -9,6 +9,7 @@
 
 use fireworks_baselines::{FirecrackerPlatform, SnapshotPolicy};
 use fireworks_core::engine::{run_concurrent, EngineConfig};
+use fireworks_core::env::EnvConfig;
 use fireworks_core::fid;
 use fireworks_core::{ConcurrentPlatform, FireworksPlatform, InFlightToken, PlatformEnv};
 use fireworks_lang::Value;
@@ -24,12 +25,17 @@ fn mib(b: u64) -> f64 {
 
 /// Boots `VMS` concurrent sandboxes via one engine burst and returns the
 /// mean PSS across the retained (still-live) population.
-fn mean_pss<P, F>(make: F, spec: &fireworks_core::api::FunctionSpec, args: &Value) -> u64
+fn mean_pss<P, F>(
+    env: &EnvConfig,
+    make: F,
+    spec: &fireworks_core::api::FunctionSpec,
+    args: &Value,
+) -> u64
 where
     P: ConcurrentPlatform,
     F: FnOnce(PlatformEnv) -> P,
 {
-    let env = PlatformEnv::default_env();
+    let env = PlatformEnv::new(env.clone());
     let mut platform = make(env.clone());
     platform.install(spec).expect("install");
     let wave = burst(fid(&spec.name), args, VMS, env.clock.now());
@@ -52,46 +58,59 @@ where
         / VMS as u64
 }
 
-pub fn run(_args: &[String]) -> Result<u64, String> {
+/// Mean PSS per microVM, in bytes, of one benchmark variant under the
+/// three configurations.
+pub struct Row {
+    pub name: String,
+    pub base: u64,
+    pub os: u64,
+    pub jit: u64,
+}
+
+impl Row {
+    /// Reduction of +OS snapshot vs baseline, percent.
+    pub fn os_pct(&self) -> f64 {
+        (1.0 - self.os as f64 / self.base as f64) * 100.0
+    }
+
+    /// Additional reduction of +post-JIT vs +OS snapshot, percent.
+    pub fn jit_pct(&self) -> f64 {
+        (1.0 - self.jit as f64 / self.os as f64) * 100.0
+    }
+}
+
+pub fn measure(env: &EnvConfig, runtime: RuntimeKind, bench: Bench) -> Row {
+    let spec = bench.spec(runtime);
+    let args = bench.request_params();
+    let fc = |policy| move |host| FirecrackerPlatform::new(host, policy);
+    Row {
+        // Baseline: 10 cold-booted Firecracker VMs, fully private.
+        base: mean_pss(env, fc(SnapshotPolicy::None), &spec, &args),
+        // +OS snapshot: 10 VMs restored from the pre-execution image.
+        os: mean_pss(env, fc(SnapshotPolicy::OsSnapshot), &spec, &args),
+        // +post-JIT: 10 Fireworks clones.
+        jit: mean_pss(env, FireworksPlatform::new, &spec, &args),
+        name: spec.name,
+    }
+}
+
+fn print(rows: &[Row]) {
     println!("=== Fig.12: Memory impact of Fireworks optimizations ===");
     println!("(PSS per microVM with {VMS} concurrent microVMs, light request)\n");
     println!(
         "{:<30} {:>14} {:>14} {:>14} {:>7} {:>7}",
         "benchmark", "baseline MiB", "+OS snap MiB", "+post-JIT MiB", "os %", "jit %"
     );
-
-    for runtime in [RuntimeKind::NodeLike, RuntimeKind::PythonLike] {
-        for bench in Bench::ALL {
-            let spec = bench.spec(runtime);
-            let args = bench.request_params();
-
-            // Baseline: 10 cold-booted Firecracker VMs, fully private.
-            let base = mean_pss(
-                |env| FirecrackerPlatform::new(env, SnapshotPolicy::None),
-                &spec,
-                &args,
-            );
-
-            // +OS snapshot: 10 VMs restored from the pre-execution image.
-            let os_snap = mean_pss(
-                |env| FirecrackerPlatform::new(env, SnapshotPolicy::OsSnapshot),
-                &spec,
-                &args,
-            );
-
-            // +post-JIT: 10 Fireworks clones.
-            let post_jit = mean_pss(FireworksPlatform::new, &spec, &args);
-
-            println!(
-                "{:<30} {:>14.1} {:>14.1} {:>14.1} {:>6.0}% {:>6.0}%",
-                spec.name,
-                mib(base),
-                mib(os_snap),
-                mib(post_jit),
-                (1.0 - os_snap as f64 / base as f64) * 100.0,
-                (1.0 - post_jit as f64 / os_snap as f64) * 100.0,
-            );
-        }
+    for r in rows {
+        println!(
+            "{:<30} {:>14.1} {:>14.1} {:>14.1} {:>6.0}% {:>6.0}%",
+            r.name,
+            mib(r.base),
+            mib(r.os),
+            mib(r.jit),
+            r.os_pct(),
+            r.jit_pct(),
+        );
     }
     println!();
     println!("(os % = reduction of +OS snapshot vs baseline;");
@@ -101,5 +120,11 @@ pub fn run(_args: &[String]) -> Result<u64, String> {
     println!("       execution-state allocation lands in the shared snapshot), but");
     println!("       shows no significant improvement for Python (Numba/MCJIT");
     println!("       duplicates JITted code per module).");
+}
+
+pub fn run(_args: &[String]) -> Result<u64, String> {
+    print(&super::variants(|runtime, bench| {
+        measure(&EnvConfig::default(), runtime, bench)
+    }));
     Ok(0)
 }

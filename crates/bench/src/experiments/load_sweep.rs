@@ -115,7 +115,8 @@ fn density_env() -> PlatformEnv {
 /// the host over.
 fn density<P: ConcurrentPlatform>(make: impl FnOnce(PlatformEnv) -> P) -> usize {
     let env = density_env();
-    let series = density_until_swap(&env, make, DENSITY_WAVE, DENSITY_MAX_WAVES, |_| {});
+    let args = Bench::Fact.paper_params();
+    let series = density_until_swap(&env, make, &args, DENSITY_WAVE, DENSITY_MAX_WAVES, |_| {});
     let tipped = series
         .last()
         .is_some_and(|&used| used > env.host_mem.swap_threshold_bytes());

@@ -2,18 +2,26 @@
 //! reproduces is one row of [`ALL`], and the `experiments` binary, the
 //! golden check and the determinism check (`tests/experiments.rs`) all
 //! read that table. Adding an experiment is one module here plus one row.
+//!
+//! A row whose numbers the paper states splits into `measure(&EnvConfig,
+//! …) -> Data` and a private `print(&Data)`: [`crate::claims`] evaluates
+//! the data `measure` returns, so what a claim checks is what the row
+//! prints. The `claims` row is that table. The `paper: …` trailer lines a
+//! figure row prints are pinned by its golden and stay hand-written;
+//! changing one is a re-bless, and the paper's numbers are asserted only
+//! through [`crate::claims::CLAIMS`].
 
-mod ablations;
+pub(crate) mod ablations;
 mod chaos_sweep;
 mod cluster_sweep;
 mod dedup_sweep;
 mod elastic_sweep;
-mod fig10;
-mod fig11;
-mod fig12;
-mod fig9;
+pub(crate) mod fig10;
+pub(crate) mod fig11;
+pub(crate) mod fig12;
+pub(crate) mod fig9;
 mod figures;
-mod install_time;
+pub(crate) mod install_time;
 mod jit_ablation;
 mod load_sweep;
 mod motivation;
@@ -21,6 +29,9 @@ mod scale_sweep;
 mod table1;
 mod trace_dump;
 mod trace_query;
+
+use fireworks_runtime::RuntimeKind;
+use fireworks_workloads::faasdom::Bench;
 
 /// One reproducible experiment: `experiments <name> [args…]`.
 pub struct Experiment {
@@ -121,6 +132,9 @@ pub const ALL: &[Experiment] = &[
     Experiment::new("fig12", fig12::run)
         .about("Fig. 12: factor analysis of per-microVM memory (PSS, 10 VMs)")
         .golden("fig12", &[]),
+    Experiment::new("claims", crate::claims::run)
+        .about("every paper number next to the measured one and its band; fails outside")
+        .golden("claims", &[]),
     Experiment::new("ablations", ablations::run)
         .about("§6: de-opt worst case, cache budget, security refresh, REAP")
         .golden("ablations", &[])
@@ -202,6 +216,14 @@ fn all(_args: &[String]) -> Result<u64, String> {
             .map_err(|_| format!("{name} panicked"))??;
     }
     Ok(events)
+}
+
+/// `f` over the eight FaaSdom variants in figure order: Node.js then
+/// Python, each over `Bench::ALL`.
+fn variants<T>(f: impl Fn(RuntimeKind, Bench) -> T) -> Vec<T> {
+    let runtimes = [RuntimeKind::NodeLike, RuntimeKind::PythonLike];
+    let pairs = runtimes.iter().flat_map(|&rt| Bench::ALL.map(|b| (rt, b)));
+    pairs.map(|(rt, b)| f(rt, b)).collect()
 }
 
 /// Reports a bad command line on stderr — the message, then the row's

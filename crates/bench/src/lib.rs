@@ -1,21 +1,22 @@
 //! Shared harness for regenerating the paper's tables and figures.
 //!
 //! Each row of [`experiments::ALL`] reproduces one table, figure or sweep
-//! (see DESIGN.md's experiment index) and the `experiments` binary runs
-//! them by name; the rest of this library is the sweep and formatting
-//! code they share. All latencies are virtual time, so every run prints
-//! identical numbers.
+//! and the `experiments` binary runs them by name; [`claims::CLAIMS`] is
+//! what the reproduction asserts about them; the rest of this library is
+//! the sweep and formatting code they share. All latencies are virtual
+//! time, so every run prints identical numbers.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod claims;
 pub mod experiments;
 pub mod scale;
 
 use fireworks_baselines::{FirecrackerPlatform, GvisorPlatform, OpenWhiskPlatform, SnapshotPolicy};
 use fireworks_core::api::{FunctionSpec, Invocation, InvokeRequest, Platform, StartMode};
 use fireworks_core::engine::{run_concurrent, EngineConfig};
-use fireworks_core::env::PlatformEnv;
+use fireworks_core::env::{EnvConfig, PlatformEnv};
 use fireworks_core::{fid, ConcurrentPlatform, FireworksPlatform, FunctionId};
 use fireworks_lang::Value;
 use fireworks_runtime::RuntimeKind;
@@ -23,6 +24,43 @@ use fireworks_sim::stats::geomean;
 use fireworks_sim::Nanos;
 use fireworks_workloads::arrivals::burst;
 use fireworks_workloads::faasdom::Bench;
+
+/// How much work the measured requests carry. The figure rows run
+/// [`Scale::PAPER`]; `tests/paper_claims.rs` evaluates the same claims
+/// through the same `measure` functions at [`Scale::LIGHT`], which a
+/// debug build finishes in seconds.
+#[derive(Debug, Clone, Copy)]
+pub struct Scale {
+    /// `reps` of the measured `faas-fact` request.
+    pub fact_reps: i64,
+    /// RAM of the host the Fig. 10 density sweep fills.
+    pub density_ram: u64,
+}
+
+impl Scale {
+    /// What the figure rows run and the goldens pin.
+    pub const PAPER: Scale = Scale {
+        fact_reps: 1_200,
+        density_ram: 16 << 30,
+    };
+
+    /// Still enough calls to cross the Node profile's tier-up thresholds
+    /// mid-run, as a real cold start does.
+    pub const LIGHT: Scale = Scale {
+        fact_reps: 600,
+        density_ram: 4 << 30,
+    };
+
+    /// [`Bench::paper_params`] with this scale's `reps`.
+    pub fn params(self, bench: Bench) -> Value {
+        let params = bench.paper_params();
+        if let (Bench::Fact, Value::Map(map)) = (bench, &params) {
+            map.borrow_mut()
+                .insert("reps".to_string(), Value::Int(self.fact_reps));
+        }
+        params
+    }
+}
 
 /// One bar of a latency figure: a platform/start-mode label with the
 /// three-way breakdown.
@@ -36,6 +74,8 @@ pub struct LatencyBar {
     pub exec: Nanos,
     /// Everything else.
     pub other: Nanos,
+    /// Guest functions compiled while serving the request.
+    pub compiles: u64,
 }
 
 impl LatencyBar {
@@ -46,6 +86,7 @@ impl LatencyBar {
             startup: inv.breakdown.startup,
             exec: inv.breakdown.exec,
             other: inv.breakdown.other,
+            compiles: inv.stats.compiles,
         }
     }
 
@@ -86,16 +127,22 @@ pub fn print_latency_table(title: &str, bars: &[LatencyBar]) {
 
 /// The standard platform sweep of Figs. 6 and 7: OpenWhisk, gVisor, and
 /// Firecracker each cold and warm, then Fireworks. Every platform gets a
-/// pristine host so results are independent.
-pub fn faasdom_bars(bench: Bench, runtime: RuntimeKind) -> Vec<LatencyBar> {
+/// pristine host built from `env` so results are independent.
+pub fn faasdom_bars(
+    env: &EnvConfig,
+    scale: Scale,
+    bench: Bench,
+    runtime: RuntimeKind,
+) -> Vec<LatencyBar> {
+    let host = || PlatformEnv::new(env.clone());
     let spec = bench.paper_spec(runtime);
-    let args = bench.paper_params();
+    let args = scale.params(bench);
     let function = fid(&spec.name);
     let req = |mode: StartMode| InvokeRequest::new(function, args.deep_clone()).with_mode(mode);
     let mut bars = Vec::new();
 
     {
-        let mut p = OpenWhiskPlatform::new(PlatformEnv::default_env());
+        let mut p = OpenWhiskPlatform::new(host());
         p.install(&spec).expect("install openwhisk");
         let cold = p.invoke(&req(StartMode::Cold)).expect("cold");
         bars.push(LatencyBar::from_invocation("openwhisk (c)", &cold));
@@ -103,7 +150,7 @@ pub fn faasdom_bars(bench: Bench, runtime: RuntimeKind) -> Vec<LatencyBar> {
         bars.push(LatencyBar::from_invocation("openwhisk (w)", &warm));
     }
     {
-        let mut p = GvisorPlatform::new(PlatformEnv::default_env());
+        let mut p = GvisorPlatform::new(host());
         p.install(&spec).expect("install gvisor");
         let cold = p.invoke(&req(StartMode::Cold)).expect("cold");
         bars.push(LatencyBar::from_invocation("gvisor (c)", &cold));
@@ -111,7 +158,7 @@ pub fn faasdom_bars(bench: Bench, runtime: RuntimeKind) -> Vec<LatencyBar> {
         bars.push(LatencyBar::from_invocation("gvisor (w)", &warm));
     }
     {
-        let mut p = FirecrackerPlatform::new(PlatformEnv::default_env(), SnapshotPolicy::None);
+        let mut p = FirecrackerPlatform::new(host(), SnapshotPolicy::None);
         p.install(&spec).expect("install firecracker");
         let cold = p.invoke(&req(StartMode::Cold)).expect("cold");
         bars.push(LatencyBar::from_invocation("firecracker (c)", &cold));
@@ -119,7 +166,7 @@ pub fn faasdom_bars(bench: Bench, runtime: RuntimeKind) -> Vec<LatencyBar> {
         bars.push(LatencyBar::from_invocation("firecracker (w)", &warm));
     }
     {
-        let mut p = FireworksPlatform::new(PlatformEnv::default_env());
+        let mut p = FireworksPlatform::new(host());
         p.install(&spec).expect("install fireworks");
         let inv = p.invoke(&req(StartMode::Auto)).expect("invoke");
         bars.push(LatencyBar::from_invocation("fireworks (both)", &inv));
@@ -142,6 +189,7 @@ pub fn geomean_bars(per_bench: &[Vec<LatencyBar>]) -> Vec<LatencyBar> {
                 startup: geomean(&startup),
                 exec: geomean(&exec),
                 other: geomean(&other),
+                compiles: 0,
             }
         })
         .collect()
@@ -157,7 +205,7 @@ pub fn print_faasdom_figure(figure: &str, runtime: RuntimeKind) {
     println!("(c = cold start, w = warm start; Fireworks has no cold/warm split)\n");
     let mut per_bench = Vec::new();
     for (panel, bench) in ["(a)", "(b)", "(c)", "(d)"].iter().zip(Bench::ALL) {
-        let bars = faasdom_bars(bench, runtime);
+        let bars = faasdom_bars(&EnvConfig::default(), Scale::PAPER, bench, runtime);
         print_latency_table(&format!("{figure}{panel} {}", bench.name()), &bars);
         println!();
         per_bench.push(bars);
@@ -167,9 +215,9 @@ pub fn print_faasdom_figure(figure: &str, runtime: RuntimeKind) {
 }
 
 /// The §5.4 density experiment on one host: grows a resident population
-/// of `faas-fact` (Node.js) clones through the concurrent engine in
-/// retain mode, `wave` at a time, until `env`'s host starts swapping or
-/// `max_waves` were admitted. Each wave genuinely coexists; every
+/// of `faas-fact` (Node.js) clones serving `args` through the concurrent
+/// engine in retain mode, `wave` at a time, until `env`'s host starts
+/// swapping or `max_waves` were admitted. Each wave genuinely coexists; every
 /// completed clone is handed to `age` (it keeps serving) and then stays
 /// resident while later waves restore against the live population.
 /// Returns the host's used bytes after each clone joined — the length is
@@ -178,13 +226,13 @@ pub fn print_faasdom_figure(figure: &str, runtime: RuntimeKind) {
 pub fn density_until_swap<P: ConcurrentPlatform>(
     env: &PlatformEnv,
     make: impl FnOnce(PlatformEnv) -> P,
+    args: &Value,
     wave: usize,
     max_waves: usize,
     age: impl Fn(&mut P::InFlight),
 ) -> Vec<u64> {
     let mut platform = make(env.clone());
     let spec = Bench::Fact.paper_spec(RuntimeKind::NodeLike);
-    let args = Bench::Fact.paper_params();
     platform.install(&spec).expect("install");
     let mut resident: Vec<P::InFlight> = Vec::new();
     let mut series = Vec::new();
@@ -192,7 +240,7 @@ pub fn density_until_swap<P: ConcurrentPlatform>(
         if env.host_mem.is_swapping() {
             break;
         }
-        let requests = burst(fid(&spec.name), &args, wave, env.clock.now());
+        let requests = burst(fid(&spec.name), args, wave, env.clock.now());
         let report = run_concurrent(
             &mut platform,
             &env.clock,
@@ -265,6 +313,7 @@ mod tests {
             startup: Nanos::from_millis(t),
             exec: Nanos::from_millis(2 * t),
             other: Nanos::from_millis(t),
+            compiles: 0,
         };
         let folded = geomean_bars(&[vec![mk(1)], vec![mk(100)]]);
         assert_eq!(folded.len(), 1);
@@ -280,6 +329,7 @@ mod tests {
             startup: Nanos::from_millis(1),
             exec: Nanos::from_millis(2),
             other: Nanos::from_millis(3),
+            compiles: 0,
         };
         assert_eq!(bar.total(), Nanos::from_millis(6));
     }

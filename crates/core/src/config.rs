@@ -128,15 +128,6 @@ pub struct PlatformConfig {
     /// Snapshot storage layout (Fireworks): flat per-snapshot files or
     /// a content-addressed chunk store with optional peer delta fetch.
     pub snapshot_store: SnapshotStorePolicy,
-    /// Probability that one document-store request finds the store
-    /// transiently unavailable ([`fireworks_sim::fault::FaultSite::StoreUnavailable`]),
-    /// armed on the platform's fault injector at construction. Replaces
-    /// the v1 pattern of arming outage rules post-hoc on `PlatformEnv`.
-    pub store_outage: f64,
-    /// Probability that one network transmission attempt is lost
-    /// ([`fireworks_sim::fault::FaultSite::NetLoss`]), armed on the
-    /// platform's fault injector at construction.
-    pub packet_loss: f64,
     /// Guest JIT shape used for every runtime the platform launches:
     /// tier-up policy override, code-cache byte budget, inline-cache
     /// polymorphism limit. The default leaves the policy to each
@@ -153,8 +144,6 @@ impl Default for PlatformConfig {
             security: SecurityPolicy::default(),
             keep_alive: None,
             snapshot_store: SnapshotStorePolicy::Flat,
-            store_outage: 0.0,
-            packet_loss: 0.0,
             jit: JitConfig::default(),
         }
     }
@@ -212,36 +201,6 @@ impl PlatformConfigBuilder {
         self
     }
 
-    /// Sets the probability of a transient document-store outage per
-    /// request (0.0 disables).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the probability is not within `0.0..=1.0`.
-    pub fn store_outage(mut self, probability: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&probability),
-            "store_outage must be a probability"
-        );
-        self.config.store_outage = probability;
-        self
-    }
-
-    /// Sets the probability of losing one network transmission attempt
-    /// (0.0 disables).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the probability is not within `0.0..=1.0`.
-    pub fn packet_loss(mut self, probability: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&probability),
-            "packet_loss must be a probability"
-        );
-        self.config.packet_loss = probability;
-        self
-    }
-
     /// Sets the guest JIT shape (policy override, code-cache budget,
     /// inline-cache limits) for every runtime the platform launches.
     pub fn jit(mut self, jit: JitConfig) -> Self {
@@ -281,8 +240,6 @@ mod tests {
                 chunk_pages: 32,
                 delta_fetch: false,
             })
-            .store_outage(0.25)
-            .packet_loss(0.05)
             .jit(
                 JitConfig::default()
                     .with_policy(Some(fireworks_lang::JitPolicy::AnnotatedEager))
@@ -304,8 +261,6 @@ mod tests {
                 delta_fetch: false
             }
         );
-        assert_eq!(cfg.store_outage, 0.25);
-        assert_eq!(cfg.packet_loss, 0.05);
         assert_eq!(
             cfg.jit.policy,
             Some(fireworks_lang::JitPolicy::AnnotatedEager)
@@ -321,15 +276,7 @@ mod tests {
         assert!(cfg.keep_alive.is_none());
         assert_eq!(cfg.paging, PagingPolicy::WarmPageCache);
         assert_eq!(cfg.snapshot_store, SnapshotStorePolicy::Flat);
-        assert_eq!(cfg.store_outage, 0.0);
-        assert_eq!(cfg.packet_loss, 0.0);
         assert_eq!(cfg.jit.policy, None, "JIT policy defers to the profile");
-    }
-
-    #[test]
-    #[should_panic(expected = "probability")]
-    fn out_of_range_loss_probability_is_rejected() {
-        let _ = PlatformConfig::builder().packet_loss(1.5);
     }
 
     #[test]

@@ -17,7 +17,6 @@ use fireworks_obs::{cat, RootSpan};
 use fireworks_runtime::guest::{InvokeResult, RunOutcome};
 use fireworks_runtime::RuntimeProfile;
 use fireworks_sandbox::{IoPath, IoPathKind, IsolationLevel};
-use fireworks_sim::fault::{FaultSite, FaultTrigger};
 use fireworks_sim::trace::Phase;
 use fireworks_sim::Nanos;
 
@@ -182,22 +181,6 @@ impl FireworksPlatform {
         mgr.set_fault_injector(env.injector.clone());
         mgr.set_obs(env.obs.clone());
         let supply = SnapshotSupply::new(config.cache_budget_bytes, config.snapshot_store, &env);
-        // Layer the config's outage/loss knobs on top of the
-        // environment's base fault plan. Probability-zero rules still
-        // consume RNG draws, so only arm sites that can actually fire —
-        // the default config must not perturb an armed plan's schedule.
-        if config.store_outage > 0.0 {
-            env.injector.borrow_mut().arm(
-                FaultSite::StoreUnavailable,
-                FaultTrigger::Probability(config.store_outage),
-            );
-        }
-        if config.packet_loss > 0.0 {
-            env.injector.borrow_mut().arm(
-                FaultSite::NetLoss,
-                FaultTrigger::Probability(config.packet_loss),
-            );
-        }
         FireworksPlatform {
             env,
             mgr,

@@ -226,15 +226,6 @@ impl FaultInjector {
         !self.plan.rules.is_empty()
     }
 
-    /// Arms an additional rule after construction. Construction-time
-    /// platform configuration layers its outage/loss knobs on top of the
-    /// environment's base plan this way. Each armed probability rule
-    /// consumes one RNG draw per check *of its own site*, so arming a
-    /// site leaves the fault schedule of every other site untouched.
-    pub fn arm(&mut self, site: FaultSite, trigger: FaultTrigger) {
-        self.plan.rules.push(FaultRule { site, trigger });
-    }
-
     /// Checks the site once; returns `true` when a fault fires there.
     ///
     /// Each probability-armed rule consumes exactly one RNG draw per
@@ -398,9 +389,9 @@ mod tests {
 
     #[test]
     fn arming_after_construction_activates_the_site_without_disturbing_others() {
-        let mut inj = FaultInjector::new(FaultPlan::new(42).probability(FaultSite::NetLoss, 0.3));
-        let mut twin = FaultInjector::new(FaultPlan::new(42).probability(FaultSite::NetLoss, 0.3));
-        inj.arm(FaultSite::StoreUnavailable, FaultTrigger::Nth(1));
+        let plan = FaultPlan::new(42).probability(FaultSite::NetLoss, 0.3);
+        let mut inj = FaultInjector::new(plan.clone().nth(FaultSite::StoreUnavailable, 1));
+        let mut twin = FaultInjector::new(plan);
         assert!(inj.should_fail(FaultSite::StoreUnavailable));
         // NetLoss draws are unaffected by the extra StoreUnavailable rule.
         for _ in 0..100 {
