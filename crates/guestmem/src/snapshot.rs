@@ -1,14 +1,17 @@
-//! Snapshot files: pinned frame sets plus device state, with per-page
-//! checksums so stored-page corruption is detected at restore time, and
+//! Snapshot files: pinned frame sets (one mapping group each) plus device
+//! state, with per-page checksums so stored-page corruption is detected
+//! at restore time — by one full pass, then remembered until a poke — and
 //! content-addressed manifests so snapshots can be deduplicated and
 //! shipped between hosts chunk by chunk.
 
 use std::fmt;
+use std::rc::Rc;
 
 use fireworks_sim::hash;
 
 use crate::addr::AddressSpace;
 use crate::host::{FrameId, HostMemory, PAGE_SIZE};
+use crate::image::Image;
 
 /// Identity of a whole snapshot: the capture-time digest (page numbers
 /// folded with page checksums, FNV-1a). Two snapshots with the same id
@@ -127,20 +130,16 @@ impl fmt::Display for SnapshotIntegrityError {
 
 impl std::error::Error for SnapshotIntegrityError {}
 
-/// Checksum of one stored page (delegates to the host's frame table,
-/// which shortcuts unmaterialised frames).
-fn page_checksum(host: &HostMemory, frame: FrameId) -> u64 {
-    host.checksum_frame(frame)
-}
-
 /// A VM memory snapshot "file".
 ///
 /// Creating a snapshot pins the source address space's current frames (the
-/// page-cache residency of the snapshot file) and records an opaque
-/// device-state blob. Restoring maps every pinned frame *shared* into a
-/// fresh [`AddressSpace`]; guests then CoW pages as they write, so any
-/// number of clones share unmodified pages — the mechanism behind the
-/// paper's Fig. 4 and its memory results.
+/// page-cache residency of the snapshot file), registers the frame list
+/// with the host's frame table as a *mapping group*, and records an opaque
+/// device-state blob. Restoring joins that group: the fresh
+/// [`AddressSpace`] maps every stored frame shared without touching one,
+/// and guests then CoW pages as they write, so any number of clones share
+/// unmodified pages — the mechanism behind the paper's Fig. 4 and its
+/// memory results.
 ///
 /// # Examples
 ///
@@ -161,7 +160,9 @@ fn page_checksum(host: &HostMemory, frame: FrameId) -> u64 {
 pub struct SnapshotFile {
     host: HostMemory,
     size_bytes: u64,
-    frames: Vec<(usize, FrameId)>,
+    image: Rc<Image>,
+    /// The frame list's mapping group in `host`'s frame table.
+    group: u32,
     checksums: Vec<u64>,
     digest: u64,
     device_state: Vec<u8>,
@@ -173,22 +174,35 @@ impl SnapshotFile {
     /// stored page is checksummed at capture time so later corruption is
     /// detectable via [`SnapshotFile::verify`].
     pub fn capture(space: &AddressSpace, device_state: Vec<u8>) -> Self {
-        let host = space.host().clone();
-        let frames: Vec<(usize, FrameId)> = space.mapped().collect();
-        for (_, frame) in &frames {
-            host.pin(*frame);
-        }
-        let checksums: Vec<u64> = frames
-            .iter()
-            .map(|(_, frame)| page_checksum(&host, *frame))
-            .collect();
-        let digest = Self::fold_digest(&frames, &checksums);
-        SnapshotFile {
-            host,
-            size_bytes: space.size_bytes(),
+        let mut frames = Vec::with_capacity(space.resident_pages());
+        space.mapped_into(&mut frames);
+        Self::seal(
+            space.host(),
+            space.size_bytes(),
             frames,
+            device_state,
+            false,
+        )
+    }
+
+    /// Pins, registers and checksums `frames` in one pass over them;
+    /// `consume` turns the caller's reference on each into the pin.
+    fn seal(
+        host: &HostMemory,
+        size_bytes: u64,
+        frames: Vec<(usize, FrameId)>,
+        device_state: Vec<u8>,
+        consume: bool,
+    ) -> Self {
+        let image = Rc::new(Image::new(frames));
+        let (group, checksums) = host.register(&image, consume);
+        SnapshotFile {
+            host: host.clone(),
+            size_bytes,
+            digest: Self::fold_digest(&image.frames, &checksums),
+            image,
+            group,
             checksums,
-            digest,
             device_state,
         }
     }
@@ -228,24 +242,7 @@ impl SnapshotFile {
             frames.windows(2).all(|w| w[0].0 < w[1].0),
             "frame list must be sorted by guest page"
         );
-        for (_, frame) in &frames {
-            // Turn the caller's owner reference into a snapshot pin.
-            host.pin(*frame);
-            host.release(*frame);
-        }
-        let checksums: Vec<u64> = frames
-            .iter()
-            .map(|(_, frame)| page_checksum(host, *frame))
-            .collect();
-        let digest = Self::fold_digest(&frames, &checksums);
-        SnapshotFile {
-            host: host.clone(),
-            size_bytes,
-            frames,
-            checksums,
-            digest,
-            device_state,
-        }
+        Self::seal(host, size_bytes, frames, device_state, true)
     }
 
     /// The snapshot's content identity (typed wrapper over
@@ -258,7 +255,7 @@ impl SnapshotFile {
     /// guest-page order. Chunk stores slice this in the same fixed runs
     /// [`SnapshotFile::manifest`] hashes.
     pub fn frames(&self) -> &[(usize, FrameId)] {
-        &self.frames
+        &self.image.frames
     }
 
     /// Guest address-space size the snapshot restores into.
@@ -280,10 +277,10 @@ impl SnapshotFile {
     /// Panics if `chunk_pages` is zero.
     pub fn manifest(&self, chunk_pages: usize) -> SnapshotManifest {
         assert!(chunk_pages > 0, "chunk granularity must be positive");
-        let mut chunks = Vec::with_capacity(self.frames.len().div_ceil(chunk_pages));
-        for start in (0..self.frames.len()).step_by(chunk_pages) {
-            let end = (start + chunk_pages).min(self.frames.len());
-            let run = &self.frames[start..end];
+        let mut chunks = Vec::with_capacity(self.image.frames.len().div_ceil(chunk_pages));
+        for start in (0..self.image.frames.len()).step_by(chunk_pages) {
+            let end = (start + chunk_pages).min(self.image.frames.len());
+            let run = &self.image.frames[start..end];
             let h = Self::fold_digest(run, &self.checksums[start..end]);
             chunks.push(ChunkRef {
                 hash: ChunkHash::from_raw(h),
@@ -301,26 +298,33 @@ impl SnapshotFile {
     }
 
     /// Restores the snapshot into a new address space on `host`, mapping
-    /// every snapshot frame shared.
+    /// every snapshot frame shared — lazily: the clone joins the file's
+    /// mapping group, whatever the snapshot's size.
     ///
     /// # Panics
     ///
     /// Panics if `host` is not the host the snapshot was captured on (frame
     /// ids are host-local).
     pub fn restore(&self, host: &HostMemory) -> AddressSpace {
-        let mut space = AddressSpace::new(host.clone(), self.size_bytes);
-        for (page, frame) in &self.frames {
-            space.map_shared(*page, *frame);
-        }
-        space
+        assert!(
+            self.host.is_same_host(host),
+            "snapshot restored on a host it was not captured on"
+        );
+        self.host.attach(self.group);
+        AddressSpace::restored(
+            host.clone(),
+            self.size_bytes,
+            self.group,
+            self.image.clone(),
+        )
     }
 
     /// Re-checksums one stored page (by index in the frame list) against
     /// its capture-time checksum — the per-page check REAP-style prefetch
     /// performs as it reads pages.
     pub fn verify_page(&self, index: usize) -> Result<(), SnapshotIntegrityError> {
-        let (_, frame) = self.frames[index];
-        let actual = page_checksum(&self.host, frame);
+        let (_, frame) = self.image.frames[index];
+        let actual = self.host.checksum_frame(frame);
         let expected = self.checksums[index];
         if actual == expected {
             Ok(())
@@ -337,19 +341,27 @@ impl SnapshotFile {
     /// contains it (no-op otherwise). REAP-style prefetch calls this for
     /// each working-set page it reads from the snapshot file.
     pub fn verify_guest_page(&self, page: usize) -> Result<(), SnapshotIntegrityError> {
-        // `capture` collects frames in ascending page order.
-        match self.frames.binary_search_by_key(&page, |(p, _)| *p) {
+        match self.image.locate(page) {
             Ok(index) => self.verify_page(index),
             Err(_) => Ok(()),
         }
     }
 
-    /// Re-checksums every stored page against the capture-time checksums,
+    /// Checks every stored page against the capture-time checksums,
     /// reporting the first corrupt page. Restore paths call this before
     /// mapping the snapshot so clones never execute damaged pages.
+    ///
+    /// One clean pass is remembered: stored pages change only through
+    /// [`HostMemory::poke_frame`] (and so [`SnapshotFile::corrupt_page`]),
+    /// which makes every image listing the frame forget, so until then a
+    /// repeat call answers from the record. A damaged image re-checksums
+    /// on every call.
     pub fn verify(&self) -> Result<(), SnapshotIntegrityError> {
-        for index in 0..self.frames.len() {
-            self.verify_page(index)?;
+        if !self.host.verified(self.group) {
+            for index in 0..self.image.frames.len() {
+                self.verify_page(index)?;
+            }
+            self.host.mark_verified(self.group);
         }
         Ok(())
     }
@@ -365,7 +377,7 @@ impl SnapshotFile {
     /// damage is visible to every later restore until the snapshot is
     /// rebuilt, and [`SnapshotFile::verify`] detects it.
     pub fn corrupt_page(&self, index: usize) {
-        let (_, frame) = self.frames[index];
+        let (_, frame) = self.image.frames[index];
         let mut byte = [0u8];
         self.host.read_frame(frame, 0, &mut byte);
         self.host.poke_frame(frame, 0, &[byte[0] ^ 0xff]);
@@ -378,20 +390,18 @@ impl SnapshotFile {
 
     /// Number of guest pages stored in the snapshot.
     pub fn pages(&self) -> usize {
-        self.frames.len()
+        self.image.frames.len()
     }
 
     /// On-disk size of the snapshot memory file in bytes.
     pub fn file_bytes(&self) -> u64 {
-        (self.frames.len() * PAGE_SIZE) as u64 + self.device_state.len() as u64
+        (self.image.frames.len() * PAGE_SIZE) as u64 + self.device_state.len() as u64
     }
 }
 
 impl Drop for SnapshotFile {
     fn drop(&mut self) {
-        for (_, frame) in &self.frames {
-            self.host.unpin(*frame);
-        }
+        self.host.drop_file(self.group);
     }
 }
 
@@ -617,5 +627,122 @@ mod tests {
         assert_eq!(snap.device_state(), &[0xde, 0xad]);
         assert_eq!(snap.pages(), 1);
         assert_eq!(snap.file_bytes(), PAGE_SIZE as u64 + 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "not captured on")]
+    fn restoring_on_a_foreign_host_panics() {
+        let h = host();
+        let snap = SnapshotFile::capture(&space_with_pages(&h, 2), Vec::new());
+        let _ = snap.restore(&host());
+    }
+
+    #[test]
+    fn verify_passes_once_then_remembers_until_a_poke() {
+        let h = host();
+        let snap = SnapshotFile::capture(&space_with_pages(&h, 4), Vec::new());
+        assert!(!h.verified(snap.group), "nothing verified yet");
+        assert!(snap.verify().is_ok());
+        assert!(h.verified(snap.group));
+        // Guest activity — restores, CoW writes, drops — changes no stored
+        // page and keeps the record.
+        let mut clone = snap.restore(&h);
+        clone.write(0, b"dirty");
+        drop(clone);
+        assert!(h.verified(snap.group));
+        // Damage is found on every call until the image is rebuilt.
+        snap.corrupt_page(1);
+        assert!(!h.verified(snap.group));
+        for _ in 0..3 {
+            assert_eq!(snap.verify().expect_err("damaged").page, 1);
+        }
+        let rebuilt = SnapshotFile::capture(&space_with_pages(&h, 4), Vec::new());
+        assert!(rebuilt.verify().is_ok());
+    }
+
+    #[test]
+    fn poking_a_frame_two_images_hold_fails_both() {
+        // The dedup layout: a second image over the first one's frames.
+        let h = host();
+        let first = SnapshotFile::capture(&space_with_pages(&h, 4), Vec::new());
+        first.frames().iter().for_each(|(_, f)| h.retain(*f));
+        let twin = SnapshotFile::from_mapped(&h, 1 << 20, first.frames().to_vec(), Vec::new());
+        // The receive side of a delta fetch starts unverified and pays
+        // its full pass once.
+        assert!(!h.verified(twin.group));
+        assert!(first.verify().is_ok() && twin.verify().is_ok());
+        assert!(h.verified(first.group) && h.verified(twin.group));
+        h.poke_frame(twin.frames()[2].1, 7, &[0x5a]);
+        assert_eq!(first.verify().expect_err("shared damage").page, 2);
+        assert_eq!(twin.verify().expect_err("shared damage").page, 2);
+    }
+
+    #[test]
+    fn clones_outlive_their_file_with_every_frame_they_map() {
+        let h = host();
+        let snap = SnapshotFile::capture(&space_with_pages(&h, 8), Vec::new());
+        let mut a = snap.restore(&h);
+        let b = snap.restore(&h);
+        a.touch_dirty(0, 3 * PAGE_SIZE as u64);
+        assert_eq!(h.live_frames(), 11);
+        drop(snap);
+        // Pages 0..3 are still mapped by `b`, the rest by both.
+        assert_eq!(h.live_frames(), 11);
+        assert_eq!(h.mappers(b.mapped().next().expect("mapped").1), 1);
+        assert_eq!(h.mappers(b.mapped().last().expect("mapped").1), 2);
+        assert_eq!(b.pss_bytes(), (3 * PAGE_SIZE + 5 * PAGE_SIZE / 2) as u64);
+        drop(b);
+        assert_eq!(h.live_frames(), 8, "a's three copies and five base pages");
+        // The only owner left writes in place: no CoW fault.
+        let faults = h.stats().cow_faults;
+        a.touch_dirty(4 * PAGE_SIZE as u64, 1);
+        assert_eq!(h.stats().cow_faults, faults);
+        drop(a);
+        assert_eq!(h.live_frames(), 0);
+    }
+
+    #[test]
+    fn image_spans_cover_runs_and_gaps() {
+        let h = host();
+        let mut s = AddressSpace::new(h.clone(), 1 << 20);
+        s.touch_dirty(2 * PAGE_SIZE as u64, 3 * PAGE_SIZE as u64); // pages 2..5
+        s.touch_dirty(9 * PAGE_SIZE as u64, PAGE_SIZE as u64); // page 9
+        let snap = SnapshotFile::capture(&s, Vec::new());
+        let image = &snap.image;
+        assert_eq!(image.span(0), (0..2, Err(0)));
+        assert_eq!(image.span(3), (2..5, Ok(0)));
+        assert_eq!(image.span(6), (5..9, Err(3)));
+        assert_eq!(image.span(9), (9..10, Ok(3)));
+        assert_eq!(image.span(200), (10..usize::MAX, Err(4)));
+        let pages = [0, 2, 4, 5, 9, 10];
+        let located = pages.map(|p| image.locate(p));
+        assert_eq!(located, [Err(0), Ok(0), Ok(2), Err(3), Ok(3), Err(4)]);
+        for page in 0..12 {
+            let searched = snap.frames().binary_search_by_key(&page, |(p, _)| *p);
+            assert_eq!(image.locate(page), searched);
+        }
+    }
+
+    #[test]
+    fn sharing_frames_makes_clones_eager_until_the_last_is_gone() {
+        // Lazy and eager clones compute the same numbers (the oracle test
+        // cannot tell them apart); only this state says which ran.
+        let h = host();
+        let lazy = |snap: &SnapshotFile| h.table().uniform(snap.group).is_some();
+        let snap = SnapshotFile::capture(&space_with_pages(&h, 8), Vec::new());
+        let clone = snap.restore(&h);
+        assert!(lazy(&snap));
+        // A capture of the clone lists the image's frames a second time.
+        let of_clone = SnapshotFile::capture(&clone, Vec::new());
+        assert!(!lazy(&snap), "lazy mappings were materialised");
+        assert_eq!(h.mappers(snap.frames()[0].1), 1);
+        drop(of_clone);
+        let late = snap.restore(&h);
+        assert!(!lazy(&snap), "eager while an eager clone lives");
+        assert_eq!(late.pss_bytes(), 4 * PAGE_SIZE as u64);
+        drop((clone, late));
+        let fresh = snap.restore(&h);
+        assert!(lazy(&snap), "the next first restore decides afresh");
+        assert_eq!(fresh.pss_bytes(), 8 * PAGE_SIZE as u64);
     }
 }

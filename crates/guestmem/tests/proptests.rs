@@ -222,3 +222,48 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The same property where the run-length sum matters: images of
+    /// 40 000+ pages under 1..=9 sharers, so `4096 / mappers` is inexact
+    /// (3, 5, 6, 7, 9), partial sums climb through ~26 binades, and runs
+    /// of tens of thousands of equal terms sit between the exceptions —
+    /// pages a clone dirtied (private here, one mapper fewer for its
+    /// siblings) and pages it grew beyond the image.
+    #[test]
+    fn run_length_sum_matches_the_scan_on_large_images(
+        extra_pages in 0usize..2_000,
+        sharers in 1usize..10,
+        dirt in proptest::collection::vec((0usize..9, any::<u32>(), 1u64..40), 0..24),
+    ) {
+        let h = host();
+        let pages = 40_000 + extra_pages;
+        let bytes = 2 * (pages * PAGE_SIZE) as u64;
+        let mut booted = AddressSpace::new(h.clone(), bytes);
+        // Two regions with a hole between them, like a real image.
+        booted.touch_dirty(0, (30_000 * PAGE_SIZE) as u64);
+        booted.touch_dirty((31_000 * PAGE_SIZE) as u64, ((pages - 30_000) * PAGE_SIZE) as u64);
+        let snap = SnapshotFile::capture(&booted, Vec::new());
+        drop(booted);
+        let mut clones: Vec<AddressSpace> = (0..sharers).map(|_| snap.restore(&h)).collect();
+        for (clone, at, len) in dirt {
+            let first = at as usize % (2 * pages - 40);
+            clones[clone % sharers].touch_dirty((first * PAGE_SIZE) as u64, len * PAGE_SIZE as u64);
+        }
+        for clone in &clones {
+            let (pss_bytes, shared_pages, private_pages, resident) = three_loop_reference(clone);
+            let stats = clone.sharing_stats();
+            prop_assert_eq!(stats.pss_bytes, pss_bytes);
+            prop_assert_eq!((stats.shared_pages, stats.private_pages), (shared_pages, private_pages));
+            prop_assert_eq!(clone.resident_pages(), resident);
+        }
+        // Siblings exiting changes every remaining term.
+        clones.truncate(sharers.div_ceil(2));
+        for clone in &clones {
+            let (pss_bytes, ..) = three_loop_reference(clone);
+            prop_assert_eq!(clone.pss_bytes(), pss_bytes);
+        }
+    }
+}

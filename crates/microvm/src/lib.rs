@@ -3,8 +3,9 @@
 //! [`VmManager`] creates, boots, pauses, resumes, snapshots, and restores
 //! [`MicroVm`]s. A microVM couples:
 //!
-//! - a guest-physical [`fireworks_guestmem::AddressSpace`] whose pages are
-//!   shared copy-on-write with snapshot files,
+//! - a guest-physical [`fireworks_guestmem::AddressSpace`]: a restored
+//!   clone lazily maps its snapshot file's pages and holds privately only
+//!   the ones it wrote (copy-on-write),
 //! - a [`fireworks_runtime::GuestRuntime`] (language runtime + loaded
 //!   function) whose regions are laid out in that address space,
 //! - an MMDS-style metadata map, set from the host per instance (this is

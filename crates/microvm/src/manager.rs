@@ -243,9 +243,13 @@ impl VmManager {
         snap
     }
 
-    /// Restores a snapshot into a fresh microVM, mapping all pages shared.
-    /// This is the Fireworks start path: a small fixed cost plus lazy
-    /// mapping, instead of the boot pipeline.
+    /// Restores a snapshot into a fresh microVM. This is the Fireworks
+    /// start path: a small fixed cost plus lazy mapping, instead of the
+    /// boot pipeline. The clone joins the memory file's mapping group
+    /// ([`SnapshotFile::restore`]) — every page mapped shared, none
+    /// touched, on the host as in the paper — and the virtual clock is
+    /// still charged `snapshot_map_per_page` for each, as `mmap` setting
+    /// up the page tables would cost.
     ///
     /// With a fault injector attached, three things can go wrong, in
     /// order: the snapshot file read can fail transiently
@@ -255,7 +259,14 @@ impl VmManager {
     /// time then catch it (along with any pre-existing damage) before any
     /// page is mapped; and the VMM can crash after mapping
     /// ([`FaultSite::VmCrash`]). Costs accrued before the failure stay
-    /// charged.
+    /// charged. The memory file is verified in full the first time and
+    /// after any damage; a clean verdict is remembered in between
+    /// ([`SnapshotFile::verify`]), the virtual `page_verify` cost is not.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the snapshot was taken on another host's frame table
+    /// than this manager's `host_mem`.
     pub fn restore(&mut self, snapshot: &VmFullSnapshot) -> Result<MicroVm, VmError> {
         // The restore is start-up latency wherever it runs; the
         // read/verify/map children inherit the phase.
@@ -425,6 +436,15 @@ mod tests {
         );
         assert_eq!(restored.state(), VmState::Running);
         assert_eq!(restored.boot_time(), Nanos::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "not captured on")]
+    fn restoring_a_snapshot_from_another_host_panics() {
+        let mut mgr = manager();
+        let mut vm = booted_vm(&mut mgr, SRC, JitConfig::default());
+        let snap = mgr.snapshot(&mut vm);
+        let _ = manager().restore(&snap);
     }
 
     #[test]
