@@ -84,7 +84,12 @@ impl PlatformEnv {
     /// into one trace/metrics registry.
     pub fn with_shared(config: EnvConfig, clock: Clock, obs: Obs) -> Self {
         let costs = Rc::new(config.costs);
-        let host_mem = HostMemory::new(clock.clone(), config.ram_bytes, config.swappiness);
+        let host_mem = HostMemory::with_costs(
+            clock.clone(),
+            config.ram_bytes,
+            config.swappiness,
+            costs.mem.clone(),
+        );
         let mut inj = FaultInjector::new(config.fault_plan);
         inj.attach_clock(clock.clone());
         let injector = fault::shared(inj);

@@ -8,7 +8,6 @@ use std::rc::Rc;
 
 use fireworks_annotator::{annotate, Annotated, AnnotationConfig};
 use fireworks_lang::{JitConfig, JitPolicy, Value};
-use fireworks_microvm::reap::PagingCosts;
 use fireworks_microvm::{
     MicroVm, MicroVmConfig, ReapMode, ReapSession, VmError, VmFullSnapshot, VmManager, WorkingSet,
 };
@@ -558,7 +557,7 @@ impl FireworksPlatform {
             let mut session = match ReapSession::start_observed(
                 clock,
                 mode,
-                PagingCosts::default(),
+                &self.env.costs.mem,
                 ws.clone(),
                 Some(&self.env.injector),
                 Some(flight.snapshot.mem()),
@@ -570,7 +569,7 @@ impl FireworksPlatform {
                 // instead of failing the invocation.
                 Err(_) => {
                     flight.prefetch_degraded = true;
-                    ReapSession::start(clock, ReapMode::Off, PagingCosts::default(), ws)
+                    ReapSession::start(clock, ReapMode::Off, &self.env.costs.mem, ws)
                 }
             };
             for (first, count) in flight.clone.vm.working_set_ranges() {
@@ -908,6 +907,7 @@ impl ConcurrentPlatform for FireworksPlatform {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env::EnvConfig;
     use fireworks_runtime::RuntimeKind;
 
     const FACT_SRC: &str = "
@@ -953,6 +953,29 @@ mod tests {
         assert!(report.annotated_functions >= 2);
         // §5.1: install takes seconds (boot + runtime + JIT + write).
         assert!(report.install_time.as_secs_f64() > 1.0);
+    }
+
+    /// `EnvConfig.costs.mem` is the table the host memory charges from.
+    #[test]
+    fn doubling_the_cow_fault_cost_doubles_an_invocations_cow_time() {
+        let run = |cow_fault: Nanos| {
+            let mut config = EnvConfig::default();
+            config.costs.mem.cow_fault = cow_fault;
+            let env = PlatformEnv::new(config);
+            let mut p = FireworksPlatform::new(env.clone());
+            p.install(&spec("fact")).expect("installs");
+            let faults_before = env.host_mem.stats().cow_faults;
+            let started = env.clock.now();
+            p.invoke(&req("fact", 360)).expect("invokes");
+            let faults = env.host_mem.stats().cow_faults - faults_before;
+            (env.clock.now() - started, faults)
+        };
+        let cow_fault = EnvConfig::default().costs.mem.cow_fault;
+        let (time, faults) = run(cow_fault);
+        let (time_doubled, faults_doubled) = run(cow_fault * 2);
+        assert!(faults > 0, "a restored clone dirties shared pages");
+        assert_eq!(faults_doubled, faults);
+        assert_eq!(time_doubled - time, cow_fault * faults);
     }
 
     #[test]

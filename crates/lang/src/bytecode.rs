@@ -1,10 +1,11 @@
 //! Stack bytecode for the Flame VM.
 //!
-//! The instruction set has *generic* ops (emitted by the compiler) and
-//! *quickened* ops (emitted by the JIT from type feedback). Quickening is
-//! 1:1 — a quickened function body has exactly one op per original op, at
-//! the same index — so jump targets stay valid and a failed type guard can
-//! deoptimise by re-dispatching the same index in the generic code.
+//! Every guest operation is one op with one implementation. The compiler
+//! emits the arithmetic, comparison and index ops unguarded; the JIT
+//! *quickens* a function by copying its body and attaching to each such op
+//! the operand [`Class`] its type feedback saw (a *guard*). Quickening is
+//! 1:1 — the same op at the same index — so jump targets stay valid and a
+//! failed guard deoptimises by carrying on in the generic code at that index.
 
 use std::fmt;
 
@@ -86,6 +87,50 @@ impl Builtin {
     }
 }
 
+/// The operators of [`Op::Binary`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BinKind {
+    /// `+` (numbers, strings, arrays).
+    Add,
+    /// `-`.
+    Sub,
+    /// `*`.
+    Mul,
+    /// `/`.
+    Div,
+    /// `%`.
+    Mod,
+    /// `<`.
+    Lt,
+    /// `<=`.
+    Le,
+    /// `>`.
+    Gt,
+    /// `>=`.
+    Ge,
+}
+
+/// What a guardable site's operands were: the unit of type feedback and
+/// the assumption a guard checks. The discriminants are the bits of the
+/// per-site feedback mask, so a site that saw exactly one class has a
+/// mask equal to that class.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub enum Class {
+    /// Both operands int.
+    IntInt = 1,
+    /// Both numeric, at least one float.
+    FloatNum = 2,
+    /// Both operands strings.
+    StrStr = 4,
+    /// Array indexed by int.
+    ArrInt = 8,
+    /// Map indexed by string.
+    MapStr = 16,
+    /// Anything else, or a site that caused a deopt.
+    Other = 128,
+}
+
 /// One VM instruction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Op {
@@ -100,16 +145,14 @@ pub enum Op {
     /// Pop into global variable `globals[i]`.
     StoreGlobal(u16),
 
-    /// Generic arithmetic / comparison (dynamic dispatch on operand types).
-    Add,
-    /// Subtraction.
-    Sub,
-    /// Multiplication.
-    Mul,
-    /// Division.
-    Div,
-    /// Remainder.
-    Mod,
+    /// Arithmetic or ordering on the top two stack values.
+    Binary {
+        /// Which operator.
+        kind: BinKind,
+        /// The operand class compiled code assumes here (`None` in the
+        /// compiler's output and at sites without monomorphic feedback).
+        guard: Option<Class>,
+    },
     /// Numeric negation.
     Neg,
     /// Boolean not (truthiness).
@@ -118,14 +161,6 @@ pub enum Op {
     Eq,
     /// Structural inequality.
     Ne,
-    /// Less-than.
-    Lt,
-    /// Less-or-equal.
-    Le,
-    /// Greater-than.
-    Gt,
-    /// Greater-or-equal.
-    Ge,
 
     /// Unconditional jump to absolute index.
     Jump(u32),
@@ -168,10 +203,16 @@ pub enum Op {
     MakeArray(u16),
     /// Build a map from the top `2n` stack values (key/value pairs).
     MakeMap(u16),
-    /// Generic index load: `base[index]`.
-    Index,
-    /// Generic index store: stack is `base, index, value`.
-    SetIndex,
+    /// Index load: `base[index]`.
+    Index {
+        /// The operand class compiled code assumes here.
+        guard: Option<Class>,
+    },
+    /// Index store: stack is `base, index, value`.
+    SetIndex {
+        /// The operand class compiled code assumes here.
+        guard: Option<Class>,
+    },
     /// Property load `base.name` (`consts[i]` is the property name).
     /// Runs through the per-site inline cache: the base map's shape is
     /// matched against the site's mono/poly shape list, and a shape miss
@@ -180,68 +221,6 @@ pub enum Op {
     /// Property store `base.name = v`; stack is `base, value`.
     /// Shares the inline-cache machinery with [`Op::GetProp`].
     SetProp(u16),
-
-    // ---- Quickened (JIT) ops: type-specialised with guards. -------------
-    /// `int + int` with guard.
-    AddII,
-    /// `int - int` with guard.
-    SubII,
-    /// `int * int` with guard.
-    MulII,
-    /// `int % int` with guard.
-    ModII,
-    /// `int / int` with guard.
-    DivII,
-    /// `float + float` (accepts int operands by promotion) with guard.
-    AddFF,
-    /// `float - float` with guard.
-    SubFF,
-    /// `float * float` with guard.
-    MulFF,
-    /// `float / float` with guard.
-    DivFF,
-    /// `int < int` with guard.
-    LtII,
-    /// `int <= int` with guard.
-    LeII,
-    /// `int > int` with guard.
-    GtII,
-    /// `int >= int` with guard.
-    GeII,
-    /// String concatenation with guard.
-    AddSS,
-    /// `array[int]` load with guard.
-    IndexArrI,
-    /// `map[str]` load with guard.
-    IndexMapS,
-    /// `array[int] = v` store with guard.
-    SetIndexArrI,
-}
-
-impl Op {
-    /// Whether this op is a quickened (JIT-specialised) instruction.
-    pub fn is_quickened(&self) -> bool {
-        matches!(
-            self,
-            Op::AddII
-                | Op::SubII
-                | Op::MulII
-                | Op::ModII
-                | Op::DivII
-                | Op::AddFF
-                | Op::SubFF
-                | Op::MulFF
-                | Op::DivFF
-                | Op::LtII
-                | Op::LeII
-                | Op::GtII
-                | Op::GeII
-                | Op::AddSS
-                | Op::IndexArrI
-                | Op::IndexMapS
-                | Op::SetIndexArrI
-        )
-    }
 }
 
 /// The compiled body of one function.
@@ -304,11 +283,8 @@ mod tests {
     }
 
     #[test]
-    fn quickened_classification() {
-        assert!(Op::AddII.is_quickened());
-        assert!(Op::IndexArrI.is_quickened());
-        assert!(!Op::Add.is_quickened());
-        assert!(!Op::Snapshot.is_quickened());
+    fn ops_stay_one_word() {
+        assert_eq!(std::mem::size_of::<Op>(), 8);
     }
 
     #[test]

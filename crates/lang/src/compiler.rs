@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::ast::{BinOp, Expr, FnDecl, Item, Stmt, Target, UnOp};
-use crate::bytecode::{Builtin, Chunk, Op};
+use crate::bytecode::{BinKind, Builtin, Chunk, Op};
 use crate::error::LangError;
 use crate::value::Value;
 
@@ -183,7 +183,7 @@ impl<'p> FnCompiler<'p> {
                         self.compile_expr(base)?;
                         self.compile_expr(index)?;
                         self.compile_expr(value)?;
-                        self.emit(Op::SetIndex);
+                        self.emit(Op::SetIndex { guard: None });
                     }
                     Ok(())
                 }
@@ -326,18 +326,19 @@ impl<'p> FnCompiler<'p> {
             Expr::Binary { op, lhs, rhs } => {
                 self.compile_expr(lhs)?;
                 self.compile_expr(rhs)?;
+                let binary = |kind| Op::Binary { kind, guard: None };
                 self.emit(match op {
-                    BinOp::Add => Op::Add,
-                    BinOp::Sub => Op::Sub,
-                    BinOp::Mul => Op::Mul,
-                    BinOp::Div => Op::Div,
-                    BinOp::Mod => Op::Mod,
+                    BinOp::Add => binary(BinKind::Add),
+                    BinOp::Sub => binary(BinKind::Sub),
+                    BinOp::Mul => binary(BinKind::Mul),
+                    BinOp::Div => binary(BinKind::Div),
+                    BinOp::Mod => binary(BinKind::Mod),
                     BinOp::Eq => Op::Eq,
                     BinOp::Ne => Op::Ne,
-                    BinOp::Lt => Op::Lt,
-                    BinOp::Le => Op::Le,
-                    BinOp::Gt => Op::Gt,
-                    BinOp::Ge => Op::Ge,
+                    BinOp::Lt => binary(BinKind::Lt),
+                    BinOp::Le => binary(BinKind::Le),
+                    BinOp::Gt => binary(BinKind::Gt),
+                    BinOp::Ge => binary(BinKind::Ge),
                 });
             }
             Expr::And(lhs, rhs) => {
@@ -402,7 +403,7 @@ impl<'p> FnCompiler<'p> {
                 } else {
                     self.compile_expr(base)?;
                     self.compile_expr(index)?;
-                    self.emit(Op::Index);
+                    self.emit(Op::Index { guard: None });
                 }
             }
             Expr::Array(items) => {
@@ -672,7 +673,7 @@ mod tests {
         assert!(!chunk
             .ops
             .iter()
-            .any(|op| matches!(op, Op::Index | Op::SetIndex)));
+            .any(|op| matches!(op, Op::Index { .. } | Op::SetIndex { .. })));
         // The property name lives in the constant pool for the IC site.
         for op in &chunk.ops {
             if let Op::GetProp(c) | Op::SetProp(c) = op {
@@ -682,7 +683,7 @@ mod tests {
         // Computed indexing stays on the generic path.
         let p = compile_src("fn g(m, k) { return m[k]; }");
         let chunk = &p.functions[p.function("g").expect("exists")].chunk;
-        assert!(chunk.ops.iter().any(|op| matches!(op, Op::Index)));
+        assert!(chunk.ops.iter().any(|op| matches!(op, Op::Index { .. })));
         assert!(!chunk.ops.iter().any(|op| matches!(op, Op::GetProp(_))));
     }
 

@@ -11,8 +11,9 @@
 //! - [`compiler`]: AST → stack bytecode ([`bytecode::Chunk`]).
 //! - [`vm::Vm`]: a tiered virtual machine. Cold functions run in the
 //!   profiling interpreter, which records per-site type feedback; hot (or
-//!   annotated) functions are *quickened* into type-specialised code with
-//!   guards; a failed guard deoptimises back to generic bytecode.
+//!   annotated) functions are *quickened* into code whose monomorphic
+//!   sites carry type guards; a failed guard deoptimises back to generic
+//!   bytecode. All tiers run the same implementation of every operation.
 //! - Snapshot/resume: the special host call `fireworks_snapshot()` suspends
 //!   the VM mid-program; [`vm::Vm::snapshot_state`] deep-clones the full
 //!   execution state (stack, frames, globals, JIT tier state) so a restored

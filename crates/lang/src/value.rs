@@ -109,11 +109,13 @@ impl Value {
     ///
     /// Cyclic structures are handled via the identity map.
     pub fn deep_clone(&self) -> Value {
-        let mut seen: HashMap<usize, Value> = HashMap::new();
-        self.deep_clone_inner(&mut seen)
+        self.deep_clone_with(&mut HashMap::new())
     }
 
-    fn deep_clone_inner(&self, seen: &mut HashMap<usize, Value>) -> Value {
+    /// [`Value::deep_clone`] against a caller-held identity map (source
+    /// address → clone), so several roots cloned through the same map
+    /// keep the aliasing between them.
+    pub(crate) fn deep_clone_with(&self, seen: &mut HashMap<usize, Value>) -> Value {
         match self {
             Value::Null | Value::Bool(_) | Value::Int(_) | Value::Float(_) | Value::Str(_) => {
                 self.clone()
@@ -128,7 +130,7 @@ impl Value {
                 let cloned: Vec<Value> = rc
                     .borrow()
                     .iter()
-                    .map(|v| v.deep_clone_inner(seen))
+                    .map(|v| v.deep_clone_with(seen))
                     .collect();
                 *new_rc.borrow_mut() = cloned;
                 Value::Array(new_rc)
@@ -143,7 +145,7 @@ impl Value {
                 let cloned: BTreeMap<String, Value> = rc
                     .borrow()
                     .iter()
-                    .map(|(k, v)| (k.clone(), v.deep_clone_inner(seen)))
+                    .map(|(k, v)| (k.clone(), v.deep_clone_with(seen)))
                     .collect();
                 *new_rc.borrow_mut() = cloned;
                 Value::Map(new_rc)

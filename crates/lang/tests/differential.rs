@@ -1,10 +1,268 @@
-//! Differential property tests: the JIT tier must be observationally
-//! equivalent to the interpreter on randomly generated programs.
+//! Differential property tests: the JIT tiers must be observationally
+//! equivalent to the interpreter on randomly generated programs, before
+//! and after a [`Vm::snapshot_state`] → [`Vm::from_snapshot`] round trip.
 
 use std::rc::Rc;
 
-use fireworks_lang::{compile, JitPolicy, NoopHost, Outcome, Value, Vm};
+use fireworks_lang::{compile, Host, JitPolicy, LangError, NoopHost, Outcome, Value, Vm};
 use proptest::prelude::*;
+
+const HOT: JitPolicy = JitPolicy::HotSpot {
+    call_threshold: 2,
+    loop_threshold: 4,
+};
+
+/// Everything a run of `main(n)` lets an observer see.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    /// The returned value as text (NaN equals NaN, `-0.0` differs from
+    /// `0.0`), or the error text.
+    result: Result<String, String>,
+    printed: Vec<String>,
+    total_ops: u64,
+}
+
+struct Printed(Vec<String>);
+
+impl Host for Printed {
+    fn print(&mut self, text: &str) {
+        self.0.push(text.to_string());
+    }
+
+    fn host_call(&mut self, name: &str, args: &[Value]) -> Result<Value, LangError> {
+        NoopHost.host_call(name, args)
+    }
+}
+
+/// Runs `main(n)` to completion. With `round_trip`, every snapshot point
+/// replaces the VM by a clone restored from its snapshot. Returns what was
+/// observed and the deopts taken; fuel is the op count's second witness.
+fn observe(src: &str, n: i64, policy: JitPolicy, round_trip: bool) -> (Observed, u64) {
+    const FUEL: u64 = 10_000_000;
+    let program = Rc::new(compile(src).unwrap_or_else(|e| panic!("{e}\n{src}")));
+    let mut vm = Vm::with_policy(program, policy);
+    vm.set_fuel(Some(FUEL));
+    vm.start("main", vec![Value::Int(n)])
+        .expect("main(n) exists");
+    let mut host = Printed(Vec::new());
+    let mut before_restore = fireworks_lang::ExecStats::default();
+    let result = loop {
+        match vm.run(&mut host) {
+            Ok(Outcome::Done(v)) => break Ok(v.to_string()),
+            Ok(Outcome::Snapshot) if round_trip => {
+                before_restore = before_restore.merge(&vm.stats());
+                let fuel = vm.fuel();
+                vm = Vm::from_snapshot(&vm.snapshot_state());
+                vm.set_fuel(fuel);
+            }
+            Ok(Outcome::Snapshot) => {}
+            Err(e) => break Err(e.to_string()),
+        }
+    };
+    let stats = before_restore.merge(&vm.stats());
+    assert_eq!(stats.jit_ops + stats.interp_ops, stats.total_ops());
+    assert_eq!(
+        FUEL - vm.fuel().expect("fuel was set"),
+        stats.total_ops(),
+        "every retired op burns one unit of fuel"
+    );
+    let observed = Observed {
+        result,
+        printed: host.0,
+        total_ops: stats.total_ops(),
+    };
+    (observed, stats.deopts)
+}
+
+/// Asserts that every tier, straight through and across a snapshot round
+/// trip, shows what the interpreter shows. Returns the deopts of the
+/// low-threshold hot-spot run across the round trip.
+fn assert_tiers_agree(src: &str, n: i64) -> u64 {
+    let (reference, _) = observe(src, n, JitPolicy::Off, false);
+    let mut hot_deopts = 0;
+    for policy in [JitPolicy::Off, HOT, JitPolicy::AnnotatedEager] {
+        for round_trip in [false, true] {
+            let (seen, deopts) = observe(src, n, policy, round_trip);
+            assert_eq!(
+                seen, reference,
+                "{policy:?}, round trip {round_trip}, diverges from the interpreter on\n{src}"
+            );
+            if policy == HOT && round_trip {
+                hot_deopts = deopts;
+            }
+        }
+    }
+    hot_deopts
+}
+
+/// A site compiled on float operands must not keep computing in floats
+/// when two ints arrive: `7 / 2` is `3` in every tier.
+#[test]
+fn float_warmed_site_deopts_on_ints() {
+    let src = "
+        @jit fn div(a, b) { return a / b; }
+        @jit fn add(a, b) { return a + b; }
+        fn main(n) {
+            let t = 0.0;
+            for (let i = 0; i < n; i = i + 1) { t = add(t, div(i + 0.5, 2.0)); }
+            fireworks_snapshot();
+            return str(add(1, 2)) + \"|\" + str(div(7, 2)) + \"|\" + str(t);
+        }";
+    let (seen, _) = observe(src, 50, JitPolicy::Off, false);
+    assert_eq!(seen.result, Ok("3|3|625.0".to_string()));
+    assert!(assert_tiers_agree(src, 50) >= 1, "both guards must fail");
+}
+
+/// `int < int` is exact in every tier, also where `f64` cannot tell the
+/// operands apart.
+#[test]
+fn int_ordering_is_exact_beyond_2_53() {
+    let src = "
+        @jit fn gt(a, b) { return a > b; }
+        fn main(n) {
+            let t = 0;
+            for (let i = 0; i < n; i = i + 1) { if (gt(i, 3)) { t = t + 1; } }
+            fireworks_snapshot();
+            return gt(9007199254740993, 9007199254740992);
+        }";
+    let (seen, _) = observe(src, 50, JitPolicy::Off, false);
+    assert_eq!(seen.result, Ok("true".to_string()));
+    assert_tiers_agree(src, 50);
+}
+
+// ---- the generated suite ---------------------------------------------------
+
+const INTS: [&str; 8] = [
+    "1",
+    "7",
+    "(-3)",
+    "140737488355328",  // 2^47: the first int the tagged word boxes
+    "9007199254740993", // 2^53 + 1: not an f64
+    "9007199254740992",
+    "9223372036854775807", // arithmetic on it wraps
+    "0",                   // last: a warm-up divisor is drawn from the others
+];
+const FLOATS: [&str; 8] = [
+    "1.5",
+    "(-0.0)",
+    "0.0",
+    "2.0",
+    "(0.0 / 0.0)",
+    "(1.0 / 0.0)",
+    "(-1.0 / 0.0)",
+    "9007199254740992.0",
+];
+const STRS: [&str; 3] = ["\"\"", "\"a\"", "\"ab\""];
+const ARRS: [&str; 3] = ["[]", "[1, 2, 3]", "[\"x\", 2.5, 9007199254740993]"];
+const MAPS: [&str; 3] = ["{}", "{ a: 1 }", "{ a: 1.5, b: \"y\" }"];
+const MISC: [&str; 3] = ["null", "true", "false"];
+
+fn pick(pool: &[&'static str], i: usize) -> &'static str {
+    pool[i % pool.len()]
+}
+
+/// Any operand at all: what a site sees after the phase switch.
+fn anything(i: usize) -> &'static str {
+    let pools: [&[&'static str]; 6] = [&INTS, &FLOATS, &STRS, &ARRS, &MAPS, &MISC];
+    pick(pools[i % pools.len()], i / pools.len())
+}
+
+const BINARY: [&str; 11] = ["+", "-", "*", "/", "%", "<", "<=", ">", ">=", "==", "!="];
+const LOAD: usize = BINARY.len();
+const STORE: usize = LOAD + 1;
+
+/// An operand draw: a class selector and two pool indices.
+type Draw = (usize, usize, usize);
+
+fn draw() -> impl Strategy<Value = Draw> {
+    (0usize..48, 0usize..48, 0usize..48)
+}
+
+/// Arguments a site of this `kind` runs on without an error, of the
+/// operand class the draw selects.
+fn valid_args(kind: usize, (class, i, j): Draw) -> String {
+    match kind {
+        LOAD => match class % 3 {
+            0 => format!("{}, {}", ARRS[1], pick(&["0", "1", "2"], i)),
+            1 => format!("{}, {}", MAPS[2], pick(&["\"a\"", "\"b\"", "\"zz\""], i)),
+            _ => format!("{}, {}", STRS[2], pick(&["0", "1"], i)),
+        },
+        STORE => match class % 2 {
+            0 => format!(
+                "{}, {}, {}",
+                ARRS[1],
+                pick(&["0", "1", "2"], i),
+                anything(j)
+            ),
+            _ => format!(
+                "{}, {}, {}",
+                MAPS[1],
+                pick(&["\"a\"", "\"new\""], i),
+                anything(j)
+            ),
+        },
+        _ => {
+            // Strings work for `+`, the orderings and the equalities only.
+            let arithmetic = matches!(BINARY[kind], "-" | "*" | "/" | "%");
+            match class % if arithmetic { 2 } else { 3 } {
+                // No zero divisor: it is the one numeric pair that fails.
+                0 => format!("{}, {}", pick(&INTS, i), pick(&INTS[..7], j)),
+                1 if j % 2 == 0 => format!("{}, {}", pick(&FLOATS, i), pick(&FLOATS, j / 2)),
+                1 => format!("{}, {}", pick(&FLOATS, i), pick(&INTS[..7], j / 2)),
+                _ => format!("{}, {}", pick(&STRS, i), pick(&STRS, j)),
+            }
+        }
+    }
+}
+
+/// One guardable site: a function of its own (so it tiers on its own),
+/// a call that warms it, and the call it meets after the phase switch —
+/// on valid operands of a class of their own, or (`wild`) on operands of
+/// any kind at all, which may fail.
+fn site(index: usize, kind: usize, warm: Draw, switch: Draw, wild: bool) -> [String; 3] {
+    let name = format!("s{index}");
+    let function = match kind {
+        LOAD => format!("@jit fn {name}(c, k) {{ return c[k]; }}"),
+        STORE => format!("@jit fn {name}(c, k, v) {{ c[k] = v; return c; }}"),
+        _ => format!("@jit fn {name}(a, b) {{ return a {} b; }}", BINARY[kind]),
+    };
+    let switched = if wild {
+        let any = [switch.0, switch.1, switch.2].map(anything);
+        any[..if kind == STORE { 3 } else { 2 }].join(", ")
+    } else {
+        valid_args(kind, switch)
+    };
+    [
+        function,
+        format!("{name}({})", valid_args(kind, warm)),
+        format!("{name}({switched})"),
+    ]
+}
+
+/// Warm every site, suspend, run every site three times on operands of a
+/// class it may not have been compiled for, then go back to the warm ones
+/// (which re-compiles with the poisoned sites left generic).
+fn phased_program(sites: &[[String; 3]]) -> String {
+    let column = |c: usize, wrap: &str| -> String {
+        let call = |s: &[String; 3]| wrap.replace("{}", &s[c]);
+        sites.iter().map(call).collect::<Vec<_>>().join(" ")
+    };
+    let warm = column(1, "last = {};");
+    format!(
+        "{}
+         fn main(n) {{
+             let last = null;
+             for (let i = 0; i < n; i = i + 1) {{ {warm} }}
+             print(last);
+             fireworks_snapshot();
+             for (let r = 0; r < 3; r = r + 1) {{ {} }}
+             for (let i = 0; i < n; i = i + 1) {{ {warm} }}
+             return last;
+         }}",
+        column(0, "{}"),
+        column(2, "print({});"),
+    )
+}
 
 /// Generates a small arithmetic expression over locals `a`, `b`, `c`.
 fn expr_strategy() -> impl Strategy<Value = String> {
@@ -22,22 +280,27 @@ fn expr_strategy() -> impl Strategy<Value = String> {
     })
 }
 
-fn run(src: &str, arg: i64, policy: JitPolicy) -> Result<Value, String> {
-    let program = Rc::new(compile(src).map_err(|e| e.to_string())?);
-    let mut vm = Vm::with_policy(program, policy);
-    vm.start("main", vec![Value::Int(arg)])
-        .map_err(|e| e.to_string())?;
-    // Resume through any snapshot points until completion.
-    loop {
-        match vm.run(&mut NoopHost).map_err(|e| e.to_string())? {
-            Outcome::Done(v) => return Ok(v),
-            Outcome::Snapshot => continue,
-        }
-    }
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Every binary operator, index load and index store, over every kind
+    /// of operand, with a phase switch between the warm-up and the rest:
+    /// all tiers agree on result or error, printed output and op count.
+    #[test]
+    fn tiers_agree_across_a_phase_switch(
+        picks in proptest::collection::vec(
+            (0usize..13, draw(), draw(), 0usize..4),
+            1..5,
+        ),
+        n in 6i64..14,
+    ) {
+        let sites: Vec<_> = picks
+            .iter()
+            .enumerate()
+            .map(|(index, &(kind, warm, switch, wild))| site(index, kind, warm, switch, wild == 0))
+            .collect();
+        assert_tiers_agree(&phased_program(&sites), n);
+    }
 
     /// A hot loop over a random expression gives identical results with
     /// the JIT on (low thresholds) and off.
@@ -53,12 +316,8 @@ proptest! {
                  return t;
              }}"
         );
-        let jit = run(
-            &src,
-            n,
-            JitPolicy::HotSpot { call_threshold: 2, loop_threshold: 4 },
-        );
-        let interp = run(&src, n, JitPolicy::Off);
+        let (jit, _) = observe(&src, n, HOT, false);
+        let (interp, _) = observe(&src, n, JitPolicy::Off, false);
         prop_assert_eq!(jit, interp);
     }
 
@@ -77,13 +336,11 @@ proptest! {
              }}"
         );
         // Straight-through reference run (snapshot op is a no-op value-wise).
-        let reference = run(&src, n, JitPolicy::Off).expect("reference runs");
+        let (reference, _) = observe(&src, n, JitPolicy::Off, false);
+        let reference = reference.result.expect("reference runs");
 
         let program = Rc::new(compile(&src).expect("compiles"));
-        let mut vm = Vm::with_policy(
-            program,
-            JitPolicy::HotSpot { call_threshold: 2, loop_threshold: 4 },
-        );
+        let mut vm = Vm::with_policy(program, HOT);
         vm.start("main", vec![Value::Int(n)]).expect("starts");
         let out = vm.run(&mut NoopHost).expect("runs to snapshot");
         prop_assert_eq!(out, Outcome::Snapshot);
@@ -96,8 +353,8 @@ proptest! {
         let Outcome::Done(from_original) = vm.run(&mut NoopHost).expect("original runs") else {
             panic!("original must finish");
         };
-        prop_assert_eq!(&from_clone, &reference);
-        prop_assert_eq!(&from_original, &reference);
+        prop_assert_eq!(from_clone.to_string(), reference.clone());
+        prop_assert_eq!(from_original.to_string(), reference);
     }
 
     /// Deopt storms (argument types flipping between int and string per
@@ -118,8 +375,8 @@ proptest! {
                 }
                 return str(ints) + \":\" + str(len(strs));
             }";
-        let jit = run(src, n, JitPolicy::HotSpot { call_threshold: 2, loop_threshold: 4 });
-        let interp = run(src, n, JitPolicy::Off);
+        let (jit, _) = observe(src, n, HOT, false);
+        let (interp, _) = observe(src, n, JitPolicy::Off, false);
         prop_assert_eq!(jit, interp);
     }
 }

@@ -26,5 +26,5 @@ pub mod vm;
 
 pub use error::VmError;
 pub use manager::VmManager;
-pub use reap::{PagingCosts, ReapMode, ReapSession, WorkingSet};
+pub use reap::{ReapMode, ReapSession, WorkingSet};
 pub use vm::{MicroVm, MicroVmConfig, SnapshotTemplate, VmFullSnapshot, VmState};

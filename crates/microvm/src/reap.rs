@@ -16,31 +16,11 @@ use std::collections::BTreeSet;
 
 use fireworks_guestmem::SnapshotFile;
 use fireworks_obs::{cat, BatchedCounter, Obs};
+use fireworks_sim::cost::MemCosts;
 use fireworks_sim::fault::{FaultSite, SharedInjector};
-use fireworks_sim::{Clock, Nanos};
+use fireworks_sim::Clock;
 
 use crate::error::VmError;
-
-/// Cost model for snapshot-file paging.
-#[derive(Debug, Clone)]
-pub struct PagingCosts {
-    /// One random major fault (seek + 4 KiB read + fault handling).
-    pub major_fault: Nanos,
-    /// Per-page cost of one bulk sequential read (amortised).
-    pub sequential_read_per_page: Nanos,
-    /// Fixed cost of issuing the prefetch (open, iovec setup).
-    pub prefetch_base: Nanos,
-}
-
-impl Default for PagingCosts {
-    fn default() -> Self {
-        PagingCosts {
-            major_fault: Nanos::from_micros(11),
-            sequential_read_per_page: Nanos::from_nanos(900),
-            prefetch_base: Nanos::from_micros(250),
-        }
-    }
-}
 
 /// Operating mode of the REAP mechanism for one function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,7 +81,7 @@ impl WorkingSet {
 #[derive(Debug)]
 pub struct ReapSession {
     mode: ReapMode,
-    costs: PagingCosts,
+    costs: MemCosts,
     touched: WorkingSet,
     resident: BTreeSet<usize>,
     major_faults: u64,
@@ -114,14 +94,10 @@ pub struct ReapSession {
 }
 
 impl ReapSession {
-    /// Starts a session. In [`ReapMode::Prefetch`], `working_set` is the
-    /// set recorded by an earlier [`ReapMode::Record`] session.
-    pub fn start(
-        clock: &Clock,
-        mode: ReapMode,
-        costs: PagingCosts,
-        working_set: WorkingSet,
-    ) -> Self {
+    /// Starts a session charging the host's paging `costs`. In
+    /// [`ReapMode::Prefetch`], `working_set` is the set recorded by an
+    /// earlier [`ReapMode::Record`] session.
+    pub fn start(clock: &Clock, mode: ReapMode, costs: &MemCosts, working_set: WorkingSet) -> Self {
         match Self::start_with_faults(clock, mode, costs, working_set, None, None) {
             Ok(session) => session,
             Err(_) => unreachable!("no fault sources supplied"),
@@ -140,7 +116,7 @@ impl ReapSession {
     pub fn start_with_faults(
         clock: &Clock,
         mode: ReapMode,
-        costs: PagingCosts,
+        costs: &MemCosts,
         working_set: WorkingSet,
         injector: Option<&SharedInjector>,
         snapshot: Option<&SnapshotFile>,
@@ -157,7 +133,7 @@ impl ReapSession {
     pub fn start_observed(
         clock: &Clock,
         mode: ReapMode,
-        costs: PagingCosts,
+        costs: &MemCosts,
         working_set: WorkingSet,
         injector: Option<&SharedInjector>,
         snapshot: Option<&SnapshotFile>,
@@ -208,7 +184,7 @@ impl ReapSession {
         }
         Ok(ReapSession {
             mode,
-            costs,
+            costs: costs.clone(),
             touched: WorkingSet::new(),
             resident,
             major_faults: 0,
@@ -297,12 +273,12 @@ mod tests {
         let mut s = ReapSession::start(
             &clock,
             ReapMode::Off,
-            PagingCosts::default(),
+            &MemCosts::default(),
             WorkingSet::new(),
         );
         touch_workload(&mut s, &clock);
         assert_eq!(s.major_faults(), 700);
-        let expected = PagingCosts::default().major_fault * 700;
+        let expected = MemCosts::default().major_fault * 700;
         assert_eq!(clock.now(), expected);
         assert!(s.finish().is_none());
     }
@@ -313,7 +289,7 @@ mod tests {
         let mut s = ReapSession::start(
             &clock,
             ReapMode::Off,
-            PagingCosts::default(),
+            &MemCosts::default(),
             WorkingSet::new(),
         );
         s.touch(&clock, 42);
@@ -328,7 +304,7 @@ mod tests {
         let mut s = ReapSession::start(
             &clock,
             ReapMode::Record,
-            PagingCosts::default(),
+            &MemCosts::default(),
             WorkingSet::new(),
         );
         touch_workload(&mut s, &clock);
@@ -340,19 +316,18 @@ mod tests {
 
     #[test]
     fn prefetch_is_much_cheaper_than_faulting() {
-        let costs = PagingCosts::default();
+        let costs = MemCosts::default();
 
         // Record pass.
         let clock = Clock::new();
-        let mut rec =
-            ReapSession::start(&clock, ReapMode::Record, costs.clone(), WorkingSet::new());
+        let mut rec = ReapSession::start(&clock, ReapMode::Record, &costs, WorkingSet::new());
         touch_workload(&mut rec, &clock);
         let faulting_time = clock.now();
         let ws = rec.finish().expect("working set");
 
         // Prefetch pass: same accesses, no major faults.
         let clock2 = Clock::new();
-        let mut pre = ReapSession::start(&clock2, ReapMode::Prefetch, costs, ws);
+        let mut pre = ReapSession::start(&clock2, ReapMode::Prefetch, &costs, ws);
         let after_prefetch = clock2.now();
         touch_workload(&mut pre, &clock2);
         assert_eq!(pre.major_faults(), 0, "all accesses hit the prefetched set");
@@ -372,7 +347,7 @@ mod tests {
         let clock = Clock::new();
         let mut ws = WorkingSet::new();
         ws.record_range(0, 10);
-        let mut s = ReapSession::start(&clock, ReapMode::Prefetch, PagingCosts::default(), ws);
+        let mut s = ReapSession::start(&clock, ReapMode::Prefetch, &MemCosts::default(), ws);
         s.touch(&clock, 5); // In set: free.
         assert_eq!(s.major_faults(), 0);
         s.touch(&clock, 99_999); // Outside: major fault.
@@ -383,7 +358,7 @@ mod tests {
     fn prefetch_read_fault_aborts_after_issue_cost() {
         use fireworks_sim::fault::{self, FaultInjector, FaultPlan};
         let clock = Clock::new();
-        let costs = PagingCosts::default();
+        let costs = MemCosts::default();
         let inj = fault::shared(FaultInjector::new(
             FaultPlan::new(5).nth(FaultSite::SnapshotRead, 1),
         ));
@@ -392,7 +367,7 @@ mod tests {
         let err = ReapSession::start_with_faults(
             &clock,
             ReapMode::Prefetch,
-            costs.clone(),
+            &costs,
             ws.clone(),
             Some(&inj),
             None,
@@ -402,9 +377,15 @@ mod tests {
         // Only the fixed issue cost was charged, not the per-page read.
         assert_eq!(clock.now(), costs.prefetch_base);
         // The retry succeeds (nth-trigger already fired).
-        let s =
-            ReapSession::start_with_faults(&clock, ReapMode::Prefetch, costs, ws, Some(&inj), None)
-                .expect("retry succeeds");
+        let s = ReapSession::start_with_faults(
+            &clock,
+            ReapMode::Prefetch,
+            &costs,
+            ws,
+            Some(&inj),
+            None,
+        )
+        .expect("retry succeeds");
         assert_eq!(s.prefetched_pages(), 100);
     }
 
@@ -423,7 +404,7 @@ mod tests {
         let err = ReapSession::start_with_faults(
             &clock,
             ReapMode::Prefetch,
-            PagingCosts::default(),
+            &MemCosts::default(),
             ws,
             None,
             Some(&snap),
@@ -438,7 +419,7 @@ mod tests {
         ReapSession::start_with_faults(
             &clock,
             ReapMode::Prefetch,
-            PagingCosts::default(),
+            &MemCosts::default(),
             clean,
             None,
             Some(&snap),

@@ -222,8 +222,14 @@ pub struct MemCosts {
     pub cow_fault: Nanos,
     /// Mapping a zero page on first touch.
     pub zero_fill: Nanos,
-    /// Reading one 4 KiB page from the snapshot file on a major fault.
+    /// One random major fault on a snapshot-file page that is not in the
+    /// page cache (seek + 4 KiB read + fault handling).
     pub major_fault: Nanos,
+    /// Per-page cost of one bulk sequential read of a recorded working
+    /// set (amortised).
+    pub sequential_read_per_page: Nanos,
+    /// Fixed cost of issuing that prefetch (open, iovec setup).
+    pub prefetch_base: Nanos,
 }
 
 impl Default for MemCosts {
@@ -232,6 +238,8 @@ impl Default for MemCosts {
             cow_fault: Nanos::from_nanos(1_100),
             zero_fill: Nanos::from_nanos(600),
             major_fault: Nanos::from_micros(11),
+            sequential_read_per_page: Nanos::from_nanos(900),
+            prefetch_base: Nanos::from_micros(250),
         }
     }
 }
