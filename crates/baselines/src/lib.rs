@@ -48,4 +48,4 @@ pub mod pool;
 pub use firecracker::{FirecrackerPlatform, SnapshotPolicy};
 pub use gvisor::GvisorPlatform;
 pub use openwhisk::OpenWhiskPlatform;
-pub use pool::{Flavor, InFlight, PooledPlatform, Sandbox};
+pub use pool::{Flavor, InFlight, PooledPlatform};

@@ -42,7 +42,7 @@ impl OpenWhiskPlatform {
 
     /// Total resident bytes held by idle warm containers right now.
     pub fn idle_warm_bytes(&mut self) -> u64 {
-        self.idle().map(Container::rss_bytes).sum()
+        self.idle().map(|c| c.rss_bytes()).sum()
     }
 }
 

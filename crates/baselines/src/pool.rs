@@ -13,48 +13,19 @@ use fireworks_core::env::PlatformEnv;
 use fireworks_core::host::NetMode;
 use fireworks_core::{fid, FunctionId, IdMap};
 use fireworks_lang::ExecStats;
-use fireworks_microvm::MicroVm;
 use fireworks_obs::{cat, RootSpan};
-use fireworks_runtime::GuestRuntime;
-use fireworks_sandbox::{Container, IoPath, IsolationLevel};
+use fireworks_runtime::Guest;
+use fireworks_sandbox::{IoPath, IsolationLevel};
 use fireworks_sim::Nanos;
-
-/// What the skeleton needs of a sandbox, whatever isolates it.
-pub trait Sandbox {
-    /// The guest runtime, once launched.
-    fn runtime_mut(&mut self) -> Option<&mut GuestRuntime>;
-
-    /// Proportional set size of the sandbox's guest memory.
-    fn pss_bytes(&self) -> u64;
-}
-
-impl Sandbox for MicroVm {
-    fn runtime_mut(&mut self) -> Option<&mut GuestRuntime> {
-        MicroVm::runtime_mut(self)
-    }
-
-    fn pss_bytes(&self) -> u64 {
-        MicroVm::pss_bytes(self)
-    }
-}
-
-impl Sandbox for Container {
-    fn runtime_mut(&mut self) -> Option<&mut GuestRuntime> {
-        Container::runtime_mut(self)
-    }
-
-    fn pss_bytes(&self) -> u64 {
-        Container::pss_bytes(self)
-    }
-}
 
 /// The mechanism of one baseline: everything that differs between
 /// OpenWhisk, gVisor and Firecracker, called by [`PooledPlatform`] at the
 /// point of the invocation where the difference sits. Hooks record their
 /// own spans and charge their own costs on `env`.
 pub trait Flavor {
-    /// The sandbox this flavour runs guests in.
-    type Sandbox: Sandbox;
+    /// The sandbox this flavour runs guests in: whatever isolates it, the
+    /// skeleton reaches the [`Guest`] inside (runtime, PSS).
+    type Sandbox: DerefMut<Target = Guest>;
     /// The install-time artifact fresh starts restore from.
     type Artifact;
     /// Isolation level (paper Table 1).
@@ -130,7 +101,7 @@ impl<S> DerefMut for InFlight<S> {
     }
 }
 
-impl<S: Sandbox> InFlightToken for InFlight<S> {
+impl<S: Deref<Target = Guest>> InFlightToken for InFlight<S> {
     fn pss_bytes(&self) -> u64 {
         self.sandbox.pss_bytes()
     }

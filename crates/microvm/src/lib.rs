@@ -3,11 +3,12 @@
 //! [`VmManager`] creates, boots, pauses, resumes, snapshots, and restores
 //! [`MicroVm`]s. A microVM couples:
 //!
-//! - a guest-physical [`fireworks_guestmem::AddressSpace`]: a restored
-//!   clone lazily maps its snapshot file's pages and holds privately only
-//!   the ones it wrote (copy-on-write),
-//! - a [`fireworks_runtime::GuestRuntime`] (language runtime + loaded
-//!   function) whose regions are laid out in that address space,
+//! - a [`fireworks_runtime::Guest`]: a guest-physical address space (a
+//!   restored clone lazily maps its snapshot file's pages and holds
+//!   privately only the ones it wrote, copy-on-write) with a language
+//!   runtime + loaded function laid out in it. What a sync, an invocation
+//!   or ageing dirties, and what a snapshot stores, is decided there, once
+//!   for microVMs and containers,
 //! - an MMDS-style metadata map, set from the host per instance (this is
 //!   how restored clones learn their identity, paper §3.5/3.6).
 //!

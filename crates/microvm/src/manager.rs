@@ -3,16 +3,16 @@
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use fireworks_guestmem::{AddressSpace, HostMemory, SnapshotFile};
+use fireworks_guestmem::HostMemory;
 use fireworks_lang::{JitConfig, LangError};
 use fireworks_obs::{cat, Obs, SpanId};
-use fireworks_runtime::{GuestRuntime, MemoryModel, RuntimeProfile};
+use fireworks_runtime::{Guest, GuestRuntime, RuntimeProfile};
 use fireworks_sim::fault::{FaultSite, SharedInjector};
 use fireworks_sim::trace::Phase;
 use fireworks_sim::{Clock, CostModel, Nanos};
 
 use crate::error::VmError;
-use crate::vm::{MicroVm, MicroVmConfig, RegionExtents, VmFullSnapshot, VmState};
+use crate::vm::{MicroVm, MicroVmConfig, VmFullSnapshot, VmState, OS_IMAGE_BYTES};
 
 /// Creates, boots, snapshots, and restores microVMs on one host.
 ///
@@ -124,13 +124,9 @@ impl VmManager {
             id: self.next_id(),
             config,
             state: VmState::Created,
-            space: AddressSpace::new(self.host_mem.clone(), config.mem_bytes),
-            runtime: None,
+            guest: Guest::new(&self.host_mem, config.mem_bytes, OS_IMAGE_BYTES),
             mmds: BTreeMap::new(),
-            extents: RegionExtents::default(),
-            memmodel: MemoryModel::default(),
             boot_time: self.clock.now() - start,
-            aged_ops: 0,
         }
     }
 
@@ -185,9 +181,7 @@ impl VmManager {
         let span = self.span_start("runtime_launch", cat::BOOT);
         let result = GuestRuntime::launch(&self.clock, profile, source, jit);
         self.span_end(span);
-        let rt = result?;
-        vm.runtime = Some(rt);
-        vm.sync_runtime_memory();
+        vm.launch(result?);
         vm.boot_time += self.clock.now() - start;
         Ok(())
     }
@@ -223,15 +217,12 @@ impl VmManager {
         vm.sync_runtime_memory();
         let span = self.span_start("snapshot_capture", cat::SNAPSHOT);
         self.clock.advance(self.costs.microvm.snapshot_create_base);
-        let pages = vm.space.resident_pages() as u64;
+        let pages = vm.resident_pages() as u64;
         self.clock
             .advance(self.costs.microvm.snapshot_write_per_page * pages);
         let snap = VmFullSnapshot {
-            mem: SnapshotFile::capture(&vm.space, Vec::new()),
-            runtime: vm.runtime.as_ref().map(|r| Rc::new(r.snapshot())),
+            image: vm.capture(),
             config: vm.config,
-            extents: vm.extents,
-            memmodel: vm.memmodel,
         };
         if let (Some(obs), Some(id)) = (&self.obs, span) {
             obs.recorder().attr(id, "pages", pages);
@@ -249,7 +240,8 @@ impl VmManager {
     /// ([`SnapshotFile::restore`]) — every page mapped shared, none
     /// touched, on the host as in the paper — and the virtual clock is
     /// still charged `snapshot_map_per_page` for each, as `mmap` setting
-    /// up the page tables would cost.
+    /// up the page tables would cost. What the clone is — runtime state,
+    /// region extents — is [`fireworks_runtime::GuestImage::restore`]'s.
     ///
     /// With a fault injector attached, three things can go wrong, in
     /// order: the snapshot file read can fail transiently
@@ -267,7 +259,11 @@ impl VmManager {
     ///
     /// Panics if the snapshot was taken on another host's frame table
     /// than this manager's `host_mem`.
+    ///
+    /// [`SnapshotFile::restore`]: fireworks_guestmem::SnapshotFile::restore
+    /// [`SnapshotFile::verify`]: fireworks_guestmem::SnapshotFile::verify
     pub fn restore(&mut self, snapshot: &VmFullSnapshot) -> Result<MicroVm, VmError> {
+        let mem = snapshot.mem();
         // The restore is start-up latency wherever it runs; the
         // read/verify/map children inherit the phase.
         let restore_span = self.obs.as_ref().map(|o| {
@@ -275,7 +271,7 @@ impl VmManager {
                 .start_phase("snapshot_restore", cat::RESTORE, Phase::Startup)
         });
         if let (Some(obs), Some(id)) = (&self.obs, restore_span) {
-            obs.recorder().attr(id, "pages", snapshot.mem.pages());
+            obs.recorder().attr(id, "pages", mem.pages());
         }
         self.count("microvm.restore.attempts", &[], 1);
         let read = self.span_start("restore_read", cat::RESTORE);
@@ -287,7 +283,7 @@ impl VmManager {
         }
         self.span_end(read);
         let verify = self.span_start("page_verify", cat::RESTORE);
-        if snapshot.mem.pages() > 0 && self.should_fail(FaultSite::SnapshotCorruption) {
+        if mem.pages() > 0 && self.should_fail(FaultSite::SnapshotCorruption) {
             // Damage a deterministic (occurrence-dependent) page so the
             // checksum machinery does real detection work below.
             let occurrence = self
@@ -295,45 +291,34 @@ impl VmManager {
                 .as_ref()
                 .map(|inj| inj.borrow().injected_at(FaultSite::SnapshotCorruption))
                 .unwrap_or(1);
-            let index = occurrence.wrapping_mul(7919) % snapshot.mem.pages();
-            snapshot.mem.corrupt_page(index);
+            let index = occurrence.wrapping_mul(7919) % mem.pages();
+            mem.corrupt_page(index);
         }
-        if let Err(err) = snapshot.mem.verify() {
+        if let Err(err) = mem.verify() {
             self.count("microvm.restore.failures", &[("kind", "corrupt")], 1);
             self.span_end(restore_span);
             return Err(err.into());
         }
-        self.count(
-            "microvm.restore.pages_verified",
-            &[],
-            snapshot.mem.pages() as u64,
-        );
+        self.count("microvm.restore.pages_verified", &[], mem.pages() as u64);
         self.span_end(verify);
         let map = self.span_start("map_pages", cat::RESTORE);
         self.clock
-            .advance(self.costs.microvm.snapshot_map_per_page * snapshot.mem.pages() as u64);
+            .advance(self.costs.microvm.snapshot_map_per_page * mem.pages() as u64);
         if self.should_fail(FaultSite::VmCrash) {
             self.count("microvm.restore.failures", &[("kind", "crash")], 1);
             self.span_end(restore_span);
             return Err(VmError::RestoreCrash);
         }
-        let space = snapshot.mem.restore(&self.host_mem);
+        let guest = snapshot.restore(&self.host_mem);
         self.span_end(map);
         self.span_end(restore_span);
         Ok(MicroVm {
             id: self.next_id(),
             config: snapshot.config,
             state: VmState::Running,
-            space,
-            runtime: snapshot
-                .runtime
-                .as_ref()
-                .map(|r| GuestRuntime::from_snapshot(r)),
+            guest,
             mmds: BTreeMap::new(),
-            extents: snapshot.extents,
-            memmodel: snapshot.memmodel,
             boot_time: Nanos::ZERO,
-            aged_ops: 0,
         })
     }
 }

@@ -1,33 +1,28 @@
-//! One microVM: guest memory + runtime + metadata.
+//! One microVM: a guest + VMM state and metadata.
 
 use std::collections::BTreeMap;
+use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
-use fireworks_guestmem::{AddressSpace, SnapshotFile};
-use fireworks_runtime::{GuestRuntime, MemoryModel, RuntimeSnapshot};
+use fireworks_guestmem::SnapshotFile;
+use fireworks_runtime::{Guest, GuestImage, Layout, RuntimeSnapshot};
 use fireworks_sim::Nanos;
 
 /// Guest memory reserved for the kernel and guest userspace after boot.
 pub const OS_IMAGE_BYTES: u64 = 72 << 20;
 
 /// MicroVM resource configuration. The default matches the paper's §5.1
-/// setup: one vCPU, 512 MiB memory, 2 GiB disk.
+/// setup: 512 MiB of guest memory.
 #[derive(Debug, Clone, Copy)]
 pub struct MicroVmConfig {
-    /// Number of virtual CPUs.
-    pub vcpus: u8,
     /// Guest memory size in bytes.
     pub mem_bytes: u64,
-    /// Virtual disk size in bytes.
-    pub disk_bytes: u64,
 }
 
 impl Default for MicroVmConfig {
     fn default() -> Self {
         MicroVmConfig {
-            vcpus: 1,
-            mem_bytes: 512 << 20,
-            disk_bytes: 2 << 30,
+            mem_bytes: Layout::GUEST_MEM_BYTES,
         }
     }
 }
@@ -43,34 +38,31 @@ pub enum VmState {
     Paused,
 }
 
-/// Bytes of each runtime region already materialised in guest memory,
-/// used to dirty only *growth* after restores.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct RegionExtents {
-    pub os: u64,
-    pub runtime: u64,
-    pub code: u64,
-    pub jit: u64,
-    pub heap: u64,
-    pub first_run: u64,
-    pub churn: u64,
-}
-
-/// A microVM instance.
+/// A microVM instance: a [`Guest`] (guest memory, runtime and their
+/// accounting — reached through `Deref`) behind a VMM.
 #[derive(Debug)]
 pub struct MicroVm {
     pub(crate) id: u64,
     pub(crate) config: MicroVmConfig,
     pub(crate) state: VmState,
-    pub(crate) space: AddressSpace,
-    pub(crate) runtime: Option<GuestRuntime>,
+    pub(crate) guest: Guest,
     pub(crate) mmds: BTreeMap<String, String>,
-    pub(crate) extents: RegionExtents,
-    pub(crate) memmodel: MemoryModel,
     /// Total virtual time this VM spent in boot stages (for breakdowns).
     pub(crate) boot_time: Nanos,
-    /// Synthetic extra guest ops from [`MicroVm::age_ops`].
-    pub(crate) aged_ops: u64,
+}
+
+impl Deref for MicroVm {
+    type Target = Guest;
+
+    fn deref(&self) -> &Guest {
+        &self.guest
+    }
+}
+
+impl DerefMut for MicroVm {
+    fn deref_mut(&mut self) -> &mut Guest {
+        &mut self.guest
+    }
 }
 
 impl MicroVm {
@@ -94,16 +86,6 @@ impl MicroVm {
         self.boot_time
     }
 
-    /// The guest runtime, if one has been launched or restored.
-    pub fn runtime(&self) -> Option<&GuestRuntime> {
-        self.runtime.as_ref()
-    }
-
-    /// Mutable access to the guest runtime.
-    pub fn runtime_mut(&mut self) -> Option<&mut GuestRuntime> {
-        self.runtime.as_mut()
-    }
-
     /// Sets an MMDS key (host side, e.g. the instance id before resume).
     pub fn mmds_set(&mut self, key: &str, value: &str) {
         self.mmds.insert(key.to_string(), value.to_string());
@@ -113,210 +95,26 @@ impl MicroVm {
     pub fn mmds_get_raw(&self, key: &str) -> Option<&str> {
         self.mmds.get(key).map(String::as_str)
     }
-
-    /// Guest-physical resident set size.
-    pub fn rss_bytes(&self) -> u64 {
-        self.space.rss_bytes()
-    }
-
-    /// Guest-physical proportional set size (what `smem` reports).
-    pub fn pss_bytes(&self) -> u64 {
-        self.space.pss_bytes()
-    }
-
-    /// Shared/private split of the resident set (CoW sharing with the
-    /// snapshot file and sibling clones vs privately dirtied pages).
-    pub fn sharing_stats(&self) -> fireworks_guestmem::SharingStats {
-        self.space.sharing_stats()
-    }
-
-    /// Extends guest-memory regions to the runtime's current sizes,
-    /// dirtying only growth beyond what is already materialised. Call
-    /// after execution slices so JIT-code and heap growth is accounted.
-    pub fn sync_runtime_memory(&mut self) {
-        if self.extents.os < OS_IMAGE_BYTES {
-            self.space.touch_dirty(0, OS_IMAGE_BYTES);
-            self.extents.os = OS_IMAGE_BYTES;
-        }
-        let Some(rt) = &self.runtime else { return };
-        let p = rt.profile();
-        let grow = |space: &mut AddressSpace, base: u64, old: u64, new: u64| {
-            if new > old {
-                space.touch_dirty(base + old, new - old);
-            }
-            new.max(old)
-        };
-        self.extents.runtime = grow(
-            &mut self.space,
-            MemoryModel::RUNTIME_BASE,
-            self.extents.runtime,
-            p.base_image_bytes,
-        );
-        let code_bytes = p.code_bytes_per_op * rt.program().total_ops() as u64;
-        self.extents.code = grow(
-            &mut self.space,
-            MemoryModel::APP_CODE_BASE,
-            self.extents.code,
-            code_bytes,
-        );
-        self.extents.jit = grow(
-            &mut self.space,
-            MemoryModel::JIT_CODE_BASE,
-            self.extents.jit,
-            rt.jit_code_bytes(),
-        );
-        self.extents.heap = grow(
-            &mut self.space,
-            MemoryModel::HEAP_BASE,
-            self.extents.heap,
-            rt.heap_bytes().max(1 << 20),
-        );
-        if rt.first_run_done() {
-            self.extents.first_run = grow(
-                &mut self.space,
-                MemoryModel::FIRST_RUN_BASE,
-                self.extents.first_run,
-                p.first_run_state_bytes,
-            );
-        }
-        self.extents.churn = grow(
-            &mut self.space,
-            MemoryModel::CHURN_BASE,
-            self.extents.churn,
-            MemoryModel::churn_bytes(p, rt.ops_since_reset()),
-        );
-    }
-
-    /// The page ranges (first page, count) one invocation reads or
-    /// writes: the loaded code, JIT cache, heap, execution state, and a
-    /// fraction of the runtime image and OS — the working set REAP-style
-    /// prefetching targets. Whole pages, derived from current extents.
-    pub fn working_set_ranges(&self) -> Vec<(usize, usize)> {
-        use fireworks_guestmem::PAGE_SIZE;
-        let page = |addr: u64| (addr as usize) / PAGE_SIZE;
-        let pages = |bytes: u64| (bytes as usize).div_ceil(PAGE_SIZE);
-        let mut ranges = Vec::new();
-        // A slice of the OS (syscall paths, page cache metadata).
-        ranges.push((0, pages(OS_IMAGE_BYTES / 10)));
-        // A fraction of the runtime image (interpreter hot paths, stdlib).
-        if self.extents.runtime > 0 {
-            ranges.push((
-                page(MemoryModel::RUNTIME_BASE),
-                pages(self.extents.runtime / 4),
-            ));
-        }
-        // All loaded code, JIT code, and heap; the full exec-state region.
-        for (base, extent) in [
-            (MemoryModel::APP_CODE_BASE, self.extents.code),
-            (MemoryModel::JIT_CODE_BASE, self.extents.jit),
-            (MemoryModel::HEAP_BASE, self.extents.heap),
-            (MemoryModel::FIRST_RUN_BASE, self.extents.first_run),
-        ] {
-            if extent > 0 {
-                ranges.push((page(base), pages(extent)));
-            }
-        }
-        if let Some(rt) = &self.runtime {
-            ranges.push((
-                page(MemoryModel::EXEC_STATE_BASE),
-                pages(rt.profile().exec_state_bytes),
-            ));
-        }
-        ranges
-    }
-
-    /// Ages the VM by `extra_ops` guest ops of continued service, dirtying
-    /// the GC-churn arena accordingly. Used by long-running density
-    /// experiments (paper Fig. 10 runs every microVM until the host
-    /// swaps) without paying the real-time cost of executing those ops.
-    pub fn age_ops(&mut self, extra_ops: u64) {
-        let Some(rt) = &self.runtime else { return };
-        let total = rt
-            .ops_since_reset()
-            .saturating_add(self.aged_ops)
-            .saturating_add(extra_ops);
-        self.aged_ops = self.aged_ops.saturating_add(extra_ops);
-        let churn = MemoryModel::churn_bytes(rt.profile(), total);
-        if churn > 0 {
-            self.space.touch_dirty(MemoryModel::CHURN_BASE, churn);
-            self.extents.churn = self.extents.churn.max(churn);
-        }
-    }
-
-    /// Dirties the per-invocation write set: execution state, a heap
-    /// fraction, first-run state allocated in this instance, and the GC
-    /// churn accumulated by this instance's execution (which rewrites —
-    /// and therefore CoW-copies — arena pages that came shared out of a
-    /// snapshot). Call once per invocation.
-    pub fn dirty_invocation(&mut self) {
-        let Some(rt) = &self.runtime else { return };
-        let model = self.memmodel;
-        let p = rt.profile();
-        let exec_bytes = p.exec_state_bytes;
-        let heap = rt
-            .heap_bytes()
-            .max(1 << 20)
-            .min(self.extents.heap.max(1 << 20));
-        let first_run = rt.first_run_local().then_some(p.first_run_state_bytes);
-        let churn = MemoryModel::churn_bytes(p, rt.ops_since_reset());
-        self.space
-            .touch_dirty(MemoryModel::EXEC_STATE_BASE, exec_bytes);
-        let dirty = (heap as f64 * model.heap_dirty_fraction) as u64;
-        if dirty > 0 {
-            self.space.touch_dirty(MemoryModel::HEAP_BASE, dirty);
-        }
-        if let Some(bytes) = first_run {
-            self.space.touch_dirty(MemoryModel::FIRST_RUN_BASE, bytes);
-            self.extents.first_run = self.extents.first_run.max(bytes);
-        }
-        if churn > 0 {
-            self.space.touch_dirty(MemoryModel::CHURN_BASE, churn);
-            self.extents.churn = self.extents.churn.max(churn);
-        }
-    }
 }
 
-/// A complete microVM snapshot: the memory file plus runtime state and
-/// the VM configuration (Firecracker's `snapshot.mem` + `snapshot.json`).
+/// A complete microVM snapshot: a [`GuestImage`] (memory file, runtime
+/// state and region extents — reached through `Deref`) plus the VM
+/// configuration (Firecracker's `snapshot.mem` + `snapshot.json`).
 #[derive(Debug)]
 pub struct VmFullSnapshot {
-    pub(crate) mem: SnapshotFile,
-    pub(crate) runtime: Option<Rc<RuntimeSnapshot>>,
+    pub(crate) image: GuestImage,
     pub(crate) config: MicroVmConfig,
-    pub(crate) extents: RegionExtents,
-    pub(crate) memmodel: MemoryModel,
+}
+
+impl Deref for VmFullSnapshot {
+    type Target = GuestImage;
+
+    fn deref(&self) -> &GuestImage {
+        &self.image
+    }
 }
 
 impl VmFullSnapshot {
-    /// The snapshot memory file, with its per-page checksums.
-    pub fn mem(&self) -> &SnapshotFile {
-        &self.mem
-    }
-
-    /// Guest pages stored in the snapshot memory file.
-    pub fn pages(&self) -> usize {
-        self.mem.pages()
-    }
-
-    /// On-disk size of the snapshot.
-    pub fn file_bytes(&self) -> u64 {
-        self.mem.file_bytes()
-    }
-
-    /// The runtime state captured in the snapshot, if any.
-    pub fn runtime(&self) -> Option<&Rc<RuntimeSnapshot>> {
-        self.runtime.as_ref()
-    }
-
-    /// Whether the captured runtime holds JIT-compiled code (i.e. this is
-    /// a *post-JIT* snapshot rather than a plain OS snapshot).
-    pub fn is_post_jit(&self) -> bool {
-        self.runtime
-            .as_ref()
-            .map(|r| r.jit_code_ops() > 0)
-            .unwrap_or(false)
-    }
-
     /// The snapshot's host-agnostic metadata — everything except guest
     /// memory. A peer host that has reassembled the memory file from
     /// content-addressed chunks combines it with this template via
@@ -324,10 +122,9 @@ impl VmFullSnapshot {
     /// without ever running the source function.
     pub fn template(&self) -> SnapshotTemplate {
         SnapshotTemplate {
-            runtime: self.runtime.clone(),
+            runtime: self.image.runtime().cloned(),
+            layout: self.image.layout(),
             config: self.config,
-            extents: self.extents,
-            memmodel: self.memmodel,
         }
     }
 
@@ -335,25 +132,20 @@ impl VmFullSnapshot {
     /// template (the delta-fetch receive side).
     pub fn from_template(mem: SnapshotFile, template: &SnapshotTemplate) -> Self {
         VmFullSnapshot {
-            mem,
-            runtime: template.runtime.clone(),
+            image: GuestImage::new(mem, template.runtime.clone(), template.layout),
             config: template.config,
-            extents: template.extents,
-            memmodel: template.memmodel,
         }
     }
 }
 
 /// The host-agnostic parts of a [`VmFullSnapshot`]: runtime state handle,
-/// VM configuration, region extents, and memory model — but no guest
-/// memory. Cheap to clone and safe to share across simulated hosts
-/// (frame ids are host-local; none appear here), which makes it the
-/// piece a cluster mesh publishes alongside a content-addressed
-/// manifest.
+/// region extents and VM configuration — but no guest memory. Cheap to
+/// clone and safe to share across simulated hosts (frame ids are
+/// host-local; none appear here), which makes it the piece a cluster mesh
+/// publishes alongside a content-addressed manifest.
 #[derive(Debug, Clone)]
 pub struct SnapshotTemplate {
     runtime: Option<Rc<RuntimeSnapshot>>,
+    layout: Layout,
     config: MicroVmConfig,
-    extents: RegionExtents,
-    memmodel: MemoryModel,
 }

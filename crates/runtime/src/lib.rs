@@ -13,19 +13,22 @@
 //!   (§5.5.2).
 //!
 //! [`RuntimeProfile`] captures those differences as calibrated per-op
-//! costs, a [`fireworks_lang::JitPolicy`], and a memory model;
+//! costs, a [`fireworks_lang::JitPolicy`], and region sizes;
 //! [`GuestRuntime`] wraps a Flame VM and charges virtual time for launch,
-//! app load, execution, JIT compilation, and deopts; [`memmodel`] lays the
-//! runtime's regions out in a guest address space so snapshot sharing and
-//! CoW dirtying are accounted at page granularity.
+//! app load, execution, JIT compilation, and deopts; [`layout`] owns the
+//! table of guest-memory regions and the one type built from it — a
+//! [`Guest`] is an address space with a runtime laid out in it, which
+//! alone decides what a sync, an invocation and ageing dirty and what a
+//! [`GuestImage`] stores, so snapshot sharing and CoW dirtying are
+//! accounted at page granularity the same way for microVMs and containers.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod guest;
-pub mod memmodel;
+pub mod layout;
 pub mod profile;
 
 pub use guest::{GuestRuntime, InvokeResult, RuntimeSnapshot};
-pub use memmodel::MemoryModel;
+pub use layout::{Guest, GuestImage, Layout};
 pub use profile::{RuntimeKind, RuntimeProfile};

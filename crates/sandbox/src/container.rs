@@ -2,11 +2,12 @@
 //! with gVisor-style process checkpoints (the paper's Table 1 credits
 //! gVisor with snapshot-based starts, as Catalyzer does).
 
+use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
-use fireworks_guestmem::{AddressSpace, HostMemory, SnapshotFile};
+use fireworks_guestmem::HostMemory;
 use fireworks_lang::{JitConfig, LangError};
-use fireworks_runtime::{GuestRuntime, MemoryModel, RuntimeProfile, RuntimeSnapshot};
+use fireworks_runtime::{Guest, GuestImage, GuestRuntime, Layout, RuntimeProfile};
 use fireworks_sim::{Clock, CostModel, Nanos};
 
 use crate::iopath::{IoPath, IoPathKind};
@@ -48,16 +49,30 @@ pub enum ContainerState {
     Paused,
 }
 
-/// One container sandbox with a language runtime inside.
+/// One container sandbox: a [`Guest`] (process memory, runtime and their
+/// accounting — reached through `Deref`) behind a namespace or a Sentry.
 #[derive(Debug)]
 pub struct Container {
     id: u64,
     kind: ContainerKind,
     state: ContainerState,
-    space: AddressSpace,
-    runtime: Option<GuestRuntime>,
+    guest: Guest,
     io: IoPath,
     create_time: Nanos,
+}
+
+impl Deref for Container {
+    type Target = Guest;
+
+    fn deref(&self) -> &Guest {
+        &self.guest
+    }
+}
+
+impl DerefMut for Container {
+    fn deref_mut(&mut self) -> &mut Guest {
+        &mut self.guest
+    }
 }
 
 impl Container {
@@ -86,53 +101,22 @@ impl Container {
     pub fn io(&self) -> &IoPath {
         &self.io
     }
-
-    /// The runtime, if launched.
-    pub fn runtime(&self) -> Option<&GuestRuntime> {
-        self.runtime.as_ref()
-    }
-
-    /// Mutable runtime access.
-    pub fn runtime_mut(&mut self) -> Option<&mut GuestRuntime> {
-        self.runtime.as_mut()
-    }
-
-    /// Resident set size of the container's memory.
-    pub fn rss_bytes(&self) -> u64 {
-        self.space.rss_bytes()
-    }
-
-    /// Proportional set size of the container's memory.
-    pub fn pss_bytes(&self) -> u64 {
-        self.space.pss_bytes()
-    }
-
-    /// Accounts runtime memory growth (JIT code, heap) in the container's
-    /// address space.
-    pub fn sync_runtime_memory(&mut self) {
-        let Some(rt) = &self.runtime else { return };
-        MemoryModel::default().materialize(&mut self.space, rt);
-    }
 }
 
-/// A gVisor-style process checkpoint of a container: the Sentry's memory
-/// image (shared copy-on-write by restores) plus the runtime state.
+/// A gVisor-style process checkpoint of a container: a [`GuestImage`]
+/// (the Sentry's memory image, shared copy-on-write by restores, plus the
+/// runtime state — reached through `Deref`) and the container's kind.
 #[derive(Debug)]
 pub struct ContainerCheckpoint {
     kind: ContainerKind,
-    mem: SnapshotFile,
-    runtime: Option<Rc<RuntimeSnapshot>>,
+    image: GuestImage,
 }
 
-impl ContainerCheckpoint {
-    /// Pages captured in the checkpoint image.
-    pub fn pages(&self) -> usize {
-        self.mem.pages()
-    }
+impl Deref for ContainerCheckpoint {
+    type Target = GuestImage;
 
-    /// On-disk size of the checkpoint.
-    pub fn file_bytes(&self) -> u64 {
-        self.mem.file_bytes()
+    fn deref(&self) -> &GuestImage {
+        &self.image
     }
 }
 
@@ -183,20 +167,24 @@ impl ContainerManager {
             }
         }
         let runtime = GuestRuntime::launch(&self.clock, profile, source, jit)?;
+        // No OS region: a container shares the host's kernel.
+        let mut guest = Guest::new(&self.host_mem, Layout::GUEST_MEM_BYTES, 0);
+        guest.launch(runtime);
+        Ok(self.running(kind, guest, self.clock.now() - start))
+    }
+
+    /// A running container of `kind` around `guest`, under the next id.
+    fn running(&mut self, kind: ContainerKind, guest: Guest, create_time: Nanos) -> Container {
         let id = self.next_id;
         self.next_id += 1;
-        let mut container = Container {
+        Container {
             id,
             kind,
             state: ContainerState::Running,
-            space: AddressSpace::new(self.host_mem.clone(), 512 << 20),
-            runtime: Some(runtime),
+            guest,
             io: IoPath::new(kind.io_path_kind(), self.costs.clone()),
-            create_time: Nanos::ZERO,
-        };
-        container.sync_runtime_memory();
-        container.create_time = self.clock.now() - start;
-        Ok(container)
+            create_time,
+        }
     }
 
     /// Pauses a container, keeping it warm in memory.
@@ -226,11 +214,10 @@ impl ContainerManager {
         c.sync_runtime_memory();
         self.clock.advance(self.costs.gvisor.checkpoint_base);
         self.clock
-            .advance(self.costs.gvisor.checkpoint_write_per_page * c.space.resident_pages() as u64);
+            .advance(self.costs.gvisor.checkpoint_write_per_page * c.resident_pages() as u64);
         ContainerCheckpoint {
             kind: c.kind,
-            mem: SnapshotFile::capture(&c.space, Vec::new()),
-            runtime: c.runtime.as_ref().map(|r| Rc::new(r.snapshot())),
+            image: c.capture(),
         }
     }
 
@@ -240,21 +227,13 @@ impl ContainerManager {
     pub fn restore(&mut self, checkpoint: &ContainerCheckpoint) -> Container {
         self.clock.advance(self.costs.gvisor.restore_base);
         self.clock
-            .advance(self.costs.gvisor.restore_map_per_page * checkpoint.mem.pages() as u64);
-        let id = self.next_id;
-        self.next_id += 1;
-        Container {
-            id,
-            kind: checkpoint.kind,
-            state: ContainerState::Running,
-            space: checkpoint.mem.restore(&self.host_mem),
-            runtime: checkpoint
-                .runtime
-                .as_ref()
-                .map(|r| GuestRuntime::from_snapshot(r)),
-            io: IoPath::new(checkpoint.kind.io_path_kind(), self.costs.clone()),
-            create_time: Nanos::ZERO,
-        }
+            .advance(self.costs.gvisor.restore_map_per_page * checkpoint.pages() as u64);
+        // The restored Sentry does not know which of its pages the image
+        // already holds: its first sync rewrites every region from the
+        // base and so CoW-copies the image it was mapped from.
+        let mut guest = checkpoint.restore(&self.host_mem);
+        guest.forget_extents();
+        self.running(checkpoint.kind, guest, Nanos::ZERO)
     }
 }
 
@@ -379,6 +358,52 @@ mod tests {
         assert!(a.pss_bytes() <= a.rss_bytes() / 2 + 4096);
         assert_eq!(a.rss_bytes(), b.rss_bytes());
         assert_ne!(a.id(), b.id());
+    }
+
+    /// Pins today's gVisor restore model: the restored container's extents
+    /// start empty, so its first sync rewrites — and CoW-copies — the whole
+    /// image it was mapped from, and every later one is free. Changing
+    /// that is a modelling decision (it moves the gVisor goldens), not a
+    /// refactor: this test is where it shows first.
+    #[test]
+    fn restored_container_cow_copies_its_image_on_first_sync() {
+        let mut mgr = manager();
+        let mut c = mgr
+            .create(
+                ContainerKind::Gvisor,
+                RuntimeProfile::node(),
+                SRC,
+                JitConfig::default(),
+            )
+            .expect("creates");
+        let ckpt = mgr.checkpoint(&mut c);
+        drop(c);
+        let image_bytes = (ckpt.pages() * fireworks_guestmem::PAGE_SIZE) as u64;
+        assert_eq!(ckpt.pages(), 14_593);
+
+        let mut restored = mgr.restore(&ckpt);
+        let host = mgr.host_mem.clone();
+        assert_eq!(host.stats().cow_faults, 0);
+        assert_eq!(restored.rss_bytes(), image_bytes);
+        assert_eq!(
+            restored.pss_bytes(),
+            image_bytes,
+            "sole mapper of the image"
+        );
+
+        let before = mgr.clock().now();
+        restored.sync_runtime_memory();
+        assert_eq!(host.stats().cow_faults, ckpt.pages() as u64);
+        assert!(mgr.clock().now() > before, "the copies cost virtual time");
+        assert_eq!(restored.rss_bytes(), image_bytes);
+        assert_eq!(restored.pss_bytes(), image_bytes, "all private now");
+        // The image's own frames stay pinned beside the copies.
+        assert_eq!(host.stats().live_frames, 2 * ckpt.pages());
+
+        let (faults, now) = (host.stats().cow_faults, mgr.clock().now());
+        restored.sync_runtime_memory();
+        assert_eq!(host.stats().cow_faults, faults);
+        assert_eq!(mgr.clock().now(), now);
     }
 
     #[test]

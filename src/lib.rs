@@ -12,7 +12,7 @@
 //! | [`obs`] | observability plane: hierarchical spans, metrics registry, JSONL + Chrome trace exporters |
 //! | [`guestmem`] | page frames, copy-on-write, snapshot files, PSS accounting |
 //! | [`lang`] | Flame: a dynamic language with a profiling interpreter, quickening JIT, deopt, and snapshot/resume |
-//! | [`runtime`] | Node-like and Python-like runtime profiles and the guest memory model |
+//! | [`runtime`] | Node-like and Python-like runtime profiles; `Guest` / `GuestImage`, the runtime laid out in guest memory that microVMs and containers wrap |
 //! | [`annotator`] | the Fireworks source-to-source code annotator |
 //! | [`microvm`] | Firecracker-style microVM manager (boot, MMDS, snapshot/restore) |
 //! | [`netsim`] | network namespaces, tap devices, NAT for snapshot clones |
