@@ -17,7 +17,7 @@
 //! | 1 (int)     | 48-bit two's-complement integer |
 //! | 2 (box)     | thin `Rc<Value>` (strings, out-of-range ints) |
 //! | 3 (array)   | thin `Rc<RefCell<Vec<Value>>>` |
-//! | 4 (map)     | thin `Rc<RefCell<BTreeMap<String, Value>>>` |
+//! | 4 (map)     | thin `Rc<RefCell<Map>>` (sorted entries + cached shape) |
 //!
 //! Guest floats that are NaN are canonicalised to the positive quiet NaN
 //! `0x7FF8_0000_0000_0000` on construction so no guest value can collide
@@ -26,12 +26,11 @@
 #![allow(unsafe_code)]
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::marker::PhantomData;
 use std::rc::Rc;
 
-use crate::value::Value;
+use crate::value::{Map, Value};
 
 /// Low 48 bits: payload (small int, special code, or thin pointer).
 const PAYLOAD_MASK: u64 = 0x0000_FFFF_FFFF_FFFF;
@@ -195,6 +194,33 @@ impl TaggedValue {
         !self.is_float() && self.tag() == TAG_MAP
     }
 
+    /// The array this word references, borrowed for as long as the word
+    /// (which holds a strong count) lives.
+    #[inline]
+    pub(crate) fn as_array(&self) -> Option<&RefCell<Vec<Value>>> {
+        if self.is_array() {
+            // SAFETY: an array word's payload is the pointer of an `Rc`
+            // whose strong count this word holds until it drops, so the
+            // cell outlives the returned borrow of `self`.
+            Some(unsafe { &*(self.payload() as *const RefCell<Vec<Value>>) })
+        } else {
+            None
+        }
+    }
+
+    /// The map this word references, borrowed for as long as the word
+    /// (which holds a strong count) lives.
+    #[inline]
+    pub fn as_map(&self) -> Option<&RefCell<Map>> {
+        if self.is_map() {
+            // SAFETY: a map word's payload is the pointer of an `Rc` whose
+            // strong count this word holds until it drops.
+            Some(unsafe { &*(self.payload() as *const RefCell<Map>) })
+        } else {
+            None
+        }
+    }
+
     /// Numeric view: ints widened to f64, floats as-is.
     #[inline]
     pub fn as_num(&self) -> Option<f64> {
@@ -263,7 +289,7 @@ impl TaggedValue {
                 }
             }
             _ => {
-                let ptr = self.payload() as *const RefCell<BTreeMap<String, Value>>;
+                let ptr = self.payload() as *const RefCell<Map>;
                 unsafe {
                     Rc::increment_strong_count(ptr);
                     Value::Map(Rc::from_raw(ptr))
@@ -294,9 +320,7 @@ impl TaggedValue {
                     return Value::Array(rc);
                 }
                 TAG_MAP => {
-                    let rc = unsafe {
-                        Rc::from_raw(this.payload() as *const RefCell<BTreeMap<String, Value>>)
-                    };
+                    let rc = unsafe { Rc::from_raw(this.payload() as *const RefCell<Map>) };
                     std::mem::forget(this);
                     return Value::Map(rc);
                 }
@@ -306,6 +330,12 @@ impl TaggedValue {
         let v = this.to_value();
         std::mem::forget(this);
         v
+    }
+
+    /// `==` for what is not a number: through the enum representation.
+    #[inline(never)]
+    fn eq_on_values(&self, other: &TaggedValue) -> bool {
+        self.to_value().eq_value(&other.to_value())
     }
 }
 
@@ -329,9 +359,7 @@ impl Clone for TaggedValue {
                 match self.tag() {
                     TAG_BOX => Rc::increment_strong_count(ptr as *const Value),
                     TAG_ARR => Rc::increment_strong_count(ptr as *const RefCell<Vec<Value>>),
-                    TAG_MAP => {
-                        Rc::increment_strong_count(ptr as *const RefCell<BTreeMap<String, Value>>)
-                    }
+                    TAG_MAP => Rc::increment_strong_count(ptr as *const RefCell<Map>),
                     _ => {}
                 }
             }
@@ -348,7 +376,7 @@ impl Drop for TaggedValue {
                 match self.tag() {
                     TAG_BOX => drop(Rc::from_raw(ptr as *const Value)),
                     TAG_ARR => drop(Rc::from_raw(ptr as *const RefCell<Vec<Value>>)),
-                    TAG_MAP => drop(Rc::from_raw(ptr as *const RefCell<BTreeMap<String, Value>>)),
+                    TAG_MAP => drop(Rc::from_raw(ptr as *const RefCell<Map>)),
                     _ => {}
                 }
             }
@@ -364,13 +392,22 @@ impl Default for TaggedValue {
 
 impl PartialEq for TaggedValue {
     /// Structural equality, same semantics as [`Value::eq_value`].
+    #[inline]
     fn eq(&self, other: &TaggedValue) -> bool {
         // Identical non-NaN bit patterns are equal without conversion
         // (covers null/bool/inline ints and pointer-identical heaps).
         if self.0 == other.0 && !(self.is_float() && f64::from_bits(self.0).is_nan()) {
             return true;
         }
-        self.to_value().eq_value(&other.to_value())
+        // Numbers compare on the words: ints exactly, a float against
+        // either kind in `f64`, as `eq_value` does.
+        if let (Some(a), Some(b)) = (self.as_int(), other.as_int()) {
+            return a == b;
+        }
+        if let (Some(a), Some(b)) = (self.as_num(), other.as_num()) {
+            return a == b;
+        }
+        self.eq_on_values(other)
     }
 }
 
@@ -472,6 +509,8 @@ mod tests {
         assert_eq!(Rc::strong_count(rc), 2);
         let t2 = t.clone();
         assert_eq!(Rc::strong_count(rc), 3);
+        assert!(std::ptr::eq(t2.as_array().expect("an array word"), &**rc));
+        assert!(t2.as_map().is_none() && TaggedValue::int(1).as_array().is_none());
         // Mutations through the tagged handle are visible via the original.
         if let Value::Array(back) = t2.to_value() {
             back.borrow_mut().push(Value::Int(2));

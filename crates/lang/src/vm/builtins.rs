@@ -59,7 +59,7 @@ pub(super) fn eval_builtin(
                     let Value::Str(k) = &needle else {
                         return Err(LangError::runtime("has() on a map needs a string key"));
                     };
-                    Value::Bool(m.borrow().contains_key(&**k))
+                    Value::Bool(m.borrow().contains_key(k))
                 }
                 Value::Array(a) => Value::Bool(a.borrow().iter().any(|x| x.eq_value(&needle))),
                 Value::Str(s) => {
@@ -81,7 +81,7 @@ pub(super) fn eval_builtin(
             let (Value::Map(m), Value::Str(k)) = (&m, &k) else {
                 return Err(LangError::runtime("remove() needs a map and a string key"));
             };
-            let removed = m.borrow_mut().remove(&**k);
+            let removed = m.borrow_mut().remove(k);
             removed.unwrap_or(Value::Null)
         }
         Builtin::Str => {

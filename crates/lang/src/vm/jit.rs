@@ -8,7 +8,6 @@
 //! [`Vm::observe`] does at a guardable site and which counter an op retires
 //! on — the speed gap itself is the runtime profile's virtual per-op cost.
 
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use super::ic::IcSite;
@@ -59,8 +58,9 @@ pub(super) struct FnState {
     feedback: Vec<u8>,
     compiles: u32,
     banned: bool,
-    /// Inline caches keyed by op index (only property-access sites).
-    pub(super) ics: BTreeMap<u32, IcSite>,
+    /// Inline caches indexed by op index: empty until the function's first
+    /// property access, then one per op (only property-access sites step).
+    pub(super) ics: Vec<IcSite>,
     /// Last execution tick (call dispatch or back-edge) — the LRU key
     /// for code-cache eviction.
     last_exec: u64,
@@ -78,7 +78,7 @@ impl FnState {
             feedback: Vec::new(),
             compiles: 0,
             banned: false,
-            ics: BTreeMap::new(),
+            ics: Vec::new(),
             last_exec: 0,
             code_bytes: 0,
         }
@@ -178,6 +178,7 @@ impl Vm {
         };
         self.stats.compiles += 1;
         self.stats.compile_ops += chunk.ops.len() as u64 * work;
+        self.epoch += 1;
         self.code_bytes_used = self.code_bytes_used - already + cost;
         let st = &mut self.fn_states[func];
         st.compiles += 1;
@@ -209,6 +210,7 @@ impl Vm {
         st.calls = 0;
         st.back_edges = 0;
         self.stats.code_evictions += 1;
+        self.epoch += 1;
         true
     }
 
@@ -217,6 +219,7 @@ impl Vm {
     /// too many recompilations.
     pub(super) fn deopt(&mut self, at: Site) {
         self.stats.deopts += 1;
+        self.epoch += 1;
         let st = &mut self.fn_states[at.func];
         self.code_bytes_used -= st.code_bytes;
         st.code_bytes = 0;

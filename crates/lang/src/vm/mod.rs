@@ -34,7 +34,6 @@ mod ops;
 mod tests;
 
 pub use ic::IcSummary;
-use ic::ShapeTable;
 use jit::{FnState, Heat, Level, Tier};
 
 /// When to JIT-compile functions.
@@ -176,6 +175,37 @@ struct Site {
     compiled: bool,
 }
 
+/// One stretch of the dispatch loop: the frame it runs in and the tier its
+/// ops are fetched from and retired on, held in locals until a call, a
+/// return, a suspension, an error, fuel running out, or a tier change ends
+/// it ([`Vm::run`]).
+struct Stretch {
+    /// Index of the stretch's frame in `Vm::frames`.
+    frame: usize,
+    func: usize,
+    base: usize,
+    /// The next op to fetch.
+    ip: usize,
+    /// The tier: `None` is the interpreter.
+    level: Option<Level>,
+    /// [`Vm::epoch`] when the stretch began.
+    epoch: u64,
+    /// Ops fetched so far (the last one unpaid if fuel ran out) and the
+    /// fuel the stretch may burn.
+    retired: u64,
+    budget: u64,
+}
+
+/// Why a stretch ended.
+enum End {
+    /// The frame or the tier changed: start the next stretch.
+    Next,
+    /// [`Vm::run`] returns this.
+    Yield(Outcome),
+    /// The op at the stretch's `ip` could not be paid for.
+    OutOfFuel,
+}
+
 /// A deep-cloned, immutable image of a suspended VM.
 ///
 /// The [`Program`], chunks, and JIT code are shared by `Rc` (immutable);
@@ -190,7 +220,6 @@ pub struct VmSnapshot {
     frames: Vec<Frame>,
     policy: JitPolicy,
     jit: JitConfig,
-    shapes: ShapeTable,
     code_bytes_used: u64,
     exec_tick: u64,
 }
@@ -219,13 +248,14 @@ pub struct Vm {
     policy: JitPolicy,
     /// Code-cache budget, IC limits, and code-size model.
     jit: JitConfig,
-    /// Content-based map-shape interner shared by all IC sites.
-    shapes: ShapeTable,
     /// Modelled bytes of compiled code currently resident.
     code_bytes_used: u64,
     /// Monotonic execution clock (call dispatches and back-edges), the
     /// LRU time base for code-cache eviction.
     exec_tick: u64,
+    /// Bumped by every compile, eviction and deopt: a stretch of the
+    /// dispatch loop that sees it move refetches its tier.
+    epoch: u64,
     /// Remaining op budget; `None` is unlimited. Exhaustion aborts the
     /// run with [`LangError::Timeout`] (the platform invocation timeout).
     fuel: Option<u64>,
@@ -258,17 +288,17 @@ impl Vm {
             stats: ExecStats::default(),
             policy: jit.policy.unwrap_or_default(),
             jit,
-            shapes: ShapeTable::default(),
             code_bytes_used: 0,
             exec_tick: 0,
+            epoch: 0,
             fuel: None,
         }
     }
 
     /// Rebuilds a VM from a snapshot. The clone resumes exactly where the
     /// snapshot was taken (right after the `fireworks_snapshot()` call),
-    /// carrying the warmed JIT state: tiers, inline caches, shape table,
-    /// and code-cache occupancy.
+    /// carrying the warmed JIT state: tiers, inline caches and code-cache
+    /// occupancy.
     pub fn from_snapshot(snapshot: &VmSnapshot) -> Self {
         // One identity map for globals and stack, so aliasing between
         // them survives the clone.
@@ -286,9 +316,9 @@ impl Vm {
             stats: ExecStats::default(),
             policy: snapshot.policy,
             jit: snapshot.jit,
-            shapes: snapshot.shapes.clone(),
             code_bytes_used: snapshot.code_bytes_used,
             exec_tick: snapshot.exec_tick,
+            epoch: 0,
             fuel: None,
         }
     }
@@ -320,7 +350,6 @@ impl Vm {
             frames: self.frames.clone(),
             policy: self.policy,
             jit: self.jit,
-            shapes: self.shapes.clone(),
             code_bytes_used: self.code_bytes_used,
             exec_tick: self.exec_tick,
         }
@@ -454,10 +483,6 @@ impl Vm {
         &self.stack[self.stack.len() - 1 - depth]
     }
 
-    fn jump(&mut self, target: u32) {
-        self.frames.last_mut().expect("frame stack non-empty").ip = target as usize;
-    }
-
     // ---- the dispatch loop -------------------------------------------------
 
     /// Runs until the entry function returns or the VM hits a snapshot
@@ -472,37 +497,92 @@ impl Vm {
             let Frame { func, ip, base } = *self.frames.last().expect("frame stack non-empty");
             // Every tier runs the same ops; a tier decides where the op is
             // fetched from and which counters it retires on.
-            let (op, compiled) = match &self.fn_states[func].tier {
-                Tier::Compiled(level, code) => {
-                    self.stats.jit_ops += 1;
-                    if *level == Level::Opt {
-                        self.stats.opt_ops += 1;
-                    }
-                    (code[ip], true)
-                }
-                Tier::Interp => {
-                    self.stats.interp_ops += 1;
-                    (self.chunk(func).ops[ip], false)
-                }
+            let chunk = self.chunk(func).clone();
+            let (level, code) = match &self.fn_states[func].tier {
+                Tier::Compiled(level, code) => (Some(*level), Some(code.clone())),
+                Tier::Interp => (None, None),
             };
-            if let Some(fuel) = &mut self.fuel {
-                if *fuel == 0 {
+            let mut s = Stretch {
+                frame: self.frames.len() - 1,
+                func,
+                base,
+                ip,
+                level,
+                epoch: self.epoch,
+                retired: 0,
+                budget: self.fuel.unwrap_or(u64::MAX),
+            };
+            let ops = code.as_deref().unwrap_or(&chunk.ops);
+            let end = self.stretch(host, &mut s, &chunk, ops);
+            self.retire(&s);
+            match end? {
+                End::Next => {}
+                End::Yield(outcome) => return Ok(outcome),
+                End::OutOfFuel => {
                     return Err(LangError::Timeout {
                         ops: self.stats.total_ops(),
-                    });
+                    })
                 }
-                *fuel -= 1;
             }
-            self.frames.last_mut().expect("frame stack non-empty").ip += 1;
+        }
+    }
+
+    /// Books a finished stretch: its frame's next op (unless the frame
+    /// returned), its ops on the tier they ran in, the fuel they burnt.
+    fn retire(&mut self, s: &Stretch) {
+        if let Some(frame) = self.frames.get_mut(s.frame) {
+            frame.ip = s.ip;
+        }
+        match s.level {
+            None => self.stats.interp_ops += s.retired,
+            Some(level) => {
+                self.stats.jit_ops += s.retired;
+                if level == Level::Opt {
+                    self.stats.opt_ops += s.retired;
+                }
+            }
+        }
+        if let Some(fuel) = &mut self.fuel {
+            *fuel = fuel.saturating_sub(s.retired);
+        }
+    }
+
+    /// Runs `ops` — the code of `chunk` in the stretch's tier — from
+    /// `s.ip` until something ends the stretch.
+    #[inline(always)]
+    fn stretch(
+        &mut self,
+        host: &mut dyn Host,
+        s: &mut Stretch,
+        chunk: &Chunk,
+        ops: &[Op],
+    ) -> Result<End, LangError> {
+        let (func, base, compiled) = (s.func, s.base, s.level.is_some());
+        // A compile, an eviction or a deopt ends the stretch after the op
+        // that caused it: the next op is fetched from the new tier.
+        macro_rules! end_on_retier {
+            () => {
+                if self.epoch != s.epoch {
+                    return Ok(End::Next);
+                }
+            };
+        }
+        loop {
+            let ip = s.ip;
+            let op = ops[ip];
+            if s.retired == s.budget {
+                // The op that cannot be paid for is counted, not run.
+                s.retired += 1;
+                return Ok(End::OutOfFuel);
+            }
+            s.retired += 1;
+            s.ip = ip + 1;
             // Built in the arms that use it, so the others do not pay for
             // spilling it.
             let at = || Site { func, ip, compiled };
 
             match op {
-                Op::Const(c) => {
-                    let v = self.chunk(func).consts[c as usize].clone();
-                    self.push_value(v);
-                }
+                Op::Const(c) => self.push_value(chunk.consts[c as usize].clone()),
                 Op::LoadLocal(slot) => {
                     let v = self.stack[base + slot as usize].clone();
                     self.stack.push(v);
@@ -519,7 +599,10 @@ impl Vm {
                     self.globals[g as usize] = v;
                 }
 
-                Op::Binary { kind, guard } => self.binary(at(), kind, guard)?,
+                Op::Binary { kind, guard } => {
+                    self.binary(at(), kind, guard)?;
+                    end_on_retier!();
+                }
                 Op::Eq | Op::Ne => {
                     let r = self.pop();
                     let l = self.pop();
@@ -549,32 +632,34 @@ impl Vm {
                 }
 
                 Op::Jump(target) => {
+                    s.ip = target as usize;
                     if target as usize <= ip {
                         // Loop back-edge: profile, maybe tier up (OSR —
                         // safe because quickening is 1:1 on op indices).
                         self.heat(func, Heat::BackEdge);
+                        end_on_retier!();
                     }
-                    self.jump(target);
                 }
                 Op::JumpIfFalse(target) => {
                     if !self.pop().truthy() {
-                        self.jump(target);
+                        s.ip = target as usize;
                     }
                 }
                 Op::JumpIfFalsePeek(target) => {
                     if !self.peek(0).truthy() {
-                        self.jump(target);
+                        s.ip = target as usize;
                     }
                 }
                 Op::JumpIfTruePeek(target) => {
                     if self.peek(0).truthy() {
-                        self.jump(target);
+                        s.ip = target as usize;
                     }
                 }
 
                 Op::Call { func: callee, argc } => {
                     self.stats.calls += 1;
                     self.enter(callee as usize, argc as usize)?;
+                    return Ok(End::Next);
                 }
                 Op::CallBuiltin { builtin, argc } => {
                     self.stats.builtin_calls += 1;
@@ -584,7 +669,7 @@ impl Vm {
                 }
                 Op::CallHost { name, argc } => {
                     self.stats.host_calls += 1;
-                    let name = match &self.chunk(func).consts[name as usize] {
+                    let name = match &chunk.consts[name as usize] {
                         Value::Str(s) => s.clone(),
                         other => {
                             return Err(LangError::runtime(format!(
@@ -601,16 +686,17 @@ impl Vm {
                     // The call's result (null) is pushed *before*
                     // suspending so the captured state resumes cleanly.
                     self.stack.push(TaggedValue::null());
-                    return Ok(Outcome::Snapshot);
+                    return Ok(End::Yield(Outcome::Snapshot));
                 }
                 Op::Return => {
                     let value = self.pop();
                     let frame = self.frames.pop().expect("frame stack non-empty");
                     self.stack.truncate(frame.base);
                     if self.frames.is_empty() {
-                        return Ok(Outcome::Done(value.into_value()));
+                        return Ok(End::Yield(Outcome::Done(value.into_value())));
                     }
                     self.stack.push(value);
+                    return Ok(End::Next);
                 }
                 Op::Pop => {
                     let _ = self.pop();
@@ -630,10 +716,22 @@ impl Vm {
                     }
                     self.push_value(Value::map(entries));
                 }
-                Op::Index { guard } => self.index(at(), guard)?,
-                Op::SetIndex { guard } => self.set_index(at(), guard)?,
-                Op::GetProp(c) => self.get_prop(at(), c)?,
-                Op::SetProp(c) => self.set_prop(at(), c)?,
+                Op::Index { guard } => {
+                    self.index(at(), guard)?;
+                    end_on_retier!();
+                }
+                Op::SetIndex { guard } => {
+                    self.set_index(at(), guard)?;
+                    end_on_retier!();
+                }
+                Op::GetProp(c) => {
+                    self.get_prop(at(), &chunk.consts[c as usize])?;
+                    end_on_retier!();
+                }
+                Op::SetProp(c) => {
+                    self.set_prop(at(), &chunk.consts[c as usize])?;
+                    end_on_retier!();
+                }
             }
         }
     }

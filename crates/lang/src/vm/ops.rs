@@ -1,8 +1,8 @@
 //! Arithmetic, ordering and index operations: one implementation of each
 //! for every tier. An op classifies its operands once, on the tagged
 //! words, hands the [`Class`] to [`Vm::observe`] (guards, deopt, type
-//! feedback), and computes — on the tagged words for the numeric classes,
-//! through enum [`Value`]s for everything on the heap.
+//! feedback), and computes — on the tagged words for the numeric classes
+//! and array loads, through enum [`Value`]s for the rest of the heap.
 
 use super::{Site, Vm};
 use crate::bytecode::{BinKind, Class};
@@ -64,29 +64,47 @@ impl Vm {
         Ok(())
     }
 
-    /// `base[index]`.
+    /// `base[index]`. An array indexed by an int reads the element
+    /// straight from the borrowed array; the rest goes through enum
+    /// [`Value`]s.
     #[inline(never)]
     pub(super) fn index(&mut self, at: Site, guard: Option<Class>) -> Result<(), LangError> {
         self.observe(at, guard, index_class(self.peek(1), self.peek(0)));
+        let (base, index) = (self.peek(1), self.peek(0));
+        let (Some(a), Some(i)) = (base.as_array(), index.as_int()) else {
+            return self.index_on_values();
+        };
+        let out = {
+            let a = a.borrow();
+            let v = usize::try_from(i).ok().and_then(|i| a.get(i));
+            v.map(|v| TaggedValue::from_value(v.clone()))
+                .ok_or_else(|| out_of_bounds("array", i, a.len()))
+        };
+        self.pop();
+        match out {
+            Ok(v) => {
+                *self.stack.last_mut().expect("two operands") = v;
+                Ok(())
+            }
+            Err(e) => {
+                self.pop();
+                Err(e)
+            }
+        }
+    }
+
+    /// The non-array half of [`Vm::index`].
+    #[inline(never)]
+    fn index_on_values(&mut self) -> Result<(), LangError> {
         let index = self.pop_value();
         let base = self.pop_value();
         let out = match (&base, &index) {
-            (Value::Array(a), Value::Int(i)) => {
-                let a = a.borrow();
-                usize::try_from(*i)
-                    .ok()
-                    .and_then(|i| a.get(i).cloned())
-                    .ok_or_else(|| out_of_bounds("array", *i, a.len()))?
-            }
-            (Value::Map(m), Value::Str(k)) => m.borrow().get(&**k).cloned().unwrap_or(Value::Null),
-            (Value::Str(s), Value::Int(i)) => {
-                let chars: Vec<char> = s.chars().collect();
-                usize::try_from(*i)
-                    .ok()
-                    .and_then(|i| chars.get(i))
-                    .map(|c| Value::str(c.to_string()))
-                    .ok_or_else(|| out_of_bounds("string", *i, chars.len()))?
-            }
+            (Value::Map(m), Value::Str(k)) => m.borrow().get(k).cloned().unwrap_or(Value::Null),
+            (Value::Str(s), Value::Int(i)) => usize::try_from(*i)
+                .ok()
+                .and_then(|i| s.chars().nth(i))
+                .map(|c| Value::str(c.to_string()))
+                .ok_or_else(|| out_of_bounds("string", *i, s.chars().count()))?,
             _ => {
                 return Err(LangError::runtime(format!(
                     "cannot index {} with {}",
@@ -137,6 +155,7 @@ impl Vm {
     }
 }
 
+#[cold]
 fn out_of_bounds(what: &str, index: i64, len: usize) -> LangError {
     LangError::runtime(format!("{what} index {index} out of bounds (len {len})"))
 }

@@ -859,3 +859,250 @@ fn heap_bytes_reflects_live_values() {
     vm.run(&mut TestHost::default()).expect("runs");
     assert!(vm.heap_bytes() > before + 10_000);
 }
+
+// ---- pinned on the parent commit -------------------------------------------
+//
+// The values below were recorded on the commit before property maps carried
+// their shape and the dispatch loop kept its frame in locals; a faster VM
+// must retire, count and cache exactly what that one did.
+
+/// The benchmark's property-access guest: a two-shape polymorphic site pair
+/// (`step`) and a megamorphic one (`probe`).
+const PROPS_GUEST: &str = include_str!("../../../../benchmark/guests/props.flame");
+
+/// Shape churn: a store site warmed on one shape that then adds a key, a key
+/// added through an alias, `remove()`, an absent key, and a site that goes
+/// megamorphic past a poly limit of 3.
+const SHAPE_CHURN: &str = r#"
+    fn get_a(o) { return o.a; }
+    fn set_b(o, v) { o.b = v; return v; }
+    fn read_k(o) { return o.k; }
+    fn main(n) {
+        let m = { a: 1, b: 2 };
+        let alias = m;
+        let t = 0;
+        for (let i = 0; i < n; i = i + 1) { t = t + set_b(alias, i) + get_a(m); }
+        let fresh = { a: 5 };
+        t = t + set_b(fresh, 3) + fresh.b;
+        alias.c = 9;
+        for (let i = 0; i < n; i = i + 1) { t = t + get_a(m) + set_b(alias, i) + m.c; }
+        remove(m, "b");
+        for (let i = 0; i < n; i = i + 1) { t = t + get_a(alias) + len(keys(m)); }
+        let zoo = [{ k: 1 }, { k: 2, x: 0 }, { k: 3, y: 0 }, { k: 4, z: 0 }, { k: 5, w: 0 }];
+        for (let i = 0; i < n; i = i + 1) { t = t + read_k(zoo[i % 5]); }
+        if (get_a(zoo[0]) == null) { t = t + 1000; }
+        print(m, alias, fresh);
+        return t;
+    }"#;
+
+fn run_pinned(
+    src: &str,
+    args: Vec<Value>,
+    jit: JitConfig,
+) -> (Value, Vec<String>, ExecStats, IcSummary) {
+    let mut vm = Vm::with_config(Rc::new(compile(src).expect("compiles")), jit);
+    vm.start("main", args).expect("starts");
+    let mut host = TestHost::default();
+    let Outcome::Done(v) = vm.run(&mut host).expect("runs") else {
+        panic!("expected done")
+    };
+    (v, host.printed, vm.stats(), vm.ic_summary())
+}
+
+#[test]
+fn ic_sequence_is_pinned_on_the_props_guest() {
+    let params = Value::map([
+        ("n".to_string(), Value::Int(2_000)),
+        ("k".to_string(), Value::Int(7)),
+        ("every".to_string(), Value::Int(4)),
+    ]);
+    let jit = JitConfig::default().with_policy(Some(JitPolicy::default()));
+    let (v, _, stats, ic) = run_pinned(PROPS_GUEST, vec![params], jit);
+    assert_eq!(v, Value::Int(658_456));
+    assert_eq!(
+        ic,
+        IcSummary {
+            sites: 9,
+            mono: 3,
+            poly: 5,
+            mega: 1,
+            hits: 9_990,
+            misses: 513,
+        }
+    );
+    assert_eq!(
+        stats,
+        ExecStats {
+            interp_ops: 1_961,
+            jit_ops: 84_620,
+            opt_ops: 38_924,
+            compiles: 6,
+            compile_ops: 480,
+            deopts: 0,
+            calls: 2_502,
+            host_calls: 0,
+            builtin_calls: 0,
+            ic_hits: 9_990,
+            ic_misses: 513,
+            code_evictions: 0,
+        }
+    );
+}
+
+#[test]
+fn ic_sequence_is_pinned_under_shape_churn() {
+    let jit = JitConfig::default()
+        .with_policy(Some(JitPolicy::HotSpot {
+            call_threshold: 4,
+            loop_threshold: 16,
+        }))
+        .with_ic_poly_limit(3);
+    let (v, printed, stats, ic) = run_pinned(SHAPE_CHURN, vec![Value::Int(40)], jit);
+    assert_eq!(v, Value::Int(3_246));
+    assert_eq!(printed, ["{a: 1, c: 9} {a: 1, c: 9} {a: 5, b: 3}"]);
+    assert_eq!(
+        ic,
+        IcSummary {
+            sites: 6,
+            mono: 3,
+            poly: 1,
+            mega: 2,
+            hits: 234,
+            misses: 50,
+        }
+    );
+    assert_eq!(
+        stats,
+        ExecStats {
+            interp_ops: 336,
+            jit_ops: 3_649,
+            opt_ops: 66,
+            compiles: 7,
+            compile_ops: 202,
+            deopts: 2,
+            calls: 242,
+            host_calls: 0,
+            builtin_calls: 82,
+            ic_hits: 234,
+            ic_misses: 50,
+            code_evictions: 0,
+        }
+    );
+}
+
+/// A loop that calls a small function: under `FUEL_HOT` the callee compiles
+/// at its third call and `main` by on-stack replacement at its fifth
+/// back-edge.
+const FUEL_SRC: &str = "
+    fn inc(x) { return x + 1; }
+    fn main(n) {
+        let t = 0;
+        for (let i = 0; i < n; i = i + 1) { t = inc(t); }
+        return t;
+    }";
+
+const FUEL_HOT: JitPolicy = JitPolicy::HotSpot {
+    call_threshold: 3,
+    loop_threshold: 5,
+};
+
+/// A run of `main(40)` on a fuel budget.
+struct FuelRun {
+    out: Result<Outcome, LangError>,
+    /// `[interp_ops, jit_ops, opt_ops]`.
+    split: [u64; 3],
+    left: Option<u64>,
+    /// The function, op index and op the top frame points at: for a
+    /// timeout, the op that could not be paid for.
+    at: Option<(String, usize, Op)>,
+}
+
+fn run_on_fuel(src: &str, policy: JitPolicy, fuel: u64) -> FuelRun {
+    let mut vm = Vm::with_policy(Rc::new(compile(src).expect("compiles")), policy);
+    vm.set_fuel(Some(fuel));
+    vm.start("main", vec![Value::Int(40)]).expect("starts");
+    let out = vm.run(&mut TestHost::default());
+    let at = vm.frames.last().map(|frame| {
+        let chunk = vm.chunk(frame.func);
+        (chunk.name.clone(), frame.ip, chunk.ops[frame.ip])
+    });
+    let s = vm.stats();
+    FuelRun {
+        out,
+        split: [s.interp_ops, s.jit_ops, s.opt_ops],
+        left: vm.fuel(),
+        at,
+    }
+}
+
+#[test]
+fn fuel_runs_out_on_the_same_op_with_the_same_tier_split() {
+    let annotated = FUEL_SRC.replace("fn inc", "@jit fn inc");
+    let annotated = annotated.as_str();
+    // (source, policy, fuel, Timeout ops, tier split, stopped at)
+    let cases = [
+        // On the `Call` whose dispatch compiles `inc`.
+        (FUEL_SRC, FUEL_HOT, 41, 42, [42, 0, 0], ("main", 9)),
+        // On the back-edge that would tier `main` up by OSR: it never runs.
+        (FUEL_SRC, FUEL_HOT, 83, 84, [72, 12, 0], ("main", 15)),
+        // One more unit: the back-edge compiles `main`, and the op that runs
+        // out is the first one fetched from compiled code.
+        (FUEL_SRC, FUEL_HOT, 84, 85, [72, 13, 0], ("main", 4)),
+        // On a `Call` from compiled code to compiled code.
+        (FUEL_SRC, FUEL_HOT, 89, 90, [72, 18, 0], ("main", 9)),
+        // Mid-stretch, on a compare inside the compiled loop.
+        (FUEL_SRC, FUEL_HOT, 150, 151, [72, 79, 0], ("main", 6)),
+        // Inside a callee forced to the top tier.
+        (
+            annotated,
+            JitPolicy::AnnotatedEager,
+            60,
+            61,
+            [50, 11, 11],
+            ("inc", 2),
+        ),
+        (annotated, JitPolicy::Off, 60, 61, [61, 0, 0], ("inc", 2)),
+    ];
+    for (src, policy, fuel, ops, split, (func, ip)) in cases {
+        let run = run_on_fuel(src, policy, fuel);
+        let label = format!("{policy:?} on {fuel}");
+        assert!(
+            matches!(run.out, Err(LangError::Timeout { ops: o }) if o == ops),
+            "{label}: {:?}",
+            run.out
+        );
+        assert_eq!(run.split, split, "{label}");
+        assert_eq!(run.left, Some(0), "{label}");
+        let (got_func, got_ip, op) = run.at.expect("a timed-out run keeps its frames");
+        assert_eq!((got_func.as_str(), got_ip), (func, ip), "{label}");
+        match (fuel, op) {
+            (41 | 89, Op::Call { .. }) | (83, Op::Jump(4)) => {}
+            (41 | 83 | 89, other) => panic!("{label}: stopped on {other:?}"),
+            _ => {}
+        }
+    }
+    // Enough fuel: the run completes and leaves exactly what it did not use.
+    let run = run_on_fuel(FUEL_SRC, FUEL_HOT, 10_000);
+    assert_eq!(run.out.expect("completes"), Outcome::Done(Value::Int(40)));
+    assert_eq!(run.split, [72, 578, 0]);
+    assert_eq!(run.left, Some(9_350));
+}
+
+#[test]
+fn string_index_reads_chars_and_reports_the_char_length() {
+    // The string is an argument: the lexer reads source text byte by byte.
+    let run = |i: i64| {
+        let program = Rc::new(compile("fn main(s, i) { return s[0] + s[1] + s[i]; }").expect("ok"));
+        let mut vm = Vm::new(program);
+        vm.start("main", vec![Value::str("héllo"), Value::Int(i)])
+            .expect("starts");
+        vm.run(&mut TestHost::default())
+    };
+    assert_eq!(run(4).expect("in bounds"), Outcome::Done(Value::str("héo")));
+    for (i, text) in [
+        (5, "runtime error: string index 5 out of bounds (len 5)"),
+        (-1, "runtime error: string index -1 out of bounds (len 5)"),
+    ] {
+        assert_eq!(run(i).expect_err("out of bounds").to_string(), text);
+    }
+}

@@ -4,7 +4,9 @@
 
 use std::rc::Rc;
 
-use fireworks_lang::{compile, Host, JitPolicy, LangError, NoopHost, Outcome, Value, Vm};
+use fireworks_lang::{
+    compile, Host, IcSummary, JitPolicy, LangError, NoopHost, Outcome, Value, Vm,
+};
 use proptest::prelude::*;
 
 const HOT: JitPolicy = JitPolicy::HotSpot {
@@ -20,6 +22,9 @@ struct Observed {
     result: Result<String, String>,
     printed: Vec<String>,
     total_ops: u64,
+    /// Inline caches step the same in every tier; their counts survive a
+    /// snapshot.
+    ic: IcSummary,
 }
 
 struct Printed(Vec<String>);
@@ -70,6 +75,7 @@ fn observe(src: &str, n: i64, policy: JitPolicy, round_trip: bool) -> (Observed,
         result,
         printed: host.0,
         total_ops: stats.total_ops(),
+        ic: vm.ic_summary(),
     };
     (observed, stats.deopts)
 }
@@ -128,6 +134,22 @@ fn int_ordering_is_exact_beyond_2_53() {
     let (seen, _) = observe(src, 50, JitPolicy::Off, false);
     assert_eq!(seen.result, Ok("true".to_string()));
     assert_tiers_agree(src, 50);
+}
+
+/// Six shapes at a load site and a store site, a key added through an
+/// alias (a third site) and one removed: the two sites go megamorphic and
+/// compiled code deoptimises on the first shape change.
+#[test]
+fn property_sites_go_megamorphic_and_deopt_alike_in_every_tier() {
+    let zoo = [(1, 0), (3, 1), (5, 2), (9, 3), (15, 4), (7, 5)];
+    let src = property_program(&zoo, &[(false, 0, 0), (true, 1, 1)], (2, 3), false, false);
+    let (seen, _) = observe(&src, 10, JitPolicy::Off, false);
+    assert!(seen.result.is_ok(), "{seen:?}\n{src}");
+    assert_eq!((seen.ic.sites, seen.ic.mega), (3, 2), "{:?}", seen.ic);
+    assert!(
+        assert_tiers_agree(&src, 10) >= 1,
+        "a compiled site must deopt"
+    );
 }
 
 // ---- the generated suite ---------------------------------------------------
@@ -264,6 +286,87 @@ fn phased_program(sites: &[[String; 3]]) -> String {
     )
 }
 
+// ---- property sites under shape churn ---------------------------------------
+
+const KEYS: [&str; 4] = ["a", "b", "c", "zz"];
+
+/// A map literal holding the keys whose bits are set in `mask`, valued from
+/// the operand pools.
+fn map_literal(mask: usize, salt: usize) -> String {
+    let entries: Vec<String> = (0..KEYS.len())
+        .filter(|i| mask >> i & 1 == 1)
+        .map(|i| format!("{}: {}", KEYS[i], anything(salt + 7 * i)))
+        .collect();
+    format!("{{ {} }}", entries.join(", "))
+}
+
+/// Property loads and stores (`o.k`, `o.k = v`), each in a function of its
+/// own, warmed on one map of a zoo of shapes; after the snapshot point every
+/// site meets every map of the zoo while keys are added through an alias and
+/// `remove()`d — more shapes than a site tracks, so sites go polymorphic and
+/// megamorphic, and compiled ones deoptimise. With `wild`, the zoo ends in a
+/// non-map, which fails. With `indexed`, every `o.k` is spelt `o["k"]`,
+/// which no inline cache serves.
+fn property_program(
+    zoo: &[(usize, usize)],
+    sites: &[(bool, usize, usize)],
+    churn: (usize, usize),
+    wild: bool,
+    indexed: bool,
+) -> String {
+    let field = |key: &str| {
+        if indexed {
+            format!("o[\"{key}\"]")
+        } else {
+            format!("o.{key}")
+        }
+    };
+    let mut functions = String::new();
+    let mut warm = String::new();
+    let mut switched = String::new();
+    for (i, &(store, key, home)) in sites.iter().enumerate() {
+        let field = field(KEYS[key]);
+        let home = home % zoo.len();
+        if store {
+            functions += &format!("@jit fn q{i}(o, v) {{ {field} = v; return o; }}\n");
+            warm += &format!("last = q{i}(zoo[{home}], i); ");
+            switched += &format!("print(q{i}(o, r)); ");
+        } else {
+            functions += &format!("@jit fn q{i}(o) {{ return {field}; }}\n");
+            warm += &format!("last = q{i}(zoo[{home}]); ");
+            switched += &format!("print(q{i}(o)); ");
+        }
+    }
+    let mut maps: Vec<String> = zoo
+        .iter()
+        .map(|&(mask, salt)| map_literal(mask, salt))
+        .collect();
+    if wild {
+        maps.push("7".to_string());
+    }
+    let (add, removed) = (field(KEYS[churn.0]), KEYS[churn.1]);
+    format!(
+        "{functions}
+         fn main(n) {{
+             let zoo = [{}];
+             let last = null;
+             for (let i = 0; i < n; i = i + 1) {{ {warm} }}
+             print(last);
+             fireworks_snapshot();
+             for (let r = 0; r < 3 * len(zoo); r = r + 1) {{
+                 let o = zoo[r % len(zoo)];
+                 {switched}
+                 if (r % 3 == 1) {{ {add} = r; }}
+                 if (r % 4 == 2) {{ print(remove(o, \"{removed}\")); }}
+             }}
+             for (let i = 0; i < n; i = i + 1) {{ {warm} }}
+             print(zoo);
+             return last;
+         }}",
+        maps.join(", ")
+    )
+}
+
 /// Generates a small arithmetic expression over locals `a`, `b`, `c`.
 fn expr_strategy() -> impl Strategy<Value = String> {
     let leaf = prop_oneof![
@@ -300,6 +403,26 @@ proptest! {
             .map(|(index, &(kind, warm, switch, wild))| site(index, kind, warm, switch, wild == 0))
             .collect();
         assert_tiers_agree(&phased_program(&sites), n);
+    }
+
+    /// Property loads and stores over a zoo of map shapes that churns
+    /// (keys added through an alias, removed, more shapes than a site
+    /// tracks): all tiers agree on result or error, printed output, op
+    /// count and inline-cache counts, straight through and across a
+    /// snapshot round trip — and what they print is what the same program
+    /// prints with every `o.k` spelt `o["k"]`, which bypasses the caches.
+    #[test]
+    fn tiers_agree_on_property_sites_under_shape_churn(
+        zoo in proptest::collection::vec((0usize..16, 0usize..48), 1..7),
+        sites in proptest::collection::vec((any::<bool>(), 0usize..4, 0usize..8), 1..5),
+        churn in (0usize..4, 0usize..4),
+        wild in 0usize..8,
+        n in 6i64..14,
+    ) {
+        assert_tiers_agree(&property_program(&zoo, &sites, churn, wild == 0, false), n);
+        let (cached, _) = observe(&property_program(&zoo, &sites, churn, wild == 0, false), n, JitPolicy::Off, false);
+        let (indexed, _) = observe(&property_program(&zoo, &sites, churn, wild == 0, true), n, JitPolicy::Off, false);
+        prop_assert_eq!((cached.result, cached.printed), (indexed.result, indexed.printed));
     }
 
     /// A hot loop over a random expression gives identical results with

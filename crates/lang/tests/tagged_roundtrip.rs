@@ -156,3 +156,44 @@ fn heap_round_trip_preserves_aliasing() {
     assert!(arr.heap_estimate() > 0);
     assert!(a.borrow().len() == 2);
 }
+
+#[test]
+fn cached_map_shape_invalidates_through_every_alias() {
+    // The shape word is cached in the map, not in a handle to it: every
+    // alias sees a change of the key set made through any other.
+    let shape_of = |keys: &[&str]| {
+        let Value::Map(m) = Value::map(keys.iter().map(|k| (k.to_string(), Value::Null))) else {
+            unreachable!("a map")
+        };
+        let shape = m.borrow().shape();
+        shape
+    };
+    let m = Value::map([("a".to_string(), Value::Int(1))]);
+    let Value::Map(original) = &m else {
+        panic!("expected map")
+    };
+    let one_key = original.borrow().shape();
+    assert_eq!(one_key, shape_of(&["a"]));
+
+    let tagged = TaggedValue::from_value(m.clone());
+    let twin = tagged.clone();
+    let (Value::Map(x), Value::Map(y)) = (tagged.into_value(), twin.to_value()) else {
+        panic!("expected maps")
+    };
+    assert!(Rc::ptr_eq(&x, &y) && Rc::ptr_eq(&x, original));
+    assert_eq!(Rc::strong_count(original), 4);
+
+    x.borrow_mut().insert("b".to_string(), Value::Int(2));
+    assert_eq!(y.borrow().shape(), shape_of(&["a", "b"]));
+    // Overwriting a value keeps the key set, and the shape.
+    y.borrow_mut().insert("b".to_string(), Value::Int(3));
+    let through_word = twin.as_map().expect("a map word").borrow().shape();
+    assert_eq!(through_word, shape_of(&["a", "b"]));
+    y.borrow_mut().remove("a");
+    assert_eq!(x.borrow().shape(), shape_of(&["b"]));
+    assert_eq!(original.borrow().shape(), shape_of(&["b"]));
+    assert_eq!(m.to_string(), "{b: 3}");
+
+    drop((x, y, twin));
+    assert_eq!(Rc::strong_count(original), 1);
+}
