@@ -1,11 +1,10 @@
 //! A guest-physical address space: a lazily mapped snapshot image under
 //! an on-demand page table of private pages.
 
-use std::iter::Peekable;
 use std::ops::Range;
 use std::rc::Rc;
 
-use crate::host::{FrameId, HostInner, HostMemory, PAGE_SIZE};
+use crate::host::{FrameId, HostMemory, PAGE_SIZE};
 use crate::image::Image;
 use crate::table::Sparse;
 
@@ -289,11 +288,13 @@ impl AddressSpace {
     /// page order, so the `f64` total rounds the same way every time.
     ///
     /// The definition is the scan: one term per mapped page, its frame's
-    /// [`HostMemory::mappers`] looked up. Over a lazily mapped base whose
-    /// positions all have `sharers − departed[idx]` mappers the same sum
-    /// is formed without visiting pages: between exceptions (overlay
-    /// pages, departed positions) a run of equal terms is added at once
-    /// in closed form, bit for bit what the scan would round to.
+    /// [`HostMemory::mappers`] looked up. Over the base the same sum is
+    /// formed without visiting pages: its group's sharing map cuts it
+    /// into runs whose frames have the same listings, so equal mappers,
+    /// and between exceptions (overlay pages, positions a clone of any
+    /// listing image departed, frames with explicit mappers) a run of
+    /// equal terms is added at once in closed form, bit for bit what the
+    /// scan would round to.
     pub fn sharing_stats(&self) -> SharingStats {
         let table = self.under.host.table();
         let mut sum = PssSum::default();
@@ -302,67 +303,37 @@ impl AddressSpace {
             pages.for_each(|(_, frame)| sum.page(table.mappers(frame)));
             return sum.stats();
         };
-        let uniform = table.uniform(base.group);
-        let mut walk = BaseWalk {
-            table: &table,
-            frames: &base.image.frames,
-            lazy: uniform.map(|(sharers, departed)| (sharers, departed.iter().peekable())),
-            next: 0,
+        let mut runs = table.base_runs(base.group).into_iter().peekable();
+        // Sums base positions `from..end`, all still mapped by the space.
+        let mut sum_base = |sum: &mut PssSum, mut from: usize, end: usize| {
+            while from < end {
+                while runs.next_if(|(run_end, _)| *run_end <= from).is_some() {}
+                let (run_end, mappers) = *runs.peek().expect("runs cover the image");
+                let stop = end.min(run_end);
+                sum.run(stop - from, mappers);
+                from = stop;
+            }
         };
-        // Overlay pages below `gap_end` sit before base position `next`.
-        let mut gap_end = 0;
+        // The first base position not summed (or skipped as left) yet;
+        // overlay pages below `gap_end` sit before it.
+        let (mut next, mut gap_end) = (0, 0);
         self.overlay_pages().for_each(|(page, frame)| {
             if page >= gap_end {
                 let (span, first) = base.image.span(page);
                 let at = first.map_or_else(|after| after, |at| at + page - span.start);
-                walk.sum_to(&mut sum, at);
+                sum_base(&mut sum, next, at);
                 // The overlay page stands in for base position `at` if
                 // the base maps it (this space left it), else it and its
                 // successors in the gap precede `at`.
-                gap_end = span.end;
+                (next, gap_end) = (next.max(at), span.end);
                 if first.is_ok() {
-                    (walk.next, gap_end) = (at + 1, page + 1);
+                    (next, gap_end) = (at + 1, page + 1);
                 }
             }
             sum.page(table.mappers(frame));
         });
-        walk.sum_to(&mut sum, base.image.frames.len());
+        sum_base(&mut sum, next, base.image.frames.len());
         sum.stats()
-    }
-}
-
-/// Where the accounting pass stands in a space's base.
-struct BaseWalk<'a, I: Iterator<Item = (usize, u32)>> {
-    table: &'a HostInner,
-    frames: &'a [(usize, FrameId)],
-    /// The group's sharers and departed positions, if it is uniform.
-    lazy: Option<(u32, Peekable<I>)>,
-    /// The first position not yet summed (or skipped as left).
-    next: usize,
-}
-
-impl<I: Iterator<Item = (usize, u32)>> BaseWalk<'_, I> {
-    /// Sums base positions `next..end`, all still mapped by the space:
-    /// one by one, or as runs at `sharers` mappers between the positions
-    /// that sibling clones departed.
-    fn sum_to(&mut self, sum: &mut PssSum, end: usize) {
-        match &mut self.lazy {
-            None => {
-                let mapped = self.frames[self.next..end].iter();
-                mapped.for_each(|(_, frame)| sum.page(self.table.mappers(*frame)));
-            }
-            Some((sharers, departed)) => {
-                // Departures before `next` are the space's own.
-                while departed.next_if(|(idx, _)| *idx < self.next).is_some() {}
-                while let Some((idx, gone)) = departed.next_if(|(idx, _)| *idx < end) {
-                    sum.run(idx - self.next, *sharers);
-                    sum.page(*sharers - gone);
-                    self.next = idx + 1;
-                }
-                sum.run(end - self.next, *sharers);
-            }
-        }
-        self.next = end;
     }
 }
 

@@ -37,18 +37,13 @@ impl FrameId {
     }
 }
 
-/// End of a holder chain.
-const NO_NEXT: u32 = u32::MAX;
-
-/// Back-pointer from a frame to a mapping group that lists it: position
-/// `idx` of `group`. The first holder sits in the frame's entry; a frame
-/// held by several images (canonical chunks under dedup, a capture of a
-/// restored clone) chains the rest through `HostInner::overflow`.
-#[derive(Debug, Clone, Copy)]
+/// Position `idx` of mapping group `group`'s image: one listing of a
+/// frame. An image lists a frame at most once (a frame has one guest
+/// page).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Holder {
     group: u32,
     idx: u32,
-    next: u32,
 }
 
 #[derive(Debug)]
@@ -61,6 +56,9 @@ struct FrameEntry {
     /// Byte contents, allocated lazily on the first data write. Frames
     /// touched only for accounting read back as zeroes.
     data: Option<Box<[u8; PAGE_SIZE]>>,
+    /// A *live* listing of the frame (its file pins it or a clone maps it
+    /// lazily), if any; that group's sharing map holds the others. A
+    /// listing no longer live may name a freed and reused slot.
     holder: Option<Holder>,
 }
 
@@ -78,132 +76,48 @@ impl FrameEntry {
             None => ZERO_PAGE_FNV,
         }
     }
+}
 
-    /// Moves the explicit owner counts by `refs` / `pins`, telling each
-    /// holder (its `explicit` counter) when the frame gains its first or
-    /// loses its last explicit mapper. Returns whether no owner is left
-    /// (the caller frees the frame).
-    ///
-    /// Inlined into every caller so the constant deltas of `retain`,
-    /// `pin`, `release` and `unpin` fold; the rarer halves (`notify`
-    /// beyond the first holder, `HostInner::free`) stay out of line so
-    /// those callers stay small.
-    #[inline(always)]
-    fn shift(
-        &mut self,
-        refs: i32,
-        pins: i32,
-        overflow: &Slab<Holder>,
-        groups: &mut Slab<Group>,
-    ) -> bool {
-        let before = self.refs > self.pins;
-        self.refs = self
-            .refs
-            .checked_add_signed(refs)
-            .expect("release of dead frame");
-        self.pins = self
-            .pins
-            .checked_add_signed(pins)
-            .expect("unpin without pin");
-        let after = self.refs > self.pins;
-        if let (true, Some(first)) = (before != after, self.holder) {
-            groups.get_mut(first.group).count_explicit(after);
-            if first.next != NO_NEXT {
-                notify(Some(*overflow.get(first.next)), after, overflow, groups);
-            }
-        }
-        // No pin left means no live image lists the frame any more.
-        debug_assert!(self.refs > 0 || self.holder.is_none(), "freed a held frame");
-        self.refs == 0
-    }
+/// A run of a sharing map: positions `start..end` of the group's image
+/// list the same frames as another image from listing `first` on.
+#[derive(Debug, Clone, Copy)]
+struct Segment {
+    start: u32,
+    end: u32,
+    first: Holder,
+}
 
-    /// Lists the frame at position `idx` of `group`, whose own `explicit`
-    /// counter the caller keeps: returns whether the frame counts there.
-    /// A group that was the frame's only holder is noted in `shared`.
-    fn hold(
-        &mut self,
-        group: u32,
-        idx: u32,
-        overflow: &mut Slab<Holder>,
-        groups: &mut Slab<Group>,
-        shared: &mut Vec<u32>,
-    ) -> bool {
-        let mut node = Holder {
-            group,
-            idx,
-            next: NO_NEXT,
-        };
-        if let Some(first) = &mut self.holder {
-            if first.next == NO_NEXT {
-                groups.get_mut(first.group).multi += 1;
-                if shared.last() != Some(&first.group) {
-                    shared.push(first.group);
-                }
-            }
-            node.next = first.next;
-            first.next = overflow.insert(node);
-            groups.get_mut(group).multi += 1;
-        } else {
-            self.holder = Some(node);
-        }
-        self.refs > self.pins
-    }
-
-    /// Unlists the frame from position `idx` of `group` (whose counters
-    /// are not kept: it is going away).
-    fn unhold(
-        &mut self,
-        group: u32,
-        idx: u32,
-        overflow: &mut Slab<Holder>,
-        groups: &mut Slab<Group>,
-    ) {
-        let is = |h: &Holder| (h.group, h.idx) == (group, idx);
-        let first = self.holder.as_mut().expect("listed frame has a holder");
-        if is(first) {
-            self.holder = (first.next != NO_NEXT).then(|| overflow.remove(first.next));
-        } else {
-            let (mut prev, mut at) = (None, first.next);
-            while !is(overflow.get(at)) {
-                (prev, at) = (Some(at), overflow.get(at).next);
-            }
-            let next = overflow.remove(at).next;
-            match prev {
-                None => first.next = next,
-                Some(prev) => overflow.get_mut(prev).next = next,
-            }
-        }
-        if let Some(last) = self.holder.filter(|h| h.next == NO_NEXT) {
-            groups.get_mut(last.group).multi -= 1;
-        }
+impl Segment {
+    /// The other image's listing of the frame at covered position `idx`.
+    fn lister(&self, idx: u32) -> Holder {
+        let idx = self.first.idx + idx - self.start;
+        Holder { idx, ..self.first }
     }
 }
 
-/// A snapshot image as the frame table sees it. The image file pins
-/// every listed frame; clones restored from it map all of them, and while
-/// the group is *lazy* those mappings appear in no frame's `refs`:
-/// position `idx` simply has `sharers − departed[idx]` more mappers.
-///
-/// Lazy needs the image to be the frames' only holder and its file to
-/// live. When another image comes to list one of the frames (canonical
-/// chunks under dedup, a capture of a restored clone) or the file is
-/// dropped first, the outstanding lazy mappings are made explicit
-/// references ([`HostInner::materialise`]) and the group's clones hold,
-/// take and release plain references — the eager design — until none is
-/// left and the next restore decides afresh.
+/// The segments of a sharing map (sorted by start) covering `idx`.
+fn covering(map: &[Segment], idx: u32) -> impl Iterator<Item = &Segment> {
+    let started = map.partition_point(|s| s.start <= idx);
+    map[..started].iter().filter(move |s| s.end > idx)
+}
+
+/// A snapshot image as the frame table sees it. Clones restored from it
+/// map every listed frame lazily, in no frame's `refs`: position `idx`
+/// has `sharers − departed[idx]` more mappers, in every image listing
+/// the frame — which the *sharing map* finds, a run of positions at a
+/// time. The file pins every listed frame; dropped before the clones, it
+/// leaves the group *orphaned*, and the last clone takes it along.
 #[derive(Debug)]
 pub(crate) struct Group {
     image: Rc<Image>,
     /// Live clones restored from the image.
     sharers: u32,
-    /// Whether those clones map lazily; decided when the first attaches.
-    lazy: bool,
-    /// Position → lazy sharers that moved that page into their overlay.
+    /// Position → sharers that moved that page into their overlay.
     departed: Sparse<u32>,
-    /// Positions whose frame also has explicit mappers (`refs > pins`).
+    /// Frames whose held listing is here that also have explicit mappers.
     explicit: u32,
-    /// Positions whose frame is listed by another position or group too.
-    multi: u32,
+    /// Other images' listings of its frames, as segments sorted by start.
+    sharing: Vec<Segment>,
     /// A full verify pass succeeded and no listed frame was poked since.
     verified: bool,
     /// The image file still exists (and pins the frames).
@@ -211,21 +125,20 @@ pub(crate) struct Group {
 }
 
 impl Group {
-    /// One of the listed frames gained its first explicit mapper, or
-    /// lost its last.
-    fn count_explicit(&mut self, gained: bool) {
-        self.explicit = if gained {
-            self.explicit + 1
-        } else {
-            self.explicit - 1
-        };
+    /// Clones mapping position `idx` lazily.
+    fn mappers_at(&self, idx: u32) -> u32 {
+        self.sharers - self.departed.get(idx as usize)
+    }
+
+    /// Whether the listing at `idx` owns its frame (a pin or a clone).
+    fn live(&self, idx: u32) -> bool {
+        self.file || self.mappers_at(idx) > 0
     }
 }
 
 #[derive(Debug)]
 pub(crate) struct HostInner {
     frames: Slab<FrameEntry>,
-    overflow: Slab<Holder>,
     groups: Slab<Group>,
     live_frames: usize,
     ram_bytes: u64,
@@ -274,7 +187,6 @@ impl HostMemory {
         HostMemory {
             inner: Rc::new(RefCell::new(HostInner {
                 frames: Slab::default(),
-                overflow: Slab::default(),
                 groups: Slab::default(),
                 live_frames: 0,
                 ram_bytes,
@@ -334,11 +246,13 @@ impl HostMemory {
     /// caller's reference moves to a private copy and the shared frame
     /// loses one reference.
     pub fn prepare_write(&self, id: FrameId) -> FrameId {
-        // A lazily mapped frame is pinned by its image, so one owner in
-        // total means no lazy mapper either.
-        if self.inner.borrow().entry(id).refs == 1 {
+        let inner = self.inner.borrow();
+        let e = inner.entry(id);
+        // The caller's reference alone: no pin, no mapping, no holder.
+        if e.refs == 1 && e.holder.is_none() {
             return id;
         }
+        drop(inner);
         self.clock.advance(self.costs.cow_fault);
         let mut inner = self.inner.borrow_mut();
         inner.shift(id, -1, 0);
@@ -379,11 +293,12 @@ impl HostMemory {
     pub fn poke_frame(&self, id: FrameId, offset: usize, bytes: &[u8]) {
         assert!(offset + bytes.len() <= PAGE_SIZE, "poke crosses frame");
         let mut inner = self.inner.borrow_mut();
-        let inner = &mut *inner;
         let e = inner.frames.get_mut(id.index());
         e.bytes_mut()[offset..offset + bytes.len()].copy_from_slice(bytes);
-        for h in chain(&inner.overflow, e.holder) {
-            inner.groups.get_mut(h.group).verified = false;
+        let first = e.holder;
+        let listings = first.into_iter().flat_map(|first| inner.listings(first));
+        for group in listings.map(|l| l.group).collect::<Vec<_>>() {
+            inner.groups.get_mut(group).verified = false;
         }
     }
 
@@ -424,7 +339,9 @@ impl HostMemory {
     }
 
     /// Number of PSS mappers of a frame: explicit owners minus pins, plus
-    /// the lazy mappers of every image that lists it. Exact at any moment.
+    /// the lazy mappers of every image that lists it — `sharers −
+    /// departed[idx]` at its position there. Exact at any moment, and
+    /// constant time for a frame one image lists.
     pub fn mappers(&self, id: FrameId) -> u32 {
         self.inner.borrow().mappers(id)
     }
@@ -468,114 +385,114 @@ impl HostMemory {
 impl HostMemory {
     /// Registers an image as a new group — one pass, one borrow: pins
     /// each frame (`consume` turns the caller's reference into the pin
-    /// instead of adding one), records the back-pointer and checksums the
-    /// stored page. Returns the group and the checksums.
+    /// instead of adding one), lists it and checksums the stored page.
+    /// Returns the group and the checksums. Its sharing map grows a run at
+    /// a time: while each holder is the next in one run of its map, so
+    /// are the other listings.
     pub(crate) fn register(&self, image: &Rc<Image>, consume: bool) -> (u32, Vec<u64>) {
         let mut inner = self.inner.borrow_mut();
         let group = inner.groups.insert(Group {
             image: image.clone(),
             sharers: 0,
-            lazy: false,
             departed: Sparse::default(),
             explicit: 0,
-            multi: 0,
+            sharing: Vec::new(),
             verified: false,
             file: true,
         });
-        let HostInner {
-            frames,
-            overflow,
-            groups,
-            ..
-        } = &mut *inner;
-        let (mut explicit, mut shared) = (0, Vec::new());
-        let sums = image.frames.iter().enumerate().map(|(idx, &(_, id))| {
-            let e = frames.get_mut(id.index());
-            e.shift(i32::from(!consume), 1, overflow, groups);
-            explicit += u32::from(e.hold(group, idx as u32, overflow, groups, &mut shared));
-            e.checksum()
-        });
-        let sums = sums.collect();
-        groups.get_mut(group).explicit = explicit;
-        // Images this one now shares a frame with stop being lazy.
-        shared
-            .into_iter()
-            .for_each(|other| inner.materialise(other));
+        let mut sums = Vec::with_capacity(image.frames.len());
+        let (mut explicit, mut sharing) = (0, Vec::<Segment>::new());
+        // The open run: the position it ends by, and its first segment,
+        // whose listings say which holder each position must have.
+        let mut run = (0, 0);
+        for (idx, &(_, id)) in image.frames.iter().enumerate() {
+            let idx = idx as u32;
+            inner.shift(id, i32::from(!consume), 1);
+            let e = inner.frames.get_mut(id.index());
+            sums.push(e.checksum());
+            let first = *e.holder.get_or_insert(Holder { group, idx });
+            explicit += u32::from(first.group == group && e.refs > e.pins);
+            let (end, from) = &mut run;
+            if idx < *end && sharing[*from].lister(idx) == first {
+                sharing[*from..].iter_mut().for_each(|s| s.end += 1);
+                continue;
+            }
+            *end = 0;
+            if first.group == group {
+                continue;
+            }
+            let map = &inner.groups.get(first.group).sharing;
+            let after = map.partition_point(|s| s.start <= first.idx);
+            let mut stop = map.get(after).map_or(u32::MAX, |s| s.start);
+            let others = covering(map, first.idx).map(|s| (s.end, s.lister(first.idx)));
+            *from = sharing.len();
+            for (lister_end, first) in [(stop, first)].into_iter().chain(others) {
+                stop = stop.min(lister_end);
+                let (start, end) = (idx, idx + 1);
+                sharing.push(Segment { start, end, first });
+            }
+            *end = (stop - first.idx).saturating_add(idx);
+        }
+        for s in &sharing {
+            let (start, end, idx) = (s.first.idx, s.lister(s.end).idx, s.start);
+            let first = Holder { group, idx };
+            let map = &mut inner.groups.get_mut(s.first.group).sharing;
+            map.push(Segment { start, end, first });
+            map.sort_unstable_by_key(|s| s.start);
+        }
+        let g = inner.groups.get_mut(group);
+        (g.explicit, g.sharing) = (explicit, sharing);
         (group, sums)
     }
 
-    /// The image file of `group` is dropped: its clones keep every frame
-    /// they still map alive exactly as eager per-page references would.
+    /// The image file of `group` is dropped: its pins go, and its clones,
+    /// if any, go on mapping lazily from the orphaned group.
     pub(crate) fn drop_file(&self, group: u32) {
         let mut inner = self.inner.borrow_mut();
-        inner.materialise(group);
-        let HostInner {
-            frames,
-            overflow,
-            groups,
-            live_frames,
-            ..
-        } = &mut *inner;
-        let image = groups.get(group).image.clone();
+        let g = inner.groups.get_mut(group);
+        g.file = false;
+        let (image, sharers) = (g.image.clone(), g.sharers);
         for (idx, &(_, id)) in image.frames.iter().enumerate() {
-            let e = frames.get_mut(id.index());
-            e.unhold(group, idx as u32, overflow, groups);
-            if e.shift(-1, -1, overflow, groups) {
-                frames.remove(id.index());
-                *live_frames -= 1;
+            let idx = idx as u32;
+            inner.shift(id, -1, -1);
+            if sharers == 0 || !inner.groups.get(group).live(idx) {
+                inner.unlist(group, idx, id);
             }
         }
-        let g = groups.get_mut(group);
-        g.file = false;
-        if g.sharers == 0 {
-            groups.remove(group);
+        if sharers == 0 {
+            inner.forget(group);
         }
     }
 
-    /// A clone is restored from `group`'s image: lazily — one more mapper
-    /// on every position, no frame touched — unless the image shares
-    /// frames or already has eager clones, which costs a reference each.
+    /// A clone is restored from `group`'s image: one more mapper on every
+    /// position, no frame touched.
     pub(crate) fn attach(&self, group: u32) {
         let mut inner = self.inner.borrow_mut();
         let g = inner.groups.get_mut(group);
         assert!(g.file, "restore from a dropped snapshot file");
-        if g.sharers == 0 {
-            g.lazy = g.multi == 0;
-        }
         g.sharers += 1;
-        if !g.lazy {
-            let image = g.image.clone();
-            image
-                .frames
-                .iter()
-                .for_each(|(_, id)| inner.shift(*id, 1, 0));
-        }
     }
 
     /// A clone stops mapping position `idx` (`frame`) of its base.
     pub(crate) fn leave(&self, group: u32, idx: usize, frame: FrameId) {
-        let mut inner = self.inner.borrow_mut();
-        let g = inner.groups.get_mut(group);
-        if g.lazy {
-            *g.departed.entry(idx) += 1;
-        } else {
-            inner.shift(frame, -1, 0);
-        }
+        self.inner.borrow_mut().depart(group, idx as u32, frame);
     }
 
     /// A clone's first write to position `idx` (`frame`) of its base:
-    /// returns the private frame to map instead. For a lazy clone that is
-    /// always a CoW copy (the file's pin is a second owner).
+    /// returns the private frame to map instead — a CoW copy, unless the
+    /// clone is its last owner (no file pins it), which takes it over.
     pub(crate) fn cow_out(&self, group: u32, idx: usize, frame: FrameId) -> FrameId {
         let mut inner = self.inner.borrow_mut();
-        let g = inner.groups.get_mut(group);
-        if !g.lazy {
-            drop(inner);
-            return self.prepare_write(frame);
-        }
-        *g.departed.entry(idx) += 1;
-        self.clock.advance(self.costs.cow_fault);
-        inner.cow_copy(frame)
+        let e = inner.entry(frame);
+        let private = if !inner.groups.get(group).file && e.refs + inner.lazy_mappers(e) == 1 {
+            inner.shift(frame, 1, 0);
+            frame
+        } else {
+            self.clock.advance(self.costs.cow_fault);
+            inner.cow_copy(frame)
+        };
+        inner.depart(group, idx as u32, frame);
+        private
     }
 
     /// A clone of `group` goes away, having left the positions in `left`.
@@ -583,22 +500,10 @@ impl HostMemory {
         let mut inner = self.inner.borrow_mut();
         let g = inner.groups.get_mut(group);
         g.sharers -= 1;
-        if g.lazy {
-            left.iter()
-                .for_each(|idx| *g.departed.entry(*idx as usize) -= 1);
-            return;
-        }
-        // Every position not left holds a reference.
-        let image = g.image.clone();
-        if !g.file && g.sharers == 0 {
-            inner.groups.remove(group);
-        }
-        left.sort_unstable();
-        let mut left = left.iter().peekable();
-        for (idx, &(_, id)) in image.frames.iter().enumerate() {
-            if left.next_if(|l| **l as usize == idx).is_none() {
-                inner.shift(id, -1, 0);
-            }
+        left.iter()
+            .for_each(|idx| *g.departed.entry(*idx as usize) -= 1);
+        if !g.file {
+            inner.orphan_detached(group, left);
         }
     }
 
@@ -616,25 +521,11 @@ impl HostMemory {
     pub(crate) fn table(&self) -> Ref<'_, HostInner> {
         self.inner.borrow()
     }
-}
 
-/// Every group on the chain from `first` is told that the frame gained
-/// its first explicit mapper, or lost its last.
-#[inline(never)]
-fn notify(first: Option<Holder>, gained: bool, overflow: &Slab<Holder>, groups: &mut Slab<Group>) {
-    for h in chain(overflow, first) {
-        groups.get_mut(h.group).count_explicit(gained);
+    #[cfg(test)]
+    pub(crate) fn refs(&self, id: FrameId) -> u32 {
+        self.inner.borrow().entry(id).refs
     }
-}
-
-/// A frame's holders from `first` (the one in its entry) on.
-fn chain(overflow: &Slab<Holder>, first: Option<Holder>) -> impl Iterator<Item = Holder> + '_ {
-    let mut next = first;
-    std::iter::from_fn(move || {
-        let h = next?;
-        next = (h.next != NO_NEXT).then(|| *overflow.get(h.next));
-        Some(h)
-    })
 }
 
 impl HostInner {
@@ -660,11 +551,30 @@ impl HostInner {
         self.alloc(data)
     }
 
-    /// [`FrameEntry::shift`], freeing the frame when the last owner goes.
+    /// Moves a frame's explicit owner counts by `refs` / `pins`, telling
+    /// its holder when it gains its first explicit mapper or loses its
+    /// last, and freeing it when no owner is left.
+    ///
+    /// Inlined into every caller so the constant deltas of `retain`,
+    /// `pin`, `release` and `unpin` fold; the rarer halves stay out of
+    /// line so those callers stay small.
     #[inline(always)]
     fn shift(&mut self, id: FrameId, refs: i32, pins: i32) {
         let e = self.frames.get_mut(id.index());
-        if e.shift(refs, pins, &self.overflow, &mut self.groups) {
+        let before = e.refs > e.pins;
+        e.refs = e
+            .refs
+            .checked_add_signed(refs)
+            .expect("release of dead frame");
+        e.pins = e.pins.checked_add_signed(pins).expect("unpin without pin");
+        let after = e.refs > e.pins;
+        let (first, left) = (e.holder, e.refs);
+        if let (true, Some(first)) = (before != after, first) {
+            let g = self.groups.get_mut(first.group);
+            g.explicit = g.explicit + u32::from(after) - u32::from(!after);
+        }
+        // A held listing is a live one: a pin, or a clone mapping lazily.
+        if left == 0 && first.is_none() {
             self.free(id);
         }
     }
@@ -675,41 +585,159 @@ impl HostInner {
         self.live_frames -= 1;
     }
 
-    /// Makes `group`'s outstanding lazy mappings explicit references,
-    /// position by position, and its clones eager.
-    fn materialise(&mut self, group: u32) {
+    /// One clone stops mapping `group`'s position `idx` (`frame`) lazily.
+    fn depart(&mut self, group: u32, idx: u32, frame: FrameId) {
         let g = self.groups.get_mut(group);
-        if !g.lazy || g.sharers == 0 {
+        *g.departed.entry(idx as usize) += 1;
+        if !g.live(idx) {
+            self.unlist(group, idx, frame);
+        }
+    }
+
+    /// `group`'s listing of `id` at `idx` stops being live: if it held
+    /// the frame, it hands that, and its explicit count, to a live one,
+    /// or frees a frame that has no owner left.
+    fn unlist(&mut self, group: u32, idx: u32, id: FrameId) {
+        let here = Holder { group, idx };
+        let e = self.entry(id);
+        if e.holder != Some(here) {
             return;
         }
-        g.lazy = false;
-        let (image, sharers, departed) =
-            (g.image.clone(), g.sharers, std::mem::take(&mut g.departed));
-        for (idx, &(_, id)) in image.frames.iter().enumerate() {
-            self.shift(id, (sharers - departed.get(idx)) as i32, 0);
+        let explicit = e.refs > e.pins;
+        // Checked first: the last clone of an orphan unlists every frame.
+        let shared = !self.groups.get(group).sharing.is_empty();
+        let live = |l: &Holder| self.groups.get(l.group).live(l.idx);
+        let next = shared.then(|| self.listings(here).skip(1).find(live));
+        let next = next.flatten();
+        if explicit {
+            self.groups.get_mut(group).explicit -= 1;
+            next.iter()
+                .for_each(|l| self.groups.get_mut(l.group).explicit += 1);
+        }
+        let e = self.frames.get_mut(id.index());
+        e.holder = next;
+        if e.refs == 0 && next.is_none() {
+            self.free(id);
         }
     }
 
-    /// See [`HostMemory::mappers`]. Only a frame's sole holder can be
-    /// lazy, so there is no chain to walk.
-    pub(crate) fn mappers(&self, id: FrameId) -> u32 {
-        let e = self.entry(id);
-        let lazy = e.holder.filter(|h| h.next == NO_NEXT).map_or(0, |h| {
-            let g = self.groups.get(h.group);
-            u32::from(g.lazy) * (g.sharers - g.departed.get(h.idx as usize))
-        });
-        e.refs - e.pins + lazy
+    /// Drops `group`, file and clones gone, and its co-listers' segments.
+    fn forget(&mut self, group: u32) {
+        for s in self.groups.remove(group).sharing {
+            let map = &mut self.groups.get_mut(s.first.group).sharing;
+            map.retain(|s| s.first.group != group);
+        }
     }
 
-    /// `group`'s sharer count and departed map, if every position's
-    /// mappers are exactly `sharers − departed[idx]`: its clones are lazy
-    /// and no listed frame has an explicit mapper. Otherwise positions
-    /// are counted one by one.
-    pub(crate) fn uniform(&self, group: u32) -> Option<(u32, &Sparse<u32>)> {
+    /// Every listing of `first`'s frame: it, then its group's map's.
+    fn listings(&self, first: Holder) -> impl Iterator<Item = Holder> + '_ {
+        let others = covering(&self.groups.get(first.group).sharing, first.idx);
+        std::iter::once(first).chain(others.map(move |s| s.lister(first.idx)))
+    }
+
+    /// Clones mapping the frame lazily, through every image listing it.
+    fn lazy_mappers(&self, e: &FrameEntry) -> u32 {
+        let Some(first) = e.holder else { return 0 };
+        let lazy = |l: Holder| self.groups.get(l.group).mappers_at(l.idx);
+        self.listings(first).map(lazy).sum()
+    }
+
+    /// See [`HostMemory::mappers`].
+    pub(crate) fn mappers(&self, id: FrameId) -> u32 {
+        let e = self.entry(id);
+        e.refs - e.pins + self.lazy_mappers(e)
+    }
+
+    /// A clone of orphaned `group` went away, having left `left`: where
+    /// every other clone had left (everywhere, if it was the last), it
+    /// was the last lazy mapper. The last clone takes the group with it.
+    #[inline(never)]
+    fn orphan_detached(&mut self, group: u32, left: &mut [u32]) {
+        left.sort_unstable();
         let g = self.groups.get(group);
-        (g.lazy && g.explicit == 0).then_some((g.sharers, &g.departed))
+        let (image, sharers) = (g.image.clone(), g.sharers);
+        if sharers == 0 {
+            let mut left = left.iter().peekable();
+            for (idx, &(_, id)) in image.frames.iter().enumerate() {
+                if left.next_if(|l| **l as usize == idx).is_none() {
+                    self.unlist(group, idx as u32, id);
+                }
+            }
+            return self.forget(group);
+        }
+        let all_left = g.departed.iter().filter(|&(_, gone)| gone == sharers);
+        let stayed = |idx: &u32| left.binary_search(idx).is_err();
+        let last: Vec<u32> = all_left.map(|(idx, _)| idx as u32).filter(stayed).collect();
+        for idx in last {
+            self.unlist(group, idx, image.frames[idx as usize].1);
+        }
+    }
+
+    /// Runs `(end, mappers)` covering `group`'s image, equal neighbours
+    /// joined: its sharers plus those of the images co-listing the run,
+    /// except where a clone of any of them departed or a frame has explicit
+    /// mappers (scanned for only while any exist): those are looked up.
+    pub(crate) fn base_runs(&self, group: u32) -> Vec<(usize, u32)> {
+        let g = self.groups.get(group);
+        // A position no longer live is never summed (every clone left it),
+        // and only a live listing is sure to name its frame.
+        let looked_up = |idx: usize| match g.live(idx as u32) {
+            true => Err((idx + 1, self.mappers(g.image.frames[idx].1))),
+            false => Err((idx + 1, 0)),
+        };
+        let departed = g.departed.iter().map(|(idx, _)| (idx, looked_up(idx)));
+        let mut cuts: Vec<(usize, Cut)> = departed.collect();
+        for s in &g.sharing {
+            let other = self.groups.get(s.first.group);
+            let sharers = other.sharers as i32;
+            let (start, end) = (s.start as usize, s.end as usize);
+            cuts.extend([(start, Ok(sharers)), (end, Ok(-sharers))]);
+            let (at, end) = (s.first.idx as usize, s.lister(s.end).idx as usize);
+            let departed = other.departed.iter().skip_while(|(idx, _)| *idx < at);
+            let departed = departed.take_while(|(idx, _)| *idx < end);
+            let idx = departed.map(|(idx, _)| idx - at + s.start as usize);
+            cuts.extend(idx.map(|idx| (idx, looked_up(idx))));
+        }
+        let held_explicit = |k: u32| self.groups.get(k).explicit > 0;
+        if held_explicit(group) || g.sharing.iter().any(|s| held_explicit(s.first.group)) {
+            for (idx, &(_, id)) in g.image.frames.iter().enumerate() {
+                let e = g.live(idx as u32).then(|| self.entry(id));
+                let Some(e) = e.filter(|e| e.refs > e.pins) else {
+                    continue;
+                };
+                let mappers = e.refs - e.pins + self.lazy_mappers(e);
+                match cuts.last_mut() {
+                    Some((_, Err((end, same)))) if (*end, *same) == (idx, mappers) => *end += 1,
+                    _ => cuts.push((idx, Err((idx + 1, mappers)))),
+                }
+            }
+        }
+        // Stable: the cuts are a few sorted runs, merged in linear time.
+        cuts.sort_by_key(|&(at, _)| at);
+        let (mut runs, mut level) = (Vec::new(), g.sharers);
+        let push = |runs: &mut Vec<(usize, u32)>, end, mappers| match runs.last_mut() {
+            Some((last, same)) if *same == mappers => *last = end,
+            _ => runs.push((end, mappers)),
+        };
+        for (at, cut) in cuts {
+            let end = runs.last().map_or(0, |&(end, _)| end);
+            if at > end {
+                push(&mut runs, at, level);
+            }
+            match cut {
+                Ok(sharers) => level = level.wrapping_add_signed(sharers),
+                Err((stop, mappers)) if stop > end => push(&mut runs, stop, mappers),
+                Err(_) => {}
+            }
+        }
+        push(&mut runs, g.image.frames.len(), level);
+        runs
     }
 }
+
+/// From a position on, a step of the sharers, or `(end, mappers)` of the
+/// positions up to `end`.
+type Cut = Result<i32, (usize, u32)>;
 
 /// Aggregate host memory counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -27,29 +27,27 @@
 //! each, accounting looks every frame's mappers up — and a reference
 //! model of exactly that runs beside the implementation in
 //! `tests/oracle.rs`. The implementation reaches the same numbers in
-//! time proportional to what a clone touched:
+//! time proportional to what a clone touched, for every restore:
 //!
 //! - **Group.** A restore adds one *sharer* to the image's group; a CoW
 //!   fault moves one page into the clone's overlay and counts one
 //!   *departure* at that position; a drop releases the overlay and takes
-//!   the departures back. [`HostMemory::mappers`] stays exact for every
-//!   frame at every moment: explicit references minus pins, plus
-//!   `sharers − departed[idx]` for the group that alone lists the frame.
+//!   the departures back. A frame's mappers are its explicit references
+//!   minus pins plus, for each image listing it, `sharers −
+//!   departed[idx]` there ([`HostMemory::mappers`]). A group finds the
+//!   other images listing its frames (canonical chunks under dedup, a
+//!   capture of a clone) in its *sharing map*: runs of its positions that
+//!   another image lists at a fixed offset. A file dropped before its
+//!   clones leaves its group *orphaned*, still lazy; a frame is freed when
+//!   its last owner goes, just when the eager design frees it.
 //! - **Accounting.** [`AddressSpace::sharing_stats`] forms the scan's
-//!   page-order `f64` sum without visiting pages: between exceptions
-//!   (overlay pages, departed positions) it adds a run of equal terms in
-//!   closed form, bit for bit what the sequential adds round to.
+//!   page-order `f64` sum without visiting pages: the sharing map cuts the
+//!   base into runs of equal mappers, and between exceptions (overlay
+//!   pages, departed positions, frames with explicit mappers) each run is
+//!   added in closed form, bit for bit what the sequential adds round to.
 //! - **Verify once.** [`SnapshotFile::verify`] remembers a clean pass;
 //!   stored pages change only through [`HostMemory::poke_frame`], which
 //!   makes every image listing the frame forget.
-//! - **Falling back is materialising.** Lazy mappings need the image to
-//!   be its frames' only lister and its file to be alive. When a second
-//!   image lists a frame (canonical chunks under dedup, a capture of a
-//!   clone) or the file is dropped before its clones, the outstanding
-//!   lazy mappings become ordinary references, position by position, and
-//!   those clones run the eager design until the last one is gone. A
-//!   group whose frames have explicit mappers of their own keeps lazy
-//!   clones and only counts positions one by one.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -230,8 +230,8 @@ impl SnapshotFile {
     /// caller's reference becomes the snapshot-file pin, and dropping the
     /// snapshot frees frames nothing else maps.
     ///
-    /// `frames` must be sorted by guest page number (ascending), matching
-    /// the order `capture` records.
+    /// `frames` must be sorted by guest page number (ascending), as
+    /// `capture` records them, and name each frame once.
     pub fn from_mapped(
         host: &HostMemory,
         size_bytes: u64,
@@ -723,26 +723,64 @@ mod tests {
         }
     }
 
+    /// Mappers and PSS of every page of `spaces` against a recount of
+    /// the spaces mapping each frame (no other owner maps one here).
+    fn assert_recount(h: &HostMemory, spaces: &[AddressSpace]) {
+        let mut mapping = std::collections::HashMap::new();
+        for (_, frame) in spaces.iter().flat_map(|s| s.mapped()) {
+            *mapping.entry(frame).or_insert(0u32) += 1;
+        }
+        for space in spaces {
+            let mut pss = 0.0;
+            for (page, frame) in space.mapped() {
+                assert_eq!(h.mappers(frame), mapping[&frame], "page {page}");
+                pss += PAGE_SIZE as f64 / f64::from(mapping[&frame]);
+            }
+            assert_eq!(space.pss_bytes(), pss.round() as u64);
+        }
+    }
+
     #[test]
-    fn sharing_frames_makes_clones_eager_until_the_last_is_gone() {
+    fn co_listed_and_orphaned_clones_map_without_touching_refs() {
         // Lazy and eager clones compute the same numbers (the oracle test
-        // cannot tell them apart); only this state says which ran.
+        // cannot tell them apart); only the frames' `refs` say which ran.
         let h = host();
-        let lazy = |snap: &SnapshotFile| h.table().uniform(snap.group).is_some();
-        let snap = SnapshotFile::capture(&space_with_pages(&h, 8), Vec::new());
-        let clone = snap.restore(&h);
-        assert!(lazy(&snap));
-        // A capture of the clone lists the image's frames a second time.
-        let of_clone = SnapshotFile::capture(&clone, Vec::new());
-        assert!(!lazy(&snap), "lazy mappings were materialised");
-        assert_eq!(h.mappers(snap.frames()[0].1), 1);
-        drop(of_clone);
-        let late = snap.restore(&h);
-        assert!(!lazy(&snap), "eager while an eager clone lives");
-        assert_eq!(late.pss_bytes(), 4 * PAGE_SIZE as u64);
-        drop((clone, late));
-        let fresh = snap.restore(&h);
-        assert!(lazy(&snap), "the next first restore decides afresh");
-        assert_eq!(fresh.pss_bytes(), 8 * PAGE_SIZE as u64);
+        let refs = |frames: &[(usize, FrameId)]| frames.iter().map(|(_, f)| h.refs(*f)).collect();
+        let first = SnapshotFile::capture(&space_with_pages(&h, 8), Vec::new());
+        // A partial, shifted co-lister (the Dedup layout): pages 3..8 of
+        // `first` behind two fresh frames, so positions differ by one.
+        let mut listed = vec![(0, h.alloc_zero()), (1, h.alloc_zero())];
+        listed.extend(first.frames()[3..].iter().inspect(|(_, f)| h.retain(*f)));
+        let second = SnapshotFile::from_mapped(&h, 1 << 20, listed, Vec::new());
+        let (first_refs, second_refs): (Vec<u32>, Vec<u32>) =
+            (refs(first.frames()), refs(second.frames()));
+        let mut clones = vec![first.restore(&h), second.restore(&h), second.restore(&h)];
+        clones[0].touch_dirty(2 * PAGE_SIZE as u64, 3 * PAGE_SIZE as u64);
+        clones[1].write(PAGE_SIZE as u64, b"fresh");
+        clones[2].write(6 * PAGE_SIZE as u64, b"shared");
+        assert_eq!(refs(first.frames()), first_refs);
+        assert_eq!(refs(second.frames()), second_refs);
+        assert_recount(&h, &clones);
+        // The file goes first: its clones keep mapping the frames lazily.
+        let frames = second.frames().to_vec();
+        drop(second);
+        assert_eq!(refs(&frames[..2]), [0, 0], "no pin, no eager reference");
+        assert_recount(&h, &clones);
+        // A CoW out of the orphan: page 0 has a second lazy mapper, page 1
+        // is this clone's alone and is taken over without a copy.
+        let faults = h.stats().cow_faults;
+        clones[2].write(0, b"a");
+        clones[2].write(PAGE_SIZE as u64, b"b");
+        assert_eq!(h.stats().cow_faults, faults + 1);
+        assert_recount(&h, &clones);
+        let live = h.live_frames();
+        drop(clones.remove(1));
+        assert_eq!(h.live_frames(), live - 2, "page 0 and the copy of page 1");
+        assert_eq!(refs(first.frames()), [1; 8], "only the first file's pins");
+        assert_recount(&h, &clones);
+        drop(first);
+        assert_recount(&h, &clones);
+        drop(clones);
+        assert_eq!(h.live_frames(), 0);
     }
 }

@@ -19,6 +19,9 @@ impl<T> Default for Slab<T> {
 }
 
 impl<T> Slab<T> {
+    // Inlined so a frame entry is written in place: built on the stack
+    // and re-read in wider loads, it stalled every allocation.
+    #[inline]
     pub fn insert(&mut self, value: T) -> u32 {
         match self.free.pop() {
             Some(i) => {

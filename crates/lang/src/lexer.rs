@@ -196,16 +196,21 @@ impl<'a> Lexer<'a> {
 
     fn lex_string(&mut self) -> Result<TokenKind, LangError> {
         self.bump(); // Opening quote.
-        let mut out = String::new();
+        let mut out = Vec::new();
         loop {
             match self.bump() {
                 None => return Err(self.err("unterminated string")),
-                Some(b'"') => return Ok(TokenKind::Str(out)),
+                Some(b'"') => {
+                    // A quote or backslash is never inside a multi-byte
+                    // character, so the bytes between are UTF-8 too.
+                    let text = String::from_utf8(out).expect("source is UTF-8");
+                    return Ok(TokenKind::Str(text));
+                }
                 Some(b'\\') => match self.bump() {
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'"') => out.push('"'),
+                    Some(b'n') => out.push(b'\n'),
+                    Some(b't') => out.push(b'\t'),
+                    Some(b'\\') => out.push(b'\\'),
+                    Some(b'"') => out.push(b'"'),
                     other => {
                         return Err(self.err(format!(
                             "bad escape: \\{}",
@@ -213,7 +218,7 @@ impl<'a> Lexer<'a> {
                         )))
                     }
                 },
-                Some(c) => out.push(c as char),
+                Some(c) => out.push(c),
             }
         }
     }

@@ -1106,3 +1106,21 @@ fn string_index_reads_chars_and_reports_the_char_length() {
         assert_eq!(run(i).expect_err("out of bounds").to_string(), text);
     }
 }
+
+#[test]
+fn string_literals_decode_by_char() {
+    let src = r#"fn main() { let s = "héllo\t✓"; return [len(s), s[1], s[6], s + "é"]; }"#;
+    let program = Rc::new(compile(src).expect("ok"));
+    let mut vm = Vm::new(program);
+    vm.start("main", vec![]).expect("starts");
+    let parts = [
+        Value::Int(7),
+        Value::str("é"),
+        Value::str("✓"),
+        Value::str("héllo\t✓é"),
+    ];
+    assert_eq!(
+        vm.run(&mut TestHost::default()).expect("runs"),
+        Outcome::Done(Value::array(parts.to_vec()))
+    );
+}
