@@ -65,6 +65,40 @@ impl RecoveryPolicy {
     }
 }
 
+/// A consecutive-failure circuit breaker driven by [`RecoveryPolicy`]'s
+/// `circuit_threshold` and `circuit_cooldown`: the platform keeps one
+/// per function for restores, the elastic control plane one per function
+/// for drain hand-offs and one for scale-up boots.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Breaker {
+    /// Failures since the last success.
+    pub consecutive: u32,
+    /// When the breaker half-opens, if it has opened.
+    pub open_until: Option<Nanos>,
+}
+
+impl Breaker {
+    /// Whether attempts are refused at `now`; past the cooldown one is
+    /// let through (half-open) and either resets or re-opens it.
+    pub fn is_open(&self, now: Nanos) -> bool {
+        self.open_until.is_some_and(|t| now < t)
+    }
+
+    /// Counts a failure at `now`; the breaker opens once the streak
+    /// reaches the threshold.
+    pub fn failure(&mut self, now: Nanos, policy: &RecoveryPolicy) {
+        self.consecutive += 1;
+        if self.consecutive >= policy.circuit_threshold {
+            self.open_until = Some(now + policy.circuit_cooldown);
+        }
+    }
+
+    /// A success closes the breaker and resets the streak.
+    pub fn success(&mut self) {
+        *self = Breaker::default();
+    }
+}
+
 /// How a host stores the post-JIT snapshots it caches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotStorePolicy {
@@ -290,6 +324,22 @@ mod tests {
         };
         assert_eq!(chunk_pages, SnapshotStorePolicy::DEFAULT_CHUNK_PAGES);
         assert!(delta_fetch);
+    }
+
+    #[test]
+    fn breaker_opens_at_threshold_and_resets_on_success() {
+        let policy = RecoveryPolicy::default();
+        let mut b = Breaker::default();
+        let now = Nanos::from_millis(1);
+        assert!(!b.is_open(now));
+        for _ in 0..policy.circuit_threshold {
+            b.failure(now, &policy);
+        }
+        assert!(b.is_open(now));
+        assert!(!b.is_open(now + policy.circuit_cooldown), "half-opens");
+        b.success();
+        assert!(!b.is_open(now));
+        assert_eq!(b.consecutive, 0);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   snapshots to survivors via [`crate::mesh::ChunkMesh`] delta
 //!   transfers with bounded, exponentially backed-off retries — a drain
 //!   that outlives [`ElasticPolicy::drain_deadline`] degrades to hard
-//!   removal with rerouting, never lost requests;
+//!   removal that abandons the unfinished hand-offs, never requests;
 //! - **retires** functions idle longer than
 //!   [`ElasticPolicy::retire_after`] to a cluster-durable archive
 //!   [`ChunkStore`] (scale-to-zero) and resurrects them on demand or on
@@ -30,14 +30,16 @@
 //! [`FaultSite::HostCrash`]:
 //!
 //! - [`FaultSite::DrainInterrupt`] — the draining host dies before its
-//!   drain completes; the control plane degrades to hard removal and
-//!   reroutes everything it was queueing.
+//!   drain completes, drawn when the drain starts and before each
+//!   hand-off; it leaves through the driver's host-failure path like any
+//!   crash, abandoning its outstanding hand-offs. A draining host queues
+//!   nothing, so there is nothing to reroute.
 //! - [`FaultSite::MigrationStall`] — one snapshot hand-off wedges
 //!   mid-transfer; the receiver retries with exponential virtual-time
 //!   backoff up to [`RecoveryPolicy::max_attempts`], then gives up (the
 //!   survivor rebuilds from source on first demand instead).
 //! - [`FaultSite::ScaleUpFail`] — a scale-up host fails to boot; the
-//!   scale-up circuit breaker (mirroring [`RecoveryPolicy`]) backs off,
+//!   scale-up circuit [`Breaker`] (driven by [`RecoveryPolicy`]) backs off,
 //!   and after [`SCALE_UP_GIVE_UP`] consecutive boot failures with no
 //!   serving capacity left, queued admissions fail fast with
 //!   [`PlatformError::HostUnavailable`] rather than waiting forever.
@@ -75,7 +77,7 @@ use fireworks_sim::{Clock, Nanos};
 
 use crate::api::{ConcurrentPlatform, FunctionSpec, PlatformError, StoreAudit};
 use crate::cluster::{ClusterCompletion, Router};
-use crate::config::{PlatformConfig, RecoveryPolicy};
+use crate::config::{Breaker, PlatformConfig, RecoveryPolicy};
 pub use crate::driver::HostPhase;
 use crate::driver::{self, Control, Driver, Fleet, RunStats};
 use crate::engine::{CompletionPolicy, EngineRequest};
@@ -104,6 +106,9 @@ pub const SCALE_UP_GIVE_UP: u32 = 10;
 /// (when [`ElasticPolicy::prewarm`] is on).
 const PREWARM_TOP_K: usize = 2;
 
+/// Control ticks of per-function arrival history the predictor keeps.
+const PREDICTOR_WINDOW: usize = 4;
+
 /// Elasticity policy: when to grow, when to shrink, how to hand off.
 #[derive(Debug, Clone)]
 pub struct ElasticPolicy {
@@ -124,20 +129,14 @@ pub struct ElasticPolicy {
     /// serving (machine provisioning + boot).
     pub boot_delay: Nanos,
     /// Budget for a graceful drain; past it the host is hard-removed
-    /// (queued work reroutes, unfinished hand-offs are abandoned).
+    /// (unfinished hand-offs are abandoned).
     pub drain_deadline: Nanos,
-    /// Retry/backoff/breaker policy for drain-time snapshot migrations,
-    /// mirroring the restore-path [`RecoveryPolicy`]: per-function
-    /// circuit breakers open after `circuit_threshold` consecutive
-    /// migration failures, and the scale-up breaker reuses the same
-    /// thresholds for boot failures.
+    /// Retries, backoff and [`Breaker`] thresholds for drain-time
+    /// hand-offs (one breaker per function) and for scale-up boots.
     pub migration: RecoveryPolicy,
     /// Retire a function's snapshots to the archive after it has gone
     /// unseen for this long (`None`: never scale to zero).
     pub retire_after: Option<Nanos>,
-    /// Control ticks of per-function arrival history the predictor
-    /// keeps.
-    pub predictor_window: usize,
     /// Whether to prewarm predictor-hot functions on freshly booted
     /// hosts and scale up proactively on a rising arrival trend.
     pub prewarm: bool,
@@ -155,7 +154,6 @@ impl Default for ElasticPolicy {
             drain_deadline: Nanos::from_millis(500),
             migration: RecoveryPolicy::default(),
             retire_after: None,
-            predictor_window: 4,
             prewarm: false,
         }
     }
@@ -191,33 +189,6 @@ impl ElasticConfig {
     }
 }
 
-/// A consecutive-failure circuit breaker driven by [`RecoveryPolicy`]
-/// thresholds (per-function migration breakers and the scale-up
-/// breaker).
-#[derive(Debug, Default, Clone)]
-struct Breaker {
-    consecutive: u32,
-    open_until: Option<Nanos>,
-}
-
-impl Breaker {
-    fn is_open(&self, now: Nanos) -> bool {
-        self.open_until.is_some_and(|t| now < t)
-    }
-
-    fn failure(&mut self, now: Nanos, policy: &RecoveryPolicy) {
-        self.consecutive += 1;
-        if self.consecutive >= policy.circuit_threshold {
-            self.open_until = Some(now + policy.circuit_cooldown);
-        }
-    }
-
-    fn success(&mut self) {
-        self.consecutive = 0;
-        self.open_until = None;
-    }
-}
-
 /// Counters describing what the control plane did during a run.
 #[derive(Debug, Default, Clone)]
 pub struct ElasticStats {
@@ -233,7 +204,7 @@ pub struct ElasticStats {
     /// Drains forced into hard removal by the deadline.
     pub hard_removals: u64,
     /// Drains aborted by [`FaultSite::DrainInterrupt`] (the draining
-    /// host died; its queue rerouted).
+    /// host died through the driver's host-failure path).
     pub drain_interrupts: u64,
     /// Snapshot hand-offs that completed (survivor made fully
     /// resident by delta fetch).
@@ -251,8 +222,8 @@ pub struct ElasticStats {
     pub resurrections: u64,
     /// Successful proactive prewarms on freshly booted hosts.
     pub prewarms: u64,
-    /// Requests displaced from a dead or draining host's queue and
-    /// rerouted. Conservation: each still reaches a terminal outcome.
+    /// Requests displaced from a dead host's queue and rerouted.
+    /// Conservation: each still reaches a terminal outcome.
     pub crash_reroutes: u64,
     /// Requests placed off their router-preferred host.
     pub rebalances: u64,
@@ -328,7 +299,9 @@ struct PlaneRun {
     last_arrival: BTreeMap<FunctionId, Nanos>,
     /// Outstanding drain hand-offs per draining host.
     pending: BTreeMap<usize, usize>,
-    boot_failures_row: u32,
+    /// The scale-up breaker; its failure streak is also what
+    /// [`SCALE_UP_GIVE_UP`] counts.
+    scale_up: Breaker,
     boot_give_up: bool,
 }
 
@@ -380,7 +353,6 @@ struct ControlPlane<P> {
     /// Functions currently scaled to zero.
     archived: BTreeSet<FunctionId>,
     migration_breakers: BTreeMap<FunctionId, Breaker>,
-    scale_up_breaker: Breaker,
     /// Per host: consecutive control ticks it sat fully idle.
     idle_ticks: Vec<u32>,
     g_hosts: Gauge,
@@ -442,7 +414,6 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
             archive_manifests: BTreeMap::new(),
             archived: BTreeSet::new(),
             migration_breakers: BTreeMap::new(),
-            scale_up_breaker: Breaker::default(),
             idle_ticks: Vec::new(),
             g_hosts: m.gauge("elastic.hosts", &[]),
             g_active: m.gauge("elastic.active_hosts", &[]),
@@ -506,14 +477,16 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
         let driven = out.stats;
         plane.audit_into(fleet);
         let run = std::mem::take(&mut plane.run);
-        let mut stats = run.stats;
-        stats.crash_reroutes += driven.crash_reroutes;
-        stats.rebalances = driven.rebalances;
-        stats.locality_hits = driven.locality_hits;
+        let stats = ElasticStats {
+            crash_reroutes: driven.crash_reroutes,
+            rebalances: driven.rebalances,
+            locality_hits: driven.locality_hits,
+            ..run.stats
+        };
         let counters = [
             ("elastic.rebalances", stats.rebalances),
             ("elastic.locality_hits", stats.locality_hits),
-            ("elastic.crash_reroutes", driven.crash_reroutes),
+            ("elastic.crash_reroutes", stats.crash_reroutes),
         ];
         RunStats::publish(fleet.obs.metrics(), counters);
         ElasticReport {
@@ -554,13 +527,10 @@ impl<P: ConcurrentPlatform> Control<P, P> for ControlPlane<P> {
     fn on_arrive(&mut self, d: &mut D<'_, P>, f: FunctionId, root: SpanId) {
         *self.run.tick_counts.entry(f).or_insert(0) += 1;
         self.run.last_arrival.insert(f, d.fleet.clock.now());
-        if self.archived.remove(&f) {
-            // Demand resurrection: the archive (or any later replica)
-            // serves the delta fetch when a host first restores it.
-            self.run.stats.resurrections += 1;
+        // Demand resurrection: the archive (or any later replica) serves
+        // the delta fetch when a host first restores it.
+        if self.resurrect(d.fleet, f) {
             d.rec.attr(root, "resurrected", true);
-            let m = d.fleet.obs.metrics();
-            m.inc("elastic.resurrections", &[("function", &f.name())]);
         }
     }
 
@@ -616,10 +586,8 @@ impl<P: ConcurrentPlatform> ControlPlane<P> {
 
     fn audit(&self, fleet: &Fleet<P>) -> Vec<String> {
         let mut violations = Vec::new();
-        for (id, host) in fleet.hosts.iter().enumerate() {
-            if !host.phase.is_powered() {
-                continue;
-            }
+        let hosts = fleet.hosts.iter().enumerate();
+        for (id, host) in hosts.filter(|(_, h)| h.phase.is_powered()) {
             if let Some(audit) = host.platform().store_audit() {
                 violations.extend(
                     audit
@@ -717,7 +685,7 @@ impl<P: ConcurrentPlatform> ControlPlane<P> {
             if !counts.contains_key(f) {
                 w.push_back(0);
             }
-            while w.len() > policy.predictor_window {
+            while w.len() > PREDICTOR_WINDOW {
                 w.pop_front();
             }
         }
@@ -755,7 +723,7 @@ impl<P: ConcurrentPlatform> ControlPlane<P> {
             && d.fleet.count(HostPhase::Booting) == 0
             && d.fleet.powered() < policy.max_hosts
             && !self.run.boot_give_up
-            && !self.scale_up_breaker.is_open(now)
+            && !self.run.scale_up.is_open(now)
         {
             let host = self.create_host(d.fleet);
             self.run.stats.scale_ups += 1;
@@ -767,7 +735,7 @@ impl<P: ConcurrentPlatform> ControlPlane<P> {
         // with no serving capacity left either, `capacity_may_return`
         // turns false and the queue drain below fails parked admissions
         // fast, so the run terminates under ScaleUpFail = 1.0.
-        if self.run.boot_failures_row >= SCALE_UP_GIVE_UP {
+        if self.run.scale_up.consecutive >= SCALE_UP_GIVE_UP {
             self.run.boot_give_up = true;
         }
 
@@ -795,11 +763,11 @@ impl<P: ConcurrentPlatform> ControlPlane<P> {
         d.drain_cluster_queue(self);
 
         // Keep ticking while anything still needs the control loop:
-        // unresolved requests, boots, drains, or pending hand-offs.
+        // unresolved requests, boots, or drains (pending hand-offs
+        // belong to a draining host).
         let work_remains = d.resolved < d.requests.len()
             || d.fleet.count(HostPhase::Booting) > 0
-            || d.fleet.count(HostPhase::Draining) > 0
-            || self.run.pending.values().any(|&n| n > 0);
+            || d.fleet.count(HostPhase::Draining) > 0;
         if work_remains {
             d.schedule(now + policy.control_interval, Ev::Tick);
         }
@@ -866,8 +834,8 @@ impl<P: ConcurrentPlatform> ControlPlane<P> {
             d.fleet.mesh.borrow_mut().deregister(HostId::from_index(h));
             d.stats.failed_hosts.push(HostId::from_index(h));
             self.run.stats.scale_up_failures += 1;
-            self.run.boot_failures_row += 1;
-            self.scale_up_breaker
+            self.run
+                .scale_up
                 .failure(now, &self.config.policy.migration);
             d.fleet.obs.metrics().inc("elastic.scale_up_failures", &[]);
             d.rec.instant(format!("scale_up_fail:{h}"), cat::FAULT);
@@ -875,8 +843,7 @@ impl<P: ConcurrentPlatform> ControlPlane<P> {
             return;
         }
         d.fleet.set_phase(h, HostPhase::Active);
-        self.run.boot_failures_row = 0;
-        self.scale_up_breaker.success();
+        self.run.scale_up.success();
         // A late joiner must know every installed function.
         for spec in self.specs.values() {
             // Registration failures surface on first invocation; a boot
@@ -909,44 +876,39 @@ impl<P: ConcurrentPlatform> ControlPlane<P> {
         for (_, f) in scored.into_iter().take(PREWARM_TOP_K) {
             if fleet.hosts[h].platform_mut().prewarm(f) {
                 self.run.stats.prewarms += 1;
-                let name = f.name();
                 let m = fleet.obs.metrics();
-                m.inc("elastic.prewarms", &[("function", &name)]);
-                if self.archived.remove(&f) {
-                    // Predictor-signal resurrection: the prewarm pulled
-                    // an archived function back into live service.
-                    self.run.stats.resurrections += 1;
-                    m.inc("elastic.resurrections", &[("function", &name)]);
-                }
+                m.inc("elastic.prewarms", &[("function", &f.name())]);
+                // Predictor-signal resurrection: the prewarm pulled an
+                // archived function back into live service.
+                self.resurrect(fleet, f);
             }
         }
     }
 
-    /// Hands the requests queued on departing host `h` back to the
-    /// router; they count as reroutes in the report.
-    fn displace_queue(&mut self, d: &mut D<'_, P>, h: usize) {
-        let displaced = std::mem::take(&mut d.fleet.hosts[h].waiting);
-        self.run.stats.crash_reroutes += displaced.len() as u64;
-        for i in displaced {
-            d.place(self, i, Some(h));
+    /// Takes `f` out of the archived set; returns whether it was there.
+    fn resurrect(&mut self, fleet: &Fleet<P>, f: FunctionId) -> bool {
+        let archived = self.archived.remove(&f);
+        if archived {
+            self.run.stats.resurrections += 1;
+            let m = fleet.obs.metrics();
+            m.inc("elastic.resurrections", &[("function", &f.name())]);
         }
+        archived
     }
 
-    /// Begins a graceful drain of host `h`: stop admitting, displace
-    /// its queue, schedule one hand-off per hot function, and arm the
-    /// drain deadline.
+    /// Begins a graceful drain of host `h`: stop admitting, schedule one
+    /// hand-off per hot function, and arm the drain deadline. The victim
+    /// queues nothing: scale-down waits for zero pressure, which counts
+    /// every active host's queue.
     fn start_drain(&mut self, d: &mut D<'_, P>, h: usize) {
         let now = d.fleet.clock.now();
         self.run.stats.drains_started += 1;
         let m = d.fleet.obs.metrics();
         m.inc("elastic.drains", &[("host", &h.to_string())]);
         d.fleet.set_phase(h, HostPhase::Draining);
-        self.displace_queue(d, h);
+        debug_assert!(d.fleet.hosts[h].waiting.is_empty());
         // The drain itself can be interrupted before any hand-off.
-        if self.draws(d.fleet, h, FaultSite::DrainInterrupt) {
-            self.run.stats.drain_interrupts += 1;
-            d.fleet.obs.metrics().inc("elastic.drain_interrupts", &[]);
-            d.fail_host(self, h, None);
+        if self.drain_interrupted(d, h) {
             return;
         }
         // Schedule one hand-off per hot function to the cheapest
@@ -975,6 +937,19 @@ impl<P: ConcurrentPlatform> ControlPlane<P> {
         self.try_finish_drain(d.fleet, h);
     }
 
+    /// Whether draining host `h` draws [`FaultSite::DrainInterrupt`];
+    /// if so it dies through the driver's host-failure path, which
+    /// cancels its pending hand-offs ([`Control::on_host_failed`]).
+    fn drain_interrupted(&mut self, d: &mut D<'_, P>, h: usize) -> bool {
+        if !self.draws(d.fleet, h, FaultSite::DrainInterrupt) {
+            return false;
+        }
+        self.run.stats.drain_interrupts += 1;
+        d.fleet.obs.metrics().inc("elastic.drain_interrupts", &[]);
+        d.fail_host(self, h, None);
+        true
+    }
+
     /// The cheapest active host (fewest missing bytes, then load, then
     /// id) that does not already fully hold `function`; `None` when no
     /// active host exists or every one already holds it.
@@ -998,55 +973,42 @@ impl<P: ConcurrentPlatform> ControlPlane<P> {
             .map(|(_, _, id)| id)
     }
 
-    /// Attempts one hand-off.
+    /// Attempts one hand-off and settles it, unless a stall scheduled a
+    /// retry.
     fn on_migrate(&mut self, d: &mut D<'_, P>, handoff: Handoff) {
+        let donor = handoff.donor;
+        // The drain may already have ended (deadline, interrupt, crash),
+        // and the donor can die mid-hand-off.
+        if d.fleet.hosts[donor].phase != HostPhase::Draining || self.drain_interrupted(d, donor) {
+            return;
+        }
+        let now = d.fleet.clock.now();
+        if let Some(migrated) = self.transfer(d, handoff, now) {
+            self.resolve_handoff(d.fleet, handoff, now, migrated);
+        }
+    }
+
+    /// One hand-off attempt at `now`: whether the survivor received the
+    /// snapshot, or `None` when the transfer stalled and a retry is
+    /// scheduled.
+    fn transfer(&mut self, d: &mut D<'_, P>, handoff: Handoff, now: Nanos) -> Option<bool> {
         let Handoff {
             dest,
             donor,
             function,
             attempt,
         } = handoff;
-        if d.fleet.hosts[donor].phase != HostPhase::Draining {
-            // The drain already ended (deadline, interrupt, crash);
-            // nothing left to hand off.
-            return;
+        let breaker = self.migration_breakers.get(&function);
+        if breaker.is_some_and(|b| b.is_open(now)) {
+            return Some(false);
         }
-        let now = d.fleet.clock.now();
-        // The donor can die mid-hand-off.
-        if self.draws(d.fleet, donor, FaultSite::DrainInterrupt) {
-            self.run.stats.drain_interrupts += 1;
-            d.fleet.obs.metrics().inc("elastic.drain_interrupts", &[]);
-            self.run.pending.remove(&donor);
-            // A draining host admits nothing and its queue was displaced
-            // when the drain began, so there is nothing to reroute: the
-            // host just leaves, dead to the mesh and the reaper alike.
-            d.fleet.set_phase(donor, HostPhase::Dead);
-            let donor = HostId::from_index(donor);
-            d.fleet.mesh.borrow_mut().mark_dead(donor);
-            d.stats.failed_hosts.push(donor);
-            self.audit_into(d.fleet);
-            return;
-        }
-        if self
-            .migration_breakers
-            .entry(function)
-            .or_default()
-            .is_open(now)
-        {
-            self.abandon_handoff(d.fleet, donor, None);
-            return;
-        }
-        let failed = Some((function, now));
         // Re-validate the destination; it may have drained or died
         // since the hand-off was scheduled.
-        let dest = if d.fleet.hosts[dest].phase == HostPhase::Active {
-            Some(dest)
-        } else {
-            self.pick_migration_dest(d.fleet, function, donor)
-        };
-        let Some(dest) = dest else {
-            self.abandon_handoff(d.fleet, donor, failed);
-            return;
+        let Some(dest) = Some(dest)
+            .filter(|&h| d.fleet.hosts[h].phase == HostPhase::Active)
+            .or_else(|| self.pick_migration_dest(d.fleet, function, donor))
+        else {
+            return Some(false);
         };
         // The transfer can stall (receiver-side wedge): retry with
         // exponential virtual-time backoff on a re-picked destination.
@@ -1054,34 +1016,34 @@ impl<P: ConcurrentPlatform> ControlPlane<P> {
             self.run.stats.migration_stalls += 1;
             d.fleet.obs.metrics().inc("elastic.migration_stalls", &[]);
             let policy = &self.config.policy.migration;
-            if attempt < policy.max_attempts {
-                self.run.stats.migration_retries += 1;
-                let retry = Handoff {
-                    dest,
-                    attempt: attempt + 1,
-                    ..handoff
-                };
-                d.schedule(now + policy.backoff(attempt), Ev::Migrate(retry));
-                return;
+            if attempt >= policy.max_attempts {
+                return Some(false);
             }
-            self.abandon_handoff(d.fleet, donor, failed);
-            return;
+            self.run.stats.migration_retries += 1;
+            let retry = Handoff {
+                dest,
+                attempt: attempt + 1,
+                ..handoff
+            };
+            d.schedule(now + policy.backoff(attempt), Ev::Migrate(retry));
+            return None;
         }
         // The hand-off is the mesh's ordinary delta fetch: the
         // destination prewarns itself from the best donor (usually the
         // draining host — the lowest-id full holder). It gets its own
         // control-plane trace: the delta-fetch spans the prewarm records
         // nest under the hand-off span and inherit the migration trace.
+        // No donor qualifying (publication raced away) falls back to
+        // rebuild-from-source on first demand at the destination.
         let rec = &d.rec;
         let mtrace = rec.next_trace_id();
         let mroot = rec.start_detached("migration", cat::MIGRATE, mtrace);
-        let name = function.name();
-        rec.attr(mroot, "function", &*name);
+        rec.attr(mroot, "function", &*function.name());
         rec.attr(mroot, "donor", donor);
         rec.attr(mroot, "dest", dest);
-        let handoff = rec.start_under(mroot, "handoff", cat::MIGRATE);
+        let span = rec.start_under(mroot, "handoff", cat::MIGRATE);
         let migrated = d.fleet.hosts[dest].platform_mut().prewarm(function);
-        rec.end(handoff);
+        rec.end(span);
         let outcome = if migrated {
             "migrated"
         } else {
@@ -1089,46 +1051,40 @@ impl<P: ConcurrentPlatform> ControlPlane<P> {
         };
         rec.attr(mroot, "outcome", outcome);
         rec.end_detached(mroot);
-        if !migrated {
-            // No donor qualified (publication raced away): fall back to
-            // rebuild-from-source on first demand at the destination.
-            self.abandon_handoff(d.fleet, donor, failed);
-            return;
-        }
-        self.run.stats.migrations += 1;
-        let m = d.fleet.obs.metrics();
-        m.inc("elastic.migrations", &[("function", &name)]);
-        if let Some(breaker) = self.migration_breakers.get_mut(&function) {
-            breaker.success();
-        }
-        self.resolve_handoff(d.fleet, donor);
+        Some(migrated)
     }
 
-    /// Gives up on one of `donor`'s hand-offs (the survivor rebuilds on
-    /// demand instead); `failed` charges the function's breaker.
-    fn abandon_handoff(
+    /// Settles one of the donor's hand-offs attempted at `now`: a
+    /// migration closes the function's breaker; a failure (the survivor
+    /// rebuilds on demand instead) counts toward it, unless the open
+    /// breaker refused the attempt. Then checks whether the drain can
+    /// complete.
+    fn resolve_handoff(
         &mut self,
         fleet: &mut Fleet<P>,
-        donor: usize,
-        failed: Option<(FunctionId, Nanos)>,
+        handoff: Handoff,
+        now: Nanos,
+        migrated: bool,
     ) {
-        self.run.stats.migration_failures += 1;
-        if let Some((function, now)) = failed {
-            let policy = &self.config.policy.migration;
-            if let Some(breaker) = self.migration_breakers.get_mut(&function) {
-                breaker.failure(now, policy);
+        let breaker = self.migration_breakers.entry(handoff.function).or_default();
+        if migrated {
+            self.run.stats.migrations += 1;
+            let m = fleet.obs.metrics();
+            m.inc(
+                "elastic.migrations",
+                &[("function", &handoff.function.name())],
+            );
+            breaker.success();
+        } else {
+            self.run.stats.migration_failures += 1;
+            if !breaker.is_open(now) {
+                breaker.failure(now, &self.config.policy.migration);
             }
         }
-        self.resolve_handoff(fleet, donor);
-    }
-
-    /// Marks one of `donor`'s outstanding hand-offs finished and checks
-    /// whether the drain can now complete.
-    fn resolve_handoff(&mut self, fleet: &mut Fleet<P>, donor: usize) {
-        if let Some(n) = self.run.pending.get_mut(&donor) {
+        if let Some(n) = self.run.pending.get_mut(&handoff.donor) {
             *n = n.saturating_sub(1);
         }
-        self.try_finish_drain(fleet, donor);
+        self.try_finish_drain(fleet, handoff.donor);
     }
 
     /// Completes a graceful drain once the host has no in-flight work
@@ -1140,12 +1096,9 @@ impl<P: ConcurrentPlatform> ControlPlane<P> {
         {
             return;
         }
-        self.run.pending.remove(&h);
         self.run.stats.graceful_drains += 1;
         fleet.obs.metrics().inc("elastic.graceful_drains", &[]);
-        fleet.set_phase(h, HostPhase::Retired);
-        fleet.mesh.borrow_mut().deregister(HostId::from_index(h));
-        self.audit_into(fleet);
+        self.retire_host(fleet, h);
     }
 
     /// The drain deadline fired: if the host is still draining, degrade
@@ -1157,14 +1110,19 @@ impl<P: ConcurrentPlatform> ControlPlane<P> {
         }
         self.run.stats.hard_removals += 1;
         d.fleet.obs.metrics().inc("elastic.hard_removals", &[]);
+        self.retire_host(d.fleet, h);
+    }
+
+    /// Ends draining host `h`'s drain: it leaves the fleet and the mesh
+    /// as [`HostPhase::Retired`], and hand-offs still pending are
+    /// dropped. A draining host is never routed to, so its queue is
+    /// still empty.
+    fn retire_host(&mut self, fleet: &mut Fleet<P>, h: usize) {
+        debug_assert!(fleet.hosts[h].waiting.is_empty());
         self.run.pending.remove(&h);
-        d.fleet.set_phase(h, HostPhase::Retired);
-        d.fleet.mesh.borrow_mut().deregister(HostId::from_index(h));
-        // A draining host admits nothing, but displaced requests may
-        // have been parked back on its queue before the drain started;
-        // conservation demands they reroute.
-        self.displace_queue(d, h);
-        self.audit_into(d.fleet);
+        fleet.set_phase(h, HostPhase::Retired);
+        fleet.mesh.borrow_mut().deregister(HostId::from_index(h));
+        self.audit_into(fleet);
     }
 }
 
@@ -1215,22 +1173,6 @@ mod tests {
                 )
             })
             .collect()
-    }
-
-    #[test]
-    fn breaker_opens_at_threshold_and_resets_on_success() {
-        let policy = RecoveryPolicy::default();
-        let mut b = Breaker::default();
-        let now = Nanos::from_millis(1);
-        assert!(!b.is_open(now));
-        for _ in 0..policy.circuit_threshold {
-            b.failure(now, &policy);
-        }
-        assert!(b.is_open(now));
-        assert!(!b.is_open(now + policy.circuit_cooldown), "half-opens");
-        b.success();
-        assert!(!b.is_open(now));
-        assert_eq!(b.consecutive, 0);
     }
 
     #[test]

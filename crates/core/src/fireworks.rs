@@ -24,7 +24,7 @@ use crate::api::{
     Invocation, InvokeRequest, Platform, PlatformError, SnapshotResidency, StartKind, StoreAudit,
 };
 use crate::audit::{SecurityAudit, SecurityPolicy};
-use crate::config::{PagingPolicy, PlatformConfig, RecoveryPolicy};
+use crate::config::{Breaker, PagingPolicy, PlatformConfig, RecoveryPolicy};
 use crate::env::PlatformEnv;
 use crate::host::{GuestHost, NetMode};
 use crate::mesh::SharedChunkMesh;
@@ -43,10 +43,9 @@ pub const GUEST_TAP: &str = "tap0";
 /// [`FireworksPlatform::health`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FunctionHealth {
-    /// Infrastructure failures since the last successful invocation.
-    pub consecutive_failures: u32,
-    /// When the circuit breaker half-opens, if it is open.
-    pub circuit_open_until: Option<Nanos>,
+    /// The restore-path circuit breaker: infrastructure failures since
+    /// the last successful invocation, and when it half-opens.
+    pub breaker: Breaker,
     /// Invocations that succeeded only after restore/boot retries.
     pub recoveries: u64,
     /// Snapshots quarantined after failing their integrity check.
@@ -365,13 +364,15 @@ impl FireworksPlatform {
             .registry
             .get(function)
             .ok_or_else(|| PlatformError::UnknownFunction(name.to_string()))?;
-        if let Some(until) = entry.health.circuit_open_until {
-            if self.env.clock.now() < until {
-                return Err(PlatformError::CircuitOpen {
-                    function: name.to_string(),
-                    until,
-                });
-            }
+        let breaker = &entry.health.breaker;
+        if let Some(until) = breaker
+            .open_until
+            .filter(|_| breaker.is_open(self.env.clock.now()))
+        {
+            return Err(PlatformError::CircuitOpen {
+                function: name.to_string(),
+                until,
+            });
         }
         Ok((
             entry.spec.default_params.deep_clone(),
@@ -439,11 +440,7 @@ impl FireworksPlatform {
                     // An infrastructure failure feeds the breaker, which
                     // opens once the streak reaches the threshold.
                     let health = &mut entry.health;
-                    health.consecutive_failures += 1;
-                    if health.consecutive_failures >= self.recovery.circuit_threshold {
-                        let cooldown = self.recovery.circuit_cooldown;
-                        health.circuit_open_until = Some(self.env.clock.now() + cooldown);
-                    }
+                    health.breaker.failure(self.env.clock.now(), &self.recovery);
                     health.restore_retries += restore_retries;
                 }
                 obs.metrics()
@@ -691,10 +688,8 @@ impl FireworksPlatform {
         if let Some(ws) = flight.recorded_ws {
             entry.working_set = Some(ws);
         }
-        // Success closes the breaker and resets the failure streak.
         let health = &mut entry.health;
-        health.consecutive_failures = 0;
-        health.circuit_open_until = None;
+        health.breaker.success();
         health.restore_retries += flight.restore_retries;
         health.prefetch_degraded += u64::from(flight.prefetch_degraded);
         health.recoveries += u64::from(flight.restore_retries > 0);
@@ -1271,7 +1266,7 @@ mod tests {
         );
         let health = p.health(fid("fact")).expect("installed");
         assert_eq!(health.recoveries, 1);
-        assert_eq!(health.consecutive_failures, 0);
+        assert_eq!(health.breaker.consecutive, 0);
         assert_eq!(health.quarantines, 0);
     }
 
@@ -1435,8 +1430,8 @@ mod tests {
         let err = p.invoke(&req("fact", 10));
         assert!(matches!(err, Err(PlatformError::CircuitOpen { .. })));
         let health = p.health(fid("fact")).expect("installed");
-        assert!(health.circuit_open_until.is_some());
-        assert_eq!(health.consecutive_failures, 4);
+        assert!(health.breaker.open_until.is_some());
+        assert_eq!(health.breaker.consecutive, 4);
     }
 
     #[test]
@@ -1458,10 +1453,10 @@ mod tests {
         }
         let health = p.health(fid("crashy")).expect("installed");
         assert_eq!(
-            health.consecutive_failures, 0,
+            health.breaker.consecutive, 0,
             "guest bugs are not infrastructure failures"
         );
-        assert!(health.circuit_open_until.is_none());
+        assert!(health.breaker.open_until.is_none());
     }
 
     #[test]

@@ -58,7 +58,8 @@ pub use cluster::{
     LocalityAffinity, RoundRobin, Route, Router,
 };
 pub use config::{
-    PagingPolicy, PlatformConfig, PlatformConfigBuilder, RecoveryPolicy, SnapshotStorePolicy,
+    Breaker, PagingPolicy, PlatformConfig, PlatformConfigBuilder, RecoveryPolicy,
+    SnapshotStorePolicy,
 };
 pub use elastic::{
     ElasticCluster, ElasticConfig, ElasticPolicy, ElasticReport, ElasticStats, HostPhase,

@@ -1,9 +1,10 @@
 //! Elastic control plane: crash-reroute conservation on the fixed
-//! cluster, graceful drain with live snapshot hand-off, deadline-forced
-//! hard removal, scale-to-zero resurrection, chaos over the
-//! control-plane fault sites, and byte-determinism.
+//! cluster, graceful drain with live snapshot hand-off, a drain
+//! interrupted mid-hand-off, deadline-forced hard removal, scale-to-zero
+//! resurrection, chaos over the control-plane fault sites, and
+//! byte-determinism.
 
-use fireworks::core::elastic::{ElasticCluster, ElasticConfig, ElasticPolicy};
+use fireworks::core::elastic::{ElasticCluster, ElasticConfig, ElasticPolicy, HostPhase};
 use fireworks::core::engine::EngineRequest;
 use fireworks::core::{ConcurrentPlatform, HostView, Route, SnapshotStorePolicy};
 use fireworks::prelude::*;
@@ -220,6 +221,43 @@ fn graceful_drain_migrates_sole_snapshot_to_survivor() {
         "migrated snapshot must serve warm, got {:?}",
         last.start_latency()
     );
+}
+
+/// A drain interrupt drawn mid-hand-off is a host death like one drawn
+/// when the drain starts: the donor leaves through the driver's failure
+/// path, with its crash instant and counter, dead to fleet and mesh.
+#[test]
+fn interrupt_during_handoff_fails_the_donor_like_a_crash() {
+    // Draw 1 is the drain start; draw 2 is the first hand-off's.
+    let plan = FaultPlan::new(3).nth(FaultSite::DrainInterrupt, 2);
+    let mut cluster = dedup_elastic(sole_holder_policy(), plan);
+    cluster.install(&spec("f")).expect("installs");
+    cluster.install(&spec("g")).expect("installs");
+    let report = cluster.run(&mut SplitByFunction, &sole_holder_schedule());
+
+    assert_eq!(report.stats.drain_interrupts, 1, "{:?}", report.stats);
+    assert_eq!(report.stats.migrations, 0, "{:?}", report.stats);
+    let donor = HostId::from_index(0);
+    assert_eq!(report.failed_hosts, vec![donor]);
+    assert!(
+        report.audit_violations.is_empty(),
+        "{:?}",
+        report.audit_violations
+    );
+    assert_eq!(cluster.phase(donor), HostPhase::Dead);
+    let mesh = cluster.mesh().borrow();
+    assert!(!mesh.is_alive(donor) && mesh.dead_hosts().contains(&donor));
+    drop(mesh);
+    let snap = cluster.obs().metrics().snapshot();
+    assert_eq!(snap.counter("elastic.host_crashes", &[("host", "0")]), 1);
+    let crash_instants = cluster
+        .obs()
+        .recorder()
+        .events()
+        .iter()
+        .filter(|e| matches!(e, fireworks::obs::Event::Instant(i) if i.name == "host_crash:0"))
+        .count();
+    assert_eq!(crash_instants, 1);
 }
 
 #[test]
