@@ -252,8 +252,8 @@ mod tests {
         let (manifest, frames) = store.ingest_snapshot(snap.mem(), 64);
         // The test only needs the store to hold the chunks; drop the
         // caller refs the ingest handed out.
-        for (_, f) in frames {
-            store.host().release(f);
+        for e in &frames {
+            store.host().release_extent(e);
         }
         (Rc::new(RefCell::new(store)), manifest, template)
     }

@@ -4,7 +4,7 @@
 use std::ops::Range;
 use std::rc::Rc;
 
-use crate::host::{FrameId, HostMemory, PAGE_SIZE};
+use crate::host::{Extent, FrameId, HostMemory, PAGE_SIZE};
 use crate::image::Image;
 use crate::table::Sparse;
 
@@ -56,7 +56,7 @@ struct Base {
     group: u32,
     image: Rc<Image>,
     /// The last [`Image::span`] looked up: faults come in page runs.
-    span: (Range<usize>, Result<usize, usize>),
+    span: (Range<usize>, Result<(usize, FrameId), usize>),
     /// Positions of the image this space no longer maps from it.
     left: Vec<u32>,
 }
@@ -70,25 +70,25 @@ impl Under {
         if !base.span.0.contains(&page) {
             base.span = base.image.span(page);
         }
-        let idx = base.span.1.ok()? + page - base.span.0.start;
-        base.left.push(idx as u32);
-        Some((base.group, idx, base.image.frames[idx].1))
+        let ((at, first), k) = (base.span.1.ok()?, page - base.span.0.start);
+        base.left.push((at + k) as u32);
+        Some((base.group, at + k, first.add(k)))
     }
 
     /// Makes `slot`, the overlay's entry for `page`, hold a writable
-    /// (private) frame, allocating or CoW-copying as needed.
+    /// (private) frame if the space maps the page, CoW-copying as needed;
+    /// `None` for a page it does not map.
     #[inline(always)]
-    fn fault(&mut self, page: usize, slot: &mut Option<FrameId>) -> FrameId {
+    fn fault(&mut self, page: usize, slot: &mut Option<FrameId>) -> Option<FrameId> {
         let frame = if let Some(mapped) = *slot {
             self.host.prepare_write(mapped)
         } else if let Some((group, idx, shared)) = self.leave_base(page) {
             self.host.cow_out(group, idx, shared)
         } else {
-            self.resident += 1;
-            self.host.alloc_zero()
+            return None;
         };
         *slot = Some(frame);
-        frame
+        Some(frame)
     }
 }
 
@@ -116,7 +116,7 @@ impl AddressSpace {
         image: Rc<Image>,
     ) -> Self {
         let mut space = AddressSpace::new(host, size_bytes);
-        space.under.resident = image.frames.len();
+        space.under.resident = image.pages();
         space.under.base = Some(Base {
             group,
             image,
@@ -148,10 +148,7 @@ impl AddressSpace {
     }
 
     fn frame_at(&self, page: usize) -> Option<FrameId> {
-        let based = || {
-            let image = &self.under.base.as_ref()?.image;
-            Some(image.frames[image.locate(page).ok()?].1)
-        };
+        let based = || Some(self.under.base.as_ref()?.image.locate(page).ok()?.1);
         self.overlay.get(page).or_else(based)
     }
 
@@ -168,8 +165,12 @@ impl AddressSpace {
             let page = addr / PAGE_SIZE;
             let offset = addr % PAGE_SIZE;
             let take = rest.len().min(PAGE_SIZE - offset);
-            let frame = self.under.fault(page, self.overlay.entry(page));
-            self.under.host.write_frame(frame, offset, &rest[..take]);
+            let (under, slot) = (&mut self.under, self.overlay.entry(page));
+            let frame = under.fault(page, slot).unwrap_or_else(|| {
+                under.resident += 1;
+                *slot.insert(under.host.alloc_zero())
+            });
+            under.host.write_frame(frame, offset, &rest[..take]);
             addr += take;
             rest = &rest[take..];
         }
@@ -201,7 +202,8 @@ impl AddressSpace {
 
     /// Dirties every page overlapping `[addr, addr + len)` without writing
     /// specific byte contents (accounting-only write, used to model heap
-    /// regions whose exact bytes don't matter).
+    /// regions whose exact bytes don't matter). The pages the space did
+    /// not map get one frame-table entry of zero frames between them.
     pub fn touch_dirty(&mut self, addr: u64, len: u64) {
         if len == 0 {
             return;
@@ -210,8 +212,19 @@ impl AddressSpace {
         let first = (addr as usize) / PAGE_SIZE;
         let last = ((addr + len - 1) as usize) / PAGE_SIZE;
         let under = &mut self.under;
-        self.overlay
-            .range_mut(first, last, |page, slot| _ = under.fault(page, slot));
+        // The run the unmapped pages go to, and how many went.
+        let mut fresh: Option<(FrameId, usize)> = None;
+        self.overlay.range_mut(first, last, |page, slot| {
+            if under.fault(page, slot).is_none() {
+                let cap = last + 1 - page;
+                let (run, n) = fresh.get_or_insert_with(|| (under.host.open_run(cap), 0));
+                (*slot, *n) = (Some(run.add(*n)), *n + 1);
+            }
+        });
+        if let Some((run, n)) = fresh {
+            under.resident += n;
+            under.host.seal_run(run, n);
+        }
     }
 
     /// Maps `frame` shared at `page`, replacing any existing mapping.
@@ -222,8 +235,8 @@ impl AddressSpace {
         under.host.retain(frame);
         if let Some(old) = self.overlay.entry(page).replace(frame) {
             under.host.release(old);
-        } else if let Some((group, idx, shared)) = under.leave_base(page) {
-            under.host.leave(group, idx, shared);
+        } else if let Some((group, idx, _)) = under.leave_base(page) {
+            under.host.leave(group, idx);
         } else {
             under.resident += 1;
         }
@@ -236,34 +249,50 @@ impl AddressSpace {
         mapped.map(|(page, frame)| (page, frame.expect("iter yields set entries")))
     }
 
-    /// Appends [`AddressSpace::mapped`] to `out`.
-    pub(crate) fn mapped_into(&self, out: &mut Vec<(usize, FrameId)>) {
-        match self.under.base {
-            // Not `mapped()`: extending from the overlay alone is a plain
-            // loop over its leaves, as a flat page table's would be.
-            None => self.overlay_pages().for_each(|entry| out.push(entry)),
-            Some(_) => out.extend(self.mapped()),
+    /// The pages mapped here, as extents in page order: the overlay's
+    /// pages, those on consecutive frames of one entry joined, and (with
+    /// `base`) the base's runs, cut around them.
+    pub(crate) fn extents(&self, base: bool) -> Vec<Extent> {
+        let mut over: Vec<Extent> = Vec::new();
+        self.overlay_pages().for_each(|(page, frame)| {
+            if !over.last_mut().is_some_and(|last| last.grow(page, frame)) {
+                over.push(Extent {
+                    page,
+                    frame,
+                    len: 1,
+                });
+            }
+        });
+        let Some(base) = self.under.base.as_ref().filter(|_| base) else {
+            return over;
+        };
+        let mut out: Vec<Extent> = Vec::new();
+        let mut push = |e: Extent| match out.last_mut() {
+            Some(last) if last.continued_by(&e) => last.len += e.len,
+            _ if e.len > 0 => out.push(e),
+            _ => {}
+        };
+        let mut runs = base.image.runs().iter().map(|&(_, e)| e);
+        let mut next = runs.next();
+        for o in over {
+            // Base pages before `o` first; those it covers are shadowed.
+            while let Some(e) = next.as_mut().filter(|e| e.page < o.page + o.len) {
+                push(e.take_front(o.page.saturating_sub(e.page).min(e.len)));
+                e.take_front((o.page + o.len).saturating_sub(e.page).min(e.len));
+                if e.len > 0 {
+                    break;
+                }
+                next = runs.next();
+            }
+            push(o);
         }
+        next.into_iter().chain(runs).for_each(push);
+        out
     }
 
     /// Iterates `(page_index, frame)` over mapped pages in page order.
-    pub fn mapped(&self) -> impl Iterator<Item = (usize, FrameId)> + '_ {
-        let based = self
-            .under
-            .base
-            .as_ref()
-            .map_or(&[][..], |b| &b.image.frames[..]);
-        let mut based = based.iter().copied().peekable();
-        let mut over = self.overlay_pages().peekable();
-        std::iter::from_fn(move || {
-            let (b, o) = (based.peek().map(|b| b.0), over.peek().map(|o| o.0));
-            match (b, o) {
-                (Some(b), Some(o)) if b < o => based.next(),
-                (Some(b), Some(o)) if b == o => based.next().and(over.next()),
-                (Some(_), None) => based.next(),
-                _ => over.next(),
-            }
-        })
+    pub fn mapped(&self) -> impl Iterator<Item = (usize, FrameId)> {
+        self.extents(true).into_iter().flat_map(Extent::frames)
     }
 
     /// Number of resident (mapped) pages.
@@ -289,18 +318,27 @@ impl AddressSpace {
     ///
     /// The definition is the scan: one term per mapped page, its frame's
     /// [`HostMemory::mappers`] looked up. Over the base the same sum is
-    /// formed without visiting pages: its group's sharing map cuts it
-    /// into runs whose frames have the same listings, so equal mappers,
-    /// and between exceptions (overlay pages, positions a clone of any
-    /// listing image departed, frames with explicit mappers) a run of
-    /// equal terms is added at once in closed form, bit for bit what the
-    /// scan would round to.
+    /// formed without visiting pages: the frames of one piece have equal
+    /// mappers, and between exceptions (overlay pages, positions a clone
+    /// of a listing image departed) a run of equal terms is added at once
+    /// in closed form, bit for bit what the scan would round to.
     pub fn sharing_stats(&self) -> SharingStats {
         let table = self.under.host.table();
         let mut sum = PssSum::default();
+        // Overlay pages on consecutive frames of a piece no image lists
+        // have its mappers: looked up once per piece.
+        let mut ahead: (Option<FrameId>, u32, u32) = (None, 0, 0);
+        let mut overlay_page = |sum: &mut PssSum, frame: FrameId| {
+            if ahead.0 != Some(frame) || ahead.2 == 0 {
+                let (mappers, left) = table.mappers_ahead(frame);
+                ahead = (Some(frame), mappers, left);
+            }
+            ahead = (Some(frame.add(1)), ahead.1, ahead.2 - 1);
+            sum.page(ahead.1);
+        };
         let Some(base) = &self.under.base else {
             let pages = self.overlay_pages();
-            pages.for_each(|(_, frame)| sum.page(table.mappers(frame)));
+            pages.for_each(|(_, frame)| overlay_page(&mut sum, frame));
             return sum.stats();
         };
         let mut runs = table.base_runs(base.group).into_iter().peekable();
@@ -320,7 +358,7 @@ impl AddressSpace {
         self.overlay_pages().for_each(|(page, frame)| {
             if page >= gap_end {
                 let (span, first) = base.image.span(page);
-                let at = first.map_or_else(|after| after, |at| at + page - span.start);
+                let at = first.map_or_else(|after| after, |(at, _)| at + page - span.start);
                 sum_base(&mut sum, next, at);
                 // The overlay page stands in for base position `at` if
                 // the base maps it (this space left it), else it and its
@@ -330,9 +368,9 @@ impl AddressSpace {
                     (next, gap_end) = (at + 1, page + 1);
                 }
             }
-            sum.page(table.mappers(frame));
+            overlay_page(&mut sum, frame);
         });
-        sum_base(&mut sum, next, base.image.frames.len());
+        sum_base(&mut sum, next, base.image.pages());
         sum.stats()
     }
 }
@@ -435,7 +473,7 @@ impl SharingStats {
 
 impl Drop for AddressSpace {
     fn drop(&mut self) {
-        self.under.host.release_all(&self.overlay);
+        self.under.host.release_all(&self.extents(false));
         if let Some(base) = &mut self.under.base {
             self.under.host.detach(base.group, &mut base.left);
         }
@@ -562,7 +600,12 @@ mod tests {
         let mut a = AddressSpace::new(h.clone(), 1 << 20);
         a.write(0, b"one");
         let f1 = a.mapped().next().expect("mapped").1;
-        h.pin(f1); // Keep it alive like a snapshot file would.
+        let pinned = Extent {
+            page: 0,
+            frame: f1,
+            len: 1,
+        };
+        h.pin_extent(&pinned); // Keep it alive like a snapshot file would.
 
         let mut b = AddressSpace::new(h.clone(), 1 << 20);
         b.write(0, b"two");
@@ -573,7 +616,7 @@ mod tests {
         // b's private frame was released: f1 (shared ×2 + pin) + a's... a
         // and b both map f1, so exactly one live frame remains.
         assert_eq!(h.live_frames(), 1);
-        h.unpin(f1);
+        h.unpin_extent(&pinned);
     }
 
     fn naive(mut s: f64, x: f64, k: usize) -> f64 {

@@ -2,7 +2,7 @@
 //! the mapping groups through which snapshot images share frames lazily.
 
 use std::cell::{Ref, RefCell};
-use std::num::NonZeroU32;
+use std::num::NonZeroU64;
 use std::rc::Rc;
 
 use fireworks_sim::cost::MemCosts;
@@ -16,24 +16,83 @@ use crate::table::{Slab, Sparse};
 pub const PAGE_SIZE: usize = 4096;
 
 /// FNV-1a of an all-zero page: the checksum of every frame that was only
-/// touched for accounting (no data write), precomputed so checksumming a
-/// mostly-untouched VM image costs O(frames), not O(bytes).
-const ZERO_PAGE_FNV: u64 = fnv1a(&[0u8; PAGE_SIZE]);
+/// touched for accounting (no data write), so such pages cost nothing to
+/// checksum.
+pub(crate) const ZERO_PAGE_FNV: u64 = fnv1a(&[0u8; PAGE_SIZE]);
 
-/// Identifier of a host frame. Non-zero so `Option<FrameId>` is pointer
-/// sized in page tables.
+type Page = [u8; PAGE_SIZE];
+
+/// Identifier of a host frame: frame `offset` of frame-table entry `slot`.
+/// Non-zero so `Option<FrameId>` is a word in page tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FrameId(NonZeroU32);
+pub struct FrameId(NonZeroU64);
 
 impl FrameId {
-    fn index(self) -> u32 {
-        self.0.get() - 1
+    fn new(slot: u32, offset: u32) -> FrameId {
+        let raw = (u64::from(slot) + 1) << 32 | u64::from(offset);
+        FrameId(NonZeroU64::new(raw).expect("slot + 1 is non-zero"))
     }
 
-    fn from_index(i: u32) -> FrameId {
-        // Frame table indices are bounded far below u32::MAX in practice;
-        // the +1 keeps zero free for the niche.
-        FrameId(NonZeroU32::new(i + 1).expect("index + 1 is non-zero"))
+    fn slot(self) -> u32 {
+        (self.0.get() >> 32) as u32 - 1
+    }
+
+    fn offset(self) -> u32 {
+        self.0.get() as u32
+    }
+
+    /// The frame `k` further on in the same entry.
+    pub(crate) fn add(self, k: usize) -> FrameId {
+        FrameId(
+            self.0
+                .checked_add(k as u64)
+                .expect("offsets stay in their entry"),
+        )
+    }
+}
+
+/// Guest pages `page..page + len` on frames `frame`, `frame + 1`, … of one
+/// frame-table entry: how images, chunk stores and page tables name the
+/// runs of frames one `touch_dirty` allocated together.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Extent {
+    /// The first guest page.
+    pub page: usize,
+    /// The frame of the first page.
+    pub frame: FrameId,
+    /// Pages (and frames) covered.
+    pub len: usize,
+}
+
+impl Extent {
+    /// `(guest page, frame)` of every page, in order.
+    pub fn frames(self) -> impl Iterator<Item = (usize, FrameId)> {
+        (0..self.len).map(move |k| (self.page + k, self.frame.add(k)))
+    }
+
+    /// Splits off and returns the first `k` pages (`k <= len`).
+    pub fn take_front(&mut self, k: usize) -> Extent {
+        let head = Extent { len: k, ..*self };
+        (self.page, self.frame, self.len) = (self.page + k, self.frame.add(k), self.len - k);
+        head
+    }
+
+    /// Whether `next` starts on the page and frame after this one ends,
+    /// so that the two are one extent.
+    pub fn continued_by(&self, next: &Extent) -> bool {
+        let frame = self.frame.0.get() + self.len as u64;
+        self.page + self.len == next.page && frame == next.frame.0.get()
+    }
+
+    /// Takes in `frame` at `page` if they are the next frame and page.
+    pub(crate) fn grow(&mut self, page: usize, frame: FrameId) -> bool {
+        let next = self.continued_by(&Extent {
+            page,
+            frame,
+            len: 1,
+        });
+        self.len += usize::from(next);
+        next
     }
 }
 
@@ -41,29 +100,46 @@ impl FrameId {
 /// frame. An image lists a frame at most once (a frame has one guest
 /// page).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Holder {
+struct Listing {
     group: u32,
     idx: u32,
 }
 
+impl Listing {
+    /// The listing `k` positions on in the same image.
+    fn plus(self, k: u32) -> Listing {
+        Listing {
+            idx: self.idx + k,
+            ..self
+        }
+    }
+}
+
+/// Frames of one entry with the same owner counts, listed by the same
+/// images at consecutive positions.
 #[derive(Debug)]
-struct FrameEntry {
+struct Piece {
     /// Explicit owners: page-table mappings plus pins.
     refs: u32,
     /// How many of `refs` are pins (snapshot files, chunk stores): owners
     /// that keep the frame alive without mapping it, excluded from PSS.
     pins: u32,
-    /// Byte contents, allocated lazily on the first data write. Frames
-    /// touched only for accounting read back as zeroes.
-    data: Option<Box<[u8; PAGE_SIZE]>>,
-    /// A *live* listing of the frame (its file pins it or a clone maps it
-    /// lazily), if any; that group's sharing map holds the others. A
-    /// listing no longer live may name a freed and reused slot.
-    holder: Option<Holder>,
+    /// The *live* listings of its first frame (its file pins it or a
+    /// clone maps it lazily), in the order the images registered; the
+    /// frame `k` further on is listed `k` positions on in each. Boxed, so
+    /// that a frame no image lists (a CoW copy) stays a 32-byte entry.
+    listed: Option<Box<Listed>>,
+    /// Bytes of a one-frame piece, allocated on its first data write.
+    /// Frames touched only for accounting read back as zeroes.
+    data: Option<Box<Page>>,
 }
 
-impl FrameEntry {
-    fn bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
+/// A piece's listings (never empty).
+#[derive(Debug)]
+struct Listed(Vec<Listing>);
+
+impl Piece {
+    fn bytes_mut(&mut self) -> &mut Page {
         self.data.get_or_insert_with(|| {
             let zeroed = vec![0u8; PAGE_SIZE].into_boxed_slice();
             zeroed.try_into().expect("one page")
@@ -71,42 +147,204 @@ impl FrameEntry {
     }
 
     fn checksum(&self) -> u64 {
-        match &self.data {
-            Some(data) => fnv1a(&data[..]),
-            None => ZERO_PAGE_FNV,
+        self.data
+            .as_ref()
+            .map_or(ZERO_PAGE_FNV, |data| fnv1a(&data[..]))
+    }
+
+    /// The listings of its frame `k` further on than its first.
+    fn listed(&self, k: u32) -> impl Iterator<Item = Listing> + '_ {
+        let listed = self.listed.iter().flat_map(|l| &l.0);
+        listed.map(move |l| l.plus(k))
+    }
+
+    /// Edits the listings of its first frame.
+    fn relist(&mut self, edit: impl FnOnce(&mut Vec<Listing>)) {
+        let mut listed = self.listed.take().map_or_else(Vec::new, |l| l.0);
+        edit(&mut listed);
+        self.listed = (!listed.is_empty()).then(|| Box::new(Listed(listed)));
+    }
+
+    /// Its frames from the `k`-th on, as a piece of their own.
+    fn tail(&self, k: u32) -> Piece {
+        let listed: Vec<Listing> = self.listed(k).collect();
+        let listed = (!listed.is_empty()).then(|| Box::new(Listed(listed)));
+        let (refs, pins, data) = (self.refs, self.pins, None);
+        Piece {
+            refs,
+            pins,
+            listed,
+            data,
         }
     }
-}
 
-/// A run of a sharing map: positions `start..end` of the group's image
-/// list the same frames as another image from listing `first` on.
-#[derive(Debug, Clone, Copy)]
-struct Segment {
-    start: u32,
-    end: u32,
-    first: Holder,
-}
-
-impl Segment {
-    /// The other image's listing of the frame at covered position `idx`.
-    fn lister(&self, idx: u32) -> Holder {
-        let idx = self.first.idx + idx - self.start;
-        Holder { idx, ..self.first }
+    /// No owner left: its frames are free.
+    fn dead(&self) -> bool {
+        self.refs == 0 && self.listed.is_none()
     }
 }
 
-/// The segments of a sharing map (sorted by start) covering `idx`.
-fn covering(map: &[Segment], idx: u32) -> impl Iterator<Item = &Segment> {
-    let started = map.partition_point(|s| s.start <= idx);
-    map[..started].iter().filter(move |s| s.end > idx)
+/// A frame-table entry: one frame (a CoW copy, a written page), or the
+/// run one `touch_dirty` allocated, boxed so that a frame of its own stays
+/// a 32-byte entry.
+#[derive(Debug)]
+enum Slot {
+    One(Piece),
+    Run(Box<Run>),
+}
+
+/// `len` frames as pieces, each with the offset of its first frame, in
+/// order: one, until frames diverge (an owner count, a listing, a data
+/// write) and cut it.
+#[derive(Debug)]
+struct Run {
+    len: u32,
+    pieces: Vec<(u32, Piece)>,
+}
+
+/// The index of the piece of `ps` starting at entry offset `at`, cut off
+/// the piece covering it if need be (never a one-frame data piece).
+fn cut(ps: &mut Vec<(u32, Piece)>, at: u32) -> usize {
+    let i = ps.partition_point(|(first, _)| *first <= at) - 1;
+    if ps[i].0 == at {
+        return i;
+    }
+    let tail = ps[i].1.tail(at - ps[i].0);
+    ps.insert(i + 1, (at, tail));
+    i + 1
+}
+
+/// Applies `each(piece, frames, offset past lo)` to the pieces of `run`
+/// covering offsets `lo..lo + n`, cut to that range, then joins equal
+/// neighbours. Returns the frames that died and whether all did.
+#[inline(never)]
+fn update_run(
+    run: &mut Run,
+    lo: u32,
+    n: usize,
+    each: &mut dyn FnMut(&mut Piece, usize, usize),
+) -> (usize, bool) {
+    let (len, ps, hi) = (run.len, &mut run.pieces, lo + n as u32);
+    let (a, b) = (cut(ps, lo), if hi < len { cut(ps, hi) } else { ps.len() });
+    let mut freed = 0;
+    for i in a..b {
+        let (at, end) = (ps[i].0, ps.get(i + 1).map_or(len, |q| q.0));
+        let (p, frames) = (&mut ps[i].1, (end - at) as usize);
+        let live = !p.dead();
+        each(p, frames, (at - lo) as usize);
+        if live && p.dead() {
+            (freed, p.data) = (freed + frames, None);
+        }
+    }
+    for i in (a.max(1)..(b + 1).min(ps.len())).rev() {
+        let ((at, p), (next, q)) = (&ps[i - 1], &ps[i]);
+        let blank = p.data.is_none() && q.data.is_none();
+        let listed = p.listed(next - at).eq(q.listed(0));
+        if blank && listed && (p.refs, p.pins) == (q.refs, q.pins) {
+            ps.remove(i);
+        }
+    }
+    (freed, ps.len() == 1 && ps[0].1.dead())
+}
+
+/// Part of a piece: `(offset past the first frame asked for, frames,
+/// piece, how far into the piece the part starts)`.
+type Clip<'a> = (usize, usize, &'a Piece, u32);
+
+/// The frame table: entries of one frame or one run each.
+#[derive(Debug, Default)]
+struct Frames {
+    slots: Slab<Slot>,
+    live: usize,
+}
+
+impl Frames {
+    // Inlined so the entry is written in place (see `Slab::insert`).
+    #[inline(always)]
+    fn alloc(&mut self, len: usize, data: Option<Box<Page>>) -> FrameId {
+        self.live += len;
+        let (refs, pins, listed) = (1, 0, None);
+        let first = Piece {
+            refs,
+            pins,
+            listed,
+            data,
+        };
+        let slot = match len {
+            1 => Slot::One(first),
+            _ => Slot::Run(Box::new(Run {
+                len: len as u32,
+                pieces: vec![(0, first)],
+            })),
+        };
+        FrameId::new(self.slots.insert(slot), 0)
+    }
+
+    /// The piece frame `id` is in, how far into it the frame is, and how
+    /// many of its frames are left from there.
+    #[inline]
+    fn get(&self, id: FrameId) -> (&Piece, u32, u32) {
+        let at = id.offset();
+        match self.slots.get(id.slot()) {
+            Slot::One(p) => (p, at, 1),
+            Slot::Run(run) => {
+                let i = run.pieces.partition_point(|q| q.0 <= at) - 1;
+                let end = run.pieces.get(i + 1).map_or(run.len, |q| q.0);
+                (&run.pieces[i].1, at - run.pieces[i].0, end - at)
+            }
+        }
+    }
+
+    /// `(offset past id, frames, piece, how far into it)` of the pieces
+    /// covering frames `id..id + n`, clipped to them.
+    fn pieces(&self, id: FrameId, n: usize) -> impl Iterator<Item = Clip<'_>> {
+        let (lo, hi) = (id.offset(), id.offset() + n as u32);
+        let (one, run) = match self.slots.get(id.slot()) {
+            Slot::One(p) => (Some((0, 1, p, 0)), None),
+            Slot::Run(run) => (None, Some(run)),
+        };
+        let clipped = run.into_iter().flat_map(move |run| {
+            let first = run.pieces.partition_point(|q| q.0 <= lo) - 1;
+            let ends = run.pieces[first + 1..].iter().map(|q| q.0).chain([run.len]);
+            let covering = run.pieces[first..].iter().zip(ends);
+            let covering = covering.take_while(move |((at, _), _)| *at < hi);
+            covering.map(move |((at, p), end)| {
+                let from = lo.max(*at);
+                (
+                    (from - lo) as usize,
+                    (end.min(hi) - from) as usize,
+                    p,
+                    from - at,
+                )
+            })
+        });
+        one.into_iter().chain(clipped)
+    }
+
+    /// [`update_run`] on frames `id..id + n` of one entry, freeing what
+    /// died and the entry once all of it did.
+    #[inline]
+    fn update(&mut self, id: FrameId, n: usize, mut each: impl FnMut(&mut Piece, usize, usize)) {
+        let (freed, gone) = match self.slots.get_mut(id.slot()) {
+            Slot::One(p) => {
+                each(p, 1, 0);
+                (usize::from(p.dead()), p.dead())
+            }
+            Slot::Run(run) => update_run(run, id.offset(), n, &mut each),
+        };
+        self.live -= freed;
+        if gone {
+            self.slots.remove(id.slot());
+        }
+    }
 }
 
 /// A snapshot image as the frame table sees it. Clones restored from it
 /// map every listed frame lazily, in no frame's `refs`: position `idx`
 /// has `sharers − departed[idx]` more mappers, in every image listing
-/// the frame — which the *sharing map* finds, a run of positions at a
-/// time. The file pins every listed frame; dropped before the clones, it
-/// leaves the group *orphaned*, and the last clone takes it along.
+/// the frame. The file pins every listed frame; dropped before the
+/// clones, it leaves the group *orphaned*, and the last clone takes it
+/// along.
 #[derive(Debug)]
 pub(crate) struct Group {
     image: Rc<Image>,
@@ -114,12 +352,11 @@ pub(crate) struct Group {
     sharers: u32,
     /// Position → sharers that moved that page into their overlay.
     departed: Sparse<u32>,
-    /// Frames whose held listing is here that also have explicit mappers.
-    explicit: u32,
-    /// Other images' listings of its frames, as segments sorted by start.
-    sharing: Vec<Segment>,
     /// A full verify pass succeeded and no listed frame was poked since.
     verified: bool,
+    /// No listed frame held data at registration or was poked since, so
+    /// a CoW copy out of the image copies nothing.
+    blank: bool,
     /// The image file still exists (and pins the frames).
     file: bool,
 }
@@ -138,9 +375,8 @@ impl Group {
 
 #[derive(Debug)]
 pub(crate) struct HostInner {
-    frames: Slab<FrameEntry>,
+    frames: Frames,
     groups: Slab<Group>,
-    live_frames: usize,
     ram_bytes: u64,
     swappiness: f64,
     cow_faults: u64,
@@ -186,9 +422,8 @@ impl HostMemory {
     pub fn with_costs(clock: Clock, ram_bytes: u64, swappiness: u8, costs: MemCosts) -> Self {
         HostMemory {
             inner: Rc::new(RefCell::new(HostInner {
-                frames: Slab::default(),
+                frames: Frames::default(),
                 groups: Slab::default(),
-                live_frames: 0,
                 ram_bytes,
                 swappiness: f64::from(swappiness.min(100)) / 100.0,
                 cow_faults: 0,
@@ -207,38 +442,67 @@ impl HostMemory {
 
     /// Allocates a fresh zero frame with one reference.
     pub fn alloc_zero(&self) -> FrameId {
-        self.clock.advance(self.costs.zero_fill);
+        let frame = self.open_run(1);
+        self.seal_run(frame, 1);
+        frame
+    }
+
+    /// Allocates up to `cap` zero frames as one entry, for a caller that
+    /// says with [`HostMemory::seal_run`] how many it used.
+    pub(crate) fn open_run(&self, cap: usize) -> FrameId {
+        self.inner.borrow_mut().frames.alloc(cap, None)
+    }
+
+    /// Keeps the first `len` frames of an open run, one reference each,
+    /// charged as `len` zero fills.
+    pub(crate) fn seal_run(&self, run: FrameId, len: usize) {
+        self.clock.advance(self.costs.zero_fill * len as u64);
         let mut inner = self.inner.borrow_mut();
-        inner.zero_fills += 1;
-        inner.alloc(None)
+        inner.zero_fills += len as u64;
+        if let Slot::Run(r) = inner.frames.slots.get_mut(run.slot()) {
+            let cap = std::mem::replace(&mut r.len, len as u32);
+            inner.frames.live -= cap as usize - len;
+        }
     }
 
     /// Adds a mapping reference to a frame.
     pub fn retain(&self, id: FrameId) {
-        self.inner.borrow_mut().shift(id, 1, 0);
-    }
-
-    /// Adds a pin: an owner that does not count as a PSS mapper.
-    pub fn pin(&self, id: FrameId) {
-        self.inner.borrow_mut().shift(id, 1, 1);
+        self.inner.borrow_mut().shift(id, 1, 1, 0);
     }
 
     /// Drops a mapping reference; frees the frame when the last owner goes.
     pub fn release(&self, id: FrameId) {
-        self.inner.borrow_mut().shift(id, -1, 0);
+        self.inner.borrow_mut().shift(id, 1, -1, 0);
     }
 
-    /// Drops a pin.
-    pub fn unpin(&self, id: FrameId) {
-        self.inner.borrow_mut().shift(id, -1, -1);
+    /// [`HostMemory::retain`] on every frame of `e`, a piece at a time.
+    pub fn retain_extent(&self, e: &Extent) {
+        self.inner.borrow_mut().shift(e.frame, e.len, 1, 0);
     }
 
-    /// Drops the mapping reference each entry of a page table holds (the
-    /// table is going away) under a single borrow of the frame table.
-    pub(crate) fn release_all(&self, mapped: &Sparse<Option<FrameId>>) {
+    /// [`HostMemory::release`] on every frame of `e`, a piece at a time.
+    pub fn release_extent(&self, e: &Extent) {
+        self.inner.borrow_mut().shift(e.frame, e.len, -1, 0);
+    }
+
+    /// Releases every frame of `extents` under one borrow of the table:
+    /// an address space's page table going away.
+    pub(crate) fn release_all(&self, extents: &[Extent]) {
         let mut inner = self.inner.borrow_mut();
-        let frames = mapped.iter().map(|(_, frame)| frame.expect("set entry"));
-        frames.for_each(|id| inner.shift(id, -1, 0));
+        extents
+            .iter()
+            .for_each(|e| inner.shift(e.frame, e.len, -1, 0));
+    }
+
+    /// Pins every frame of `e`: an owner that does not count as a PSS
+    /// mapper (a snapshot file, a chunk store).
+    pub fn pin_extent(&self, e: &Extent) {
+        self.inner.borrow_mut().shift(e.frame, e.len, 1, 1);
+    }
+
+    /// Drops a pin on every frame of `e`.
+    pub fn unpin_extent(&self, e: &Extent) {
+        self.inner.borrow_mut().shift(e.frame, e.len, -1, -1);
     }
 
     /// Prepares a frame for writing: returns `id` unchanged when this is
@@ -247,16 +511,17 @@ impl HostMemory {
     /// loses one reference.
     pub fn prepare_write(&self, id: FrameId) -> FrameId {
         let inner = self.inner.borrow();
-        let e = inner.entry(id);
-        // The caller's reference alone: no pin, no mapping, no holder.
-        if e.refs == 1 && e.holder.is_none() {
+        let (e, ..) = inner.frames.get(id);
+        // The caller's reference alone: no pin, no mapping, no listing.
+        if e.refs == 1 && e.listed.is_none() {
             return id;
         }
         drop(inner);
         self.clock.advance(self.costs.cow_fault);
         let mut inner = self.inner.borrow_mut();
-        inner.shift(id, -1, 0);
-        inner.cow_copy(id)
+        inner.shift(id, 1, -1, 0);
+        let data = inner.frames.get(id).0.data.clone();
+        inner.cow_copy(data)
     }
 
     /// Writes bytes into a frame at `offset`. The caller must have made the
@@ -273,10 +538,11 @@ impl HostMemory {
     pub fn write_frame(&self, id: FrameId, offset: usize, bytes: &[u8]) {
         assert!(offset + bytes.len() <= PAGE_SIZE, "write crosses frame");
         let mut inner = self.inner.borrow_mut();
-        let e = inner.frames.get_mut(id.index());
-        assert_eq!(e.refs, 1, "write to shared frame without CoW");
-        assert_eq!(e.pins, 0, "write to a pinned (stored) frame");
-        e.bytes_mut()[offset..offset + bytes.len()].copy_from_slice(bytes);
+        inner.frames.update(id, 1, |e, _, _| {
+            assert_eq!(e.refs, 1, "write to shared frame without CoW");
+            assert_eq!(e.pins, 0, "write to a pinned (stored) frame");
+            e.bytes_mut()[offset..offset + bytes.len()].copy_from_slice(bytes);
+        });
     }
 
     /// Flips bytes in a frame *without* the CoW private-ownership check —
@@ -293,12 +559,14 @@ impl HostMemory {
     pub fn poke_frame(&self, id: FrameId, offset: usize, bytes: &[u8]) {
         assert!(offset + bytes.len() <= PAGE_SIZE, "poke crosses frame");
         let mut inner = self.inner.borrow_mut();
-        let e = inner.frames.get_mut(id.index());
-        e.bytes_mut()[offset..offset + bytes.len()].copy_from_slice(bytes);
-        let first = e.holder;
-        let listings = first.into_iter().flat_map(|first| inner.listings(first));
-        for group in listings.map(|l| l.group).collect::<Vec<_>>() {
-            inner.groups.get_mut(group).verified = false;
+        let mut listed = Vec::new();
+        inner.frames.update(id, 1, |e, _, _| {
+            e.bytes_mut()[offset..offset + bytes.len()].copy_from_slice(bytes);
+            listed.extend(e.listed(0).map(|l| l.group));
+        });
+        for group in listed {
+            let g = inner.groups.get_mut(group);
+            (g.verified, g.blank) = (false, false);
         }
     }
 
@@ -307,35 +575,43 @@ impl HostMemory {
     pub fn read_frame(&self, id: FrameId, offset: usize, buf: &mut [u8]) {
         assert!(offset + buf.len() <= PAGE_SIZE, "read crosses frame");
         let inner = self.inner.borrow();
-        match &inner.entry(id).data {
+        match &inner.frames.get(id).0.data {
             Some(data) => buf.copy_from_slice(&data[offset..offset + buf.len()]),
             None => buf.fill(0),
         }
     }
 
-    /// Copies a frame's contents from another host's frame table into a
-    /// fresh frame on this host — the receive side of a cross-host chunk
-    /// transfer. Unmaterialised source frames (all-zero pages that exist
-    /// only for accounting) stay unmaterialised in the copy, so shipping
-    /// the mostly-untouched parts of a VM image does not inflate either
-    /// host's byte footprint. The new frame has one reference, owned by
-    /// the caller. The wire cost of moving the bytes is charged by the
-    /// network model, not here; only the local zero-fill allocation cost
-    /// applies.
-    pub fn clone_frame_from(&self, src_host: &HostMemory, src: FrameId) -> FrameId {
-        let data = src_host.inner.borrow().entry(src).data.clone();
-        let id = self.alloc_zero();
-        if data.is_some() {
-            self.inner.borrow_mut().frames.get_mut(id.index()).data = data;
+    /// Copies the frames of `e` from another host's frame table into one
+    /// fresh entry here (with one reference each, owned by the caller) at
+    /// the same pages — the receive side of a cross-host chunk transfer.
+    /// Unwritten source frames (pages that exist only for accounting) stay
+    /// unwritten in the copy, so shipping the mostly-untouched parts of a
+    /// VM image inflates neither host's byte footprint. Only the zero-fill
+    /// cost is charged here; the network model charges the wire.
+    pub fn copy_extent_from(&self, src_host: &HostMemory, e: Extent) -> Extent {
+        let src = src_host.inner.borrow();
+        let pieces = src.frames.pieces(e.frame, e.len);
+        let data: Vec<_> = pieces
+            .filter_map(|(at, _, p, _)| Some((at, p.data.clone()?)))
+            .collect();
+        drop(src);
+        let frame = self.open_run(e.len);
+        self.seal_run(frame, e.len);
+        let mut inner = self.inner.borrow_mut();
+        for (at, bytes) in data {
+            let mut bytes = Some(bytes);
+            inner
+                .frames
+                .update(frame.add(at), 1, |p, _, _| p.data = bytes.take());
         }
-        id
+        Extent { frame, ..e }
     }
 
     /// FNV-1a checksum of a frame's stored contents. Unwritten frames
     /// hash as all-zeroes (matching how they read) without scanning any
     /// bytes, so checksumming a whole VM image is cheap.
     pub fn checksum_frame(&self, id: FrameId) -> u64 {
-        self.inner.borrow().entry(id).checksum()
+        self.inner.borrow().frames.get(id).0.checksum()
     }
 
     /// Number of PSS mappers of a frame: explicit owners minus pins, plus
@@ -348,7 +624,7 @@ impl HostMemory {
 
     /// Total live frames on the host.
     pub fn live_frames(&self) -> usize {
-        self.inner.borrow().live_frames
+        self.inner.borrow().frames.live
     }
 
     /// Total bytes of host memory in use (live frames × page size).
@@ -371,8 +647,8 @@ impl HostMemory {
     pub fn stats(&self) -> MemoryStats {
         let inner = self.inner.borrow();
         MemoryStats {
-            live_frames: inner.live_frames,
-            used_bytes: inner.live_frames as u64 * PAGE_SIZE as u64,
+            live_frames: inner.frames.live,
+            used_bytes: inner.frames.live as u64 * PAGE_SIZE as u64,
             cow_faults: inner.cow_faults,
             zero_fills: inner.zero_fills,
         }
@@ -383,66 +659,43 @@ impl HostMemory {
 /// (register / verify / drop) and [`crate::AddressSpace`] (attach, leave
 /// one page, detach).
 impl HostMemory {
-    /// Registers an image as a new group — one pass, one borrow: pins
-    /// each frame (`consume` turns the caller's reference into the pin
-    /// instead of adding one), lists it and checksums the stored page.
-    /// Returns the group and the checksums. Its sharing map grows a run at
-    /// a time: while each holder is the next in one run of its map, so
-    /// are the other listings.
-    pub(crate) fn register(&self, image: &Rc<Image>, consume: bool) -> (u32, Vec<u64>) {
+    /// Registers an image as a new group in one pass over its pieces:
+    /// pins them (`consume` turns the caller's reference into the pin
+    /// instead of adding one) and lists them. Returns the group and the
+    /// `(position, checksum)` of each page that holds data.
+    pub(crate) fn register(&self, image: &Rc<Image>, consume: bool) -> (u32, Vec<(u32, u64)>) {
         let mut inner = self.inner.borrow_mut();
         let group = inner.groups.insert(Group {
             image: image.clone(),
             sharers: 0,
             departed: Sparse::default(),
-            explicit: 0,
-            sharing: Vec::new(),
             verified: false,
+            blank: true,
             file: true,
         });
-        let mut sums = Vec::with_capacity(image.frames.len());
-        let (mut explicit, mut sharing) = (0, Vec::<Segment>::new());
-        // The open run: the position it ends by, and its first segment,
-        // whose listings say which holder each position must have.
-        let mut run = (0, 0);
-        for (idx, &(_, id)) in image.frames.iter().enumerate() {
-            let idx = idx as u32;
-            inner.shift(id, i32::from(!consume), 1);
-            let e = inner.frames.get_mut(id.index());
-            sums.push(e.checksum());
-            let first = *e.holder.get_or_insert(Holder { group, idx });
-            explicit += u32::from(first.group == group && e.refs > e.pins);
-            let (end, from) = &mut run;
-            if idx < *end && sharing[*from].lister(idx) == first {
-                sharing[*from..].iter_mut().for_each(|s| s.end += 1);
-                continue;
-            }
-            *end = 0;
-            if first.group == group {
-                continue;
-            }
-            let map = &inner.groups.get(first.group).sharing;
-            let after = map.partition_point(|s| s.start <= first.idx);
-            let mut stop = map.get(after).map_or(u32::MAX, |s| s.start);
-            let others = covering(map, first.idx).map(|s| (s.end, s.lister(first.idx)));
-            *from = sharing.len();
-            for (lister_end, first) in [(stop, first)].into_iter().chain(others) {
-                stop = stop.min(lister_end);
-                let (start, end) = (idx, idx + 1);
-                sharing.push(Segment { start, end, first });
-            }
-            *end = (stop - first.idx).saturating_add(idx);
+        let mut sums = Vec::new();
+        for &(at, e) in image.runs() {
+            inner.shift(e.frame, e.len, i32::from(!consume), 1);
+            inner.frames.update(e.frame, e.len, |p, _, off| {
+                let idx = (at + off) as u32;
+                p.relist(|listed| listed.push(Listing { group, idx }));
+                sums.extend(p.data.is_some().then(|| (idx, p.checksum())));
+            });
         }
-        for s in &sharing {
-            let (start, end, idx) = (s.first.idx, s.lister(s.end).idx, s.start);
-            let first = Holder { group, idx };
-            let map = &mut inner.groups.get_mut(s.first.group).sharing;
-            map.push(Segment { start, end, first });
-            map.sort_unstable_by_key(|s| s.start);
-        }
-        let g = inner.groups.get_mut(group);
-        (g.explicit, g.sharing) = (explicit, sharing);
+        inner.groups.get_mut(group).blank = sums.is_empty();
         (group, sums)
+    }
+
+    /// `(position, checksum)` of the pages of `image` whose frames hold
+    /// data now, in position order.
+    pub(crate) fn data_sums(&self, image: &Image) -> Vec<(u32, u64)> {
+        let (inner, mut sums) = (self.inner.borrow(), Vec::new());
+        for &(at, e) in image.runs() {
+            let stored = inner.frames.pieces(e.frame, e.len);
+            let stored = stored.filter(|(_, _, p, _)| p.data.is_some());
+            sums.extend(stored.map(|(off, _, p, _)| ((at + off) as u32, p.checksum())));
+        }
+        sums
     }
 
     /// The image file of `group` is dropped: its pins go, and its clones,
@@ -452,15 +705,21 @@ impl HostMemory {
         let g = inner.groups.get_mut(group);
         g.file = false;
         let (image, sharers) = (g.image.clone(), g.sharers);
-        for (idx, &(_, id)) in image.frames.iter().enumerate() {
-            let idx = idx as u32;
-            inner.shift(id, -1, -1);
-            if sharers == 0 || !inner.groups.get(group).live(idx) {
-                inner.unlist(group, idx, id);
-            }
+        for &(_, e) in image.runs() {
+            inner.shift(e.frame, e.len, -1, -1);
         }
         if sharers == 0 {
-            inner.forget(group);
+            inner.unlist(group, 0, image.pages());
+            inner.groups.remove(group);
+            return;
+        }
+        // Only where every clone left is the listing no longer live.
+        let gone = inner.groups.get(group).departed.iter();
+        for (idx, _) in gone
+            .filter(|&(_, gone)| gone == sharers)
+            .collect::<Vec<_>>()
+        {
+            inner.unlist(group, idx, 1);
         }
     }
 
@@ -473,9 +732,9 @@ impl HostMemory {
         g.sharers += 1;
     }
 
-    /// A clone stops mapping position `idx` (`frame`) of its base.
-    pub(crate) fn leave(&self, group: u32, idx: usize, frame: FrameId) {
-        self.inner.borrow_mut().depart(group, idx as u32, frame);
+    /// A clone stops mapping position `idx` of its base.
+    pub(crate) fn leave(&self, group: u32, idx: usize) {
+        self.inner.borrow_mut().depart(group, idx);
     }
 
     /// A clone's first write to position `idx` (`frame`) of its base:
@@ -483,15 +742,26 @@ impl HostMemory {
     /// clone is its last owner (no file pins it), which takes it over.
     pub(crate) fn cow_out(&self, group: u32, idx: usize, frame: FrameId) -> FrameId {
         let mut inner = self.inner.borrow_mut();
-        let e = inner.entry(frame);
-        let private = if !inner.groups.get(group).file && e.refs + inner.lazy_mappers(e) == 1 {
-            inner.shift(frame, 1, 0);
+        let inner = &mut *inner;
+        let g = inner.groups.get_mut(group);
+        if g.file {
+            // The file pins the frame, whose listing stays live: a copy,
+            // of bytes only if the image holds any.
+            *g.departed.entry(idx) += 1;
+            let data = (!g.blank).then(|| inner.frames.get(frame).0.data.clone());
+            self.clock.advance(self.costs.cow_fault);
+            return inner.cow_copy(data.flatten());
+        }
+        let (e, k, _) = inner.frames.get(frame);
+        let private = if e.refs + inner.lazy_mappers(e, k) == 1 {
+            inner.shift(frame, 1, 1, 0);
             frame
         } else {
             self.clock.advance(self.costs.cow_fault);
-            inner.cow_copy(frame)
+            let data = e.data.clone();
+            inner.cow_copy(data)
         };
-        inner.depart(group, idx as u32, frame);
+        inner.depart(group, idx);
         private
     }
 
@@ -521,131 +791,73 @@ impl HostMemory {
     pub(crate) fn table(&self) -> Ref<'_, HostInner> {
         self.inner.borrow()
     }
-
-    #[cfg(test)]
-    pub(crate) fn refs(&self, id: FrameId) -> u32 {
-        self.inner.borrow().entry(id).refs
-    }
 }
 
 impl HostInner {
-    fn entry(&self, id: FrameId) -> &FrameEntry {
-        self.frames.get(id.index())
-    }
-
-    fn alloc(&mut self, data: Option<Box<[u8; PAGE_SIZE]>>) -> FrameId {
-        self.live_frames += 1;
-        let fresh = FrameEntry {
-            refs: 1,
-            pins: 0,
-            data,
-            holder: None,
-        };
-        FrameId::from_index(self.frames.insert(fresh))
-    }
-
-    /// The copy half of a CoW fault: a private frame with `id`'s bytes.
-    fn cow_copy(&mut self, id: FrameId) -> FrameId {
+    /// The copy half of a CoW fault: a private frame with the bytes.
+    #[inline]
+    fn cow_copy(&mut self, data: Option<Box<Page>>) -> FrameId {
         self.cow_faults += 1;
-        let data = self.entry(id).data.clone();
-        self.alloc(data)
+        self.frames.alloc(1, data)
     }
 
-    /// Moves a frame's explicit owner counts by `refs` / `pins`, telling
-    /// its holder when it gains its first explicit mapper or loses its
-    /// last, and freeing it when no owner is left.
-    ///
-    /// Inlined into every caller so the constant deltas of `retain`,
-    /// `pin`, `release` and `unpin` fold; the rarer halves stay out of
-    /// line so those callers stay small.
+    /// Moves the explicit owner counts of frames `id..id + n` by `refs` /
+    /// `pins`, freeing what has no owner left. Inlined into every caller
+    /// so the constant deltas fold.
     #[inline(always)]
-    fn shift(&mut self, id: FrameId, refs: i32, pins: i32) {
-        let e = self.frames.get_mut(id.index());
-        let before = e.refs > e.pins;
-        e.refs = e
-            .refs
-            .checked_add_signed(refs)
-            .expect("release of dead frame");
-        e.pins = e.pins.checked_add_signed(pins).expect("unpin without pin");
-        let after = e.refs > e.pins;
-        let (first, left) = (e.holder, e.refs);
-        if let (true, Some(first)) = (before != after, first) {
-            let g = self.groups.get_mut(first.group);
-            g.explicit = g.explicit + u32::from(after) - u32::from(!after);
-        }
-        // A held listing is a live one: a pin, or a clone mapping lazily.
-        if left == 0 && first.is_none() {
-            self.free(id);
-        }
+    fn shift(&mut self, id: FrameId, n: usize, refs: i32, pins: i32) {
+        self.frames.update(id, n, |e, _, _| {
+            e.refs = e
+                .refs
+                .checked_add_signed(refs)
+                .expect("release of dead frame");
+            e.pins = e.pins.checked_add_signed(pins).expect("unpin without pin");
+        });
     }
 
-    #[inline(never)]
-    fn free(&mut self, id: FrameId) {
-        self.frames.remove(id.index());
-        self.live_frames -= 1;
-    }
-
-    /// One clone stops mapping `group`'s position `idx` (`frame`) lazily.
-    fn depart(&mut self, group: u32, idx: u32, frame: FrameId) {
+    /// One clone stops mapping `group`'s position `idx` lazily.
+    fn depart(&mut self, group: u32, idx: usize) {
         let g = self.groups.get_mut(group);
-        *g.departed.entry(idx as usize) += 1;
-        if !g.live(idx) {
-            self.unlist(group, idx, frame);
+        *g.departed.entry(idx) += 1;
+        if !g.live(idx as u32) {
+            self.unlist(group, idx, 1);
         }
     }
 
-    /// `group`'s listing of `id` at `idx` stops being live: if it held
-    /// the frame, it hands that, and its explicit count, to a live one,
-    /// or frees a frame that has no owner left.
-    fn unlist(&mut self, group: u32, idx: u32, id: FrameId) {
-        let here = Holder { group, idx };
-        let e = self.entry(id);
-        if e.holder != Some(here) {
-            return;
-        }
-        let explicit = e.refs > e.pins;
-        // Checked first: the last clone of an orphan unlists every frame.
-        let shared = !self.groups.get(group).sharing.is_empty();
-        let live = |l: &Holder| self.groups.get(l.group).live(l.idx);
-        let next = shared.then(|| self.listings(here).skip(1).find(live));
-        let next = next.flatten();
-        if explicit {
-            self.groups.get_mut(group).explicit -= 1;
-            next.iter()
-                .for_each(|l| self.groups.get_mut(l.group).explicit += 1);
-        }
-        let e = self.frames.get_mut(id.index());
-        e.holder = next;
-        if e.refs == 0 && next.is_none() {
-            self.free(id);
+    /// `group`'s listings at positions `from..from + n` stop being live:
+    /// they leave their frames, which are freed if no owner is left.
+    fn unlist(&mut self, group: u32, from: usize, n: usize) {
+        let image = self.groups.get(group).image.clone();
+        let mut at = from;
+        while at < from + n {
+            let (run, e) = image.run_at(at);
+            let end = (run + e.len).min(from + n);
+            self.frames
+                .update(e.frame.add(at - run), end - at, |p, _, _| {
+                    p.relist(|listed| listed.retain(|l| l.group != group));
+                });
+            at = end;
         }
     }
 
-    /// Drops `group`, file and clones gone, and its co-listers' segments.
-    fn forget(&mut self, group: u32) {
-        for s in self.groups.remove(group).sharing {
-            let map = &mut self.groups.get_mut(s.first.group).sharing;
-            map.retain(|s| s.first.group != group);
-        }
-    }
-
-    /// Every listing of `first`'s frame: it, then its group's map's.
-    fn listings(&self, first: Holder) -> impl Iterator<Item = Holder> + '_ {
-        let others = covering(&self.groups.get(first.group).sharing, first.idx);
-        std::iter::once(first).chain(others.map(move |s| s.lister(first.idx)))
-    }
-
-    /// Clones mapping the frame lazily, through every image listing it.
-    fn lazy_mappers(&self, e: &FrameEntry) -> u32 {
-        let Some(first) = e.holder else { return 0 };
-        let lazy = |l: Holder| self.groups.get(l.group).mappers_at(l.idx);
-        self.listings(first).map(lazy).sum()
+    /// Clones mapping frame `k` of piece `e` lazily, through every image
+    /// listing it.
+    fn lazy_mappers(&self, e: &Piece, k: u32) -> u32 {
+        let lazy = |l: Listing| self.groups.get(l.group).mappers_at(l.idx);
+        e.listed(k).map(lazy).sum()
     }
 
     /// See [`HostMemory::mappers`].
     pub(crate) fn mappers(&self, id: FrameId) -> u32 {
-        let e = self.entry(id);
-        e.refs - e.pins + self.lazy_mappers(e)
+        self.mappers_ahead(id).0
+    }
+
+    /// The mappers of frame `id`, and how many frames from it on have as
+    /// many: the rest of its piece if no image lists it, else just it.
+    pub(crate) fn mappers_ahead(&self, id: FrameId) -> (u32, u32) {
+        let (e, k, left) = self.frames.get(id);
+        let left = if e.listed.is_none() { left } else { 1 };
+        (e.refs - e.pins + self.lazy_mappers(e, k), left)
     }
 
     /// A clone of orphaned `group` went away, having left `left`: where
@@ -655,89 +867,76 @@ impl HostInner {
     fn orphan_detached(&mut self, group: u32, left: &mut [u32]) {
         left.sort_unstable();
         let g = self.groups.get(group);
-        let (image, sharers) = (g.image.clone(), g.sharers);
+        let sharers = g.sharers;
         if sharers == 0 {
-            let mut left = left.iter().peekable();
-            for (idx, &(_, id)) in image.frames.iter().enumerate() {
-                if left.next_if(|l| **l as usize == idx).is_none() {
-                    self.unlist(group, idx as u32, id);
-                }
+            // The positions it left stopped being live as it left them.
+            let mut at = 0;
+            for idx in left.iter().map(|l| *l as usize).chain([g.image.pages()]) {
+                self.unlist(group, at, idx - at);
+                at = idx + 1;
             }
-            return self.forget(group);
+            self.groups.remove(group);
+            return;
         }
         let all_left = g.departed.iter().filter(|&(_, gone)| gone == sharers);
-        let stayed = |idx: &u32| left.binary_search(idx).is_err();
-        let last: Vec<u32> = all_left.map(|(idx, _)| idx as u32).filter(stayed).collect();
+        let stayed = |idx: &usize| left.binary_search(&(*idx as u32)).is_err();
+        let last: Vec<usize> = all_left.map(|(idx, _)| idx).filter(stayed).collect();
         for idx in last {
-            self.unlist(group, idx, image.frames[idx as usize].1);
+            self.unlist(group, idx, 1);
         }
     }
 
     /// Runs `(end, mappers)` covering `group`'s image, equal neighbours
-    /// joined: its sharers plus those of the images co-listing the run,
-    /// except where a clone of any of them departed or a frame has explicit
-    /// mappers (scanned for only while any exist): those are looked up.
+    /// joined. The frames of a piece have the same mappers — its explicit
+    /// ones plus the lazy ones of each image listing it — except where a
+    /// clone of one of those images departed.
     pub(crate) fn base_runs(&self, group: u32) -> Vec<(usize, u32)> {
         let g = self.groups.get(group);
-        // A position no longer live is never summed (every clone left it),
-        // and only a live listing is sure to name its frame.
-        let looked_up = |idx: usize| match g.live(idx as u32) {
-            true => Err((idx + 1, self.mappers(g.image.frames[idx].1))),
-            false => Err((idx + 1, 0)),
-        };
-        let departed = g.departed.iter().map(|(idx, _)| (idx, looked_up(idx)));
-        let mut cuts: Vec<(usize, Cut)> = departed.collect();
-        for s in &g.sharing {
-            let other = self.groups.get(s.first.group);
-            let sharers = other.sharers as i32;
-            let (start, end) = (s.start as usize, s.end as usize);
-            cuts.extend([(start, Ok(sharers)), (end, Ok(-sharers))]);
-            let (at, end) = (s.first.idx as usize, s.lister(s.end).idx as usize);
-            let departed = other.departed.iter().skip_while(|(idx, _)| *idx < at);
-            let departed = departed.take_while(|(idx, _)| *idx < end);
-            let idx = departed.map(|(idx, _)| idx - at + s.start as usize);
-            cuts.extend(idx.map(|idx| (idx, looked_up(idx))));
-        }
-        let held_explicit = |k: u32| self.groups.get(k).explicit > 0;
-        if held_explicit(group) || g.sharing.iter().any(|s| held_explicit(s.first.group)) {
-            for (idx, &(_, id)) in g.image.frames.iter().enumerate() {
-                let e = g.live(idx as u32).then(|| self.entry(id));
-                let Some(e) = e.filter(|e| e.refs > e.pins) else {
-                    continue;
-                };
-                let mappers = e.refs - e.pins + self.lazy_mappers(e);
-                match cuts.last_mut() {
-                    Some((_, Err((end, same)))) if (*end, *same) == (idx, mappers) => *end += 1,
-                    _ => cuts.push((idx, Err((idx + 1, mappers)))),
-                }
-            }
-        }
-        // Stable: the cuts are a few sorted runs, merged in linear time.
-        cuts.sort_by_key(|&(at, _)| at);
-        let (mut runs, mut level) = (Vec::new(), g.sharers);
-        let push = |runs: &mut Vec<(usize, u32)>, end, mappers| match runs.last_mut() {
+        let mut runs: Vec<(usize, u32)> = Vec::new();
+        let mut push = |end: usize, mappers: u32| match runs.last_mut() {
             Some((last, same)) if *same == mappers => *last = end,
             _ => runs.push((end, mappers)),
         };
-        for (at, cut) in cuts {
-            let end = runs.last().map_or(0, |&(end, _)| end);
-            if at > end {
-                push(&mut runs, at, level);
+        let mut own = g.departed.iter().peekable();
+        for &(at, e) in g.image.runs() {
+            // No position of the run is live (every clone of the orphan
+            // left it): no clone sums it, and its frames may be freed.
+            let within = |(idx, _): &(usize, u32)| *idx < at + e.len;
+            let dead = g.departed.iter_from(at).take_while(within);
+            if !g.file && dead.filter(|&(_, gone)| gone == g.sharers).count() == e.len {
+                push(at + e.len, 0);
+                continue;
             }
-            match cut {
-                Ok(sharers) => level = level.wrapping_add_signed(sharers),
-                Err((stop, mappers)) if stop > end => push(&mut runs, stop, mappers),
-                Err(_) => {}
+            for (off, len, p, k) in self.frames.pieces(e.frame, e.len) {
+                let (from, explicit) = (at + off, p.refs - p.pins);
+                // Where its clones, or those of another listing image, left.
+                let departed = std::iter::from_fn(|| own.next_if(|(idx, _)| *idx < from + len));
+                let mut departed: Vec<usize> = departed
+                    .filter_map(|(idx, _)| idx.checked_sub(from))
+                    .collect();
+                let mut level = explicit;
+                for l in p.listed(k) {
+                    let other = self.groups.get(l.group);
+                    level += other.sharers;
+                    if l.group != group {
+                        let at = l.idx as usize;
+                        let left = other.departed.iter_from(at);
+                        let left = left.take_while(|(idx, _)| *idx < at + len);
+                        departed.extend(left.map(|(idx, _)| idx - at));
+                    }
+                }
+                departed.sort_unstable();
+                departed.dedup();
+                for d in departed {
+                    push(from + d, level);
+                    push(from + d + 1, explicit + self.lazy_mappers(p, k + d as u32));
+                }
+                push(from + len, level);
             }
         }
-        push(&mut runs, g.image.frames.len(), level);
         runs
     }
 }
-
-/// From a position on, a step of the sharers, or `(end, mappers)` of the
-/// positions up to `end`.
-type Cut = Result<i32, (usize, u32)>;
 
 /// Aggregate host memory counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -753,11 +952,35 @@ pub struct MemoryStats {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Explicit owners of frame `id`.
+    pub(crate) fn refs(h: &HostMemory, id: FrameId) -> u32 {
+        h.inner.borrow().frames.get(id).0.refs
+    }
+
+    /// Frame-table entries and the pieces they are cut into.
+    pub(crate) fn entries(h: &HostMemory) -> (usize, usize) {
+        let inner = h.inner.borrow();
+        let pieces = |s: &Slot| match s {
+            Slot::One(_) => 1,
+            Slot::Run(run) => run.pieces.len(),
+        };
+        let slots = crate::table::tests::live(&inner.frames.slots);
+        (slots.clone().count(), slots.map(pieces).sum())
+    }
 
     fn host() -> HostMemory {
         HostMemory::new(Clock::new(), 1 << 30, 60)
+    }
+
+    fn one(frame: FrameId) -> Extent {
+        Extent {
+            page: 0,
+            frame,
+            len: 1,
+        }
     }
 
     #[test]
@@ -832,11 +1055,11 @@ mod tests {
     fn pins_do_not_count_as_mappers() {
         let h = host();
         let f = h.alloc_zero();
-        h.pin(f);
+        h.pin_extent(&one(f));
         assert_eq!(h.mappers(f), 1);
         h.retain(f);
         assert_eq!(h.mappers(f), 2);
-        h.unpin(f);
+        h.unpin_extent(&one(f));
         h.release(f);
         h.release(f);
         assert_eq!(h.live_frames(), 0);
@@ -879,14 +1102,17 @@ mod tests {
         // place would bypass both CoW and checksum invalidation.
         let h = host();
         let f = h.alloc_zero();
-        h.pin(f);
+        h.pin_extent(&one(f));
         h.release(f);
         h.write_frame(f, 0, b"no");
     }
 
     #[test]
     fn frame_entries_did_not_grow_with_the_back_pointer() {
-        assert!(std::mem::size_of::<Option<FrameEntry>>() <= 32);
+        // Nor with runs: a frame of its own is 32 bytes, a page-table
+        // entry a word.
+        assert!(std::mem::size_of::<Option<Slot>>() <= 32);
+        assert_eq!(std::mem::size_of::<Option<FrameId>>(), 8);
     }
 
     #[test]

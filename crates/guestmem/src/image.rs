@@ -1,63 +1,76 @@
-//! A snapshot image's page list: the frames in guest-page order plus the
-//! few contiguous runs they form.
+//! A snapshot image's page list: runs of consecutive guest pages on
+//! consecutive frames of one frame-table entry.
 
 use std::ops::Range;
 
-use crate::host::FrameId;
+use crate::host::{Extent, FrameId};
 
 /// A snapshot's immutable page list, shared by the file and every clone
-/// restored from it.
+/// restored from it. A VM image is a handful of regions, each a few runs,
+/// so finding a page or a position is a search over runs, and nothing
+/// here grows with the pages.
 #[derive(Debug)]
 pub(crate) struct Image {
-    /// (guest page, host frame), ascending by page.
-    pub(crate) frames: Vec<(usize, FrameId)>,
-    /// Maximal runs of consecutive guest pages as (first page, position
-    /// of that page in `frames`, length). A VM image is a handful of
-    /// regions, so finding a page is a search over a few runs, not over
-    /// the frame list.
-    runs: Vec<(usize, usize, usize)>,
+    /// (position of its first page in the list, extent), ascending by
+    /// page; an extent that continues the one before is part of it.
+    runs: Vec<(usize, Extent)>,
+    pages: usize,
 }
 
 impl Image {
-    pub(crate) fn new(frames: Vec<(usize, FrameId)>) -> Self {
-        let mut runs: Vec<(usize, usize, usize)> = Vec::new();
-        let mut expect = usize::MAX;
-        for (at, &(page, _)) in frames.iter().enumerate() {
-            if page != expect {
-                runs.push((page, at, 0));
+    pub(crate) fn new(extents: impl IntoIterator<Item = Extent>) -> Self {
+        let (mut runs, mut pages) = (Vec::<(usize, Extent)>::new(), 0);
+        for e in extents.into_iter().filter(|e| e.len > 0) {
+            match runs.last_mut() {
+                Some((_, last)) if last.continued_by(&e) => last.len += e.len,
+                _ => runs.push((pages, e)),
             }
-            expect = page + 1;
+            pages += e.len;
         }
-        // Each run ends where the next begins.
-        let mut end = frames.len();
-        for (_, at, len) in runs.iter_mut().rev() {
-            (*len, end) = (end - *at, *at);
-        }
-        Image { frames, runs }
+        Image { runs, pages }
     }
 
-    /// The maximal range of guest pages around `page` that the image
-    /// maps all of or none of, with the position of the range's first
-    /// page — or, for a gap, `Err` of the position just after it.
+    /// The runs, as (position of the first page, extent).
+    pub(crate) fn runs(&self) -> &[(usize, Extent)] {
+        &self.runs
+    }
+
+    /// Pages listed.
+    pub(crate) fn pages(&self) -> usize {
+        self.pages
+    }
+
+    /// The run of guest pages around `page` that the image maps on
+    /// consecutive frames, with the position and frame of its first page
+    /// — or the maximal gap around `page`, with the position just after.
     // Out of line: the page-fault loop calls it once per run of pages.
     #[inline(never)]
-    pub(crate) fn span(&self, page: usize) -> (Range<usize>, Result<usize, usize>) {
-        let after = self.runs.partition_point(|(first, _, _)| *first <= page);
-        let next = self
-            .runs
-            .get(after)
-            .map_or(usize::MAX, |(first, _, _)| *first);
+    pub(crate) fn span(&self, page: usize) -> (Range<usize>, Result<(usize, FrameId), usize>) {
+        let after = self.runs.partition_point(|(_, e)| e.page <= page);
+        let next = self.runs.get(after).map_or(usize::MAX, |(_, e)| e.page);
         match after.checked_sub(1).map(|before| self.runs[before]) {
-            Some((first, at, len)) if page < first + len => (first..first + len, Ok(at)),
-            Some((first, at, len)) => (first + len..next, Err(at + len)),
+            Some((at, e)) if page < e.page + e.len => (e.page..e.page + e.len, Ok((at, e.frame))),
+            Some((at, e)) => (e.page + e.len..next, Err(at + e.len)),
             None => (0..next, Err(0)),
         }
     }
 
-    /// The position of guest page `page`, or (as `binary_search` would)
-    /// the position it would be inserted at.
-    pub(crate) fn locate(&self, page: usize) -> Result<usize, usize> {
+    /// The position and frame of guest page `page`, or (as
+    /// `binary_search` would) the position it would be inserted at.
+    pub(crate) fn locate(&self, page: usize) -> Result<(usize, FrameId), usize> {
         let (span, first) = self.span(page);
-        first.map(|at| at + page - span.start)
+        let k = page - span.start;
+        first.map(|(at, frame)| (at + k, frame.add(k)))
+    }
+
+    /// The run holding position `idx`.
+    pub(crate) fn run_at(&self, idx: usize) -> (usize, Extent) {
+        self.runs[self.runs.partition_point(|(at, _)| *at <= idx) - 1]
+    }
+
+    /// The frame at position `idx`.
+    pub(crate) fn frame_at(&self, idx: usize) -> FrameId {
+        let (at, e) = self.run_at(idx);
+        e.frame.add(idx - at)
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! - [`HostMemory`]: the host frame table with reference-counted 4 KiB
 //!   frames, CoW, and a `vm.swappiness`-style swap-onset model. A snapshot
-//!   image registers its frame list there as a *mapping group*.
+//!   image registers its page list there as a *mapping group*.
 //! - [`AddressSpace`]: one microVM's guest-physical address space — an
 //!   on-demand two-level page table (the *overlay*) of the pages it holds
 //!   itself, over the image it was restored from, if any.
@@ -27,24 +27,31 @@
 //! each, accounting looks every frame's mappers up — and a reference
 //! model of exactly that runs beside the implementation in
 //! `tests/oracle.rs`. The implementation reaches the same numbers in
-//! time proportional to what a clone touched, for every restore:
+//! time proportional to what was written and what a clone touched:
 //!
+//! - **Extents.** The frames one `touch_dirty` allocates over unmapped
+//!   pages are one frame-table entry, owned, pinned and listed as a run;
+//!   it is cut into pieces only where a frame diverges (a data write or
+//!   poke, an owner count, a listing). Images, chunk stores and page-table
+//!   teardown name frames as [`Extent`]s; a file keeps checksums for the
+//!   pages that hold data, every other page being a zero page. So a
+//!   post-JIT image costs its regions, not its pages.
 //! - **Group.** A restore adds one *sharer* to the image's group; a CoW
 //!   fault moves one page into the clone's overlay and counts one
 //!   *departure* at that position; a drop releases the overlay and takes
-//!   the departures back. A frame's mappers are its explicit references
-//!   minus pins plus, for each image listing it, `sharers −
-//!   departed[idx]` there ([`HostMemory::mappers`]). A group finds the
-//!   other images listing its frames (canonical chunks under dedup, a
-//!   capture of a clone) in its *sharing map*: runs of its positions that
-//!   another image lists at a fixed offset. A file dropped before its
-//!   clones leaves its group *orphaned*, still lazy; a frame is freed when
+//!   the departures back. Each piece lists the images whose listing of
+//!   its frames is *live* (the file pins them, or a clone maps them
+//!   lazily), so a frame's mappers are its explicit references minus pins
+//!   plus, for each of those images, `sharers − departed[idx]` at its
+//!   position there ([`HostMemory::mappers`]). A file dropped before its
+//!   clones leaves its group *orphaned*, still lazy; a listing leaves its
+//!   frames when no clone maps them any more, and a frame is freed when
 //!   its last owner goes, just when the eager design frees it.
 //! - **Accounting.** [`AddressSpace::sharing_stats`] forms the scan's
-//!   page-order `f64` sum without visiting pages: the sharing map cuts the
-//!   base into runs of equal mappers, and between exceptions (overlay
-//!   pages, departed positions, frames with explicit mappers) each run is
-//!   added in closed form, bit for bit what the sequential adds round to.
+//!   page-order `f64` sum without visiting pages: the base's pieces have
+//!   equal mappers but where a listing image's clone departed, and each
+//!   run of equal terms is added in closed form, bit for bit what the
+//!   sequential adds round to.
 //! - **Verify once.** [`SnapshotFile::verify`] remembers a clean pass;
 //!   stored pages change only through [`HostMemory::poke_frame`], which
 //!   makes every image listing the frame forget.
@@ -59,7 +66,7 @@ pub mod snapshot;
 mod table;
 
 pub use addr::{AddressSpace, SharingStats};
-pub use host::{FrameId, HostMemory, MemoryStats, PAGE_SIZE};
+pub use host::{Extent, FrameId, HostMemory, MemoryStats, PAGE_SIZE};
 pub use snapshot::{
     ChunkHash, ChunkRef, SnapshotFile, SnapshotId, SnapshotIntegrityError, SnapshotManifest,
 };

@@ -4,13 +4,14 @@
 //! content-addressed manifests so snapshots can be deduplicated and
 //! shipped between hosts chunk by chunk.
 
+use std::cell::OnceCell;
 use std::fmt;
 use std::rc::Rc;
 
 use fireworks_sim::hash;
 
 use crate::addr::AddressSpace;
-use crate::host::{FrameId, HostMemory, PAGE_SIZE};
+use crate::host::{Extent, FrameId, HostMemory, PAGE_SIZE, ZERO_PAGE_FNV};
 use crate::image::Image;
 
 /// Identity of a whole snapshot: the capture-time digest (page numbers
@@ -163,8 +164,11 @@ pub struct SnapshotFile {
     image: Rc<Image>,
     /// The frame list's mapping group in `host`'s frame table.
     group: u32,
-    checksums: Vec<u64>,
-    digest: u64,
+    /// `(position, checksum)` of each page that held data at capture, in
+    /// position order; every other page checksummed as a zero page.
+    checksums: Vec<(u32, u64)>,
+    /// The digest, folded on first use.
+    digest: OnceCell<u64>,
     device_state: Vec<u8>,
 }
 
@@ -174,51 +178,80 @@ impl SnapshotFile {
     /// stored page is checksummed at capture time so later corruption is
     /// detectable via [`SnapshotFile::verify`].
     pub fn capture(space: &AddressSpace, device_state: Vec<u8>) -> Self {
-        let mut frames = Vec::with_capacity(space.resident_pages());
-        space.mapped_into(&mut frames);
-        Self::seal(
-            space.host(),
-            space.size_bytes(),
-            frames,
-            device_state,
-            false,
-        )
+        let (host, size) = (space.host(), space.size_bytes());
+        Self::seal(host, size, space.extents(true), device_state, false)
     }
 
-    /// Pins, registers and checksums `frames` in one pass over them;
-    /// `consume` turns the caller's reference on each into the pin.
+    /// Pins, registers and checksums `extents` a piece at a time;
+    /// `consume` turns the caller's reference on each frame into the pin.
     fn seal(
         host: &HostMemory,
         size_bytes: u64,
-        frames: Vec<(usize, FrameId)>,
+        extents: Vec<Extent>,
         device_state: Vec<u8>,
         consume: bool,
     ) -> Self {
-        let image = Rc::new(Image::new(frames));
+        let image = Rc::new(Image::new(extents));
         let (group, checksums) = host.register(&image, consume);
         SnapshotFile {
             host: host.clone(),
             size_bytes,
-            digest: Self::fold_digest(&image.frames, &checksums),
+            checksums,
+            digest: OnceCell::new(),
             image,
             group,
-            checksums,
             device_state,
         }
     }
 
-    /// Folds page numbers and page checksums into one digest: the id of
-    /// a whole snapshot, or the hash of one chunk of it.
-    fn fold_digest(frames: &[(usize, FrameId)], checksums: &[u64]) -> u64 {
-        frames
-            .iter()
-            .zip(checksums)
-            .fold(hash::OFFSET, |h, ((page, _), sum)| {
-                hash::mix(hash::mix(h, *page as u64), *sum)
-            })
+    /// Folds page numbers and page checksums, in page-list order, into a
+    /// digest per run of `chunk` pages, handed to `done` with its length:
+    /// the chunks of a manifest, or the id of the whole snapshot. Each run
+    /// of zero pages is one tight loop.
+    fn fold_pages(&self, chunk: usize, mut done: impl FnMut(u64, usize)) {
+        let (mut sums, mut h, mut n) = (self.checksums.iter().peekable(), hash::OFFSET, 0);
+        for &(at, e) in self.image.runs() {
+            let mut k = 0;
+            while k < e.len {
+                // A page that holds data, or the zero pages up to the next.
+                let next = sums
+                    .peek()
+                    .map_or(usize::MAX, |(idx, _)| *idx as usize - at);
+                let (sum, end) = match sums.next_if(|_| next == k) {
+                    Some(&(_, sum)) => (sum, k + 1),
+                    None => (
+                        ZERO_PAGE_FNV,
+                        next.min(e.len).min(k.saturating_add(chunk - n)),
+                    ),
+                };
+                h = (k..end).fold(h, |h, k| hash::mix(hash::mix(h, (e.page + k) as u64), sum));
+                (k, n) = (end, n + end - k);
+                if n == chunk {
+                    done(h, n);
+                    (h, n) = (hash::OFFSET, 0);
+                }
+            }
+        }
+        if n > 0 {
+            done(h, n);
+        }
     }
 
-    /// Rebuilds a snapshot from an explicit frame list — the delta-fetch
+    /// Compares `actual`, the checksum of position `index` now, with the
+    /// one recorded at capture.
+    fn check(&self, index: usize, actual: u64) -> Result<(), SnapshotIntegrityError> {
+        let expected = checksum_at(&self.checksums, index as u32);
+        if actual == expected {
+            return Ok(());
+        }
+        Err(SnapshotIntegrityError {
+            page: index,
+            expected,
+            actual,
+        })
+    }
+
+    /// Rebuilds a snapshot from an explicit page list — the delta-fetch
     /// path: a host that has assembled every frame of a remote snapshot
     /// (from deduplicated chunks plus transferred ones) turns them back
     /// into a restorable snapshot file. Frames are re-checksummed exactly
@@ -230,32 +263,40 @@ impl SnapshotFile {
     /// caller's reference becomes the snapshot-file pin, and dropping the
     /// snapshot frees frames nothing else maps.
     ///
-    /// `frames` must be sorted by guest page number (ascending), as
-    /// `capture` records them, and name each frame once.
+    /// `extents` must be sorted by guest page (ascending) without overlap,
+    /// as [`SnapshotFile::extents`] lists them, and name each frame once.
     pub fn from_mapped(
         host: &HostMemory,
         size_bytes: u64,
-        frames: Vec<(usize, FrameId)>,
+        extents: Vec<Extent>,
         device_state: Vec<u8>,
     ) -> Self {
         debug_assert!(
-            frames.windows(2).all(|w| w[0].0 < w[1].0),
-            "frame list must be sorted by guest page"
+            extents
+                .windows(2)
+                .all(|w| w[0].page + w[0].len <= w[1].page),
+            "extents must be sorted by guest page"
         );
-        Self::seal(host, size_bytes, frames, device_state, true)
+        Self::seal(host, size_bytes, extents, device_state, true)
     }
 
     /// The snapshot's content identity (typed wrapper over
     /// [`SnapshotFile::digest`]).
     pub fn id(&self) -> SnapshotId {
-        SnapshotId::from_raw(self.digest)
+        SnapshotId::from_raw(self.digest())
     }
 
-    /// The stored frame list: (guest page, host frame) pairs in ascending
-    /// guest-page order. Chunk stores slice this in the same fixed runs
+    /// The stored page list as runs, in ascending guest-page order. Chunk
+    /// stores cut this into the same fixed runs of pages
     /// [`SnapshotFile::manifest`] hashes.
-    pub fn frames(&self) -> &[(usize, FrameId)] {
-        &self.image.frames
+    pub fn extents(&self) -> impl Iterator<Item = Extent> + '_ {
+        self.image.runs().iter().map(|&(_, e)| e)
+    }
+
+    /// The stored page list page by page: (guest page, host frame) pairs
+    /// in ascending guest-page order.
+    pub fn frames(&self) -> Vec<(usize, FrameId)> {
+        self.extents().flat_map(Extent::frames).collect()
     }
 
     /// Guest address-space size the snapshot restores into.
@@ -277,17 +318,11 @@ impl SnapshotFile {
     /// Panics if `chunk_pages` is zero.
     pub fn manifest(&self, chunk_pages: usize) -> SnapshotManifest {
         assert!(chunk_pages > 0, "chunk granularity must be positive");
-        let mut chunks = Vec::with_capacity(self.image.frames.len().div_ceil(chunk_pages));
-        for start in (0..self.image.frames.len()).step_by(chunk_pages) {
-            let end = (start + chunk_pages).min(self.image.frames.len());
-            let run = &self.image.frames[start..end];
-            let h = Self::fold_digest(run, &self.checksums[start..end]);
-            chunks.push(ChunkRef {
-                hash: ChunkHash::from_raw(h),
-                pages: run.len(),
-                bytes: (run.len() * PAGE_SIZE) as u64,
-            });
-        }
+        let mut chunks = Vec::with_capacity(self.image.pages().div_ceil(chunk_pages));
+        self.fold_pages(chunk_pages, |h, pages| {
+            let (hash, bytes) = (ChunkHash::from_raw(h), (pages * PAGE_SIZE) as u64);
+            chunks.push(ChunkRef { hash, pages, bytes });
+        });
         SnapshotManifest {
             id: self.id(),
             size_bytes: self.size_bytes,
@@ -323,18 +358,7 @@ impl SnapshotFile {
     /// its capture-time checksum — the per-page check REAP-style prefetch
     /// performs as it reads pages.
     pub fn verify_page(&self, index: usize) -> Result<(), SnapshotIntegrityError> {
-        let (_, frame) = self.image.frames[index];
-        let actual = self.host.checksum_frame(frame);
-        let expected = self.checksums[index];
-        if actual == expected {
-            Ok(())
-        } else {
-            Err(SnapshotIntegrityError {
-                page: index,
-                expected,
-                actual,
-            })
-        }
+        self.check(index, self.host.checksum_frame(self.image.frame_at(index)))
     }
 
     /// Re-checksums the stored copy of guest page `page`, if the snapshot
@@ -342,7 +366,7 @@ impl SnapshotFile {
     /// each working-set page it reads from the snapshot file.
     pub fn verify_guest_page(&self, page: usize) -> Result<(), SnapshotIntegrityError> {
         match self.image.locate(page) {
-            Ok(index) => self.verify_page(index),
+            Ok((index, _)) => self.verify_page(index),
             Err(_) => Ok(()),
         }
     }
@@ -355,21 +379,29 @@ impl SnapshotFile {
     /// [`HostMemory::poke_frame`] (and so [`SnapshotFile::corrupt_page`]),
     /// which makes every image listing the frame forget, so until then a
     /// repeat call answers from the record. A damaged image re-checksums
-    /// on every call.
+    /// on every call. A pass checks the pages that hold data now or did
+    /// at capture: every other page was and is a zero page.
     pub fn verify(&self) -> Result<(), SnapshotIntegrityError> {
         if !self.host.verified(self.group) {
-            for index in 0..self.image.frames.len() {
-                self.verify_page(index)?;
+            let now = self.host.data_sums(&self.image);
+            let mut pages: Vec<u32> = now.iter().chain(&self.checksums).map(|s| s.0).collect();
+            pages.sort_unstable();
+            for index in pages {
+                self.check(index as usize, checksum_at(&now, index))?;
             }
             self.host.mark_verified(self.group);
         }
         Ok(())
     }
 
-    /// The whole-snapshot digest computed at capture time (page numbers
-    /// folded with page checksums).
+    /// The whole-snapshot digest (page numbers folded with page
+    /// checksums), fixed at capture.
     pub fn digest(&self) -> u64 {
-        self.digest
+        *self.digest.get_or_init(|| {
+            let mut digest = hash::OFFSET;
+            self.fold_pages(usize::MAX, |h, _| digest = h);
+            digest
+        })
     }
 
     /// Deliberately flips bytes in the stored copy of page `index`
@@ -377,7 +409,7 @@ impl SnapshotFile {
     /// damage is visible to every later restore until the snapshot is
     /// rebuilt, and [`SnapshotFile::verify`] detects it.
     pub fn corrupt_page(&self, index: usize) {
-        let (_, frame) = self.image.frames[index];
+        let frame = self.image.frame_at(index);
         let mut byte = [0u8];
         self.host.read_frame(frame, 0, &mut byte);
         self.host.poke_frame(frame, 0, &[byte[0] ^ 0xff]);
@@ -390,13 +422,20 @@ impl SnapshotFile {
 
     /// Number of guest pages stored in the snapshot.
     pub fn pages(&self) -> usize {
-        self.image.frames.len()
+        self.image.pages()
     }
 
     /// On-disk size of the snapshot memory file in bytes.
     pub fn file_bytes(&self) -> u64 {
-        (self.image.frames.len() * PAGE_SIZE) as u64 + self.device_state.len() as u64
+        (self.image.pages() * PAGE_SIZE) as u64 + self.device_state.len() as u64
     }
+}
+
+/// The checksum at position `index` of a sparse `(position, checksum)`
+/// list: a zero page's where it lists none.
+fn checksum_at(sums: &[(u32, u64)], index: u32) -> u64 {
+    let found = sums.binary_search_by_key(&index, |(at, _)| *at);
+    found.map_or(ZERO_PAGE_FNV, |i| sums[i].1)
 }
 
 impl Drop for SnapshotFile {
@@ -408,6 +447,7 @@ impl Drop for SnapshotFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host::tests::refs as host_refs;
     use fireworks_sim::Clock;
 
     fn host() -> HostMemory {
@@ -590,12 +630,8 @@ mod tests {
 
         // A "receiving host" assembles the same frames (here: copied
         // within one table, as a chunk transfer would) and rebuilds.
-        let frames: Vec<(usize, FrameId)> = snap
-            .frames()
-            .iter()
-            .map(|(page, f)| (*page, h.clone_frame_from(&h, *f)))
-            .collect();
-        let rebuilt = SnapshotFile::from_mapped(&h, snap.size_bytes(), frames, vec![9, 9]);
+        let copied = snap.extents().map(|e| h.copy_extent_from(&h, e)).collect();
+        let rebuilt = SnapshotFile::from_mapped(&h, snap.size_bytes(), copied, vec![9, 9]);
         assert_eq!(rebuilt.id(), snap.id(), "faithful copy keeps the id");
         assert_eq!(rebuilt.pages(), snap.pages());
         assert!(rebuilt.verify().is_ok());
@@ -665,8 +701,8 @@ mod tests {
         // The dedup layout: a second image over the first one's frames.
         let h = host();
         let first = SnapshotFile::capture(&space_with_pages(&h, 4), Vec::new());
-        first.frames().iter().for_each(|(_, f)| h.retain(*f));
-        let twin = SnapshotFile::from_mapped(&h, 1 << 20, first.frames().to_vec(), Vec::new());
+        first.extents().for_each(|e| h.retain_extent(&e));
+        let twin = SnapshotFile::from_mapped(&h, 1 << 20, first.extents().collect(), Vec::new());
         // The receive side of a delta fetch starts unverified and pays
         // its full pass once.
         assert!(!h.verified(twin.group));
@@ -708,19 +744,80 @@ mod tests {
         s.touch_dirty(2 * PAGE_SIZE as u64, 3 * PAGE_SIZE as u64); // pages 2..5
         s.touch_dirty(9 * PAGE_SIZE as u64, PAGE_SIZE as u64); // page 9
         let snap = SnapshotFile::capture(&s, Vec::new());
-        let image = &snap.image;
-        assert_eq!(image.span(0), (0..2, Err(0)));
-        assert_eq!(image.span(3), (2..5, Ok(0)));
-        assert_eq!(image.span(6), (5..9, Err(3)));
-        assert_eq!(image.span(9), (9..10, Ok(3)));
-        assert_eq!(image.span(200), (10..usize::MAX, Err(4)));
-        let pages = [0, 2, 4, 5, 9, 10];
-        let located = pages.map(|p| image.locate(p));
-        assert_eq!(located, [Err(0), Ok(0), Ok(2), Err(3), Ok(3), Err(4)]);
+        let (image, frames) = (&snap.image, snap.frames());
+        let span = |page| {
+            let (span, first) = image.span(page);
+            (span, first.map(|(at, frame)| (at, frames[at].1 == frame)))
+        };
+        assert_eq!(span(0), (0..2, Err(0)));
+        assert_eq!(span(3), (2..5, Ok((0, true))));
+        assert_eq!(span(6), (5..9, Err(3)));
+        assert_eq!(span(9), (9..10, Ok((3, true))));
+        assert_eq!(span(200), (10..usize::MAX, Err(4)));
         for page in 0..12 {
-            let searched = snap.frames().binary_search_by_key(&page, |(p, _)| *p);
-            assert_eq!(image.locate(page), searched);
+            let searched = frames.binary_search_by_key(&page, |(p, _)| *p);
+            assert_eq!(image.locate(page), searched.map(|at| (at, frames[at].1)));
         }
+    }
+
+    const MIB: u64 = 1 << 20;
+
+    /// `runtime::layout`'s regions as a booted, launched and warmed guest
+    /// grows them: (base, bytes of each `touch_dirty`).
+    const REGIONS: [(u64, &[u64]); 7] = [
+        (0, &[72 * MIB]),
+        (96 * MIB, &[40 * MIB]),
+        (160 * MIB, &[MIB, 200 << 10]),
+        (176 * MIB, &[2 * MIB, MIB]),
+        (208 * MIB, &[16 * MIB, 4 * MIB, 2 * MIB]),
+        (296 * MIB, &[3 * MIB]),
+        (320 * MIB, &[5 * MIB, 2 * MIB + (12 << 10)]),
+    ];
+
+    /// FNV-1a over a manifest's chunk hashes.
+    fn fold_chunks(m: &SnapshotManifest) -> u64 {
+        m.chunks
+            .iter()
+            .fold(hash::OFFSET, |h, c| hash::mix(h, c.hash.as_raw()))
+    }
+
+    #[test]
+    fn an_untouched_image_costs_its_regions_and_keeps_its_identity() {
+        let h = host();
+        let mut s = AddressSpace::new(h.clone(), 512 * MIB);
+        for (base, steps) in REGIONS {
+            steps.iter().fold(base, |at, bytes| {
+                s.touch_dirty(at, *bytes);
+                at + bytes
+            });
+        }
+        let snap = SnapshotFile::capture(&s, Vec::new());
+        // One written page on each side of a run boundary in the copy.
+        s.write(176 * MIB + 5 * PAGE_SIZE as u64 + 7, b"jitted");
+        s.write(211 * MIB, b"heap");
+        let written = SnapshotFile::capture(&s, Vec::new());
+        drop(s);
+        let touches = REGIONS.iter().map(|(_, steps)| steps.len()).sum::<usize>();
+        assert_eq!(snap.pages(), 37_941);
+        assert_eq!(snap.image.runs().len(), touches);
+        assert!(written.image.runs().len() <= touches + 4);
+        // Every touch is one entry in one piece. The two copies add one
+        // entry each, and cut the frame they copy out of its run: only
+        // the first image still lists it.
+        let (entries, pieces) = crate::host::tests::entries(&h);
+        assert_eq!((entries, pieces), (touches + 2, touches + 2 + 2 * 2));
+        // The same ids and chunk hashes as when every page had an entry.
+        let m = snap.manifest(16);
+        assert_eq!(snap.id().as_raw(), 0x4da3_396d_ea49_0780);
+        assert_eq!(
+            (m.chunks.len(), fold_chunks(&m)),
+            (2_372, 0x8c36_2d19_2754_b952)
+        );
+        assert_eq!(m.chunks[0].hash.as_raw(), 0x989a_e6e7_8fe1_7215);
+        let m = written.manifest(16);
+        assert_eq!(written.id().as_raw(), 0xc78d_d1de_ba13_b646);
+        assert_eq!(fold_chunks(&m), 0x56bb_524a_9e27_3744);
+        assert!(snap.verify().is_ok() && written.verify().is_ok());
     }
 
     /// Mappers and PSS of every page of `spaces` against a recount of
@@ -745,24 +842,31 @@ mod tests {
         // Lazy and eager clones compute the same numbers (the oracle test
         // cannot tell them apart); only the frames' `refs` say which ran.
         let h = host();
-        let refs = |frames: &[(usize, FrameId)]| frames.iter().map(|(_, f)| h.refs(*f)).collect();
+        let refs =
+            |frames: &[(usize, FrameId)]| frames.iter().map(|(_, f)| host_refs(&h, *f)).collect();
         let first = SnapshotFile::capture(&space_with_pages(&h, 8), Vec::new());
         // A partial, shifted co-lister (the Dedup layout): pages 3..8 of
         // `first` behind two fresh frames, so positions differ by one.
         let mut listed = vec![(0, h.alloc_zero()), (1, h.alloc_zero())];
         listed.extend(first.frames()[3..].iter().inspect(|(_, f)| h.retain(*f)));
+        let listed = listed.into_iter().map(|(page, frame)| Extent {
+            page,
+            frame,
+            len: 1,
+        });
+        let listed = listed.collect();
         let second = SnapshotFile::from_mapped(&h, 1 << 20, listed, Vec::new());
         let (first_refs, second_refs): (Vec<u32>, Vec<u32>) =
-            (refs(first.frames()), refs(second.frames()));
+            (refs(&first.frames()), refs(&second.frames()));
         let mut clones = vec![first.restore(&h), second.restore(&h), second.restore(&h)];
         clones[0].touch_dirty(2 * PAGE_SIZE as u64, 3 * PAGE_SIZE as u64);
         clones[1].write(PAGE_SIZE as u64, b"fresh");
         clones[2].write(6 * PAGE_SIZE as u64, b"shared");
-        assert_eq!(refs(first.frames()), first_refs);
-        assert_eq!(refs(second.frames()), second_refs);
+        assert_eq!(refs(&first.frames()), first_refs);
+        assert_eq!(refs(&second.frames()), second_refs);
         assert_recount(&h, &clones);
         // The file goes first: its clones keep mapping the frames lazily.
-        let frames = second.frames().to_vec();
+        let frames = second.frames();
         drop(second);
         assert_eq!(refs(&frames[..2]), [0, 0], "no pin, no eager reference");
         assert_recount(&h, &clones);
@@ -776,7 +880,7 @@ mod tests {
         let live = h.live_frames();
         drop(clones.remove(1));
         assert_eq!(h.live_frames(), live - 2, "page 0 and the copy of page 1");
-        assert_eq!(refs(first.frames()), [1; 8], "only the first file's pins");
+        assert_eq!(refs(&first.frames()), [1; 8], "only the first file's pins");
         assert_recount(&h, &clones);
         drop(first);
         assert_recount(&h, &clones);

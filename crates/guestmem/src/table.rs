@@ -25,7 +25,8 @@ impl<T> Slab<T> {
     pub fn insert(&mut self, value: T) -> u32 {
         match self.free.pop() {
             Some(i) => {
-                self.slots[i as usize] = Some(value);
+                // A freed slot is empty: nothing of it to drop.
+                std::mem::forget(self.slots[i as usize].replace(value));
                 i
             }
             None => {
@@ -76,14 +77,24 @@ impl<T: Copy + Default + PartialEq> Sparse<T> {
     }
 
     /// Leaf `n`, allocated on first use.
+    #[inline]
     fn leaf(&mut self, n: usize) -> &mut [T; LEAF] {
+        match self.leaves.get(n) {
+            Some(Some(_)) => self.leaves[n].as_mut().expect("allocated leaf"),
+            _ => self.new_leaf(n),
+        }
+    }
+
+    #[inline(never)]
+    fn new_leaf(&mut self, n: usize) -> &mut [T; LEAF] {
         if self.leaves.len() <= n {
             self.leaves.resize_with(n + 1, || None);
         }
-        self.leaves[n].get_or_insert_with(|| Box::new([T::default(); LEAF]))
+        self.leaves[n].insert(Box::new([T::default(); LEAF]))
     }
 
     /// The slot for `i`.
+    #[inline]
     pub fn entry(&mut self, i: usize) -> &mut T {
         &mut self.leaf(i / LEAF)[i % LEAF]
     }
@@ -103,19 +114,30 @@ impl<T: Copy + Default + PartialEq> Sparse<T> {
     /// Non-default entries in ascending index order. Consumed with
     /// `Iterator::for_each` the two levels compile to two nested loops.
     pub fn iter(&self) -> impl Iterator<Item = (usize, T)> + '_ {
-        let leaves = self.leaves.iter().enumerate();
-        leaves.flat_map(|(n, leaf)| {
-            let slots = leaf.as_deref().map_or(&[][..], |leaf| &leaf[..]);
+        self.iter_from(0)
+    }
+
+    /// Non-default entries from index `start` on, in ascending order.
+    pub fn iter_from(&self, start: usize) -> impl Iterator<Item = (usize, T)> + '_ {
+        let leaves = self.leaves.iter().enumerate().skip(start / LEAF);
+        leaves.flat_map(move |(n, leaf)| {
+            let from = start.saturating_sub(n * LEAF);
+            let slots = leaf.as_deref().map_or(&[][..], |leaf| &leaf[from..]);
             let set = slots.iter().enumerate();
             set.filter(|(_, v)| **v != T::default())
-                .map(move |(i, v)| (n * LEAF + i, *v))
+                .map(move |(i, v)| (n * LEAF + from + i, *v))
         })
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The live values of `slab`, in slot order.
+    pub(crate) fn live<T>(slab: &Slab<T>) -> impl Iterator<Item = &T> + Clone {
+        slab.slots.iter().flatten()
+    }
 
     #[test]
     fn slab_reuses_freed_slots() {
@@ -139,8 +161,15 @@ mod tests {
             t.iter().collect::<Vec<_>>(),
             [(3, 1), (513, 2), (70_000, 7)]
         );
+        let first_from = |i| t.iter_from(i).next().map(|(at, _)| at);
+        assert_eq!(
+            [0, 3, 4, 513, 514].map(first_from),
+            [3, 3, 513, 513, 70_000].map(Some)
+        );
         *t.entry(513) = 0;
         assert_eq!(t.iter().collect::<Vec<_>>(), [(3, 1), (70_000, 7)]);
+        assert_eq!(t.iter_from(4).collect::<Vec<_>>(), [(70_000, 7)]);
+        assert_eq!(t.iter_from(70_001).next(), None);
         assert_eq!((t.get(513), t.get(70_000)), (0, 7));
         t.range_mut(510, 1025, |i, slot| *slot = i as u32);
         let filled: Vec<_> = t.iter().skip(1).take(516).collect();

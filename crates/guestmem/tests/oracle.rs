@@ -12,7 +12,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use fireworks_guestmem::{
-    AddressSpace, FrameId, HostMemory, SharingStats, SnapshotFile, PAGE_SIZE,
+    AddressSpace, Extent, FrameId, HostMemory, SharingStats, SnapshotFile, PAGE_SIZE,
 };
 use fireworks_sim::cost::MemCosts;
 use fireworks_sim::hash::fnv1a;
@@ -245,7 +245,7 @@ fn compare(model: &Model, real: &Real) -> Result<(), String> {
     for (i, snap) in real.snapshots.iter().enumerate() {
         let want = &model.snapshots[i].frames;
         prop_assert_eq!(snap.pages(), want.len());
-        for ((page, m), (real_page, r)) in want.iter().zip(snap.frames()) {
+        for ((page, m), (real_page, r)) in want.iter().zip(&snap.frames()) {
             prop_assert_eq!(page, real_page, "snapshot {} page order", i);
             pair(*m, *r)?;
         }
@@ -295,8 +295,9 @@ fn apply(model: &mut Model, real: &mut Real, (kind, x, y): (u8, u16, u16)) {
             real.spaces[s].write((page * PAGE_SIZE + offset) as u64, &bytes);
             model.write(s, page, offset, &bytes);
         }
-        1 => {
-            let pages = (1 + x % 5).min(PAGES - page);
+        1 | 12 => {
+            // Short touches, and long ones whose unmapped pages form runs.
+            let pages = (1 + x % if kind == 1 { 5 } else { 24 }).min(PAGES - page);
             real.spaces[s].touch_dirty((page * PAGE_SIZE) as u64, (pages * PAGE_SIZE) as u64);
             (page..page + pages).for_each(|p| _ = model.frame_for_write(s, p));
         }
@@ -333,9 +334,9 @@ fn apply(model: &mut Model, real: &mut Real, (kind, x, y): (u8, u16, u16)) {
         7 if !real.snapshots.is_empty() => {
             // A twin image over the same frames, as a dedup store builds.
             let snap = &real.snapshots[y % real.snapshots.len()];
-            let frames = snap.frames().to_vec();
-            frames.iter().for_each(|(_, f)| real.host.retain(*f));
-            let twin = SnapshotFile::from_mapped(&real.host, SPACE_BYTES, frames, Vec::new());
+            let extents: Vec<Extent> = snap.extents().collect();
+            extents.iter().for_each(|e| real.host.retain_extent(e));
+            let twin = SnapshotFile::from_mapped(&real.host, SPACE_BYTES, extents, Vec::new());
             real.snapshots.push(twin);
             let frames = model.snapshots[y % model.snapshots.len()].frames.clone();
             frames.iter().for_each(|(_, f)| model.retain(*f));
@@ -378,6 +379,12 @@ fn apply(model: &mut Model, real: &mut Real, (kind, x, y): (u8, u16, u16)) {
                 let run = &real.snapshots[snap].frames()[from..to];
                 run.iter().for_each(|(_, f)| real.host.retain(*f));
                 frames.extend_from_slice(run);
+                let frames = frames.into_iter().map(|(page, frame)| Extent {
+                    page,
+                    frame,
+                    len: 1,
+                });
+                let frames = frames.collect();
                 let co = SnapshotFile::from_mapped(&real.host, SPACE_BYTES, frames, Vec::new());
                 real.snapshots.push(co);
                 model.zero_fills += fresh as u64;
@@ -388,6 +395,47 @@ fn apply(model: &mut Model, real: &mut Real, (kind, x, y): (u8, u16, u16)) {
                 model.seal(frames, true);
             }
         }
+        13 | 14 => {
+            // One frame of a run diverges: a reference taken and dropped
+            // again (the run is cut, then whole again), or a poke.
+            if let Some((page, frame)) = real.spaces[s].mapped().nth(y % PAGES) {
+                let m = model.spaces[s][page].expect("same page tables");
+                if kind == 13 {
+                    real.host.retain(frame);
+                    real.host.release(frame);
+                } else {
+                    let mut byte = [0u8];
+                    real.host.read_frame(frame, 0, &mut byte);
+                    real.host.poke_frame(frame, 0, &[byte[0] ^ 0xff]);
+                    let e = model.frames.get_mut(&m).expect("live frame");
+                    e.data.get_or_insert_with(|| vec![0u8; PAGE_SIZE])[0] ^= 0xff;
+                }
+            }
+        }
+        15 => {
+            // An image over frames that are not consecutive: frames the
+            // free list hands out one by one, then a run's frames listed
+            // backwards.
+            let n = 1 + x % 8;
+            let mut run = AddressSpace::new(real.host.clone(), SPACE_BYTES);
+            run.touch_dirty(0, (n * PAGE_SIZE) as u64);
+            let mut backwards: Vec<FrameId> = run.mapped().map(|(_, f)| f).collect();
+            backwards.reverse();
+            backwards.iter().for_each(|f| real.host.retain(*f));
+            drop(run);
+            let fresh = (0..n).map(|_| real.host.alloc_zero()).chain(backwards);
+            let frames = fresh.enumerate().map(|(page, frame)| Extent {
+                page,
+                frame,
+                len: 1,
+            });
+            let listed =
+                SnapshotFile::from_mapped(&real.host, SPACE_BYTES, frames.collect(), Vec::new());
+            real.snapshots.push(listed);
+            model.zero_fills += 2 * n as u64;
+            let frames = (0..2 * n).map(|page| (page, model.alloc(None))).collect();
+            model.seal(frames, true);
+        }
         _ => {}
     }
 }
@@ -397,25 +445,30 @@ proptest! {
 
     /// Model and implementation agree on everything observable after
     /// every step of a random interleaving of writes, accounting-only
-    /// touches, shared mappings, captures (of booted spaces and of
-    /// restored clones), `from_mapped` twins and partial shifted
-    /// co-listers, restores, raw references, corruption, and drops of
-    /// files and clones in any order.
+    /// touches (short, and long enough that runs form), shared mappings,
+    /// captures (of booted spaces and of restored clones), `from_mapped`
+    /// twins, partial shifted co-listers and lists of frames that are not
+    /// consecutive, restores, raw references, one frame of a run
+    /// diverging (a reference taken and dropped, a poke), corruption, and
+    /// drops of files and clones in any order.
     #[test]
     fn lazy_groups_match_the_eager_model(
         base_pages in 1usize..PAGES,
-        ops in proptest::collection::vec((0u8..12, any::<u16>(), any::<u16>()), 1..64),
+        ops in proptest::collection::vec((0u8..16, any::<u16>(), any::<u16>()), 1..64),
     ) {
         let clock = Clock::new();
         let host = HostMemory::new(clock.clone(), 1 << 32, 60);
         let (spaces, snapshots, raw) = (Vec::new(), Vec::new(), Vec::new());
         let mut real = Real { clock, host, spaces, snapshots, raw };
         let mut model = Model::default();
-        // Start where the platform lives: a booted image with two clones
-        // and (two cases in three) the booted VM already gone.
-        let boot = (0..base_pages).step_by(5).map(|page| (1, 4, page as u16));
+        // Start where the platform lives: a booted image (runs of up to 24
+        // untouched pages, one page written) with two clones and (two
+        // cases in three) the booted VM already gone.
+        let boot = (0..base_pages).step_by(24).map(|page| (12, 23, page as u16));
+        let written = (0, 7, (base_pages / 2) as u16);
         let source = if base_pages % 3 == 0 { 11 } else { 5 };
-        for op in boot.chain([(3, 0, 0), (4, 0, 0), (4, 0, 0), (source, 0, 0)]) {
+        let captured = [written, (3, 0, 0), (4, 0, 0), (4, 0, 0), (source, 0, 0)];
+        for op in boot.chain(captured) {
             apply(&mut model, &mut real, op);
         }
         compare(&model, &real)?;

@@ -172,10 +172,8 @@ proptest! {
         base.touch_dirty(0, (base_pages * PAGE_SIZE) as u64);
         let first = SnapshotFile::capture(&base, Vec::new());
         // `from_mapped` consumes one owner reference per frame.
-        for (_, frame) in first.frames() {
-            h.retain(*frame);
-        }
-        let twin = SnapshotFile::from_mapped(&h, SPACE_BYTES, first.frames().to_vec(), Vec::new());
+        first.extents().for_each(|e| h.retain_extent(&e));
+        let twin = SnapshotFile::from_mapped(&h, SPACE_BYTES, first.extents().collect(), Vec::new());
         let mut snapshots = vec![first, twin];
         let mut spaces = vec![base, snapshots[0].restore(&h), snapshots[1].restore(&h)];
 

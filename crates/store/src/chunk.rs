@@ -16,16 +16,16 @@
 use std::collections::BTreeMap;
 
 use fireworks_guestmem::{
-    ChunkHash, ChunkRef, FrameId, HostMemory, SnapshotFile, SnapshotManifest,
+    ChunkHash, ChunkRef, Extent, HostMemory, SnapshotFile, SnapshotManifest, PAGE_SIZE,
 };
 use fireworks_obs::Obs;
 
-/// One stored chunk: the canonical (guest page, host frame) run plus its
+/// One stored chunk: the canonical pages (as runs of frames) plus its
 /// manifest reference count.
 #[derive(Debug)]
 struct ChunkEntry {
     /// Canonical frames, pinned in the store's host frame table.
-    frames: Vec<(usize, FrameId)>,
+    frames: Vec<Extent>,
     /// Bytes this chunk covers.
     bytes: u64,
     /// How many ingested manifests reference this chunk.
@@ -104,44 +104,52 @@ impl ChunkStore {
     /// snapshot's frames as the canonical copy), and bumps reference
     /// counts on chunks already stored.
     ///
-    /// Returns the manifest together with a *canonical frame list* — the
+    /// Returns the manifest together with a *canonical page list* — the
     /// snapshot's page layout remapped onto the store's canonical frames,
-    /// with one owner reference per frame held for the caller. Feeding
-    /// that list to [`SnapshotFile::from_mapped`] yields a snapshot
-    /// backed entirely by store chunks, so dropping the originally
-    /// captured file physically deduplicates host memory.
+    /// as runs, with one owner reference per frame held for the caller.
+    /// Feeding that list to [`SnapshotFile::from_mapped`] yields a
+    /// snapshot backed entirely by store chunks, so dropping the
+    /// originally captured file physically deduplicates host memory.
     pub fn ingest_snapshot(
         &mut self,
         snap: &SnapshotFile,
         chunk_pages: usize,
-    ) -> (SnapshotManifest, Vec<(usize, FrameId)>) {
+    ) -> (SnapshotManifest, Vec<Extent>) {
         let manifest = snap.manifest(chunk_pages);
-        let mut canonical = Vec::with_capacity(snap.frames().len());
-        let mut start = 0usize;
+        let (mut canonical, mut pinned) = (Vec::new(), Vec::new());
+        let (mut extents, mut rest) = (snap.extents(), None::<Extent>);
         let mut hits = 0u64;
         let mut inserts = 0u64;
         for chunk in &manifest.chunks {
-            let run = &snap.frames()[start..start + chunk.pages];
+            // The chunk's pages: the next `chunk.pages` of the list.
+            let (mut run, mut need) = (Vec::new(), chunk.pages);
+            while need > 0 {
+                let mut e = rest
+                    .take()
+                    .or_else(|| extents.next())
+                    .expect("chunks cover the list");
+                let head = e.take_front(need.min(e.len));
+                need -= head.len;
+                run.push(head);
+                rest = Some(e).filter(|e| e.len > 0);
+            }
             match self.chunks.entry(chunk.hash) {
                 std::collections::btree_map::Entry::Occupied(mut e) => {
                     e.get_mut().refs += 1;
                     hits += 1;
-                    canonical.extend_from_slice(&e.get().frames);
+                    append_joined(&mut canonical, &e.get().frames);
                 }
                 std::collections::btree_map::Entry::Vacant(v) => {
-                    for (_, frame) in run {
-                        self.host.pin(*frame);
-                    }
+                    append_joined(&mut pinned, &run);
+                    append_joined(&mut canonical, &run);
                     v.insert(ChunkEntry {
-                        frames: run.to_vec(),
+                        frames: run,
                         bytes: chunk.bytes,
                         refs: 1,
                     });
                     inserts += 1;
-                    canonical.extend_from_slice(run);
                 }
             }
-            start += chunk.pages;
         }
         self.dedup_hits += hits;
         self.inserts += inserts;
@@ -151,9 +159,9 @@ impl ChunkStore {
         if inserts > 0 {
             self.count("store.chunks.inserts", inserts);
         }
-        for (_, frame) in &canonical {
-            self.host.retain(*frame);
-        }
+        // A run of chunks is pinned, and handed out, as one extent.
+        pinned.iter().for_each(|e| self.host.pin_extent(e));
+        canonical.iter().for_each(|e| self.host.retain_extent(e));
         self.record_gauges();
         (manifest, canonical)
     }
@@ -196,33 +204,32 @@ impl ChunkStore {
             .sum()
     }
 
-    /// The canonical frame run stored for `hash` (the transfer source
-    /// reads these frames to ship the chunk).
-    pub fn chunk_frames(&self, hash: ChunkHash) -> Option<&[(usize, FrameId)]> {
+    /// The canonical pages stored for `hash`, as runs of frames (the
+    /// transfer source reads these frames to ship the chunk).
+    pub fn chunk_frames(&self, hash: ChunkHash) -> Option<&[Extent]> {
         self.chunks.get(&hash).map(|e| e.frames.as_slice())
     }
 
     /// Stores a chunk received from a peer. `frames` carry one owner
     /// reference each (e.g. fresh from
-    /// [`HostMemory::clone_frame_from`]); the store converts those into
+    /// [`HostMemory::copy_extent_from`]); the store converts those into
     /// canonical pins. If the chunk raced in by another path, the
     /// caller's copies are simply released and the stored copy gains a
     /// reference.
-    pub fn ingest_remote_chunk(&mut self, hash: ChunkHash, frames: Vec<(usize, FrameId)>) {
+    pub fn ingest_remote_chunk(&mut self, hash: ChunkHash, frames: Vec<Extent>) {
         let hit = match self.chunks.entry(hash) {
             std::collections::btree_map::Entry::Occupied(mut e) => {
                 e.get_mut().refs += 1;
-                for (_, frame) in &frames {
-                    self.host.release(*frame);
-                }
+                frames.iter().for_each(|e| self.host.release_extent(e));
                 true
             }
             std::collections::btree_map::Entry::Vacant(v) => {
-                let bytes = (frames.len() * fireworks_guestmem::PAGE_SIZE) as u64;
-                for (_, frame) in &frames {
+                let pages: usize = frames.iter().map(|e| e.len).sum();
+                let bytes = (pages * PAGE_SIZE) as u64;
+                for e in &frames {
                     // Convert the caller's owner reference into a pin.
-                    self.host.pin(*frame);
-                    self.host.release(*frame);
+                    self.host.pin_extent(e);
+                    self.host.release_extent(e);
                 }
                 v.insert(ChunkEntry {
                     frames,
@@ -260,21 +267,21 @@ impl ChunkStore {
         mut per_chunk: impl FnMut(&ChunkRef) -> bool,
     ) -> bool {
         let missing = self.missing_chunks(manifest);
-        let mut staged: Vec<(ChunkHash, Vec<(usize, FrameId)>)> = Vec::new();
+        let mut staged: Vec<(ChunkHash, Vec<Extent>)> = Vec::new();
         for &idx in &missing {
             let chunk = &manifest.chunks[idx];
             let run = per_chunk(chunk)
                 .then(|| donor.chunk_frames(chunk.hash))
                 .flatten();
             let Some(run) = run else {
-                for (_, f) in staged.iter().flat_map(|(_, frames)| frames) {
-                    self.host.release(*f);
+                for e in staged.iter().flat_map(|(_, frames)| frames) {
+                    self.host.release_extent(e);
                 }
                 return false;
             };
             let frames = run
                 .iter()
-                .map(|&(page, f)| (page, self.host.clone_frame_from(&donor.host, f)))
+                .map(|e| self.host.copy_extent_from(&donor.host, *e))
                 .collect();
             staged.push((chunk.hash, frames));
         }
@@ -290,21 +297,16 @@ impl ChunkStore {
         true
     }
 
-    /// Assembles the full frame list for a registered manifest from
-    /// stored chunks, giving the caller one owner reference per frame
-    /// (for [`SnapshotFile::from_mapped`]). Returns `None` if any chunk
-    /// is still missing.
-    pub fn claim_manifest_frames(
-        &self,
-        manifest: &SnapshotManifest,
-    ) -> Option<Vec<(usize, FrameId)>> {
-        let mut frames = Vec::with_capacity(manifest.total_pages());
+    /// Assembles the full page list for a registered manifest from
+    /// stored chunks, as runs of frames, giving the caller one owner
+    /// reference per frame (for [`SnapshotFile::from_mapped`]). Returns
+    /// `None` if any chunk is still missing.
+    pub fn claim_manifest_frames(&self, manifest: &SnapshotManifest) -> Option<Vec<Extent>> {
+        let mut frames = Vec::new();
         for chunk in &manifest.chunks {
-            frames.extend_from_slice(self.chunks.get(&chunk.hash)?.frames.as_slice());
+            append_joined(&mut frames, &self.chunks.get(&chunk.hash)?.frames);
         }
-        for (_, frame) in &frames {
-            self.host.retain(*frame);
-        }
+        frames.iter().for_each(|e| self.host.retain_extent(e));
         Some(frames)
     }
 
@@ -313,19 +315,19 @@ impl ChunkStore {
     /// the store; bytes still mapped by live clones stay resident until
     /// those clones exit, exactly like page-cache eviction under mmap.
     pub fn release_manifest(&mut self, manifest: &SnapshotManifest) {
+        let mut unpinned = Vec::new();
         for chunk in &manifest.chunks {
             let Some(e) = self.chunks.get_mut(&chunk.hash) else {
                 continue;
             };
             e.refs -= 1;
             if e.refs == 0 {
-                for (_, frame) in &e.frames {
-                    self.host.unpin(*frame);
-                }
+                append_joined(&mut unpinned, &e.frames);
                 self.chunks.remove(&chunk.hash);
                 self.count("store.chunks.evictions", 1);
             }
         }
+        unpinned.iter().for_each(|e| self.host.unpin_extent(e));
         self.record_gauges();
     }
 
@@ -384,12 +386,21 @@ impl ChunkStore {
     }
 }
 
+/// Appends `extents` to `list`, each joined to the one before it where
+/// it continues it.
+fn append_joined(list: &mut Vec<Extent>, extents: &[Extent]) {
+    for e in extents {
+        match list.last_mut() {
+            Some(last) if last.continued_by(e) => last.len += e.len,
+            _ => list.push(*e),
+        }
+    }
+}
+
 impl Drop for ChunkStore {
     fn drop(&mut self) {
         for e in self.chunks.values() {
-            for (_, frame) in &e.frames {
-                self.host.unpin(*frame);
-            }
+            e.frames.iter().for_each(|e| self.host.unpin_extent(e));
         }
     }
 }
@@ -427,8 +438,8 @@ mod tests {
         assert_eq!(stats.logical_bytes, 2 * stats.unique_bytes);
         assert!(store.dedup_ratio() > 1.9);
         // Clean up claimed references so Drop's pin audit balances.
-        for (_, f) in _fa.iter().chain(_fb.iter()) {
-            h.release(*f);
+        for e in _fa.iter().chain(_fb.iter()) {
+            h.release_extent(e);
         }
     }
 
@@ -462,8 +473,8 @@ mod tests {
         let mut dst = ChunkStore::new(h_dst.clone());
         let snap = snapshot_with(&h_src, 3, 8);
         let (manifest, claimed) = src.ingest_snapshot(&snap, 4);
-        for (_, f) in &claimed {
-            h_src.release(*f);
+        for e in &claimed {
+            h_src.release_extent(e);
         }
 
         assert_eq!(dst.missing_bytes(&manifest), manifest.total_bytes());
@@ -473,9 +484,9 @@ mod tests {
         for idx in dst.missing_chunks(&manifest) {
             let hash = manifest.chunks[idx].hash;
             let run = src.chunk_frames(hash).expect("source holds chunk");
-            let copied: Vec<(usize, FrameId)> = run
+            let copied = run
                 .iter()
-                .map(|(page, f)| (*page, h_dst.clone_frame_from(&h_src, *f)))
+                .map(|e| h_dst.copy_extent_from(&h_src, *e))
                 .collect();
             dst.ingest_remote_chunk(hash, copied);
         }
@@ -500,12 +511,8 @@ mod tests {
         // dst already holds the first of the donor's three chunks.
         let (_, held) = dst.ingest_snapshot(&snapshot_with(&h_dst, 3, 4), 4);
         let (manifest, claimed) = src.ingest_snapshot(&snapshot_with(&h_src, 3, 12), 4);
-        for (_, f) in &held {
-            h_dst.release(*f);
-        }
-        for (_, f) in &claimed {
-            h_src.release(*f);
-        }
+        held.iter().for_each(|e| h_dst.release_extent(e));
+        claimed.iter().for_each(|e| h_src.release_extent(e));
         assert_eq!(dst.missing_chunks(&manifest), vec![1, 2]);
 
         // The transfer dies on the second missing chunk: the first one's
@@ -537,8 +544,8 @@ mod tests {
         let b = snapshot_with(&h, 2, 8);
         let (ma, fa) = store.ingest_snapshot(&a, 4);
         let (mb, fb) = store.ingest_snapshot(&b, 4);
-        for (_, f) in fa.iter().chain(fb.iter()) {
-            h.release(*f);
+        for e in fa.iter().chain(fb.iter()) {
+            h.release_extent(e);
         }
         assert_eq!(store.stats().unique_chunks, 4);
         store.release_manifest(&ma);
@@ -558,8 +565,8 @@ mod tests {
         let b = snapshot_with(&h, 1, 8);
         let (ma, fa) = store.ingest_snapshot(&a, 4);
         let (_, fb) = store.ingest_snapshot(&b, 4);
-        for (_, f) in fa.iter().chain(fb.iter()) {
-            h.release(*f);
+        for e in fa.iter().chain(fb.iter()) {
+            h.release_extent(e);
         }
         let ledger = store.chunk_refcounts();
         assert_eq!(ledger.len(), 2);
@@ -578,17 +585,17 @@ mod tests {
         let mut store = ChunkStore::new(h.clone());
         let snap = snapshot_with(&h, 5, 4);
         let (manifest, claimed) = store.ingest_snapshot(&snap, 4);
-        for (_, f) in &claimed {
-            h.release(*f);
+        for e in &claimed {
+            h.release_extent(e);
         }
         let hash = manifest.chunks[0].hash;
         let live = h.live_frames();
-        let copies: Vec<(usize, FrameId)> = store
+        let copies = store
             .chunk_frames(hash)
             .unwrap()
             .to_vec()
             .iter()
-            .map(|(p, f)| (*p, h.clone_frame_from(&h, *f)))
+            .map(|e| h.copy_extent_from(&h, *e))
             .collect();
         store.ingest_remote_chunk(hash, copies);
         assert_eq!(h.live_frames(), live, "duplicate copies freed");
