@@ -6,10 +6,13 @@
 //! the operand [`Class`] its type feedback saw (a *guard*). Quickening is
 //! 1:1 — the same op at the same index — so jump targets stay valid and a
 //! failed guard deoptimises by carrying on in the generic code at that index.
+//! Compiled code then *fuses* common runs of quickened ops: the fused op
+//! takes the index of the run's first op and the rest of the run stays in
+//! place after it ([`Op::parts`]).
 
 use std::fmt;
 
-use crate::value::Value;
+use crate::tagged::TaggedValue;
 
 /// Built-in pure functions executed directly by the VM.
 ///
@@ -221,6 +224,50 @@ pub enum Op {
     /// Property store `base.name = v`; stack is `base, value`.
     /// Shares the inline-cache machinery with [`Op::GetProp`].
     SetProp(u16),
+
+    // Fused ops: compiled code only. Each names the plain ops it stands
+    // for; an `int` or `arr` guard is `Some(Class::IntInt)` or
+    // `Some(Class::ArrInt)`, and `kind` an ordering where a jump follows.
+    /// `LocalsCompareJump(a, b, kind, target)`:
+    /// `LoadLocal(a) LoadLocal(b) Binary { kind, int } JumpIfFalse(target)`.
+    LocalsCompareJump(u8, u8, BinKind, u32),
+    /// `LocalConstStore(slot, c, kind, dst)`:
+    /// `LoadLocal(slot) Const(c) Binary { kind, int } StoreLocal(dst)`.
+    LocalConstStore(u16, u16, BinKind, u16),
+    /// `LocalsBinary(a, b, kind)`: `LoadLocal(a) LoadLocal(b) Binary { kind, int }`.
+    LocalsBinary(u16, u16, BinKind),
+    /// `LocalConstBinary(slot, c, kind)`: `LoadLocal(slot) Const(c) Binary { kind, int }`.
+    LocalConstBinary(u16, u16, BinKind),
+    /// `CompareJump(kind, target)`: `Binary { kind, int } JumpIfFalse(target)`.
+    CompareJump(BinKind, u32),
+    /// `EqJump(target)`: `Eq JumpIfFalse(target)`.
+    EqJump(u32),
+    /// `BinaryStore(kind, slot)`: `Binary { kind, int } StoreLocal(slot)`.
+    BinaryStore(BinKind, u16),
+    /// `LocalsIndex(a, b)`: `LoadLocal(a) LoadLocal(b) Index { arr }`.
+    LocalsIndex(u16, u16),
+    /// `LocalIndex(slot)`: `LoadLocal(slot) Index { arr }`.
+    LocalIndex(u16),
+    /// `LocalGetProp(slot, c)`: `LoadLocal(slot) GetProp(c)`.
+    LocalGetProp(u16, u16),
+}
+
+impl Op {
+    /// How many plain ops this op stands for: 1, or a fused op's run
+    /// length. A fused op sits at the index of its run's first op, and
+    /// the others follow it unchanged.
+    pub fn parts(&self) -> usize {
+        match self {
+            Op::LocalsCompareJump(..) | Op::LocalConstStore(..) => 4,
+            Op::LocalsBinary(..) | Op::LocalConstBinary(..) | Op::LocalsIndex(..) => 3,
+            Op::CompareJump(..)
+            | Op::EqJump(_)
+            | Op::BinaryStore(..)
+            | Op::LocalIndex(_)
+            | Op::LocalGetProp(..) => 2,
+            _ => 1,
+        }
+    }
 }
 
 /// The compiled body of one function.
@@ -234,8 +281,8 @@ pub struct Chunk {
     pub n_locals: u16,
     /// Instructions.
     pub ops: Vec<Op>,
-    /// Constant pool.
-    pub consts: Vec<Value>,
+    /// Constant pool, as the words `Op::Const` pushes.
+    pub consts: Vec<TaggedValue>,
 }
 
 impl Chunk {
@@ -294,7 +341,7 @@ mod tests {
             arity: 0,
             n_locals: 1,
             ops: vec![Op::Const(0), Op::Return],
-            consts: vec![Value::Int(42)],
+            consts: vec![TaggedValue::int(42)],
         };
         let text = chunk.disassemble();
         assert!(text.contains("Const(0)"));

@@ -6,6 +6,7 @@ use std::rc::Rc;
 use crate::ast::{BinOp, Expr, FnDecl, Item, Stmt, Target, UnOp};
 use crate::bytecode::{BinKind, Builtin, Chunk, Op};
 use crate::error::LangError;
+use crate::tagged::TaggedValue;
 use crate::value::Value;
 
 /// Name of the synthetic function holding top-level statements.
@@ -56,6 +57,7 @@ struct FnCompiler<'p> {
     fn_index: &'p HashMap<String, usize>,
     globals: &'p HashMap<String, u16>,
     ops: Vec<Op>,
+    /// Deduplicated by exact kind (`add_const`); tagged once by `finish`.
     consts: Vec<Value>,
     /// Lexical scopes: each is a list of (name, slot).
     scopes: Vec<Vec<(String, u16)>>,
@@ -440,7 +442,7 @@ impl<'p> FnCompiler<'p> {
             arity,
             n_locals: self.n_locals,
             ops: self.ops,
-            consts: self.consts,
+            consts: self.consts.into_iter().map(TaggedValue::from).collect(),
         })
     }
 }
@@ -640,7 +642,7 @@ mod tests {
         let ones = chunk
             .consts
             .iter()
-            .filter(|c| matches!(c, Value::Int(1)))
+            .filter(|c| c.as_int() == Some(1))
             .count();
         assert_eq!(ones, 1);
     }
@@ -677,7 +679,7 @@ mod tests {
         // The property name lives in the constant pool for the IC site.
         for op in &chunk.ops {
             if let Op::GetProp(c) | Op::SetProp(c) = op {
-                assert!(matches!(&chunk.consts[*c as usize], Value::Str(_)));
+                assert!(chunk.consts[*c as usize].as_str().is_some());
             }
         }
         // Computed indexing stays on the generic path.

@@ -12,7 +12,7 @@
 use super::{Site, Vm};
 use crate::error::LangError;
 use crate::tagged::TaggedValue;
-use crate::value::{Map, Value};
+use crate::value::Map;
 
 /// A shape a site has seen, and where the site's key sits in maps of that
 /// shape ([`ABSENT`] when they lack it).
@@ -126,11 +126,11 @@ impl Vm {
     fn prop<R>(
         &mut self,
         at: Site,
-        key: &Value,
+        key: &TaggedValue,
         store: bool,
         access: impl FnOnce(&mut Map, &str, Option<usize>) -> R,
     ) -> Result<R, LangError> {
-        let Value::Str(key) = key else {
+        let Some(key) = key.as_str() else {
             return Err(LangError::runtime(format!(
                 "property name must be a string, got {}",
                 key.type_name()
@@ -154,7 +154,7 @@ impl Vm {
                 site.hits += 1;
                 self.stats.ic_hits += 1;
                 match map.entry_at(offset as usize) {
-                    Some((k, _)) if k == &**key => Some(offset as usize),
+                    Some((k, _)) if k == key => Some(offset as usize),
                     // A shape word is a hash: another key set may share it.
                     _ => map.position(key),
                 }
@@ -181,7 +181,7 @@ impl Vm {
 
     /// `base.name`: the base on top of the stack becomes the value.
     #[inline(never)]
-    pub(super) fn get_prop(&mut self, at: Site, key: &Value) -> Result<(), LangError> {
+    pub(super) fn get_prop(&mut self, at: Site, key: &TaggedValue) -> Result<(), LangError> {
         let load = |map: &mut Map, _: &str, offset: Option<usize>| match offset {
             Some(i) => TaggedValue::from_value(map.entry_at(i).expect("offset in map").1.clone()),
             None => TaggedValue::null(),
@@ -200,7 +200,7 @@ impl Vm {
 
     /// `base.name = value`; the stack is `base, value`.
     #[inline(never)]
-    pub(super) fn set_prop(&mut self, at: Site, key: &Value) -> Result<(), LangError> {
+    pub(super) fn set_prop(&mut self, at: Site, key: &TaggedValue) -> Result<(), LangError> {
         let value = self.pop().into_value();
         let store = |map: &mut Map, key: &str, offset: Option<usize>| match offset {
             Some(i) => map.set_at(i, value),

@@ -7,6 +7,8 @@
 //! same op implementations as the interpreter. What a tier changes is what
 //! [`Vm::observe`] does at a guardable site and which counter an op retires
 //! on — the speed gap itself is the runtime profile's virtual per-op cost.
+//! On the host, compiled code is faster by its fused ops ([`fuse`]), which
+//! retire as the ops they stand for.
 
 use std::rc::Rc;
 
@@ -55,7 +57,7 @@ pub(super) struct FnState {
     back_edges: u32,
     pub(super) tier: Tier,
     /// Per-site union of the [`Class`] bits observed outside compiled code.
-    feedback: Vec<u8>,
+    pub(super) feedback: Vec<u8>,
     compiles: u32,
     banned: bool,
     /// Inline caches indexed by op index: empty until the function's first
@@ -183,7 +185,7 @@ impl Vm {
         let st = &mut self.fn_states[func];
         st.compiles += 1;
         st.code_bytes = cost;
-        st.tier = Tier::Compiled(level, Rc::new(quicken(&chunk, &st.feedback)));
+        st.tier = Tier::Compiled(level, Rc::new(fuse(quicken(&chunk, &st.feedback))));
     }
 
     /// Evicts the least-recently-executed compiled function (other than
@@ -283,7 +285,7 @@ fn guardable(op: &Op) -> &'static [Class] {
 /// it has a compiled form for gets that class as its guard; everything
 /// else is copied. Output length equals input length, so jump targets and
 /// deopt indices remain valid.
-fn quicken(chunk: &Chunk, feedback: &[u8]) -> Vec<Op> {
+pub(super) fn quicken(chunk: &Chunk, feedback: &[u8]) -> Vec<Op> {
     let mut code = chunk.ops.clone();
     for (i, op) in code.iter_mut().enumerate() {
         let seen = feedback.get(i).copied().unwrap_or(0);
@@ -293,4 +295,68 @@ fn quicken(chunk: &Chunk, feedback: &[u8]) -> Vec<Op> {
         }
     }
     code
+}
+
+/// The peephole pass over quickened code: writes a fused op over the first
+/// op of each run [`fused`] knows, left to right, and leaves the run's
+/// other ops in place — except where a jump lands inside the run. Compiled
+/// code therefore keeps the chunk's length, jump targets, IC sites,
+/// feedback slots and deopt indices, and a fused op that cannot take its
+/// fast path runs as the op it overwrote.
+pub(super) fn fuse(mut code: Vec<Op>) -> Vec<Op> {
+    let mut landing = vec![false; code.len()];
+    for op in &code {
+        if let Op::Jump(t) | Op::JumpIfFalse(t) | Op::JumpIfFalsePeek(t) | Op::JumpIfTruePeek(t) =
+            *op
+        {
+            landing[t as usize] = true;
+        }
+    }
+    let mut i = 0;
+    while i < code.len() {
+        match fused(&code[i..]) {
+            Some(op) if !landing[i + 1..i + op.parts()].contains(&true) => {
+                code[i] = op;
+                i += op.parts();
+            }
+            _ => i += 1,
+        }
+    }
+    code
+}
+
+/// The fused op over the plain ops `ops` starts with, if they are one of
+/// the idioms that dominate the benchmark guests' hot loops (the longest
+/// first). Arithmetic and orderings fuse only int-guarded, index loads only
+/// array-guarded: those are the guards a fused op has a fast path for.
+pub(super) fn fused(ops: &[Op]) -> Option<Op> {
+    use BinKind::{Ge, Gt, Le, Lt};
+    use Op::*;
+    const INT: Option<Class> = Some(Class::IntInt);
+    const ARR: Option<Class> = Some(Class::ArrInt);
+    Some(match *ops {
+        [LoadLocal(a), LoadLocal(b), Binary {
+            kind: kind @ (Lt | Le | Gt | Ge),
+            guard: INT,
+        }, JumpIfFalse(target), ..]
+            if a <= u8::MAX.into() && b <= u8::MAX.into() =>
+        {
+            LocalsCompareJump(a as u8, b as u8, kind, target)
+        }
+        [LoadLocal(a), Const(c), Binary { kind, guard: INT }, StoreLocal(dst), ..] => {
+            LocalConstStore(a, c, kind, dst)
+        }
+        [LoadLocal(a), LoadLocal(b), Binary { kind, guard: INT }, ..] => LocalsBinary(a, b, kind),
+        [LoadLocal(a), LoadLocal(b), Index { guard: ARR }, ..] => LocalsIndex(a, b),
+        [LoadLocal(a), Const(c), Binary { kind, guard: INT }, ..] => LocalConstBinary(a, c, kind),
+        [LoadLocal(a), Index { guard: ARR }, ..] => LocalIndex(a),
+        [LoadLocal(a), GetProp(c), ..] => LocalGetProp(a, c),
+        [Binary {
+            kind: kind @ (Lt | Le | Gt | Ge),
+            guard: INT,
+        }, JumpIfFalse(target), ..] => CompareJump(kind, target),
+        [Eq, JumpIfFalse(target), ..] => EqJump(target),
+        [Binary { kind, guard: INT }, StoreLocal(a), ..] => BinaryStore(kind, a),
+        _ => return None,
+    })
 }

@@ -9,6 +9,8 @@
 //! the mistake), mirroring speculative optimisation in V8 and
 //! annotation-driven compilation in Numba. Every op has one implementation
 //! for all tiers (`ops`, `ic`); what a tier changes is bookkeeping (`jit`).
+//! Compiled code also holds fused ops, which run common runs of ops in one
+//! dispatch through those implementations and retire as the ops they fuse.
 //!
 //! The VM is resumable: executing the `fireworks_snapshot()` host op
 //! suspends it with [`Outcome::Snapshot`]; [`Vm::snapshot_state`] then
@@ -19,7 +21,7 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use crate::bytecode::{Chunk, Op};
+use crate::bytecode::{Chunk, Class, Op};
 use crate::compiler::Program;
 use crate::error::LangError;
 use crate::jit::JitConfig;
@@ -479,6 +481,13 @@ impl Vm {
         self.stack.push(TaggedValue::from_value(v));
     }
 
+    /// Pushes the value in stack slot `at` (a frame's local).
+    #[inline]
+    fn load_local(&mut self, at: usize) {
+        let v = self.stack[at].clone();
+        self.stack.push(v);
+    }
+
     fn peek(&self, depth: usize) -> &TaggedValue {
         &self.stack[self.stack.len() - 1 - depth]
     }
@@ -513,7 +522,10 @@ impl Vm {
                 budget: self.fuel.unwrap_or(u64::MAX),
             };
             let ops = code.as_deref().unwrap_or(&chunk.ops);
-            let end = self.stretch(host, &mut s, &chunk, ops);
+            let end = match level {
+                Some(_) => self.stretch::<true>(host, &mut s, &chunk, ops),
+                None => self.stretch::<false>(host, &mut s, &chunk, ops),
+            };
             self.retire(&s);
             match end? {
                 End::Next => {}
@@ -548,16 +560,18 @@ impl Vm {
     }
 
     /// Runs `ops` — the code of `chunk` in the stretch's tier — from
-    /// `s.ip` until something ends the stretch.
+    /// `s.ip` until something ends the stretch. One copy serves compiled
+    /// code and one the interpreter, whose code holds no fused ops: without
+    /// their arms the interpreter's loop keeps its speed.
     #[inline(always)]
-    fn stretch(
+    fn stretch<const COMPILED: bool>(
         &mut self,
         host: &mut dyn Host,
         s: &mut Stretch,
         chunk: &Chunk,
         ops: &[Op],
     ) -> Result<End, LangError> {
-        let (func, base, compiled) = (s.func, s.base, s.level.is_some());
+        let (func, base, compiled) = (s.func, s.base, COMPILED);
         // A compile, an eviction or a deopt ends the stretch after the op
         // that caused it: the next op is fetched from the new tier.
         macro_rules! end_on_retier {
@@ -567,6 +581,20 @@ impl Vm {
                 }
             };
         }
+        // A fused op takes its fast path only if the fuel left pays for its
+        // parts after the head, which the fast path retires and skips.
+        macro_rules! pays {
+            ($op:expr) => {
+                s.budget - s.retired >= $op.parts() as u64 - 1
+            };
+        }
+        macro_rules! skip {
+            ($op:expr) => {{
+                s.retired += $op.parts() as u64 - 1;
+                s.ip += $op.parts() - 1;
+            }};
+        }
+        let local = move |slot: u16| base + slot as usize;
         loop {
             let ip = s.ip;
             let op = ops[ip];
@@ -582,14 +610,25 @@ impl Vm {
             let at = || Site { func, ip, compiled };
 
             match op {
-                Op::Const(c) => self.push_value(chunk.consts[c as usize].clone()),
-                Op::LoadLocal(slot) => {
-                    let v = self.stack[base + slot as usize].clone();
-                    self.stack.push(v);
+                Op::LocalsCompareJump(..)
+                | Op::LocalConstStore(..)
+                | Op::LocalsBinary(..)
+                | Op::LocalConstBinary(..)
+                | Op::CompareJump(..)
+                | Op::EqJump(_)
+                | Op::BinaryStore(..)
+                | Op::LocalsIndex(..)
+                | Op::LocalIndex(_)
+                | Op::LocalGetProp(..)
+                    if !COMPILED =>
+                {
+                    unreachable!("a fused op in interpreter code")
                 }
+                Op::Const(c) => self.stack.push(chunk.consts[c as usize].clone()),
+                Op::LoadLocal(slot) => self.load_local(local(slot)),
                 Op::StoreLocal(slot) => {
                     let v = self.pop();
-                    self.stack[base + slot as usize] = v;
+                    self.stack[local(slot)] = v;
                 }
                 Op::LoadGlobal(g) => {
                     self.stack.push(self.globals[g as usize].clone());
@@ -669,17 +708,15 @@ impl Vm {
                 }
                 Op::CallHost { name, argc } => {
                     self.stats.host_calls += 1;
-                    let name = match &chunk.consts[name as usize] {
-                        Value::Str(s) => s.clone(),
-                        other => {
-                            return Err(LangError::runtime(format!(
-                                "host-call name must be a string, got {}",
-                                other.type_name()
-                            )))
-                        }
+                    let name = &chunk.consts[name as usize];
+                    let Some(name) = name.as_str() else {
+                        return Err(LangError::runtime(format!(
+                            "host-call name must be a string, got {}",
+                            name.type_name()
+                        )));
                     };
                     let args = self.pop_values(argc as usize);
-                    let result = host.host_call(&name, &args)?;
+                    let result = host.host_call(name, &args)?;
                     self.push_value(result);
                 }
                 Op::Snapshot => {
@@ -731,6 +768,121 @@ impl Vm {
                 Op::SetProp(c) => {
                     self.set_prop(at(), &chunk.consts[c as usize])?;
                     end_on_retier!();
+                }
+
+                // A fused op takes its fast path when running its parts
+                // one at a time would do nothing more: their guards hold
+                // (so `observe` is a no-op), none fails, and the fuel pays
+                // for all of them. Otherwise it runs as its head op, and
+                // dispatch goes on to the parts left in place after it.
+                Op::LocalsCompareJump(a, b, kind, target) => {
+                    let (a, b) = (local(a.into()), local(b.into()));
+                    match (self.stack[a].as_int(), self.stack[b].as_int()) {
+                        (Some(l), Some(r)) if pays!(op) => {
+                            skip!(op);
+                            if !ops::ordered(kind, &l, &r) {
+                                s.ip = target as usize;
+                            }
+                        }
+                        _ => self.load_local(a),
+                    }
+                }
+                Op::LocalConstStore(slot, c, kind, dst) => {
+                    let (l, r) = (&self.stack[local(slot)], &chunk.consts[c as usize]);
+                    match ops::int_binary(kind, l, r) {
+                        Some(v) if pays!(op) => {
+                            self.stack[local(dst)] = v;
+                            skip!(op);
+                        }
+                        _ => self.load_local(local(slot)),
+                    }
+                }
+                Op::LocalsBinary(a, b, kind) => {
+                    let (l, r) = (&self.stack[local(a)], &self.stack[local(b)]);
+                    match ops::int_binary(kind, l, r) {
+                        Some(v) if pays!(op) => {
+                            self.stack.push(v);
+                            skip!(op);
+                        }
+                        _ => self.load_local(local(a)),
+                    }
+                }
+                Op::LocalConstBinary(slot, c, kind) => {
+                    let (l, r) = (&self.stack[local(slot)], &chunk.consts[c as usize]);
+                    match ops::int_binary(kind, l, r) {
+                        Some(v) if pays!(op) => {
+                            self.stack.push(v);
+                            skip!(op);
+                        }
+                        _ => self.load_local(local(slot)),
+                    }
+                }
+                Op::CompareJump(kind, target) => {
+                    match (self.peek(1).as_int(), self.peek(0).as_int()) {
+                        (Some(l), Some(r)) if pays!(op) => {
+                            self.stack.truncate(self.stack.len() - 2);
+                            skip!(op);
+                            if !ops::ordered(kind, &l, &r) {
+                                s.ip = target as usize;
+                            }
+                        }
+                        _ => {
+                            self.binary(at(), kind, Some(Class::IntInt))?;
+                            end_on_retier!();
+                        }
+                    }
+                }
+                Op::EqJump(target) => {
+                    let r = self.pop();
+                    let l = self.pop();
+                    if pays!(op) {
+                        skip!(op);
+                        if l != r {
+                            s.ip = target as usize;
+                        }
+                    } else {
+                        self.stack.push(TaggedValue::bool(l == r));
+                    }
+                }
+                Op::BinaryStore(kind, slot) => {
+                    match ops::int_binary(kind, self.peek(1), self.peek(0)) {
+                        Some(v) if pays!(op) => {
+                            self.stack.truncate(self.stack.len() - 2);
+                            self.stack[local(slot)] = v;
+                            skip!(op);
+                        }
+                        _ => {
+                            self.binary(at(), kind, Some(Class::IntInt))?;
+                            end_on_retier!();
+                        }
+                    }
+                }
+                Op::LocalsIndex(a, b) => {
+                    match ops::element(&self.stack[local(a)], &self.stack[local(b)]) {
+                        Some(v) if pays!(op) => {
+                            self.stack.push(v);
+                            skip!(op);
+                        }
+                        _ => self.load_local(local(a)),
+                    }
+                }
+                Op::LocalIndex(slot) => {
+                    match ops::element(self.peek(0), &self.stack[local(slot)]) {
+                        Some(v) if pays!(op) => {
+                            *self.stack.last_mut().expect("base on stack") = v;
+                            skip!(op);
+                        }
+                        _ => self.load_local(local(slot)),
+                    }
+                }
+                Op::LocalGetProp(slot, c) => {
+                    self.load_local(local(slot));
+                    if self.peek(0).is_map() && pays!(op) {
+                        skip!(op);
+                        let at = Site { ip: ip + 1, ..at() };
+                        self.get_prop(at, &chunk.consts[c as usize])?;
+                        end_on_retier!();
+                    }
                 }
             }
         }

@@ -71,26 +71,17 @@ impl Vm {
     pub(super) fn index(&mut self, at: Site, guard: Option<Class>) -> Result<(), LangError> {
         self.observe(at, guard, index_class(self.peek(1), self.peek(0)));
         let (base, index) = (self.peek(1), self.peek(0));
-        let (Some(a), Some(i)) = (base.as_array(), index.as_int()) else {
-            return self.index_on_values();
-        };
-        let out = {
-            let a = a.borrow();
-            let v = usize::try_from(i).ok().and_then(|i| a.get(i));
-            v.map(|v| TaggedValue::from_value(v.clone()))
-                .ok_or_else(|| out_of_bounds("array", i, a.len()))
+        let Some(v) = element(base, index) else {
+            let (Some(a), Some(i)) = (base.as_array(), index.as_int()) else {
+                return self.index_on_values();
+            };
+            let error = out_of_bounds("array", i, a.borrow().len());
+            self.stack.truncate(self.stack.len() - 2);
+            return Err(error);
         };
         self.pop();
-        match out {
-            Ok(v) => {
-                *self.stack.last_mut().expect("two operands") = v;
-                Ok(())
-            }
-            Err(e) => {
-                self.pop();
-                Err(e)
-            }
-        }
+        *self.stack.last_mut().expect("two operands") = v;
+        Ok(())
     }
 
     /// The non-array half of [`Vm::index`].
@@ -160,9 +151,18 @@ fn out_of_bounds(what: &str, index: i64, len: usize) -> LangError {
     LangError::runtime(format!("{what} index {index} out of bounds (len {len})"))
 }
 
+/// `base[index]` of an array word indexed by an int word, when the index
+/// is in bounds: the array load of [`Vm::index`] and of the fused ops.
+#[inline]
+pub(super) fn element(base: &TaggedValue, index: &TaggedValue) -> Option<TaggedValue> {
+    let a = base.as_array()?.borrow();
+    let v = a.get(usize::try_from(index.as_int()?).ok()?)?;
+    Some(TaggedValue::from_value(v.clone()))
+}
+
 /// `a kind b` for the four ordering operators.
 #[inline]
-fn ordered<T: PartialOrd + ?Sized>(kind: BinKind, a: &T, b: &T) -> bool {
+pub(super) fn ordered<T: PartialOrd + ?Sized>(kind: BinKind, a: &T, b: &T) -> bool {
     match kind {
         BinKind::Lt => a < b,
         BinKind::Le => a <= b,
@@ -184,6 +184,13 @@ fn int_op(kind: BinKind, a: i64, b: i64) -> Result<TaggedValue, LangError> {
         Mod => a.wrapping_rem(b),
         Lt | Le | Gt | Ge => return Ok(TaggedValue::bool(ordered(kind, &a, &b))),
     }))
+}
+
+/// `l kind r` on two int words, unless either is not an int or the op
+/// fails: the int path of [`Vm::binary`] for the fused ops.
+#[inline]
+pub(super) fn int_binary(kind: BinKind, l: &TaggedValue, r: &TaggedValue) -> Option<TaggedValue> {
+    int_op(kind, l.as_int()?, r.as_int()?).ok()
 }
 
 #[cold]

@@ -1124,3 +1124,240 @@ fn string_literals_decode_by_char() {
         Outcome::Done(Value::array(parts.to_vec()))
     );
 }
+
+// ---- fused ops ---------------------------------------------------------------
+
+/// Once `kernel` is compiled its loop holds every fused form: `i < n` and
+/// its branch (`LocalsCompareJump`), `i = i + 1` (`LocalConstStore`),
+/// `j * j` (`LocalsBinary`), `t % 7` (`LocalConstBinary`), `… < j` and its
+/// branch (`CompareJump`), `… == j` and its branch (`EqJump`), `t = … + …`
+/// (`BinaryStore`), `a[j]` (`LocalsIndex`), `…[j]` (`LocalIndex`) and `o.x`
+/// (`LocalGetProp`). The second call's float bound fails the `i < n` guard
+/// inside a fused op.
+const FUSED_SRC: &str = "
+    fn kernel(a, o, n) {
+        let t = 0;
+        for (let i = 0; i < n; i = i + 1) {
+            let j = i % 2;
+            if (t % 7 < j) { t = t + o.x; }
+            if (t % 3 == j) { t = t + j * j; }
+            t = t + a[j][i % 2] + a[j][j];
+        }
+        return t;
+    }
+    fn main(n) {
+        let a = [[1, 2], [3, 4]];
+        let o = { x: 5 };
+        let t = kernel(a, o, n);
+        fireworks_snapshot();
+        return t + kernel(a, o, n + 0.5);
+    }";
+
+const FUSED_HOT: JitPolicy = JitPolicy::HotSpot {
+    call_threshold: 2,
+    loop_threshold: 4,
+};
+
+/// `kernel`'s chunk, its quickened code before the peephole pass and its
+/// compiled code, from a VM suspended at its program's snapshot point.
+fn kernel_code(vm: &Vm) -> (Rc<Chunk>, Vec<Op>, Vec<Op>) {
+    let f = vm.program.function("kernel").expect("kernel exists");
+    let chunk = vm.chunk(f).clone();
+    let Tier::Compiled(_, code) = &vm.fn_states[f].tier else {
+        panic!("kernel is compiled by its back-edges");
+    };
+    let quick = super::jit::quicken(&chunk, &vm.fn_states[f].feedback);
+    (chunk, quick, code.to_vec())
+}
+
+fn suspended(src: &str, policy: JitPolicy, n: i64) -> Vm {
+    let mut vm = Vm::with_policy(Rc::new(compile(src).expect("compiles")), policy);
+    vm.start("main", vec![Value::Int(n)]).expect("starts");
+    assert_eq!(
+        vm.run(&mut TestHost::default()).expect("runs"),
+        Outcome::Snapshot
+    );
+    vm
+}
+
+/// Jump targets of a chunk.
+fn landings(ops: &[Op]) -> Vec<usize> {
+    let target = |op: &Op| match *op {
+        Op::Jump(t) | Op::JumpIfFalse(t) | Op::JumpIfFalsePeek(t) | Op::JumpIfTruePeek(t) => {
+            Some(t as usize)
+        }
+        _ => None,
+    };
+    ops.iter().filter_map(target).collect()
+}
+
+#[test]
+fn fused_code_keeps_the_chunk_length_and_its_parts_in_place() {
+    let vm = suspended(FUSED_SRC, FUSED_HOT, 40);
+    let (chunk, quick, code) = kernel_code(&vm);
+    assert_eq!(code.len(), chunk.ops.len());
+    assert_eq!(super::jit::fuse(quick.clone()), code);
+    let mut forms = Vec::new();
+    let mut i = 0;
+    while i < code.len() {
+        let parts = code[i].parts();
+        if parts == 1 {
+            assert_eq!(code[i], quick[i], "at {i}");
+        } else {
+            // The fused op stands for the quickened run it overwrote, and
+            // every other op of the run is the plain quickened op.
+            assert_eq!(super::jit::fused(&quick[i..]), Some(code[i]), "at {i}");
+            assert_eq!(code[i + 1..i + parts], quick[i + 1..i + parts], "at {i}");
+            assert!(code[i + 1..i + parts].iter().all(|op| op.parts() == 1));
+            forms.push(std::mem::discriminant(&code[i]));
+        }
+        i += parts;
+    }
+    forms.sort_by_key(|form| format!("{form:?}"));
+    forms.dedup();
+    assert_eq!(
+        forms.len(),
+        10,
+        "every fused form:\n{}",
+        chunk.disassemble()
+    );
+}
+
+#[test]
+fn no_jump_lands_inside_a_fused_run() {
+    // `&&` and `||` land their jumps on what follows the right operand:
+    // here the store after a `+` and the branch after a `<`, which would
+    // otherwise be the second parts of a `BinaryStore` and a `CompareJump`.
+    // A `continue` lands on the first op of the loop's step, a run's head.
+    let src = "
+        fn kernel(a, o, n) {
+            let t = 0;
+            for (let i = 0; i < n; i = i + 1) {
+                let j = (i > 2 && t) || i * 2 + t;
+                if (i > 3 || (t + j) < n) { t = t + 1; }
+                if (i % 5 == 0) { continue; }
+                t = t + j;
+            }
+            return t;
+        }
+        fn main(n) {
+            let t = kernel(0, 0, n);
+            fireworks_snapshot();
+            return t;
+        }";
+    let vm = suspended(src, FUSED_HOT, 40);
+    let (chunk, quick, code) = kernel_code(&vm);
+    let landings = landings(&quick);
+    let (mut fused, mut kept_apart) = (0, 0);
+    let mut i = 0;
+    while i < code.len() {
+        // Where the pass left a run unfused, a jump lands inside it.
+        let run = super::jit::fused(&quick[i..]).map_or(1, |op| op.parts());
+        let lands_inside = landings.iter().any(|at| (i + 1..i + run).contains(at));
+        if code[i].parts() > 1 {
+            assert!(!lands_inside, "a jump lands inside the run at {i}");
+            fused += 1;
+        } else if run > 1 {
+            assert!(lands_inside, "the run at {i} was not fused");
+            kept_apart += 1;
+        }
+        i += code[i].parts();
+    }
+    assert_eq!(
+        (fused > 0, kept_apart),
+        (true, 2),
+        "{}",
+        chunk.disassemble()
+    );
+}
+
+/// A run of `src`'s `main(n)` under `policy`, across a snapshot round trip
+/// when `round_trip`: result, ops, inline caches, fuel left.
+fn fused_run(
+    src: &str,
+    policy: JitPolicy,
+    round_trip: bool,
+) -> (Value, u64, IcSummary, Option<u64>) {
+    const FUEL: u64 = 1_000_000;
+    let mut vm = Vm::with_policy(Rc::new(compile(src).expect("compiles")), policy);
+    vm.set_fuel(Some(FUEL));
+    vm.start("main", vec![Value::Int(40)]).expect("starts");
+    let mut ops = 0;
+    let value = loop {
+        match vm.run(&mut TestHost::default()).expect("runs") {
+            Outcome::Done(v) => break v,
+            Outcome::Snapshot if round_trip => {
+                ops += vm.stats().total_ops();
+                let fuel = vm.fuel();
+                vm = Vm::from_snapshot(&vm.snapshot_state());
+                vm.set_fuel(fuel);
+            }
+            Outcome::Snapshot => {}
+        }
+    };
+    ops += vm.stats().total_ops();
+    (value, ops, vm.ic_summary(), vm.fuel())
+}
+
+#[test]
+fn fused_code_retires_and_caches_what_the_interpreter_does() {
+    let reference = fused_run(FUSED_SRC, JitPolicy::Off, false);
+    assert_eq!(reference.3, Some(1_000_000 - reference.1));
+    let annotated = FUSED_SRC.replace("fn kernel", "@jit fn kernel");
+    for (src, policy) in [
+        (FUSED_SRC, FUSED_HOT),
+        (annotated.as_str(), JitPolicy::AnnotatedEager),
+    ] {
+        for round_trip in [false, true] {
+            let run = fused_run(src, policy, round_trip);
+            assert_eq!(run, reference, "{policy:?}, round trip {round_trip}");
+        }
+    }
+    // The compiled runs did run fused code, and the float bound deopted it.
+    let mut vm = suspended(FUSED_SRC, FUSED_HOT, 40);
+    assert!(kernel_code(&vm).2.iter().any(|op| op.parts() > 1));
+    vm.run(&mut TestHost::default()).expect("runs");
+    assert!(vm.stats().deopts >= 1, "{:?}", vm.stats());
+}
+
+/// The constant pool's boxed words own `Rc` counts that every VM built from
+/// one program shares; this test also runs under Miri in CI.
+#[test]
+fn pool_words_outlive_every_clone_and_give_back_their_counts() {
+    let src = r#"fn main(x) {
+        let s = "pool";
+        let big = 140737488355328;
+        fireworks_snapshot();
+        return s + str(big + x) + "!";
+    }"#;
+    let program = Rc::new(compile(src).expect("compiles"));
+    let chunk = program.functions[program.function("main").expect("main")]
+        .chunk
+        .clone();
+    let str_counts = || -> usize {
+        let count = |c: &TaggedValue| match c.to_value() {
+            Value::Str(s) => Rc::strong_count(&s),
+            _ => 0,
+        };
+        chunk.consts.iter().map(count).sum()
+    };
+    let before = str_counts();
+    let mut vm = Vm::new(program.clone());
+    vm.start("main", vec![Value::Int(1)]).expect("starts");
+    assert_eq!(
+        vm.run(&mut TestHost::default()).expect("runs"),
+        Outcome::Snapshot
+    );
+    let snap = vm.snapshot_state();
+    drop(vm);
+    let clones: Vec<Vm> = (0..3).map(|_| Vm::from_snapshot(&snap)).collect();
+    drop(snap);
+    for mut clone in clones {
+        let out = clone.run(&mut TestHost::default()).expect("runs");
+        assert_eq!(out, Outcome::Done(Value::str("pool140737488355329!")));
+    }
+    drop(program);
+    assert_eq!(str_counts(), before);
+    let big = chunk.consts.iter().filter_map(TaggedValue::as_int).max();
+    assert_eq!(big, Some(1 << 47));
+}

@@ -152,6 +152,61 @@ fn property_sites_go_megamorphic_and_deopt_alike_in_every_tier() {
     );
 }
 
+/// A budget that runs out inside a fused op stops where the interpreter
+/// stops. Once compiled, `kernel`'s loop holds every fused form; every fuel
+/// value up to the whole run's op count lands somewhere in it, including
+/// between the parts of each fused op of at least two compiled iterations.
+#[test]
+fn fuel_that_runs_out_inside_a_fused_op_stops_where_the_interpreter_does() {
+    let src = "
+        fn kernel(a, o, n) {
+            let t = 0;
+            for (let i = 0; i < n; i = i + 1) {
+                let j = i % 2;
+                if (t % 7 < j) { t = t + o.x; }
+                if (t % 3 == j) { t = t + j * j; }
+                t = t + a[j][i % 2] + a[j][j];
+            }
+            return t;
+        }
+        fn main(n) { return kernel([[1, 2], [3, 4]], { x: 5 }, n); }";
+    let program = Rc::new(compile(src).expect("compiles"));
+    // The run's result and op count, on `fuel` and then resumed without a
+    // budget after the timeout, if there was one.
+    let run = |policy: JitPolicy, fuel: Option<u64>| {
+        let mut vm = Vm::with_policy(program.clone(), policy);
+        vm.set_fuel(fuel);
+        vm.start("main", vec![Value::Int(10)]).expect("starts");
+        let timeout = match vm.run(&mut NoopHost) {
+            Err(LangError::Timeout { ops }) => Some(ops),
+            Ok(Outcome::Done(v)) => return (None, v, vm.stats().total_ops()),
+            other => panic!("on {fuel:?}: {other:?}"),
+        };
+        vm.set_fuel(None);
+        let Ok(Outcome::Done(v)) = vm.run(&mut NoopHost) else {
+            panic!("on {fuel:?}: the resumed run must finish");
+        };
+        (timeout, v, vm.stats().total_ops())
+    };
+    let mut vm = Vm::with_policy(program.clone(), HOT);
+    vm.start("main", vec![Value::Int(10)]).expect("starts");
+    vm.run(&mut NoopHost).expect("runs");
+    let stats = vm.stats();
+    assert!(
+        stats.jit_ops > stats.interp_ops,
+        "the loop runs compiled: {stats:?}"
+    );
+    let unbroken = run(HOT, None);
+    assert_eq!(unbroken, run(JitPolicy::Off, None));
+    let (_, value, ops) = unbroken;
+    for fuel in 0..ops {
+        let seen = run(HOT, Some(fuel));
+        assert_eq!(seen, run(JitPolicy::Off, Some(fuel)), "on {fuel}");
+        // The op that could not be paid for is counted, and run again.
+        assert_eq!(seen, (Some(fuel + 1), value.clone(), ops + 1), "on {fuel}");
+    }
+}
+
 // ---- the generated suite ---------------------------------------------------
 
 const INTS: [&str; 8] = [
