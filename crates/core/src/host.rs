@@ -101,9 +101,9 @@ impl GuestHost {
         t
     }
 
-    fn want_str(v: Option<&Value>, what: &str) -> Result<String, LangError> {
+    fn want_str<'a>(v: Option<&'a Value>, what: &str) -> Result<&'a str, LangError> {
         match v {
-            Some(Value::Str(s)) => Ok(s.to_string()),
+            Some(Value::Str(s)) => Ok(s),
             other => Err(LangError::runtime(format!(
                 "{what} must be a string, got {:?}",
                 other.map(|v| v.type_name())
@@ -175,7 +175,7 @@ impl GuestHost {
                     .ok_or_else(|| LangError::runtime("db_put needs a document"))?;
                 self.clock.advance(self.net_packet(1));
                 let rev = Self::retry_store(&self.clock, || {
-                    self.store.borrow_mut().put(&db, &id, &body, None)
+                    self.store.borrow_mut().put(db, id, &body, None)
                 })
                 .map_err(|e| LangError::runtime(e.to_string()))?;
                 Ok(Value::Int(rev as i64))
@@ -184,7 +184,7 @@ impl GuestHost {
                 let db = Self::want_str(args.first(), "database")?;
                 let id = Self::want_str(args.get(1), "document id")?;
                 self.clock.advance(self.net_packet(1));
-                match Self::retry_store(&self.clock, || self.store.borrow().get(&db, &id)) {
+                match Self::retry_store(&self.clock, || self.store.borrow().get(db, id)) {
                     Ok(doc) => Ok(doc.body),
                     // An outage that survives the retries is an error; a
                     // missing document reads as null (HTTP 404).
@@ -196,7 +196,7 @@ impl GuestHost {
                 let db = Self::want_str(args.first(), "database")?;
                 let id = Self::want_str(args.get(1), "document id")?;
                 self.clock.advance(self.net_packet(1));
-                match Self::retry_store(&self.clock, || self.store.borrow_mut().delete(&db, &id)) {
+                match Self::retry_store(&self.clock, || self.store.borrow_mut().delete(db, id)) {
                     Ok(_) => Ok(Value::Bool(true)),
                     Err(e @ StoreError::Unavailable) => Err(LangError::runtime(e.to_string())),
                     Err(_) => Ok(Value::Bool(false)),
@@ -213,7 +213,7 @@ impl GuestHost {
                 // A missing database reads as empty (HTTP 404 → no rows),
                 // which install-time warm-up relies on.
                 let docs = match Self::retry_store(&self.clock, || {
-                    self.store.borrow().find(&db, &field, &value)
+                    self.store.borrow().find(db, field, &value)
                 }) {
                     Ok(docs) => docs,
                     Err(e @ StoreError::Unavailable) => {
@@ -228,7 +228,7 @@ impl GuestHost {
                 let since = Self::want_int(args.get(1), "since")?.max(0) as u64;
                 self.clock.advance(self.net_packet(1));
                 let changes = match Self::retry_store(&self.clock, || {
-                    self.store.borrow().changes_since(&db, since)
+                    self.store.borrow().changes_since(db, since)
                 }) {
                     Ok(changes) => changes,
                     Err(e @ StoreError::Unavailable) => {
@@ -254,7 +254,7 @@ impl GuestHost {
                 let value = self
                     .bus
                     .borrow()
-                    .consume_latest(&topic, 1024)
+                    .consume_latest(topic, 1024)
                     .map_err(|e| LangError::runtime(e.to_string()))?;
                 Ok(value.deep_clone())
             }
@@ -267,13 +267,13 @@ impl GuestHost {
                 let offset = self
                     .bus
                     .borrow_mut()
-                    .produce(&topic, value.deep_clone(), 1024);
+                    .produce(topic, value.deep_clone(), 1024);
                 Ok(Value::Int(offset as i64))
             }
             "mmds_get" => {
                 let key = Self::want_str(args.first(), "key")?;
                 self.clock.advance(self.mmds_lookup);
-                Ok(self.mmds.get(&key).map(Value::str).unwrap_or(Value::Null))
+                Ok(self.mmds.get(key).map(Value::str).unwrap_or(Value::Null))
             }
             "default_params" => Ok(self.default_params.deep_clone()),
             "now" => Ok(Value::Int(self.clock.now().as_nanos() as i64)),

@@ -1,12 +1,11 @@
 //! A guest-physical address space: a lazily mapped snapshot image under
-//! an on-demand page table of private pages.
+//! an overlay of private pages, kept as extents.
 
 use std::ops::Range;
 use std::rc::Rc;
 
 use crate::host::{Extent, FrameId, HostMemory, PAGE_SIZE};
 use crate::image::Image;
-use crate::table::Sparse;
 
 /// One microVM's guest-physical memory.
 ///
@@ -34,13 +33,80 @@ use crate::table::Sparse;
 #[derive(Debug)]
 pub struct AddressSpace {
     pages: usize,
-    /// Pages mapped here explicitly (one frame reference each); an entry
-    /// shadows the base's page of the same number.
-    overlay: Sparse<Option<FrameId>>,
+    /// Pages mapped here explicitly (one frame reference each); they
+    /// shadow the base's pages of the same numbers.
+    overlay: Overlay,
     under: Under,
 }
 
-/// What an overlay entry is filled from.
+/// The overlay's extents: sorted by page, disjoint, and merged wherever
+/// one continues the one before, so that it costs the runs mapped, not
+/// their pages.
+#[derive(Debug, Default)]
+struct Overlay(Vec<Extent>);
+
+impl Overlay {
+    /// The index of the first extent ending past `page`; found without a
+    /// search when `page` lies past the last one.
+    #[inline]
+    fn find(&self, page: usize) -> usize {
+        match self.0.last() {
+            Some(last) if last.page + last.len > page => {
+                self.0.partition_point(|e| e.page + e.len <= page)
+            }
+            _ => self.0.len(),
+        }
+    }
+
+    /// [`Overlay::find`], and the frame mapped at `page` if any.
+    #[inline]
+    fn at(&self, page: usize) -> (usize, Option<FrameId>) {
+        let i = self.find(page);
+        let e = self.0.get(i).filter(|e| e.page <= page);
+        (i, e.map(|e| e.frame.add(page - e.page)))
+    }
+
+    /// Maps the pages of `e` to its frames, over what was mapped there;
+    /// `lo` is [`Overlay::find`] of its first page. Into a gap, not
+    /// continued by the next extent, it is an insert (a push past the
+    /// last) or a merge into the extent before; otherwise a rewrite of the
+    /// extents `e` overlaps and of its two neighbours.
+    fn put(&mut self, lo: usize, e: Extent) {
+        let (v, end) = (&mut self.0, e.page + e.len);
+        let gap = |next: &Extent| end <= next.page && !e.continued_by(next);
+        if v.get(lo).is_none_or(gap) {
+            match lo.checked_sub(1).map(|before| &mut v[before]) {
+                Some(before) if before.continued_by(&e) => before.len += e.len,
+                _ => v.insert(lo, e),
+            }
+            return;
+        }
+        let hi = lo + v[lo..].iter().take_while(|x| x.page < end).count();
+        let window = lo.saturating_sub(1)..(hi + 1).min(v.len());
+        // At most two extents of the window hold pages before `e`, and
+        // two hold pages after it.
+        let (mut parts, mut n) = ([e; 5], 0);
+        let mut push = |x: Extent| {
+            if n > 0 && parts[n - 1].continued_by(&x) {
+                parts[n - 1].len += x.len;
+            } else if x.len > 0 {
+                (parts[n], n) = (x, n + 1);
+            }
+        };
+        let around = v[window.clone()].iter().copied();
+        for mut x in around.clone().filter(|x| x.page < e.page) {
+            push(x.take_front(x.len.min(e.page - x.page)));
+        }
+        push(e);
+        for mut x in around.filter(|x| x.page + x.len > end) {
+            x.take_front(end.saturating_sub(x.page));
+            push(x);
+        }
+        v.splice(window, parts[..n].iter().copied());
+    }
+}
+
+/// What the overlay is filled from.
 #[derive(Debug)]
 struct Under {
     host: HostMemory,
@@ -63,32 +129,26 @@ struct Base {
 
 impl Under {
     /// Stops mapping `page` from the base, if it does; returns the group,
-    /// position and frame left.
+    /// position and frame left, or else where the pages from `page` on
+    /// that the base does not map end.
     #[inline]
-    fn leave_base(&mut self, page: usize) -> Option<(u32, usize, FrameId)> {
-        let base = self.base.as_mut()?;
+    fn leave_base(&mut self, page: usize) -> Result<(u32, usize, FrameId), usize> {
+        let base = self.base.as_mut().ok_or(usize::MAX)?;
         if !base.span.0.contains(&page) {
             base.span = base.image.span(page);
         }
-        let ((at, first), k) = (base.span.1.ok()?, page - base.span.0.start);
+        let (at, first) = base.span.1.map_err(|_| base.span.0.end)?;
+        let k = page - base.span.0.start;
         base.left.push((at + k) as u32);
-        Some((base.group, at + k, first.add(k)))
+        Ok((base.group, at + k, first.add(k)))
     }
 
-    /// Makes `slot`, the overlay's entry for `page`, hold a writable
-    /// (private) frame if the space maps the page, CoW-copying as needed;
-    /// `None` for a page it does not map.
-    #[inline(always)]
-    fn fault(&mut self, page: usize, slot: &mut Option<FrameId>) -> Option<FrameId> {
-        let frame = if let Some(mapped) = *slot {
-            self.host.prepare_write(mapped)
-        } else if let Some((group, idx, shared)) = self.leave_base(page) {
-            self.host.cow_out(group, idx, shared)
-        } else {
-            return None;
-        };
-        *slot = Some(frame);
-        Some(frame)
+    /// A private copy of base page `page`, which the space stops mapping
+    /// from the base; else [`Under::leave_base`]'s end of unmapped pages.
+    #[inline]
+    fn cow_base(&mut self, page: usize) -> Result<FrameId, usize> {
+        let (group, idx, shared) = self.leave_base(page)?;
+        Ok(self.host.cow_out(group, idx, shared))
     }
 }
 
@@ -98,7 +158,7 @@ impl AddressSpace {
     pub fn new(host: HostMemory, size_bytes: u64) -> Self {
         AddressSpace {
             pages: (size_bytes as usize).div_ceil(PAGE_SIZE),
-            overlay: Sparse::default(),
+            overlay: Overlay::default(),
             under: Under {
                 host,
                 base: None,
@@ -149,7 +209,7 @@ impl AddressSpace {
 
     fn frame_at(&self, page: usize) -> Option<FrameId> {
         let based = || Some(self.under.base.as_ref()?.image.locate(page).ok()?.1);
-        self.overlay.get(page).or_else(based)
+        self.overlay.at(page).1.or_else(based)
     }
 
     /// Writes bytes at a guest-physical address, faulting pages as needed.
@@ -165,15 +225,31 @@ impl AddressSpace {
             let page = addr / PAGE_SIZE;
             let offset = addr % PAGE_SIZE;
             let take = rest.len().min(PAGE_SIZE - offset);
-            let (under, slot) = (&mut self.under, self.overlay.entry(page));
-            let frame = under.fault(page, slot).unwrap_or_else(|| {
-                under.resident += 1;
-                *slot.insert(under.host.alloc_zero())
-            });
-            under.host.write_frame(frame, offset, &rest[..take]);
+            let frame = self.fault(page);
+            self.under.host.write_frame(frame, offset, &rest[..take]);
             addr += take;
             rest = &rest[take..];
         }
+    }
+
+    /// Makes `page` map a private frame, CoW-copying or zero-filling it
+    /// as needed.
+    fn fault(&mut self, page: usize) -> FrameId {
+        let under = &mut self.under;
+        let (i, mapped) = self.overlay.at(page);
+        let frame = match mapped {
+            Some(mapped) => match under.host.prepare_write(mapped) {
+                same if same == mapped => return same,
+                copy => copy,
+            },
+            None => under.cow_base(page).unwrap_or_else(|_| {
+                under.resident += 1;
+                under.host.alloc_zero()
+            }),
+        };
+        let len = 1;
+        self.overlay.put(i, Extent { page, frame, len });
+        frame
     }
 
     /// Reads bytes at a guest-physical address. Unmapped pages read as
@@ -209,18 +285,42 @@ impl AddressSpace {
             return;
         }
         self.check_range(addr, len as usize);
-        let first = (addr as usize) / PAGE_SIZE;
-        let last = ((addr + len - 1) as usize) / PAGE_SIZE;
+        let mut page = addr as usize / PAGE_SIZE;
+        let end = (addr + len - 1) as usize / PAGE_SIZE + 1;
         let under = &mut self.under;
         // The run the unmapped pages go to, and how many went.
         let mut fresh: Option<(FrameId, usize)> = None;
-        self.overlay.range_mut(first, last, |page, slot| {
-            if under.fault(page, slot).is_none() {
-                let cap = last + 1 - page;
-                let (run, n) = fresh.get_or_insert_with(|| (under.host.open_run(cap), 0));
-                (*slot, *n) = (Some(run.add(*n)), *n + 1);
-            }
-        });
+        while page < end {
+            let i = self.overlay.find(page);
+            let next = self.overlay.0.get(i).copied();
+            let (frame, len) = match next {
+                // Overlay pages: what is private already stays.
+                Some(e) if e.page <= page => {
+                    let mapped = e.frame.add(page - e.page);
+                    match under.host.private_ahead(mapped) {
+                        0 => (under.host.prepare_write(mapped), 1),
+                        private => {
+                            page = (page + private).min(e.page + e.len);
+                            continue;
+                        }
+                    }
+                }
+                _ => match under.cow_base(page) {
+                    Ok(copy) => (copy, 1),
+                    // Unmapped pages, up to the base's or the overlay's next.
+                    Err(unmapped) => {
+                        let stop = unmapped.min(next.map_or(end, |e| e.page)).min(end);
+                        let (run, n) =
+                            fresh.get_or_insert_with(|| (under.host.open_run(end - page), 0));
+                        let (frame, len) = (run.add(*n), stop - page);
+                        *n += len;
+                        (frame, len)
+                    }
+                },
+            };
+            self.overlay.put(i, Extent { page, frame, len });
+            page += len;
+        }
         if let Some((run, n)) = fresh {
             under.resident += n;
             under.host.seal_run(run, n);
@@ -233,38 +333,30 @@ impl AddressSpace {
         assert!(page < self.pages, "map beyond guest memory");
         let under = &mut self.under;
         under.host.retain(frame);
-        if let Some(old) = self.overlay.entry(page).replace(frame) {
+        let (i, old) = self.overlay.at(page);
+        if let Some(old) = old {
             under.host.release(old);
-        } else if let Some((group, idx, _)) = under.leave_base(page) {
+        } else if let Ok((group, idx, _)) = under.leave_base(page) {
             under.host.leave(group, idx);
         } else {
             under.resident += 1;
         }
+        let len = 1;
+        self.overlay.put(i, Extent { page, frame, len });
     }
 
-    /// The overlay's entries in page order. Consume with `for_each`
-    /// where the visit order is all that matters.
-    fn overlay_pages(&self) -> impl Iterator<Item = (usize, FrameId)> + '_ {
-        let mapped = self.overlay.iter();
-        mapped.map(|(page, frame)| (page, frame.expect("iter yields set entries")))
+    /// The pages mapped here rather than through the snapshot image the
+    /// space was restored from, as extents in page order: disjoint, none
+    /// continued by the next.
+    pub fn overlay(&self) -> &[Extent] {
+        &self.overlay.0
     }
 
-    /// The pages mapped here, as extents in page order: the overlay's
-    /// pages, those on consecutive frames of one entry joined, and (with
-    /// `base`) the base's runs, cut around them.
-    pub(crate) fn extents(&self, base: bool) -> Vec<Extent> {
-        let mut over: Vec<Extent> = Vec::new();
-        self.overlay_pages().for_each(|(page, frame)| {
-            if !over.last_mut().is_some_and(|last| last.grow(page, frame)) {
-                over.push(Extent {
-                    page,
-                    frame,
-                    len: 1,
-                });
-            }
-        });
-        let Some(base) = self.under.base.as_ref().filter(|_| base) else {
-            return over;
+    /// The pages mapped here, as extents in page order: the overlay's,
+    /// and the base's runs cut around them.
+    pub(crate) fn extents(&self) -> Vec<Extent> {
+        let Some(base) = &self.under.base else {
+            return self.overlay.0.clone();
         };
         let mut out: Vec<Extent> = Vec::new();
         let mut push = |e: Extent| match out.last_mut() {
@@ -274,7 +366,7 @@ impl AddressSpace {
         };
         let mut runs = base.image.runs().iter().map(|&(_, e)| e);
         let mut next = runs.next();
-        for o in over {
+        for &o in &self.overlay.0 {
             // Base pages before `o` first; those it covers are shadowed.
             while let Some(e) = next.as_mut().filter(|e| e.page < o.page + o.len) {
                 push(e.take_front(o.page.saturating_sub(e.page).min(e.len)));
@@ -292,7 +384,7 @@ impl AddressSpace {
 
     /// Iterates `(page_index, frame)` over mapped pages in page order.
     pub fn mapped(&self) -> impl Iterator<Item = (usize, FrameId)> {
-        self.extents(true).into_iter().flat_map(Extent::frames)
+        self.extents().into_iter().flat_map(Extent::frames)
     }
 
     /// Number of resident (mapped) pages.
@@ -317,31 +409,18 @@ impl AddressSpace {
     /// page order, so the `f64` total rounds the same way every time.
     ///
     /// The definition is the scan: one term per mapped page, its frame's
-    /// [`HostMemory::mappers`] looked up. Over the base the same sum is
-    /// formed without visiting pages: the frames of one piece have equal
-    /// mappers, and between exceptions (overlay pages, positions a clone
-    /// of a listing image departed) a run of equal terms is added at once
-    /// in closed form, bit for bit what the scan would round to.
+    /// [`HostMemory::mappers`] looked up. The same sum is formed without
+    /// visiting pages: the frames of one piece have equal mappers (in the
+    /// base, but where a clone of a listing image departed), so the pass
+    /// walks the overlay's extents and the base's runs between them and
+    /// adds each run of equal terms at once in closed form, bit for bit
+    /// what the scan would round to.
     pub fn sharing_stats(&self) -> SharingStats {
         let table = self.under.host.table();
+        let base = self.under.base.as_ref();
+        let runs = base.map(|base| table.base_runs(base.group));
+        let mut runs = runs.unwrap_or_default().into_iter().peekable();
         let mut sum = PssSum::default();
-        // Overlay pages on consecutive frames of a piece no image lists
-        // have its mappers: looked up once per piece.
-        let mut ahead: (Option<FrameId>, u32, u32) = (None, 0, 0);
-        let mut overlay_page = |sum: &mut PssSum, frame: FrameId| {
-            if ahead.0 != Some(frame) || ahead.2 == 0 {
-                let (mappers, left) = table.mappers_ahead(frame);
-                ahead = (Some(frame), mappers, left);
-            }
-            ahead = (Some(frame.add(1)), ahead.1, ahead.2 - 1);
-            sum.page(ahead.1);
-        };
-        let Some(base) = &self.under.base else {
-            let pages = self.overlay_pages();
-            pages.for_each(|(_, frame)| overlay_page(&mut sum, frame));
-            return sum.stats();
-        };
-        let mut runs = table.base_runs(base.group).into_iter().peekable();
         // Sums base positions `from..end`, all still mapped by the space.
         let mut sum_base = |sum: &mut PssSum, mut from: usize, end: usize| {
             while from < end {
@@ -352,25 +431,30 @@ impl AddressSpace {
                 from = stop;
             }
         };
-        // The first base position not summed (or skipped as left) yet;
-        // overlay pages below `gap_end` sit before it.
-        let (mut next, mut gap_end) = (0, 0);
-        self.overlay_pages().for_each(|(page, frame)| {
-            if page >= gap_end {
-                let (span, first) = base.image.span(page);
-                let at = first.map_or_else(|after| after, |(at, _)| at + page - span.start);
-                sum_base(&mut sum, next, at);
-                // The overlay page stands in for base position `at` if
-                // the base maps it (this space left it), else it and its
-                // successors in the gap precede `at`.
-                (next, gap_end) = (next.max(at), span.end);
-                if first.is_ok() {
-                    (next, gap_end) = (at + 1, page + 1);
-                }
+        // The base position of the first page from `page` on that the
+        // base maps (those an extent covers the space left), through the
+        // last span looked up: extents come in page order.
+        let mut span = (0..0, Err(0));
+        let mut position = |page: usize| {
+            let Some(base) = base else { return 0 };
+            if !span.0.contains(&page) {
+                span = base.image.span(page);
             }
-            overlay_page(&mut sum, frame);
-        });
-        sum_base(&mut sum, next, base.image.pages());
+            let (start, first) = (span.0.start, span.1);
+            first.map_or_else(|after| after, |(at, _)| at + page - start)
+        };
+        // The first base position neither summed nor left yet.
+        let mut next = 0;
+        for &o in &self.overlay.0 {
+            sum_base(&mut sum, next, position(o.page));
+            next = position(o.page + o.len);
+            let mut rest = o;
+            while rest.len > 0 {
+                let (mappers, ahead) = table.mappers_ahead(rest.frame);
+                sum.run(rest.take_front(rest.len.min(ahead as usize)).len, mappers);
+            }
+        }
+        sum_base(&mut sum, next, base.map_or(0, |base| base.image.pages()));
         sum.stats()
     }
 }
@@ -384,23 +468,14 @@ struct PssSum {
 }
 
 impl PssSum {
-    fn page(&mut self, mappers: u32) {
-        self.count(1, mappers);
-        self.pss += Self::term(mappers);
-    }
-
     /// `pages` consecutive pages of `mappers` mappers each.
     fn run(&mut self, pages: usize, mappers: u32) {
-        self.count(pages, mappers);
-        self.pss = add_run(self.pss, Self::term(mappers), pages);
-    }
-
-    fn count(&mut self, pages: usize, mappers: u32) {
         if mappers > 1 {
             self.shared += pages;
         } else {
             self.private += pages;
         }
+        self.pss = add_run(self.pss, Self::term(mappers), pages);
     }
 
     fn term(mappers: u32) -> f64 {
@@ -473,7 +548,7 @@ impl SharingStats {
 
 impl Drop for AddressSpace {
     fn drop(&mut self) {
-        self.under.host.release_all(&self.extents(false));
+        self.under.host.release_all(&self.overlay.0);
         if let Some(base) = &mut self.under.base {
             self.under.host.detach(base.group, &mut base.left);
         }
@@ -585,6 +660,30 @@ mod tests {
         assert_eq!(b.sharing_stats().resident_pages(), 4);
         // a still shares 3 frames with b; the 4th is now private to a.
         assert_eq!(a.sharing_stats().shared_pages, 3);
+    }
+
+    #[test]
+    fn the_overlay_holds_one_extent_per_run() {
+        let h = host();
+        let mut a = AddressSpace::new(h.clone(), 1 << 20);
+        a.touch_dirty(0, 8 * PAGE_SIZE as u64);
+        // Private already: touching it again changes nothing.
+        a.touch_dirty(2 * PAGE_SIZE as u64, 4 * PAGE_SIZE as u64);
+        assert_eq!(a.overlay().len(), 1);
+        // A sibling mapping the run's frames a page at a time, backwards,
+        // holds one extent too.
+        let frames: Vec<(usize, FrameId)> = a.mapped().collect();
+        let mut b = AddressSpace::new(h.clone(), 1 << 20);
+        for &(page, frame) in frames.iter().rev() {
+            b.map_shared(page, frame);
+        }
+        assert_eq!(b.overlay(), a.overlay());
+        // A CoW copy in the middle cuts it in three; the frame mapped
+        // back joins them again.
+        b.write(3 * PAGE_SIZE as u64, b"x");
+        assert_eq!(b.overlay().len(), 3);
+        b.map_shared(3, frames[3].1);
+        assert_eq!(b.overlay(), a.overlay());
     }
 
     #[test]

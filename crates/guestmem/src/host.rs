@@ -83,17 +83,6 @@ impl Extent {
         let frame = self.frame.0.get() + self.len as u64;
         self.page + self.len == next.page && frame == next.frame.0.get()
     }
-
-    /// Takes in `frame` at `page` if they are the next frame and page.
-    pub(crate) fn grow(&mut self, page: usize, frame: FrameId) -> bool {
-        let next = self.continued_by(&Extent {
-            page,
-            frame,
-            len: 1,
-        });
-        self.len += usize::from(next);
-        next
-    }
 }
 
 /// Position `idx` of mapping group `group`'s image: one listing of a
@@ -486,7 +475,7 @@ impl HostMemory {
     }
 
     /// Releases every frame of `extents` under one borrow of the table:
-    /// an address space's page table going away.
+    /// an address space's overlay going away.
     pub(crate) fn release_all(&self, extents: &[Extent]) {
         let mut inner = self.inner.borrow_mut();
         extents
@@ -510,18 +499,27 @@ impl HostMemory {
     /// caller's reference moves to a private copy and the shared frame
     /// loses one reference.
     pub fn prepare_write(&self, id: FrameId) -> FrameId {
-        let inner = self.inner.borrow();
-        let (e, ..) = inner.frames.get(id);
-        // The caller's reference alone: no pin, no mapping, no listing.
-        if e.refs == 1 && e.listed.is_none() {
+        if self.private_ahead(id) > 0 {
             return id;
         }
-        drop(inner);
         self.clock.advance(self.costs.cow_fault);
         let mut inner = self.inner.borrow_mut();
         inner.shift(id, 1, -1, 0);
         let data = inner.frames.get(id).0.data.clone();
         inner.cow_copy(data)
+    }
+
+    /// How many frames from `id` on, to the end of its piece, a write may
+    /// change in place: all of them if the caller's reference is their
+    /// one owner (no pin, no other mapping, no listing), else none.
+    pub(crate) fn private_ahead(&self, id: FrameId) -> usize {
+        let inner = self.inner.borrow();
+        let (e, _, left) = inner.frames.get(id);
+        if e.refs == 1 && e.listed.is_none() {
+            left as usize
+        } else {
+            0
+        }
     }
 
     /// Writes bytes into a frame at `offset`. The caller must have made the

@@ -11,8 +11,8 @@
 //! - [`HostMemory`]: the host frame table with reference-counted 4 KiB
 //!   frames, CoW, and a `vm.swappiness`-style swap-onset model. A snapshot
 //!   image registers its page list there as a *mapping group*.
-//! - [`AddressSpace`]: one microVM's guest-physical address space — an
-//!   on-demand two-level page table (the *overlay*) of the pages it holds
+//! - [`AddressSpace`]: one microVM's guest-physical address space — a
+//!   sorted list of [`Extent`]s (the *overlay*) of the pages it holds
 //!   itself, over the image it was restored from, if any.
 //! - [`SnapshotFile`]: a pinned set of frames plus an opaque device-state
 //!   blob; restoring joins the file's group instead of mapping its pages.
@@ -32,10 +32,14 @@
 //! - **Extents.** The frames one `touch_dirty` allocates over unmapped
 //!   pages are one frame-table entry, owned, pinned and listed as a run;
 //!   it is cut into pieces only where a frame diverges (a data write or
-//!   poke, an owner count, a listing). Images, chunk stores and page-table
-//!   teardown name frames as [`Extent`]s; a file keeps checksums for the
+//!   poke, an owner count, a listing). Images, chunk stores and the
+//!   overlay name frames as [`Extent`]s; a file keeps checksums for the
 //!   pages that hold data, every other page being a zero page. So a
 //!   post-JIT image costs its regions, not its pages.
+//! - **Overlay.** A space's own pages are extents sorted by page,
+//!   disjoint and merged: a touch over unmapped pages adds one per
+//!   stretch, a CoW copy one of a page. Booting, dirtying, accounting and
+//!   teardown cost the runs, not their pages.
 //! - **Group.** A restore adds one *sharer* to the image's group; a CoW
 //!   fault moves one page into the clone's overlay and counts one
 //!   *departure* at that position; a drop releases the overlay and takes
@@ -48,10 +52,11 @@
 //!   frames when no clone maps them any more, and a frame is freed when
 //!   its last owner goes, just when the eager design frees it.
 //! - **Accounting.** [`AddressSpace::sharing_stats`] forms the scan's
-//!   page-order `f64` sum without visiting pages: the base's pieces have
-//!   equal mappers but where a listing image's clone departed, and each
-//!   run of equal terms is added in closed form, bit for bit what the
-//!   sequential adds round to.
+//!   page-order `f64` sum without visiting pages: it walks the overlay's
+//!   extents and the base's runs between them a piece at a time — a
+//!   piece's frames have equal mappers, in the base but where a listing
+//!   image's clone departed — and adds each run of equal terms in closed
+//!   form, bit for bit what the sequential adds round to.
 //! - **Verify once.** [`SnapshotFile::verify`] remembers a clean pass;
 //!   stored pages change only through [`HostMemory::poke_frame`], which
 //!   makes every image listing the frame forget.

@@ -179,7 +179,7 @@ impl SnapshotFile {
     /// detectable via [`SnapshotFile::verify`].
     pub fn capture(space: &AddressSpace, device_state: Vec<u8>) -> Self {
         let (host, size) = (space.host(), space.size_bytes());
-        Self::seal(host, size, space.extents(true), device_state, false)
+        Self::seal(host, size, space.extents(), device_state, false)
     }
 
     /// Pins, registers and checksums `extents` a piece at a time;

@@ -1,5 +1,6 @@
-//! The two index-space containers the frame table and the page tables are
-//! built from: a slab with slot reuse, and an on-demand two-level table.
+//! The two index-space containers the frame table and the mapping groups
+//! are built from: a slab with slot reuse, and an on-demand two-level
+//! table.
 
 /// A `Vec` of slots with a free list: `insert` reuses the most recently
 /// freed slot, so indices stay small and stable.
@@ -55,8 +56,8 @@ const LEAF: usize = 512;
 /// A two-level table over a dense index space whose entries default to
 /// `T::default()`: 512-slot leaves are allocated on the first store into
 /// their range, so a table with a few hundred entries scattered over
-/// 131 072 indices costs a few leaves, while a dense one (a booting VM's
-/// page table) costs what a flat `Vec` would.
+/// 131 072 indices (a group's departures) costs a few leaves, while a
+/// dense one costs what a flat `Vec` would.
 #[derive(Debug)]
 pub(crate) struct Sparse<T> {
     leaves: Vec<Option<Box<[T; LEAF]>>>,
@@ -97,18 +98,6 @@ impl<T: Copy + Default + PartialEq> Sparse<T> {
     #[inline]
     pub fn entry(&mut self, i: usize) -> &mut T {
         &mut self.leaf(i / LEAF)[i % LEAF]
-    }
-
-    /// Calls `each` on the slots for `first..=last` in order.
-    #[inline]
-    pub fn range_mut(&mut self, first: usize, last: usize, mut each: impl FnMut(usize, &mut T)) {
-        for n in first / LEAF..=last / LEAF {
-            let start = n * LEAF;
-            let (lo, hi) = (first.max(start) - start, last.min(start + LEAF - 1) - start);
-            for (i, slot) in self.leaf(n)[lo..=hi].iter_mut().enumerate() {
-                each(start + lo + i, slot);
-            }
-        }
     }
 
     /// Non-default entries in ascending index order. Consumed with
@@ -171,11 +160,5 @@ pub(crate) mod tests {
         assert_eq!(t.iter_from(4).collect::<Vec<_>>(), [(70_000, 7)]);
         assert_eq!(t.iter_from(70_001).next(), None);
         assert_eq!((t.get(513), t.get(70_000)), (0, 7));
-        t.range_mut(510, 1025, |i, slot| *slot = i as u32);
-        let filled: Vec<_> = t.iter().skip(1).take(516).collect();
-        assert_eq!(
-            filled,
-            (510..=1025).map(|i| (i, i as u32)).collect::<Vec<_>>()
-        );
     }
 }

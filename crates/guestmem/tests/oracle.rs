@@ -223,6 +223,12 @@ fn compare(model: &Model, real: &Real) -> Result<(), String> {
         matched.then_some(()).ok_or_else(broken)
     };
     for (i, space) in real.spaces.iter().enumerate() {
+        // The overlay is sorted, disjoint and merged: no extent is empty
+        // or continued by the next.
+        let over = space.overlay();
+        let merged = |w: &[Extent]| w[0].page + w[0].len <= w[1].page && !w[0].continued_by(&w[1]);
+        prop_assert!(over.iter().all(|e| e.len > 0), "space {} {:?}", i, over);
+        prop_assert!(over.windows(2).all(merged), "space {} {:?}", i, over);
         let (want, got): (Vec<_>, Vec<_>) = (model.mapped(i), space.mapped().collect());
         prop_assert_eq!(want.len(), got.len(), "space {} mapped pages", i);
         for ((page, m), (real_page, r)) in want.iter().zip(&got) {
@@ -436,6 +442,36 @@ fn apply(model: &mut Model, real: &mut Real, (kind, x, y): (u8, u16, u16)) {
             let frames = (0..2 * n).map(|page| (page, model.alloc(None))).collect();
             model.seal(frames, true);
         }
+        16 => {
+            // A sibling's frames over a stretch of pages, at the same
+            // pages: where they are consecutive (a run, or a sibling
+            // clone's base) and this space is a clone, one extent covers
+            // several base positions.
+            let src = y % real.spaces.len();
+            let stretch = page..page + 1 + x % 12;
+            let picked = real.spaces[src]
+                .mapped()
+                .filter(|(p, _)| stretch.contains(p));
+            let picked: Vec<(usize, FrameId)> = picked.collect();
+            for (page, frame) in picked.into_iter().filter(|_| src != s) {
+                real.spaces[s].map_shared(page, frame);
+                let frame = model.spaces[src][page].expect("same page tables");
+                model.map_shared(s, page, frame);
+            }
+        }
+        17 => {
+            // A touch from inside one overlay extent to inside another (or
+            // the same one), over whatever lies between.
+            let over = real.spaces[s].overlay();
+            if !over.is_empty() {
+                let (a, b) = (over[y % over.len()], over[(x + y) % over.len()]);
+                let (p, q) = (a.page + x % a.len, b.page + y % b.len);
+                let (first, last) = (p.min(q), p.max(q));
+                let (addr, len) = (first * PAGE_SIZE, (last + 1 - first) * PAGE_SIZE);
+                real.spaces[s].touch_dirty(addr as u64, len as u64);
+                (first..=last).for_each(|p| _ = model.frame_for_write(s, p));
+            }
+        }
         _ => {}
     }
 }
@@ -449,12 +485,14 @@ proptest! {
     /// captures (of booted spaces and of restored clones), `from_mapped`
     /// twins, partial shifted co-listers and lists of frames that are not
     /// consecutive, restores, raw references, one frame of a run
-    /// diverging (a reference taken and dropped, a poke), corruption, and
-    /// drops of files and clones in any order.
+    /// diverging (a reference taken and dropped, a poke), corruption, a
+    /// sibling's stretch of frames mapped over a clone's base, touches
+    /// that start and end inside overlay extents, and drops of files and
+    /// clones in any order.
     #[test]
     fn lazy_groups_match_the_eager_model(
         base_pages in 1usize..PAGES,
-        ops in proptest::collection::vec((0u8..16, any::<u16>(), any::<u16>()), 1..64),
+        ops in proptest::collection::vec((0u8..18, any::<u16>(), any::<u16>()), 1..64),
     ) {
         let clock = Clock::new();
         let host = HostMemory::new(clock.clone(), 1 << 32, 60);

@@ -357,6 +357,7 @@ impl GuestImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fireworks_guestmem::Extent;
     use fireworks_lang::{JitConfig, NoopHost, Value};
     use fireworks_sim::Clock;
 
@@ -415,6 +416,43 @@ mod tests {
         );
         // The clone's PSS is below its RSS thanks to sharing.
         assert!(clone.pss_bytes() < clone.rss_bytes());
+    }
+
+    #[test]
+    fn boots_and_invocations_map_runs_not_pages() {
+        let clock = Clock::new();
+        let host = host(&clock);
+        // A booted guest holds at most one overlay extent per region.
+        let mut booted = Guest::new(&host, Layout::GUEST_MEM_BYTES, 64 << 20);
+        let rt = GuestRuntime::launch(&clock, RuntimeProfile::node(), SRC, JitConfig::default());
+        booted.launch(rt.expect("ok"));
+        let bases = [
+            0,
+            Layout::RUNTIME_BASE,
+            Layout::APP_CODE_BASE,
+            Layout::JIT_CODE_BASE,
+            Layout::HEAP_BASE,
+            Layout::EXEC_STATE_BASE,
+            Layout::FIRST_RUN_BASE,
+            Layout::CHURN_BASE,
+        ];
+        let region = |e: &Extent| bases.partition_point(|b| *b <= (e.page * PAGE_SIZE) as u64);
+        let regions: Vec<usize> = booted.space.overlay().iter().map(region).collect();
+        assert!(regions.windows(2).all(|w| w[0] < w[1]), "{regions:?}");
+
+        // A clone's invocation allocates its exec state as one extent.
+        let mut clone = booted.capture().restore(&host);
+        clone.dirty_invocation();
+        let page = |addr: u64| addr as usize / PAGE_SIZE;
+        let exec = page(Layout::EXEC_STATE_BASE)..page(Layout::FIRST_RUN_BASE);
+        let over = clone
+            .space
+            .overlay()
+            .iter()
+            .filter(|e| exec.contains(&e.page));
+        let over: Vec<(usize, usize)> = over.map(|e| (e.page, e.len)).collect();
+        let bytes = RuntimeProfile::node().exec_state_bytes as usize;
+        assert_eq!(over, [(exec.start, bytes.div_ceil(PAGE_SIZE))]);
     }
 
     #[test]
