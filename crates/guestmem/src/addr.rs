@@ -68,9 +68,11 @@ impl Overlay {
 
     /// Maps the pages of `e` to its frames, over what was mapped there;
     /// `lo` is [`Overlay::find`] of its first page. Into a gap, not
-    /// continued by the next extent, it is an insert (a push past the
-    /// last) or a merge into the extent before; otherwise a rewrite of the
-    /// extents `e` overlaps and of its two neighbours.
+    /// continued by the next extent, it is a merge into the extent before
+    /// or an insert, which moves the extents after it: none past the
+    /// last, the exec state's for an invocation's heap CoW faults (which
+    /// come after it). Otherwise it is a rewrite of the extents `e`
+    /// overlaps and of its two neighbours.
     fn put(&mut self, lo: usize, e: Extent) {
         let (v, end) = (&mut self.0, e.page + e.len);
         let gap = |next: &Extent| end <= next.page && !e.continued_by(next);
@@ -347,7 +349,9 @@ impl AddressSpace {
 
     /// The pages mapped here rather than through the snapshot image the
     /// space was restored from, as extents in page order: disjoint, none
-    /// continued by the next.
+    /// continued by the next. For invariant checks in tests only; how the
+    /// overlay is stored is not part of this crate's API.
+    #[doc(hidden)]
     pub fn overlay(&self) -> &[Extent] {
         &self.overlay.0
     }

@@ -5,22 +5,22 @@
 # LD_PRELOAD), and prints each function's self and inclusive share of the
 # samples, resolved with nm.
 #
-#   scripts/hotspots.sh [--workload W] [--seed N] [--seconds S] [--top N]
+#   scripts/hotspots.sh [--workload W] [--seed N] [--seconds S]
 #
-# HOTSPOTS_US sets the sampling period (default 1000 µs of CPU time).
+# The sampler takes one sample per 4 ms of CPU time, so a 6 s run gives
+# ~1 500 samples and the 25 largest shares of each column are printed.
 # Inlined functions count towards their caller. Samples, the sampler and
 # the build stay in target/hotspots/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-workload=warm_io seed=42 seconds=8 top=25
+workload=warm_io seed=42 seconds=8
 while [ $# -gt 0 ]; do
     case "$1" in
         --workload) workload="$2" ;;
         --seed) seed="$2" ;;
         --seconds) seconds="$2" ;;
-        --top) top="$2" ;;
         *)
-            echo "usage: $0 [--workload W] [--seed N] [--seconds S] [--top N]" >&2
+            echo "usage: $0 [--workload W] [--seed N] [--seconds S]" >&2
             exit 2
             ;;
     esac
@@ -39,7 +39,7 @@ HOTSPOTS_OUT="$samples" LD_PRELOAD="$PWD/$out/libsampler.so" \
 # Text symbols by address (decimal, as the sampler writes offsets), then
 # one line of offsets per sample: the first is where the sample landed
 # (self), and every distinct function on the stack counts once (inclusive).
-nm -C -n --radix=d --defined-only "$bin" | awk -v top="$top" -v what="$workload" '
+nm -C -n --radix=d --defined-only "$bin" | awk -v what="$workload" '
     function lookup(a,    lo, hi, mid) {
         if (n == 0 || a < addr[0] || a > addr[n - 1] + 65536)
             return "[outside the executable]"
@@ -79,7 +79,7 @@ nm -C -n --radix=d --defined-only "$bin" | awk -v top="$top" -v what="$workload"
             exit 1
         }
         printf "%s: %d samples\n\n  self %%  function\n", what, taken
-        sort = "sort -rn | head -n " top
+        sort = "sort -rn | head -n 25"
         for (s in self) printf "%6.1f  %s\n", 100 * self[s] / taken, s | sort
         close(sort)
         printf "\n  incl %%  function\n"

@@ -1,7 +1,9 @@
 /* A SIGPROF sampler for a program built with frame pointers, loaded with
- * LD_PRELOAD (see scripts/hotspots.sh). Every HOTSPOTS_US microseconds of
- * CPU time (default 1000) it records, on the main thread, the interrupted
- * instruction and the return addresses of the frame-pointer chain. At
+ * LD_PRELOAD (see scripts/hotspots.sh). Every PERIOD_US microseconds of
+ * CPU time it records, on the main thread, the interrupted instruction
+ * and the return addresses of the frame-pointer chain. The period is the
+ * scheduler tick of a CONFIG_HZ=250 kernel: ITIMER_PROF fires no more
+ * often than the tick, whatever shorter period it is given. At
  * exit it writes one line per sample to HOTSPOTS_OUT (default
  * hotspots.samples): the addresses as decimal offsets from the main
  * executable's load address, innermost first.
@@ -21,6 +23,7 @@
 
 #define MAX_SAMPLES 65536
 #define DEPTH 64
+#define PERIOD_US 4000
 
 extern void *__libc_stack_end;
 
@@ -67,9 +70,7 @@ __attribute__((constructor)) static void start(void) {
     sa.sa_sigaction = on_prof;
     sa.sa_flags = SA_SIGINFO | SA_RESTART;
     sigaction(SIGPROF, &sa, NULL);
-    const char *us = getenv("HOTSPOTS_US");
-    long period = us ? atol(us) : 1000;
-    struct itimerval every = {{0, period}, {0, period}};
+    struct itimerval every = {{0, PERIOD_US}, {0, PERIOD_US}};
     setitimer(ITIMER_PROF, &every, NULL);
 }
 
