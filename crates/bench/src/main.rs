@@ -1,7 +1,7 @@
 //! `experiments <name> [args…]`: runs one row of
 //! [`fireworks_bench::experiments::ALL`]; with no argument, prints the
 //! table. stdout is the experiment's alone (the goldens compare it);
-//! wall time and events/sec — machine-dependent — go to stderr.
+//! wall time, events/sec and peak RSS — machine-dependent — go to stderr.
 
 use fireworks_bench::experiments::{find, usage_error, ALL};
 use std::process::ExitCode;
@@ -12,6 +12,15 @@ fn table() -> String {
         out.push_str(&format!("\n  {}\n      {}\n", row.usage, row.about));
     }
     out
+}
+
+/// The process's peak resident set (`VmHWM`) in MiB, if the kernel
+/// reports one.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: f64 = kib.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kib / 1024.0)
 }
 
 fn main() -> ExitCode {
@@ -36,8 +45,9 @@ fn main() -> ExitCode {
         Ok(events) => {
             let secs = wall.elapsed().as_secs_f64();
             if events > 0 {
+                let rss = peak_rss_mib().map_or("null".into(), |m| format!("{m:.1}"));
                 eprintln!(
-                    "{{\"bench\": \"{name}\", \"events\": {events}, \"wall_ms\": {:.1}, \"events_per_sec\": {:.0}}}",
+                    "{{\"bench\": \"{name}\", \"events\": {events}, \"wall_ms\": {:.1}, \"events_per_sec\": {:.0}, \"peak_rss_mib\": {rss}}}",
                     secs * 1e3,
                     events as f64 / secs.max(1e-9)
                 );

@@ -52,6 +52,7 @@
 use std::ops::{Deref, DerefMut};
 
 use fireworks_obs::{Gauge, Obs};
+use fireworks_sim::hash::fnv1a;
 use fireworks_sim::{Clock, Nanos};
 
 use crate::api::{
@@ -266,7 +267,7 @@ impl LocalityAffinity {
         if idx >= self.home_hashes.len() {
             self.home_hashes.resize(idx + 1, None);
         }
-        *self.home_hashes[idx].get_or_insert_with(|| fnv1a(&function.name()))
+        *self.home_hashes[idx].get_or_insert_with(|| fnv1a(function.name().as_bytes()))
     }
 }
 
@@ -317,13 +318,6 @@ fn least_loaded(hosts: &[HostView], accept: impl Fn(&HostView) -> bool) -> Optio
         .filter(|v| accept(v))
         .min_by_key(|v| (v.load(), v.id))
         .map(|v| v.id)
-}
-
-/// FNV-1a over the function name: a stable hash (unlike `DefaultHasher`,
-/// which is randomly keyed per process) so home-host assignment is
-/// deterministic across runs.
-pub(crate) fn fnv1a(s: &str) -> u64 {
-    fireworks_sim::hash::fnv1a(s.as_bytes())
 }
 
 /// One request's outcome on the cluster, with its placement.
@@ -517,7 +511,7 @@ impl<P: ConcurrentPlatform> Cluster<P> {
     /// first time a request lands on them; on a flat cluster they rebuild
     /// from source. Returns the home host's report.
     pub fn install_home(&mut self, spec: &FunctionSpec) -> Result<InstallReport, PlatformError> {
-        let home = (fnv1a(&spec.name) % self.fleet.len() as u64) as usize;
+        let home = (fnv1a(spec.name.as_bytes()) % self.fleet.len() as u64) as usize;
         let mut report = None;
         for (h, host) in self.fleet.hosts.iter_mut().enumerate() {
             if h == home {
@@ -668,7 +662,7 @@ mod tests {
         assert_eq!(loc.route(&req, &views), Route::Host(hid(2)));
         // No holder: the function's stable FNV home gets it (and will
         // cache it for the next request).
-        let home = (fnv1a(&req.function.name()) % 3) as usize;
+        let home = (fnv1a(req.function.name().as_bytes()) % 3) as usize;
         let views = vec![
             view(0, 1, 1, false),
             view(1, 1, 1, false),
@@ -726,12 +720,6 @@ mod tests {
         views[1].inflight = 2;
         views[1].queue_depth = 4;
         assert_eq!(loc.route(&req, &views), Route::Host(hid(2)));
-    }
-
-    #[test]
-    fn fnv_home_is_stable() {
-        assert_eq!(fnv1a("fact-0"), fnv1a("fact-0"));
-        assert_ne!(fnv1a("fact-0"), fnv1a("fact-1"));
     }
 
     const SRC: &str = "

@@ -10,7 +10,7 @@ use fireworks_sim::hash::fnv1a;
 use fireworks_sim::Clock;
 
 use crate::image::Image;
-use crate::table::{Slab, Sparse};
+use crate::table::Slab;
 
 /// Size of one guest-physical page / host frame in bytes.
 pub const PAGE_SIZE: usize = 4096;
@@ -328,6 +328,70 @@ impl Frames {
     }
 }
 
+/// Position → clones that moved that page of a group's image into their
+/// overlay, for the positions some clone left, ascending (no zero count).
+/// A group holds a few hundred, so readers slice it by binary search.
+#[derive(Debug, Default)]
+struct Departures {
+    list: Vec<(u32, u32)>,
+    /// Just past the last [`Departures::add`]: a clone faults in page
+    /// order, and the clone before it often left the same positions.
+    next: usize,
+}
+
+impl Departures {
+    /// Clones that left position `idx`.
+    fn at(&self, idx: u32) -> u32 {
+        let i = self.list.binary_search_by_key(&idx, |d| d.0);
+        i.map_or(0, |i| self.list[i].1)
+    }
+
+    /// The departures at positions `from..from + n`.
+    fn within(&self, from: usize, n: usize) -> &[(u32, u32)] {
+        let below = |end: usize| move |d: &(u32, u32)| (d.0 as usize) < end;
+        let lo = self.list.partition_point(below(from));
+        &self.list[lo..lo + self.list[lo..].partition_point(below(from + n))]
+    }
+
+    /// Every departure where all of `sharers` left.
+    fn everyone_left(&self, sharers: u32) -> impl Iterator<Item = u32> + '_ {
+        let all = self.list.iter().filter(move |d| d.1 == sharers);
+        all.map(|d| d.0)
+    }
+
+    /// One more clone left `idx`.
+    fn add(&mut self, idx: u32) {
+        let list = &mut self.list;
+        let i = match list.get(self.next) {
+            Some(d) if d.0 == idx => self.next,
+            None if list.last().is_none_or(|d| d.0 < idx) => list.len(),
+            _ => list.partition_point(|d| d.0 < idx),
+        };
+        match list.get_mut(i) {
+            Some(d) if d.0 == idx => d.1 += 1,
+            _ => list.insert(i, (idx, 1)),
+        }
+        self.next = i + 1;
+        self.check();
+    }
+
+    /// A clone that left the positions `left` (ascending) went away.
+    fn take_back(&mut self, left: &[u32]) {
+        let mut left = left.iter().peekable();
+        self.list.retain_mut(|(idx, n)| {
+            *n -= u32::from(left.next_if_eq(&&*idx).is_some());
+            *n > 0
+        });
+        debug_assert!(left.next().is_none(), "took back a departure not made");
+        self.check();
+    }
+
+    fn check(&self) {
+        let ascending = || self.list.windows(2).all(|w| w[0].0 < w[1].0);
+        debug_assert!(ascending() && self.list.iter().all(|d| d.1 > 0), "{self:?}");
+    }
+}
+
 /// A snapshot image as the frame table sees it. Clones restored from it
 /// map every listed frame lazily, in no frame's `refs`: position `idx`
 /// has `sharers − departed[idx]` more mappers, in every image listing
@@ -339,8 +403,8 @@ pub(crate) struct Group {
     image: Rc<Image>,
     /// Live clones restored from the image.
     sharers: u32,
-    /// Position → sharers that moved that page into their overlay.
-    departed: Sparse<u32>,
+    /// Where its clones left the image.
+    departed: Departures,
     /// A full verify pass succeeded and no listed frame was poked since.
     verified: bool,
     /// No listed frame held data at registration or was poked since, so
@@ -353,12 +417,7 @@ pub(crate) struct Group {
 impl Group {
     /// Clones mapping position `idx` lazily.
     fn mappers_at(&self, idx: u32) -> u32 {
-        self.sharers - self.departed.get(idx as usize)
-    }
-
-    /// Whether the listing at `idx` owns its frame (a pin or a clone).
-    fn live(&self, idx: u32) -> bool {
-        self.file || self.mappers_at(idx) > 0
+        self.sharers - self.departed.at(idx)
     }
 }
 
@@ -617,7 +676,7 @@ impl HostMemory {
     /// departed[idx]` at its position there. Exact at any moment, and
     /// constant time for a frame one image lists.
     pub fn mappers(&self, id: FrameId) -> u32 {
-        self.inner.borrow().mappers(id)
+        self.inner.borrow().mappers_ahead(id).0
     }
 
     /// Total live frames on the host.
@@ -666,7 +725,7 @@ impl HostMemory {
         let group = inner.groups.insert(Group {
             image: image.clone(),
             sharers: 0,
-            departed: Sparse::default(),
+            departed: Departures::default(),
             verified: false,
             blank: true,
             file: true,
@@ -712,12 +771,9 @@ impl HostMemory {
             return;
         }
         // Only where every clone left is the listing no longer live.
-        let gone = inner.groups.get(group).departed.iter();
-        for (idx, _) in gone
-            .filter(|&(_, gone)| gone == sharers)
-            .collect::<Vec<_>>()
-        {
-            inner.unlist(group, idx, 1);
+        let gone = inner.groups.get(group).departed.everyone_left(sharers);
+        for idx in gone.collect::<Vec<_>>() {
+            inner.unlist(group, idx as usize, 1);
         }
     }
 
@@ -745,7 +801,7 @@ impl HostMemory {
         if g.file {
             // The file pins the frame, whose listing stays live: a copy,
             // of bytes only if the image holds any.
-            *g.departed.entry(idx) += 1;
+            g.departed.add(idx as u32);
             let data = (!g.blank).then(|| inner.frames.get(frame).0.data.clone());
             self.clock.advance(self.costs.cow_fault);
             return inner.cow_copy(data.flatten());
@@ -765,11 +821,11 @@ impl HostMemory {
 
     /// A clone of `group` goes away, having left the positions in `left`.
     pub(crate) fn detach(&self, group: u32, left: &mut [u32]) {
+        left.sort_unstable();
         let mut inner = self.inner.borrow_mut();
         let g = inner.groups.get_mut(group);
         g.sharers -= 1;
-        left.iter()
-            .for_each(|idx| *g.departed.entry(*idx as usize) -= 1);
+        g.departed.take_back(left);
         if !g.file {
             inner.orphan_detached(group, left);
         }
@@ -816,8 +872,9 @@ impl HostInner {
     /// One clone stops mapping `group`'s position `idx` lazily.
     fn depart(&mut self, group: u32, idx: usize) {
         let g = self.groups.get_mut(group);
-        *g.departed.entry(idx) += 1;
-        if !g.live(idx as u32) {
+        g.departed.add(idx as u32);
+        // Neither the file nor a clone owns the listing any more.
+        if !g.file && g.mappers_at(idx as u32) == 0 {
             self.unlist(group, idx, 1);
         }
     }
@@ -845,11 +902,6 @@ impl HostInner {
         e.listed(k).map(lazy).sum()
     }
 
-    /// See [`HostMemory::mappers`].
-    pub(crate) fn mappers(&self, id: FrameId) -> u32 {
-        self.mappers_ahead(id).0
-    }
-
     /// The mappers of frame `id`, and how many frames from it on have as
     /// many: the rest of its piece if no image lists it, else just it.
     pub(crate) fn mappers_ahead(&self, id: FrameId) -> (u32, u32) {
@@ -858,12 +910,11 @@ impl HostInner {
         (e.refs - e.pins + self.lazy_mappers(e, k), left)
     }
 
-    /// A clone of orphaned `group` went away, having left `left`: where
-    /// every other clone had left (everywhere, if it was the last), it
-    /// was the last lazy mapper. The last clone takes the group with it.
+    /// A clone of orphaned `group` went away, having left `left` (sorted):
+    /// where every other clone had left (everywhere, if it was the last),
+    /// it was the last lazy mapper. The last clone takes the group along.
     #[inline(never)]
-    fn orphan_detached(&mut self, group: u32, left: &mut [u32]) {
-        left.sort_unstable();
+    fn orphan_detached(&mut self, group: u32, left: &[u32]) {
         let g = self.groups.get(group);
         let sharers = g.sharers;
         if sharers == 0 {
@@ -876,11 +927,10 @@ impl HostInner {
             self.groups.remove(group);
             return;
         }
-        let all_left = g.departed.iter().filter(|&(_, gone)| gone == sharers);
-        let stayed = |idx: &usize| left.binary_search(&(*idx as u32)).is_err();
-        let last: Vec<usize> = all_left.map(|(idx, _)| idx).filter(stayed).collect();
+        let stayed = |idx: &u32| left.binary_search(idx).is_err();
+        let last: Vec<u32> = g.departed.everyone_left(sharers).filter(stayed).collect();
         for idx in last {
-            self.unlist(group, idx, 1);
+            self.unlist(group, idx as usize, 1);
         }
     }
 
@@ -895,39 +945,30 @@ impl HostInner {
             Some((last, same)) if *same == mappers => *last = end,
             _ => runs.push((end, mappers)),
         };
-        let mut own = g.departed.iter().peekable();
+        // `(offset into a piece, clones that left it)`, of every listing.
+        let mut departed: Vec<(usize, u32)> = Vec::new();
         for &(at, e) in g.image.runs() {
             // No position of the run is live (every clone of the orphan
             // left it): no clone sums it, and its frames may be freed.
-            let within = |(idx, _): &(usize, u32)| *idx < at + e.len;
-            let dead = g.departed.iter_from(at).take_while(within);
-            if !g.file && dead.filter(|&(_, gone)| gone == g.sharers).count() == e.len {
+            let dead = g.departed.within(at, e.len).iter();
+            if !g.file && dead.filter(|d| d.1 == g.sharers).count() == e.len {
                 push(at + e.len, 0);
                 continue;
             }
             for (off, len, p, k) in self.frames.pieces(e.frame, e.len) {
-                let (from, explicit) = (at + off, p.refs - p.pins);
-                // Where its clones, or those of another listing image, left.
-                let departed = std::iter::from_fn(|| own.next_if(|(idx, _)| *idx < from + len));
-                let mut departed: Vec<usize> = departed
-                    .filter_map(|(idx, _)| idx.checked_sub(from))
-                    .collect();
-                let mut level = explicit;
+                let (from, mut level) = (at + off, p.refs - p.pins);
+                departed.clear();
                 for l in p.listed(k) {
                     let other = self.groups.get(l.group);
                     level += other.sharers;
-                    if l.group != group {
-                        let at = l.idx as usize;
-                        let left = other.departed.iter_from(at);
-                        let left = left.take_while(|(idx, _)| *idx < at + len);
-                        departed.extend(left.map(|(idx, _)| idx - at));
-                    }
+                    let left = other.departed.within(l.idx as usize, len);
+                    departed.extend(left.iter().map(|&(idx, n)| ((idx - l.idx) as usize, n)));
                 }
                 departed.sort_unstable();
-                departed.dedup();
-                for d in departed {
-                    push(from + d, level);
-                    push(from + d + 1, explicit + self.lazy_mappers(p, k + d as u32));
+                for same in departed.chunk_by(|a, b| a.0 == b.0) {
+                    let gone: u32 = same.iter().map(|d| d.1).sum();
+                    push(from + same[0].0, level);
+                    push(from + same[0].0 + 1, level - gone);
                 }
                 push(from + len, level);
             }
@@ -1111,6 +1152,55 @@ pub(crate) mod tests {
         // entry a word.
         assert!(std::mem::size_of::<Option<Slot>>() <= 32);
         assert_eq!(std::mem::size_of::<Option<FrameId>>(), 8);
+    }
+
+    #[test]
+    fn departures_follow_the_live_clones_through_an_orphaned_group() {
+        let h = host();
+        let frame = h.open_run(16);
+        h.seal_run(frame, 16);
+        let image = Rc::new(Image::new([Extent {
+            page: 0,
+            frame,
+            len: 16,
+        }]));
+        let (group, _) = h.register(&image, true);
+        // Three clones, restored in order, each with the positions it left
+        // (in fault order) and the private frames it maps instead.
+        let mut left: Vec<Vec<u32>> = vec![Vec::new(); 3];
+        let mut copies: Vec<Vec<FrameId>> = vec![Vec::new(); 3];
+        let mut cow = |clone: usize, idx: u32| {
+            left[clone].push(idx);
+            let private = h.cow_out(group, idx as usize, image.frame_at(idx as usize));
+            copies[clone].push(private);
+        };
+        (0..3).for_each(|_| h.attach(group));
+        for (clone, idx) in [(0, 9), (1, 5), (2, 2), (1, 15), (0, 2), (1, 2)] {
+            cow(clone, idx);
+        }
+        // Position 2, which every clone left, stops being live here.
+        h.drop_file(group);
+        for (clone, idx) in [(0, 5), (2, 11), (1, 0)] {
+            cow(clone, idx);
+        }
+        let departed = || h.inner.borrow().groups.get(group).departed.list.clone();
+        let mut live = vec![0, 1, 2];
+        for gone in [1, 2, 0] {
+            copies[gone].iter().for_each(|&f| h.release(f));
+            live.retain(|&c| c != gone);
+            h.detach(group, &mut left[gone]);
+            if live.is_empty() {
+                break;
+            }
+            let mut all: Vec<u32> = live.iter().flat_map(|&c| left[c].clone()).collect();
+            all.sort_unstable();
+            let counts = all
+                .chunk_by(|a, b| a == b)
+                .map(|same| (same[0], same.len() as u32));
+            assert_eq!(departed(), counts.collect::<Vec<_>>(), "after clone {gone}");
+        }
+        let groups = crate::table::tests::live(&h.inner.borrow().groups).count();
+        assert_eq!((groups, h.live_frames()), (0, 0));
     }
 
     #[test]

@@ -42,21 +42,22 @@
 //!   teardown cost the runs, not their pages.
 //! - **Group.** A restore adds one *sharer* to the image's group; a CoW
 //!   fault moves one page into the clone's overlay and counts one
-//!   *departure* at that position; a drop releases the overlay and takes
-//!   the departures back. Each piece lists the images whose listing of
-//!   its frames is *live* (the file pins them, or a clone maps them
-//!   lazily), so a frame's mappers are its explicit references minus pins
-//!   plus, for each of those images, `sharers − departed[idx]` at its
-//!   position there ([`HostMemory::mappers`]). A file dropped before its
-//!   clones leaves its group *orphaned*, still lazy; a listing leaves its
-//!   frames when no clone maps them any more, and a frame is freed when
-//!   its last owner goes, just when the eager design frees it.
+//!   *departure* at that position (a list sorted by position); a drop
+//!   releases the overlay and merges them back out. Each piece lists the
+//!   images whose listing of its frames is *live* (the file pins them, or
+//!   a clone maps them lazily), so a frame's mappers are its explicit
+//!   references minus pins plus, for each of those images,
+//!   `sharers − departed[idx]` at its position ([`HostMemory::mappers`]).
+//!   A file dropped before its clones leaves its group *orphaned*, still
+//!   lazy; a listing leaves its frames when no clone maps them any more,
+//!   and a frame is freed when its last owner goes, as in the eager design.
 //! - **Accounting.** [`AddressSpace::sharing_stats`] forms the scan's
 //!   page-order `f64` sum without visiting pages: it walks the overlay's
 //!   extents and the base's runs between them a piece at a time — a
 //!   piece's frames have equal mappers, in the base but where a listing
-//!   image's clone departed — and adds each run of equal terms in closed
-//!   form, bit for bit what the sequential adds round to.
+//!   image's clone departed, read off its departures — and adds each run
+//!   of equal terms in closed form, bit for bit what the sequential adds
+//!   round to.
 //! - **Verify once.** [`SnapshotFile::verify`] remembers a clean pass;
 //!   stored pages change only through [`HostMemory::poke_frame`], which
 //!   makes every image listing the frame forget.
