@@ -12,11 +12,26 @@
 //! and freed when the last manifest referencing them is released
 //! (cache eviction). All state is `BTreeMap`-ordered so walks are
 //! byte-deterministic.
+//!
+//! Residency is asked far more often than the store changes: a router
+//! probes every host's store on every placement, while chunks arrive and
+//! leave only on ingest, delta fetch and eviction. So
+//! [`ChunkStore::missing_bytes`] answers from a memo keyed by
+//! `(manifest id, chunk granularity)` and scans a manifest only on a
+//! miss. The key is sound because a [`fireworks_guestmem::SnapshotId`] is
+//! the capture-time content digest: equal ids cut at equal granularity
+//! give equal chunk lists (under the same 64-bit-hash trust the store
+//! places in [`ChunkHash`]). The memo is cleared exactly where the set of
+//! present hashes changes — a chunk inserted or a chunk's last reference
+//! released — and survives reference-count-only changes. The store also
+//! keeps its unique and logical byte totals as running sums, so the
+//! gauges it sets after every mutation cost nothing per stored chunk.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use fireworks_guestmem::{
-    ChunkHash, ChunkRef, Extent, HostMemory, SnapshotFile, SnapshotManifest, PAGE_SIZE,
+    ChunkHash, ChunkRef, Extent, HostMemory, SnapshotFile, SnapshotId, SnapshotManifest, PAGE_SIZE,
 };
 use fireworks_obs::Obs;
 
@@ -57,6 +72,14 @@ pub struct ChunkStoreStats {
 pub struct ChunkStore {
     host: HostMemory,
     chunks: BTreeMap<ChunkHash, ChunkEntry>,
+    /// Sum of every stored chunk's `bytes`.
+    unique_bytes: u64,
+    /// Sum of every stored chunk's `bytes * refs`.
+    logical_bytes: u64,
+    /// `missing_bytes` answers since the set of stored hashes last
+    /// changed, keyed by `(manifest.id, manifest.chunk_pages)`. Behind a
+    /// `RefCell` because probes borrow the store shared.
+    missing: RefCell<BTreeMap<(SnapshotId, usize), u64>>,
     dedup_hits: u64,
     inserts: u64,
     obs: Option<Obs>,
@@ -68,6 +91,9 @@ impl ChunkStore {
         ChunkStore {
             host,
             chunks: BTreeMap::new(),
+            unique_bytes: 0,
+            logical_bytes: 0,
+            missing: RefCell::default(),
             dedup_hits: 0,
             inserts: 0,
             obs: None,
@@ -88,14 +114,10 @@ impl ChunkStore {
 
     fn record_gauges(&self) {
         if let Some(obs) = &self.obs {
-            let stats = self.stats();
             obs.metrics()
-                .gauge_set("store.chunks.unique_bytes", &[], stats.unique_bytes as i64);
-            obs.metrics().gauge_set(
-                "store.chunks.logical_bytes",
-                &[],
-                stats.logical_bytes as i64,
-            );
+                .gauge_set("store.chunks.unique_bytes", &[], self.unique_bytes as i64);
+            obs.metrics()
+                .gauge_set("store.chunks.logical_bytes", &[], self.logical_bytes as i64);
         }
     }
 
@@ -136,12 +158,16 @@ impl ChunkStore {
             match self.chunks.entry(chunk.hash) {
                 std::collections::btree_map::Entry::Occupied(mut e) => {
                     e.get_mut().refs += 1;
+                    self.logical_bytes += e.get().bytes;
                     hits += 1;
                     append_joined(&mut canonical, &e.get().frames);
                 }
                 std::collections::btree_map::Entry::Vacant(v) => {
                     append_joined(&mut pinned, &run);
                     append_joined(&mut canonical, &run);
+                    self.unique_bytes += chunk.bytes;
+                    self.logical_bytes += chunk.bytes;
+                    self.missing.get_mut().clear();
                     v.insert(ChunkEntry {
                         frames: run,
                         bytes: chunk.bytes,
@@ -174,6 +200,7 @@ impl ChunkStore {
         match self.chunks.get_mut(&hash) {
             Some(e) => {
                 e.refs += 1;
+                self.logical_bytes += e.bytes;
                 self.dedup_hits += 1;
                 self.count("store.chunks.dedup_hits", 1);
                 true
@@ -195,7 +222,25 @@ impl ChunkStore {
 
     /// Bytes of `manifest` this store does not hold — the router's
     /// transfer-cost signal and the delta fetcher's shopping list.
+    ///
+    /// A lookup between changes to the set of stored chunks: the answer
+    /// is memoised under `(manifest.id, manifest.chunk_pages)`, which
+    /// determines the chunk list, and the memo is cleared whenever a
+    /// chunk enters or leaves the store (see the module doc). Debug
+    /// builds check every memoised answer against a fresh scan.
     pub fn missing_bytes(&self, manifest: &SnapshotManifest) -> u64 {
+        let key = (manifest.id, manifest.chunk_pages);
+        if let Some(&missing) = self.missing.borrow().get(&key) {
+            debug_assert_eq!(missing, self.scan_missing_bytes(manifest));
+            return missing;
+        }
+        let missing = self.scan_missing_bytes(manifest);
+        self.missing.borrow_mut().insert(key, missing);
+        missing
+    }
+
+    /// [`ChunkStore::missing_bytes`] by looking up every chunk.
+    fn scan_missing_bytes(&self, manifest: &SnapshotManifest) -> u64 {
         manifest
             .chunks
             .iter()
@@ -220,12 +265,16 @@ impl ChunkStore {
         let hit = match self.chunks.entry(hash) {
             std::collections::btree_map::Entry::Occupied(mut e) => {
                 e.get_mut().refs += 1;
+                self.logical_bytes += e.get().bytes;
                 frames.iter().for_each(|e| self.host.release_extent(e));
                 true
             }
             std::collections::btree_map::Entry::Vacant(v) => {
                 let pages: usize = frames.iter().map(|e| e.len).sum();
                 let bytes = (pages * PAGE_SIZE) as u64;
+                self.unique_bytes += bytes;
+                self.logical_bytes += bytes;
+                self.missing.get_mut().clear();
                 for e in &frames {
                     // Convert the caller's owner reference into a pin.
                     self.host.pin_extent(e);
@@ -321,9 +370,12 @@ impl ChunkStore {
                 continue;
             };
             e.refs -= 1;
+            self.logical_bytes -= e.bytes;
             if e.refs == 0 {
                 append_joined(&mut unpinned, &e.frames);
+                self.unique_bytes -= e.bytes;
                 self.chunks.remove(&chunk.hash);
+                self.missing.get_mut().clear();
                 self.count("store.chunks.evictions", 1);
             }
         }
@@ -334,15 +386,12 @@ impl ChunkStore {
     /// Bytes of distinct chunks currently stored — what this host's
     /// cache budget is charged.
     pub fn unique_bytes(&self) -> u64 {
-        self.chunks.values().map(|e| e.bytes).sum()
+        self.unique_bytes
     }
 
     /// Bytes all ingested manifests describe (flat-storage cost).
     pub fn logical_bytes(&self) -> u64 {
-        self.chunks
-            .values()
-            .map(|e| e.bytes * u64::from(e.refs))
-            .sum()
+        self.logical_bytes
     }
 
     /// `logical / unique` — how many times over the store's bytes are
