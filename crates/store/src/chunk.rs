@@ -23,9 +23,7 @@
 //! give equal chunk lists (under the same 64-bit-hash trust the store
 //! places in [`ChunkHash`]). The memo is cleared exactly where the set of
 //! present hashes changes — a chunk inserted or a chunk's last reference
-//! released — and survives reference-count-only changes. The store also
-//! keeps its unique and logical byte totals as running sums, so the
-//! gauges it sets after every mutation cost nothing per stored chunk.
+//! released — and survives reference-count-only changes.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -72,10 +70,6 @@ pub struct ChunkStoreStats {
 pub struct ChunkStore {
     host: HostMemory,
     chunks: BTreeMap<ChunkHash, ChunkEntry>,
-    /// Sum of every stored chunk's `bytes`.
-    unique_bytes: u64,
-    /// Sum of every stored chunk's `bytes * refs`.
-    logical_bytes: u64,
     /// `missing_bytes` answers since the set of stored hashes last
     /// changed, keyed by `(manifest.id, manifest.chunk_pages)`. Behind a
     /// `RefCell` because probes borrow the store shared.
@@ -91,8 +85,6 @@ impl ChunkStore {
         ChunkStore {
             host,
             chunks: BTreeMap::new(),
-            unique_bytes: 0,
-            logical_bytes: 0,
             missing: RefCell::default(),
             dedup_hits: 0,
             inserts: 0,
@@ -114,10 +106,14 @@ impl ChunkStore {
 
     fn record_gauges(&self) {
         if let Some(obs) = &self.obs {
+            let stats = self.stats();
             obs.metrics()
-                .gauge_set("store.chunks.unique_bytes", &[], self.unique_bytes as i64);
-            obs.metrics()
-                .gauge_set("store.chunks.logical_bytes", &[], self.logical_bytes as i64);
+                .gauge_set("store.chunks.unique_bytes", &[], stats.unique_bytes as i64);
+            obs.metrics().gauge_set(
+                "store.chunks.logical_bytes",
+                &[],
+                stats.logical_bytes as i64,
+            );
         }
     }
 
@@ -158,15 +154,12 @@ impl ChunkStore {
             match self.chunks.entry(chunk.hash) {
                 std::collections::btree_map::Entry::Occupied(mut e) => {
                     e.get_mut().refs += 1;
-                    self.logical_bytes += e.get().bytes;
                     hits += 1;
                     append_joined(&mut canonical, &e.get().frames);
                 }
                 std::collections::btree_map::Entry::Vacant(v) => {
                     append_joined(&mut pinned, &run);
                     append_joined(&mut canonical, &run);
-                    self.unique_bytes += chunk.bytes;
-                    self.logical_bytes += chunk.bytes;
                     self.missing.get_mut().clear();
                     v.insert(ChunkEntry {
                         frames: run,
@@ -200,7 +193,6 @@ impl ChunkStore {
         match self.chunks.get_mut(&hash) {
             Some(e) => {
                 e.refs += 1;
-                self.logical_bytes += e.bytes;
                 self.dedup_hits += 1;
                 self.count("store.chunks.dedup_hits", 1);
                 true
@@ -265,15 +257,12 @@ impl ChunkStore {
         let hit = match self.chunks.entry(hash) {
             std::collections::btree_map::Entry::Occupied(mut e) => {
                 e.get_mut().refs += 1;
-                self.logical_bytes += e.get().bytes;
                 frames.iter().for_each(|e| self.host.release_extent(e));
                 true
             }
             std::collections::btree_map::Entry::Vacant(v) => {
                 let pages: usize = frames.iter().map(|e| e.len).sum();
                 let bytes = (pages * PAGE_SIZE) as u64;
-                self.unique_bytes += bytes;
-                self.logical_bytes += bytes;
                 self.missing.get_mut().clear();
                 for e in &frames {
                     // Convert the caller's owner reference into a pin.
@@ -370,10 +359,8 @@ impl ChunkStore {
                 continue;
             };
             e.refs -= 1;
-            self.logical_bytes -= e.bytes;
             if e.refs == 0 {
                 append_joined(&mut unpinned, &e.frames);
-                self.unique_bytes -= e.bytes;
                 self.chunks.remove(&chunk.hash);
                 self.missing.get_mut().clear();
                 self.count("store.chunks.evictions", 1);
@@ -386,12 +373,15 @@ impl ChunkStore {
     /// Bytes of distinct chunks currently stored — what this host's
     /// cache budget is charged.
     pub fn unique_bytes(&self) -> u64 {
-        self.unique_bytes
+        self.chunks.values().map(|e| e.bytes).sum()
     }
 
     /// Bytes all ingested manifests describe (flat-storage cost).
     pub fn logical_bytes(&self) -> u64 {
-        self.logical_bytes
+        self.chunks
+            .values()
+            .map(|e| e.bytes * u64::from(e.refs))
+            .sum()
     }
 
     /// `logical / unique` — how many times over the store's bytes are
