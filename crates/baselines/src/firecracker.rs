@@ -8,10 +8,9 @@ use fireworks_core::env::PlatformEnv;
 use fireworks_core::{ConcurrentPlatform, FunctionId};
 use fireworks_lang::{ExecStats, JitConfig, Value};
 use fireworks_microvm::{MicroVm, MicroVmConfig, VmFullSnapshot, VmManager};
-use fireworks_obs::cat;
+use fireworks_obs::{cat, Phase};
 use fireworks_runtime::RuntimeProfile;
 use fireworks_sandbox::{IoPath, IoPathKind, IsolationLevel};
-use fireworks_sim::trace::Phase;
 
 use crate::pool::{Flavor, InFlight, PooledPlatform};
 

@@ -6,10 +6,9 @@ use fireworks_core::api::{FunctionSpec, PlatformError};
 use fireworks_core::config::PlatformConfig;
 use fireworks_core::env::PlatformEnv;
 use fireworks_lang::{ExecStats, JitConfig};
-use fireworks_obs::cat;
+use fireworks_obs::{cat, Phase};
 use fireworks_runtime::RuntimeProfile;
 use fireworks_sandbox::{Container, ContainerKind, ContainerManager, IoPath, IsolationLevel};
-use fireworks_sim::trace::Phase;
 
 use crate::pool::{Flavor, PooledPlatform};
 

@@ -24,10 +24,9 @@ use fireworks_core::engine::EngineRequest;
 use fireworks_core::env::PlatformEnv;
 use fireworks_core::{FunctionId, IdMap};
 use fireworks_lang::Value;
-use fireworks_obs::LogHistogram;
+use fireworks_obs::{Breakdown, LogHistogram};
 use fireworks_runtime::RuntimeKind;
 use fireworks_sandbox::IsolationLevel;
-use fireworks_sim::trace::Breakdown;
 use fireworks_sim::Nanos;
 use fireworks_workloads::azure::TraceSpec;
 

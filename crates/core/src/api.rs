@@ -33,11 +33,10 @@ use fireworks_lang::{ExecStats, LangError, Value};
 use fireworks_microvm::VmError;
 use fireworks_msgbus::BusError;
 use fireworks_netsim::NetError;
-use fireworks_obs::{cat, Recorder, RootSpan, SpanId};
+use fireworks_obs::{cat, Breakdown, Phase, Recorder, RootSpan, SpanId};
 use fireworks_runtime::guest::InvokeResult;
 use fireworks_runtime::{GuestRuntime, RuntimeKind};
 use fireworks_sandbox::IsolationLevel;
-use fireworks_sim::trace::{Breakdown, Phase};
 use fireworks_sim::Nanos;
 use fireworks_store::StoreError;
 

@@ -61,7 +61,7 @@ use crate::api::{
 };
 use crate::config::PlatformConfig;
 pub use crate::driver::Fleet;
-use crate::driver::{self, Control, Driver, Host, HostPhase, RunStats};
+use crate::driver::{self, Control, Driver, HostPhase, RunStats};
 use crate::engine::{CompletionPolicy, EngineRequest};
 use crate::env::{EnvConfig, PlatformEnv};
 use crate::symbols::{FunctionId, HostId};
@@ -416,8 +416,9 @@ impl<P: ConcurrentPlatform> DerefMut for Cluster<P> {
 
 /// The fixed cluster's control plane: no control events, only the
 /// `cluster.*` and per-host `engine.*{host=}` gauges. Handles are
-/// resolved at construction and the totals they publish are maintained
-/// incrementally, so sampling is O(hosts touched by the event).
+/// resolved at construction. The totals are maintained incrementally,
+/// so per-event sampling is O(1); the per-host gauges are set from the
+/// host table when [`Cluster::run`] returns.
 struct ClusterGauges {
     hosts: Gauge,
     inflight: Gauge,
@@ -428,12 +429,6 @@ struct ClusterGauges {
 
 impl<P: ConcurrentPlatform> Control<P, P> for ClusterGauges {
     type Event = ();
-
-    fn on_host_changed(&mut self, h: usize, host: &Host<P>) {
-        let (inflight, queue_depth) = &self.per_host[h];
-        inflight.set(host.inflight.len() as i64);
-        queue_depth.set(host.waiting.len() as i64);
-    }
 
     fn on_host_failed(&mut self, d: &mut Driver<'_, P, P, Self>, host: usize) {
         let m = d.fleet.obs.metrics();
@@ -536,6 +531,10 @@ impl<P: ConcurrentPlatform> Cluster<P> {
         requests: &[EngineRequest],
     ) -> ClusterReport<P::InFlight> {
         let out = driver::run(&mut self.fleet, &mut self.gauges, router, requests);
+        for (host, (inflight, queue_depth)) in self.fleet.hosts.iter().zip(&self.gauges.per_host) {
+            inflight.set(host.inflight.len() as i64);
+            queue_depth.set(host.waiting.len() as i64);
+        }
         let stats = out.stats;
         let counters = [
             ("cluster.rebalances", stats.rebalances),

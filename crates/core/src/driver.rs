@@ -26,15 +26,15 @@
 //!   for itself (the elastic tick, boot, drain deadline, hand-off).
 //!
 //! After every event the loop fails hosts the chunk mesh saw die
-//! mid-transfer and samples the concurrency high-water marks.
+//! mid-transfer, reports the event's failed hosts to the control plane
+//! and samples the concurrency high-water marks.
 
 use std::borrow;
 use std::collections::{BTreeMap, VecDeque};
 
-use fireworks_obs::{cat, Metrics, Obs, Recorder, SpanContext, SpanId, TraceId};
+use fireworks_obs::{cat, Metrics, Obs, Phase, Recorder, SpanContext, SpanId, TraceId};
 use fireworks_sim::engine::EventQueue;
 use fireworks_sim::fault::FaultSite;
-use fireworks_sim::trace::Phase;
 use fireworks_sim::{Clock, Nanos};
 
 use crate::api::{ConcurrentPlatform, PlatformError};
@@ -127,6 +127,10 @@ pub struct Fleet<P: ConcurrentPlatform, B = P> {
     census: [usize; 5],
     /// Invocations in service fleet-wide (same reason).
     pub(crate) inflight_total: usize,
+    /// How many hosts the control plane may power: with no `Active`
+    /// host, requests wait only while a host boots or `powered()` is
+    /// below this. 0 unless an elastic plane can still scale up.
+    pub(crate) max_powered: usize,
     events_processed: u64,
 }
 
@@ -151,6 +155,7 @@ impl<P: ConcurrentPlatform, B: borrow::BorrowMut<P>> Fleet<P, B> {
             completion,
             census: [0; 5],
             inflight_total: 0,
+            max_powered: 0,
             events_processed: 0,
         }
     }
@@ -336,9 +341,10 @@ enum Event<E> {
     Control(E),
 }
 
-/// A front-end's control plane: the hooks [`run`] calls. Every hook
-/// defaults to a no-op, which is the whole control plane of a fixed
-/// fleet.
+/// A front-end's control plane: the hooks [`run`]'s loop calls, and
+/// only it — no [`Driver`] method calls a hook, so a hook that routes or
+/// fails a host never re-enters the control plane. Every hook defaults
+/// to a no-op, which is the whole control plane of a fixed fleet.
 pub(crate) trait Control<P: ConcurrentPlatform, B: borrow::BorrowMut<P>>: Sized {
     /// Payload of the control-plane events this impl schedules for
     /// itself through [`Driver::schedule`].
@@ -355,12 +361,6 @@ pub(crate) trait Control<P: ConcurrentPlatform, B: borrow::BorrowMut<P>>: Sized 
     fn on_arrive(&mut self, _d: &mut Driver<'_, P, B, Self>, _function: FunctionId, _root: SpanId) {
     }
 
-    /// `host` took a slot for a service activity.
-    fn on_service_start(&mut self, _host: usize) {}
-
-    /// `host`'s in-flight set or admission queue changed.
-    fn on_host_changed(&mut self, _h: usize, _host: &Host<P, B>) {}
-
     /// A completion on `host` freed its slot and restarted its queue;
     /// the cluster queue is re-offered next.
     fn on_complete(&mut self, _d: &mut Driver<'_, P, B, Self>, _host: usize) {}
@@ -368,23 +368,18 @@ pub(crate) trait Control<P: ConcurrentPlatform, B: borrow::BorrowMut<P>>: Sized 
     /// A control-plane event this impl scheduled fired.
     fn on_control(&mut self, _d: &mut Driver<'_, P, B, Self>, _event: Self::Event) {}
 
-    /// `host` failed and everything it was queueing has been rerouted.
+    /// `host` failed and everything it was queueing has been rerouted;
+    /// called after the event and the mesh reap, in failure order.
     fn on_host_failed(&mut self, _d: &mut Driver<'_, P, B, Self>, _host: usize) {}
 
-    /// With no `Active` host left: whether the control plane can still
-    /// bring capacity back (so requests wait instead of failing).
-    fn capacity_may_return(&self, _fleet: &Fleet<P, B>) -> bool {
-        false
-    }
-
-    /// After each event (and the mesh reap that follows it): gauges,
-    /// front-end peaks.
+    /// After each event (and the failure reports that follow it):
+    /// gauges, front-end peaks.
     fn after_event(&mut self, _d: &Driver<'_, P, B, Self>) {}
 }
 
 /// The loop's state during one run, handed to the [`Control`] hooks so
-/// the control plane can route, reject, fail hosts and schedule its own
-/// events through the same code paths the loop uses.
+/// the control plane can route, fail hosts and schedule its own events
+/// through the same code paths the loop uses.
 pub(crate) struct Driver<'a, P: ConcurrentPlatform, B: borrow::BorrowMut<P>, C: Control<P, B>> {
     pub fleet: &'a mut Fleet<P, B>,
     router: &'a mut dyn Router,
@@ -402,6 +397,9 @@ pub(crate) struct Driver<'a, P: ConcurrentPlatform, B: borrow::BorrowMut<P>, C: 
     pub cluster_waiting: VecDeque<usize>,
     pub retained: Vec<(HostId, P::InFlight)>,
     views_buf: Vec<HostView>,
+    /// Hosts [`Driver::fail_host`] failed during the current event, not
+    /// yet reported to [`Control::on_host_failed`].
+    unreported_failures: VecDeque<usize>,
     pub stats: RunStats,
 }
 
@@ -438,6 +436,7 @@ where
         cluster_waiting: VecDeque::new(),
         retained: Vec::new(),
         views_buf: Vec::with_capacity(fleet.hosts.len()),
+        unreported_failures: VecDeque::new(),
         stats: RunStats::default(),
         fleet,
         router,
@@ -455,11 +454,22 @@ where
         ctl.before_event(d.fleet, ev.at);
         d.fleet.clock.warp_to(ev.at);
         match ev.event {
-            Event::Arrive(i) => d.arrive(ctl, i),
-            Event::Complete { host, index } => d.complete(ctl, host, index),
+            Event::Arrive(i) => {
+                let (function, root) = d.admit(i);
+                ctl.on_arrive(&mut d, function, root);
+                d.place(i, None);
+            }
+            Event::Complete { host, index } => {
+                d.complete(host, index);
+                ctl.on_complete(&mut d, host);
+                d.drain_cluster_queue();
+            }
             Event::Control(event) => ctl.on_control(&mut d, event),
         }
-        d.reap_mesh_dead(ctl);
+        d.reap_mesh_dead();
+        while let Some(h) = d.unreported_failures.pop_front() {
+            ctl.on_host_failed(&mut d, h);
+        }
         let stats = &mut d.stats;
         stats.peak_inflight = stats.peak_inflight.max(d.fleet.inflight_total);
         stats.peak_cluster_queue_depth =
@@ -496,18 +506,18 @@ impl<P: ConcurrentPlatform, B: borrow::BorrowMut<P>, C: Control<P, B>> Driver<'_
 
     /// Admission mints the request's trace: one detached root span per
     /// request, so spans from interleaved requests (and hosts) never
-    /// adopt each other.
-    fn arrive(&mut self, ctl: &mut C, i: usize) {
+    /// adopt each other. Returns the request's function and root.
+    fn admit(&mut self, i: usize) -> (FunctionId, SpanId) {
         let function = self.requests[i].invoke.function;
         let trace = self.rec.next_trace_id();
         let root = self.rec.start_detached("request", cat::INVOKE, trace);
         self.rec.attr(root, "function", &*function.name());
         self.roots[i] = Some((trace, root));
-        ctl.on_arrive(self, function, root);
-        self.place(ctl, i, None);
+        (function, root)
     }
 
-    fn complete(&mut self, ctl: &mut C, h: usize, index: usize) {
+    /// Frees request `index`'s slot on host `h` and restarts its queue.
+    fn complete(&mut self, h: usize, index: usize) {
         let host = &mut self.fleet.hosts[h];
         if let Some(token) = host.inflight.remove(&index) {
             self.fleet.inflight_total -= 1;
@@ -517,27 +527,23 @@ impl<P: ConcurrentPlatform, B: borrow::BorrowMut<P>, C: Control<P, B>> Driver<'_
             }
         }
         host.free += 1;
-        ctl.on_host_changed(h, host);
-        // Drain this host's own queue first (FIFO), skipping requests
-        // whose deadline passed while they waited…
+        // Drain this host's own queue (FIFO), skipping requests whose
+        // deadline passed while they waited.
         if host.phase == HostPhase::Active {
             while let Some(next) = self.fleet.hosts[h].waiting.pop_front() {
                 if !self.reject_if_expired(next, None) {
-                    self.start_service(ctl, h, next);
+                    self.start_service(h, next);
                     break;
                 }
             }
         }
-        ctl.on_complete(self, h);
-        // …then let cluster-queued requests try the router again.
-        self.drain_cluster_queue(ctl);
     }
 
     /// FIFO-drains the cluster admission queue through the router,
     /// stopping at the first request that still cannot place.
-    pub fn drain_cluster_queue(&mut self, ctl: &mut C) {
+    pub fn drain_cluster_queue(&mut self) {
         while let Some(next) = self.cluster_waiting.pop_front() {
-            if !self.dispatch(ctl, next, None) {
+            if !self.dispatch(next, None) {
                 self.cluster_waiting.push_front(next);
                 break;
             }
@@ -546,8 +552,8 @@ impl<P: ConcurrentPlatform, B: borrow::BorrowMut<P>, C: Control<P, B>> Driver<'_
 
     /// Routes request `i`, parking it at the back of the cluster queue
     /// if nothing can take it now.
-    pub fn place(&mut self, ctl: &mut C, i: usize, rerouted_from: Option<usize>) {
-        if !self.dispatch(ctl, i, rerouted_from) {
+    pub fn place(&mut self, i: usize, rerouted_from: Option<usize>) {
+        if !self.dispatch(i, rerouted_from) {
             self.cluster_waiting.push_back(i);
         }
     }
@@ -558,7 +564,7 @@ impl<P: ConcurrentPlatform, B: borrow::BorrowMut<P>, C: Control<P, B>> Driver<'_
     /// `rerouted_from` marks a request displaced off that host: its
     /// placement counts as a rebalance and a terminal failure names the
     /// host.
-    fn dispatch(&mut self, ctl: &mut C, i: usize, rerouted_from: Option<usize>) -> bool {
+    fn dispatch(&mut self, i: usize, rerouted_from: Option<usize>) -> bool {
         if self.reject_if_expired(i, rerouted_from) {
             return true;
         }
@@ -573,12 +579,13 @@ impl<P: ConcurrentPlatform, B: borrow::BorrowMut<P>, C: Control<P, B>> Driver<'_
                 vec![("from_host", from.into())],
             );
         }
-        if self.fleet.count(HostPhase::Active) == 0 {
+        let fleet = &*self.fleet;
+        if fleet.count(HostPhase::Active) == 0 {
             // No serving capacity. The cluster queue only drains on
-            // completions and control events, so unless the control
-            // plane can still provision a host nothing will ever serve
-            // this request.
-            if ctl.capacity_may_return(self.fleet) {
+            // completions and control events, so unless a host is
+            // booting or the control plane may still power one, nothing
+            // will ever serve this request.
+            if fleet.count(HostPhase::Booting) > 0 || fleet.powered() < fleet.max_powered {
                 return false;
             }
             let error = PlatformError::HostUnavailable {
@@ -608,12 +615,11 @@ impl<P: ConcurrentPlatform, B: borrow::BorrowMut<P>, C: Control<P, B>> Driver<'_
         }
         let host = &mut self.fleet.hosts[h];
         if host.free > 0 {
-            self.start_service(ctl, h, i);
+            self.start_service(h, i);
         } else {
             host.waiting.push_back(i);
             let stats = &mut self.stats;
             stats.peak_host_queue_depth = stats.peak_host_queue_depth.max(host.waiting.len());
-            ctl.on_host_changed(h, host);
         }
         true
     }
@@ -622,18 +628,17 @@ impl<P: ConcurrentPlatform, B: borrow::BorrowMut<P>, C: Control<P, B>> Driver<'_
     /// the host's injector fires [`FaultSite::HostCrash`] at this
     /// service boundary, in which case the host fails and everything it
     /// was queueing (this request included) re-routes.
-    fn start_service(&mut self, ctl: &mut C, h: usize, i: usize) {
+    fn start_service(&mut self, h: usize, i: usize) {
         let host = &mut self.fleet.hosts[h];
         let crashed = host
             .env
             .as_ref()
             .is_some_and(|env| env.injector.borrow_mut().should_fail(FaultSite::HostCrash));
         if crashed {
-            self.fail_host(ctl, h, Some(i));
+            self.fail_host(h, Some(i));
             return;
         }
         host.free -= 1;
-        ctl.on_service_start(h);
         let started = self.fleet.clock.now();
         let r = &self.requests[i];
         if host.platform().residency(r.invoke.function).is_full() {
@@ -667,7 +672,6 @@ impl<P: ConcurrentPlatform, B: borrow::BorrowMut<P>, C: Control<P, B>> Driver<'_
             self.fleet.inflight_total += 1;
             invocation
         });
-        ctl.on_host_changed(h, host);
         self.resolve(ClusterCompletion {
             index: i,
             host: Some(HostId::from_index(h)),
@@ -739,22 +743,23 @@ impl<P: ConcurrentPlatform, B: borrow::BorrowMut<P>, C: Control<P, B>> Driver<'_
     /// re-routes `trigger` and every request in its admission queue
     /// through the router. In-flight invocations on the host finish
     /// normally — their completion events are already on the timeline.
-    pub fn fail_host(&mut self, ctl: &mut C, h: usize, trigger: Option<usize>) {
+    /// The loop reports the failure to [`Control::on_host_failed`] once
+    /// the current event is done.
+    pub fn fail_host(&mut self, h: usize, trigger: Option<usize>) {
         self.fleet.set_phase(h, HostPhase::Dead);
         let id = HostId::from_index(h);
         self.fleet.mesh.borrow_mut().mark_dead(id);
         self.stats.failed_hosts.push(id);
         self.rec.instant(format!("host_crash:{h}"), cat::FAULT);
         let mut displaced = std::mem::take(&mut self.fleet.hosts[h].waiting);
-        ctl.on_host_changed(h, &self.fleet.hosts[h]);
         if let Some(trigger) = trigger {
             displaced.push_front(trigger);
         }
         self.stats.crash_reroutes += displaced.len() as u64;
         for i in displaced {
-            self.place(ctl, i, Some(h));
+            self.place(i, Some(h));
         }
-        ctl.on_host_failed(self, h);
+        self.unreported_failures.push_back(h);
     }
 
     /// Fails hosts whose crash was first observed by a peer's delta
@@ -762,14 +767,97 @@ impl<P: ConcurrentPlatform, B: borrow::BorrowMut<P>, C: Control<P, B>> Driver<'_
     /// boundary on the host itself would have drawn the fault). Their
     /// queued requests drain and re-route exactly like a
     /// service-boundary crash.
-    fn reap_mesh_dead(&mut self, ctl: &mut C) {
+    fn reap_mesh_dead(&mut self) {
         // Collect first: `fail_host` needs the mesh borrow back.
         let dead = self.fleet.mesh.borrow().dead_hosts();
         for h in dead {
             let (h, hosts) = (h.index(), &self.fleet.hosts);
             if hosts.get(h).is_some_and(|host| host.phase.is_powered()) {
-                self.fail_host(ctl, h, None);
+                self.fail_host(h, None);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::api::{FunctionSpec, InvokeRequest};
+    use crate::cluster::{Cluster, ClusterConfig};
+    use crate::fireworks::FireworksPlatform;
+    use crate::symbols::fid;
+    use fireworks_lang::Value;
+    use fireworks_runtime::RuntimeKind;
+
+    /// Sends each request to the lowest-id host with room.
+    struct FirstFit;
+
+    impl Router for FirstFit {
+        fn name(&self) -> &'static str {
+            "first_fit"
+        }
+
+        fn route(&mut self, _req: &InvokeRequest, hosts: &[HostView]) -> Route {
+            match hosts.iter().find(|v| v.has_capacity()) {
+                Some(v) => Route::Host(v.id),
+                None => Route::Defer,
+            }
+        }
+    }
+
+    /// Fails host 0 from a control event and logs what it sees.
+    #[derive(Default)]
+    struct FailHostZero {
+        log: Vec<String>,
+    }
+
+    impl<P: ConcurrentPlatform> Control<P, P> for FailHostZero {
+        type Event = ();
+
+        fn on_start(&mut self, d: &mut Driver<'_, P, P, Self>) {
+            // Scheduled after the arrivals at the same instant, so it
+            // fires once they are placed.
+            d.schedule(Nanos::ZERO, ());
+        }
+
+        fn on_control(&mut self, d: &mut Driver<'_, P, P, Self>, _event: ()) {
+            d.fail_host(0, None);
+            self.log.push("hook returned".to_string());
+        }
+
+        fn on_host_failed(&mut self, _d: &mut Driver<'_, P, P, Self>, host: usize) {
+            self.log.push(format!("failed({host})"));
+        }
+    }
+
+    #[test]
+    fn host_failure_is_reported_after_the_hook_that_caused_it_returns() {
+        let mut cluster = Cluster::new(ClusterConfig::new(2, 1), |env, cfg| {
+            FireworksPlatform::with_config(env, cfg.clone())
+        });
+        let spec = FunctionSpec::new(
+            "f",
+            "fn main(params) { return params[\"n\"] + 1; }",
+            RuntimeKind::NodeLike,
+            Value::map([("n".to_string(), Value::Int(1))]),
+        );
+        cluster.install(&spec).expect("installs everywhere");
+        // Request 0 takes host 0's only slot; 1 and 2 queue behind it.
+        let requests: Vec<EngineRequest> = (0..3)
+            .map(|_| {
+                let args = Value::map([("n".to_string(), Value::Int(2))]);
+                EngineRequest::at(Nanos::ZERO, InvokeRequest::new(fid("f"), args))
+            })
+            .collect();
+        let mut ctl = FailHostZero::default();
+        let out = run(&mut *cluster, &mut ctl, &mut FirstFit, &requests);
+        assert_eq!(ctl.log, ["hook returned", "failed(0)"]);
+        assert_eq!(out.stats.failed_hosts, vec![HostId::from_index(0)]);
+        assert_eq!(out.stats.crash_reroutes, 2);
+        let hosts: Vec<_> = out.completions.iter().map(|c| c.host).collect();
+        let (h0, h1) = (HostId::from_index(0), HostId::from_index(1));
+        assert_eq!(hosts, [Some(h0), Some(h1), Some(h1)]);
+        assert_eq!(out.completions.len(), requests.len());
+        assert!(out.completions.iter().all(|c| c.result.is_ok()));
     }
 }

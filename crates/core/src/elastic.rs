@@ -302,7 +302,6 @@ struct PlaneRun {
     /// The scale-up breaker; its failure streak is also what
     /// [`SCALE_UP_GIVE_UP`] counts.
     scale_up: Breaker,
-    boot_give_up: bool,
 }
 
 /// A boxed host-platform constructor, retained by the cluster so the
@@ -468,6 +467,7 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
     /// violation — a control-plane bug by definition).
     pub fn run(&mut self, router: &mut dyn Router, requests: &[EngineRequest]) -> ElasticReport {
         let ElasticCluster { fleet, plane } = self;
+        fleet.max_powered = plane.config.policy.max_hosts;
         plane.run = PlaneRun {
             peak_hosts: fleet.powered(),
             last_sample: fleet.clock.now(),
@@ -534,11 +534,10 @@ impl<P: ConcurrentPlatform> Control<P, P> for ControlPlane<P> {
         }
     }
 
-    fn on_service_start(&mut self, host: usize) {
-        self.idle_ticks[host] = 0;
-    }
-
+    /// A completion restarts the host's idle count (every service start
+    /// has exactly one).
     fn on_complete(&mut self, d: &mut D<'_, P>, host: usize) {
+        self.idle_ticks[host] = 0;
         self.try_finish_drain(d.fleet, host);
     }
 
@@ -552,19 +551,13 @@ impl<P: ConcurrentPlatform> Control<P, P> for ControlPlane<P> {
     }
 
     /// A crash (or drain interrupt) cancels the host's pending
-    /// hand-offs; membership changed, so the auditor runs.
+    /// hand-offs (a dead host's are never read meanwhile); membership
+    /// changed, so the auditor runs.
     fn on_host_failed(&mut self, d: &mut D<'_, P>, host: usize) {
         self.run.pending.remove(&host);
         let m = d.fleet.obs.metrics();
         m.inc("elastic.host_crashes", &[("host", &host.to_string())]);
         self.audit_into(d.fleet);
-    }
-
-    /// With no active host, requests wait if capacity is on its way (a
-    /// boot in flight) or the control loop can still provision some.
-    fn capacity_may_return(&self, fleet: &Fleet<P>) -> bool {
-        fleet.count(HostPhase::Booting) > 0
-            || (!self.run.boot_give_up && fleet.powered() < self.config.policy.max_hosts)
     }
 
     fn after_event(&mut self, d: &D<'_, P>) {
@@ -721,8 +714,7 @@ impl<P: ConcurrentPlatform> ControlPlane<P> {
         self.run.prev_tick_total = tick_total;
         if (overloaded || starved || rising)
             && d.fleet.count(HostPhase::Booting) == 0
-            && d.fleet.powered() < policy.max_hosts
-            && !self.run.boot_give_up
+            && d.fleet.powered() < d.fleet.max_powered
             && !self.run.scale_up.is_open(now)
         {
             let host = self.create_host(d.fleet);
@@ -732,11 +724,11 @@ impl<P: ConcurrentPlatform> ControlPlane<P> {
         }
 
         // Give up on scale-up after too many consecutive boot failures:
-        // with no serving capacity left either, `capacity_may_return`
-        // turns false and the queue drain below fails parked admissions
-        // fast, so the run terminates under ScaleUpFail = 1.0.
+        // the fleet may power no more hosts, so with no serving capacity
+        // left either the queue drain below fails parked admissions
+        // fast, and the run terminates under ScaleUpFail = 1.0.
         if self.run.scale_up.consecutive >= SCALE_UP_GIVE_UP {
-            self.run.boot_give_up = true;
+            d.fleet.max_powered = 0;
         }
 
         // Scale down: drain at most one idle host at a time, highest id
@@ -760,7 +752,7 @@ impl<P: ConcurrentPlatform> ControlPlane<P> {
 
         // The tick re-offers the cluster queue to the router (and so
         // rejects expired requests earlier than a completion would).
-        d.drain_cluster_queue(self);
+        d.drain_cluster_queue();
 
         // Keep ticking while anything still needs the control loop:
         // unresolved requests, boots, or drains (pending hand-offs
@@ -854,7 +846,7 @@ impl<P: ConcurrentPlatform> ControlPlane<P> {
             self.prewarm_host(d.fleet, h);
         }
         self.audit_into(d.fleet);
-        d.drain_cluster_queue(self);
+        d.drain_cluster_queue();
     }
 
     /// Whether host `h`'s injector fires `site` now.
@@ -938,15 +930,16 @@ impl<P: ConcurrentPlatform> ControlPlane<P> {
     }
 
     /// Whether draining host `h` draws [`FaultSite::DrainInterrupt`];
-    /// if so it dies through the driver's host-failure path, which
-    /// cancels its pending hand-offs ([`Control::on_host_failed`]).
+    /// if so it dies through the driver's host-failure path, and the
+    /// loop's [`Control::on_host_failed`] report cancels its pending
+    /// hand-offs.
     fn drain_interrupted(&mut self, d: &mut D<'_, P>, h: usize) -> bool {
         if !self.draws(d.fleet, h, FaultSite::DrainInterrupt) {
             return false;
         }
         self.run.stats.drain_interrupts += 1;
         d.fleet.obs.metrics().inc("elastic.drain_interrupts", &[]);
-        d.fail_host(self, h, None);
+        d.fail_host(h, None);
         true
     }
 

@@ -12,11 +12,10 @@ use fireworks_microvm::{
     MicroVm, MicroVmConfig, ReapMode, ReapSession, VmError, VmFullSnapshot, VmManager, WorkingSet,
 };
 use fireworks_netsim::{Ip, Mac, NsId};
-use fireworks_obs::{cat, RootSpan};
+use fireworks_obs::{cat, Phase, RootSpan};
 use fireworks_runtime::guest::{InvokeResult, RunOutcome};
 use fireworks_runtime::RuntimeProfile;
 use fireworks_sandbox::{IoPath, IoPathKind, IsolationLevel};
-use fireworks_sim::trace::Phase;
 use fireworks_sim::Nanos;
 
 use crate::api::{

@@ -21,9 +21,8 @@ use std::rc::Rc;
 use fireworks_guestmem::{ChunkRef, SnapshotFile, SnapshotManifest};
 use fireworks_microvm::{SnapshotTemplate, VmFullSnapshot};
 use fireworks_netsim::Ip;
-use fireworks_obs::{cat, Obs};
+use fireworks_obs::{cat, Obs, Phase};
 use fireworks_sim::fault::FaultSite;
-use fireworks_sim::trace::Phase;
 use fireworks_sim::Nanos;
 use fireworks_store::{ChunkStore, ChunkStoreStats};
 

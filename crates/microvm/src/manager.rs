@@ -5,10 +5,9 @@ use std::rc::Rc;
 
 use fireworks_guestmem::HostMemory;
 use fireworks_lang::{JitConfig, LangError};
-use fireworks_obs::{cat, Obs, SpanId};
+use fireworks_obs::{cat, Obs, Phase, SpanId};
 use fireworks_runtime::{Guest, GuestRuntime, RuntimeProfile};
 use fireworks_sim::fault::{FaultSite, SharedInjector};
-use fireworks_sim::trace::Phase;
 use fireworks_sim::{Clock, CostModel, Nanos};
 
 use crate::error::VmError;

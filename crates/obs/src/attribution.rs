@@ -381,7 +381,7 @@ pub fn slo_burn(requests: &[RequestTrace], slo: Nanos, budget: f64) -> Vec<SloRe
 mod tests {
     use super::*;
     use crate::span::Recorder;
-    use fireworks_sim::trace::Phase;
+    use crate::Phase;
     use fireworks_sim::Clock;
 
     fn ms(v: u64) -> Nanos {

@@ -6,7 +6,7 @@
 
 use std::fmt::Write as _;
 
-use fireworks_sim::trace::Phase;
+use crate::span::Phase;
 
 use crate::span::{AttrValue, Event, Recorder};
 

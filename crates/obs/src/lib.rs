@@ -11,10 +11,10 @@
 //! - [`Recorder`] — hierarchical spans over virtual time, the only span
 //!   model in the workspace. Spans have parent/child [`SpanId`]s, a
 //!   category (see [`cat`]), typed [`AttrValue`] attributes, and an
-//!   optional [`fireworks_sim::trace::Phase`]. Every platform opens one
-//!   [`Recorder::root`] per invocation; closing it ([`RootSpan::close`])
-//!   folds the root's subtree into the
-//!   [`fireworks_sim::trace::Breakdown`] the paper's figures use
+//!   optional [`Phase`] (the paper's latency categories). Every
+//!   platform opens one [`Recorder::root`] per invocation; closing it
+//!   ([`RootSpan::close`]) folds the root's subtree into the
+//!   [`Breakdown`] the paper's figures use
 //!   (self-time attribution, so nesting never double-counts), and
 //!   [`Recorder::total_under`] answers per-label questions of the same
 //!   subtree.
@@ -33,8 +33,7 @@
 //! # Examples
 //!
 //! ```
-//! use fireworks_obs::{cat, Obs};
-//! use fireworks_sim::trace::Phase;
+//! use fireworks_obs::{cat, Obs, Phase};
 //! use fireworks_sim::{Clock, Nanos};
 //!
 //! let clock = Clock::new();
@@ -72,8 +71,8 @@ pub use attribution::{
 pub use metrics::{BatchedCounter, Counter, Gauge, HistogramSnapshot, Metrics, MetricsSnapshot};
 pub use sketch::LogHistogram;
 pub use span::{
-    cat, AttrValue, Event, InstantRecord, Recorder, RootSpan, SpanContext, SpanId, SpanRecord,
-    TraceId,
+    cat, AttrValue, Breakdown, Event, InstantRecord, Phase, Recorder, RootSpan, SpanContext,
+    SpanId, SpanRecord, TraceId,
 };
 
 use fireworks_sim::Clock;

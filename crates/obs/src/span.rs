@@ -3,7 +3,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use fireworks_sim::trace::{Breakdown, Phase};
 use fireworks_sim::{Clock, Nanos};
 
 /// Span category names used across the workspace.
@@ -41,6 +40,48 @@ pub mod cat {
     /// Control-plane artifact movement: drain hand-offs, archive
     /// resurrections, prewarm pulls.
     pub const MIGRATE: &str = "migrate";
+}
+
+/// The latency category a span belongs to, matching the paper's
+/// breakdown of end-to-end latency into *start-up*, *exec* and *others*
+/// (Figs. 6/7/9).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Phase {
+    /// Time from invocation until the function body is entered: sandbox
+    /// creation/restore, runtime launch, code load.
+    Startup,
+    /// Time spent executing the function body.
+    Exec,
+    /// Everything else: network hops, parameter passing, response delivery.
+    Other,
+}
+
+/// The start-up / exec / others latency split of one invocation:
+/// [`RootSpan::close`] folds the root's span subtree into it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Breakdown {
+    /// Total start-up time.
+    pub startup: Nanos,
+    /// Total function execution time.
+    pub exec: Nanos,
+    /// Everything else.
+    pub other: Nanos,
+}
+
+impl Breakdown {
+    /// End-to-end latency.
+    pub fn total(&self) -> Nanos {
+        self.startup + self.exec + self.other
+    }
+
+    /// Component-wise sum of two breakdowns.
+    pub fn merge(&self, other: &Breakdown) -> Breakdown {
+        Breakdown {
+            startup: self.startup + other.startup,
+            exec: self.exec + other.exec,
+            other: self.other + other.other,
+        }
+    }
 }
 
 /// Identifier of one end-to-end request trace. Ids are minted
@@ -1154,5 +1195,16 @@ mod tests {
         assert_eq!(s.attrs.len(), 3);
         assert_eq!(s.attrs[0], ("pages", AttrValue::Uint(42)));
         assert_eq!(s.attrs[2], ("function", AttrValue::Str("fact".into())));
+    }
+
+    #[test]
+    fn merge_combines_components() {
+        let a = Breakdown {
+            startup: ms(1),
+            exec: ms(2),
+            other: ms(3),
+        };
+        let b = a.merge(&a);
+        assert_eq!(b.total(), ms(12));
     }
 }

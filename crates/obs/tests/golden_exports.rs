@@ -5,8 +5,7 @@
 //! intentional format change, run with `BLESS=1`:
 //! `BLESS=1 cargo test -p fireworks-obs --test golden_exports`.
 
-use fireworks_obs::{cat, export, json, Obs};
-use fireworks_sim::trace::Phase;
+use fireworks_obs::{cat, export, json, Obs, Phase};
 use fireworks_sim::{Clock, Nanos};
 
 const GOLDEN_JSONL: &str = include_str!("golden/invocation.jsonl");

@@ -17,9 +17,6 @@
 //! - [`engine`]: a deterministic discrete-event queue over virtual time —
 //!   the substrate for genuinely concurrent activities (the platform
 //!   invocation driver is built on top).
-//! - [`trace`]: the paper's latency categories ([`Phase`]) and the
-//!   start-up / exec / others [`Breakdown`] value; the spans themselves
-//!   live on the `obs` recorder.
 //! - [`fault`]: a seeded, deterministic fault-injection plane used to
 //!   exercise the platform's recovery paths.
 //! - [`hash`]: the FNV-1a behind page checksums, snapshot and chunk ids,
@@ -36,10 +33,8 @@ pub mod hash;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use clock::Clock;
 pub use cost::CostModel;
 pub use fault::{FaultInjector, FaultPlan, FaultSite};
 pub use time::Nanos;
-pub use trace::{Breakdown, Phase};

@@ -8,8 +8,8 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`sim`] | virtual clock, calibrated cost model, deterministic RNG, latency phases + breakdown |
-//! | [`obs`] | observability plane: hierarchical spans, metrics registry, JSONL + Chrome trace exporters |
+//! | [`sim`] | virtual clock, calibrated cost model, deterministic RNG, fault injection, event queue |
+//! | [`obs`] | observability plane: hierarchical spans, latency phases + breakdown, metrics registry, JSONL + Chrome trace exporters |
 //! | [`guestmem`] | page frames, copy-on-write, snapshot files, PSS accounting |
 //! | [`lang`] | Flame: a dynamic language with a profiling interpreter, quickening JIT, deopt, and snapshot/resume |
 //! | [`runtime`] | Node-like and Python-like runtime profiles; `Guest` / `GuestImage`, the runtime laid out in guest memory that microVMs and containers wrap |
@@ -18,7 +18,7 @@
 //! | [`netsim`] | network namespaces, tap devices, NAT for snapshot clones |
 //! | [`msgbus`] | Kafka-style message bus (the parameter passer) |
 //! | [`sandbox`] | container / gVisor sandboxes and per-path I/O costs |
-//! | [`store`] | CouchDB-style document store with change feeds |
+//! | [`store`] | CouchDB-style document store with change feeds; content-addressed chunk store |
 //! | [`core`] | the Fireworks platform and the shared platform API |
 //! | [`baselines`] | OpenWhisk, gVisor, and Firecracker baseline platforms |
 //! | [`workloads`] | FaaSdom microbenchmarks and ServerlessBench applications |
