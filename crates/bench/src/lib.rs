@@ -80,7 +80,7 @@ pub struct LatencyBar {
 
 impl LatencyBar {
     /// Builds a bar from an invocation.
-    pub fn from_invocation(label: impl Into<String>, inv: &Invocation) -> Self {
+    fn from_invocation(label: impl Into<String>, inv: &Invocation) -> Self {
         LatencyBar {
             label: label.into(),
             startup: inv.breakdown.startup,
@@ -105,7 +105,7 @@ pub fn nearest_rank(sorted: &[Nanos], p: f64) -> Nanos {
 
 /// Prints a latency table with a ratio column against the last row
 /// (Fireworks, by convention).
-pub fn print_latency_table(title: &str, bars: &[LatencyBar]) {
+fn print_latency_table(title: &str, bars: &[LatencyBar]) {
     println!("{title}");
     println!(
         "  {:<24} {:>12} {:>12} {:>12} {:>12} {:>10}",

@@ -409,16 +409,16 @@ impl AddressSpace {
 
     /// The one accounting pass over the resident set: splits it into
     /// CoW-shared and private pages — the two terms PSS proportions
-    /// between (Fig. 11's sharing story) — and sums the PSS itself, in
-    /// page order, so the `f64` total rounds the same way every time.
+    /// between (Fig. 11's sharing story) — and sums the PSS itself.
     ///
-    /// The definition is the scan: one term per mapped page, its frame's
-    /// [`HostMemory::mappers`] looked up. The same sum is formed without
-    /// visiting pages: the frames of one piece have equal mappers (in the
-    /// base, but where a clone of a listing image departed), so the pass
-    /// walks the overlay's extents and the base's runs between them and
-    /// adds each run of equal terms at once in closed form, bit for bit
-    /// what the scan would round to.
+    /// The definition is the scan: one fixed-point term per mapped page,
+    /// its frame's [`HostMemory::mappers`] looked up, added as integers
+    /// ([`SharingStats::pss_bytes`]), so neither the order of the pages
+    /// nor how they are cut into runs changes the total. The pass forms
+    /// it without visiting pages: the frames of one piece have equal
+    /// mappers (in the base, but where a clone of a listing image
+    /// departed), so it walks the overlay's extents and the base's runs
+    /// between them and adds each run of equal terms with one multiply.
     pub fn sharing_stats(&self) -> SharingStats {
         let table = self.under.host.table();
         let base = self.under.base.as_ref();
@@ -463,72 +463,35 @@ impl AddressSpace {
     }
 }
 
-/// The accounting pass's running totals.
+/// The accounting pass's running totals, `pss` in units of 2⁻³² byte
+/// ([`SharingStats::pss_bytes`]).
 #[derive(Default)]
 struct PssSum {
     shared: usize,
     private: usize,
-    pss: f64,
+    pss: u128,
 }
 
 impl PssSum {
-    /// `pages` consecutive pages of `mappers` mappers each.
+    /// `pages` consecutive pages of `mappers` mappers each, each adding
+    /// `⌊PAGE_SIZE·2³² / max(mappers, 1)⌋`.
     fn run(&mut self, pages: usize, mappers: u32) {
         if mappers > 1 {
             self.shared += pages;
         } else {
             self.private += pages;
         }
-        self.pss = add_run(self.pss, Self::term(mappers), pages);
-    }
-
-    fn term(mappers: u32) -> f64 {
-        PAGE_SIZE as f64 / f64::from(mappers.max(1))
+        let per_page = ((PAGE_SIZE as u64) << 32) / u64::from(mappers.max(1));
+        self.pss += u128::from(per_page) * pages as u128;
     }
 
     fn stats(&self) -> SharingStats {
         SharingStats {
             shared_pages: self.shared,
             private_pages: self.private,
-            pss_bytes: self.pss.round() as u64,
+            pss_bytes: ((self.pss + (1 << 31)) >> 32) as u64,
         }
     }
-}
-
-/// `s` after `k` sequential `s += x` in `f64` (round to nearest, ties to
-/// even), for positive `x` and non-negative `s`, without the `k` adds.
-///
-/// While `s` stays in one binade its ulp `u` is constant, `s = n·u` for
-/// an integer `n`, and every add rounds `x` to the same multiple of `u`
-/// — `x = q·u + r` adds `q` or `q + 1` units, by `r` against `u/2` — so
-/// `j` adds are `n += j·δ`. On a tie (`r = u/2`) ties-to-even makes `n`
-/// even after at most one add and then `δ = q` rounded up to even. Adds
-/// that cross into the next binade, or start below `x`'s, are performed.
-fn add_run(mut s: f64, x: f64, mut k: usize) -> f64 {
-    const MANTISSA: u64 = (1 << 52) - 1;
-    while k > 0 {
-        let (sb, xb) = (s.to_bits(), x.to_bits());
-        let shift = (sb >> 52) as i64 - (xb >> 52) as i64;
-        let mut steps = 0;
-        if (0..=52).contains(&shift) && (xb >> 52) > 52 {
-            let n = (sb & MANTISSA) | (1 << 52);
-            let mx = (xb & MANTISSA) | (1 << 52);
-            let (q, r, half) = (mx >> shift, mx & ((1 << shift) - 1), (1u64 << shift) >> 1);
-            let tie = shift > 0 && r == half;
-            if !(tie && n % 2 == 1) {
-                let delta = q + u64::from(r > half || (tie && q % 2 == 1));
-                steps = (((1u64 << 53) - n) / delta).min(k as u64);
-                let ulp = f64::from_bits(((sb >> 52) - 52) << 52);
-                s = (n + steps * delta) as f64 * ulp;
-            }
-        }
-        if steps == 0 {
-            s += x;
-            steps = 1;
-        }
-        k -= steps as usize;
-    }
-    s
 }
 
 /// Resident-page sharing split for one address space.
@@ -539,7 +502,10 @@ pub struct SharingStats {
     /// Resident pages mapped only here (allocated or CoW-copied).
     pub private_pages: usize,
     /// Proportional set size in bytes: each resident page contributes
-    /// `PAGE_SIZE / mappers`.
+    /// `PAGE_SIZE / mappers`. The sum is fixed point in units of 2⁻³²
+    /// byte — a page adds `⌊PAGE_SIZE·2³² / max(mappers, 1)⌋` — rounded
+    /// half up to whole bytes once, so it lies within ½ byte plus less
+    /// than 2⁻³² byte per page of the exact rational sum.
     pub pss_bytes: u64,
 }
 
@@ -667,6 +633,46 @@ mod tests {
     }
 
     #[test]
+    fn pss_rounds_the_fixed_point_sum_once() {
+        // A space's PSS is its fixed-point sum rounded half up once, not
+        // per page and not truncated.
+        let h = host();
+        let mut a = AddressSpace::new(h.clone(), 1 << 20);
+        a.touch_dirty(0, 5 * PAGE_SIZE as u64);
+        let frames: Vec<(usize, FrameId)> = a.mapped().collect();
+        let space = |pages: &[(usize, FrameId)]| {
+            let mut s = AddressSpace::new(h.clone(), 1 << 20);
+            for &(page, frame) in pages {
+                s.map_shared(page, frame);
+            }
+            s
+        };
+        // Page 4 shared by 3 spaces: 4096/3 = 1 365.33 bytes.
+        let fours = [space(&frames[4..]), space(&frames[4..])];
+        assert_eq!(fours[0].pss_bytes(), 1365);
+        // Then by 6: 4096/6 = 682.67 bytes.
+        let more = [
+            space(&frames[1..]),
+            space(&frames[1..]),
+            space(&frames[4..]),
+        ];
+        assert_eq!(h.mappers(frames[4].1), 6);
+        assert_eq!(fours[0].pss_bytes(), 683);
+        // Page 0 private, pages 1–3 shared by 3, page 4 by 6:
+        // 4096 + 3·4096/3 + 4096/6 = 8 874.67 bytes.
+        assert_eq!(
+            a.sharing_stats(),
+            SharingStats {
+                shared_pages: 4,
+                private_pages: 1,
+                pss_bytes: 8875,
+            }
+        );
+        // 3·4096/3 + 4096/6 = 4 778.67 bytes.
+        assert_eq!(more[0].pss_bytes(), 4779);
+    }
+
+    #[test]
     fn the_overlay_holds_one_extent_per_run() {
         let h = host();
         let mut a = AddressSpace::new(h.clone(), 1 << 20);
@@ -720,48 +726,5 @@ mod tests {
         // and b both map f1, so exactly one live frame remains.
         assert_eq!(h.live_frames(), 1);
         h.unpin_extent(&pinned);
-    }
-
-    fn naive(mut s: f64, x: f64, k: usize) -> f64 {
-        for _ in 0..k {
-            s += x;
-        }
-        s
-    }
-
-    #[test]
-    fn add_run_is_the_sequential_sum_bit_for_bit() {
-        let mut rng = fireworks_sim::rng::SplitMix64::new(22);
-        for case in 0..3_000 {
-            // A PSS term, a partial sum of other terms, a run length.
-            let m = match case % 3 {
-                0 => rng.next_range(1, 10),
-                1 => rng.next_range(1, 600),
-                _ => rng.next_range(1, u32::MAX as u64),
-            };
-            let x = PAGE_SIZE as f64 / m as f64;
-            let other = PAGE_SIZE as f64 / rng.next_range(1, 12) as f64;
-            let s = naive(0.0, other, rng.next_range(0, 3_000) as usize);
-            let k = rng.next_range(0, 60_000) as usize;
-            let (got, want) = (add_run(s, x, k), naive(s, x, k));
-            assert_eq!(got.to_bits(), want.to_bits(), "m {m}, s {s}, k {k}");
-        }
-    }
-
-    #[test]
-    fn add_run_rounds_ties_to_even_like_the_adds_do() {
-        // x = (q + ½)·ulp(s): every add is a tie, resolved by n's parity.
-        let mut rng = fireworks_sim::rng::SplitMix64::new(7);
-        for _ in 0..2_000 {
-            let shift = rng.next_range(1, 52);
-            let q = rng.next_range(1 << (52 - shift), (1 << (53 - shift)) - 1);
-            let mx = (q << shift) | (1 << (shift - 1));
-            let exp = rng.next_range(1_000, 1_060);
-            let x = f64::from_bits((exp - shift) << 52 | (mx & ((1 << 52) - 1)));
-            let s = f64::from_bits(exp << 52 | rng.next_range(0, (1 << 52) - 1));
-            let k = rng.next_range(1, 5_000) as usize;
-            let (got, want) = (add_run(s, x, k), naive(s, x, k));
-            assert_eq!(got.to_bits(), want.to_bits(), "s {s:e}, x {x:e}, k {k}");
-        }
     }
 }

@@ -52,12 +52,13 @@
 //!   lazy; a listing leaves its frames when no clone maps them any more,
 //!   and a frame is freed when its last owner goes, as in the eager design.
 //! - **Accounting.** [`AddressSpace::sharing_stats`] forms the scan's
-//!   page-order `f64` sum without visiting pages: it walks the overlay's
-//!   extents and the base's runs between them a piece at a time — a
-//!   piece's frames have equal mappers, in the base but where a listing
-//!   image's clone departed, read off its departures — and adds each run
-//!   of equal terms in closed form, bit for bit what the sequential adds
-//!   round to.
+//!   PSS, an integer sum of fixed-point per-page terms that no summation
+//!   order or run partition changes ([`SharingStats::pss_bytes`]),
+//!   without visiting pages: it walks the overlay's extents and the
+//!   base's runs between them a piece at a time — a piece's frames have
+//!   equal mappers, in the base but where a listing image's clone
+//!   departed, read off its departures — and adds each run of equal
+//!   terms with one multiply.
 //! - **Verify once.** [`SnapshotFile::verify`] remembers a clean pass;
 //!   stored pages change only through [`HostMemory::poke_frame`], which
 //!   makes every image listing the frame forget.

@@ -357,7 +357,7 @@ impl SnapshotFile {
     /// Re-checksums one stored page (by index in the frame list) against
     /// its capture-time checksum — the per-page check REAP-style prefetch
     /// performs as it reads pages.
-    pub fn verify_page(&self, index: usize) -> Result<(), SnapshotIntegrityError> {
+    fn verify_page(&self, index: usize) -> Result<(), SnapshotIntegrityError> {
         self.check(index, self.host.checksum_frame(self.image.frame_at(index)))
     }
 
@@ -828,12 +828,17 @@ mod tests {
             *mapping.entry(frame).or_insert(0u32) += 1;
         }
         for space in spaces {
-            let mut pss = 0.0;
+            // Pages per mappers value, then the fixed-point PSS rule.
+            let mut pages = std::collections::BTreeMap::<u32, u128>::new();
             for (page, frame) in space.mapped() {
                 assert_eq!(h.mappers(frame), mapping[&frame], "page {page}");
-                pss += PAGE_SIZE as f64 / f64::from(mapping[&frame]);
+                *pages.entry(mapping[&frame]).or_default() += 1;
             }
-            assert_eq!(space.pss_bytes(), pss.round() as u64);
+            let fixed: u128 = pages
+                .iter()
+                .map(|(&m, &n)| n * (((PAGE_SIZE as u128) << 32) / u128::from(m)))
+                .sum();
+            assert_eq!(space.pss_bytes(), ((fixed + (1 << 31)) >> 32) as u64);
         }
     }
 

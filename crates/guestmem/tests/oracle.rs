@@ -181,21 +181,22 @@ impl Model {
             .position(|clean| !clean)
     }
 
-    /// The accounting scan, verbatim from the eager `AddressSpace`.
+    /// The accounting scan: pages counted per mappers value, then each
+    /// page's `⌊PAGE_SIZE·2³² / mappers⌋` summed and rounded half up once.
     fn sharing_stats(&self, space: usize) -> SharingStats {
-        let mut stats = SharingStats::default();
-        let mut pss = 0.0f64;
+        let mut pages = BTreeMap::<u32, u128>::new();
         for (_, frame) in self.mapped(space) {
-            let mappers = self.mappers(frame);
-            if mappers > 1 {
-                stats.shared_pages += 1;
-            } else {
-                stats.private_pages += 1;
-            }
-            pss += PAGE_SIZE as f64 / f64::from(mappers.max(1));
+            *pages.entry(self.mappers(frame).max(1)).or_default() += 1;
         }
-        stats.pss_bytes = pss.round() as u64;
-        stats
+        let fixed: u128 = pages
+            .iter()
+            .map(|(&mappers, &n)| n * (((PAGE_SIZE as u128) << 32) / u128::from(mappers)))
+            .sum();
+        SharingStats {
+            shared_pages: pages.range(2..).map(|(_, &n)| n as usize).sum(),
+            private_pages: pages.get(&1).map_or(0, |&n| n as usize),
+            pss_bytes: ((fixed + (1 << 31)) >> 32) as u64,
+        }
     }
 }
 

@@ -102,7 +102,9 @@ proptest! {
             }
         }
         let mapped_bytes = unique.len() as u64 * PAGE_SIZE as u64;
-        let tolerance = unique.len() as u64;
+        // Each space rounds its fixed-point sum once: within ½ byte plus
+        // less than 2⁻³² byte per page.
+        let tolerance = spaces.len() as u64 / 2;
         prop_assert!(
             pss_sum.abs_diff(mapped_bytes) <= tolerance,
             "pss {pss_sum} vs mapped {mapped_bytes}"
@@ -131,17 +133,21 @@ proptest! {
     }
 }
 
-/// What `AddressSpace` accounting computed before it became one pass: the
-/// three whole-space loops (`pss_bytes`, `sharing_stats`,
-/// `resident_pages`), kept verbatim as the reference the single pass and
-/// the maintained resident counter are checked against.
+/// Three whole-space loops (`pss_bytes`, `sharing_stats`,
+/// `resident_pages`), the reference the single pass and the maintained
+/// resident counter are checked against. PSS counts pages per mappers
+/// value, then sums each page's `⌊PAGE_SIZE·2³² / mappers⌋` and rounds
+/// half up once.
 fn three_loop_reference(space: &AddressSpace) -> (u64, usize, usize, usize) {
     let host = space.host();
-    let mut pss = 0.0f64;
+    let mut pages = std::collections::BTreeMap::<u32, u128>::new();
     for (_, frame) in space.mapped() {
-        let mappers = host.mappers(frame).max(1);
-        pss += PAGE_SIZE as f64 / f64::from(mappers);
+        *pages.entry(host.mappers(frame).max(1)).or_default() += 1;
     }
+    let pss: u128 = pages
+        .iter()
+        .map(|(&mappers, &n)| n * (((PAGE_SIZE as u128) << 32) / u128::from(mappers)))
+        .sum();
     let (mut shared_pages, mut private_pages) = (0usize, 0usize);
     for (_, frame) in space.mapped() {
         if host.mappers(frame) > 1 {
@@ -151,7 +157,8 @@ fn three_loop_reference(space: &AddressSpace) -> (u64, usize, usize, usize) {
         }
     }
     let resident = space.mapped().count();
-    (pss.round() as u64, shared_pages, private_pages, resident)
+    let pss = ((pss + (1 << 31)) >> 32) as u64;
+    (pss, shared_pages, private_pages, resident)
 }
 
 proptest! {

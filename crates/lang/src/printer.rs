@@ -170,7 +170,7 @@ fn escape(s: &str) -> String {
 
 /// Prints an expression, parenthesising conservatively (every compound
 /// sub-expression gets parens, so precedence never changes meaning).
-pub fn print_expr(expr: &Expr) -> String {
+fn print_expr(expr: &Expr) -> String {
     match expr {
         Expr::Int(v) => v.to_string(),
         Expr::Float(v) => {

@@ -88,7 +88,7 @@ pub struct ReapSession {
     prefetched_pages: u64,
     /// Write-buffered fault/hit counters: `touch` runs once per guest
     /// page, so increments batch locally and flush when the session
-    /// drops (or on [`ReapSession::flush_metrics`]).
+    /// drops.
     fault_ctr: Option<BatchedCounter>,
     hit_ctr: Option<BatchedCounter>,
 }
@@ -104,16 +104,8 @@ impl ReapSession {
         }
     }
 
-    /// Starts a session like [`ReapSession::start`], but the prefetch bulk
-    /// read consults a fault injector ([`FaultSite::SnapshotRead`] — the
-    /// read from cold storage can fail transiently) and, when the backing
-    /// [`SnapshotFile`] is supplied, re-checksums each working-set page as
-    /// it is read, so stored-page corruption is caught at prefetch time
-    /// rather than when the guest executes the page.
-    ///
-    /// On failure the fixed prefetch-issue cost has already been charged;
-    /// the per-page read cost is only charged when the read succeeds.
-    pub fn start_with_faults(
+    /// [`ReapSession::start_observed`] without an observability plane.
+    fn start_with_faults(
         clock: &Clock,
         mode: ReapMode,
         costs: &MemCosts,
@@ -124,9 +116,19 @@ impl ReapSession {
         Self::start_observed(clock, mode, costs, working_set, injector, snapshot, None)
     }
 
-    /// Starts a session like [`ReapSession::start_with_faults`] and, when
-    /// an observability plane is supplied, records the prefetch bulk read
-    /// as a span (category `prefetch`) plus prefetch/fault counters:
+    /// Starts a session like [`ReapSession::start`], but the prefetch bulk
+    /// read consults a fault injector ([`FaultSite::SnapshotRead`] — the
+    /// read from cold storage can fail transiently) and, when the backing
+    /// [`SnapshotFile`] is supplied, re-checksums each working-set page as
+    /// it is read, so stored-page corruption is caught at prefetch time
+    /// rather than when the guest executes the page.
+    ///
+    /// On failure the fixed prefetch-issue cost has already been charged;
+    /// the per-page read cost is only charged when the read succeeds.
+    ///
+    /// When an observability plane is supplied, it also records the
+    /// prefetch bulk read as a span (category `prefetch`) plus
+    /// prefetch/fault counters:
     /// `microvm.reap.prefetched_pages`, `microvm.reap.prefetch_hits`,
     /// `microvm.reap.major_faults`, and `microvm.reap.prefetch_failures`.
     #[allow(clippy::too_many_arguments)]
@@ -214,18 +216,6 @@ impl ReapSession {
             }
         } else if let Some(c) = &self.hit_ctr {
             c.inc();
-        }
-    }
-
-    /// Pushes buffered fault/hit increments to the shared registry so a
-    /// metrics snapshot taken mid-session sees them; dropping the
-    /// session flushes the tail automatically.
-    pub fn flush_metrics(&self) {
-        if let Some(c) = &self.fault_ctr {
-            c.flush();
-        }
-        if let Some(c) = &self.hit_ctr {
-            c.flush();
         }
     }
 

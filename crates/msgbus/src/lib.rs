@@ -67,7 +67,6 @@ struct Topic<T> {
 /// use fireworks_sim::{Clock, cost::BusCosts};
 ///
 /// let mut bus: MessageBus<String> = MessageBus::new(Clock::new(), BusCosts::default());
-/// bus.create_topic("params-7");
 /// bus.produce("params-7", "n=12".to_string(), 4);
 /// let latest = bus.consume_latest("params-7", 4).expect("record");
 /// assert_eq!(latest, "n=12");
@@ -93,7 +92,7 @@ impl<T: Clone> MessageBus<T> {
     }
 
     /// Creates a topic (idempotent).
-    pub fn create_topic(&mut self, name: &str) {
+    fn create_topic(&mut self, name: &str) {
         if !self.topics.contains_key(name) {
             self.clock.advance(self.costs.topic_create);
             self.topics.insert(

@@ -429,7 +429,7 @@ impl HostNetwork {
     }
 
     /// Latency of one packet: base + size + (optionally) NAT translation.
-    pub fn packet_latency(&self, payload_bytes: u64, through_nat: bool) -> Nanos {
+    fn packet_latency(&self, payload_bytes: u64, through_nat: bool) -> Nanos {
         let kib = payload_bytes.div_ceil(1024);
         let mut t = self.costs.packet_base + self.costs.packet_per_kib * kib;
         if through_nat {

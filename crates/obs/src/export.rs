@@ -13,7 +13,7 @@ use crate::span::{AttrValue, Event, Recorder};
 /// Formats nanoseconds as decimal microseconds with exactly three
 /// fractional digits (`1234567` → `"1234.567"`), using integer math so
 /// output never depends on float formatting.
-pub fn fmt_micros(ns: u64) -> String {
+fn fmt_micros(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
 

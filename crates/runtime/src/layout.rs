@@ -70,7 +70,7 @@ impl Layout {
 
     /// Bytes of the churn arena rewritten after `ops` retired guest ops
     /// under `profile`.
-    pub fn churn_bytes(profile: &RuntimeProfile, ops: u64) -> u64 {
+    fn churn_bytes(profile: &RuntimeProfile, ops: u64) -> u64 {
         let churn = (ops as u128 * profile.gc_churn_bytes_per_mops as u128 / 1_000_000) as u64;
         churn.min(Self::CHURN_ARENA)
     }

@@ -32,7 +32,7 @@ impl ContainerKind {
     }
 
     /// The I/O path this kind's file operations take.
-    pub fn io_path_kind(self) -> IoPathKind {
+    fn io_path_kind(self) -> IoPathKind {
         match self {
             ContainerKind::Plain => IoPathKind::OverlayFs,
             ContainerKind::Gvisor => IoPathKind::GvisorGofer,

@@ -36,7 +36,7 @@ impl IoPath {
     }
 
     /// Cost of one disk I/O of `kib` KiB on this path.
-    pub fn disk_io_cost(&self, kib: u64) -> Nanos {
+    fn disk_io_cost(&self, kib: u64) -> Nanos {
         let d = &self.costs.disk;
         let base = match self.kind {
             IoPathKind::HostDirect => d.host_direct,
@@ -68,7 +68,7 @@ impl IoPath {
 
     /// Extra cost a generic syscall pays on this path (only gVisor
     /// intercepts every syscall).
-    pub fn syscall_cost(&self) -> Nanos {
+    fn syscall_cost(&self) -> Nanos {
         match self.kind {
             IoPathKind::GvisorGofer => self.costs.gvisor.syscall_intercept,
             _ => Nanos::ZERO,

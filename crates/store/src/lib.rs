@@ -200,7 +200,7 @@ impl DocumentStore {
     }
 
     /// Creates a database (idempotent).
-    pub fn create_db(&mut self, name: &str) {
+    fn create_db(&mut self, name: &str) {
         self.databases.entry(name.to_string()).or_default();
     }
 

@@ -205,7 +205,7 @@ impl Bench {
 
     /// Paper-scale install-time warm-up parameters (same shapes as
     /// [`Bench::paper_params`], different values).
-    pub fn paper_default_params(self) -> Value {
+    fn paper_default_params(self) -> Value {
         match self {
             Bench::Fact => Value::map([
                 ("n".to_string(), Value::Int(1_000_003)),

@@ -44,7 +44,7 @@ impl Default for TraceConfig {
 
 /// Per-function mean arrival rates (events per horizon), Zipf-weighted to
 /// sum to `total_events`.
-pub fn zipf_rates(cfg: &TraceConfig) -> Vec<f64> {
+fn zipf_rates(cfg: &TraceConfig) -> Vec<f64> {
     let weights: Vec<f64> = (0..cfg.functions)
         .map(|i| 1.0 / (i as f64 + 1.0).powf(cfg.alpha))
         .collect();

@@ -4,24 +4,10 @@
 //! Serverless Framework using VM-level post-JIT Snapshot"** (EuroSys '22)
 //! as a deterministic simulation in Rust.
 //!
-//! This umbrella crate re-exports the workspace's public API. The pieces:
-//!
-//! | crate | contents |
-//! |---|---|
-//! | [`sim`] | virtual clock, calibrated cost model, deterministic RNG, fault injection, event queue |
-//! | [`obs`] | observability plane: hierarchical spans, latency phases + breakdown, metrics registry, JSONL + Chrome trace exporters |
-//! | [`guestmem`] | page frames, copy-on-write, snapshot files, PSS accounting |
-//! | [`lang`] | Flame: a dynamic language with a profiling interpreter, quickening JIT, deopt, and snapshot/resume |
-//! | [`runtime`] | Node-like and Python-like runtime profiles; `Guest` / `GuestImage`, the runtime laid out in guest memory that microVMs and containers wrap |
-//! | [`annotator`] | the Fireworks source-to-source code annotator |
-//! | [`microvm`] | Firecracker-style microVM manager (boot, MMDS, snapshot/restore) |
-//! | [`netsim`] | network namespaces, tap devices, NAT for snapshot clones |
-//! | [`msgbus`] | Kafka-style message bus (the parameter passer) |
-//! | [`sandbox`] | container / gVisor sandboxes and per-path I/O costs |
-//! | [`store`] | CouchDB-style document store with change feeds; content-addressed chunk store |
-//! | [`core`] | the Fireworks platform and the shared platform API |
-//! | [`baselines`] | OpenWhisk, gVisor, and Firecracker baseline platforms |
-//! | [`workloads`] | FaaSdom microbenchmarks and ServerlessBench applications |
+//! This umbrella crate re-exports the workspace's crates under short
+//! names ([`sim`], [`guestmem`], [`core`], …). What each one holds is
+//! listed once, in §3 "Workspace inventory" of `DESIGN.md` at the
+//! repository root.
 //!
 //! ## Quickstart
 //!
