@@ -175,7 +175,6 @@ fn refresh_ablation() {
             PlatformEnv::default_env(),
             PlatformConfig::builder()
                 .security(SecurityPolicy {
-                    reseed_rng_on_restore: true,
                     refresh_after_invocations: period,
                 })
                 .build(),

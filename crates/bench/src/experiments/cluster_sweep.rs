@@ -136,7 +136,6 @@ fn density(hosts: usize) -> usize {
     let mut config = ClusterConfig::new(hosts, DENSITY_WAVE);
     config.env = EnvConfig {
         ram_bytes: DENSITY_RAM,
-        swappiness: 60,
         ..EnvConfig::default()
     };
     config.completion = CompletionPolicy::Retain;

@@ -53,7 +53,6 @@ pub fn measure(env: &EnvConfig, scale: Scale) -> Data {
     let host = || {
         PlatformEnv::new(EnvConfig {
             ram_bytes: scale.density_ram,
-            swappiness: 60,
             ..env.clone()
         })
     };

@@ -112,7 +112,7 @@ fn payload(rng: &mut SplitMix64) -> Value {
 fn run_variant(name: &'static str, warmup_calls: i64, args: &Args) -> VariantReport {
     // Install phase: boot a VM, run the installer to its snapshot point.
     let clock = Clock::new();
-    let host = HostMemory::new(clock.clone(), 16 << 30, 60);
+    let host = HostMemory::new(clock.clone(), 16 << 30);
     let mut mgr = VmManager::new(clock, Rc::new(CostModel::default()), host);
     let mut vm = mgr.create(MicroVmConfig::default());
     mgr.boot(&mut vm).expect("boots");

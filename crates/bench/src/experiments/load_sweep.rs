@@ -104,7 +104,6 @@ where
 fn density_env() -> PlatformEnv {
     PlatformEnv::new(EnvConfig {
         ram_bytes: DENSITY_RAM,
-        swappiness: 60,
         costs: CostModel::default(),
         ..EnvConfig::default()
     })

@@ -21,7 +21,7 @@
 //! it), error values, metric labels, and exports. The v2
 //! string-accepting shims (`by_name`, `evict_named`, and friends) have
 //! completed their deprecation cycle and are gone; intern once with
-//! [`crate::symbols::FunctionId::intern`] and use the id-keyed methods.
+//! [`crate::symbols::fid`] and use the id-keyed methods.
 
 use std::fmt;
 

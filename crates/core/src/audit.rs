@@ -2,31 +2,20 @@
 //!
 //! Clones restored from one snapshot share the guest RNG state and the
 //! address-space layout, reducing effective entropy. The paper's
-//! mitigations — reseeding the guest RNG from host entropy on restore and
-//! periodically regenerating the snapshot (like REAP) — are modelled here
-//! as a [`SecurityPolicy`] enforced by the platform and a
-//! [`SecurityAudit`] report per function.
+//! mitigations are reseeding the guest RNG from host entropy on restore
+//! (cheap, via RDRAND on IvyBridge+, so the platform always does it) and
+//! periodically regenerating the snapshot (like REAP), the one policy
+//! an experiment varies. That is modelled here as a [`SecurityPolicy`]
+//! enforced by the platform and a [`SecurityAudit`] report per function.
 
 use fireworks_sim::Nanos;
 
 /// Mitigation policy for snapshot-clone entropy sharing.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SecurityPolicy {
-    /// Re-seed the guest RNG from host entropy on every restore (cheap;
-    /// available on IvyBridge+ via RDRAND per the paper).
-    pub reseed_rng_on_restore: bool,
     /// Regenerate the function's snapshot after this many invocations so
     /// clones stop sharing one ASLR layout (0 disables refresh).
     pub refresh_after_invocations: u64,
-}
-
-impl Default for SecurityPolicy {
-    fn default() -> Self {
-        SecurityPolicy {
-            reseed_rng_on_restore: true,
-            refresh_after_invocations: 0,
-        }
-    }
 }
 
 /// Audit report for one installed function.
@@ -39,8 +28,6 @@ pub struct SecurityAudit {
     /// Whether those clones share one address-space layout (true unless a
     /// refresh just happened and no clone was restored since).
     pub shared_aslr_layout: bool,
-    /// Whether the guest RNG is reseeded per restore (mitigated).
-    pub rng_reseeded_on_restore: bool,
     /// Snapshot regenerations performed for this function.
     pub refreshes: u64,
     /// Total virtual time spent on refreshes (maintenance, off the
@@ -51,8 +38,7 @@ pub struct SecurityAudit {
 impl SecurityAudit {
     /// Whether the configuration leaves a known entropy-sharing exposure.
     pub fn has_findings(&self) -> bool {
-        (self.shared_aslr_layout && self.clones_from_current_snapshot > 1)
-            || !self.rng_reseeded_on_restore
+        self.shared_aslr_layout && self.clones_from_current_snapshot > 1
     }
 }
 
@@ -60,12 +46,11 @@ impl SecurityAudit {
 mod tests {
     use super::*;
 
-    fn audit(clones: u64, reseed: bool) -> SecurityAudit {
+    fn audit(clones: u64) -> SecurityAudit {
         SecurityAudit {
             function: "f".into(),
             clones_from_current_snapshot: clones,
             shared_aslr_layout: clones > 0,
-            rng_reseeded_on_restore: reseed,
             refreshes: 0,
             refresh_time: Nanos::ZERO,
         }
@@ -73,16 +58,11 @@ mod tests {
 
     #[test]
     fn single_clone_with_reseed_is_clean() {
-        assert!(!audit(1, true).has_findings());
+        assert!(!audit(1).has_findings());
     }
 
     #[test]
     fn many_clones_share_aslr() {
-        assert!(audit(10, true).has_findings());
-    }
-
-    #[test]
-    fn missing_rng_reseed_is_a_finding() {
-        assert!(audit(0, false).has_findings());
+        assert!(audit(10).has_findings());
     }
 }

@@ -1,14 +1,14 @@
 //! Construction-time platform configuration (API v2).
 //!
-//! Platform-wide policy — recovery, paging, security, snapshot-cache
-//! budget, warm-pool keep-alive — is gathered into one
-//! [`PlatformConfig`] value consumed when a platform is built, replacing
-//! the v1 post-hoc mutators (`set_recovery_policy` and friends). A
-//! cluster can therefore stamp out N identically-configured hosts from
+//! The policy an experiment varies — paging, security refresh,
+//! snapshot-cache budget and layout, warm-pool keep-alive — is gathered
+//! into one [`PlatformConfig`] value consumed when a platform is built.
+//! A cluster can therefore stamp out N identically-configured hosts from
 //! one config value, and a platform's policy is immutable once it is
-//! serving traffic.
+//! serving traffic. What no experiment varies is fixed: Fireworks
+//! recovers with [`RecoveryPolicy::default`] and launches its runtimes
+//! with `JitConfig::default()`.
 
-use fireworks_lang::JitConfig;
 use fireworks_sim::Nanos;
 
 use crate::audit::SecurityPolicy;
@@ -29,8 +29,10 @@ pub enum PagingPolicy {
     },
 }
 
-/// How the platform reacts to infrastructure failures (injected or
-/// otherwise) on the snapshot-restore path.
+/// How a component reacts to infrastructure failures (injected or
+/// otherwise): Fireworks' snapshot-restore path always uses the
+/// default, the elastic control plane's drain hand-offs take theirs from
+/// `ElasticPolicy::migration`.
 #[derive(Debug, Clone)]
 pub struct RecoveryPolicy {
     /// Boot/restore attempts per invocation, first try included.
@@ -136,7 +138,7 @@ impl SnapshotStorePolicy {
     }
 }
 
-/// Construction-time configuration shared by all four platforms.
+/// Construction-time configuration of a platform.
 ///
 /// Every field has a sensible default; build one with
 /// [`PlatformConfig::builder`] (or [`PlatformConfig::default`]) and pass
@@ -150,8 +152,6 @@ pub struct PlatformConfig {
     /// eviction; a miss rebuilds the snapshot from source. Default:
     /// unlimited.
     pub cache_budget_bytes: u64,
-    /// Restore-failure recovery policy (Fireworks).
-    pub recovery: RecoveryPolicy,
     /// Snapshot paging policy (Fireworks).
     pub paging: PagingPolicy,
     /// Restore-time security policy (Fireworks).
@@ -162,23 +162,16 @@ pub struct PlatformConfig {
     /// Snapshot storage layout (Fireworks): flat per-snapshot files or
     /// a content-addressed chunk store with optional peer delta fetch.
     pub snapshot_store: SnapshotStorePolicy,
-    /// Guest JIT shape used for every runtime the platform launches:
-    /// tier-up policy override, code-cache byte budget, inline-cache
-    /// polymorphism limit. The default leaves the policy to each
-    /// runtime profile and the budget effectively uncapped.
-    pub jit: JitConfig,
 }
 
 impl Default for PlatformConfig {
     fn default() -> Self {
         PlatformConfig {
             cache_budget_bytes: u64::MAX,
-            recovery: RecoveryPolicy::default(),
             paging: PagingPolicy::WarmPageCache,
             security: SecurityPolicy::default(),
             keep_alive: None,
             snapshot_store: SnapshotStorePolicy::Flat,
-            jit: JitConfig::default(),
         }
     }
 }
@@ -202,12 +195,6 @@ impl PlatformConfigBuilder {
     /// Sets the snapshot-cache byte budget.
     pub fn cache_budget(mut self, bytes: u64) -> Self {
         self.config.cache_budget_bytes = bytes;
-        self
-    }
-
-    /// Sets the recovery policy.
-    pub fn recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.config.recovery = recovery;
         self
     }
 
@@ -235,13 +222,6 @@ impl PlatformConfigBuilder {
         self
     }
 
-    /// Sets the guest JIT shape (policy override, code-cache budget,
-    /// inline-cache limits) for every runtime the platform launches.
-    pub fn jit(mut self, jit: JitConfig) -> Self {
-        self.config.jit = jit;
-        self
-    }
-
     /// Finishes the build.
     pub fn build(self) -> PlatformConfig {
         self.config
@@ -254,19 +234,11 @@ mod tests {
 
     #[test]
     fn builder_round_trips_every_field() {
-        let recovery = RecoveryPolicy {
-            max_attempts: 7,
-            backoff_base: Nanos::from_millis(1),
-            circuit_threshold: 9,
-            circuit_cooldown: Nanos::from_secs(3),
-        };
         let security = SecurityPolicy {
-            reseed_rng_on_restore: false,
             refresh_after_invocations: 11,
         };
         let cfg = PlatformConfig::builder()
             .cache_budget(123)
-            .recovery(recovery.clone())
             .paging(PagingPolicy::ColdStorage { reap: true })
             .security(security)
             .keep_alive(Some(Nanos::from_secs(60)))
@@ -274,18 +246,9 @@ mod tests {
                 chunk_pages: 32,
                 delta_fetch: false,
             })
-            .jit(
-                JitConfig::default()
-                    .with_policy(Some(fireworks_lang::JitPolicy::AnnotatedEager))
-                    .with_code_cache_capacity_bytes(1 << 20)
-                    .with_ic_poly_limit(2),
-            )
             .build();
         assert_eq!(cfg.cache_budget_bytes, 123);
-        assert_eq!(cfg.recovery.max_attempts, 7);
-        assert_eq!(cfg.recovery.circuit_threshold, 9);
         assert_eq!(cfg.paging, PagingPolicy::ColdStorage { reap: true });
-        assert!(!cfg.security.reseed_rng_on_restore);
         assert_eq!(cfg.security.refresh_after_invocations, 11);
         assert_eq!(cfg.keep_alive, Some(Nanos::from_secs(60)));
         assert_eq!(
@@ -295,12 +258,6 @@ mod tests {
                 delta_fetch: false
             }
         );
-        assert_eq!(
-            cfg.jit.policy,
-            Some(fireworks_lang::JitPolicy::AnnotatedEager)
-        );
-        assert_eq!(cfg.jit.code_cache_capacity_bytes, 1 << 20);
-        assert_eq!(cfg.jit.ic_poly_limit, 2);
     }
 
     #[test]
@@ -310,7 +267,6 @@ mod tests {
         assert!(cfg.keep_alive.is_none());
         assert_eq!(cfg.paging, PagingPolicy::WarmPageCache);
         assert_eq!(cfg.snapshot_store, SnapshotStorePolicy::Flat);
-        assert_eq!(cfg.jit.policy, None, "JIT policy defers to the profile");
     }
 
     #[test]

@@ -15,13 +15,13 @@ use fireworks_store::{DocumentStore, StoreCosts};
 
 use crate::host::{GuestHost, NetMode};
 
-/// Host configuration for one experiment.
+/// Host configuration for one experiment. Swapping starts at
+/// [`fireworks_guestmem::SWAP_ONSET`] of `ram_bytes`, Linux's default
+/// `vm.swappiness = 60` that the paper's Fig. 10 host runs.
 #[derive(Debug, Clone)]
 pub struct EnvConfig {
     /// Physical RAM of the host.
     pub ram_bytes: u64,
-    /// Linux `vm.swappiness` (the paper's Fig. 10 uses 60).
-    pub swappiness: u8,
     /// Infrastructure cost table.
     pub costs: CostModel,
     /// Faults to inject (empty plan: nothing ever fails).
@@ -35,7 +35,6 @@ impl Default for EnvConfig {
             // preserves every ratio while keeping simulations fast — see
             // DESIGN.md).
             ram_bytes: 24 << 30,
-            swappiness: 60,
             costs: CostModel::default(),
             fault_plan: FaultPlan::default(),
         }
@@ -84,12 +83,7 @@ impl PlatformEnv {
     /// into one trace/metrics registry.
     pub fn with_shared(config: EnvConfig, clock: Clock, obs: Obs) -> Self {
         let costs = Rc::new(config.costs);
-        let host_mem = HostMemory::with_costs(
-            clock.clone(),
-            config.ram_bytes,
-            config.swappiness,
-            costs.mem.clone(),
-        );
+        let host_mem = HostMemory::with_costs(clock.clone(), config.ram_bytes, costs.mem.clone());
         let mut inj = FaultInjector::new(config.fault_plan);
         inj.attach_clock(clock.clone());
         let injector = fault::shared(inj);
@@ -101,10 +95,12 @@ impl PlatformEnv {
         raw_store.set_fault_injector(injector.clone());
         raw_store.set_obs(obs.clone());
         let store = Rc::new(RefCell::new(raw_store));
-        let mut raw_net = HostNetwork::new(clock.clone(), costs.net.clone());
-        raw_net.set_fault_injector(injector.clone());
-        raw_net.set_obs(obs.clone());
-        let net = Rc::new(RefCell::new(raw_net));
+        let net = Rc::new(RefCell::new(HostNetwork::new(
+            clock.clone(),
+            costs.net.clone(),
+            injector.clone(),
+            obs.clone(),
+        )));
         PlatformEnv {
             clock,
             costs,
@@ -185,7 +181,12 @@ mod tests {
     #[test]
     fn default_host_matches_fig10_methodology() {
         let cfg = EnvConfig::default();
-        assert_eq!(cfg.swappiness, 60);
         assert!(cfg.ram_bytes >= 8 << 30);
+        let env = PlatformEnv::new(cfg.clone());
+        assert_eq!(
+            env.host_mem.swap_threshold_bytes(),
+            cfg.ram_bytes * 3 / 5,
+            "vm.swappiness = 60"
+        );
     }
 }

@@ -159,20 +159,19 @@ pub struct FireworksPlatform {
     security: SecurityPolicy,
     paging: PagingPolicy,
     recovery: RecoveryPolicy,
-    jit: JitConfig,
 }
 
 impl FireworksPlatform {
     /// Creates a platform with the default [`PlatformConfig`] (generous
-    /// snapshot-cache budget, default recovery/paging/security).
+    /// snapshot-cache budget, default paging/security).
     pub fn new(env: PlatformEnv) -> Self {
         FireworksPlatform::with_config(env, PlatformConfig::default())
     }
 
     /// Creates a platform with an explicit construction-time config:
-    /// snapshot-cache budget (paper §6: disk-space overhead), recovery,
-    /// paging, and security policies. The config is fixed for the
-    /// platform's lifetime.
+    /// snapshot-cache budget (paper §6: disk-space overhead), paging,
+    /// and security policies. The config is fixed for the platform's
+    /// lifetime; restores recover with [`RecoveryPolicy::default`].
     pub fn with_config(env: PlatformEnv, config: PlatformConfig) -> Self {
         let mut mgr = VmManager::new(env.clock.clone(), env.costs.clone(), env.host_mem.clone());
         mgr.set_fault_injector(env.injector.clone());
@@ -186,8 +185,7 @@ impl FireworksPlatform {
             next_instance: 1,
             security: config.security,
             paging: config.paging,
-            recovery: config.recovery,
-            jit: config.jit,
+            recovery: RecoveryPolicy::default(),
         }
     }
 
@@ -260,10 +258,9 @@ impl FireworksPlatform {
             &mut vm,
             profile.clone(),
             &annotated.source,
-            // The platform's JIT shape, with the install-time policy
-            // pinned: annotated functions compile eagerly so the
-            // snapshot is taken post-JIT.
-            self.jit.with_policy(Some(JitPolicy::AnnotatedEager)),
+            // Annotated functions compile eagerly so the snapshot is
+            // taken post-JIT.
+            JitConfig::default().with_policy(Some(JitPolicy::AnnotatedEager)),
         )?;
         let mut host = self.install_host(&spec.default_params);
         {
@@ -550,24 +547,17 @@ impl FireworksPlatform {
         };
         let ws = known_working_set.unwrap_or_default();
         flight.recorded_ws = rec.scope_phase("paging", cat::PREFETCH, Phase::Exec, || {
-            let mut session = match ReapSession::start_observed(
-                clock,
-                mode,
-                &self.env.costs.mem,
-                ws.clone(),
-                Some(&self.env.injector),
-                Some(flight.snapshot.mem()),
-                Some(obs),
-            ) {
-                Ok(session) => session,
+            let start = |mode, ws| {
+                let (costs, injector) = (&self.env.costs.mem, &self.env.injector);
+                ReapSession::start(clock, mode, costs, ws, injector, flight.snapshot.mem(), obs)
+            };
+            let mut session = start(mode, ws.clone()).unwrap_or_else(|_| {
                 // Prefetch failed (read fault or corrupt working-set
                 // page): degrade gracefully to per-page major faults
                 // instead of failing the invocation.
-                Err(_) => {
-                    flight.prefetch_degraded = true;
-                    ReapSession::start(clock, ReapMode::Off, &self.env.costs.mem, ws)
-                }
-            };
+                flight.prefetch_degraded = true;
+                start(ReapMode::Off, ws).expect("a session that prefetches nothing cannot fail")
+            });
             for (first, count) in flight.clone.vm.working_set_ranges() {
                 session.touch_range(clock, first, count);
             }
@@ -768,7 +758,6 @@ impl FireworksPlatform {
             function: function.name().to_string(),
             clones_from_current_snapshot: entry.clones_since_snapshot,
             shared_aslr_layout: entry.clones_since_snapshot > 0,
-            rng_reseeded_on_restore: self.security.reseed_rng_on_restore,
             refreshes: entry.health.rebuilds,
             refresh_time: entry.refresh_time,
         })
@@ -1081,7 +1070,6 @@ mod tests {
             PlatformEnv::default_env(),
             PlatformConfig::builder()
                 .security(SecurityPolicy {
-                    reseed_rng_on_restore: true,
                     refresh_after_invocations: 2,
                 })
                 .build(),
@@ -1100,18 +1088,17 @@ mod tests {
     fn failed_security_refresh_keeps_the_invocation_and_retries() {
         use fireworks_sim::fault::{FaultPlan, FaultSite};
         // VmCrash is drawn once per boot and once per restore: install
-        // boot (1), two restores (2, 3), then the refresh's boot (4).
-        let plan = FaultPlan::new(5).nth(FaultSite::VmCrash, 4);
+        // boot (1), two restores (2, 3), then the refresh's three boot
+        // attempts (4, 5, 6).
+        let plan = FaultPlan::new(5)
+            .nth(FaultSite::VmCrash, 4)
+            .nth(FaultSite::VmCrash, 5)
+            .nth(FaultSite::VmCrash, 6);
         let mut p = FireworksPlatform::with_config(
             PlatformEnv::with_fault_plan(plan),
             PlatformConfig::builder()
                 .security(SecurityPolicy {
-                    reseed_rng_on_restore: true,
                     refresh_after_invocations: 2,
-                })
-                .recovery(RecoveryPolicy {
-                    max_attempts: 1,
-                    ..RecoveryPolicy::default()
                 })
                 .build(),
         );
@@ -1244,6 +1231,47 @@ mod tests {
     }
 
     #[test]
+    fn a_degraded_prefetch_still_counts_its_major_faults() {
+        use fireworks_sim::fault::{FaultPlan, FaultSite};
+        // SnapshotRead is drawn once per restore and once per prefetch:
+        // the two restores (1, 2), then the second invocation's prefetch
+        // of the working set the first one recorded (3).
+        let plan = FaultPlan::new(5).nth(FaultSite::SnapshotRead, 3);
+        let mut p = FireworksPlatform::with_config(
+            PlatformEnv::with_fault_plan(plan),
+            PlatformConfig::builder()
+                .paging(PagingPolicy::ColdStorage { reap: true })
+                .build(),
+        );
+        let major_faults = |p: &FireworksPlatform| {
+            let snap = p.env().obs.metrics().snapshot();
+            snap.counter("microvm.reap.major_faults", &[])
+        };
+        p.install(&spec("fact")).expect("installs");
+        p.invoke(&req("fact", 10)).expect("records the working set");
+        let recorded = major_faults(&p);
+        assert!(recorded > 0, "the recording pass faults every page");
+        assert!(p.env().injector.borrow().injected().is_empty());
+
+        p.invoke(&req("fact", 10))
+            .expect("degrades instead of failing");
+        let fired = p.env().injector.borrow().injected().to_vec();
+        assert_eq!(fired.len(), 1);
+        assert_eq!(
+            (fired[0].site, fired[0].occurrence),
+            (FaultSite::SnapshotRead, 3)
+        );
+        let health = p.health(fid("fact")).expect("installed");
+        assert_eq!(health.prefetch_degraded, 1, "the fault hit the prefetch");
+        assert_eq!(health.restore_retries, 0);
+        assert_eq!(
+            major_faults(&p) - recorded,
+            recorded,
+            "the fallback faults the same working set, one fault per page"
+        );
+    }
+
+    #[test]
     fn transient_restore_fault_recovers_with_backoff() {
         use fireworks_sim::fault::{FaultPlan, FaultSite};
         let plan = FaultPlan::new(7).nth(FaultSite::SnapshotRead, 1);
@@ -1349,27 +1377,6 @@ mod tests {
             "post-JIT snapshot clones carry resident compiled code"
         );
         assert!(snap.gauge("vm.ic.sites", fact).unwrap_or(0) >= 1);
-    }
-
-    #[test]
-    fn platform_jit_config_constrains_guest_code_cache() {
-        // A byte-starved platform-level code-cache budget suppresses
-        // compilation in every launched runtime: installs still work,
-        // but the snapshot carries no JIT code.
-        let mut p = FireworksPlatform::with_config(
-            PlatformEnv::default_env(),
-            PlatformConfig::builder()
-                .jit(fireworks_lang::JitConfig::default().with_code_cache_capacity_bytes(8))
-                .build(),
-        );
-        p.install(&spec("fact")).expect("installs");
-        let inv = p.invoke(&req("fact", 360)).expect("runs");
-        assert_eq!(inv.stats.compiles, 0, "{:?}", inv.stats);
-        let snap = p.env().obs.metrics().snapshot();
-        assert_eq!(
-            snap.gauge("vm.code_cache.used_bytes", &[("function", "fact")]),
-            Some(0)
-        );
     }
 
     #[test]

@@ -231,7 +231,7 @@ mod tests {
     fn published_store(
         clock: &Clock,
     ) -> (Rc<RefCell<ChunkStore>>, SnapshotManifest, SnapshotTemplate) {
-        let host = HostMemory::new(clock.clone(), 4 << 30, 60);
+        let host = HostMemory::new(clock.clone(), 4 << 30);
         let mut mgr = VmManager::new(
             clock.clone(),
             Rc::new(fireworks_sim::CostModel::default()),

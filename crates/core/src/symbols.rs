@@ -29,21 +29,14 @@ use std::rc::Rc;
 
 /// An interned function name.
 ///
-/// Mint one with [`FunctionId::intern`] (or the free function
-/// [`fid`]); recover the name with [`FunctionId::name`]. Comparing,
+/// Mint one with the free function [`fid`]; recover the name with
+/// [`FunctionId::name`]. Comparing,
 /// hashing, and indexing by `FunctionId` never touches the string.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[non_exhaustive]
 pub struct FunctionId(u32);
 
 impl FunctionId {
-    /// Interns `name` in the thread-local [`SymbolTable`] and returns
-    /// its id. Idempotent: the same name always yields the same id
-    /// within a thread.
-    pub fn intern(name: &str) -> FunctionId {
-        fid(name)
-    }
-
     /// The interned name, cheaply cloned out of the table.
     ///
     /// # Panics
@@ -194,8 +187,9 @@ thread_local! {
     static GLOBAL: RefCell<SymbolTable> = RefCell::new(SymbolTable::new());
 }
 
-/// Interns `name` in the thread-local table: the short spelling of
-/// [`FunctionId::intern`] for call sites that mint many ids.
+/// Interns `name` in the thread-local [`SymbolTable`] and returns its
+/// id. Idempotent: the same name always yields the same id within a
+/// thread.
 pub fn fid(name: &str) -> FunctionId {
     GLOBAL.with(|t| t.borrow_mut().intern(name))
 }

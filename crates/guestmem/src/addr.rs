@@ -23,7 +23,7 @@ use crate::image::Image;
 /// use fireworks_guestmem::{AddressSpace, HostMemory};
 /// use fireworks_sim::Clock;
 ///
-/// let host = HostMemory::new(Clock::new(), 1 << 30, 60);
+/// let host = HostMemory::new(Clock::new(), 1 << 30);
 /// let mut vm = AddressSpace::new(host, 1 << 20);
 /// vm.write(4096, b"hello");
 /// let mut buf = [0u8; 5];
@@ -531,7 +531,7 @@ mod tests {
     use fireworks_sim::Clock;
 
     fn host() -> HostMemory {
-        HostMemory::new(Clock::new(), 1 << 30, 60)
+        HostMemory::new(Clock::new(), 1 << 30)
     }
 
     #[test]

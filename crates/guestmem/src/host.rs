@@ -15,6 +15,10 @@ use crate::table::Slab;
 /// Size of one guest-physical page / host frame in bytes.
 pub const PAGE_SIZE: usize = 4096;
 
+/// The share of RAM in use past which a host swaps: Linux's default
+/// `vm.swappiness = 60`, which the paper's Fig. 10 host runs.
+pub const SWAP_ONSET: f64 = 0.6;
+
 /// FNV-1a of an all-zero page: the checksum of every frame that was only
 /// touched for accounting (no data write), so such pages cost nothing to
 /// checksum.
@@ -426,7 +430,6 @@ pub(crate) struct HostInner {
     frames: Frames,
     groups: Slab<Group>,
     ram_bytes: u64,
-    swappiness: f64,
     cow_faults: u64,
     zero_fills: u64,
 }
@@ -442,7 +445,7 @@ pub(crate) struct HostInner {
 /// use fireworks_guestmem::{HostMemory, PAGE_SIZE};
 /// use fireworks_sim::Clock;
 ///
-/// let host = HostMemory::new(Clock::new(), 1 << 30, 60);
+/// let host = HostMemory::new(Clock::new(), 1 << 30);
 /// let f = host.alloc_zero();
 /// host.retain(f);
 /// assert_eq!(host.mappers(f), 2);
@@ -458,22 +461,19 @@ pub struct HostMemory {
 }
 
 impl HostMemory {
-    /// Creates a host with `ram_bytes` of physical memory and a Linux-style
-    /// `swappiness` (0–100): swapping begins once used memory exceeds
-    /// `swappiness`% of RAM, matching the paper's Fig. 10 methodology
-    /// (`vm.swappiness = 60`).
-    pub fn new(clock: Clock, ram_bytes: u64, swappiness: u8) -> Self {
-        Self::with_costs(clock, ram_bytes, swappiness, MemCosts::default())
+    /// Creates a host with `ram_bytes` of physical memory; swapping
+    /// begins once used memory exceeds [`SWAP_ONSET`] of it.
+    pub fn new(clock: Clock, ram_bytes: u64) -> Self {
+        Self::with_costs(clock, ram_bytes, MemCosts::default())
     }
 
     /// Like [`HostMemory::new`] with an explicit memory cost table.
-    pub fn with_costs(clock: Clock, ram_bytes: u64, swappiness: u8, costs: MemCosts) -> Self {
+    pub fn with_costs(clock: Clock, ram_bytes: u64, costs: MemCosts) -> Self {
         HostMemory {
             inner: Rc::new(RefCell::new(HostInner {
                 frames: Frames::default(),
                 groups: Slab::default(),
                 ram_bytes,
-                swappiness: f64::from(swappiness.min(100)) / 100.0,
                 cow_faults: 0,
                 zero_fills: 0,
             })),
@@ -691,8 +691,7 @@ impl HostMemory {
 
     /// The byte threshold at which the host starts swapping.
     pub fn swap_threshold_bytes(&self) -> u64 {
-        let inner = self.inner.borrow();
-        (inner.ram_bytes as f64 * inner.swappiness) as u64
+        (self.inner.borrow().ram_bytes as f64 * SWAP_ONSET) as u64
     }
 
     /// Whether used memory has crossed the swap-onset threshold.
@@ -1011,7 +1010,7 @@ pub(crate) mod tests {
     }
 
     fn host() -> HostMemory {
-        HostMemory::new(Clock::new(), 1 << 30, 60)
+        HostMemory::new(Clock::new(), 1 << 30)
     }
 
     fn one(frame: FrameId) -> Extent {
@@ -1073,7 +1072,7 @@ pub(crate) mod tests {
     #[test]
     fn cow_advances_virtual_clock() {
         let clock = Clock::new();
-        let h = HostMemory::new(clock.clone(), 1 << 30, 60);
+        let h = HostMemory::new(clock.clone(), 1 << 30);
         let f = h.alloc_zero();
         h.retain(f);
         let before = clock.now();
@@ -1107,7 +1106,7 @@ pub(crate) mod tests {
     #[test]
     fn swap_threshold_tracks_swappiness() {
         let clock = Clock::new();
-        let h = HostMemory::new(clock, 100 * PAGE_SIZE as u64, 60);
+        let h = HostMemory::new(clock, 100 * PAGE_SIZE as u64);
         assert_eq!(h.swap_threshold_bytes(), 60 * PAGE_SIZE as u64);
         for _ in 0..60 {
             let _ = h.alloc_zero();

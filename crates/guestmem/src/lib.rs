@@ -9,7 +9,7 @@
 //! The pieces:
 //!
 //! - [`HostMemory`]: the host frame table with reference-counted 4 KiB
-//!   frames, CoW, and a `vm.swappiness`-style swap-onset model. A snapshot
+//!   frames, CoW, and a swap onset fixed at [`SWAP_ONSET`] of RAM. A snapshot
 //!   image registers its page list there as a *mapping group*.
 //! - [`AddressSpace`]: one microVM's guest-physical address space — a
 //!   sorted list of [`Extent`]s (the *overlay*) of the pages it holds
@@ -73,7 +73,7 @@ pub mod snapshot;
 mod table;
 
 pub use addr::{AddressSpace, SharingStats};
-pub use host::{Extent, FrameId, HostMemory, MemoryStats, PAGE_SIZE};
+pub use host::{Extent, FrameId, HostMemory, MemoryStats, PAGE_SIZE, SWAP_ONSET};
 pub use snapshot::{
     ChunkHash, ChunkRef, SnapshotFile, SnapshotId, SnapshotIntegrityError, SnapshotManifest,
 };

@@ -148,7 +148,7 @@ impl std::error::Error for SnapshotIntegrityError {}
 /// use fireworks_guestmem::{AddressSpace, HostMemory, SnapshotFile};
 /// use fireworks_sim::Clock;
 ///
-/// let host = HostMemory::new(Clock::new(), 1 << 30, 60);
+/// let host = HostMemory::new(Clock::new(), 1 << 30);
 /// let mut vm = AddressSpace::new(host.clone(), 1 << 20);
 /// vm.write(0, b"jitted code");
 /// let snap = SnapshotFile::capture(&vm, vec![1, 2, 3]);
@@ -451,7 +451,7 @@ mod tests {
     use fireworks_sim::Clock;
 
     fn host() -> HostMemory {
-        HostMemory::new(Clock::new(), 1 << 30, 60)
+        HostMemory::new(Clock::new(), 1 << 30)
     }
 
     fn space_with_pages(host: &HostMemory, pages: usize) -> AddressSpace {

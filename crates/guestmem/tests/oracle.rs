@@ -496,7 +496,7 @@ proptest! {
         ops in proptest::collection::vec((0u8..18, any::<u16>(), any::<u16>()), 1..64),
     ) {
         let clock = Clock::new();
-        let host = HostMemory::new(clock.clone(), 1 << 32, 60);
+        let host = HostMemory::new(clock.clone(), 1 << 32);
         let (spaces, snapshots, raw) = (Vec::new(), Vec::new(), Vec::new());
         let mut real = Real { clock, host, spaces, snapshots, raw };
         let mut model = Model::default();

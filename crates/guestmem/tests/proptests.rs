@@ -5,7 +5,7 @@ use fireworks_sim::Clock;
 use proptest::prelude::*;
 
 fn host() -> HostMemory {
-    HostMemory::new(Clock::new(), 1 << 32, 60)
+    HostMemory::new(Clock::new(), 1 << 32)
 }
 
 const SPACE_BYTES: u64 = 64 * PAGE_SIZE as u64;

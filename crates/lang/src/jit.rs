@@ -1,4 +1,4 @@
-//! JIT configuration carried from the platform down to the guest VM.
+//! JIT configuration carried from a runtime launch down to the guest VM.
 //!
 //! [`JitConfig`] bundles every knob that shapes what a post-JIT snapshot
 //! captures: the tiering policy, the code-cache byte budget (compiled
@@ -12,16 +12,16 @@ use crate::vm::JitPolicy;
 
 /// Guest-JIT configuration (policy + code-cache budget + IC limits).
 ///
-/// `#[non_exhaustive]`: construct via [`JitConfig::default`] (or
-/// [`JitConfig::new`]) and refine with the `with_*` builders, so adding
-/// knobs later is not a breaking change.
+/// `#[non_exhaustive]`: construct via [`JitConfig::default`] and refine
+/// with the `with_*` builders, so adding knobs later is not a breaking
+/// change.
 ///
 /// # Examples
 ///
 /// ```
 /// use fireworks_lang::{JitConfig, JitPolicy};
 ///
-/// let jit = JitConfig::new()
+/// let jit = JitConfig::default()
 ///     .with_policy(Some(JitPolicy::AnnotatedEager))
 ///     .with_code_cache_capacity_bytes(1 << 20)
 ///     .with_ic_poly_limit(2);
@@ -58,11 +58,6 @@ impl Default for JitConfig {
 }
 
 impl JitConfig {
-    /// Alias for [`JitConfig::default`], reads better in builder chains.
-    pub fn new() -> JitConfig {
-        JitConfig::default()
-    }
-
     /// Sets the tiering policy (`None` = runtime-profile default).
     pub fn with_policy(mut self, policy: Option<JitPolicy>) -> JitConfig {
         self.policy = policy;
@@ -94,7 +89,7 @@ mod tests {
 
     #[test]
     fn builders_set_every_knob() {
-        let jit = JitConfig::new()
+        let jit = JitConfig::default()
             .with_policy(Some(JitPolicy::Off))
             .with_code_cache_capacity_bytes(4096)
             .with_ic_poly_limit(2)
@@ -107,7 +102,7 @@ mod tests {
 
     #[test]
     fn poly_limit_clamps_to_one() {
-        assert_eq!(JitConfig::new().with_ic_poly_limit(0).ic_poly_limit, 1);
+        assert_eq!(JitConfig::default().with_ic_poly_limit(0).ic_poly_limit, 1);
     }
 
     #[test]

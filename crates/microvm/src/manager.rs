@@ -24,7 +24,7 @@ use crate::vm::{MicroVm, MicroVmConfig, VmFullSnapshot, VmState, OS_IMAGE_BYTES}
 /// use std::rc::Rc;
 ///
 /// let clock = Clock::new();
-/// let host = HostMemory::new(clock.clone(), 8 << 30, 60);
+/// let host = HostMemory::new(clock.clone(), 8 << 30);
 /// let mut mgr = VmManager::new(clock, Rc::new(CostModel::default()), host);
 /// let mut vm = mgr.create(MicroVmConfig::default());
 /// mgr.boot(&mut vm).expect("no faults armed");
@@ -165,7 +165,7 @@ impl VmManager {
 
     /// Launches a language runtime inside the VM and loads `source`.
     ///
-    /// `jit` is the platform-level JIT shape ([`JitConfig`]): tier-up
+    /// `jit` is the guest JIT shape ([`JitConfig`]): tier-up
     /// policy override, code-cache budget, and inline-cache limits. Use
     /// [`JitConfig::default`] for the runtime profile's stock behaviour.
     pub fn launch_runtime(
@@ -344,7 +344,7 @@ mod tests {
 
     fn manager() -> VmManager {
         let clock = Clock::new();
-        let host = HostMemory::new(clock.clone(), 16 << 30, 60);
+        let host = HostMemory::new(clock.clone(), 16 << 30);
         VmManager::new(clock, Rc::new(CostModel::default()), host)
     }
 

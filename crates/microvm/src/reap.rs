@@ -89,101 +89,69 @@ pub struct ReapSession {
     /// Write-buffered fault/hit counters: `touch` runs once per guest
     /// page, so increments batch locally and flush when the session
     /// drops.
-    fault_ctr: Option<BatchedCounter>,
-    hit_ctr: Option<BatchedCounter>,
+    fault_ctr: BatchedCounter,
+    hit_ctr: BatchedCounter,
 }
 
 impl ReapSession {
     /// Starts a session charging the host's paging `costs`. In
     /// [`ReapMode::Prefetch`], `working_set` is the set recorded by an
-    /// earlier [`ReapMode::Record`] session.
-    pub fn start(clock: &Clock, mode: ReapMode, costs: &MemCosts, working_set: WorkingSet) -> Self {
-        match Self::start_with_faults(clock, mode, costs, working_set, None, None) {
-            Ok(session) => session,
-            Err(_) => unreachable!("no fault sources supplied"),
-        }
-    }
-
-    /// [`ReapSession::start_observed`] without an observability plane.
-    fn start_with_faults(
-        clock: &Clock,
-        mode: ReapMode,
-        costs: &MemCosts,
-        working_set: WorkingSet,
-        injector: Option<&SharedInjector>,
-        snapshot: Option<&SnapshotFile>,
-    ) -> Result<Self, VmError> {
-        Self::start_observed(clock, mode, costs, working_set, injector, snapshot, None)
-    }
-
-    /// Starts a session like [`ReapSession::start`], but the prefetch bulk
-    /// read consults a fault injector ([`FaultSite::SnapshotRead`] — the
-    /// read from cold storage can fail transiently) and, when the backing
-    /// [`SnapshotFile`] is supplied, re-checksums each working-set page as
-    /// it is read, so stored-page corruption is caught at prefetch time
-    /// rather than when the guest executes the page.
+    /// earlier [`ReapMode::Record`] session, and it is loaded with one
+    /// bulk read of `snapshot` that consults `injector`
+    /// ([`FaultSite::SnapshotRead`] — the read from cold storage can fail
+    /// transiently) and re-checksums each working-set page as it is
+    /// read, so stored-page corruption is caught at prefetch time rather
+    /// than when the guest executes the page.
     ///
     /// On failure the fixed prefetch-issue cost has already been charged;
     /// the per-page read cost is only charged when the read succeeds.
     ///
-    /// When an observability plane is supplied, it also records the
-    /// prefetch bulk read as a span (category `prefetch`) plus
-    /// prefetch/fault counters:
+    /// `obs` records the prefetch bulk read as a span (category
+    /// `prefetch`) plus prefetch/fault counters:
     /// `microvm.reap.prefetched_pages`, `microvm.reap.prefetch_hits`,
     /// `microvm.reap.major_faults`, and `microvm.reap.prefetch_failures`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_observed(
+    pub fn start(
         clock: &Clock,
         mode: ReapMode,
         costs: &MemCosts,
         working_set: WorkingSet,
-        injector: Option<&SharedInjector>,
-        snapshot: Option<&SnapshotFile>,
-        obs: Option<&Obs>,
+        injector: &SharedInjector,
+        snapshot: &SnapshotFile,
+        obs: &Obs,
     ) -> Result<Self, VmError> {
         let mut resident = BTreeSet::new();
         let mut prefetched_pages = 0;
         if mode == ReapMode::Prefetch && !working_set.is_empty() {
-            let span = obs.map(|o| {
-                let id = o.recorder().start("reap_prefetch", cat::PREFETCH);
-                o.recorder().attr(id, "pages", working_set.len());
-                id
-            });
+            let rec = obs.recorder();
+            let span = rec.start("reap_prefetch", cat::PREFETCH);
+            rec.attr(span, "pages", working_set.len());
             let end_span = |failed: bool| {
-                if let (Some(o), Some(id)) = (obs, span) {
-                    if failed {
-                        o.recorder().attr(id, "failed", true);
-                        o.metrics().inc("microvm.reap.prefetch_failures", &[]);
-                    }
-                    o.recorder().end(id);
+                if failed {
+                    rec.attr(span, "failed", true);
+                    obs.metrics().inc("microvm.reap.prefetch_failures", &[]);
                 }
+                rec.end(span);
             };
             clock.advance(costs.prefetch_base);
-            let read_fails = injector
-                .map(|inj| inj.borrow_mut().should_fail(FaultSite::SnapshotRead))
-                .unwrap_or(false);
-            if read_fails {
+            if injector.borrow_mut().should_fail(FaultSite::SnapshotRead) {
                 end_span(true);
                 return Err(VmError::SnapshotRead);
             }
             // One bulk sequential read of the whole working set.
             clock.advance(costs.sequential_read_per_page * working_set.len() as u64);
-            if let Some(snap) = snapshot {
-                for page in &working_set.pages {
-                    if let Err(err) = snap.verify_guest_page(*page) {
-                        end_span(true);
-                        return Err(err.into());
-                    }
+            for page in &working_set.pages {
+                if let Err(err) = snapshot.verify_guest_page(*page) {
+                    end_span(true);
+                    return Err(err.into());
                 }
             }
             resident.extend(working_set.pages.iter().copied());
             prefetched_pages = working_set.len() as u64;
-            if let Some(o) = obs {
-                o.metrics()
-                    .add("microvm.reap.prefetched_pages", &[], prefetched_pages);
-            }
+            obs.metrics()
+                .add("microvm.reap.prefetched_pages", &[], prefetched_pages);
             end_span(false);
         }
+        let metrics = obs.metrics();
         Ok(ReapSession {
             mode,
             costs: costs.clone(),
@@ -191,16 +159,8 @@ impl ReapSession {
             resident,
             major_faults: 0,
             prefetched_pages,
-            fault_ctr: obs.map(|o| {
-                o.metrics()
-                    .counter("microvm.reap.major_faults", &[])
-                    .batched()
-            }),
-            hit_ctr: obs.map(|o| {
-                o.metrics()
-                    .counter("microvm.reap.prefetch_hits", &[])
-                    .batched()
-            }),
+            fault_ctr: metrics.counter("microvm.reap.major_faults", &[]).batched(),
+            hit_ctr: metrics.counter("microvm.reap.prefetch_hits", &[]).batched(),
         })
     }
 
@@ -211,11 +171,9 @@ impl ReapSession {
         if self.resident.insert(page) {
             clock.advance(self.costs.major_fault);
             self.major_faults += 1;
-            if let Some(c) = &self.fault_ctr {
-                c.inc();
-            }
-        } else if let Some(c) = &self.hit_ctr {
-            c.inc();
+            self.fault_ctr.inc();
+        } else {
+            self.hit_ctr.inc();
         }
     }
 
@@ -249,6 +207,37 @@ impl ReapSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fireworks_guestmem::{AddressSpace, HostMemory, PAGE_SIZE};
+    use fireworks_sim::fault::{self, FaultInjector, FaultPlan};
+
+    /// A snapshot of a space with `data_pages` written pages, on a host
+    /// with its own clock (capturing it charges none of the test's).
+    fn snapshot(data_pages: usize) -> SnapshotFile {
+        let host = HostMemory::new(Clock::new(), 1 << 30);
+        let mut space = AddressSpace::new(host, 1 << 20);
+        space.write(0, &vec![7u8; data_pages * PAGE_SIZE]);
+        SnapshotFile::capture(&space, Vec::new())
+    }
+
+    /// Starts a session that reads `snapshot` through `injector`.
+    fn start_on(
+        clock: &Clock,
+        mode: ReapMode,
+        ws: WorkingSet,
+        injector: &SharedInjector,
+        snapshot: &SnapshotFile,
+    ) -> Result<ReapSession, VmError> {
+        let obs = Obs::new(clock.clone());
+        let costs = MemCosts::default();
+        ReapSession::start(clock, mode, &costs, ws, injector, snapshot, &obs)
+    }
+
+    /// Starts a session with nothing that fails: no armed fault, an
+    /// empty snapshot.
+    fn session(clock: &Clock, mode: ReapMode, ws: WorkingSet) -> ReapSession {
+        let injector = fault::shared(FaultInjector::disabled());
+        start_on(clock, mode, ws, &injector, &snapshot(0)).expect("nothing fails")
+    }
 
     fn touch_workload(session: &mut ReapSession, clock: &Clock) {
         // A working set of 3 ranges, 700 pages total.
@@ -260,12 +249,7 @@ mod tests {
     #[test]
     fn off_mode_pays_one_major_fault_per_page() {
         let clock = Clock::new();
-        let mut s = ReapSession::start(
-            &clock,
-            ReapMode::Off,
-            &MemCosts::default(),
-            WorkingSet::new(),
-        );
+        let mut s = session(&clock, ReapMode::Off, WorkingSet::new());
         touch_workload(&mut s, &clock);
         assert_eq!(s.major_faults(), 700);
         let expected = MemCosts::default().major_fault * 700;
@@ -276,12 +260,7 @@ mod tests {
     #[test]
     fn repeated_touches_fault_once() {
         let clock = Clock::new();
-        let mut s = ReapSession::start(
-            &clock,
-            ReapMode::Off,
-            &MemCosts::default(),
-            WorkingSet::new(),
-        );
+        let mut s = session(&clock, ReapMode::Off, WorkingSet::new());
         s.touch(&clock, 42);
         s.touch(&clock, 42);
         s.touch(&clock, 42);
@@ -291,12 +270,7 @@ mod tests {
     #[test]
     fn record_mode_captures_the_working_set() {
         let clock = Clock::new();
-        let mut s = ReapSession::start(
-            &clock,
-            ReapMode::Record,
-            &MemCosts::default(),
-            WorkingSet::new(),
-        );
+        let mut s = session(&clock, ReapMode::Record, WorkingSet::new());
         touch_workload(&mut s, &clock);
         let ws = s.finish().expect("record mode returns a set");
         assert_eq!(ws.len(), 700);
@@ -306,18 +280,16 @@ mod tests {
 
     #[test]
     fn prefetch_is_much_cheaper_than_faulting() {
-        let costs = MemCosts::default();
-
         // Record pass.
         let clock = Clock::new();
-        let mut rec = ReapSession::start(&clock, ReapMode::Record, &costs, WorkingSet::new());
+        let mut rec = session(&clock, ReapMode::Record, WorkingSet::new());
         touch_workload(&mut rec, &clock);
         let faulting_time = clock.now();
         let ws = rec.finish().expect("working set");
 
         // Prefetch pass: same accesses, no major faults.
         let clock2 = Clock::new();
-        let mut pre = ReapSession::start(&clock2, ReapMode::Prefetch, &costs, ws);
+        let mut pre = session(&clock2, ReapMode::Prefetch, ws);
         let after_prefetch = clock2.now();
         touch_workload(&mut pre, &clock2);
         assert_eq!(pre.major_faults(), 0, "all accesses hit the prefetched set");
@@ -337,7 +309,7 @@ mod tests {
         let clock = Clock::new();
         let mut ws = WorkingSet::new();
         ws.record_range(0, 10);
-        let mut s = ReapSession::start(&clock, ReapMode::Prefetch, &MemCosts::default(), ws);
+        let mut s = session(&clock, ReapMode::Prefetch, ws);
         s.touch(&clock, 5); // In set: free.
         assert_eq!(s.major_faults(), 0);
         s.touch(&clock, 99_999); // Outside: major fault.
@@ -346,74 +318,40 @@ mod tests {
 
     #[test]
     fn prefetch_read_fault_aborts_after_issue_cost() {
-        use fireworks_sim::fault::{self, FaultInjector, FaultPlan};
         let clock = Clock::new();
-        let costs = MemCosts::default();
         let inj = fault::shared(FaultInjector::new(
             FaultPlan::new(5).nth(FaultSite::SnapshotRead, 1),
         ));
+        let snap = snapshot(0);
         let mut ws = WorkingSet::new();
         ws.record_range(0, 100);
-        let err = ReapSession::start_with_faults(
-            &clock,
-            ReapMode::Prefetch,
-            &costs,
-            ws.clone(),
-            Some(&inj),
-            None,
-        )
-        .expect_err("bulk read fails");
+        let err = start_on(&clock, ReapMode::Prefetch, ws.clone(), &inj, &snap)
+            .expect_err("bulk read fails");
         assert_eq!(err, VmError::SnapshotRead);
         // Only the fixed issue cost was charged, not the per-page read.
-        assert_eq!(clock.now(), costs.prefetch_base);
+        assert_eq!(clock.now(), MemCosts::default().prefetch_base);
         // The retry succeeds (nth-trigger already fired).
-        let s = ReapSession::start_with_faults(
-            &clock,
-            ReapMode::Prefetch,
-            &costs,
-            ws,
-            Some(&inj),
-            None,
-        )
-        .expect("retry succeeds");
+        let s = start_on(&clock, ReapMode::Prefetch, ws, &inj, &snap).expect("retry succeeds");
         assert_eq!(s.prefetched_pages(), 100);
     }
 
     #[test]
     fn prefetch_detects_corrupt_working_set_pages() {
-        use fireworks_guestmem::{AddressSpace, HostMemory, PAGE_SIZE};
         let clock = Clock::new();
-        let host = HostMemory::new(clock.clone(), 1 << 30, 60);
-        let mut space = AddressSpace::new(host.clone(), 1 << 20);
-        space.write(0, &[7u8; 4 * PAGE_SIZE]);
-        let snap = SnapshotFile::capture(&space, Vec::new());
+        let inj = fault::shared(FaultInjector::disabled());
+        let snap = snapshot(4);
         snap.corrupt_page(2); // Guest page 2 — inside the working set.
 
         let mut ws = WorkingSet::new();
         ws.record_range(0, 4);
-        let err = ReapSession::start_with_faults(
-            &clock,
-            ReapMode::Prefetch,
-            &MemCosts::default(),
-            ws,
-            None,
-            Some(&snap),
-        )
-        .expect_err("prefetch reads the bad page");
+        let err = start_on(&clock, ReapMode::Prefetch, ws, &inj, &snap)
+            .expect_err("prefetch reads the bad page");
         assert!(matches!(err, VmError::Corrupt(detail) if detail.page == 2));
 
         // Pages outside the snapshot or outside the damage verify fine.
         let mut clean = WorkingSet::new();
         clean.record(0);
         clean.record(50_000); // Not in the snapshot: nothing to verify.
-        ReapSession::start_with_faults(
-            &clock,
-            ReapMode::Prefetch,
-            &MemCosts::default(),
-            clean,
-            None,
-            Some(&snap),
-        )
-        .expect("clean pages prefetch");
+        start_on(&clock, ReapMode::Prefetch, clean, &inj, &snap).expect("clean pages prefetch");
     }
 }

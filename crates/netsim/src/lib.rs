@@ -154,8 +154,8 @@ pub struct HostNetwork {
     /// namespace).
     external: HashMap<Ip, NsId>,
     next_external: u32,
-    injector: Option<SharedInjector>,
-    obs: Option<Obs>,
+    injector: SharedInjector,
+    obs: Obs,
 }
 
 /// The root namespace id (taps attached here behave like a host without
@@ -164,7 +164,13 @@ pub const ROOT_NS: NsId = NsId(0);
 
 impl HostNetwork {
     /// Creates a host network with only the root namespace.
-    pub fn new(clock: Clock, costs: NetCosts) -> Self {
+    /// [`HostNetwork::deliver`] and [`HostNetwork::transfer_cost`]
+    /// consult `injector`'s [`FaultSite::NetLoss`] per transmission
+    /// attempt and retransmit lost packets with exponential backoff, up
+    /// to [`MAX_TRANSMITS`]; they count `net.host.*` / `net.transfer.*`
+    /// on `obs` and record an instant event per retransmission or final
+    /// drop.
+    pub fn new(clock: Clock, costs: NetCosts, injector: SharedInjector, obs: Obs) -> Self {
         let mut namespaces = HashMap::new();
         namespaces.insert(0, Namespace::default());
         HostNetwork {
@@ -174,24 +180,9 @@ impl HostNetwork {
             next_ns: 1,
             external: HashMap::new(),
             next_external: u32::from_be_bytes([10, 200, 0, 2]),
-            injector: None,
-            obs: None,
+            injector,
+            obs,
         }
-    }
-
-    /// Attaches a fault injector; [`HostNetwork::deliver`] then consults
-    /// [`FaultSite::NetLoss`] per transmission attempt and retransmits
-    /// lost packets with exponential backoff, up to [`MAX_TRANSMITS`].
-    pub fn set_fault_injector(&mut self, injector: SharedInjector) {
-        self.injector = Some(injector);
-    }
-
-    /// Attaches an observability plane; [`HostNetwork::deliver`] then
-    /// counts `net.host.delivered` / `net.host.retransmits` /
-    /// `net.host.drops` and records an instant event per retransmission
-    /// or final drop.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = Some(obs);
     }
 
     /// Creates a fresh network namespace.
@@ -312,15 +303,8 @@ impl HostNetwork {
             attempts += 1;
             let latency = self.packet_latency(payload_bytes, true);
             self.clock.advance(latency);
-            let lost = self
-                .injector
-                .as_ref()
-                .map(|inj| inj.borrow_mut().should_fail(FaultSite::NetLoss))
-                .unwrap_or(false);
-            if !lost {
-                if let Some(obs) = &self.obs {
-                    obs.metrics().inc("net.host.delivered", &[]);
-                }
+            if !self.injector.borrow_mut().should_fail(FaultSite::NetLoss) {
+                self.obs.metrics().inc("net.host.delivered", &[]);
                 return Ok(Delivery {
                     ns,
                     guest_ip,
@@ -330,24 +314,20 @@ impl HostNetwork {
                 });
             }
             if attempts >= MAX_TRANSMITS {
-                if let Some(obs) = &self.obs {
-                    obs.metrics().inc("net.host.drops", &[]);
-                    obs.recorder().instant_with(
-                        format!("packet_lost:{dst}"),
-                        cat::NET,
-                        vec![("attempts", attempts.into())],
-                    );
-                }
+                self.obs.metrics().inc("net.host.drops", &[]);
+                self.obs.recorder().instant_with(
+                    format!("packet_lost:{dst}"),
+                    cat::NET,
+                    vec![("attempts", attempts.into())],
+                );
                 return Err(NetError::Lost(dst));
             }
-            if let Some(obs) = &self.obs {
-                obs.metrics().inc("net.host.retransmits", &[]);
-                obs.recorder().instant_with(
-                    format!("retransmit:{dst}"),
-                    cat::NET,
-                    vec![("attempt", attempts.into())],
-                );
-            }
+            self.obs.metrics().inc("net.host.retransmits", &[]);
+            self.obs.recorder().instant_with(
+                format!("retransmit:{dst}"),
+                cat::NET,
+                vec![("attempt", attempts.into())],
+            );
             // The sender times out and retransmits, doubling the wait.
             self.clock
                 .advance(RETRANSMIT_TIMEOUT * (1u64 << (attempts - 1)));
@@ -381,36 +361,27 @@ impl HostNetwork {
             loop {
                 attempts += 1;
                 elapsed += self.packet_latency(seg_bytes, false);
-                let lost = self
-                    .injector
-                    .as_ref()
-                    .map(|inj| inj.borrow_mut().should_fail(FaultSite::NetLoss))
-                    .unwrap_or(false);
-                if !lost {
+                if !self.injector.borrow_mut().should_fail(FaultSite::NetLoss) {
                     break;
                 }
                 if attempts >= MAX_TRANSMITS {
-                    if let Some(obs) = &self.obs {
-                        obs.metrics().inc("net.transfer.drops", &[]);
-                        obs.recorder().instant_with(
-                            format!("transfer_lost:{peer}"),
-                            cat::NET,
-                            vec![("segment", seg.into()), ("attempts", attempts.into())],
-                        );
-                    }
+                    self.obs.metrics().inc("net.transfer.drops", &[]);
+                    self.obs.recorder().instant_with(
+                        format!("transfer_lost:{peer}"),
+                        cat::NET,
+                        vec![("segment", seg.into()), ("attempts", attempts.into())],
+                    );
                     return Err(NetError::Lost(peer));
                 }
                 retransmits += 1;
                 elapsed += RETRANSMIT_TIMEOUT * (1u64 << (attempts - 1));
             }
         }
-        if let Some(obs) = &self.obs {
-            obs.metrics().add("net.transfer.segments", &[], segments);
-            obs.metrics().add("net.transfer.bytes", &[], payload_bytes);
-            if retransmits > 0 {
-                obs.metrics()
-                    .add("net.transfer.retransmits", &[], u64::from(retransmits));
-            }
+        let metrics = self.obs.metrics();
+        metrics.add("net.transfer.segments", &[], segments);
+        metrics.add("net.transfer.bytes", &[], payload_bytes);
+        if retransmits > 0 {
+            metrics.add("net.transfer.retransmits", &[], u64::from(retransmits));
         }
         Ok(TransferReport {
             bytes: payload_bytes,
@@ -447,6 +418,7 @@ impl HostNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fireworks_sim::fault::{self, FaultInjector, FaultPlan};
 
     /// The guest address baked into every snapshot clone (A.A.A.A in the
     /// paper's Fig. 5).
@@ -454,7 +426,12 @@ mod tests {
     const GUEST_MAC: Mac = Mac([0x06, 0, 0, 0, 0, 0x2a]);
 
     fn net() -> HostNetwork {
-        HostNetwork::new(Clock::new(), NetCosts::default())
+        net_on(Clock::new(), FaultInjector::disabled())
+    }
+
+    fn net_on(clock: Clock, injector: FaultInjector) -> HostNetwork {
+        let obs = Obs::new(clock.clone());
+        HostNetwork::new(clock, NetCosts::default(), fault::shared(injector), obs)
     }
 
     #[test]
@@ -550,7 +527,7 @@ mod tests {
     #[test]
     fn namespace_setup_charges_time() {
         let clock = Clock::new();
-        let mut net = HostNetwork::new(clock.clone(), NetCosts::default());
+        let mut net = net_on(clock.clone(), FaultInjector::disabled());
         let before = clock.now();
         let ns = net.create_namespace();
         net.attach_tap(ns, "tap0", GUEST_IP, GUEST_MAC).expect("ok");
@@ -564,8 +541,8 @@ mod tests {
         );
     }
 
-    fn routed_net(clock: Clock) -> (HostNetwork, Ip) {
-        let mut net = HostNetwork::new(clock, NetCosts::default());
+    fn routed_net(clock: Clock, injector: FaultInjector) -> (HostNetwork, Ip) {
+        let mut net = net_on(clock, injector);
         let ns = net.create_namespace();
         net.attach_tap(ns, "tap0", GUEST_IP, GUEST_MAC).expect("ok");
         let ext = net.alloc_external_ip(ns).expect("ip");
@@ -575,15 +552,16 @@ mod tests {
 
     #[test]
     fn lost_packets_are_retransmitted_with_backoff() {
-        use fireworks_sim::fault::{self, FaultInjector, FaultPlan};
         let clock = Clock::new();
-        let (mut net, ext) = routed_net(clock.clone());
         // Lose the first two transmissions; the third goes through.
-        net.set_fault_injector(fault::shared(FaultInjector::new(
-            FaultPlan::new(3)
-                .nth(FaultSite::NetLoss, 1)
-                .nth(FaultSite::NetLoss, 2),
-        )));
+        let (net, ext) = routed_net(
+            clock.clone(),
+            FaultInjector::new(
+                FaultPlan::new(3)
+                    .nth(FaultSite::NetLoss, 1)
+                    .nth(FaultSite::NetLoss, 2),
+            ),
+        );
         let before = clock.now();
         let d = net.deliver(ext, 500).expect("third attempt delivers");
         assert_eq!(d.retransmits, 2);
@@ -595,11 +573,8 @@ mod tests {
 
     #[test]
     fn loss_on_every_attempt_gives_up_bounded() {
-        use fireworks_sim::fault::{self, FaultInjector, FaultPlan};
-        let clock = Clock::new();
-        let (mut net, ext) = routed_net(clock.clone());
-        let inj = fault::shared(FaultInjector::new(FaultPlan::uniform(1, 1.0)));
-        net.set_fault_injector(inj.clone());
+        let (net, ext) = routed_net(Clock::new(), FaultInjector::new(FaultPlan::uniform(1, 1.0)));
+        let inj = net.injector.clone();
         let err = net.deliver(ext, 100).expect_err("all attempts lost");
         assert_eq!(err, NetError::Lost(ext));
         assert_eq!(
@@ -612,7 +587,7 @@ mod tests {
     #[test]
     fn transfer_cost_scales_with_bytes_and_charges_nothing() {
         let clock = Clock::new();
-        let net = HostNetwork::new(clock.clone(), NetCosts::default());
+        let net = net_on(clock.clone(), FaultInjector::disabled());
         let peer = Ip::new(10, 42, 0, 1);
         let before = clock.now();
         let small = net.transfer_cost(peer, 64 * 1024).expect("ok");
@@ -629,14 +604,12 @@ mod tests {
 
     #[test]
     fn transfer_retransmits_lost_segments_with_backoff() {
-        use fireworks_sim::fault::{self, FaultInjector, FaultPlan};
-        let clock = Clock::new();
-        let mut net = HostNetwork::new(clock.clone(), NetCosts::default());
         let peer = Ip::new(10, 42, 0, 2);
-        let clean = net.transfer_cost(peer, 128 * 1024).expect("ok");
-        net.set_fault_injector(fault::shared(FaultInjector::new(
-            FaultPlan::new(5).nth(FaultSite::NetLoss, 1),
-        )));
+        let clean = net().transfer_cost(peer, 128 * 1024).expect("ok");
+        let net = net_on(
+            Clock::new(),
+            FaultInjector::new(FaultPlan::new(5).nth(FaultSite::NetLoss, 1)),
+        );
         let lossy = net.transfer_cost(peer, 128 * 1024).expect("ok");
         assert_eq!(lossy.retransmits, 1);
         let seg_latency = net.packet_latency(TRANSFER_SEGMENT_BYTES, false);
@@ -648,25 +621,17 @@ mod tests {
 
     #[test]
     fn transfer_gives_up_when_a_segment_exhausts_retries() {
-        use fireworks_sim::fault::{self, FaultInjector, FaultPlan};
-        let mut net = net();
+        let net = net_on(Clock::new(), FaultInjector::new(FaultPlan::uniform(1, 1.0)));
         let peer = Ip::new(10, 42, 0, 3);
-        net.set_fault_injector(fault::shared(FaultInjector::new(FaultPlan::uniform(
-            1, 1.0,
-        ))));
         let err = net.transfer_cost(peer, 256 * 1024).expect_err("lost");
         assert_eq!(err, NetError::Lost(peer));
     }
 
     #[test]
     fn rate_zero_injector_changes_nothing() {
-        use fireworks_sim::fault::{self, FaultInjector, FaultPlan};
         let clock = Clock::new();
-        let (plain, ext_a) = routed_net(clock.clone());
-        let (mut armed, ext_b) = routed_net(clock.clone());
-        armed.set_fault_injector(fault::shared(FaultInjector::new(FaultPlan::uniform(
-            9, 0.0,
-        ))));
+        let (plain, ext_a) = routed_net(clock.clone(), FaultInjector::disabled());
+        let (armed, ext_b) = routed_net(clock, FaultInjector::new(FaultPlan::uniform(9, 0.0)));
         let d_plain = plain.deliver(ext_a, 500).expect("ok");
         let d_armed = armed.deliver(ext_b, 500).expect("ok");
         assert_eq!(d_plain.latency, d_armed.latency);

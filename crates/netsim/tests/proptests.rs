@@ -1,19 +1,32 @@
 //! Property tests for the clone-networking invariants.
 
 use fireworks_netsim::{HostNetwork, Ip, Mac, NetError, ROOT_NS};
+use fireworks_obs::Obs;
 use fireworks_sim::cost::NetCosts;
+use fireworks_sim::fault::{self, FaultInjector};
 use fireworks_sim::Clock;
 use proptest::prelude::*;
 
 const GUEST_IP: Ip = Ip::new(172, 16, 0, 2);
 const GUEST_MAC: Mac = Mac([0x06, 0, 0, 0, 0, 0x2a]);
 
+fn net() -> HostNetwork {
+    let clock = Clock::new();
+    let obs = Obs::new(clock.clone());
+    HostNetwork::new(
+        clock,
+        NetCosts::default(),
+        fault::shared(FaultInjector::disabled()),
+        obs,
+    )
+}
+
 proptest! {
     /// Any number of identical snapshot clones coexist when each gets its
     /// own namespace, and every clone is reachable on its own external IP.
     #[test]
     fn n_clones_coexist_with_namespaces(n in 1usize..40) {
-        let mut net = HostNetwork::new(Clock::new(), NetCosts::default());
+        let mut net = net();
         let mut externals = Vec::new();
         for _ in 0..n {
             let ns = net.create_namespace();
@@ -37,7 +50,7 @@ proptest! {
     /// attach conflicts regardless of how many are tried.
     #[test]
     fn clones_without_namespaces_conflict(n in 2usize..20) {
-        let mut net = HostNetwork::new(Clock::new(), NetCosts::default());
+        let mut net = net();
         net.attach_tap(ROOT_NS, "tap0", GUEST_IP, GUEST_MAC).expect("first");
         for _ in 1..n {
             prop_assert!(matches!(
@@ -50,7 +63,7 @@ proptest! {
     /// Destroying namespaces releases their routes; the rest keep working.
     #[test]
     fn destroy_releases_routes(keep_mask in 0u32..256) {
-        let mut net = HostNetwork::new(Clock::new(), NetCosts::default());
+        let mut net = net();
         let mut all = Vec::new();
         for _ in 0..8 {
             let ns = net.create_namespace();

@@ -370,7 +370,7 @@ mod tests {
         fn main(n) { for (let i = 0; i < n; i = i + 1) { push(kept, i); } return len(kept); }";
 
     fn host(clock: &Clock) -> HostMemory {
-        HostMemory::new(clock.clone(), 4 << 30, 60)
+        HostMemory::new(clock.clone(), 4 << 30)
     }
 
     /// A container-shaped guest (no OS region) with `src` launched in it.

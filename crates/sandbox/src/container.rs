@@ -247,7 +247,7 @@ mod tests {
 
     fn manager() -> ContainerManager {
         let clock = Clock::new();
-        let host = HostMemory::new(clock.clone(), 8 << 30, 60);
+        let host = HostMemory::new(clock.clone(), 8 << 30);
         ContainerManager::new(clock, Rc::new(CostModel::default()), host)
     }
 

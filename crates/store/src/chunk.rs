@@ -451,7 +451,7 @@ mod tests {
     use fireworks_sim::Clock;
 
     fn host() -> HostMemory {
-        HostMemory::new(Clock::new(), 1 << 30, 60)
+        HostMemory::new(Clock::new(), 1 << 30)
     }
 
     fn snapshot_with(host: &HostMemory, seed: u8, pages: usize) -> SnapshotFile {

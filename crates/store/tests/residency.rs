@@ -101,7 +101,7 @@ proptest! {
     fn memoised_residency_matches_the_scan(
         ops in proptest::collection::vec(op_strategy(pool_pages().len()), 1..60),
     ) {
-        let host = HostMemory::new(Clock::new(), 1 << 30, 60);
+        let host = HostMemory::new(Clock::new(), 1 << 30);
         let snaps: Vec<SnapshotFile> = pool_pages().iter().map(|p| snapshot(&host, p)).collect();
 
         // The donor holds every chunk of every pool manifest.

@@ -17,7 +17,6 @@ const HOST_RAM: u64 = 8 << 30;
 fn env() -> PlatformEnv {
     PlatformEnv::new(EnvConfig {
         ram_bytes: HOST_RAM,
-        swappiness: 60,
         costs: CostModel::default(),
         ..EnvConfig::default()
     })

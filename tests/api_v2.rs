@@ -84,18 +84,12 @@ fn chains_run_through_a_trait_object() {
 /// Every knob set through the builder must surface in the built config.
 #[test]
 fn builder_round_trips_every_field() {
-    let recovery = RecoveryPolicy {
-        max_attempts: 5,
-        ..RecoveryPolicy::default()
-    };
     let cfg = PlatformConfig::builder()
         .cache_budget(7 << 20)
-        .recovery(recovery.clone())
         .paging(PagingPolicy::ColdStorage { reap: true })
         .keep_alive(Some(Nanos::from_secs(90)))
         .build();
     assert_eq!(cfg.cache_budget_bytes, 7 << 20);
-    assert_eq!(cfg.recovery.max_attempts, 5);
     assert!(matches!(
         cfg.paging,
         PagingPolicy::ColdStorage { reap: true }

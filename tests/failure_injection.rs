@@ -226,7 +226,6 @@ fn memory_pressure_reports_swapping_not_a_crash() {
     // threshold; the simulation keeps working and reports the state.
     let env = PlatformEnv::new(EnvConfig {
         ram_bytes: 512 << 20,
-        swappiness: 60,
         costs: CostModel::default(),
         ..EnvConfig::default()
     });

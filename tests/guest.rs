@@ -20,7 +20,7 @@ const SRC: &str =
 #[test]
 fn a_second_sync_touches_nothing_in_any_sandbox() {
     let clock = Clock::new();
-    let host = HostMemory::new(clock.clone(), 8 << 30, 60);
+    let host = HostMemory::new(clock.clone(), 8 << 30);
     let costs = Rc::new(CostModel::default());
     let mut vms = VmManager::new(clock.clone(), costs.clone(), host.clone());
     let mut containers = ContainerManager::new(clock.clone(), costs, host.clone());
