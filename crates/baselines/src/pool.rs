@@ -243,8 +243,8 @@ impl<F: Flavor> ConcurrentPlatform for PooledPlatform<F> {
         let rec = obs.recorder();
         let root = rec.root("invoke", cat::INVOKE, req.trace);
         let fname = req.function.name();
-        rec.attr(root.id(), "function", &*fname);
-        rec.attr(root.id(), "platform", self.flavor.name());
+        rec.attr_str(root.id(), "function", &fname);
+        rec.attr_str(root.id(), "platform", self.flavor.name());
         obs.metrics()
             .inc("baseline.invoke.attempts", &[("function", &fname)]);
         let result = self.serve(root, req);

@@ -511,7 +511,7 @@ impl<P: ConcurrentPlatform, B: borrow::BorrowMut<P>, C: Control<P, B>> Driver<'_
         let function = self.requests[i].invoke.function;
         let trace = self.rec.next_trace_id();
         let root = self.rec.start_detached("request", cat::INVOKE, trace);
-        self.rec.attr(root, "function", &*function.name());
+        self.rec.attr_str(root, "function", &function.name());
         self.roots[i] = Some((trace, root));
         (function, root)
     }
@@ -707,7 +707,7 @@ impl<P: ConcurrentPlatform, B: borrow::BorrowMut<P>, C: Control<P, B>> Driver<'_
         if let Some((_, root)) = self.roots[i].take() {
             self.rec
                 .record_closed_under(root, "queued", cat::QUEUE, Phase::Other, r.arrival, now);
-            self.rec.attr(root, "rejected", reason);
+            self.rec.attr_str(root, "rejected", reason);
             self.rec.end_detached(root);
         }
         self.resolve(ClusterCompletion {

@@ -1031,7 +1031,7 @@ impl<P: ConcurrentPlatform> ControlPlane<P> {
         let rec = &d.rec;
         let mtrace = rec.next_trace_id();
         let mroot = rec.start_detached("migration", cat::MIGRATE, mtrace);
-        rec.attr(mroot, "function", &*function.name());
+        rec.attr_str(mroot, "function", &function.name());
         rec.attr(mroot, "donor", donor);
         rec.attr(mroot, "dest", dest);
         let span = rec.start_under(mroot, "handoff", cat::MIGRATE);
@@ -1042,7 +1042,7 @@ impl<P: ConcurrentPlatform> ControlPlane<P> {
         } else {
             "rebuild_fallback"
         };
-        rec.attr(mroot, "outcome", outcome);
+        rec.attr_str(mroot, "outcome", outcome);
         rec.end_detached(mroot);
         Some(migrated)
     }

@@ -332,7 +332,7 @@ impl FireworksPlatform {
         // path.
         let obs = self.env.obs.clone();
         let root = obs.recorder().root("invoke", cat::INVOKE, trace_ctx);
-        obs.recorder().attr(root.id(), "function", &*name);
+        obs.recorder().attr_str(root.id(), "function", &name);
         obs.metrics()
             .inc("core.invoke.attempts", &[("function", &name)]);
 

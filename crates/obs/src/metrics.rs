@@ -1,16 +1,19 @@
 //! Deterministic metrics registry: counters, gauges, and fixed-bucket
 //! histograms keyed by `&'static str` names plus label pairs.
 //!
-//! Hot paths should resolve a [`Counter`] or [`Gauge`] handle once (one
-//! key allocation + map lookup) and then update through it — a handle
-//! update is a single `Cell` store, with no allocation and no lookup.
-//! Per-event paths (page faults, packets) can go one step further with
-//! [`Counter::batched`], which buffers increments locally and flushes
-//! them to the shared series in one update. The by-name
-//! [`Metrics::inc`] / [`Metrics::gauge_set`] entry points remain for
-//! cold paths and one-off writes.
+//! Hot paths should resolve a [`Counter`] or [`Gauge`] handle once and
+//! then update through it — a handle update is a single `Cell` store,
+//! with no lookup. Per-event paths (page faults, packets) can go one step
+//! further with [`Counter::batched`], which buffers increments locally
+//! and flushes them to the shared series in one update. The by-name
+//! [`Metrics::inc`] / [`Metrics::gauge_set`] / [`Metrics::observe`]
+//! entry points find an existing series by looking it up, with no heap
+//! allocation: the name selects a table of label sets kept sorted, which
+//! is binary-searched with the caller's labels sorted on the stack. Only
+//! the first update of a series allocates its key.
 
 use std::cell::{Cell, RefCell};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
@@ -29,41 +32,98 @@ pub const DEFAULT_BOUNDS: [u64; 8] = [
     10_000_000_000,
 ];
 
-/// A metric identity: static name plus sorted label pairs.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct MetricKey {
-    name: &'static str,
-    labels: Vec<(&'static str, String)>,
+/// The label pairs of one series, sorted.
+type Labels = Box<[(&'static str, Box<str>)]>;
+
+/// Every series of one metric name, sorted by labels: iterating the
+/// name map and then a family yields series in (name, labels) order.
+type Family<T> = Vec<(Labels, T)>;
+
+/// Label sets up to this size are sorted on the stack.
+const INLINE_LABELS: usize = 4;
+
+/// Calls `f` with `labels` sorted, without allocating for up to
+/// [`INLINE_LABELS`] pairs.
+fn with_sorted<'a, R>(
+    labels: &[(&'static str, &'a str)],
+    f: impl FnOnce(&[(&'static str, &'a str)]) -> R,
+) -> R {
+    if labels.len() <= INLINE_LABELS {
+        let mut buf = [("", ""); INLINE_LABELS];
+        let buf = &mut buf[..labels.len()];
+        buf.copy_from_slice(labels);
+        buf.sort_unstable();
+        f(buf)
+    } else {
+        let mut sorted = labels.to_vec();
+        sorted.sort_unstable();
+        f(&sorted)
+    }
 }
 
-impl MetricKey {
-    fn new(name: &'static str, labels: &[(&'static str, &str)]) -> Self {
-        let mut labels: Vec<(&'static str, String)> =
-            labels.iter().map(|&(k, v)| (k, v.to_string())).collect();
-        labels.sort();
-        MetricKey { name, labels }
-    }
+fn cmp_labels(have: &Labels, want: &[(&'static str, &str)]) -> Ordering {
+    have.iter()
+        .map(|(k, v)| (*k, &**v))
+        .cmp(want.iter().copied())
+}
 
-    /// Rendered form: `name` or `name{k=v,k2=v2}` with sorted labels.
-    fn render(&self) -> String {
-        if self.labels.is_empty() {
-            return self.name.to_string();
-        }
-        let mut out = String::from(self.name);
-        out.push('{');
-        for (i, (k, v)) in self.labels.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{k}={v}");
-        }
-        out.push('}');
-        out
+/// The series `name{labels}` of `map`, created with `make` if absent.
+/// Finding an existing series allocates nothing.
+fn series<'m, T>(
+    map: &'m mut BTreeMap<&'static str, Family<T>>,
+    name: &'static str,
+    labels: &[(&'static str, &str)],
+    make: impl FnOnce() -> T,
+) -> &'m mut T {
+    let family = map.entry(name).or_default();
+    let i = with_sorted(labels, |sorted| {
+        family
+            .binary_search_by(|(have, _)| cmp_labels(have, sorted))
+            .unwrap_or_else(|i| {
+                let key = sorted.iter().map(|&(k, v)| (k, Box::from(v))).collect();
+                family.insert(i, (key, make()));
+                i
+            })
+    });
+    &mut family[i].1
+}
+
+/// Rendered form: `name` or `name{k=v,k2=v2}` with the labels in the
+/// order given (sorted, for every caller).
+fn render<V: AsRef<str>>(name: &'static str, labels: &[(&'static str, V)]) -> String {
+    if labels.is_empty() {
+        return name.to_string();
     }
+    let mut out = String::from(name);
+    out.push('{');
+    for (i, (k, v)) in labels.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{k}={}", v.as_ref());
+    }
+    out.push('}');
+    out
 }
 
 fn render_key(name: &'static str, labels: &[(&'static str, &str)]) -> String {
-    MetricKey::new(name, labels).render()
+    with_sorted(labels, |sorted| render(name, sorted))
+}
+
+/// Every series of `map` in (name, labels) order, rendered, with `f` of
+/// its value.
+fn rendered<T, V>(
+    map: &BTreeMap<&'static str, Family<T>>,
+    f: impl Fn(&T) -> V,
+) -> BTreeMap<String, V> {
+    map.iter()
+        .flat_map(|(&name, family)| {
+            family
+                .iter()
+                .map(move |(labels, value)| (render(name, labels), value))
+        })
+        .map(|(key, value)| (key, f(value)))
+        .collect()
 }
 
 #[derive(Debug, Clone)]
@@ -100,9 +160,9 @@ impl Histogram {
 
 #[derive(Debug, Default)]
 struct MetricsInner {
-    counters: BTreeMap<MetricKey, Rc<Cell<u64>>>,
-    gauges: BTreeMap<MetricKey, Rc<Cell<i64>>>,
-    histograms: BTreeMap<MetricKey, Histogram>,
+    counters: BTreeMap<&'static str, Family<Rc<Cell<u64>>>>,
+    gauges: BTreeMap<&'static str, Family<Rc<Cell<i64>>>>,
+    histograms: BTreeMap<&'static str, Family<Histogram>>,
     /// Registered bucket bounds by metric name; unregistered names fall
     /// back to [`DEFAULT_BOUNDS`].
     bounds: BTreeMap<&'static str, Vec<u64>>,
@@ -239,8 +299,8 @@ impl Metrics {
     /// series. Resolve once, then update through the handle on hot
     /// paths.
     pub fn counter(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Counter {
-        let key = MetricKey::new(name, labels);
-        let cell = Rc::clone(self.inner.borrow_mut().counters.entry(key).or_default());
+        let mut inner = self.inner.borrow_mut();
+        let cell = Rc::clone(series(&mut inner.counters, name, labels, Rc::default));
         Counter { cell }
     }
 
@@ -252,8 +312,8 @@ impl Metrics {
     /// Resolves (creating if absent, initialized to 0) a [`Gauge`]
     /// handle for the series.
     pub fn gauge(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Gauge {
-        let key = MetricKey::new(name, labels);
-        let cell = Rc::clone(self.inner.borrow_mut().gauges.entry(key).or_default());
+        let mut inner = self.inner.borrow_mut();
+        let cell = Rc::clone(series(&mut inner.gauges, name, labels, Rc::default));
         Gauge { cell }
     }
 
@@ -267,59 +327,41 @@ impl Metrics {
         sorted.sort_unstable();
         sorted.dedup();
         let mut inner = self.inner.borrow_mut();
-        inner
-            .histograms
-            .entry(MetricKey::new(name, &[]))
-            .or_insert_with(|| Histogram::new(sorted.clone()));
+        series(&mut inner.histograms, name, &[], || {
+            Histogram::new(sorted.clone())
+        });
         inner.bounds.insert(name, sorted);
     }
 
     /// Records one observation into histogram `name`. The value lands in
     /// the first bucket whose upper bound is `>= value`, else overflow.
     pub fn observe(&self, name: &'static str, labels: &[(&'static str, &str)], value: u64) {
-        let key = MetricKey::new(name, labels);
         let mut inner = self.inner.borrow_mut();
-        let bounds = inner
-            .bounds
-            .get(name)
-            .cloned()
-            .unwrap_or_else(|| DEFAULT_BOUNDS.to_vec());
-        inner
-            .histograms
-            .entry(key)
-            .or_insert_with(|| Histogram::new(bounds))
-            .observe(value);
+        let MetricsInner {
+            histograms, bounds, ..
+        } = &mut *inner;
+        series(histograms, name, labels, || {
+            Histogram::new(
+                bounds
+                    .get(name)
+                    .map_or_else(|| DEFAULT_BOUNDS.to_vec(), Vec::clone),
+            )
+        })
+        .observe(value);
     }
 
     /// A point-in-time copy of every series, for assertions and export.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.inner.borrow();
         MetricsSnapshot {
-            counters: inner
-                .counters
-                .iter()
-                .map(|(k, v)| (k.render(), v.get()))
-                .collect(),
-            gauges: inner
-                .gauges
-                .iter()
-                .map(|(k, v)| (k.render(), v.get()))
-                .collect(),
-            histograms: inner
-                .histograms
-                .iter()
-                .map(|(k, h)| {
-                    (
-                        k.render(),
-                        HistogramSnapshot {
-                            bounds: h.bounds.clone(),
-                            counts: h.counts.clone(),
-                            count: h.count,
-                            sum: h.sum,
-                        },
-                    )
-                })
-                .collect(),
+            counters: rendered(&inner.counters, |v| v.get()),
+            gauges: rendered(&inner.gauges, |v| v.get()),
+            histograms: rendered(&inner.histograms, |h| HistogramSnapshot {
+                bounds: h.bounds.clone(),
+                counts: h.counts.clone(),
+                count: h.count,
+                sum: h.sum,
+            }),
         }
     }
 }

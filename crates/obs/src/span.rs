@@ -1,6 +1,8 @@
 //! Hierarchical spans and instant events over virtual time.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use fireworks_sim::{Clock, Nanos};
@@ -272,56 +274,260 @@ pub enum Event {
     Instant(InstantRecord),
 }
 
+/// A stored name: a literal, or an index into the recorder's string
+/// table (a name built at run time, e.g. `fault:<site>`).
+#[derive(Debug, Clone, Copy)]
+enum Name {
+    Static(&'static str),
+    Owned(u32),
+}
+
+/// A stored attribute value: an [`AttrValue`] whose string lives in the
+/// recorder's string table.
+#[derive(Debug, Clone, Copy)]
+enum Val {
+    Int(i64),
+    Uint(u64),
+    Float(f64),
+    Str(u32),
+    Bool(bool),
+}
+
+/// What a side-table entry attaches to its record.
+#[derive(Debug, Clone, Copy)]
+enum Extra {
+    Attr(&'static str, Val),
+    FlowOut(u64),
+    FlowIn(u64),
+}
+
+/// One side-table entry and the next entry of the same record.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    extra: Extra,
+    next: u32,
+}
+
+/// End of the side-table list.
+const NIL: u32 = u32::MAX;
+/// `Rec::end` of an open span (and of every instant).
+const OPEN: u64 = u64::MAX;
+/// `Rec::trace` of an event outside any trace (trace ids start at 1).
+const NO_TRACE: u64 = 0;
+
+/// One event of the log as stored: a span or an instant in a fixed-size
+/// record that owns nothing. [`Inner::event`] rebuilds the public
+/// [`Event`] from it.
+#[derive(Debug, Clone, Copy)]
+struct Rec {
+    name: Name,
+    /// A span's start, an instant's time.
+    start: Nanos,
+    /// A closed span's end in nanoseconds, else [`OPEN`].
+    end: u64,
+    /// Raw [`TraceId`], or [`NO_TRACE`].
+    trace: u64,
+    /// Raw parent [`SpanId`], 0 for none.
+    parent: u32,
+    /// First and last of this record's side-table entries, in
+    /// attachment order ([`NIL`] if it has none).
+    first: u32,
+    last: u32,
+    /// Index into [`Inner::categories`].
+    category: u8,
+    phase: Option<Phase>,
+    instant: bool,
+}
+
+impl Rec {
+    fn duration_at(&self, now: Nanos) -> Nanos {
+        let end = if self.end == OPEN {
+            now
+        } else {
+            Nanos::from_nanos(self.end)
+        };
+        end.max(self.start) - self.start
+    }
+}
+
+/// A log index or side-table position as stored (`u32`).
+fn index(len: usize) -> u32 {
+    u32::try_from(len).expect("a recorder holds fewer than 2^32 - 1 entries")
+}
+
 #[derive(Debug, Default)]
 struct Inner {
-    events: Vec<Event>,
-    /// `events` index of span id `i + 1`.
-    span_pos: Vec<usize>,
+    log: Vec<Rec>,
+    /// `log` index of span id `i + 1`.
+    span_pos: Vec<u32>,
+    /// Attributes and flow edges of every record, one list per record.
+    extras: Vec<Link>,
+    /// Strings the log owns (built names, string attribute values),
+    /// each stored once however many records name it.
+    strings: Vec<Rc<str>>,
+    string_ids: HashMap<Rc<str>, u32>,
+    /// Categories in first-use order; a record keeps the index.
+    categories: Vec<&'static str>,
     /// Stack of currently open spans (innermost last).
     open: Vec<SpanId>,
     /// Trace ids minted so far (the next is `minted_traces + 1`).
     minted_traces: u64,
+    /// Scratch of [`Recorder::breakdown_under`], kept between folds.
+    fold: Vec<(Option<Phase>, Nanos)>,
 }
 
 impl Inner {
-    fn span_mut(&mut self, id: SpanId) -> &mut SpanRecord {
-        let pos = self.span_pos[(id.0 - 1) as usize];
-        match &mut self.events[pos] {
-            Event::Span(s) => s,
-            Event::Instant(_) => unreachable!("span_pos points at spans only"),
+    fn pos(&self, id: SpanId) -> usize {
+        self.span_pos[(id.0 - 1) as usize] as usize
+    }
+
+    fn trace_of(&self, id: SpanId) -> u64 {
+        self.log[self.pos(id)].trace
+    }
+
+    fn intern(&mut self, s: &str) -> u32 {
+        if let Some(&i) = self.string_ids.get(s) {
+            return i;
+        }
+        let i = index(self.strings.len());
+        let s: Rc<str> = Rc::from(s);
+        self.strings.push(Rc::clone(&s));
+        self.string_ids.insert(s, i);
+        i
+    }
+
+    fn name(&mut self, name: Cow<'static, str>) -> Name {
+        match name {
+            Cow::Borrowed(s) => Name::Static(s),
+            Cow::Owned(s) => Name::Owned(self.intern(&s)),
         }
     }
 
-    fn span_ref(&self, id: SpanId) -> &SpanRecord {
-        let pos = self.span_pos[(id.0 - 1) as usize];
-        match &self.events[pos] {
-            Event::Span(s) => s,
-            Event::Instant(_) => unreachable!("span_pos points at spans only"),
+    fn str_of(&self, name: Name) -> &str {
+        match name {
+            Name::Static(s) => s,
+            Name::Owned(i) => &self.strings[i as usize],
         }
     }
 
-    fn trace_of(&self, id: SpanId) -> Option<TraceId> {
-        self.span_ref(id).trace
+    fn category(&mut self, category: &'static str) -> u8 {
+        let i = match self.categories.iter().position(|&c| c == category) {
+            Some(i) => i,
+            None => {
+                self.categories.push(category);
+                self.categories.len() - 1
+            }
+        };
+        u8::try_from(i).expect("at most 256 span categories")
+    }
+
+    fn val(&mut self, value: AttrValue) -> Val {
+        match value {
+            AttrValue::Int(v) => Val::Int(v),
+            AttrValue::Uint(v) => Val::Uint(v),
+            AttrValue::Float(v) => Val::Float(v),
+            AttrValue::Str(s) => Val::Str(self.intern(&s)),
+            AttrValue::Bool(v) => Val::Bool(v),
+        }
+    }
+
+    fn value(&self, val: Val) -> AttrValue {
+        match val {
+            Val::Int(v) => AttrValue::Int(v),
+            Val::Uint(v) => AttrValue::Uint(v),
+            Val::Float(v) => AttrValue::Float(v),
+            Val::Str(i) => AttrValue::Str(self.strings[i as usize].to_string()),
+            Val::Bool(v) => AttrValue::Bool(v),
+        }
+    }
+
+    /// Appends `extra` to the side-table list of the record at `pos`.
+    fn attach(&mut self, pos: usize, extra: Extra) {
+        let at = index(self.extras.len());
+        self.extras.push(Link { extra, next: NIL });
+        match self.log[pos].last {
+            NIL => self.log[pos].first = at,
+            last => self.extras[last as usize].next = at,
+        }
+        self.log[pos].last = at;
+    }
+
+    /// Appends a record with no side-table entries.
+    #[allow(clippy::too_many_arguments)]
+    fn push(
+        &mut self,
+        instant: bool,
+        parent: Option<SpanId>,
+        name: Cow<'static, str>,
+        category: &'static str,
+        phase: Option<Phase>,
+        trace: u64,
+        start: Nanos,
+        end: u64,
+    ) -> usize {
+        let rec = Rec {
+            name: self.name(name),
+            start,
+            end,
+            trace,
+            parent: parent.map_or(0, |p| index(p.0 as usize)),
+            first: NIL,
+            last: NIL,
+            category: self.category(category),
+            phase,
+            instant,
+        };
+        self.log.push(rec);
+        self.log.len() - 1
     }
 
     /// Appends a zero-width event under `parent`, inheriting its trace.
     fn push_instant(
         &mut self,
         parent: Option<SpanId>,
-        name: String,
+        name: Cow<'static, str>,
         category: &'static str,
         at: Nanos,
         attrs: Vec<(&'static str, AttrValue)>,
     ) {
-        let trace = parent.and_then(|p| self.trace_of(p));
-        self.events.push(Event::Instant(InstantRecord {
-            parent,
-            name,
-            category,
-            at,
-            attrs,
-            trace,
-        }));
+        let trace = parent.map_or(NO_TRACE, |p| self.trace_of(p));
+        let pos = self.push(true, parent, name, category, None, trace, at, OPEN);
+        for (key, value) in attrs {
+            let val = self.val(value);
+            self.attach(pos, Extra::Attr(key, val));
+        }
+    }
+
+    /// Appends a span record, wiring the id/position tables. The caller
+    /// decides whether it goes on the open stack.
+    #[allow(clippy::too_many_arguments)]
+    fn push_span(
+        &mut self,
+        parent: Option<SpanId>,
+        name: Cow<'static, str>,
+        category: &'static str,
+        phase: Option<Phase>,
+        trace: u64,
+        start: Nanos,
+        end: Option<Nanos>,
+    ) -> SpanId {
+        debug_assert_ne!(end, Some(Nanos::MAX), "a span cannot end at Nanos::MAX");
+        let end = end.map_or(OPEN, Nanos::as_nanos);
+        let pos = self.push(false, parent, name, category, phase, trace, start, end);
+        self.span_pos.push(index(pos));
+        SpanId(self.span_pos.len() as u64)
+    }
+
+    /// The log from index `pos` on, each record beside the id it has if
+    /// it is a span; `next_id` is the id of the first span at or after
+    /// `pos`.
+    fn numbered(&self, pos: usize, next_id: u64) -> impl Iterator<Item = (SpanId, &Rec)> {
+        let mut next = next_id;
+        self.log[pos..].iter().map(move |r| {
+            let id = SpanId(next);
+            next += u64::from(!r.instant);
+            (id, r)
+        })
     }
 
     /// `root` and its descendant spans, in id (= recording) order.
@@ -332,48 +538,58 @@ impl Inner {
     /// the walk stops at the first span parented outside it (the cost is
     /// the subtree's size, wherever `root` sits in the log). An id this
     /// recorder never issued has an empty subtree.
-    fn subtree_spans(&self, root: SpanId) -> impl Iterator<Item = &SpanRecord> {
+    fn subtree_spans(&self, root: SpanId) -> impl Iterator<Item = (SpanId, &Rec)> {
         self.span_pos
             .get((root.0 - 1) as usize..)
             .unwrap_or_default()
             .iter()
-            .map(|&pos| match &self.events[pos] {
-                Event::Span(s) => s,
-                Event::Instant(_) => unreachable!("span_pos points at spans only"),
-            })
-            .take_while(move |s| s.id == root || s.parent.is_some_and(|p| p >= root))
+            .zip(root.0..)
+            .map(|(&pos, id)| (SpanId(id), &self.log[pos as usize]))
+            .take_while(move |(id, s)| *id == root || u64::from(s.parent) >= root.0)
     }
 
-    /// Appends a span record, wiring the id/position tables. The caller
-    /// decides whether it goes on the open stack.
-    #[allow(clippy::too_many_arguments)]
-    fn push_span(
-        &mut self,
-        parent: Option<SpanId>,
-        name: String,
-        category: &'static str,
-        phase: Option<Phase>,
-        trace: Option<TraceId>,
-        start: Nanos,
-        end: Option<Nanos>,
-    ) -> SpanId {
-        let id = SpanId(self.span_pos.len() as u64 + 1);
-        let pos = self.events.len();
-        self.events.push(Event::Span(SpanRecord {
-            id,
-            parent,
-            name,
-            category,
-            phase,
-            start,
-            end,
-            attrs: Vec::new(),
-            trace,
-            flows_out: Vec::new(),
-            flows_in: Vec::new(),
-        }));
-        self.span_pos.push(pos);
-        id
+    /// The public form of a stored record (`id` is used only if it is a
+    /// span).
+    fn event(&self, id: SpanId, rec: &Rec) -> Event {
+        let (mut attrs, mut flows_out, mut flows_in) = (Vec::new(), Vec::new(), Vec::new());
+        let mut at = rec.first;
+        while at != NIL {
+            let link = self.extras[at as usize];
+            match link.extra {
+                Extra::Attr(key, val) => attrs.push((key, self.value(val))),
+                Extra::FlowOut(flow) => flows_out.push(flow),
+                Extra::FlowIn(flow) => flows_in.push(flow),
+            }
+            at = link.next;
+        }
+        let parent = (rec.parent != 0).then_some(SpanId(u64::from(rec.parent)));
+        let name = self.str_of(rec.name).to_string();
+        let category = self.categories[rec.category as usize];
+        let trace = (rec.trace != NO_TRACE).then_some(TraceId(rec.trace));
+        if rec.instant {
+            Event::Instant(InstantRecord {
+                parent,
+                name,
+                category,
+                at: rec.start,
+                attrs,
+                trace,
+            })
+        } else {
+            Event::Span(SpanRecord {
+                id,
+                parent,
+                name,
+                category,
+                phase: rec.phase,
+                start: rec.start,
+                end: (rec.end != OPEN).then_some(Nanos::from_nanos(rec.end)),
+                attrs,
+                trace,
+                flows_out,
+                flows_in,
+            })
+        }
     }
 }
 
@@ -392,6 +608,21 @@ impl Inner {
 /// memory (sampling, a ring buffer) may drop a closed subtree without
 /// moving any figure. Only post-hoc queries ([`Recorder::total_under`],
 /// [`Recorder::subtree`]) need the subtree to still be in the log.
+///
+/// Storage: each span or instant is one fixed-size record of at most 64
+/// bytes (56 on 64-bit targets) plus four bytes of id table per span;
+/// the record names its category by index and holds a literal name as
+/// the `&'static str` it was given. Attributes and flow edges go to one
+/// recorder-wide side table (40 bytes an entry), and every string the
+/// log owns — a name built at run time, a string attribute value — is
+/// stored once per distinct value. So recording a span or instant with
+/// a literal name and no attributes allocates nothing beyond the
+/// amortised growth of the log; the first use of a built name or
+/// attribute string allocates its one copy, and the [`AttrValue::Str`]
+/// a caller builds for [`Recorder::attr`] is dropped again
+/// ([`Recorder::attr_str`] borrows instead). Closing spans and folding
+/// a root allocate nothing. [`Recorder::events`] and
+/// [`Recorder::subtree`] rebuild the public [`Event`]s on demand.
 ///
 /// Orphan handling: ending a span that has open descendants closes the
 /// descendants at the same instant; ending a span that is not open at
@@ -416,10 +647,15 @@ impl Recorder {
         &self.clock
     }
 
-    fn start_impl(&self, name: String, category: &'static str, phase: Option<Phase>) -> SpanId {
+    fn start_impl(
+        &self,
+        name: Cow<'static, str>,
+        category: &'static str,
+        phase: Option<Phase>,
+    ) -> SpanId {
         let mut inner = self.inner.borrow_mut();
         let parent = inner.open.last().copied();
-        let trace = parent.and_then(|p| inner.trace_of(p));
+        let trace = parent.map_or(NO_TRACE, |p| inner.trace_of(p));
         let id = inner.push_span(parent, name, category, phase, trace, self.clock.now(), None);
         inner.open.push(id);
         id
@@ -441,17 +677,18 @@ impl Recorder {
     /// [`Recorder::start_under`] / [`Recorder::record_closed_under`].
     pub fn start_detached(
         &self,
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         category: &'static str,
         trace: TraceId,
     ) -> SpanId {
+        debug_assert!(trace.0 != NO_TRACE, "trace ids start at 1");
         let mut inner = self.inner.borrow_mut();
         inner.push_span(
             None,
             name.into(),
             category,
             None,
-            Some(trace),
+            trace.0,
             self.clock.now(),
             None,
         )
@@ -460,11 +697,12 @@ impl Recorder {
     /// Closes a detached span at the current instant (first close wins;
     /// spans on the open stack should use [`Recorder::end`] instead).
     pub fn end_detached(&self, id: SpanId) {
-        let now = self.clock.now();
+        let now = self.clock.now().as_nanos();
         let mut inner = self.inner.borrow_mut();
-        let span = inner.span_mut(id);
-        if span.end.is_none() {
-            span.end = Some(now);
+        let pos = inner.pos(id);
+        let span = &mut inner.log[pos];
+        if span.end == OPEN {
+            span.end = now;
         }
     }
 
@@ -474,7 +712,7 @@ impl Recorder {
     pub fn start_under(
         &self,
         parent: SpanId,
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         category: &'static str,
     ) -> SpanId {
         let mut inner = self.inner.borrow_mut();
@@ -498,7 +736,7 @@ impl Recorder {
     pub fn record_closed_under(
         &self,
         parent: SpanId,
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         category: &'static str,
         phase: Phase,
         start: Nanos,
@@ -522,7 +760,7 @@ impl Recorder {
     pub fn instant_under(
         &self,
         parent: SpanId,
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         category: &'static str,
         attrs: Vec<(&'static str, AttrValue)>,
     ) {
@@ -532,39 +770,29 @@ impl Recorder {
             .push_instant(Some(parent), name.into(), category, at, attrs);
     }
 
-    /// The trace a recorded span belongs to, if any.
-    pub fn trace_of(&self, id: SpanId) -> Option<TraceId> {
-        self.inner.borrow().trace_of(id)
-    }
-
-    /// Propagatable context naming `id` as the causal parent; `None` if
-    /// the span carries no trace.
-    pub fn context_of(&self, id: SpanId) -> Option<SpanContext> {
-        self.inner
-            .borrow()
-            .trace_of(id)
-            .map(|trace| SpanContext { trace, parent: id })
-    }
-
     /// Marks span `id` as the *source* of Perfetto flow `flow`.
     pub fn flow_out(&self, id: SpanId, flow: u64) {
-        self.inner.borrow_mut().span_mut(id).flows_out.push(flow);
+        let mut inner = self.inner.borrow_mut();
+        let pos = inner.pos(id);
+        inner.attach(pos, Extra::FlowOut(flow));
     }
 
     /// Marks span `id` as a *sink* of Perfetto flow `flow`.
     pub fn flow_in(&self, id: SpanId, flow: u64) {
-        self.inner.borrow_mut().span_mut(id).flows_in.push(flow);
+        let mut inner = self.inner.borrow_mut();
+        let pos = inner.pos(id);
+        inner.attach(pos, Extra::FlowIn(flow));
     }
 
     /// Opens a span as a child of the innermost open span.
-    pub fn start(&self, name: impl Into<String>, category: &'static str) -> SpanId {
+    pub fn start(&self, name: impl Into<Cow<'static, str>>, category: &'static str) -> SpanId {
         self.start_impl(name.into(), category, None)
     }
 
     /// Opens a span carrying a latency-breakdown [`Phase`].
     pub fn start_phase(
         &self,
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         category: &'static str,
         phase: Phase,
     ) -> SpanId {
@@ -574,21 +802,31 @@ impl Recorder {
     /// Closes `id` at the current virtual instant. Open descendants are
     /// closed at the same instant; ending a non-open span is a no-op.
     pub fn end(&self, id: SpanId) {
-        let now = self.clock.now();
         let mut inner = self.inner.borrow_mut();
-        let Some(depth) = inner.open.iter().rposition(|&s| s == id) else {
-            return;
-        };
-        let to_close: Vec<SpanId> = inner.open.split_off(depth);
-        for sid in to_close {
-            inner.span_mut(sid).end = Some(now);
+        if let Some(depth) = inner.open.iter().rposition(|&s| s == id) {
+            self.close_from(&mut inner, depth);
+        }
+    }
+
+    /// Closes the open spans from stack depth `depth` up, in place.
+    fn close_from(&self, inner: &mut Inner, depth: usize) {
+        let now = self.clock.now().as_nanos();
+        debug_assert!(now != OPEN, "a span cannot end at Nanos::MAX");
+        let Inner {
+            log,
+            span_pos,
+            open,
+            ..
+        } = inner;
+        for id in open.drain(depth..) {
+            log[span_pos[(id.0 - 1) as usize] as usize].end = now;
         }
     }
 
     /// Runs `f` inside a span, attributing the virtual time it charges.
     pub fn scope<T>(
         &self,
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         category: &'static str,
         f: impl FnOnce() -> T,
     ) -> T {
@@ -601,7 +839,7 @@ impl Recorder {
     /// Like [`Recorder::scope`] with a latency-breakdown [`Phase`].
     pub fn scope_phase<T>(
         &self,
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         category: &'static str,
         phase: Phase,
         f: impl FnOnce() -> T,
@@ -614,22 +852,31 @@ impl Recorder {
 
     /// Attaches a typed attribute to a recorded span.
     pub fn attr(&self, id: SpanId, key: &'static str, value: impl Into<AttrValue>) {
-        self.inner
-            .borrow_mut()
-            .span_mut(id)
-            .attrs
-            .push((key, value.into()));
+        let mut inner = self.inner.borrow_mut();
+        let val = inner.val(value.into());
+        let pos = inner.pos(id);
+        inner.attach(pos, Extra::Attr(key, val));
+    }
+
+    /// Attaches a string attribute without building an [`AttrValue`]: a
+    /// string the recorder already holds (a function name on every
+    /// request) is shared, not copied.
+    pub fn attr_str(&self, id: SpanId, key: &'static str, value: &str) {
+        let mut inner = self.inner.borrow_mut();
+        let val = Val::Str(inner.intern(value));
+        let pos = inner.pos(id);
+        inner.attach(pos, Extra::Attr(key, val));
     }
 
     /// Records a zero-width event under the innermost open span.
-    pub fn instant(&self, name: impl Into<String>, category: &'static str) {
+    pub fn instant(&self, name: impl Into<Cow<'static, str>>, category: &'static str) {
         self.instant_with(name, category, Vec::new());
     }
 
     /// Records a zero-width event with attributes.
     pub fn instant_with(
         &self,
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         category: &'static str,
         attrs: Vec<(&'static str, AttrValue)>,
     ) {
@@ -647,7 +894,12 @@ impl Recorder {
     /// Records a zero-width event that happened at `at` (not now) under
     /// the innermost open span — e.g. an injected fault surfaced when the
     /// invocation it hit ends.
-    pub fn instant_at(&self, name: impl Into<String>, category: &'static str, at: Nanos) {
+    pub fn instant_at(
+        &self,
+        name: impl Into<Cow<'static, str>>,
+        category: &'static str,
+        at: Nanos,
+    ) {
         let mut inner = self.inner.borrow_mut();
         let parent = inner.open.last().copied();
         inner.push_instant(parent, name.into(), category, at, Vec::new());
@@ -660,7 +912,7 @@ impl Recorder {
     /// open, `ctx` adopts the caller's tree instead.
     pub fn root(
         &self,
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         category: &'static str,
         ctx: Option<SpanContext>,
     ) -> RootSpan<'_> {
@@ -676,7 +928,7 @@ impl Recorder {
     /// splitting one clock slice into compute and I/O after the run.
     pub fn record_closed(
         &self,
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         category: &'static str,
         phase: Phase,
         start: Nanos,
@@ -684,7 +936,7 @@ impl Recorder {
     ) -> SpanId {
         let mut inner = self.inner.borrow_mut();
         let parent = inner.open.last().copied();
-        let trace = parent.and_then(|p| inner.trace_of(p));
+        let trace = parent.map_or(NO_TRACE, |p| inner.trace_of(p));
         inner.push_span(
             parent,
             name.into(),
@@ -699,27 +951,26 @@ impl Recorder {
     /// Closes every open span at the current instant (call before
     /// exporting a finished run).
     pub fn finish(&self) {
-        let now = self.clock.now();
-        let mut inner = self.inner.borrow_mut();
-        let to_close: Vec<SpanId> = inner.open.split_off(0);
-        for sid in to_close {
-            inner.span_mut(sid).end = Some(now);
-        }
+        self.close_from(&mut self.inner.borrow_mut(), 0);
     }
 
     /// A snapshot of the event log, in recording order.
     pub fn events(&self) -> Vec<Event> {
-        self.inner.borrow().events.clone()
+        let inner = self.inner.borrow();
+        inner
+            .numbered(0, 1)
+            .map(|(id, rec)| inner.event(id, rec))
+            .collect()
     }
 
     /// Number of recorded events (spans + instants).
     pub fn len(&self) -> usize {
-        self.inner.borrow().events.len()
+        self.inner.borrow().log.len()
     }
 
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.inner.borrow().events.is_empty()
+        self.inner.borrow().log.is_empty()
     }
 
     /// Folds the subtree of `root` into the paper's three-way
@@ -729,23 +980,27 @@ impl Recorder {
     /// durations of its direct children) to its phase; a span without a
     /// phase inherits the nearest phased ancestor's, up to and including
     /// `root`, and time no phased span covers is not attributed. Still-
-    /// open spans count up to now. Costs O(spans under `root`).
+    /// open spans count up to now. Costs O(spans under `root`), in a
+    /// scratch buffer the recorder keeps.
     fn breakdown_under(&self, root: SpanId) -> Breakdown {
         let now = self.clock.now();
-        let inner = self.inner.borrow();
+        let mut inner = self.inner.borrow_mut();
         // (effective phase, summed child durations) of span `root + i`:
         // the subtree's ids are consecutive and parents precede children.
-        let mut acc: Vec<(Option<Phase>, Nanos)> = Vec::new();
-        for s in inner.subtree_spans(root) {
-            let inherited = s.parent.filter(|_| s.id != root).and_then(|parent| {
-                let (phase, children) = &mut acc[(parent.0 - root.0) as usize];
+        let mut acc = std::mem::take(&mut inner.fold);
+        acc.clear();
+        for (id, s) in inner.subtree_spans(root) {
+            let inherited = if id == root {
+                None
+            } else {
+                let (phase, children) = &mut acc[(u64::from(s.parent) - root.0) as usize];
                 *children += s.duration_at(now);
                 *phase
-            });
+            };
             acc.push((s.phase.or(inherited), Nanos::ZERO));
         }
         let mut b = Breakdown::default();
-        for (s, (phase, children)) in inner.subtree_spans(root).zip(acc) {
+        for ((_, s), &(phase, children)) in inner.subtree_spans(root).zip(&acc) {
             let self_time = s.duration_at(now).saturating_sub(children);
             match phase {
                 Some(Phase::Startup) => b.startup += self_time,
@@ -754,6 +1009,7 @@ impl Recorder {
                 None => {}
             }
         }
+        inner.fold = acc;
         b
     }
 
@@ -765,8 +1021,8 @@ impl Recorder {
         inner
             .subtree_spans(root)
             .skip(1)
-            .filter(|s| s.name == name)
-            .map(|s| s.duration_at(now))
+            .filter(|(_, s)| inner.str_of(s.name) == name)
+            .map(|(_, s)| s.duration_at(now))
             .sum()
     }
 
@@ -777,16 +1033,10 @@ impl Recorder {
         let Some(&root_pos) = inner.span_pos.get((root.0 - 1) as usize) else {
             return Vec::new();
         };
-        inner.events[root_pos + 1..]
-            .iter()
-            .take_while(|event| {
-                let parent = match event {
-                    Event::Span(s) => s.parent,
-                    Event::Instant(i) => i.parent,
-                };
-                parent.is_some_and(|p| p >= root)
-            })
-            .cloned()
+        inner
+            .numbered(root_pos as usize + 1, root.0 + 1)
+            .take_while(|(_, rec)| u64::from(rec.parent) >= root.0)
+            .map(|(id, rec)| inner.event(id, rec))
             .collect()
     }
 }
@@ -1030,10 +1280,19 @@ mod tests {
         let rec = Recorder::new(Clock::new());
         let t = rec.next_trace_id();
         let request = rec.start_detached("request", cat::INVOKE, t);
-        let ctx = rec.context_of(request);
+        let ctx = Some(SpanContext {
+            trace: t,
+            parent: request,
+        });
         // Direct blocking invoke: nothing open, the context is adopted.
         let direct = rec.root("invoke", cat::INVOKE, ctx);
-        assert_eq!(rec.trace_of(direct.id()), Some(t));
+        let Event::Span(s) = &rec.events()[1] else {
+            panic!()
+        };
+        assert_eq!(
+            (s.id, s.parent, s.trace),
+            (direct.id(), Some(request), Some(t))
+        );
         drop(direct);
         // Under a driver's service span the root nests there instead.
         let service = rec.start("service", cat::INVOKE);
@@ -1131,10 +1390,6 @@ mod tests {
         assert_eq!(restore.parent, Some(service));
         assert_eq!(restore.trace, Some(t), "stack children inherit the trace");
         assert_eq!(hit.trace, Some(t));
-        assert_eq!(rec.trace_of(restore.id), Some(t));
-        let ctx = rec.context_of(service).unwrap();
-        assert_eq!(ctx.trace, t);
-        assert_eq!(ctx.parent, service);
     }
 
     #[test]
@@ -1195,6 +1450,44 @@ mod tests {
         assert_eq!(s.attrs.len(), 3);
         assert_eq!(s.attrs[0], ("pages", AttrValue::Uint(42)));
         assert_eq!(s.attrs[2], ("function", AttrValue::Str("fact".into())));
+    }
+
+    #[test]
+    fn a_stored_record_fits_in_64_bytes() {
+        // 56 on 64-bit targets: name 16, start / end / trace 8 each,
+        // parent and the side-table list 4 each, category, phase and
+        // kind 1 each.
+        assert!(
+            std::mem::size_of::<Rec>() <= 64,
+            "{}",
+            std::mem::size_of::<Rec>()
+        );
+        assert!(
+            std::mem::size_of::<Link>() <= 40,
+            "{}",
+            std::mem::size_of::<Link>()
+        );
+    }
+
+    #[test]
+    fn built_names_and_attribute_strings_are_stored_once() {
+        let rec = Recorder::new(Clock::new());
+        for i in 0..4 {
+            let id = rec.start(format!("fault:{}", i % 2), cat::FAULT);
+            rec.attr_str(id, "function", "fact");
+            rec.attr(id, "function", "fact");
+            rec.end(id);
+        }
+        assert_eq!(
+            rec.inner.borrow().strings.len(),
+            3,
+            "fault:0, fault:1, fact"
+        );
+        let Event::Span(s) = &rec.events()[3] else {
+            panic!()
+        };
+        assert_eq!(s.name, "fault:1");
+        assert_eq!(s.attrs[1], ("function", AttrValue::Str("fact".into())));
     }
 
     #[test]

@@ -3,7 +3,9 @@
 # benchmark with frame pointers into its own target directory, runs one
 # workload under the SIGPROF sampler in scripts/sampler.c (loaded with
 # LD_PRELOAD), and prints each function's self and inclusive share of the
-# samples, resolved with nm.
+# samples, resolved with nm; the sampler itself names samples in shared
+# libraries as object:symbol (e.g. libc.so.6:malloc), or object:~symbol
+# for a local function, after the nearest exported one below it.
 #
 #   scripts/hotspots.sh [--workload W] [--seed N] [--seconds S]
 #
@@ -30,15 +32,17 @@ out=target/hotspots
 mkdir -p "$out"
 RUSTFLAGS="-C force-frame-pointers=yes" cargo build --release --offline --quiet \
     --manifest-path benchmark/Cargo.toml --target-dir "$out" >&2
-cc -O2 -shared -fPIC -o "$out/libsampler.so" scripts/sampler.c
+cc -O2 -shared -fPIC -o "$out/libsampler.so" scripts/sampler.c -ldl
 bin="$out/release/fireworks-benchmark"
 samples="$out/$workload.samples"
 HOTSPOTS_OUT="$samples" LD_PRELOAD="$PWD/$out/libsampler.so" \
     "$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 >/dev/null
 
 # Text symbols by address (decimal, as the sampler writes offsets), then
-# one line of offsets per sample: the first is where the sample landed
-# (self), and every distinct function on the stack counts once (inclusive).
+# one line per sample: the first entry is where the sample landed (self),
+# and every distinct function on the stack counts once (inclusive). An
+# offset is looked up in the executable's symbols; an object:symbol entry
+# is already named.
 nm -C -n --radix=d --defined-only "$bin" | awk -v what="$workload" '
     function lookup(a,    lo, hi, mid) {
         if (n == 0 || a < addr[0] || a > addr[n - 1] + 65536)
@@ -65,7 +69,7 @@ nm -C -n --radix=d --defined-only "$bin" | awk -v what="$workload" '
         taken++
         split("", seen)
         for (i = 1; i <= NF; i++) {
-            s = lookup($i + 0)
+            s = $i ~ /^-?[0-9]+$/ ? lookup($i + 0) : $i
             if (i == 1) self[s]++
             if (!(s in seen)) {
                 seen[s] = 1

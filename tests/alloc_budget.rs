@@ -1,0 +1,282 @@
+//! Allocation budget: heap traffic per unit of work, counted by this test
+//! binary's own global allocator and pinned as upper bounds.
+//!
+//! Heap traffic is deterministic (the simulation runs on virtual time),
+//! so unlike wall-clock numbers these counts do not drift between runs or
+//! machines: each test checks that two runs in one process count the
+//! same. Each bound sits just above the value measured when it was set,
+//! which is written beside it; debug and release builds pin their own
+//! numbers, since debug-only checks allocate. A change that raises a
+//! count raises its bound and says so.
+//!
+//! Counts are per thread (the test harness runs tests on parallel
+//! threads), and "retained" is the growth of this thread's live heap
+//! across the measured work, after its outputs are dropped: what the
+//! platform keeps (mostly the span log).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use fireworks::core::cluster::{Cluster, ClusterConfig, LocalityAffinity};
+use fireworks::core::engine::EngineRequest;
+use fireworks::obs::{cat, Obs, Phase};
+use fireworks::prelude::*;
+use fireworks::workloads::azure::TraceSpec;
+
+struct Counting;
+
+thread_local! {
+    static HEAP: Cell<Heap> = const { Cell::new(Heap::ZERO) };
+}
+
+fn count(f: impl FnOnce(&mut Heap)) {
+    // `try_with`: the allocator also runs while thread locals are torn down.
+    let _ = HEAP.try_with(|cell| {
+        let mut heap = cell.get();
+        f(&mut heap);
+        cell.set(heap);
+    });
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counting
+// touches only a const-initialised thread-local `Cell`, which never
+// allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(|h| h.add(1, layout.size() as i64, layout.size() as i64));
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(|h| h.add(1, layout.size() as i64, layout.size() as i64));
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(|h| h.add(1, new_size as i64, new_size as i64 - layout.size() as i64));
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(|h| h.add(0, 0, -(layout.size() as i64)));
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Heap traffic of some work: allocation calls (a `realloc` counts as
+/// one), bytes they asked for, and the change in live bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Heap {
+    allocs: i64,
+    bytes: i64,
+    retained: i64,
+}
+
+impl Heap {
+    const ZERO: Heap = Heap {
+        allocs: 0,
+        bytes: 0,
+        retained: 0,
+    };
+
+    fn add(&mut self, allocs: i64, bytes: i64, live: i64) {
+        self.allocs += allocs;
+        self.bytes += bytes;
+        self.retained += live;
+    }
+
+    fn per(self, units: usize) -> Heap {
+        let n = units as i64;
+        Heap {
+            allocs: self.allocs / n,
+            bytes: self.bytes / n,
+            retained: self.retained / n,
+        }
+    }
+}
+
+/// The heap traffic of `f` on this thread, its result dropped inside.
+fn measure<T>(f: impl FnOnce() -> T) -> Heap {
+    let before = HEAP.with(Cell::get);
+    drop(f());
+    let after = HEAP.with(Cell::get);
+    Heap {
+        allocs: after.allocs - before.allocs,
+        bytes: after.bytes - before.bytes,
+        retained: after.retained - before.retained,
+    }
+}
+
+/// Picks the debug or the release bound.
+fn pin(debug: Heap, release: Heap) -> Heap {
+    if cfg!(debug_assertions) {
+        debug
+    } else {
+        release
+    }
+}
+
+fn assert_within(what: &str, measured: Heap, bound: Heap) {
+    eprintln!("{what}: {measured:?} (bound {bound:?})");
+    assert!(
+        measured.allocs <= bound.allocs
+            && measured.bytes <= bound.bytes
+            && measured.retained <= bound.retained,
+        "{what}: {measured:?} exceeds its budget {bound:?}"
+    );
+}
+
+const TRIVIAL_SRC: &str = "fn main(params) {\n    return params[\"x\"] + 1;\n}\n";
+
+fn trivial(name: &str) -> FunctionSpec {
+    let params = Value::map([("x".to_string(), Value::Int(0))]);
+    FunctionSpec::new(name, TRIVIAL_SRC, RuntimeKind::NodeLike, params)
+}
+
+fn x(v: i64) -> Value {
+    Value::map([("x".to_string(), Value::Int(v))])
+}
+
+/// Warm invokes measured per run, after as many warm-up invokes.
+const WARM_INVOKES: usize = 256;
+
+/// Heap traffic per warm `FireworksPlatform::invoke` of the trivial
+/// Node guest on a fresh platform.
+fn warm_invoke_heap() -> Heap {
+    let mut platform = FireworksPlatform::new(PlatformEnv::default_env());
+    let spec = trivial("alloc-budget-trivial");
+    platform.install(&spec).expect("install");
+    let function = fid(&spec.name);
+    let requests: Vec<InvokeRequest> = (0..2 * WARM_INVOKES)
+        .map(|i| InvokeRequest::new(function, x(i as i64)))
+        .collect();
+    let (warm_up, measured) = requests.split_at(WARM_INVOKES);
+    let mut invoke = |reqs: &[InvokeRequest]| {
+        for req in reqs {
+            platform.invoke(req).expect("invoke");
+        }
+    };
+    invoke(warm_up);
+    measure(|| invoke(measured)).per(WARM_INVOKES)
+}
+
+#[test]
+fn a_warm_invoke_stays_within_its_heap_budget() {
+    let first = warm_invoke_heap();
+    assert_eq!(first, warm_invoke_heap(), "two runs count the same");
+    let bound = pin(
+        // Debug, measured: 70 allocations, 23 362 bytes, 1 120 retained.
+        Heap {
+            allocs: 72,
+            bytes: 24_000,
+            retained: 1_200,
+        },
+        // Release, measured: 70 allocations, 23 362 bytes, 1 120 retained.
+        Heap {
+            allocs: 72,
+            bytes: 24_000,
+            retained: 1_200,
+        },
+    );
+    assert_within("per warm invoke", first, bound);
+}
+
+/// Heap traffic per request of a small `trace_scale`-shaped batch: an
+/// Azure-shaped trace of trivial functions through `Cluster::run`
+/// with request tracing on, on a fresh cluster.
+fn cluster_request_heap() -> Heap {
+    let spec = TraceSpec::new()
+        .tenants(4)
+        .functions_per_tenant(2)
+        .horizon(Nanos::from_secs(60))
+        .diurnal(0.6, Nanos::from_secs(60))
+        .total_invocations(400)
+        .seed(42);
+    let trace = spec.generate();
+    let mut cluster = Cluster::new(ClusterConfig::new(4, 4), |env, cfg| {
+        FireworksPlatform::with_config(env, cfg.clone())
+    });
+    for f in 0..spec.functions() {
+        let name = spec.function_id(f).name();
+        cluster.install_home(&trivial(&name)).expect("install");
+    }
+    let requests: Vec<EngineRequest> = trace
+        .events
+        .iter()
+        .enumerate()
+        .map(|(i, e)| EngineRequest::at(e.at, InvokeRequest::new(e.function, x(i as i64))))
+        .collect();
+    let mut router = LocalityAffinity::new();
+    measure(|| cluster.run(&mut router, &requests)).per(requests.len())
+}
+
+#[test]
+fn a_cluster_request_stays_within_its_heap_budget() {
+    let first = cluster_request_heap();
+    assert_eq!(first, cluster_request_heap(), "two runs count the same");
+    let bound = pin(
+        // Debug, measured: 70 allocations, 25 424 bytes, 1 705 retained.
+        Heap {
+            allocs: 72,
+            bytes: 26_000,
+            retained: 1_800,
+        },
+        // Release, measured: 70 allocations, 25 424 bytes, 1 705 retained.
+        Heap {
+            allocs: 72,
+            bytes: 26_000,
+            retained: 1_800,
+        },
+    );
+    assert_within("per cluster request", first, bound);
+}
+
+#[test]
+fn a_literal_span_and_a_by_name_update_allocate_nothing() {
+    let clock = Clock::new();
+    let obs = Obs::new(clock.clone());
+    let (rec, metrics) = (obs.recorder(), obs.metrics());
+    let labels: &[(&'static str, &str)] = &[("function", "f"), ("host", "0")];
+    let work = || {
+        let root = rec.root("invoke", cat::INVOKE, None);
+        let boot = rec.start_phase("boot", cat::BOOT, Phase::Startup);
+        rec.scope("kernel_boot", cat::BOOT, || {
+            clock.advance(Nanos::from_micros(3))
+        });
+        rec.instant("cache_hit", cat::CACHE);
+        rec.end(boot);
+        rec.record_closed(
+            "exec",
+            cat::EXEC,
+            Phase::Exec,
+            clock.now(),
+            clock.now() + Nanos::from_micros(5),
+        );
+        metrics.inc("core.invoke.attempts", labels);
+        metrics.gauge_set("engine.inflight", labels, 3);
+        metrics.observe("core.invoke.latency_ns", labels, 7_000);
+        let id = root.id();
+        let breakdown = root.close();
+        assert_eq!(rec.total_under(id, "kernel_boot"), Nanos::from_micros(3));
+        breakdown
+    };
+    // Creates every series and the fold's scratch, and grows the log to
+    // 5 × 200 = 1 000 records: room for 24 more before it next doubles.
+    for _ in 0..200 {
+        work();
+    }
+    let heap = measure(|| {
+        for _ in 0..4 {
+            work();
+        }
+    });
+    assert_eq!(
+        heap,
+        Heap::ZERO,
+        "spans with literal names and no attributes, closing them, folding the root and \
+         updating existing series by name allocate nothing"
+    );
+}
