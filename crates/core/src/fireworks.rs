@@ -371,7 +371,7 @@ impl FireworksPlatform {
             });
         }
         Ok((
-            entry.spec.default_params.deep_clone(),
+            entry.spec.default_params.clone(),
             entry.working_set.clone(),
             entry.spec.timeout,
         ))
@@ -414,7 +414,7 @@ impl FireworksPlatform {
         rec.scope_phase("param_produce", cat::INVOKE, Phase::Other, || {
             let bytes = args.heap_estimate() as u64;
             let mut bus = self.env.bus.borrow_mut();
-            bus.produce(&topic, args.deep_clone(), bytes);
+            bus.produce(&topic, args.clone(), bytes);
         });
 
         // Network namespace + NAT for the clone (paper §3.5).

@@ -125,32 +125,59 @@ struct Base {
     image: Rc<Image>,
     /// The last [`Image::span`] looked up: faults come in page runs.
     span: (Range<usize>, Result<(usize, FrameId), usize>),
-    /// Positions of the image this space no longer maps from it.
-    left: Vec<u32>,
+    /// Stretches of positions of the image this space no longer maps
+    /// from it, in the order it left them, each joined to the one before
+    /// where it continues it.
+    left: Vec<Range<u32>>,
+}
+
+impl Base {
+    /// The pages the base maps from `page` on, up to `limit` and to the
+    /// end of their run: the position and frame of `page` and how many;
+    /// else where the pages from `page` on that it does not map end.
+    #[inline]
+    fn run(&mut self, page: usize, limit: usize) -> Result<(usize, FrameId, usize), usize> {
+        if !self.span.0.contains(&page) {
+            self.span = self.image.span(page);
+        }
+        let (at, first) = self.span.1.map_err(|_| self.span.0.end)?;
+        let k = page - self.span.0.start;
+        Ok((at + k, first.add(k), self.span.0.end.min(limit) - page))
+    }
+
+    /// The space stops mapping positions `idx..idx + n` from the base.
+    fn leave(&mut self, idx: usize, n: usize) {
+        let (from, to) = (idx as u32, (idx + n) as u32);
+        match self.left.last_mut() {
+            Some(last) if last.end == from => last.end = to,
+            _ => self.left.push(from..to),
+        }
+    }
 }
 
 impl Under {
-    /// Stops mapping `page` from the base, if it does; returns the group,
-    /// position and frame left, or else where the pages from `page` on
-    /// that the base does not map end.
-    #[inline]
-    fn leave_base(&mut self, page: usize) -> Result<(u32, usize, FrameId), usize> {
+    /// Stops mapping `page` from the base, if it does; else returns
+    /// where the pages from `page` on that the base does not map end.
+    fn leave_base(&mut self, page: usize) -> Result<(), usize> {
         let base = self.base.as_mut().ok_or(usize::MAX)?;
-        if !base.span.0.contains(&page) {
-            base.span = base.image.span(page);
-        }
-        let (at, first) = base.span.1.map_err(|_| base.span.0.end)?;
-        let k = page - base.span.0.start;
-        base.left.push((at + k) as u32);
-        Ok((base.group, at + k, first.add(k)))
+        let (idx, _, _) = base.run(page, page + 1)?;
+        base.leave(idx, 1);
+        self.host.leave(base.group, idx);
+        Ok(())
     }
 
-    /// A private copy of base page `page`, which the space stops mapping
-    /// from the base; else [`Under::leave_base`]'s end of unmapped pages.
+    /// Private copies of the base's pages from `page` on, up to `limit`
+    /// and to the end of their run, which the space stops mapping from
+    /// the base: the first frame and how many pages (fewer where an
+    /// orphaned group's frames are taken over rather than copied); else
+    /// where the pages from `page` on that the base does not map end.
     #[inline]
-    fn cow_base(&mut self, page: usize) -> Result<FrameId, usize> {
-        let (group, idx, shared) = self.leave_base(page)?;
-        Ok(self.host.cow_out(group, idx, shared))
+    fn cow_base(&mut self, page: usize, limit: usize) -> Result<(FrameId, usize), usize> {
+        let base = self.base.as_mut().ok_or(usize::MAX)?;
+        let (idx, shared, n) = base.run(page, limit)?;
+        let (copy, n) = self.host.cow_out(base.group, idx, n, shared);
+        base.leave(idx, n);
+        Ok((copy, n))
     }
 }
 
@@ -244,10 +271,13 @@ impl AddressSpace {
                 same if same == mapped => return same,
                 copy => copy,
             },
-            None => under.cow_base(page).unwrap_or_else(|_| {
-                under.resident += 1;
-                under.host.alloc_zero()
-            }),
+            None => match under.cow_base(page, page + 1) {
+                Ok((copy, _)) => copy,
+                Err(_) => {
+                    under.resident += 1;
+                    under.host.alloc_zero()
+                }
+            },
         };
         let len = 1;
         self.overlay.put(i, Extent { page, frame, len });
@@ -281,7 +311,8 @@ impl AddressSpace {
     /// Dirties every page overlapping `[addr, addr + len)` without writing
     /// specific byte contents (accounting-only write, used to model heap
     /// regions whose exact bytes don't matter). The pages the space did
-    /// not map get one frame-table entry of zero frames between them.
+    /// not map get one frame-table entry of zero frames between them, and
+    /// each run of the base's pages one entry of CoW copies.
     pub fn touch_dirty(&mut self, addr: u64, len: u64) {
         if len == 0 {
             return;
@@ -295,6 +326,8 @@ impl AddressSpace {
         while page < end {
             let i = self.overlay.find(page);
             let next = self.overlay.0.get(i).copied();
+            // Where the pages up to the overlay's next extent end.
+            let stop = next.map_or(end, |e| e.page).min(end);
             let (frame, len) = match next {
                 // Overlay pages: what is private already stays.
                 Some(e) if e.page <= page => {
@@ -307,11 +340,12 @@ impl AddressSpace {
                         }
                     }
                 }
-                _ => match under.cow_base(page) {
-                    Ok(copy) => (copy, 1),
+                // Base pages: copied as one run, up to the end of theirs.
+                _ => match under.cow_base(page, stop) {
+                    Ok(copied) => copied,
                     // Unmapped pages, up to the base's or the overlay's next.
                     Err(unmapped) => {
-                        let stop = unmapped.min(next.map_or(end, |e| e.page)).min(end);
+                        let stop = unmapped.min(stop);
                         let (run, n) =
                             fresh.get_or_insert_with(|| (under.host.open_run(end - page), 0));
                         let (frame, len) = (run.add(*n), stop - page);
@@ -338,9 +372,7 @@ impl AddressSpace {
         let (i, old) = self.overlay.at(page);
         if let Some(old) = old {
             under.host.release(old);
-        } else if let Ok((group, idx, _)) = under.leave_base(page) {
-            under.host.leave(group, idx);
-        } else {
+        } else if under.leave_base(page).is_err() {
             under.resident += 1;
         }
         let len = 1;
@@ -420,10 +452,14 @@ impl AddressSpace {
     /// departed), so it walks the overlay's extents and the base's runs
     /// between them and adds each run of equal terms with one multiply.
     pub fn sharing_stats(&self) -> SharingStats {
-        let table = self.under.host.table();
+        let mut table = self.under.host.table();
         let base = self.under.base.as_ref();
-        let runs = base.map(|base| table.base_runs(base.group));
-        let mut runs = runs.unwrap_or_default().into_iter().peekable();
+        if let Some(base) = base {
+            table.base_runs(base.group);
+        }
+        let table = &*table;
+        let runs = if base.is_some() { &table.runs[..] } else { &[] };
+        let mut runs = runs.iter().copied().peekable();
         let mut sum = PssSum::default();
         // Sums base positions `from..end`, all still mapped by the space.
         let mut sum_base = |sum: &mut PssSum, mut from: usize, end: usize| {

@@ -1,8 +1,9 @@
 //! The host frame table: reference-counted frames, CoW, swap onset, and
 //! the mapping groups through which snapshot images share frames lazily.
 
-use std::cell::{Ref, RefCell};
+use std::cell::{RefCell, RefMut};
 use std::num::NonZeroU64;
+use std::ops::Range;
 use std::rc::Rc;
 
 use fireworks_sim::cost::MemCosts;
@@ -330,69 +331,132 @@ impl Frames {
             self.slots.remove(id.slot());
         }
     }
+
+    /// Moves the explicit owner counts of frames `id..id + n` by `refs` /
+    /// `pins`, freeing what has no owner left. Inlined into every caller
+    /// so the constant deltas fold.
+    #[inline(always)]
+    fn shift(&mut self, id: FrameId, n: usize, refs: i32, pins: i32) {
+        self.update(id, n, |e, _, _| {
+            e.refs = e
+                .refs
+                .checked_add_signed(refs)
+                .expect("release of dead frame");
+            e.pins = e.pins.checked_add_signed(pins).expect("unpin without pin");
+        });
+    }
+
+    /// `group`'s listings at positions `span` of its `image` stop being
+    /// live: they leave their frames, which are freed if no owner is left.
+    fn unlist(&mut self, image: &Image, group: u32, span: Range<usize>) {
+        let mut at = span.start;
+        while at < span.end {
+            let (run, e) = image.run_at(at);
+            let end = (run + e.len).min(span.end);
+            self.update(e.frame.add(at - run), end - at, |p, _, _| {
+                p.relist(|listed| listed.retain(|l| l.group != group));
+            });
+            at = end;
+        }
+    }
 }
 
-/// Position → clones that moved that page of a group's image into their
-/// overlay, for the positions some clone left, ascending (no zero count).
-/// A group holds a few hundred, so readers slice it by binary search.
+/// Positions `start..end` of a group's image, which `count` clones left.
+type Departure = (u32, u32, u32);
+
+/// The clones that moved pages of a group's image into their overlay, as
+/// runs of positions with equal counts: ascending, disjoint, none empty or
+/// of count zero, and no run continued by one of the same count. A clone
+/// leaves a stretch of positions at once, and the clones of a function
+/// leave the same stretches, so a group holds a handful of runs, however
+/// many pages its clones copied.
 #[derive(Debug, Default)]
 struct Departures {
-    list: Vec<(u32, u32)>,
-    /// Just past the last [`Departures::add`]: a clone faults in page
-    /// order, and the clone before it often left the same positions.
-    next: usize,
+    runs: Vec<Departure>,
 }
 
 impl Departures {
     /// Clones that left position `idx`.
     fn at(&self, idx: u32) -> u32 {
-        let i = self.list.binary_search_by_key(&idx, |d| d.0);
-        i.map_or(0, |i| self.list[i].1)
+        let i = self.runs.partition_point(|d| d.1 <= idx);
+        self.runs.get(i).filter(|d| d.0 <= idx).map_or(0, |d| d.2)
     }
 
-    /// The departures at positions `from..from + n`.
-    fn within(&self, from: usize, n: usize) -> &[(u32, u32)] {
-        let below = |end: usize| move |d: &(u32, u32)| (d.0 as usize) < end;
-        let lo = self.list.partition_point(below(from));
-        &self.list[lo..lo + self.list[lo..].partition_point(below(from + n))]
+    /// The runs overlapping positions `from..from + n`, unclipped.
+    fn within(&self, from: usize, n: usize) -> &[Departure] {
+        let lo = self.runs.partition_point(|d| d.1 as usize <= from);
+        let overlap = self.runs[lo..].partition_point(|d| (d.0 as usize) < from + n);
+        &self.runs[lo..lo + overlap]
     }
 
-    /// Every departure where all of `sharers` left.
-    fn everyone_left(&self, sharers: u32) -> impl Iterator<Item = u32> + '_ {
-        let all = self.list.iter().filter(move |d| d.1 == sharers);
-        all.map(|d| d.0)
+    /// The stretches of positions `from..from + n` that `count` clones
+    /// left, clipped to them.
+    fn left_by(
+        &self,
+        count: u32,
+        from: usize,
+        n: usize,
+    ) -> impl Iterator<Item = Range<usize>> + '_ {
+        let runs = self.within(from, n).iter().filter(move |d| d.2 == count);
+        runs.map(move |d| (d.0 as usize).max(from)..(d.1 as usize).min(from + n))
     }
 
-    /// One more clone left `idx`.
-    fn add(&mut self, idx: u32) {
-        let list = &mut self.list;
-        let i = match list.get(self.next) {
-            Some(d) if d.0 == idx => self.next,
-            None if list.last().is_none_or(|d| d.0 < idx) => list.len(),
-            _ => list.partition_point(|d| d.0 < idx),
-        };
-        match list.get_mut(i) {
-            Some(d) if d.0 == idx => d.1 += 1,
-            _ => list.insert(i, (idx, 1)),
+    /// `delta` more clones left positions `lo..hi`; a negative `delta`
+    /// takes departures back. Cuts the runs at `lo` and `hi`, shifts the
+    /// counts between (a gap becomes a run), then drops zero counts and
+    /// joins equal neighbours around the stretch — in place.
+    fn shift(&mut self, lo: u32, hi: u32, delta: i32) {
+        let v = &mut self.runs;
+        for at in [lo, hi] {
+            let i = v.partition_point(|d| d.1 <= at);
+            if let Some(&(_, end, count)) = v.get(i).filter(|d| d.0 < at) {
+                v[i].1 = at;
+                v.insert(i + 1, (at, end, count));
+            }
         }
-        self.next = i + 1;
-        self.check();
-    }
-
-    /// A clone that left the positions `left` (ascending) went away.
-    fn take_back(&mut self, left: &[u32]) {
-        let mut left = left.iter().peekable();
-        self.list.retain_mut(|(idx, n)| {
-            *n -= u32::from(left.next_if_eq(&&*idx).is_some());
-            *n > 0
-        });
-        debug_assert!(left.next().is_none(), "took back a departure not made");
+        let first = v.partition_point(|d| d.1 <= lo);
+        let (mut i, mut at) = (first, lo);
+        while at < hi {
+            match v.get_mut(i) {
+                Some(d) if d.0 == at => {
+                    d.2 =
+                        d.2.checked_add_signed(delta)
+                            .expect("took back a departure not made");
+                    at = d.1;
+                }
+                next => {
+                    let end = next.map_or(hi, |d| d.0.min(hi));
+                    let count = u32::try_from(delta).expect("took back a departure not made");
+                    v.insert(i, (at, end, count));
+                    at = end;
+                }
+            }
+            i += 1;
+        }
+        // Compact runs `first − 1 ..= i` (the stretch and its neighbours).
+        let (from, to) = (first.saturating_sub(1), (i + 1).min(v.len()));
+        let mut kept = from;
+        for r in from..to {
+            let d = v[r];
+            if d.2 == 0 {
+                continue;
+            }
+            if kept > from && v[kept - 1].1 == d.0 && v[kept - 1].2 == d.2 {
+                v[kept - 1].1 = d.1;
+            } else {
+                v[kept] = d;
+                kept += 1;
+            }
+        }
+        v.drain(kept..to);
         self.check();
     }
 
     fn check(&self) {
-        let ascending = || self.list.windows(2).all(|w| w[0].0 < w[1].0);
-        debug_assert!(ascending() && self.list.iter().all(|d| d.1 > 0), "{self:?}");
+        let runs = &self.runs;
+        let apart = |w: &[Departure]| w[0].1 < w[1].0 || (w[0].1 == w[1].0 && w[0].2 != w[1].2);
+        let valid = || runs.iter().all(|d| d.0 < d.1 && d.2 > 0) && runs.windows(2).all(apart);
+        debug_assert!(valid(), "{self:?}");
     }
 }
 
@@ -432,6 +496,10 @@ pub(crate) struct HostInner {
     ram_bytes: u64,
     cow_faults: u64,
     zero_fills: u64,
+    /// What the last [`HostInner::base_runs`] found, and the departure
+    /// edges it swept: kept, so that accounting allocates nothing.
+    pub(crate) runs: Vec<(usize, u32)>,
+    edges: Vec<(usize, i64)>,
 }
 
 /// The host's physical memory: a frame table shared by all address spaces
@@ -476,6 +544,8 @@ impl HostMemory {
                 ram_bytes,
                 cow_faults: 0,
                 zero_fills: 0,
+                runs: Vec::new(),
+                edges: Vec::new(),
             })),
             clock,
             costs: Rc::new(costs),
@@ -515,22 +585,22 @@ impl HostMemory {
 
     /// Adds a mapping reference to a frame.
     pub fn retain(&self, id: FrameId) {
-        self.inner.borrow_mut().shift(id, 1, 1, 0);
+        self.inner.borrow_mut().frames.shift(id, 1, 1, 0);
     }
 
     /// Drops a mapping reference; frees the frame when the last owner goes.
     pub fn release(&self, id: FrameId) {
-        self.inner.borrow_mut().shift(id, 1, -1, 0);
+        self.inner.borrow_mut().frames.shift(id, 1, -1, 0);
     }
 
     /// [`HostMemory::retain`] on every frame of `e`, a piece at a time.
     pub fn retain_extent(&self, e: &Extent) {
-        self.inner.borrow_mut().shift(e.frame, e.len, 1, 0);
+        self.inner.borrow_mut().frames.shift(e.frame, e.len, 1, 0);
     }
 
     /// [`HostMemory::release`] on every frame of `e`, a piece at a time.
     pub fn release_extent(&self, e: &Extent) {
-        self.inner.borrow_mut().shift(e.frame, e.len, -1, 0);
+        self.inner.borrow_mut().frames.shift(e.frame, e.len, -1, 0);
     }
 
     /// Releases every frame of `extents` under one borrow of the table:
@@ -539,18 +609,18 @@ impl HostMemory {
         let mut inner = self.inner.borrow_mut();
         extents
             .iter()
-            .for_each(|e| inner.shift(e.frame, e.len, -1, 0));
+            .for_each(|e| inner.frames.shift(e.frame, e.len, -1, 0));
     }
 
     /// Pins every frame of `e`: an owner that does not count as a PSS
     /// mapper (a snapshot file, a chunk store).
     pub fn pin_extent(&self, e: &Extent) {
-        self.inner.borrow_mut().shift(e.frame, e.len, 1, 1);
+        self.inner.borrow_mut().frames.shift(e.frame, e.len, 1, 1);
     }
 
     /// Drops a pin on every frame of `e`.
     pub fn unpin_extent(&self, e: &Extent) {
-        self.inner.borrow_mut().shift(e.frame, e.len, -1, -1);
+        self.inner.borrow_mut().frames.shift(e.frame, e.len, -1, -1);
     }
 
     /// Prepares a frame for writing: returns `id` unchanged when this is
@@ -563,9 +633,8 @@ impl HostMemory {
         }
         self.clock.advance(self.costs.cow_fault);
         let mut inner = self.inner.borrow_mut();
-        inner.shift(id, 1, -1, 0);
-        let data = inner.frames.get(id).0.data.clone();
-        inner.cow_copy(data)
+        inner.frames.shift(id, 1, -1, 0);
+        inner.cow_copy(id, 1, true)
     }
 
     /// How many frames from `id` on, to the end of its piece, a write may
@@ -731,7 +800,7 @@ impl HostMemory {
         });
         let mut sums = Vec::new();
         for &(at, e) in image.runs() {
-            inner.shift(e.frame, e.len, i32::from(!consume), 1);
+            inner.frames.shift(e.frame, e.len, i32::from(!consume), 1);
             inner.frames.update(e.frame, e.len, |p, _, off| {
                 let idx = (at + off) as u32;
                 p.relist(|listed| listed.push(Listing { group, idx }));
@@ -758,21 +827,21 @@ impl HostMemory {
     /// if any, go on mapping lazily from the orphaned group.
     pub(crate) fn drop_file(&self, group: u32) {
         let mut inner = self.inner.borrow_mut();
-        let g = inner.groups.get_mut(group);
+        let HostInner { frames, groups, .. } = &mut *inner;
+        let g = groups.get_mut(group);
         g.file = false;
-        let (image, sharers) = (g.image.clone(), g.sharers);
-        for &(_, e) in image.runs() {
-            inner.shift(e.frame, e.len, -1, -1);
+        for &(_, e) in g.image.runs() {
+            frames.shift(e.frame, e.len, -1, -1);
         }
-        if sharers == 0 {
-            inner.unlist(group, 0, image.pages());
-            inner.groups.remove(group);
+        let pages = g.image.pages();
+        if g.sharers == 0 {
+            frames.unlist(&g.image, group, 0..pages);
+            groups.remove(group);
             return;
         }
         // Only where every clone left is the listing no longer live.
-        let gone = inner.groups.get(group).departed.everyone_left(sharers);
-        for idx in gone.collect::<Vec<_>>() {
-            inner.unlist(group, idx as usize, 1);
+        for gone in g.departed.left_by(g.sharers, 0, pages) {
+            frames.unlist(&g.image, group, gone);
         }
     }
 
@@ -787,44 +856,61 @@ impl HostMemory {
 
     /// A clone stops mapping position `idx` of its base.
     pub(crate) fn leave(&self, group: u32, idx: usize) {
-        self.inner.borrow_mut().depart(group, idx);
+        self.inner.borrow_mut().depart(group, idx, 1);
     }
 
-    /// A clone's first write to position `idx` (`frame`) of its base:
-    /// returns the private frame to map instead — a CoW copy, unless the
-    /// clone is its last owner (no file pins it), which takes it over.
-    pub(crate) fn cow_out(&self, group: u32, idx: usize, frame: FrameId) -> FrameId {
+    /// A clone's first write to positions `idx..idx + n` of its base, on
+    /// frames `frame..frame + n`: returns the first of the private frames
+    /// to map instead, consecutive frames of one entry, and how many of
+    /// the `n` they cover — all, but in an orphaned group. The frames are
+    /// CoW copies, charged a CoW fault each, of the bytes of those that
+    /// hold any; where no file pins the frames, a page of which the clone
+    /// is the last owner is taken over instead, so there the run ends
+    /// where that answer changes. One call serves a write fault (`n = 1`)
+    /// and a touch of a whole stretch of the base.
+    pub(crate) fn cow_out(
+        &self,
+        group: u32,
+        idx: usize,
+        n: usize,
+        frame: FrameId,
+    ) -> (FrameId, usize) {
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
-        let g = inner.groups.get_mut(group);
-        if g.file {
-            // The file pins the frame, whose listing stays live: a copy,
-            // of bytes only if the image holds any.
-            g.departed.add(idx as u32);
-            let data = (!g.blank).then(|| inner.frames.get(frame).0.data.clone());
-            self.clock.advance(self.costs.cow_fault);
-            return inner.cow_copy(data.flatten());
-        }
-        let (e, k, _) = inner.frames.get(frame);
-        let private = if e.refs + inner.lazy_mappers(e, k) == 1 {
-            inner.shift(frame, 1, 1, 0);
+        let g = inner.groups.get(group);
+        let blank = g.blank;
+        // Where the file pins the frames, their listings stay live: copies.
+        let (take, n) = if g.file {
+            (false, n)
+        } else {
+            let last = |j: usize| {
+                let (e, k, _) = inner.frames.get(frame.add(j));
+                e.refs + inner.lazy_mappers(e, k) == 1
+            };
+            let take = last(0);
+            (take, (1..n).find(|&j| last(j) != take).unwrap_or(n))
+        };
+        let private = if take {
+            inner.frames.shift(frame, n, 1, 0);
             frame
         } else {
-            self.clock.advance(self.costs.cow_fault);
-            let data = e.data.clone();
-            inner.cow_copy(data)
+            self.clock.advance(self.costs.cow_fault * n as u64);
+            inner.cow_copy(frame, n, !blank)
         };
-        inner.depart(group, idx);
-        private
+        inner.depart(group, idx, n);
+        (private, n)
     }
 
-    /// A clone of `group` goes away, having left the positions in `left`.
-    pub(crate) fn detach(&self, group: u32, left: &mut [u32]) {
-        left.sort_unstable();
+    /// A clone of `group` goes away, having left the stretches of
+    /// positions in `left` (disjoint).
+    pub(crate) fn detach(&self, group: u32, left: &mut [Range<u32>]) {
+        left.sort_unstable_by_key(|r| r.start);
         let mut inner = self.inner.borrow_mut();
         let g = inner.groups.get_mut(group);
         g.sharers -= 1;
-        g.departed.take_back(left);
+        for r in left.iter() {
+            g.departed.shift(r.start, r.end, -1);
+        }
         if !g.file {
             inner.orphan_detached(group, left);
         }
@@ -840,57 +926,44 @@ impl HostMemory {
         self.inner.borrow_mut().groups.get_mut(group).verified = true;
     }
 
-    /// Read access to the table for one accounting pass.
-    pub(crate) fn table(&self) -> Ref<'_, HostInner> {
-        self.inner.borrow()
+    /// The table for one accounting pass, which refills its buffers.
+    pub(crate) fn table(&self) -> RefMut<'_, HostInner> {
+        self.inner.borrow_mut()
     }
 }
 
 impl HostInner {
-    /// The copy half of a CoW fault: a private frame with the bytes.
-    #[inline]
-    fn cow_copy(&mut self, data: Option<Box<Page>>) -> FrameId {
-        self.cow_faults += 1;
-        self.frames.alloc(1, data)
-    }
-
-    /// Moves the explicit owner counts of frames `id..id + n` by `refs` /
-    /// `pins`, freeing what has no owner left. Inlined into every caller
-    /// so the constant deltas fold.
-    #[inline(always)]
-    fn shift(&mut self, id: FrameId, n: usize, refs: i32, pins: i32) {
-        self.frames.update(id, n, |e, _, _| {
-            e.refs = e
-                .refs
-                .checked_add_signed(refs)
-                .expect("release of dead frame");
-            e.pins = e.pins.checked_add_signed(pins).expect("unpin without pin");
-        });
-    }
-
-    /// One clone stops mapping `group`'s position `idx` lazily.
-    fn depart(&mut self, group: u32, idx: usize) {
-        let g = self.groups.get_mut(group);
-        g.departed.add(idx as u32);
-        // Neither the file nor a clone owns the listing any more.
-        if !g.file && g.mappers_at(idx as u32) == 0 {
-            self.unlist(group, idx, 1);
+    /// The copy half of a CoW fault: `n` private frames of one entry,
+    /// copies of frames `src..src + n` — of the bytes of those that hold
+    /// any if `data`, a data piece at a time.
+    fn cow_copy(&mut self, src: FrameId, n: usize, data: bool) -> FrameId {
+        self.cow_faults += n as u64;
+        let copy = self.frames.alloc(n, None);
+        let mut at = 0;
+        while data && at < n {
+            let (p, _, left) = self.frames.get(src.add(at));
+            let mut bytes = p.data.clone();
+            if bytes.is_some() {
+                self.frames
+                    .update(copy.add(at), 1, |q, _, _| q.data = bytes.take());
+            }
+            at += left as usize;
         }
+        copy
     }
 
-    /// `group`'s listings at positions `from..from + n` stop being live:
-    /// they leave their frames, which are freed if no owner is left.
-    fn unlist(&mut self, group: u32, from: usize, n: usize) {
-        let image = self.groups.get(group).image.clone();
-        let mut at = from;
-        while at < from + n {
-            let (run, e) = image.run_at(at);
-            let end = (run + e.len).min(from + n);
-            self.frames
-                .update(e.frame.add(at - run), end - at, |p, _, _| {
-                    p.relist(|listed| listed.retain(|l| l.group != group));
-                });
-            at = end;
+    /// One clone stops mapping `group`'s positions `from..from + n`
+    /// lazily.
+    fn depart(&mut self, group: u32, from: usize, n: usize) {
+        let g = self.groups.get_mut(group);
+        g.departed.shift(from as u32, (from + n) as u32, 1);
+        if g.file {
+            return;
+        }
+        // Neither the file nor a clone owns the listing any more.
+        let g = self.groups.get(group);
+        for gone in g.departed.left_by(g.sharers, from, n) {
+            self.frames.unlist(&g.image, group, gone);
         }
     }
 
@@ -909,70 +982,96 @@ impl HostInner {
         (e.refs - e.pins + self.lazy_mappers(e, k), left)
     }
 
-    /// A clone of orphaned `group` went away, having left `left` (sorted):
-    /// where every other clone had left (everywhere, if it was the last),
-    /// it was the last lazy mapper. The last clone takes the group along.
+    /// A clone of orphaned `group` went away, having left the stretches
+    /// `left` (sorted): where every other clone had left (everywhere, if it
+    /// was the last), it was the last lazy mapper. The last clone takes
+    /// the group along.
     #[inline(never)]
-    fn orphan_detached(&mut self, group: u32, left: &[u32]) {
-        let g = self.groups.get(group);
-        let sharers = g.sharers;
-        if sharers == 0 {
+    fn orphan_detached(&mut self, group: u32, left: &[Range<u32>]) {
+        let HostInner { frames, groups, .. } = self;
+        let g = groups.get(group);
+        let (image, pages) = (&g.image, g.image.pages());
+        let left = left.iter().map(|r| r.start as usize..r.end as usize);
+        if g.sharers == 0 {
             // The positions it left stopped being live as it left them.
             let mut at = 0;
-            for idx in left.iter().map(|l| *l as usize).chain([g.image.pages()]) {
-                self.unlist(group, at, idx - at);
-                at = idx + 1;
+            for r in left {
+                frames.unlist(image, group, at..r.start);
+                at = r.end;
             }
-            self.groups.remove(group);
+            frames.unlist(image, group, at..pages);
+            groups.remove(group);
             return;
         }
-        let stayed = |idx: &u32| left.binary_search(idx).is_err();
-        let last: Vec<u32> = g.departed.everyone_left(sharers).filter(stayed).collect();
-        for idx in last {
-            self.unlist(group, idx as usize, 1);
+        for gone in g.departed.left_by(g.sharers, 0, pages) {
+            let mut at = gone.start;
+            let from = gone.start;
+            let inside = left.clone().skip_while(|r| r.end <= from);
+            for r in inside.take_while(|r| r.start < gone.end) {
+                frames.unlist(image, group, at..r.start);
+                at = r.end;
+            }
+            frames.unlist(image, group, at..gone.end);
         }
     }
 
-    /// Runs `(end, mappers)` covering `group`'s image, equal neighbours
-    /// joined. The frames of a piece have the same mappers — its explicit
-    /// ones plus the lazy ones of each image listing it — except where a
-    /// clone of one of those images departed.
-    pub(crate) fn base_runs(&self, group: u32) -> Vec<(usize, u32)> {
-        let g = self.groups.get(group);
-        let mut runs: Vec<(usize, u32)> = Vec::new();
-        let mut push = |end: usize, mappers: u32| match runs.last_mut() {
-            Some((last, same)) if *same == mappers => *last = end,
-            _ => runs.push((end, mappers)),
+    /// Fills [`HostInner::runs`] with the runs `(end, mappers)` covering
+    /// `group`'s image, equal neighbours joined. The frames of a piece
+    /// have the same mappers — its explicit ones plus the lazy ones of
+    /// each image listing it — but where a clone of one of those images
+    /// departed: each run of departures there is two edges of a sweep
+    /// over the piece.
+    pub(crate) fn base_runs(&mut self, group: u32) {
+        let HostInner {
+            frames,
+            groups,
+            runs,
+            edges,
+            ..
+        } = self;
+        runs.clear();
+        let mut push = |end: usize, mappers: u32| {
+            let start = runs.last().map_or(0, |r| r.0);
+            debug_assert!(start <= end, "runs out of order");
+            match runs.last_mut() {
+                // An empty run: a departure edge at a piece's first position.
+                _ if start == end => {}
+                Some((last, same)) if *same == mappers => *last = end,
+                _ => runs.push((end, mappers)),
+            }
         };
-        // `(offset into a piece, clones that left it)`, of every listing.
-        let mut departed: Vec<(usize, u32)> = Vec::new();
+        let g = groups.get(group);
         for &(at, e) in g.image.runs() {
             // No position of the run is live (every clone of the orphan
             // left it): no clone sums it, and its frames may be freed.
-            let dead = g.departed.within(at, e.len).iter();
-            if !g.file && dead.filter(|d| d.1 == g.sharers).count() == e.len {
+            let dead = || g.departed.left_by(g.sharers, at, e.len).map(|r| r.len());
+            if !g.file && dead().sum::<usize>() == e.len {
                 push(at + e.len, 0);
                 continue;
             }
-            for (off, len, p, k) in self.frames.pieces(e.frame, e.len) {
-                let (from, mut level) = (at + off, p.refs - p.pins);
-                departed.clear();
+            for (off, len, p, k) in frames.pieces(e.frame, e.len) {
+                let (from, mut level) = (at + off, i64::from(p.refs - p.pins));
+                edges.clear();
                 for l in p.listed(k) {
-                    let other = self.groups.get(l.group);
-                    level += other.sharers;
-                    let left = other.departed.within(l.idx as usize, len);
-                    departed.extend(left.iter().map(|&(idx, n)| ((idx - l.idx) as usize, n)));
+                    let other = groups.get(l.group);
+                    level += i64::from(other.sharers);
+                    let idx = l.idx as usize;
+                    for &(start, end, count) in other.departed.within(idx, len) {
+                        let start = (start as usize).max(idx) - idx;
+                        let end = (end as usize).min(idx + len) - idx;
+                        edges.extend([(start, i64::from(count)), (end, -i64::from(count))]);
+                    }
                 }
-                departed.sort_unstable();
-                for same in departed.chunk_by(|a, b| a.0 == b.0) {
-                    let gone: u32 = same.iter().map(|d| d.1).sum();
-                    push(from + same[0].0, level);
-                    push(from + same[0].0 + 1, level - gone);
+                // In order already where one image lists the piece.
+                edges.sort_unstable_by_key(|edge| edge.0);
+                let mut gone = 0;
+                for same in edges.chunk_by(|a, b| a.0 == b.0) {
+                    push(from + same[0].0, (level - gone) as u32);
+                    gone += same.iter().map(|edge| edge.1).sum::<i64>();
                 }
-                push(from + len, level);
+                push(from + len, (level - gone) as u32);
             }
         }
-        runs
     }
 }
 
@@ -1011,6 +1110,71 @@ pub(crate) mod tests {
 
     fn host() -> HostMemory {
         HostMemory::new(Clock::new(), 1 << 30)
+    }
+
+    /// `(position, clones that left it)` of every position some clone
+    /// left, ascending.
+    fn positions(d: &Departures) -> Vec<(u32, u32)> {
+        let each = |&(start, end, count): &Departure| (start..end).map(move |idx| (idx, count));
+        d.runs.iter().flat_map(each).collect()
+    }
+
+    const POSITIONS: u32 = 48;
+
+    proptest::proptest! {
+        /// Runs of departures against a count per position: random
+        /// stretches left and taken back, and stretches that start or end
+        /// on a run's edges (one just past a run, as page-order faults
+        /// leave pages), so runs split, empty and join again.
+        #[test]
+        fn range_departures_match_a_count_per_position(
+            ops in proptest::collection::vec((0u8..4, 0u32..POSITIONS, 1u32..12), 1..96),
+        ) {
+            let (mut d, mut model) = (Departures::default(), [0u32; POSITIONS as usize]);
+            for (kind, a, len) in ops {
+                let edge = d.runs.get(a as usize % d.runs.len().max(1)).copied();
+                let sign = if len % 2 == 0 { 1 } else { -1 };
+                let (lo, hi, delta) = match (kind, edge) {
+                    // A run's own stretch, or the one just past it.
+                    (2, Some((start, end, _))) => (start, end, sign),
+                    (3, Some((_, end, _))) => (end, end + len, sign),
+                    (1, _) => (a, a + len, -1),
+                    _ => (a, a + len, 1),
+                };
+                let hi = hi.min(POSITIONS);
+                // Only what clones left can be taken back: from `lo` on,
+                // as far as every position was left.
+                let left = model[lo as usize..hi as usize].iter().take_while(|&&c| c > 0);
+                let hi = if delta < 0 { lo + left.count() as u32 } else { hi };
+                if lo >= hi {
+                    continue;
+                }
+                d.shift(lo, hi, delta);
+                for c in &mut model[lo as usize..hi as usize] {
+                    *c = c.checked_add_signed(delta).expect("model count");
+                }
+                let want = model.iter().enumerate().filter(|(_, &c)| c > 0);
+                let want: Vec<(u32, u32)> = want.map(|(idx, &c)| (idx as u32, c)).collect();
+                proptest::prop_assert_eq!(positions(&d), want);
+                let joined = d.runs.windows(2).all(|w| w[0].1 < w[1].0 || w[0].2 != w[1].2);
+                proptest::prop_assert!(joined, "{:?}", d.runs);
+                for idx in 0..POSITIONS {
+                    proptest::prop_assert_eq!(d.at(idx), model[idx as usize]);
+                }
+                // The readers, over the stretch just shifted.
+                let (from, n) = (a as usize, len as usize);
+                let stretch = from..(from + n).min(POSITIONS as usize);
+                let within = d.within(from, n).iter().map(|d| d.0 as usize..d.1 as usize);
+                let within: Vec<usize> = within.flatten().filter(|i| stretch.contains(i)).collect();
+                let some: Vec<usize> = stretch.clone().filter(|&i| model[i] > 0).collect();
+                proptest::prop_assert_eq!(within, some);
+                for count in 1..4 {
+                    let by: Vec<usize> = d.left_by(count, from, n).flatten().collect();
+                    let want: Vec<usize> = stretch.clone().filter(|&i| model[i] == count).collect();
+                    proptest::prop_assert_eq!(by, want, "left by {}", count);
+                }
+            }
+        }
     }
 
     fn one(frame: FrameId) -> Extent {
@@ -1166,11 +1330,13 @@ pub(crate) mod tests {
         let (group, _) = h.register(&image, true);
         // Three clones, restored in order, each with the positions it left
         // (in fault order) and the private frames it maps instead.
-        let mut left: Vec<Vec<u32>> = vec![Vec::new(); 3];
+        let mut left: Vec<Vec<Range<u32>>> = vec![Vec::new(); 3];
         let mut copies: Vec<Vec<FrameId>> = vec![Vec::new(); 3];
         let mut cow = |clone: usize, idx: u32| {
-            left[clone].push(idx);
-            let private = h.cow_out(group, idx as usize, image.frame_at(idx as usize));
+            left[clone].push(idx..idx + 1);
+            let frame = image.frame_at(idx as usize);
+            let (private, n) = h.cow_out(group, idx as usize, 1, frame);
+            assert_eq!(n, 1);
             copies[clone].push(private);
         };
         (0..3).for_each(|_| h.attach(group));
@@ -1182,7 +1348,7 @@ pub(crate) mod tests {
         for (clone, idx) in [(0, 5), (2, 11), (1, 0)] {
             cow(clone, idx);
         }
-        let departed = || h.inner.borrow().groups.get(group).departed.list.clone();
+        let departed = || positions(&h.inner.borrow().groups.get(group).departed);
         let mut live = vec![0, 1, 2];
         for gone in [1, 2, 0] {
             copies[gone].iter().for_each(|&f| h.release(f));
@@ -1191,7 +1357,8 @@ pub(crate) mod tests {
             if live.is_empty() {
                 break;
             }
-            let mut all: Vec<u32> = live.iter().flat_map(|&c| left[c].clone()).collect();
+            let left = |c: usize| left[c].iter().flat_map(|r| r.clone());
+            let mut all: Vec<u32> = live.iter().flat_map(|&c| left(c)).collect();
             all.sort_unstable();
             let counts = all
                 .chunk_by(|a, b| a == b)

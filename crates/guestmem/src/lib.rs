@@ -38,12 +38,13 @@
 //!   post-JIT image costs its regions, not its pages.
 //! - **Overlay.** A space's own pages are extents sorted by page,
 //!   disjoint and merged: a touch over unmapped pages adds one per
-//!   stretch, a CoW copy one of a page. Booting, dirtying, accounting and
-//!   teardown cost the runs, not their pages.
+//!   stretch, and over base pages one per run of them it copies, which
+//!   the copy holds as one frame-table entry. Booting, dirtying,
+//!   accounting and teardown cost the runs, not their pages.
 //! - **Group.** A restore adds one *sharer* to the image's group; a CoW
-//!   fault moves one page into the clone's overlay and counts one
-//!   *departure* at that position (a list sorted by position); a drop
-//!   releases the overlay and merges them back out. Each piece lists the
+//!   copy moves a run of pages into the clone's overlay and counts one
+//!   more *departure* over their positions (runs of positions with equal
+//!   counts); a drop releases the overlay and takes its stretches back. Each piece lists the
 //!   images whose listing of its frames is *live* (the file pins them, or
 //!   a clone maps them lazily), so a frame's mappers are its explicit
 //!   references minus pins plus, for each of those images,
@@ -57,7 +58,7 @@
 //!   without visiting pages: it walks the overlay's extents and the
 //!   base's runs between them a piece at a time — a piece's frames have
 //!   equal mappers, in the base but where a listing image's clone
-//!   departed, read off its departures — and adds each run of equal
+//!   departed, read off its departure runs — and adds each run of equal
 //!   terms with one multiply.
 //! - **Verify once.** [`SnapshotFile::verify`] remembers a clean pass;
 //!   stored pages change only through [`HostMemory::poke_frame`], which

@@ -453,6 +453,21 @@ mod tests {
         let over: Vec<(usize, usize)> = over.map(|e| (e.page, e.len)).collect();
         let bytes = RuntimeProfile::node().exec_state_bytes as usize;
         assert_eq!(over, [(exec.start, bytes.div_ceil(PAGE_SIZE))]);
+
+        // Its heap writes CoW-copy the image's heap pages as one extent.
+        let rt = clone.runtime().expect("restored");
+        let heap = Layout::heap_bytes(rt).min(clone.layout.heap);
+        let dirty = (heap as f64 * Layout::HEAP_DIRTY_FRACTION) as u64;
+        let heap = page(Layout::HEAP_BASE)..exec.start;
+        let over = clone
+            .space
+            .overlay()
+            .iter()
+            .filter(|e| heap.contains(&e.page));
+        let over: Vec<(usize, usize)> = over.map(|e| (e.page, e.len)).collect();
+        let copied = (dirty as usize).div_ceil(PAGE_SIZE);
+        assert!(copied > 1, "the heap must span several pages");
+        assert_eq!(over, [(heap.start, copied)]);
     }
 
     #[test]
