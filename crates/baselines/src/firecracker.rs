@@ -6,7 +6,7 @@ use fireworks_core::api::{FunctionSpec, Invocation, InvokeRequest, PlatformError
 use fireworks_core::config::PlatformConfig;
 use fireworks_core::env::PlatformEnv;
 use fireworks_core::{ConcurrentPlatform, FunctionId};
-use fireworks_lang::{ExecStats, JitConfig, Value};
+use fireworks_lang::{ExecStats, JitConfig, Program, Value};
 use fireworks_microvm::{MicroVm, MicroVmConfig, VmFullSnapshot, VmManager};
 use fireworks_obs::{cat, Phase};
 use fireworks_runtime::RuntimeProfile;
@@ -69,13 +69,17 @@ impl FirecrackerPlatform {
 }
 
 impl Firecracker {
-    /// Builds a fresh VM with the function loaded (cold-boot path).
-    fn cold_boot(&mut self, spec: &FunctionSpec) -> Result<MicroVm, PlatformError> {
+    /// Builds a fresh VM with the function's program loaded (cold boot).
+    fn cold_boot(
+        &mut self,
+        spec: &FunctionSpec,
+        program: &Rc<Program>,
+    ) -> Result<MicroVm, PlatformError> {
         let mut vm = self.mgr.create(MicroVmConfig::default());
         self.mgr.boot(&mut vm)?;
         let profile = RuntimeProfile::for_kind(spec.runtime);
         self.mgr
-            .launch_runtime(&mut vm, profile, &spec.source, JitConfig::default())?;
+            .launch(&mut vm, profile, program.clone(), JitConfig::default());
         Ok(vm)
     }
 }
@@ -96,13 +100,14 @@ impl Flavor for Firecracker {
     fn install(
         &mut self,
         spec: &FunctionSpec,
+        program: &Rc<Program>,
     ) -> Result<Option<(Rc<VmFullSnapshot>, usize, u64)>, PlatformError> {
         if self.policy == SnapshotPolicy::None {
             return Ok(None);
         }
         // Snapshot after boot + runtime + load, before execution: no JIT
         // code, no warm profile.
-        let mut vm = self.cold_boot(spec)?;
+        let mut vm = self.cold_boot(spec, program)?;
         let snap = Rc::new(self.mgr.snapshot(&mut vm));
         assert!(!snap.is_post_jit(), "OS snapshot must predate JIT");
         let (pages, bytes) = (snap.pages(), snap.file_bytes());
@@ -113,6 +118,7 @@ impl Flavor for Firecracker {
         &mut self,
         env: &PlatformEnv,
         spec: &FunctionSpec,
+        program: &Rc<Program>,
         snapshot: Option<&Rc<VmFullSnapshot>>,
         pooled: Option<MicroVm>,
     ) -> Result<MicroVm, PlatformError> {
@@ -139,7 +145,7 @@ impl Flavor for Firecracker {
                 })
             }
             (None, None) => rec.scope_phase("cold_start", cat::BOOT, Phase::Startup, || {
-                self.cold_boot(spec)
+                self.cold_boot(spec, program)
             }),
         }
     }
@@ -282,6 +288,16 @@ mod tests {
         assert!(p
             .invoke_chain(&[fid("f")], &InvokeRequest::new(fid("f"), args(1)))
             .is_err());
+    }
+
+    #[test]
+    fn cold_starts_share_the_program_compiled_at_install() {
+        let mut p = FirecrackerPlatform::new(PlatformEnv::default_env(), SnapshotPolicy::None);
+        p.install(&spec()).expect("installs");
+        let (_, a) = p.invoke_resident(fid("f"), &args(10)).expect("a");
+        let (_, b) = p.invoke_resident(fid("f"), &args(10)).expect("b");
+        let program = |vm: &MicroVm| vm.runtime().expect("launched").program().clone();
+        assert!(Rc::ptr_eq(&program(&a), &program(&b)));
     }
 
     #[test]

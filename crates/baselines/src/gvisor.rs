@@ -1,9 +1,11 @@
 //! The gVisor baseline: secure-container sandbox manager.
 
+use std::rc::Rc;
+
 use fireworks_core::api::{FunctionSpec, PlatformError};
 use fireworks_core::config::PlatformConfig;
 use fireworks_core::env::PlatformEnv;
-use fireworks_lang::{ExecStats, JitConfig};
+use fireworks_lang::{ExecStats, JitConfig, Program};
 use fireworks_obs::{cat, Phase};
 use fireworks_runtime::RuntimeProfile;
 use fireworks_sandbox::container::ContainerCheckpoint;
@@ -50,14 +52,14 @@ impl GvisorPlatform {
 }
 
 impl Gvisor {
-    /// Boots a Sentry sandbox with the function loaded.
-    fn create(&mut self, spec: &FunctionSpec) -> Result<Container, PlatformError> {
-        Ok(self.containers.create(
+    /// Boots a Sentry sandbox with the function's program loaded.
+    fn create(&mut self, spec: &FunctionSpec, program: &Rc<Program>) -> Container {
+        self.containers.create(
             ContainerKind::Gvisor,
             RuntimeProfile::for_kind(spec.runtime),
-            &spec.source,
+            program.clone(),
             JitConfig::default(),
-        )?)
+        )
     }
 }
 
@@ -74,13 +76,14 @@ impl Flavor for Gvisor {
     fn install(
         &mut self,
         spec: &FunctionSpec,
+        program: &Rc<Program>,
     ) -> Result<Option<(ContainerCheckpoint, usize, u64)>, PlatformError> {
         if !self.use_checkpoints {
             return Ok(None);
         }
         // Catalyzer-style: boot once, load the function, checkpoint the
         // process before any execution.
-        let mut c = self.create(spec)?;
+        let mut c = self.create(spec, program);
         let checkpoint = self.containers.checkpoint(&mut c);
         let (pages, bytes) = (checkpoint.pages(), checkpoint.file_bytes());
         Ok(Some((checkpoint, pages, bytes)))
@@ -90,27 +93,27 @@ impl Flavor for Gvisor {
         &mut self,
         env: &PlatformEnv,
         spec: &FunctionSpec,
+        program: &Rc<Program>,
         checkpoint: Option<&ContainerCheckpoint>,
         pooled: Option<Container>,
     ) -> Result<Container, PlatformError> {
         let rec = env.obs.recorder();
-        match (pooled, checkpoint) {
+        Ok(match (pooled, checkpoint) {
             (Some(mut c), _) => {
                 rec.scope_phase("warm_attach", cat::BOOT, Phase::Startup, || {
                     self.containers.warm_attach(&mut c);
                 });
-                Ok(c)
+                c
             }
-            (None, Some(checkpoint)) => Ok(rec.scope_phase(
-                "checkpoint_restore",
-                cat::RESTORE,
-                Phase::Startup,
-                || self.containers.restore(checkpoint),
-            )),
+            (None, Some(checkpoint)) => {
+                rec.scope_phase("checkpoint_restore", cat::RESTORE, Phase::Startup, || {
+                    self.containers.restore(checkpoint)
+                })
+            }
             (None, None) => rec.scope_phase("sandbox_create", cat::BOOT, Phase::Startup, || {
-                self.create(spec)
+                self.create(spec, program)
             }),
-        }
+        })
     }
 
     fn io(&self, _env: &PlatformEnv, container: &Container) -> IoPath {

@@ -1,11 +1,12 @@
 //! The OpenWhisk baseline: container platform with a controller front end.
 
 use std::convert::Infallible;
+use std::rc::Rc;
 
 use fireworks_core::api::{FunctionSpec, PlatformError};
 use fireworks_core::config::PlatformConfig;
 use fireworks_core::env::PlatformEnv;
-use fireworks_lang::{ExecStats, JitConfig};
+use fireworks_lang::{ExecStats, JitConfig, Program};
 use fireworks_obs::{cat, Phase};
 use fireworks_runtime::RuntimeProfile;
 use fireworks_sandbox::{Container, ContainerKind, ContainerManager, IoPath, IsolationLevel};
@@ -73,6 +74,7 @@ impl Flavor for OpenWhisk {
         &mut self,
         env: &PlatformEnv,
         spec: &FunctionSpec,
+        program: &Rc<Program>,
         _artifact: Option<&Infallible>,
         pooled: Option<Container>,
     ) -> Result<Container, PlatformError> {
@@ -88,10 +90,10 @@ impl Flavor for OpenWhisk {
                 self.containers.create(
                     ContainerKind::Plain,
                     RuntimeProfile::for_kind(spec.runtime),
-                    &spec.source,
+                    program.clone(),
                     JitConfig::default(),
                 )
-            })?,
+            }),
         };
         // The `/init` + `/run` action proxy round trip.
         rec.scope_phase("action_proxy", cat::INVOKE, Phase::Startup, || {
@@ -186,6 +188,19 @@ mod tests {
     #[test]
     fn overlapping_invokes_get_two_containers() {
         contract::overlapping_invokes_get_two_sandboxes(OpenWhiskPlatform::with_config);
+    }
+
+    #[test]
+    fn unparsable_source_is_refused_at_install() {
+        // Registration is metadata-only, but the action is compiled once
+        // here: a bad source never reaches a container start.
+        let env = PlatformEnv::default_env();
+        let mut p = OpenWhiskPlatform::new(env.clone());
+        let bad = FunctionSpec::new("bad", "fn main(p) {", RuntimeKind::NodeLike, args(1));
+        let err = p.install(&bad).expect_err("does not parse");
+        assert!(matches!(err, PlatformError::Lang(_)), "{err:?}");
+        assert_eq!(env.clock.now(), Nanos::ZERO, "nothing was started");
+        assert!(p.invoke(&InvokeRequest::new(fid("bad"), args(1))).is_err());
     }
 
     #[test]

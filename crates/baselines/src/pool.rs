@@ -3,6 +3,7 @@
 //! the crate docs.
 
 use std::ops::{Deref, DerefMut};
+use std::rc::Rc;
 
 use fireworks_core::api::{
     attribute_run, run_guest, ConcurrentPlatform, FunctionSpec, InFlightToken, InstallReport,
@@ -12,7 +13,7 @@ use fireworks_core::config::PlatformConfig;
 use fireworks_core::env::PlatformEnv;
 use fireworks_core::host::NetMode;
 use fireworks_core::{fid, FunctionId, IdMap};
-use fireworks_lang::ExecStats;
+use fireworks_lang::{compile, ExecStats, Program};
 use fireworks_obs::{cat, RootSpan};
 use fireworks_runtime::Guest;
 use fireworks_sandbox::{IoPath, IsolationLevel};
@@ -36,14 +37,16 @@ pub trait Flavor {
     /// Platform name as used in the paper's figures.
     fn name(&self) -> &'static str;
 
-    /// Builds the function's start artifact at install, returning it with
-    /// its size as `(artifact, pages, file_bytes)`; `None` when starts
-    /// build their sandbox from source.
+    /// Builds the function's start artifact at install from its
+    /// `program` (compiled once by the skeleton), returning it with its
+    /// size as `(artifact, pages, file_bytes)`; `None` when starts build
+    /// their sandbox from the program.
     fn install(
         &mut self,
         spec: &FunctionSpec,
+        program: &Rc<Program>,
     ) -> Result<Option<(Self::Artifact, usize, u64)>, PlatformError> {
-        let _ = spec;
+        let _ = (spec, program);
         Ok(None)
     }
 
@@ -56,11 +59,12 @@ pub trait Flavor {
     /// Brings a sandbox to the point where the guest can run: re-attaches
     /// `pooled` if the skeleton checked one out, otherwise makes a fresh
     /// one — restored from the install `artifact` when there is one,
-    /// built from `spec`'s source when not.
+    /// launched with the function's compiled `program` when not.
     fn start(
         &mut self,
         env: &PlatformEnv,
         spec: &FunctionSpec,
+        program: &Rc<Program>,
         artifact: Option<&Self::Artifact>,
         pooled: Option<Self::Sandbox>,
     ) -> Result<Self::Sandbox, PlatformError>;
@@ -112,9 +116,9 @@ impl<S: Deref<Target = Guest>> InFlightToken for InFlight<S> {
 pub struct PooledPlatform<F: Flavor> {
     env: PlatformEnv,
     flavor: F,
-    /// Installed functions, each with its install-time start artifact
-    /// (OS snapshot, checkpoint) if the flavour captured one.
-    registry: IdMap<(FunctionSpec, Option<F::Artifact>)>,
+    /// Installed functions: each with its program, compiled at install,
+    /// and the start artifact (OS snapshot, checkpoint) if there is one.
+    registry: IdMap<(FunctionSpec, Rc<Program>, Option<F::Artifact>)>,
     /// Paused sandboxes per function, each stamped with its last use.
     warm: IdMap<Vec<(F::Sandbox, Nanos)>>,
     keep_alive: Option<Nanos>,
@@ -179,7 +183,7 @@ impl<F: Flavor> PooledPlatform<F> {
     ) -> Result<(Invocation, InFlight<F::Sandbox>), PlatformError> {
         let function = req.function;
         self.purge_expired();
-        let (spec, artifact) = self
+        let (spec, program, artifact) = self
             .registry
             .get(function)
             .ok_or_else(|| PlatformError::UnknownFunction(function.name().to_string()))?;
@@ -198,7 +202,9 @@ impl<F: Flavor> PooledPlatform<F> {
             (None, _) if artifact.is_some() => StartKind::SnapshotRestore,
             (None, _) => StartKind::ColdBoot,
         };
-        let mut sandbox = self.flavor.start(env, spec, artifact.as_ref(), pooled)?;
+        let mut sandbox = self
+            .flavor
+            .start(env, spec, program, artifact.as_ref(), pooled)?;
         match start {
             StartKind::WarmPool => self.warm_starts += 1,
             _ => self.cold_starts += 1,
@@ -279,7 +285,7 @@ impl<F: Flavor> ConcurrentPlatform for PooledPlatform<F> {
         let artifact = self
             .registry
             .get(function)
-            .is_some_and(|(_, artifact)| artifact.is_some());
+            .is_some_and(|(_, _, artifact)| artifact.is_some());
         let pooled = self.warm.get(function).is_some_and(|p| !p.is_empty());
         if artifact || pooled {
             SnapshotResidency::Full
@@ -300,12 +306,14 @@ impl<F: Flavor> Platform for PooledPlatform<F> {
 
     fn install(&mut self, spec: &FunctionSpec) -> Result<InstallReport, PlatformError> {
         let t0 = self.env.clock.now();
-        let (artifact, pages, bytes) = match self.flavor.install(spec)? {
+        // Uncompilable source is refused here, not at the first start.
+        let program = Rc::new(compile(&spec.source)?);
+        let (artifact, pages, bytes) = match self.flavor.install(spec, &program)? {
             Some((artifact, pages, bytes)) => (Some(artifact), pages, bytes),
             None => (None, 0, 0),
         };
         self.registry
-            .insert(fid(&spec.name), (spec.clone(), artifact));
+            .insert(fid(&spec.name), (spec.clone(), program, artifact));
         Ok(InstallReport {
             install_time: self.env.clock.now() - t0,
             snapshot_pages: pages,

@@ -6,8 +6,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use fireworks_annotator::{annotate, Annotated, AnnotationConfig};
-use fireworks_lang::{JitConfig, JitPolicy, Value};
+use fireworks_annotator::{FIREWORKS_MAIN, INSTANCE_ID_KEY, TOPIC_PREFIX};
+use fireworks_lang::{JitConfig, JitPolicy, Program, Value};
 use fireworks_microvm::{
     MicroVm, MicroVmConfig, ReapMode, ReapSession, VmError, VmFullSnapshot, VmManager, WorkingSet,
 };
@@ -62,9 +62,9 @@ pub struct FunctionHealth {
 }
 
 struct FunctionEntry {
-    spec: FunctionSpec,
-    annotated: Annotated,
-    profile: RuntimeProfile,
+    spec: Rc<FunctionSpec>,
+    /// The annotated program every build launches (see `annotator::compile`).
+    program: Rc<Program>,
     install_report: InstallReport,
     clones_since_snapshot: u64,
     refresh_time: Nanos,
@@ -76,19 +76,19 @@ struct FunctionEntry {
 }
 
 impl FunctionEntry {
-    /// Annotates `spec` into a registered, not yet built, function.
+    /// Annotates and compiles `spec` into a registered, not yet built,
+    /// function.
     fn new(spec: &FunctionSpec) -> Result<Self, PlatformError> {
-        let annotated = annotate(&spec.source, &AnnotationConfig::default())?;
+        let program = fireworks_annotator::compile(&spec.source)?;
         Ok(FunctionEntry {
-            spec: spec.clone(),
-            profile: RuntimeProfile::for_kind(spec.runtime),
+            spec: Rc::new(spec.clone()),
             install_report: InstallReport {
                 install_time: Nanos::ZERO,
                 snapshot_pages: 0,
                 snapshot_bytes: 0,
-                annotated_functions: annotated.annotated_functions,
+                annotated_functions: program.functions.iter().filter(|f| f.jit_hint).count(),
             },
-            annotated,
+            program,
             clones_since_snapshot: 0,
             refresh_time: Nanos::ZERO,
             working_set: None,
@@ -230,12 +230,12 @@ impl FireworksPlatform {
         FireworksPlatform::guest_host(&staging, default_params.deep_clone())
     }
 
-    /// Runs the install pipeline and returns the snapshot.
+    /// Runs the install pipeline on the function's compiled `program` and
+    /// returns the snapshot.
     fn build_snapshot(
         &mut self,
         spec: &FunctionSpec,
-        annotated: &Annotated,
-        profile: &RuntimeProfile,
+        program: Rc<Program>,
     ) -> Result<Rc<VmFullSnapshot>, PlatformError> {
         let clock = self.env.clock.clone();
         let mut vm = self.mgr.create(MicroVmConfig::default());
@@ -254,21 +254,21 @@ impl FireworksPlatform {
                 }
             }
         }
-        self.mgr.launch_runtime(
+        self.mgr.launch(
             &mut vm,
-            profile.clone(),
-            &annotated.source,
+            RuntimeProfile::for_kind(spec.runtime),
+            program,
             // Annotated functions compile eagerly so the snapshot is
             // taken post-JIT.
             JitConfig::default().with_policy(Some(JitPolicy::AnnotatedEager)),
-        )?;
+        );
         let mut host = self.install_host(&spec.default_params);
         {
             let rt = vm
                 .runtime_mut()
                 .ok_or_else(|| PlatformError::Other("runtime failed to launch".into()))?;
             rt.run_toplevel(&clock, &mut host)?;
-            rt.start(&annotated.entry, Vec::new())?;
+            rt.start(FIREWORKS_MAIN, Vec::new())?;
             match rt.run(&clock, &mut host)? {
                 RunOutcome::SnapshotPoint => {}
                 RunOutcome::Done(_) => {
@@ -294,11 +294,9 @@ impl FireworksPlatform {
             .registry
             .get(function)
             .ok_or_else(|| PlatformError::UnknownFunction(function.name().to_string()))?;
-        let spec = entry.spec.clone();
-        let annotated = entry.annotated.clone();
-        let profile = entry.profile.clone();
+        let (spec, program) = (entry.spec.clone(), entry.program.clone());
         let t0 = self.env.clock.now();
-        let snapshot = self.build_snapshot(&spec, &annotated, &profile)?;
+        let snapshot = self.build_snapshot(&spec, program)?;
         let took = self.env.clock.now() - t0;
         let snapshot = self.supply.insert(function, snapshot);
         let entry = self
@@ -409,7 +407,7 @@ impl FireworksPlatform {
         // Parameter passer: produce the arguments into the per-instance
         // topic before resuming (paper §3.6).
         let instance = format!("vm-{}", self.next_instance);
-        let topic = format!("params-{instance}");
+        let topic = [TOPIC_PREFIX, &instance].concat();
         self.next_instance += 1;
         rec.scope_phase("param_produce", cat::INVOKE, Phase::Other, || {
             let bytes = args.heap_estimate() as u64;
@@ -447,7 +445,7 @@ impl FireworksPlatform {
                 return Err(e);
             }
         };
-        vm.mmds_set("instance-id", &instance);
+        vm.mmds_set(INSTANCE_ID_KEY, &instance);
         Ok(Flight {
             clone: ResidentClone {
                 vm,
@@ -585,7 +583,7 @@ impl FireworksPlatform {
     ) -> Result<(InvokeResult, GuestHost), PlatformError> {
         let clock = &self.env.clock;
         let mut host = FireworksPlatform::guest_host(&self.env, default_params);
-        host.mmds_set("instance-id", &clone.instance);
+        host.mmds_set(INSTANCE_ID_KEY, &clone.instance);
         let ran = (|| {
             let rt = clone
                 .vm
@@ -793,7 +791,7 @@ impl Platform for FireworksPlatform {
     fn install(&mut self, spec: &FunctionSpec) -> Result<InstallReport, PlatformError> {
         let t0 = self.env.clock.now();
         let mut entry = FunctionEntry::new(spec)?;
-        let snapshot = self.build_snapshot(spec, &entry.annotated, &entry.profile)?;
+        let snapshot = self.build_snapshot(spec, entry.program.clone())?;
         let report = InstallReport {
             install_time: self.env.clock.now() - t0,
             snapshot_pages: snapshot.pages(),
@@ -891,6 +889,7 @@ impl ConcurrentPlatform for FireworksPlatform {
 mod tests {
     use super::*;
     use crate::env::EnvConfig;
+    use fireworks_runtime::guest::GuestRuntime;
     use fireworks_runtime::RuntimeKind;
 
     const FACT_SRC: &str = "
@@ -936,6 +935,26 @@ mod tests {
         assert!(report.annotated_functions >= 2);
         // §5.1: install takes seconds (boot + runtime + JIT + write).
         assert!(report.install_time.as_secs_f64() > 1.0);
+    }
+
+    /// Compile once: an install and a later rebuild both launch the
+    /// program the registry compiled at install, not a fresh copy.
+    #[test]
+    fn install_and_rebuild_launch_the_registrys_program() {
+        let mut p = platform();
+        p.install(&spec("fact")).expect("installs");
+        let f = fid("fact");
+        let program = p.registry.get(f).expect("registered").program.clone();
+        let launched = |p: &mut FireworksPlatform| {
+            let snapshot = p.cached_snapshot(f).expect("cached");
+            let runtime = snapshot.runtime().expect("post-JIT runtime");
+            GuestRuntime::from_snapshot(runtime).program().clone()
+        };
+        assert!(Rc::ptr_eq(&launched(&mut p), &program), "install");
+        assert!(p.retire(f));
+        p.invoke(&req("fact", 12)).expect("rebuilds, then invokes");
+        assert_eq!(p.health(f).expect("installed").rebuilds, 1);
+        assert!(Rc::ptr_eq(&launched(&mut p), &program), "rebuild");
     }
 
     /// `EnvConfig.costs.mem` is the table the host memory charges from.

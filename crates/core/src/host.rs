@@ -11,6 +11,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use fireworks_annotator::{BUS_CONSUME_CALL, DEFAULT_PARAMS_CALL, MMDS_CALL};
 use fireworks_lang::{Host, LangError, Value};
 use fireworks_msgbus::MessageBus;
 use fireworks_sandbox::IoPath;
@@ -249,7 +250,7 @@ impl GuestHost {
                         .collect(),
                 ))
             }
-            "bus_consume" => {
+            BUS_CONSUME_CALL => {
                 let topic = Self::want_str(args.first(), "topic")?;
                 let value = self
                     .bus
@@ -270,12 +271,12 @@ impl GuestHost {
                     .produce(topic, value.deep_clone(), 1024);
                 Ok(Value::Int(offset as i64))
             }
-            "mmds_get" => {
+            MMDS_CALL => {
                 let key = Self::want_str(args.first(), "key")?;
                 self.clock.advance(self.mmds_lookup);
                 Ok(self.mmds.get(key).map(Value::str).unwrap_or(Value::Null))
             }
-            "default_params" => Ok(self.default_params.deep_clone()),
+            DEFAULT_PARAMS_CALL => Ok(self.default_params.deep_clone()),
             "now" => Ok(Value::Int(self.clock.now().as_nanos() as i64)),
             "log" => {
                 let text = args

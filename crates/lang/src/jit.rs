@@ -5,8 +5,9 @@
 //! functions are evicted LRU-first and demoted back to the interpreter
 //! when the budget overflows), and the inline-cache polymorphism limit
 //! (how many shapes a property-access site tolerates before going
-//! megamorphic). It replaces the bare `Option<JitPolicy>` that used to be
-//! threaded through `GuestRuntime::launch` / `VmManager::launch_runtime`.
+//! megamorphic). A platform passes it with the function's compiled program
+//! to `VmManager::launch` or `ContainerManager::create`, which hand both
+//! to `GuestRuntime::launch`.
 
 use crate::vm::JitPolicy;
 

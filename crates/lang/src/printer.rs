@@ -1,7 +1,8 @@
 //! Pretty-printer: AST → Flame source.
 //!
-//! Used by the Fireworks code annotator, which is source-to-source like the
-//! paper's (§3.2): parse → transform → print → reinstall.
+//! The Fireworks code annotator prints its rewritten program with it for
+//! `fireworks-cli annotate`; platforms compile the rewritten AST itself,
+//! so no install path re-parses printed text.
 
 use std::fmt::Write as _;
 

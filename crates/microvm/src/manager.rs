@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use fireworks_guestmem::HostMemory;
-use fireworks_lang::{JitConfig, LangError};
+use fireworks_lang::{compile, JitConfig, LangError, Program};
 use fireworks_obs::{cat, Obs, Phase, SpanId};
 use fireworks_runtime::{Guest, GuestRuntime, RuntimeProfile};
 use fireworks_sim::fault::{FaultSite, SharedInjector};
@@ -163,11 +163,30 @@ impl VmManager {
         Ok(())
     }
 
-    /// Launches a language runtime inside the VM and loads `source`.
+    /// Launches a language runtime inside the VM and loads `program`
+    /// (compiled once, at install, and shared by every launch).
     ///
     /// `jit` is the guest JIT shape ([`JitConfig`]): tier-up
     /// policy override, code-cache budget, and inline-cache limits. Use
     /// [`JitConfig::default`] for the runtime profile's stock behaviour.
+    pub fn launch(
+        &mut self,
+        vm: &mut MicroVm,
+        profile: RuntimeProfile,
+        program: Rc<Program>,
+        jit: JitConfig,
+    ) {
+        assert_eq!(vm.state, VmState::Running, "runtime needs a booted guest");
+        let start = self.clock.now();
+        let span = self.span_start("runtime_launch", cat::BOOT);
+        let runtime = GuestRuntime::launch(&self.clock, profile, program, jit);
+        self.span_end(span);
+        vm.launch(runtime);
+        vm.boot_time += self.clock.now() - start;
+    }
+
+    /// Compiles `source`, then [`VmManager::launch`]es it: for callers
+    /// that hold text. Fails, charging nothing, if it does not compile.
     pub fn launch_runtime(
         &mut self,
         vm: &mut MicroVm,
@@ -175,13 +194,7 @@ impl VmManager {
         source: &str,
         jit: JitConfig,
     ) -> Result<(), LangError> {
-        assert_eq!(vm.state, VmState::Running, "runtime needs a booted guest");
-        let start = self.clock.now();
-        let span = self.span_start("runtime_launch", cat::BOOT);
-        let result = GuestRuntime::launch(&self.clock, profile, source, jit);
-        self.span_end(span);
-        vm.launch(result?);
-        vm.boot_time += self.clock.now() - start;
+        self.launch(vm, profile, Rc::new(compile(source)?), jit);
         Ok(())
     }
 

@@ -2,8 +2,9 @@
 
 use std::rc::Rc;
 
+use fireworks_lang::compiler::TOPLEVEL;
 use fireworks_lang::vm::VmSnapshot;
-use fireworks_lang::{compile, ExecStats, Host, JitConfig, LangError, Outcome, Program, Value, Vm};
+use fireworks_lang::{ExecStats, Host, JitConfig, LangError, Outcome, Program, Value, Vm};
 use fireworks_sim::{Clock, Nanos};
 
 use crate::profile::RuntimeProfile;
@@ -58,7 +59,6 @@ impl RuntimeSnapshot {
 #[derive(Debug)]
 pub struct GuestRuntime {
     profile: RuntimeProfile,
-    program: Rc<Program>,
     vm: Vm,
     pending: ExecStats,
     pending_time: Nanos,
@@ -75,10 +75,12 @@ pub struct GuestRuntime {
 }
 
 impl GuestRuntime {
-    /// Launches the runtime and loads `source` into it, charging launch
-    /// and app-load time. Does *not* run any code yet (the module body, if
-    /// present, runs on first `start`/`run` of `__toplevel__` or is folded
-    /// into the entry by the caller).
+    /// Launches the runtime and loads `program` into it, charging launch
+    /// and app-load time (`app_load_time` of the program's op count). The
+    /// program was compiled once, at install or register, and every launch
+    /// shares it. Does *not* run any code yet (the module body, if present,
+    /// runs on first `start`/`run` of `__toplevel__` or is folded into the
+    /// entry by the caller).
     ///
     /// `jit` carries the full JIT shape for this instance. A `None`
     /// policy inside it means "use the profile's default tier-up policy";
@@ -88,36 +90,31 @@ impl GuestRuntime {
     pub fn launch(
         clock: &Clock,
         profile: RuntimeProfile,
-        source: &str,
+        program: Rc<Program>,
         jit: JitConfig,
-    ) -> Result<Self, LangError> {
+    ) -> Self {
         clock.advance(profile.launch_time);
-        let program = Rc::new(compile(source)?);
         clock.advance(profile.app_load_time(program.total_ops()));
         let jit = jit
             .with_policy(Some(jit.policy.unwrap_or(profile.default_policy)))
             .with_code_bytes_per_op(profile.jit_code_bytes_per_op);
-        let vm = Vm::with_config(program.clone(), jit);
-        Ok(GuestRuntime {
+        GuestRuntime {
             profile,
-            program,
-            vm,
+            vm: Vm::with_config(program, jit),
             pending: ExecStats::default(),
             pending_time: Nanos::ZERO,
             first_run_done: false,
             first_run_local: false,
             ops_since_reset: 0,
-        })
+        }
     }
 
     /// Rebuilds a runtime from a snapshot. Charges nothing — the restore
     /// cost is the microVM layer's business.
     pub fn from_snapshot(snapshot: &RuntimeSnapshot) -> Self {
-        let vm = Vm::from_snapshot(&snapshot.vm);
         GuestRuntime {
             profile: snapshot.profile.clone(),
-            program: vm.program().clone(),
-            vm,
+            vm: Vm::from_snapshot(&snapshot.vm),
             pending: ExecStats::default(),
             pending_time: Nanos::ZERO,
             first_run_done: snapshot.first_run_done,
@@ -184,7 +181,7 @@ impl GuestRuntime {
 
     /// The loaded program.
     pub fn program(&self) -> &Rc<Program> {
-        &self.program
+        self.vm.program()
     }
 
     /// The underlying VM (for assertions in tests and memory modelling).
@@ -201,14 +198,10 @@ impl GuestRuntime {
     /// one, charging its execution. Must be called before entry functions
     /// that rely on globals.
     pub fn run_toplevel(&mut self, clock: &Clock, host: &mut dyn Host) -> Result<(), LangError> {
-        if self
-            .program
-            .function(fireworks_lang::compiler::TOPLEVEL)
-            .is_none()
-        {
+        if self.program().function(TOPLEVEL).is_none() {
             return Ok(());
         }
-        self.start(fireworks_lang::compiler::TOPLEVEL, Vec::new())?;
+        self.start(TOPLEVEL, Vec::new())?;
         loop {
             match self.run(clock, host)? {
                 RunOutcome::Done(_) => return Ok(()),
@@ -306,7 +299,11 @@ impl GuestRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fireworks_lang::{JitPolicy, NoopHost};
+    use fireworks_lang::{compile, JitPolicy, NoopHost};
+
+    fn program(src: &str) -> Rc<Program> {
+        Rc::new(compile(src).expect("compiles"))
+    }
 
     const SRC: &str = "
         fn work(n) {
@@ -319,8 +316,12 @@ mod tests {
     #[test]
     fn launch_charges_launch_and_load_time() {
         let clock = Clock::new();
-        let rt = GuestRuntime::launch(&clock, RuntimeProfile::node(), SRC, JitConfig::default())
-            .expect("ok");
+        let rt = GuestRuntime::launch(
+            &clock,
+            RuntimeProfile::node(),
+            program(SRC),
+            JitConfig::default(),
+        );
         let expected_min = rt.profile().launch_time + rt.profile().app_load_base;
         assert!(clock.now() >= expected_min);
     }
@@ -328,9 +329,12 @@ mod tests {
     #[test]
     fn invoke_returns_value_and_charges_time() {
         let clock = Clock::new();
-        let mut rt =
-            GuestRuntime::launch(&clock, RuntimeProfile::node(), SRC, JitConfig::default())
-                .expect("ok");
+        let mut rt = GuestRuntime::launch(
+            &clock,
+            RuntimeProfile::node(),
+            program(SRC),
+            JitConfig::default(),
+        );
         let before = clock.now();
         let r = rt
             .invoke(&clock, "main", vec![Value::Int(1000)], &mut NoopHost)
@@ -343,9 +347,12 @@ mod tests {
     #[test]
     fn python_profile_is_slower_than_node_on_the_same_work() {
         let clock_n = Clock::new();
-        let mut node =
-            GuestRuntime::launch(&clock_n, RuntimeProfile::node(), SRC, JitConfig::default())
-                .expect("ok");
+        let mut node = GuestRuntime::launch(
+            &clock_n,
+            RuntimeProfile::node(),
+            program(SRC),
+            JitConfig::default(),
+        );
         let rn = node
             .invoke(&clock_n, "main", vec![Value::Int(20_000)], &mut NoopHost)
             .expect("runs");
@@ -354,10 +361,9 @@ mod tests {
         let mut py = GuestRuntime::launch(
             &clock_p,
             RuntimeProfile::python(),
-            SRC,
+            program(SRC),
             JitConfig::default(),
-        )
-        .expect("ok");
+        );
         let rp = py
             .invoke(&clock_p, "main", vec![Value::Int(20_000)], &mut NoopHost)
             .expect("runs");
@@ -374,9 +380,12 @@ mod tests {
     fn warm_second_invocation_is_faster_for_node() {
         // First call pays interp + compile; second runs mostly JITted.
         let clock = Clock::new();
-        let mut rt =
-            GuestRuntime::launch(&clock, RuntimeProfile::node(), SRC, JitConfig::default())
-                .expect("ok");
+        let mut rt = GuestRuntime::launch(
+            &clock,
+            RuntimeProfile::node(),
+            program(SRC),
+            JitConfig::default(),
+        );
         let cold = rt
             .invoke(&clock, "main", vec![Value::Int(400_000)], &mut NoopHost)
             .expect("runs");
@@ -405,10 +414,9 @@ mod tests {
         let mut rt = GuestRuntime::launch(
             &clock,
             RuntimeProfile::python(),
-            src,
+            program(src),
             JitConfig::default().with_policy(Some(JitPolicy::AnnotatedEager)),
-        )
-        .expect("ok");
+        );
         rt.start("installer", vec![Value::Int(5_000)])
             .expect("starts");
         let RunOutcome::SnapshotPoint = rt.run(&clock, &mut NoopHost).expect("runs") else {
@@ -438,12 +446,11 @@ mod tests {
         let mut rt = GuestRuntime::launch(
             &clock,
             RuntimeProfile::node(),
-            src,
+            program(src),
             JitConfig::default()
                 .with_policy(Some(JitPolicy::AnnotatedEager))
                 .with_code_cache_capacity_bytes(8),
-        )
-        .expect("ok");
+        );
         rt.invoke(&clock, "main", vec![Value::Int(10_000)], &mut NoopHost)
             .expect("runs");
         assert_eq!(rt.jit_code_bytes(), 0);
@@ -458,17 +465,15 @@ mod tests {
         let mut node = GuestRuntime::launch(
             &clock,
             RuntimeProfile::node(),
-            src,
+            program(src),
             JitConfig::default().with_policy(Some(JitPolicy::AnnotatedEager)),
-        )
-        .expect("ok");
+        );
         let mut py = GuestRuntime::launch(
             &clock,
             RuntimeProfile::python(),
-            src,
+            program(src),
             JitConfig::default().with_policy(Some(JitPolicy::AnnotatedEager)),
-        )
-        .expect("ok");
+        );
         node.invoke(&clock, "main", vec![Value::Int(10)], &mut NoopHost)
             .expect("runs");
         py.invoke(&clock, "main", vec![Value::Int(10)], &mut NoopHost)

@@ -358,7 +358,7 @@ impl GuestImage {
 mod tests {
     use super::*;
     use fireworks_guestmem::Extent;
-    use fireworks_lang::{JitConfig, NoopHost, Value};
+    use fireworks_lang::{compile, JitConfig, NoopHost, Value};
     use fireworks_sim::Clock;
 
     const SRC: &str =
@@ -376,7 +376,13 @@ mod tests {
     /// A container-shaped guest (no OS region) with `src` launched in it.
     fn launched(clock: &Clock, host: &HostMemory, profile: RuntimeProfile, src: &str) -> Guest {
         let mut guest = Guest::new(host, Layout::GUEST_MEM_BYTES, 0);
-        guest.launch(GuestRuntime::launch(clock, profile, src, JitConfig::default()).expect("ok"));
+        let program = Rc::new(compile(src).expect("compiles"));
+        guest.launch(GuestRuntime::launch(
+            clock,
+            profile,
+            program,
+            JitConfig::default(),
+        ));
         guest
     }
 
@@ -424,8 +430,13 @@ mod tests {
         let host = host(&clock);
         // A booted guest holds at most one overlay extent per region.
         let mut booted = Guest::new(&host, Layout::GUEST_MEM_BYTES, 64 << 20);
-        let rt = GuestRuntime::launch(&clock, RuntimeProfile::node(), SRC, JitConfig::default());
-        booted.launch(rt.expect("ok"));
+        let program = Rc::new(compile(SRC).expect("compiles"));
+        booted.launch(GuestRuntime::launch(
+            &clock,
+            RuntimeProfile::node(),
+            program,
+            JitConfig::default(),
+        ));
         let bases = [
             0,
             Layout::RUNTIME_BASE,

@@ -6,7 +6,7 @@ use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
 use fireworks_guestmem::HostMemory;
-use fireworks_lang::{JitConfig, LangError};
+use fireworks_lang::{JitConfig, Program};
 use fireworks_runtime::{Guest, GuestImage, GuestRuntime, Layout, RuntimeProfile};
 use fireworks_sim::{Clock, CostModel, Nanos};
 
@@ -146,14 +146,15 @@ impl ContainerManager {
     }
 
     /// Creates and starts a container of `kind`, launching `profile` with
-    /// `source` inside it. This is the cold-start path.
+    /// `program` inside it. This is the cold-start path; the program was
+    /// compiled once, where the function was installed.
     pub fn create(
         &mut self,
         kind: ContainerKind,
         profile: RuntimeProfile,
-        source: &str,
+        program: Rc<Program>,
         jit: JitConfig,
-    ) -> Result<Container, LangError> {
+    ) -> Container {
         let start = self.clock.now();
         match kind {
             ContainerKind::Plain => {
@@ -166,11 +167,11 @@ impl ContainerManager {
                 self.clock.advance(self.costs.gvisor.gofer_start);
             }
         }
-        let runtime = GuestRuntime::launch(&self.clock, profile, source, jit)?;
+        let runtime = GuestRuntime::launch(&self.clock, profile, program, jit);
         // No OS region: a container shares the host's kernel.
         let mut guest = Guest::new(&self.host_mem, Layout::GUEST_MEM_BYTES, 0);
         guest.launch(runtime);
-        Ok(self.running(kind, guest, self.clock.now() - start))
+        self.running(kind, guest, self.clock.now() - start)
     }
 
     /// A running container of `kind` around `guest`, under the next id.
@@ -240,10 +241,14 @@ impl ContainerManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fireworks_lang::{NoopHost, Value};
+    use fireworks_lang::{compile, NoopHost, Value};
 
     const SRC: &str =
         "fn main(n) { let t = 0; for (let i = 0; i < n; i = i + 1) { t = t + i; } return t; }";
+
+    fn program() -> Rc<Program> {
+        Rc::new(compile(SRC).expect("compiles"))
+    }
 
     fn manager() -> ContainerManager {
         let clock = Clock::new();
@@ -254,22 +259,18 @@ mod tests {
     #[test]
     fn plain_cold_start_is_faster_than_gvisor() {
         let mut mgr = manager();
-        let plain = mgr
-            .create(
-                ContainerKind::Plain,
-                RuntimeProfile::node(),
-                SRC,
-                JitConfig::default(),
-            )
-            .expect("plain");
-        let gvisor = mgr
-            .create(
-                ContainerKind::Gvisor,
-                RuntimeProfile::node(),
-                SRC,
-                JitConfig::default(),
-            )
-            .expect("gvisor");
+        let plain = mgr.create(
+            ContainerKind::Plain,
+            RuntimeProfile::node(),
+            program(),
+            JitConfig::default(),
+        );
+        let gvisor = mgr.create(
+            ContainerKind::Gvisor,
+            RuntimeProfile::node(),
+            program(),
+            JitConfig::default(),
+        );
         assert!(
             plain.create_time() < gvisor.create_time(),
             "plain {} vs gvisor {}",
@@ -281,14 +282,12 @@ mod tests {
     #[test]
     fn warm_attach_is_far_cheaper_than_create() {
         let mut mgr = manager();
-        let mut c = mgr
-            .create(
-                ContainerKind::Plain,
-                RuntimeProfile::node(),
-                SRC,
-                JitConfig::default(),
-            )
-            .expect("creates");
+        let mut c = mgr.create(
+            ContainerKind::Plain,
+            RuntimeProfile::node(),
+            program(),
+            JitConfig::default(),
+        );
         mgr.pause(&mut c);
         let before = mgr.clock().now();
         mgr.warm_attach(&mut c);
@@ -300,14 +299,12 @@ mod tests {
     #[test]
     fn runtime_executes_inside_container() {
         let mut mgr = manager();
-        let mut c = mgr
-            .create(
-                ContainerKind::Plain,
-                RuntimeProfile::node(),
-                SRC,
-                JitConfig::default(),
-            )
-            .expect("creates");
+        let mut c = mgr.create(
+            ContainerKind::Plain,
+            RuntimeProfile::node(),
+            program(),
+            JitConfig::default(),
+        );
         let clock = mgr.clock().clone();
         let r = c
             .runtime_mut()
@@ -334,14 +331,12 @@ mod tests {
     #[test]
     fn checkpoint_restore_is_fast_and_shares_memory() {
         let mut mgr = manager();
-        let mut c = mgr
-            .create(
-                ContainerKind::Gvisor,
-                RuntimeProfile::node(),
-                SRC,
-                JitConfig::default(),
-            )
-            .expect("creates");
+        let mut c = mgr.create(
+            ContainerKind::Gvisor,
+            RuntimeProfile::node(),
+            program(),
+            JitConfig::default(),
+        );
         let cold_time = c.create_time();
         let ckpt = mgr.checkpoint(&mut c);
         assert!(ckpt.pages() > 10_000);
@@ -368,14 +363,12 @@ mod tests {
     #[test]
     fn restored_container_cow_copies_its_image_on_first_sync() {
         let mut mgr = manager();
-        let mut c = mgr
-            .create(
-                ContainerKind::Gvisor,
-                RuntimeProfile::node(),
-                SRC,
-                JitConfig::default(),
-            )
-            .expect("creates");
+        let mut c = mgr.create(
+            ContainerKind::Gvisor,
+            RuntimeProfile::node(),
+            program(),
+            JitConfig::default(),
+        );
         let ckpt = mgr.checkpoint(&mut c);
         drop(c);
         let image_bytes = (ckpt.pages() * fireworks_guestmem::PAGE_SIZE) as u64;
@@ -409,14 +402,12 @@ mod tests {
     #[test]
     fn restored_container_executes_the_loaded_function() {
         let mut mgr = manager();
-        let mut c = mgr
-            .create(
-                ContainerKind::Gvisor,
-                RuntimeProfile::node(),
-                SRC,
-                JitConfig::default(),
-            )
-            .expect("creates");
+        let mut c = mgr.create(
+            ContainerKind::Gvisor,
+            RuntimeProfile::node(),
+            program(),
+            JitConfig::default(),
+        );
         let ckpt = mgr.checkpoint(&mut c);
         drop(c);
         let mut restored = mgr.restore(&ckpt);
@@ -432,14 +423,12 @@ mod tests {
     #[test]
     fn container_memory_is_accounted() {
         let mut mgr = manager();
-        let c = mgr
-            .create(
-                ContainerKind::Plain,
-                RuntimeProfile::node(),
-                SRC,
-                JitConfig::default(),
-            )
-            .expect("creates");
+        let c = mgr.create(
+            ContainerKind::Plain,
+            RuntimeProfile::node(),
+            program(),
+            JitConfig::default(),
+        );
         // Runtime base image is materialised.
         assert!(c.rss_bytes() > 40 << 20);
     }

@@ -8,12 +8,13 @@
 //!
 //! Flags:
 //!   --no-jit        run pure interpreter
-//!   --annotate      print the Fireworks-annotated source and exit
 //!   --disasm        print the bytecode disassembly and exit
+//!
+//! `fireworks-cli annotate <file.flame>` prints the Fireworks-annotated
+//! source.
 
 use std::rc::Rc;
 
-use fireworks::annotator::{annotate, AnnotationConfig};
 use fireworks::lang::{compile, Host, JitPolicy, LangError, Outcome, Value, Vm};
 
 /// Serves prints to stdout and a few benign host calls.
@@ -48,7 +49,7 @@ fn main() {
     let flags: Vec<&String> = args.iter().filter(|a| a.starts_with("--")).collect();
     let positional: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
     let Some(path) = positional.first() else {
-        eprintln!("usage: flame_run [--no-jit|--annotate|--disasm] <file.flame> [int-arg]");
+        eprintln!("usage: flame_run [--no-jit|--disasm] <file.flame> [int-arg]");
         std::process::exit(2);
     };
     let source = match std::fs::read_to_string(path) {
@@ -62,17 +63,6 @@ fn main() {
         .get(1)
         .map(|s| s.parse().expect("int argument"))
         .unwrap_or(0);
-
-    if flags.iter().any(|f| *f == "--annotate") {
-        match annotate(&source, &AnnotationConfig::default()) {
-            Ok(a) => println!("{}", a.source),
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
 
     let program = match compile(&source) {
         Ok(p) => p,

@@ -158,7 +158,7 @@ fn main() {
                 eprintln!("cannot read {file}: {e}");
                 exit(2)
             });
-            match annotate(&source, &AnnotationConfig::default()) {
+            match annotate(&source, &AnnotationConfig) {
                 Ok(a) => println!("{}", a.source),
                 Err(e) => {
                     eprintln!("{e}");

@@ -5,7 +5,7 @@
 use std::rc::Rc;
 
 use fireworks::guestmem::HostMemory;
-use fireworks::lang::JitConfig;
+use fireworks::lang::{compile, JitConfig};
 use fireworks::microvm::{MicroVmConfig, VmManager};
 use fireworks::runtime::{Guest, RuntimeProfile};
 use fireworks::sandbox::{ContainerKind, ContainerManager};
@@ -25,25 +25,23 @@ fn a_second_sync_touches_nothing_in_any_sandbox() {
     let mut vms = VmManager::new(clock.clone(), costs.clone(), host.clone());
     let mut containers = ContainerManager::new(clock.clone(), costs, host.clone());
 
+    let program = Rc::new(compile(SRC).expect("compiles"));
     let mut booted = vms.create(MicroVmConfig::default());
     vms.boot(&mut booted).expect("boots");
-    vms.launch_runtime(
+    vms.launch(
         &mut booted,
         RuntimeProfile::node(),
-        SRC,
+        program.clone(),
         JitConfig::default(),
-    )
-    .expect("launches");
+    );
     let snapshot = vms.snapshot(&mut booted);
     let mut restored = vms.restore(&snapshot).expect("restores");
-    let mut container = containers
-        .create(
-            ContainerKind::Plain,
-            RuntimeProfile::node(),
-            SRC,
-            JitConfig::default(),
-        )
-        .expect("creates");
+    let mut container = containers.create(
+        ContainerKind::Plain,
+        RuntimeProfile::node(),
+        program,
+        JitConfig::default(),
+    );
 
     let sandboxes: [(&str, &mut Guest); 3] = [
         ("booted VM", &mut booted),
