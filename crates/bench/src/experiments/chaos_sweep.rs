@@ -22,7 +22,7 @@
 
 use super::seed_arg;
 use fireworks_core::api::{Platform, PlatformError};
-use fireworks_core::engine::{run_concurrent, EngineConfig};
+use fireworks_core::engine::{CompletionPolicy, Engine};
 use fireworks_core::fid;
 use fireworks_core::{FireworksPlatform, PlatformEnv};
 use fireworks_obs::LogHistogram;
@@ -88,23 +88,22 @@ fn run_rate(seed: u64, rate: f64) -> RatePoint {
     let mut peak_inflight = 0;
     let mut peak_queue_depth = 0;
     let mut peak_live_pss_bytes = 0;
-    let mut events_processed = 0;
+    let mut engine = Engine::new(
+        platform,
+        &env.clock,
+        &env.obs,
+        SLOTS,
+        CompletionPolicy::Release,
+    );
     let mut remaining = INVOCATIONS;
     while remaining > 0 {
         let batch = remaining.min(WAVE);
         remaining -= batch;
         let wave = burst(fid(&spec.name), &args, batch, env.clock.now());
-        let report = run_concurrent(
-            &mut platform,
-            &env.clock,
-            &env.obs,
-            &EngineConfig::new(SLOTS),
-            &wave,
-        );
-        events_processed += report.events_processed;
+        let report = engine.run(&wave);
         peak_inflight = peak_inflight.max(report.peak_inflight);
-        peak_queue_depth = peak_queue_depth.max(report.peak_queue_depth);
-        peak_live_pss_bytes = peak_live_pss_bytes.max(report.peak_live_pss_bytes);
+        peak_queue_depth = peak_queue_depth.max(report.peak_host_queue_depth);
+        peak_live_pss_bytes = peak_live_pss_bytes.max(engine.peak_live_pss_bytes());
         let mut breaker_tripped = false;
         for c in report.completions {
             match c.result {
@@ -132,7 +131,11 @@ fn run_rate(seed: u64, rate: f64) -> RatePoint {
         }
     }
 
-    let health = platform.health(fid(&spec.name)).expect("installed");
+    let events_processed = engine.events_processed();
+    let health = engine
+        .platform_mut()
+        .health(fid(&spec.name))
+        .expect("installed");
     let injector = env.injector.borrow();
     RatePoint {
         rate,

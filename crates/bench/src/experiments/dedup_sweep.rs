@@ -49,9 +49,12 @@ const REQUESTS: usize = 120;
 /// sees overflow placements (remote misses) — the traffic under test.
 const RATES_MS: [u64; 3] = [10, 5, 2];
 
-/// Distinct user code per function (the `i * …` constant differs), so
-/// the per-function heap pages diverge while the runtime image, JIT
-/// scaffolding, and boot pages stay chunk-identical.
+/// Distinct user code per function (the `i * …` constant differs). The
+/// captured images do not show it: an image's chunks depend only on its
+/// region sizes (its pages are accounting-only writes), so every
+/// function's snapshot is chunk-identical to the others and
+/// `unique_bytes` stays flat at one image's worth as functions are
+/// added.
 fn src(i: usize) -> String {
     format!(
         "

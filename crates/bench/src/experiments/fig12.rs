@@ -8,7 +8,7 @@
 //! is sampled from their in-flight tokens.
 
 use fireworks_baselines::{FirecrackerPlatform, SnapshotPolicy};
-use fireworks_core::engine::{run_concurrent, EngineConfig};
+use fireworks_core::engine::{CompletionPolicy, Engine};
 use fireworks_core::env::EnvConfig;
 use fireworks_core::fid;
 use fireworks_core::{ConcurrentPlatform, FireworksPlatform, InFlightToken, PlatformEnv};
@@ -39,13 +39,14 @@ where
     let mut platform = make(env.clone());
     platform.install(spec).expect("install");
     let wave = burst(fid(&spec.name), args, VMS, env.clock.now());
-    let report = run_concurrent(
-        &mut platform,
+    let mut engine = Engine::new(
+        platform,
         &env.clock,
         &env.obs,
-        &EngineConfig::new(VMS).retain_completed(),
-        &wave,
+        VMS,
+        CompletionPolicy::Retain,
     );
+    let report = engine.run(&wave);
     assert_eq!(report.peak_inflight, VMS, "all {VMS} microVMs must coexist");
     for c in &report.completions {
         assert!(c.result.is_ok(), "factor analysis is fault-free");
@@ -53,7 +54,7 @@ where
     report
         .retained
         .iter()
-        .map(InFlightToken::pss_bytes)
+        .map(|(_, token)| token.pss_bytes())
         .sum::<u64>()
         / VMS as u64
 }

@@ -24,7 +24,8 @@
 use super::seed_arg;
 use crate::{density_until_swap, nearest_rank};
 use fireworks_baselines::{FirecrackerPlatform, OpenWhiskPlatform, SnapshotPolicy};
-use fireworks_core::engine::{run_concurrent, EngineCompletion, EngineConfig};
+use fireworks_core::cluster::ClusterCompletion;
+use fireworks_core::engine::{CompletionPolicy, Engine};
 use fireworks_core::env::EnvConfig;
 use fireworks_core::fid;
 use fireworks_core::{ConcurrentPlatform, FireworksPlatform, PlatformEnv};
@@ -77,27 +78,28 @@ where
     let interned: Vec<(fireworks_core::FunctionId, Value)> =
         mix.iter().map(|(n, a)| (fid(n), a.deep_clone())).collect();
     let schedule = poisson_schedule(seed, REQUESTS, mean, &interned);
-    let report = run_concurrent(
-        &mut platform,
+    let mut engine = Engine::new(
+        platform,
         &env.clock,
         &env.obs,
-        &EngineConfig::new(SLOTS),
-        &schedule,
+        SLOTS,
+        CompletionPolicy::Release,
     );
+    let report = engine.run(&schedule);
     for c in &report.completions {
         assert!(c.result.is_ok(), "fault-free sweep");
     }
     let mut sojourns: Vec<Nanos> = report
         .completions
         .iter()
-        .map(EngineCompletion::sojourn)
+        .map(ClusterCompletion::sojourn)
         .collect();
     sojourns.sort_unstable();
     (
         sojourns,
         report.peak_inflight,
-        report.peak_queue_depth,
-        report.events_processed,
+        report.peak_host_queue_depth,
+        engine.events_processed(),
     )
 }
 

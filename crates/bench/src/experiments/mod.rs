@@ -99,8 +99,7 @@ impl Experiment {
 /// Every experiment, in the order the usage table prints them.
 pub const ALL: &[Experiment] = &[
     Experiment::new("all", all)
-        .about("every table and figure of §5, table1 to fig12, one after another")
-        .golden("all_figures", &[]),
+        .about("every table and figure of §5, table1 to fig12, one after another"),
     Experiment::new("table1", table1::run)
         .about("Table 1: design comparison of serverless platforms")
         .golden("table1", &[])

@@ -15,7 +15,7 @@ pub mod scale;
 
 use fireworks_baselines::{FirecrackerPlatform, GvisorPlatform, OpenWhiskPlatform, SnapshotPolicy};
 use fireworks_core::api::{FunctionSpec, Invocation, InvokeRequest, Platform, StartMode};
-use fireworks_core::engine::{run_concurrent, EngineConfig};
+use fireworks_core::engine::{CompletionPolicy, Engine};
 use fireworks_core::env::{EnvConfig, PlatformEnv};
 use fireworks_core::{fid, ConcurrentPlatform, FireworksPlatform, FunctionId};
 use fireworks_lang::Value;
@@ -234,6 +234,13 @@ pub fn density_until_swap<P: ConcurrentPlatform>(
     let mut platform = make(env.clone());
     let spec = Bench::Fact.paper_spec(RuntimeKind::NodeLike);
     platform.install(&spec).expect("install");
+    let mut engine = Engine::new(
+        platform,
+        &env.clock,
+        &env.obs,
+        wave,
+        CompletionPolicy::Retain,
+    );
     let mut resident: Vec<P::InFlight> = Vec::new();
     let mut series = Vec::new();
     for _ in 0..max_waves {
@@ -241,17 +248,11 @@ pub fn density_until_swap<P: ConcurrentPlatform>(
             break;
         }
         let requests = burst(fid(&spec.name), args, wave, env.clock.now());
-        let report = run_concurrent(
-            &mut platform,
-            &env.clock,
-            &env.obs,
-            &EngineConfig::new(wave).retain_completed(),
-            &requests,
-        );
+        let report = engine.run(&requests);
         for c in &report.completions {
             assert!(c.result.is_ok(), "density waves are fault-free");
         }
-        for mut token in report.retained {
+        for (_, mut token) in report.retained {
             age(&mut token);
             resident.push(token);
             series.push(env.host_mem.used_bytes());

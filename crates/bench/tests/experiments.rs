@@ -4,8 +4,9 @@
 //!
 //! `cargo test` (tier-1, debug) compares the stdout of the `quick` rows
 //! with `tests/golden/sweeps/`; `cargo test --release -p fireworks-bench
-//! --test experiments -- --include-ignored` compares every row (the
-//! `claims` table among them), runs every seeded row twice under each of
+//! --test experiments -- --include-ignored` compares all 20 rows that
+//! have a golden (the `claims` table among them; `all` only concatenates
+//! other rows' output and has none), runs every seeded row twice under each of
 //! CI's three seeds, and re-evaluates the claims under perturbed **fit**
 //! constants.
 //!

@@ -261,7 +261,7 @@ pub enum StartMode {
 /// invocation. Defaults: [`StartMode::Auto`], no deadline.
 ///
 /// Deadlines are *absolute* virtual instants enforced by the drivers
-/// ([`crate::engine::run_concurrent`], [`crate::cluster::Cluster`]): a
+/// ([`crate::engine::Engine`], [`crate::cluster::Cluster`]): a
 /// request still queued when its deadline passes completes with
 /// [`PlatformError::DeadlineExceeded`] instead of occupying a slot.
 /// Platforms themselves ignore the field (per-invocation *timeouts*

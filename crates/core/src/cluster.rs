@@ -1,6 +1,6 @@
 //! Multi-host cluster scheduling with snapshot-locality routing.
 //!
-//! The single-host engine ([`crate::engine::run_concurrent`]) drives one
+//! The single-host [`crate::engine::Engine`] drives one
 //! [`ConcurrentPlatform`]; this module scales that model out: a
 //! [`Cluster`] owns N per-host platform instances, each with its *own*
 //! [`PlatformEnv`] — slot pool, RAM budget, snapshot cache, message bus,
@@ -427,15 +427,15 @@ struct ClusterGauges {
     per_host: Vec<(Gauge, Gauge)>,
 }
 
-impl<P: ConcurrentPlatform> Control<P, P> for ClusterGauges {
+impl<P: ConcurrentPlatform> Control<P> for ClusterGauges {
     type Event = ();
 
-    fn on_host_failed(&mut self, d: &mut Driver<'_, P, P, Self>, host: usize) {
+    fn on_host_failed(&mut self, d: &mut Driver<'_, P, Self>, host: usize) {
         let m = d.fleet.obs.metrics();
         m.inc("cluster.host_crashes", &[("host", &host.to_string())]);
     }
 
-    fn after_event(&mut self, d: &Driver<'_, P, P, Self>) {
+    fn after_event(&mut self, d: &Driver<'_, P, Self>) {
         self.hosts.set(d.fleet.count(HostPhase::Active) as i64);
         self.inflight.set(d.fleet.inflight_total as i64);
         self.queue_depth.set(d.cluster_waiting.len() as i64);
@@ -496,7 +496,7 @@ impl<P: ConcurrentPlatform> Cluster<P> {
         self.fleet
             .hosts
             .iter_mut()
-            .map(|host| host.platform_mut().install(spec))
+            .map(|host| host.platform.install(spec))
             .collect()
     }
 
@@ -510,9 +510,9 @@ impl<P: ConcurrentPlatform> Cluster<P> {
         let mut report = None;
         for (h, host) in self.fleet.hosts.iter_mut().enumerate() {
             if h == home {
-                report = Some(host.platform_mut().install(spec)?);
+                report = Some(host.platform.install(spec)?);
             } else {
-                host.platform_mut().register(spec)?;
+                host.platform.register(spec)?;
             }
         }
         Ok(report.expect("home host is in range"))
@@ -535,24 +535,14 @@ impl<P: ConcurrentPlatform> Cluster<P> {
             inflight.set(host.inflight.len() as i64);
             queue_depth.set(host.waiting.len() as i64);
         }
-        let stats = out.stats;
+        let stats = &out.stats;
         let counters = [
             ("cluster.rebalances", stats.rebalances),
             ("cluster.locality_hits", stats.locality_hits),
             ("cluster.crash_reroutes", stats.crash_reroutes),
         ];
         RunStats::publish(self.fleet.obs.metrics(), counters);
-        ClusterReport {
-            completions: out.completions,
-            retained: out.retained,
-            peak_inflight: stats.peak_inflight,
-            peak_host_queue_depth: stats.peak_host_queue_depth,
-            peak_cluster_queue_depth: stats.peak_cluster_queue_depth,
-            rebalances: stats.rebalances,
-            locality_hits: stats.locality_hits,
-            failed_hosts: stats.failed_hosts,
-            crash_reroutes: stats.crash_reroutes,
-        }
+        out.into_report()
     }
 }
 

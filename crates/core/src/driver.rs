@@ -1,11 +1,11 @@
 //! The one discrete-event driver behind every front-end.
 //!
-//! [`crate::engine::run_concurrent`] (one borrowed platform),
+//! [`crate::engine::Engine::run`] (one host),
 //! [`crate::cluster::Cluster::run`] (N fixed hosts) and
 //! [`crate::elastic::ElasticCluster::run`] (N elastic hosts) all run the
-//! same loop over the same host table ([`Fleet`]): a fixed cluster is an
-//! elastic one whose hosts only ever are `Active` or `Dead`, a single
-//! host is a one-host cluster. The loop owns admission (per-host FIFO
+//! same loop over the host table each of them owns ([`Fleet`]): a fixed
+//! cluster is an elastic one whose hosts only ever are `Active` or
+//! `Dead`, a single host is a one-host cluster. The loop owns admission (per-host FIFO
 //! queues bounded by the fleet's cap, plus the cluster-level queue),
 //! routing, the per-request tracing protocol, deadline rejection,
 //! `HostCrash`/mesh-dead drain-and-reroute, token release or retention,
@@ -29,7 +29,6 @@
 //! mid-transfer, reports the event's failed hosts to the control plane
 //! and samples the concurrency high-water marks.
 
-use std::borrow;
 use std::collections::{BTreeMap, VecDeque};
 
 use fireworks_obs::{cat, Metrics, Obs, Phase, Recorder, SpanContext, SpanId, TraceId};
@@ -38,7 +37,7 @@ use fireworks_sim::fault::FaultSite;
 use fireworks_sim::{Clock, Nanos};
 
 use crate::api::{ConcurrentPlatform, PlatformError};
-use crate::cluster::{ClusterCompletion, HostView, Route, Router};
+use crate::cluster::{ClusterCompletion, ClusterReport, HostView, Route, Router};
 use crate::config::PlatformConfig;
 use crate::engine::{CompletionPolicy, EngineRequest};
 use crate::env::{EnvConfig, PlatformEnv};
@@ -80,11 +79,10 @@ impl HostPhase {
 }
 
 /// One row of the host table.
-pub(crate) struct Host<P: ConcurrentPlatform, B = P> {
-    /// The platform: owned by clusters, borrowed by `run_concurrent`.
-    platform: B,
-    /// The host's own services. `None` marks the anonymous host
-    /// `run_concurrent` wraps around a borrowed platform: it has no
+pub(crate) struct Host<P: ConcurrentPlatform> {
+    pub platform: P,
+    /// The host's own services. `None` marks the [`crate::engine::Engine`]'s
+    /// host, which runs on its platform's environment: it has no
     /// injector to draw `HostCrash` from and its `service` spans carry
     /// no `host` attribute.
     pub env: Option<PlatformEnv>,
@@ -98,27 +96,15 @@ pub(crate) struct Host<P: ConcurrentPlatform, B = P> {
     pub inflight: BTreeMap<usize, P::InFlight>,
 }
 
-impl<P: ConcurrentPlatform, B: borrow::BorrowMut<P>> Host<P, B> {
-    // `borrow::BorrowMut` stays out of method scope: it would shadow
-    // `RefCell::borrow_mut` on every `Rc<RefCell<_>>` in this file.
-    pub fn platform(&self) -> &P {
-        borrow::Borrow::borrow(&self.platform)
-    }
-
-    pub fn platform_mut(&mut self) -> &mut P {
-        borrow::BorrowMut::borrow_mut(&mut self.platform)
-    }
-}
-
-/// The host table shared by [`crate::cluster::Cluster`] and
-/// [`crate::elastic::ElasticCluster`], which both dereference to it:
+/// The host table [`crate::engine::Engine`], [`crate::cluster::Cluster`]
+/// and [`crate::elastic::ElasticCluster`] each own and dereference to:
 /// per-host platforms and environments on one virtual clock, one obs
 /// plane and one chunk mesh.
-pub struct Fleet<P: ConcurrentPlatform, B = P> {
+pub struct Fleet<P: ConcurrentPlatform> {
     pub(crate) clock: Clock,
     pub(crate) obs: Obs,
     pub(crate) mesh: SharedChunkMesh,
-    pub(crate) hosts: Vec<Host<P, B>>,
+    pub(crate) hosts: Vec<Host<P>>,
     pub(crate) slots_per_host: usize,
     pub(crate) host_queue_cap: usize,
     pub(crate) completion: CompletionPolicy,
@@ -134,7 +120,7 @@ pub struct Fleet<P: ConcurrentPlatform, B = P> {
     events_processed: u64,
 }
 
-impl<P: ConcurrentPlatform, B: borrow::BorrowMut<P>> Fleet<P, B> {
+impl<P: ConcurrentPlatform> Fleet<P> {
     /// An empty fleet with its own chunk mesh on the given clock and obs
     /// plane.
     pub(crate) fn new(
@@ -163,7 +149,7 @@ impl<P: ConcurrentPlatform, B: borrow::BorrowMut<P>> Fleet<P, B> {
     /// Appends a host in `phase` with every slot free; returns its id.
     pub(crate) fn push_host(
         &mut self,
-        platform: B,
+        platform: P,
         env: Option<PlatformEnv>,
         phase: HostPhase,
     ) -> usize {
@@ -223,12 +209,12 @@ impl<P: ConcurrentPlatform, B: borrow::BorrowMut<P>> Fleet<P, B> {
 
     /// Host `h`'s platform.
     pub fn host(&self, h: HostId) -> &P {
-        self.hosts[h.index()].platform()
+        &self.hosts[h.index()].platform
     }
 
     /// Host `h`'s platform, mutably.
     pub fn host_mut(&mut self, h: HostId) -> &mut P {
-        self.hosts[h.index()].platform_mut()
+        &mut self.hosts[h.index()].platform
     }
 
     /// Host `h`'s environment (its RAM, bus, store, injector, …).
@@ -263,12 +249,10 @@ impl<P: ConcurrentPlatform, B: borrow::BorrowMut<P>> Fleet<P, B> {
             queue_depth: host.waiting.len(),
             slots: self.slots_per_host,
             queue_cap: self.host_queue_cap,
-            residency: host.platform().residency(function),
+            residency: host.platform.residency(function),
         }));
     }
-}
 
-impl<P: ConcurrentPlatform> Fleet<P> {
     /// Stamps out one `Booting` host with `factory(env, platform)` and
     /// attaches it to the mesh; returns its id. The host's fault-plan
     /// seed derives from the template seed and the host id, so
@@ -335,6 +319,24 @@ pub(crate) struct Outcome<T> {
     pub stats: RunStats,
 }
 
+impl<T> Outcome<T> {
+    /// The report a front-end without report fields of its own returns.
+    pub fn into_report(self) -> ClusterReport<T> {
+        let stats = self.stats;
+        ClusterReport {
+            completions: self.completions,
+            retained: self.retained,
+            peak_inflight: stats.peak_inflight,
+            peak_host_queue_depth: stats.peak_host_queue_depth,
+            peak_cluster_queue_depth: stats.peak_cluster_queue_depth,
+            rebalances: stats.rebalances,
+            locality_hits: stats.locality_hits,
+            failed_hosts: stats.failed_hosts,
+            crash_reroutes: stats.crash_reroutes,
+        }
+    }
+}
+
 enum Event<E> {
     Arrive(usize),
     Complete { host: usize, index: usize },
@@ -345,43 +347,42 @@ enum Event<E> {
 /// only it — no [`Driver`] method calls a hook, so a hook that routes or
 /// fails a host never re-enters the control plane. Every hook defaults
 /// to a no-op, which is the whole control plane of a fixed fleet.
-pub(crate) trait Control<P: ConcurrentPlatform, B: borrow::BorrowMut<P>>: Sized {
+pub(crate) trait Control<P: ConcurrentPlatform>: Sized {
     /// Payload of the control-plane events this impl schedules for
     /// itself through [`Driver::schedule`].
     type Event;
 
     /// Once, after the arrivals are on the queue.
-    fn on_start(&mut self, _d: &mut Driver<'_, P, B, Self>) {}
+    fn on_start(&mut self, _d: &mut Driver<'_, P, Self>) {}
 
     /// Before each event, with the pre-event fleet and the clock not yet
     /// warped to `at`.
-    fn before_event(&mut self, _fleet: &Fleet<P, B>, _at: Nanos) {}
+    fn before_event(&mut self, _fleet: &Fleet<P>, _at: Nanos) {}
 
     /// Request `function` was admitted and `root` opened for it.
-    fn on_arrive(&mut self, _d: &mut Driver<'_, P, B, Self>, _function: FunctionId, _root: SpanId) {
-    }
+    fn on_arrive(&mut self, _d: &mut Driver<'_, P, Self>, _function: FunctionId, _root: SpanId) {}
 
     /// A completion on `host` freed its slot and restarted its queue;
     /// the cluster queue is re-offered next.
-    fn on_complete(&mut self, _d: &mut Driver<'_, P, B, Self>, _host: usize) {}
+    fn on_complete(&mut self, _d: &mut Driver<'_, P, Self>, _host: usize) {}
 
     /// A control-plane event this impl scheduled fired.
-    fn on_control(&mut self, _d: &mut Driver<'_, P, B, Self>, _event: Self::Event) {}
+    fn on_control(&mut self, _d: &mut Driver<'_, P, Self>, _event: Self::Event) {}
 
     /// `host` failed and everything it was queueing has been rerouted;
     /// called after the event and the mesh reap, in failure order.
-    fn on_host_failed(&mut self, _d: &mut Driver<'_, P, B, Self>, _host: usize) {}
+    fn on_host_failed(&mut self, _d: &mut Driver<'_, P, Self>, _host: usize) {}
 
     /// After each event (and the failure reports that follow it):
     /// gauges, front-end peaks.
-    fn after_event(&mut self, _d: &Driver<'_, P, B, Self>) {}
+    fn after_event(&mut self, _d: &Driver<'_, P, Self>) {}
 }
 
 /// The loop's state during one run, handed to the [`Control`] hooks so
 /// the control plane can route, fail hosts and schedule its own events
 /// through the same code paths the loop uses.
-pub(crate) struct Driver<'a, P: ConcurrentPlatform, B: borrow::BorrowMut<P>, C: Control<P, B>> {
-    pub fleet: &'a mut Fleet<P, B>,
+pub(crate) struct Driver<'a, P: ConcurrentPlatform, C: Control<P>> {
+    pub fleet: &'a mut Fleet<P>,
     router: &'a mut dyn Router,
     pub requests: &'a [EngineRequest],
     /// The fleet's recorder, cloned once per run.
@@ -411,16 +412,15 @@ pub(crate) struct Driver<'a, P: ConcurrentPlatform, B: borrow::BorrowMut<P>, C: 
 /// Panics if `requests` are not sorted by arrival time, or if any
 /// request fails to reach a terminal outcome (request conservation — a
 /// driver or control-plane bug by definition).
-pub(crate) fn run<P, B, C>(
-    fleet: &mut Fleet<P, B>,
+pub(crate) fn run<P, C>(
+    fleet: &mut Fleet<P>,
     ctl: &mut C,
     router: &mut dyn Router,
     requests: &[EngineRequest],
 ) -> Outcome<P::InFlight>
 where
     P: ConcurrentPlatform,
-    B: borrow::BorrowMut<P>,
-    C: Control<P, B>,
+    C: Control<P>,
 {
     assert!(
         requests.windows(2).all(|w| w[0].arrival <= w[1].arrival),
@@ -498,7 +498,7 @@ where
     }
 }
 
-impl<P: ConcurrentPlatform, B: borrow::BorrowMut<P>, C: Control<P, B>> Driver<'_, P, B, C> {
+impl<P: ConcurrentPlatform, C: Control<P>> Driver<'_, P, C> {
     /// Schedules control-plane event `event` at `at`.
     pub fn schedule(&mut self, at: Nanos, event: C::Event) {
         self.queue.schedule(at, Event::Control(event));
@@ -522,7 +522,7 @@ impl<P: ConcurrentPlatform, B: borrow::BorrowMut<P>, C: Control<P, B>> Driver<'_
         if let Some(token) = host.inflight.remove(&index) {
             self.fleet.inflight_total -= 1;
             match self.fleet.completion {
-                CompletionPolicy::Release => host.platform_mut().finish_invoke(token),
+                CompletionPolicy::Release => host.platform.finish_invoke(token),
                 CompletionPolicy::Retain => self.retained.push((HostId::from_index(h), token)),
             }
         }
@@ -641,7 +641,7 @@ impl<P: ConcurrentPlatform, B: borrow::BorrowMut<P>, C: Control<P, B>> Driver<'_
         host.free -= 1;
         let started = self.fleet.clock.now();
         let r = &self.requests[i];
-        if host.platform().residency(r.invoke.function).is_full() {
+        if host.platform.residency(r.invoke.function).is_full() {
             self.stats.locality_hits += 1;
         }
         let rec = &self.rec;
@@ -661,7 +661,7 @@ impl<P: ConcurrentPlatform, B: borrow::BorrowMut<P>, C: Control<P, B>> Driver<'_
             trace,
             parent: service,
         });
-        let result = host.platform_mut().begin_invoke(&invoke);
+        let result = host.platform.begin_invoke(&invoke);
         let finished = self.fleet.clock.now();
         rec.end(service);
         rec.end_detached(root);
@@ -811,21 +811,21 @@ mod tests {
         log: Vec<String>,
     }
 
-    impl<P: ConcurrentPlatform> Control<P, P> for FailHostZero {
+    impl<P: ConcurrentPlatform> Control<P> for FailHostZero {
         type Event = ();
 
-        fn on_start(&mut self, d: &mut Driver<'_, P, P, Self>) {
+        fn on_start(&mut self, d: &mut Driver<'_, P, Self>) {
             // Scheduled after the arrivals at the same instant, so it
             // fires once they are placed.
             d.schedule(Nanos::ZERO, ());
         }
 
-        fn on_control(&mut self, d: &mut Driver<'_, P, P, Self>, _event: ()) {
+        fn on_control(&mut self, d: &mut Driver<'_, P, Self>, _event: ()) {
             d.fail_host(0, None);
             self.log.push("hook returned".to_string());
         }
 
-        fn on_host_failed(&mut self, _d: &mut Driver<'_, P, P, Self>, host: usize) {
+        fn on_host_failed(&mut self, _d: &mut Driver<'_, P, Self>, host: usize) {
             self.log.push(format!("failed({host})"));
         }
     }

@@ -278,7 +278,7 @@ struct Handoff {
 }
 
 /// The shared driver as the control plane sees it.
-type D<'a, P> = Driver<'a, P, P, ControlPlane<P>>;
+type D<'a, P> = Driver<'a, P, ControlPlane<P>>;
 
 /// Per-run control-plane bookkeeping, reset by every
 /// [`ElasticCluster::run`].
@@ -439,9 +439,9 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
                 continue;
             }
             if installed {
-                host.platform_mut().register(spec)?;
+                host.platform.register(spec)?;
             } else {
-                host.platform_mut().install(spec)?;
+                host.platform.install(spec)?;
                 installed = true;
             }
         }
@@ -503,7 +503,7 @@ impl<P: ConcurrentPlatform> ElasticCluster<P> {
     }
 }
 
-impl<P: ConcurrentPlatform> Control<P, P> for ControlPlane<P> {
+impl<P: ConcurrentPlatform> Control<P> for ControlPlane<P> {
     type Event = Ev;
 
     fn on_start(&mut self, d: &mut D<'_, P>) {
@@ -581,7 +581,7 @@ impl<P: ConcurrentPlatform> ControlPlane<P> {
         let mut violations = Vec::new();
         let hosts = fleet.hosts.iter().enumerate();
         for (id, host) in hosts.filter(|(_, h)| h.phase.is_powered()) {
-            if let Some(audit) = host.platform().store_audit() {
+            if let Some(audit) = host.platform.store_audit() {
                 violations.extend(
                     audit
                         .verify()
@@ -777,7 +777,7 @@ impl<P: ConcurrentPlatform> ControlPlane<P> {
         let mut busy: BTreeSet<FunctionId> = d.cluster_waiting.iter().map(function_of).collect();
         for host in &d.fleet.hosts {
             if host.phase == HostPhase::Active {
-                resident.extend(host.platform().hot_functions());
+                resident.extend(host.platform.hot_functions());
             }
             busy.extend(host.waiting.iter().map(function_of));
             busy.extend(host.inflight.keys().map(function_of));
@@ -799,7 +799,7 @@ impl<P: ConcurrentPlatform> ControlPlane<P> {
             let mut any = false;
             for host in d.fleet.hosts.iter_mut() {
                 if host.phase.is_powered() {
-                    any |= host.platform_mut().retire(f);
+                    any |= host.platform.retire(f);
                 }
             }
             if any {
@@ -840,7 +840,7 @@ impl<P: ConcurrentPlatform> ControlPlane<P> {
         for spec in self.specs.values() {
             // Registration failures surface on first invocation; a boot
             // must not abort the whole run.
-            let _ = d.fleet.hosts[h].platform_mut().register(spec);
+            let _ = d.fleet.hosts[h].platform.register(spec);
         }
         if self.config.policy.prewarm {
             self.prewarm_host(d.fleet, h);
@@ -866,7 +866,7 @@ impl<P: ConcurrentPlatform> ControlPlane<P> {
             .collect();
         scored.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
         for (_, f) in scored.into_iter().take(PREWARM_TOP_K) {
-            if fleet.hosts[h].platform_mut().prewarm(f) {
+            if fleet.hosts[h].platform.prewarm(f) {
                 self.run.stats.prewarms += 1;
                 let m = fleet.obs.metrics();
                 m.inc("elastic.prewarms", &[("function", &f.name())]);
@@ -906,7 +906,7 @@ impl<P: ConcurrentPlatform> ControlPlane<P> {
         // Schedule one hand-off per hot function to the cheapest
         // survivor that doesn't already hold it.
         let mut scheduled = 0usize;
-        for function in d.fleet.hosts[h].platform().hot_functions() {
+        for function in d.fleet.hosts[h].platform.hot_functions() {
             let Some(dest) = self.pick_migration_dest(d.fleet, function, h) else {
                 continue;
             };
@@ -958,7 +958,7 @@ impl<P: ConcurrentPlatform> ControlPlane<P> {
             .enumerate()
             .filter(|(id, h)| *id != donor && h.phase == HostPhase::Active)
             .map(|(id, h)| {
-                let residency = h.platform().residency(function);
+                let residency = h.platform.residency(function);
                 (residency, h.inflight.len() + h.waiting.len(), id)
             })
             .filter(|(residency, _, _)| !residency.is_full())
@@ -1035,7 +1035,7 @@ impl<P: ConcurrentPlatform> ControlPlane<P> {
         rec.attr(mroot, "donor", donor);
         rec.attr(mroot, "dest", dest);
         let span = rec.start_under(mroot, "handoff", cat::MIGRATE);
-        let migrated = d.fleet.hosts[dest].platform_mut().prewarm(function);
+        let migrated = d.fleet.hosts[dest].platform.prewarm(function);
         rec.end(span);
         let outcome = if migrated {
             "migrated"

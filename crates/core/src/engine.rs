@@ -16,17 +16,23 @@
 //!
 //! # Event model
 //!
-//! [`run_concurrent`] is the cluster driver over a one-host fleet: the
-//! borrowed platform, `slots` invoker slots and an unbounded FIFO
-//! admission queue. Arrivals, completions, deadline rejection and the
-//! determinism argument are the ones [`crate::cluster`] documents; a
-//! rejected request never consumes a slot.
+//! An [`Engine`] is the cluster driver over a one-host fleet it owns:
+//! the platform, `slots` invoker slots and an unbounded FIFO admission
+//! queue. Arrivals, completions, deadline rejection and the determinism
+//! argument are the ones [`crate::cluster`] documents; a rejected request
+//! never consumes a slot. The engine differs from a one-host
+//! [`crate::cluster::Cluster`] only in its control plane (the unlabelled
+//! `engine.*` gauges) and in its host having no environment of its own:
+//! it never draws [`fireworks_sim::FaultSite::HostCrash`], and its
+//! `service` spans carry no `host` attribute.
+
+use std::ops::Deref;
 
 use fireworks_obs::{Gauge, Obs};
 use fireworks_sim::{Clock, Nanos};
 
 use crate::api::{ConcurrentPlatform, InFlightToken, InvokeRequest};
-use crate::cluster::{ClusterCompletion, RoundRobin};
+use crate::cluster::{ClusterReport, RoundRobin};
 use crate::driver::{self, Control, Driver, Fleet, HostPhase};
 
 /// One request offered to the engine: an invocation plus its arrival
@@ -58,58 +64,6 @@ pub enum CompletionPolicy {
     Retain,
 }
 
-/// Engine knobs.
-#[derive(Debug, Clone)]
-pub struct EngineConfig {
-    /// Invoker slots (maximum concurrent service activities).
-    pub slots: usize,
-    /// What happens to in-flight tokens at completion.
-    pub completion: CompletionPolicy,
-}
-
-impl EngineConfig {
-    /// A serving configuration with `slots` invoker slots.
-    pub fn new(slots: usize) -> Self {
-        EngineConfig {
-            slots,
-            completion: CompletionPolicy::Release,
-        }
-    }
-
-    /// Switches the engine to retain completed invocations' resources.
-    pub fn retain_completed(mut self) -> Self {
-        self.completion = CompletionPolicy::Retain;
-        self
-    }
-}
-
-/// One request's outcome with its queueing timeline — the driver's one
-/// completion type; `host` is always the engine's single host 0 (or
-/// `None` for a request rejected at its deadline).
-pub type EngineCompletion = ClusterCompletion;
-
-/// The engine's output: completions in request order, plus concurrency
-/// high-water marks.
-#[derive(Debug)]
-pub struct EngineReport<T> {
-    /// One entry per request, ordered by request index.
-    pub completions: Vec<EngineCompletion>,
-    /// Tokens still resident ([`CompletionPolicy::Retain`] only), in
-    /// completion order.
-    pub retained: Vec<T>,
-    /// Most invocations ever simultaneously in service.
-    pub peak_inflight: usize,
-    /// Deepest the admission queue ever got.
-    pub peak_queue_depth: usize,
-    /// Highest total PSS attributed to live in-flight (plus retained)
-    /// guest memory, sampled at event boundaries.
-    pub peak_live_pss_bytes: u64,
-    /// Simulator events (arrivals + completions) the run processed —
-    /// the deterministic denominator of an events/sec throughput
-    /// measurement.
-    pub events_processed: u64,
-}
-
 /// The engine's control plane: nothing to control, only the six
 /// unlabelled `engine.*` gauges and the live-PSS sample to publish.
 /// Handles are resolved once, so the per-event sampling is a handful of
@@ -124,10 +78,10 @@ struct EngineGauges {
     peak_live_pss_bytes: u64,
 }
 
-impl<P: ConcurrentPlatform> Control<P, &mut P> for EngineGauges {
+impl<P: ConcurrentPlatform> Control<P> for EngineGauges {
     type Event = ();
 
-    fn after_event(&mut self, d: &Driver<'_, P, &mut P, Self>) {
+    fn after_event(&mut self, d: &Driver<'_, P, Self>) {
         let host = &d.fleet.hosts[0];
         let live: u64 = host
             .inflight
@@ -146,60 +100,94 @@ impl<P: ConcurrentPlatform> Control<P, &mut P> for EngineGauges {
     }
 }
 
-/// Drives `requests` (sorted by arrival) through `platform` on the
-/// event engine and returns the completions with concurrency stats.
+/// One platform on the event engine: `slots` invoker slots in front of
+/// an unbounded FIFO queue, on the caller's clock and obs plane.
 ///
-/// The engine publishes live gauges on `obs` at every event boundary —
-/// `engine.inflight`, `engine.queue_depth`, `engine.live_pss_bytes` —
-/// and their `engine.peak_*` high-water marks, so a metrics snapshot
-/// taken after a run carries the concurrency profile.
-///
-/// # Panics
-///
-/// Panics if `config.slots == 0` or `requests` are not sorted by
-/// arrival time.
-pub fn run_concurrent<P: ConcurrentPlatform>(
-    platform: &mut P,
-    clock: &Clock,
-    obs: &Obs,
-    config: &EngineConfig,
-    requests: &[EngineRequest],
-) -> EngineReport<P::InFlight> {
-    let mut fleet = Fleet::new(
-        clock.clone(),
-        obs.clone(),
-        config.slots,
-        usize::MAX,
-        config.completion,
-    );
-    fleet.push_host(platform, None, HostPhase::Active);
-    let m = obs.metrics();
-    let mut gauges = EngineGauges {
-        inflight: m.gauge("engine.inflight", &[]),
-        queue_depth: m.gauge("engine.queue_depth", &[]),
-        live_pss: m.gauge("engine.live_pss_bytes", &[]),
-        peak_inflight: m.gauge("engine.peak_inflight", &[]),
-        peak_queue_depth: m.gauge("engine.peak_queue_depth", &[]),
-        peak_live_pss: m.gauge("engine.peak_live_pss_bytes", &[]),
-        peak_live_pss_bytes: 0,
-    };
-    let out = driver::run(&mut fleet, &mut gauges, &mut RoundRobin::new(), requests);
-    EngineReport {
-        completions: out.completions,
-        retained: out.retained.into_iter().map(|(_, token)| token).collect(),
-        peak_inflight: out.stats.peak_inflight,
-        peak_queue_depth: out.stats.peak_host_queue_depth,
-        peak_live_pss_bytes: gauges.peak_live_pss_bytes,
-        events_processed: out.stats.events,
+/// Every [`Engine::run`] publishes live gauges on the obs plane at each
+/// event boundary — `engine.inflight`, `engine.queue_depth`,
+/// `engine.live_pss_bytes` — and their `engine.peak_*` high-water marks
+/// for that run, so a metrics snapshot taken after a run carries its
+/// concurrency profile. Dereferences to its one-host [`Fleet`] for the
+/// clock, obs plane and the events processed by every run so far.
+pub struct Engine<P: ConcurrentPlatform> {
+    fleet: Fleet<P>,
+    gauges: EngineGauges,
+}
+
+impl<P: ConcurrentPlatform> Deref for Engine<P> {
+    type Target = Fleet<P>;
+
+    fn deref(&self) -> &Fleet<P> {
+        &self.fleet
+    }
+}
+
+impl<P: ConcurrentPlatform> Engine<P> {
+    /// Puts `platform` on the engine with `slots` invoker slots;
+    /// `completion` decides what happens to in-flight tokens.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slots == 0`.
+    pub fn new(
+        platform: P,
+        clock: &Clock,
+        obs: &Obs,
+        slots: usize,
+        completion: CompletionPolicy,
+    ) -> Self {
+        let mut fleet = Fleet::new(clock.clone(), obs.clone(), slots, usize::MAX, completion);
+        fleet.push_host(platform, None, HostPhase::Active);
+        let m = obs.metrics();
+        let gauges = EngineGauges {
+            inflight: m.gauge("engine.inflight", &[]),
+            queue_depth: m.gauge("engine.queue_depth", &[]),
+            live_pss: m.gauge("engine.live_pss_bytes", &[]),
+            peak_inflight: m.gauge("engine.peak_inflight", &[]),
+            peak_queue_depth: m.gauge("engine.peak_queue_depth", &[]),
+            peak_live_pss: m.gauge("engine.peak_live_pss_bytes", &[]),
+            peak_live_pss_bytes: 0,
+        };
+        Engine { fleet, gauges }
+    }
+
+    /// Drives `requests` (sorted by arrival) through the platform and
+    /// returns the completions with this run's concurrency peaks; every
+    /// completion and retained token is on host 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `requests` are not sorted by arrival time.
+    pub fn run(&mut self, requests: &[EngineRequest]) -> ClusterReport<P::InFlight> {
+        self.gauges.peak_live_pss_bytes = 0;
+        let router = &mut RoundRobin::new();
+        driver::run(&mut self.fleet, &mut self.gauges, router, requests).into_report()
+    }
+
+    /// Highest total PSS of live in-flight (plus retained) guest memory
+    /// during the last run, sampled at event boundaries.
+    pub fn peak_live_pss_bytes(&self) -> u64 {
+        self.gauges.peak_live_pss_bytes
+    }
+
+    /// The platform, mutably.
+    pub fn platform_mut(&mut self) -> &mut P {
+        &mut self.fleet.hosts[0].platform
+    }
+
+    /// Gives the platform back.
+    pub fn into_platform(self) -> P {
+        let host = self.fleet.hosts.into_iter().next();
+        host.expect("the engine has one host").platform
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{FunctionSpec, PlatformError, StartKind};
+    use crate::api::{FunctionSpec, Platform, PlatformError, StartKind};
     use crate::env::PlatformEnv;
-    use crate::fireworks::FireworksPlatform;
+    use crate::fireworks::{FireworksPlatform, ResidentClone};
     use crate::symbols::fid;
     use fireworks_lang::Value;
     use fireworks_runtime::RuntimeKind;
@@ -237,22 +225,28 @@ mod tests {
         p
     }
 
-    use crate::api::Platform;
+    /// An engine over `platform` on the platform's own clock and obs
+    /// plane.
+    fn engine_on(
+        platform: FireworksPlatform,
+        slots: usize,
+        completion: CompletionPolicy,
+    ) -> Engine<FireworksPlatform> {
+        let env = platform.env().clone();
+        Engine::new(platform, &env.clock, &env.obs, slots, completion)
+    }
+
+    fn serving(slots: usize) -> Engine<FireworksPlatform> {
+        engine_on(installed_platform(), slots, CompletionPolicy::Release)
+    }
 
     #[test]
     fn a_burst_genuinely_overlaps_in_flight() {
-        let mut p = installed_platform();
-        let env = p.env().clone();
-        let report = run_concurrent(
-            &mut p,
-            &env.clock,
-            &env.obs,
-            &EngineConfig::new(4),
-            &burst(4, Nanos::ZERO),
-        );
+        let mut engine = serving(4);
+        let report = engine.run(&burst(4, Nanos::ZERO));
         assert_eq!(report.peak_inflight, 4, "all four clones live at once");
-        assert_eq!(report.peak_queue_depth, 0);
-        assert!(report.peak_live_pss_bytes > 0, "live clones have PSS");
+        assert_eq!(report.peak_host_queue_depth, 0);
+        assert!(engine.peak_live_pss_bytes() > 0, "live clones have PSS");
         for c in &report.completions {
             let inv = c.result.as_ref().expect("succeeds");
             assert_eq!(inv.start, StartKind::SnapshotRestore);
@@ -265,22 +259,15 @@ mod tests {
 
     #[test]
     fn slots_gate_admission_fcfs() {
-        let mut p = installed_platform();
-        let env = p.env().clone();
-        let report = run_concurrent(
-            &mut p,
-            &env.clock,
-            &env.obs,
-            &EngineConfig::new(1),
-            &burst(3, Nanos::ZERO),
-        );
+        let mut engine = serving(1);
+        let report = engine.run(&burst(3, Nanos::ZERO));
         assert_eq!(report.peak_inflight, 1);
-        assert_eq!(report.peak_queue_depth, 2);
+        assert_eq!(report.peak_host_queue_depth, 2);
         // FCFS: request k starts when request k-1 finishes.
         for w in report.completions.windows(2) {
             assert_eq!(w[1].started, w[0].finished);
         }
-        let snap = env.obs.metrics().snapshot();
+        let snap = engine.obs().metrics().snapshot();
         assert_eq!(snap.gauge("engine.peak_queue_depth", &[]), Some(2));
         assert_eq!(snap.gauge("engine.inflight", &[]), Some(0), "drained");
         assert_eq!(snap.gauge("engine.queue_depth", &[]), Some(0));
@@ -288,42 +275,96 @@ mod tests {
 
     #[test]
     fn retain_mode_keeps_clones_resident() {
-        let mut p = installed_platform();
+        let p = installed_platform();
         let env = p.env().clone();
         let used_before = env.host_mem.used_bytes();
-        let report = run_concurrent(
-            &mut p,
-            &env.clock,
-            &env.obs,
-            &EngineConfig::new(2).retain_completed(),
-            &burst(3, Nanos::ZERO),
-        );
+        let mut engine = engine_on(p, 2, CompletionPolicy::Retain);
+        let report = engine.run(&burst(3, Nanos::ZERO));
         assert_eq!(report.retained.len(), 3);
         assert!(
             env.host_mem.used_bytes() > used_before,
             "retained clones keep their guest memory charged"
         );
-        for clone in report.retained {
-            p.release_clone(clone);
+        for (_, clone) in report.retained {
+            engine.platform_mut().release_clone(clone);
+        }
+    }
+
+    /// What one wave leaves behind: every completion's instants and
+    /// value, the run's peaks (in-flight, host queue, live PSS) and the
+    /// six `engine.*` gauges.
+    type Wave = (
+        Vec<(Nanos, Nanos, Nanos, Option<Value>)>,
+        [u64; 3],
+        Vec<Option<i64>>,
+    );
+
+    /// Runs `count` simultaneous requests arriving now; retained clones
+    /// go to `kept`, so they stay resident for later waves.
+    fn wave(
+        engine: &mut Engine<FireworksPlatform>,
+        count: usize,
+        kept: &mut Vec<ResidentClone>,
+    ) -> Wave {
+        let requests = burst(count, engine.clock().now());
+        let report = engine.run(&requests);
+        let completions = report
+            .completions
+            .iter()
+            .map(|c| {
+                let value = c.result.as_ref().ok().map(|inv| inv.value.deep_clone());
+                (c.arrived, c.started, c.finished, value)
+            })
+            .collect();
+        let peaks = [
+            report.peak_inflight as u64,
+            report.peak_host_queue_depth as u64,
+            engine.peak_live_pss_bytes(),
+        ];
+        let snap = engine.obs().metrics().snapshot();
+        let gauges = [
+            "engine.inflight",
+            "engine.queue_depth",
+            "engine.live_pss_bytes",
+            "engine.peak_inflight",
+            "engine.peak_queue_depth",
+            "engine.peak_live_pss_bytes",
+        ]
+        .iter()
+        .map(|name| snap.gauge(name, &[]))
+        .collect();
+        kept.extend(report.retained.into_iter().map(|(_, clone)| clone));
+        (completions, peaks, gauges)
+    }
+
+    #[test]
+    fn a_reused_engine_runs_each_wave_like_a_fresh_one() {
+        // The second wave is smaller than the first, so peaks carried
+        // over from the first run would show.
+        for completion in [CompletionPolicy::Release, CompletionPolicy::Retain] {
+            let mut kept = Vec::new();
+            let mut reused = engine_on(installed_platform(), 2, completion);
+            let one_engine = [
+                wave(&mut reused, 5, &mut kept),
+                wave(&mut reused, 1, &mut kept),
+            ];
+            let mut first = engine_on(installed_platform(), 2, completion);
+            let wave_one = wave(&mut first, 5, &mut kept);
+            let mut second = engine_on(first.into_platform(), 2, completion);
+            let two_engines = [wave_one, wave(&mut second, 1, &mut kept)];
+            assert_eq!(one_engine, two_engines, "{completion:?}");
+            assert_eq!(one_engine[1].1[..2], [1, 0], "{completion:?}");
         }
     }
 
     #[test]
     fn identical_schedules_produce_identical_reports() {
         let run = || {
-            let mut p = installed_platform();
-            let env = p.env().clone();
             let mut requests = burst(5, Nanos::ZERO);
             for (k, r) in requests.iter_mut().enumerate() {
                 r.arrival = Nanos::from_millis(3 * k as u64);
             }
-            let report = run_concurrent(
-                &mut p,
-                &env.clock,
-                &env.obs,
-                &EngineConfig::new(2),
-                &requests,
-            );
+            let report = serving(2).run(&requests);
             report
                 .completions
                 .iter()
@@ -335,19 +376,11 @@ mod tests {
 
     #[test]
     fn failures_occupy_their_slot_until_the_failure_instant() {
-        let mut p = installed_platform();
-        let env = p.env().clone();
         let requests = vec![
             EngineRequest::at(Nanos::ZERO, InvokeRequest::new(fid("ghost"), args(1))),
             EngineRequest::at(Nanos::ZERO, InvokeRequest::new(fid("f"), args(10))),
         ];
-        let report = run_concurrent(
-            &mut p,
-            &env.clock,
-            &env.obs,
-            &EngineConfig::new(1),
-            &requests,
-        );
+        let report = serving(1).run(&requests);
         assert!(matches!(
             report.completions[0].result,
             Err(PlatformError::UnknownFunction(_))
@@ -362,8 +395,6 @@ mod tests {
 
     #[test]
     fn queued_requests_past_their_deadline_are_rejected_without_a_slot() {
-        let mut p = installed_platform();
-        let env = p.env().clone();
         // One slot; the first request occupies it for its whole service
         // time, so the second — deadline 1 ns after arrival — expires in
         // the queue, and the third still runs.
@@ -375,13 +406,7 @@ mod tests {
             ),
             EngineRequest::at(Nanos::ZERO, InvokeRequest::new(fid("f"), args(500))),
         ];
-        let report = run_concurrent(
-            &mut p,
-            &env.clock,
-            &env.obs,
-            &EngineConfig::new(1),
-            &requests,
-        );
+        let report = serving(1).run(&requests);
         assert!(report.completions[0].result.is_ok());
         assert!(matches!(
             report.completions[1].result,

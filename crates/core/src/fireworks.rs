@@ -426,7 +426,7 @@ impl FireworksPlatform {
         })?;
 
         let (restored, restore_retries) = self.restore_recovering(function, name, &mut snapshot);
-        let mut vm = match restored {
+        let vm = match restored {
             Ok(vm) => vm,
             Err(e) => {
                 self.teardown_clone(ns, &topic);
@@ -445,7 +445,6 @@ impl FireworksPlatform {
                 return Err(e);
             }
         };
-        vm.mmds_set(INSTANCE_ID_KEY, &instance);
         Ok(Flight {
             clone: ResidentClone {
                 vm,

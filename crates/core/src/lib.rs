@@ -65,9 +65,7 @@ pub use elastic::{
     ElasticCluster, ElasticConfig, ElasticPolicy, ElasticReport, ElasticStats, HostPhase,
     ARCHIVE_HOST,
 };
-pub use engine::{
-    run_concurrent, CompletionPolicy, EngineCompletion, EngineConfig, EngineReport, EngineRequest,
-};
+pub use engine::{CompletionPolicy, Engine, EngineRequest};
 pub use env::PlatformEnv;
 pub use fireworks::{FireworksPlatform, FunctionHealth, ResidentClone};
 pub use mesh::{ChunkMesh, DonorInfo, SharedChunkMesh};

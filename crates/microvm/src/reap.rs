@@ -15,7 +15,7 @@
 use std::collections::BTreeSet;
 
 use fireworks_guestmem::SnapshotFile;
-use fireworks_obs::{cat, BatchedCounter, Obs};
+use fireworks_obs::{cat, Counter, Obs};
 use fireworks_sim::cost::MemCosts;
 use fireworks_sim::fault::{FaultSite, SharedInjector};
 use fireworks_sim::Clock;
@@ -86,11 +86,10 @@ pub struct ReapSession {
     resident: BTreeSet<usize>,
     major_faults: u64,
     prefetched_pages: u64,
-    /// Write-buffered fault/hit counters: `touch` runs once per guest
-    /// page, so increments batch locally and flush when the session
-    /// drops.
-    fault_ctr: BatchedCounter,
-    hit_ctr: BatchedCounter,
+    /// Fault/hit counters, resolved once: `touch` runs once per guest
+    /// page.
+    fault_ctr: Counter,
+    hit_ctr: Counter,
 }
 
 impl ReapSession {
@@ -159,8 +158,8 @@ impl ReapSession {
             resident,
             major_faults: 0,
             prefetched_pages,
-            fault_ctr: metrics.counter("microvm.reap.major_faults", &[]).batched(),
-            hit_ctr: metrics.counter("microvm.reap.prefetch_hits", &[]).batched(),
+            fault_ctr: metrics.counter("microvm.reap.major_faults", &[]),
+            hit_ctr: metrics.counter("microvm.reap.prefetch_hits", &[]),
         })
     }
 

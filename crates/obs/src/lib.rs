@@ -68,7 +68,7 @@ pub mod span;
 pub use attribution::{
     classify, slo_burn, Attribution, CriticalHop, PhaseClass, RequestTrace, SloReport, TraceForest,
 };
-pub use metrics::{BatchedCounter, Counter, Gauge, HistogramSnapshot, Metrics, MetricsSnapshot};
+pub use metrics::{Counter, Gauge, HistogramSnapshot, Metrics, MetricsSnapshot};
 pub use sketch::LogHistogram;
 pub use span::{
     cat, AttrValue, Breakdown, Event, InstantRecord, Phase, Recorder, RootSpan, SpanContext,

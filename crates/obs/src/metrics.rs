@@ -3,9 +3,8 @@
 //!
 //! Hot paths should resolve a [`Counter`] or [`Gauge`] handle once and
 //! then update through it — a handle update is a single `Cell` store,
-//! with no lookup. Per-event paths (page faults, packets) can go one step
-//! further with [`Counter::batched`], which buffers increments locally
-//! and flushes them to the shared series in one update. The by-name
+//! with no lookup, cheap enough for per-event paths (page faults,
+//! packets). The by-name
 //! [`Metrics::inc`] / [`Metrics::gauge_set`] / [`Metrics::observe`]
 //! entry points find an existing series by looking it up, with no heap
 //! allocation: the name selects a table of label sets kept sorted, which
@@ -194,58 +193,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.cell.get()
-    }
-
-    /// Wraps this handle in a write buffer for per-event hot paths.
-    pub fn batched(&self) -> BatchedCounter {
-        BatchedCounter {
-            shared: self.clone(),
-            pending: Cell::new(0),
-        }
-    }
-}
-
-/// A write-buffered [`Counter`]: increments accumulate in a private
-/// cell and reach the shared series only on [`BatchedCounter::flush`]
-/// (or drop). On paths that increment per page fault or per packet this
-/// turns N shared-registry updates into one, at the cost that snapshots
-/// taken mid-batch miss the unflushed tail — flush before exporting.
-#[derive(Debug)]
-pub struct BatchedCounter {
-    shared: Counter,
-    pending: Cell<u64>,
-}
-
-impl BatchedCounter {
-    /// Buffers an increment of 1.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Buffers an increment of `delta`.
-    #[inline]
-    pub fn add(&self, delta: u64) {
-        self.pending.set(self.pending.get().wrapping_add(delta));
-    }
-
-    /// Increments buffered since the last flush.
-    pub fn pending(&self) -> u64 {
-        self.pending.get()
-    }
-
-    /// Pushes the buffered increments to the shared series.
-    pub fn flush(&self) {
-        let pending = self.pending.replace(0);
-        if pending > 0 {
-            self.shared.add(pending);
-        }
-    }
-}
-
-impl Drop for BatchedCounter {
-    fn drop(&mut self) {
-        self.flush();
     }
 }
 
@@ -571,32 +518,6 @@ mod tests {
         let m2 = m.clone();
         m2.inc("shared", &[]);
         assert_eq!(m.snapshot().counter("shared", &[]), 1);
-    }
-
-    #[test]
-    fn batched_counter_flushes_explicitly_and_on_drop() {
-        let m = Metrics::new();
-        let batched = m.counter("microvm.reap.major_faults", &[]).batched();
-        for _ in 0..5 {
-            batched.inc();
-        }
-        batched.add(3);
-        assert_eq!(batched.pending(), 8);
-        assert_eq!(
-            m.snapshot().counter("microvm.reap.major_faults", &[]),
-            0,
-            "increments stay local until flushed"
-        );
-        batched.flush();
-        assert_eq!(batched.pending(), 0);
-        assert_eq!(m.snapshot().counter("microvm.reap.major_faults", &[]), 8);
-        batched.inc();
-        drop(batched);
-        assert_eq!(
-            m.snapshot().counter("microvm.reap.major_faults", &[]),
-            9,
-            "drop flushes the tail"
-        );
     }
 
     #[test]

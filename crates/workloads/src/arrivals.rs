@@ -1,6 +1,6 @@
 //! Deterministic arrival schedules for the concurrent invocation engine.
 //!
-//! The load experiments drive [`fireworks_core::engine::run_concurrent`]
+//! The load experiments drive a [`fireworks_core::engine::Engine`]
 //! with open-loop request schedules: arrivals land whether or not earlier
 //! requests finished, which is what exposes queueing delay and memory
 //! pressure. Every schedule here is a pure function of its seed, so

@@ -169,19 +169,20 @@ fn a_warm_invoke_stays_within_its_heap_budget() {
     let first = warm_invoke_heap();
     assert_eq!(first, warm_invoke_heap(), "two runs count the same");
     let bound = pin(
-        // Debug, measured: 44 allocations, 5 639 bytes, 1 120 retained
-        // (70, 23 362 and 1 120 while base pages were copied one by one;
-        // 5 640 bytes while the parameter topic was built by `format!`).
+        // Debug, measured: 41 allocations, 5 078 bytes, 1 120 retained
+        // (44 and 5 639 while the instance id was also written into the
+        // microVM's MMDS; 70, 23 362 and 1 120 while base pages were
+        // copied one by one).
         Heap {
-            allocs: 46,
-            bytes: 6_000,
-            retained: 1_200,
+            allocs: 41,
+            bytes: 5_078,
+            retained: 1_120,
         },
-        // Release, measured: the same (before: 70, 23 362, 1 120).
+        // Release, measured: the same (before: 44, 5 639, 1 120).
         Heap {
-            allocs: 46,
-            bytes: 6_000,
-            retained: 1_200,
+            allocs: 41,
+            bytes: 5_078,
+            retained: 1_120,
         },
     );
     assert_within("per warm invoke", first, bound);
@@ -221,19 +222,20 @@ fn a_cluster_request_stays_within_its_heap_budget() {
     let first = cluster_request_heap();
     assert_eq!(first, cluster_request_heap(), "two runs count the same");
     let bound = pin(
-        // Debug, measured: 44 allocations, 7 590 bytes, 1 650 retained
-        // (70, 25 424 and 1 705 while base pages were copied one by one;
-        // 7 592 bytes while the parameter topic was built by `format!`).
+        // Debug, measured: 41 allocations, 7 029 bytes, 1 649 retained
+        // (44, 7 590 and 1 650 while the instance id was also written
+        // into the microVM's MMDS; 70, 25 424 and 1 705 while base pages
+        // were copied one by one).
         Heap {
-            allocs: 46,
-            bytes: 8_000,
-            retained: 1_700,
+            allocs: 41,
+            bytes: 7_029,
+            retained: 1_649,
         },
-        // Release, measured: the same (before: 70, 25 424, 1 705).
+        // Release, measured: the same (before: 44, 7 590, 1 650).
         Heap {
-            allocs: 46,
-            bytes: 8_000,
-            retained: 1_700,
+            allocs: 41,
+            bytes: 7_029,
+            retained: 1_649,
         },
     );
     assert_within("per cluster request", first, bound);

@@ -1,11 +1,12 @@
 //! The three front-ends are one driver: a single host is a one-host
 //! cluster, and a fixed cluster is an elastic cluster that never scales.
-//! One schedule pushed through `run_concurrent`, `Cluster::run` and
+//! One schedule pushed through `Engine::run`, `Cluster::run` and
 //! `ElasticCluster::run` over equally prepared platforms must therefore
 //! serve every request on the same host at the same virtual instants.
 
+use fireworks::core::cluster::ClusterCompletion;
 use fireworks::core::elastic::{ElasticCluster, ElasticConfig, ElasticPolicy};
-use fireworks::core::engine::{run_concurrent, EngineCompletion, EngineConfig, EngineRequest};
+use fireworks::core::engine::{CompletionPolicy, Engine, EngineRequest};
 use fireworks::core::ConcurrentPlatform;
 use fireworks::prelude::*;
 
@@ -52,7 +53,7 @@ fn schedule(deadlines: &[usize]) -> Vec<EngineRequest> {
 /// the request was rejected).
 type Outcome = (Option<HostId>, Nanos, Nanos, Option<Value>);
 
-fn outcomes(completions: &[EngineCompletion]) -> Vec<Outcome> {
+fn outcomes(completions: &[ClusterCompletion]) -> Vec<Outcome> {
     completions
         .iter()
         .map(|c| {
@@ -69,14 +70,8 @@ fn through_engine(slots: usize, requests: &[EngineRequest]) -> Vec<Outcome> {
     }
     let env = p.env().clone();
     assert!(env.clock.now() <= START);
-    let report = run_concurrent(
-        &mut p,
-        &env.clock,
-        &env.obs,
-        &EngineConfig::new(slots),
-        requests,
-    );
-    outcomes(&report.completions)
+    let mut engine = Engine::new(p, &env.clock, &env.obs, slots, CompletionPolicy::Release);
+    outcomes(&engine.run(requests).completions)
 }
 
 /// Installs every function on host 0 and registers it elsewhere — what

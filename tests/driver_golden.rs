@@ -1,5 +1,5 @@
 //! Golden lock on the event-loop driver: one small scenario per entry
-//! point (`run_concurrent`, `Cluster::run`, `ElasticCluster::run`), each
+//! point (`Engine::run`, `Cluster::run`, `ElasticCluster::run`), each
 //! dumping every completion, every report counter, the metrics snapshot
 //! and the recorder's JSONL export, compared byte-for-byte with
 //! `tests/golden/driver/*.txt`.
@@ -13,7 +13,7 @@
 use std::fmt::Write as _;
 
 use fireworks::core::elastic::{ElasticCluster, ElasticConfig, ElasticPolicy, ElasticReport};
-use fireworks::core::engine::{run_concurrent, EngineConfig, EngineReport, EngineRequest};
+use fireworks::core::engine::{CompletionPolicy, Engine, EngineRequest};
 use fireworks::core::SnapshotStorePolicy;
 use fireworks::obs::export;
 use fireworks::prelude::*;
@@ -118,7 +118,7 @@ fn dump_obs(out: &mut String, obs: &Obs) {
     writeln!(out, "== jsonl\n{}", export::jsonl(obs.recorder())).expect("write");
 }
 
-fn dump_engine<T>(report: &EngineReport<T>, obs: &Obs) -> String {
+fn dump_engine<T>(report: &ClusterReport<T>, engine: &Engine<FireworksPlatform>) -> String {
     let mut out = String::from("== completions\n");
     for c in &report.completions {
         dump_completion(
@@ -134,66 +134,57 @@ fn dump_engine<T>(report: &EngineReport<T>, obs: &Obs) -> String {
         "== report\nretained={} peak_inflight={} peak_queue_depth={} peak_live_pss_bytes={} events_processed={}",
         report.retained.len(),
         report.peak_inflight,
-        report.peak_queue_depth,
-        report.peak_live_pss_bytes,
-        report.events_processed,
+        report.peak_host_queue_depth,
+        engine.peak_live_pss_bytes(),
+        engine.events_processed(),
     )
     .expect("write");
-    dump_obs(&mut out, obs);
+    dump_obs(&mut out, engine.obs());
     out
 }
 
-fn engine_platform(plan: FaultPlan) -> FireworksPlatform {
+fn engine(
+    plan: FaultPlan,
+    slots: usize,
+    completion: CompletionPolicy,
+) -> Engine<FireworksPlatform> {
     let mut p = FireworksPlatform::new(PlatformEnv::with_fault_plan(plan));
     p.install(&spec("f")).expect("installs");
     p.install(&spec("g")).expect("installs");
-    p
+    let env = p.env().clone();
+    Engine::new(p, &env.clock, &env.obs, slots, completion)
 }
 
 #[test]
 fn engine_release_under_a_fault_plan() {
-    let mut p = engine_platform(FaultPlan::uniform(7, 0.05));
-    let env = p.env().clone();
+    let mut engine = engine(FaultPlan::uniform(7, 0.05), 2, CompletionPolicy::Release);
     let requests = schedule(
         &["f", "g"],
         30,
-        env.clock.now(),
+        engine.clock().now(),
         Nanos::from_micros(400),
         5,
         Nanos::from_millis(2),
     );
-    let report = run_concurrent(
-        &mut p,
-        &env.clock,
-        &env.obs,
-        &EngineConfig::new(2),
-        &requests,
-    );
-    check("engine_release_faulted", &dump_engine(&report, &env.obs));
+    let report = engine.run(&requests);
+    check("engine_release_faulted", &dump_engine(&report, &engine));
 }
 
 #[test]
 fn engine_retain_keeps_every_clone() {
-    let mut p = engine_platform(FaultPlan::default());
-    let env = p.env().clone();
+    let mut engine = engine(FaultPlan::default(), 3, CompletionPolicy::Retain);
     let requests = schedule(
         &["f", "g"],
         12,
-        env.clock.now(),
+        engine.clock().now(),
         Nanos::from_micros(250),
         0,
         Nanos::ZERO,
     );
-    let report = run_concurrent(
-        &mut p,
-        &env.clock,
-        &env.obs,
-        &EngineConfig::new(3).retain_completed(),
-        &requests,
-    );
-    let dump = dump_engine(&report, &env.obs);
-    for clone in report.retained {
-        p.release_clone(clone);
+    let report = engine.run(&requests);
+    let dump = dump_engine(&report, &engine);
+    for (_, clone) in report.retained {
+        engine.platform_mut().release_clone(clone);
     }
     check("engine_retain", &dump);
 }
