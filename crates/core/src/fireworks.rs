@@ -3,16 +3,17 @@
 //! stages — `admit`, `start`, `page_in`, `run`, `settle` — each a private
 //! function recording its own spans under the `invoke` root.
 
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::rc::Rc;
 
 use fireworks_annotator::{FIREWORKS_MAIN, INSTANCE_ID_KEY, TOPIC_PREFIX};
 use fireworks_lang::{JitConfig, JitPolicy, Program, Value};
 use fireworks_microvm::{
-    MicroVm, MicroVmConfig, ReapMode, ReapSession, VmError, VmFullSnapshot, VmManager, WorkingSet,
+    MicroVm, MicroVmConfig, ReapMetrics, ReapMode, ReapSession, VmError, VmFullSnapshot, VmManager,
+    WorkingSet,
 };
 use fireworks_netsim::{Ip, Mac, NsId};
-use fireworks_obs::{cat, Phase, RootSpan};
+use fireworks_obs::{cat, Counter, Gauge, Histogram, Metrics, Phase, RootSpan};
 use fireworks_runtime::guest::{InvokeResult, RunOutcome};
 use fireworks_runtime::RuntimeProfile;
 use fireworks_sandbox::{IoPath, IoPathKind, IsolationLevel};
@@ -73,6 +74,83 @@ struct FunctionEntry {
     /// Breaker state and reliability counters; `rebuilds` is also the
     /// security audit's refresh count.
     health: FunctionHealth,
+    /// The function's per-invocation metric handles.
+    metrics: FunctionMetrics,
+}
+
+/// One function's per-invocation metric series, `{function=<name>}`,
+/// as handles. Each group is resolved where an invocation first writes
+/// every member, so a series still enters a snapshot only once written:
+/// a function whose first restore fails exports its attempt and failure
+/// counts and nothing of `settle`'s. Rare events (failures, retries,
+/// quarantines, refresh failures) stay by-name updates.
+#[derive(Default)]
+struct FunctionMetrics {
+    /// `core.invoke.attempts`.
+    attempts: OnceCell<Counter>,
+    /// What every successful invocation's `settle` writes.
+    settle: OnceCell<SettleMetrics>,
+    /// The guest runtime's gauges, which `settle` writes only for a clone
+    /// with a runtime.
+    runtime: OnceCell<RuntimeGauges>,
+}
+
+impl FunctionMetrics {
+    fn attempts(&self, m: &Metrics, name: &str) -> &Counter {
+        self.attempts
+            .get_or_init(|| m.counter("core.invoke.attempts", &[("function", name)]))
+    }
+
+    fn settle(&self, m: &Metrics, name: &str) -> &SettleMetrics {
+        self.settle.get_or_init(|| {
+            let labels: &[(&'static str, &str)] = &[("function", name)];
+            SettleMetrics {
+                pss_bytes: m.gauge("guestmem.clone.pss_bytes", labels),
+                rss_bytes: m.gauge("guestmem.clone.rss_bytes", labels),
+                shared_pages: m.gauge("guestmem.clone.shared_pages", labels),
+                private_pages: m.gauge("guestmem.clone.private_pages", labels),
+                latency_ns: m.histogram("core.invoke.latency_ns", labels),
+                ic_hits: m.counter("vm.ic.hits", labels),
+                ic_misses: m.counter("vm.ic.misses", labels),
+                deopts: m.counter("vm.jit.deopts", labels),
+                code_evictions: m.counter("vm.code_cache.evictions", labels),
+            }
+        })
+    }
+
+    fn runtime(&self, m: &Metrics, name: &str) -> &RuntimeGauges {
+        self.runtime.get_or_init(|| {
+            let labels: &[(&'static str, &str)] = &[("function", name)];
+            RuntimeGauges {
+                code_cache_used_bytes: m.gauge("vm.code_cache.used_bytes", labels),
+                ic_sites: m.gauge("vm.ic.sites", labels),
+                megamorphic_sites: m.gauge("vm.ic.megamorphic_sites", labels),
+            }
+        })
+    }
+}
+
+/// The series `settle` writes for every successful invocation: the
+/// clone's memory after its CoW faults, the invocation's latency, and
+/// its guest-JIT traffic.
+#[derive(Clone)]
+struct SettleMetrics {
+    pss_bytes: Gauge,
+    rss_bytes: Gauge,
+    shared_pages: Gauge,
+    private_pages: Gauge,
+    latency_ns: Histogram,
+    ic_hits: Counter,
+    ic_misses: Counter,
+    deopts: Counter,
+    code_evictions: Counter,
+}
+
+/// The guest runtime's code-cache and inline-cache gauges.
+struct RuntimeGauges {
+    code_cache_used_bytes: Gauge,
+    ic_sites: Gauge,
+    megamorphic_sites: Gauge,
 }
 
 impl FunctionEntry {
@@ -93,6 +171,7 @@ impl FunctionEntry {
             refresh_time: Nanos::ZERO,
             working_set: None,
             health: FunctionHealth::default(),
+            metrics: FunctionMetrics::default(),
         })
     }
 }
@@ -159,6 +238,9 @@ pub struct FireworksPlatform {
     security: SecurityPolicy,
     paging: PagingPolicy,
     recovery: RecoveryPolicy,
+    /// What every REAP session of this host records to, resolved at the
+    /// first page-in ([`PagingPolicy::ColdStorage`] only).
+    reap_metrics: OnceCell<ReapMetrics>,
 }
 
 impl FireworksPlatform {
@@ -186,6 +268,7 @@ impl FireworksPlatform {
             security: config.security,
             paging: config.paging,
             recovery: RecoveryPolicy::default(),
+            reap_metrics: OnceCell::new(),
         }
     }
 
@@ -331,8 +414,9 @@ impl FireworksPlatform {
         let obs = self.env.obs.clone();
         let root = obs.recorder().root("invoke", cat::INVOKE, trace_ctx);
         obs.recorder().attr_str(root.id(), "function", &name);
-        obs.metrics()
-            .inc("core.invoke.attempts", &[("function", &name)]);
+        if let Some(entry) = self.registry.get(function) {
+            entry.metrics.attempts(obs.metrics(), &name).inc();
+        }
 
         let mut flight = self.start(function, &name, args)?;
         if let PagingPolicy::ColdStorage { reap } = self.paging {
@@ -544,9 +628,11 @@ impl FireworksPlatform {
         };
         let ws = known_working_set.unwrap_or_default();
         flight.recorded_ws = rec.scope_phase("paging", cat::PREFETCH, Phase::Exec, || {
+            let metrics = self.reap_metrics.get_or_init(|| ReapMetrics::new(obs));
             let start = |mode, ws| {
                 let (costs, injector) = (&self.env.costs.mem, &self.env.injector);
-                ReapSession::start(clock, mode, costs, ws, injector, flight.snapshot.mem(), obs)
+                let snapshot = flight.snapshot.mem();
+                ReapSession::start(clock, mode, costs, ws, injector, snapshot, metrics)
             };
             let mut session = start(mode, ws.clone()).unwrap_or_else(|_| {
                 // Prefetch failed (read fault or corrupt working-set
@@ -634,7 +720,9 @@ impl FireworksPlatform {
         let obs = self.env.obs.clone();
         let rec = obs.recorder();
         let m = obs.metrics();
-        let labels: &[(&'static str, &str)] = &[("function", name)];
+        let unknown = || PlatformError::UnknownFunction(name.to_string());
+        let entry = self.registry.get(function).ok_or_else(unknown)?;
+        let handles = entry.metrics.settle(m, name).clone();
         let mut clone = flight.clone;
 
         rec.scope_phase("page_faults", cat::MEM, Phase::Exec, || {
@@ -648,28 +736,13 @@ impl FireworksPlatform {
         // PSS and the sharing split; RSS is a maintained counter.
         rec.scope("pss_recompute", cat::MEM, || {
             let sharing = clone.vm.sharing_stats();
-            m.gauge_set("guestmem.clone.pss_bytes", labels, sharing.pss_bytes as i64);
-            m.gauge_set(
-                "guestmem.clone.rss_bytes",
-                labels,
-                clone.vm.rss_bytes() as i64,
-            );
-            m.gauge_set(
-                "guestmem.clone.shared_pages",
-                labels,
-                sharing.shared_pages as i64,
-            );
-            m.gauge_set(
-                "guestmem.clone.private_pages",
-                labels,
-                sharing.private_pages as i64,
-            );
+            handles.pss_bytes.set(sharing.pss_bytes as i64);
+            handles.rss_bytes.set(clone.vm.rss_bytes() as i64);
+            handles.shared_pages.set(sharing.shared_pages as i64);
+            handles.private_pages.set(sharing.private_pages as i64);
         });
 
-        let entry = self
-            .registry
-            .get_mut(function)
-            .ok_or_else(|| PlatformError::UnknownFunction(name.to_string()))?;
+        let entry = self.registry.get_mut(function).ok_or_else(unknown)?;
         entry.clones_since_snapshot += 1;
         if let Some(ws) = flight.recorded_ws {
             entry.working_set = Some(ws);
@@ -686,29 +759,27 @@ impl FireworksPlatform {
         // root, so recovery is auditable alongside the latency spans.
         self.env.flush_faults();
         let invocation = Invocation::from_run(root, result, host, StartKind::SnapshotRestore);
-        m.observe(
-            "core.invoke.latency_ns",
-            labels,
-            (self.env.clock.now() - flight.started_at).as_nanos(),
-        );
+        handles
+            .latency_ns
+            .observe((self.env.clock.now() - flight.started_at).as_nanos());
         // Guest-JIT health for this invocation: inline-cache hit/miss
         // traffic, deopts, and code-cache evictions. Restore-side deopt
         // storms (snapshot taken before IC warm-up, or shape drift in
         // live traffic) surface here.
         let stats = &invocation.stats;
-        m.add("vm.ic.hits", labels, stats.ic_hits);
-        m.add("vm.ic.misses", labels, stats.ic_misses);
-        m.add("vm.jit.deopts", labels, stats.deopts);
-        m.add("vm.code_cache.evictions", labels, stats.code_evictions);
-        if let Some(rt) = clone.vm.runtime() {
-            m.gauge_set(
-                "vm.code_cache.used_bytes",
-                labels,
-                rt.vm().code_cache_used_bytes() as i64,
-            );
-            let ic = rt.vm().ic_summary();
-            m.gauge_set("vm.ic.sites", labels, ic.sites as i64);
-            m.gauge_set("vm.ic.megamorphic_sites", labels, ic.mega as i64);
+        handles.ic_hits.add(stats.ic_hits);
+        handles.ic_misses.add(stats.ic_misses);
+        handles.deopts.add(stats.deopts);
+        handles.code_evictions.add(stats.code_evictions);
+        if let (Some(rt), Some(entry)) = (clone.vm.runtime(), self.registry.get(function)) {
+            let gauges = entry.metrics.runtime(m, name);
+            let vm = rt.vm();
+            gauges
+                .code_cache_used_bytes
+                .set(vm.code_cache_used_bytes() as i64);
+            let ic = vm.ic_summary();
+            gauges.ic_sites.set(ic.sites as i64);
+            gauges.megamorphic_sites.set(ic.mega as i64);
         }
 
         // Security maintenance off the invocation path (paper §6): a
@@ -716,7 +787,7 @@ impl FireworksPlatform {
         // old snapshot keeps serving and, `clones_since_snapshot` being
         // untouched, the next invocation retries the refresh.
         if needs_refresh && self.refresh_snapshot(function).is_err() {
-            m.inc("core.security.refresh_failures", labels);
+            m.inc("core.security.refresh_failures", &[("function", name)]);
             rec.instant(format!("refresh_failed:{name}"), cat::SNAPSHOT);
             self.env.flush_faults();
         }
@@ -1363,6 +1434,41 @@ mod tests {
             ),
             "the manager's restore span nests under the invocation"
         );
+    }
+
+    #[test]
+    fn settle_series_exist_only_once_an_invocation_settles() {
+        use fireworks_sim::fault::{FaultPlan, FaultSite};
+        // Every restore attempt of the first invocation fails.
+        let attempts = RecoveryPolicy::default().max_attempts;
+        let plan = (1..=u64::from(attempts)).fold(FaultPlan::new(7), |plan, n| {
+            plan.nth(FaultSite::SnapshotRead, n)
+        });
+        let mut p = FireworksPlatform::new(PlatformEnv::with_fault_plan(plan));
+        p.install(&spec("fact")).expect("installs");
+        let fact: &[(&'static str, &str)] = &[("function", "fact")];
+        let settled = |p: &FireworksPlatform| {
+            let snap = p.env().obs.metrics().snapshot();
+            [
+                snap.gauge("guestmem.clone.pss_bytes", fact).is_some(),
+                snap.histogram("core.invoke.latency_ns", fact).is_some(),
+                snap.gauge("vm.ic.sites", fact).is_some(),
+            ]
+        };
+
+        p.invoke(&req("fact", 360))
+            .expect_err("every restore fails");
+        let snap = p.env().obs.metrics().snapshot();
+        assert_eq!(snap.counter("core.invoke.attempts", fact), 1);
+        assert_eq!(snap.counter("core.invoke.failures", fact), 1);
+        assert_eq!(settled(&p), [false; 3], "nothing of settle's is written");
+
+        p.invoke(&req("fact", 360))
+            .expect("the next restore succeeds");
+        assert_eq!(settled(&p), [true; 3]);
+        let snap = p.env().obs.metrics().snapshot();
+        assert_eq!(snap.counter("core.invoke.attempts", fact), 2);
+        assert_eq!(snap.counter("core.invoke.failures", fact), 1);
     }
 
     #[test]

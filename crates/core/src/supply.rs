@@ -15,13 +15,13 @@
 //! manifest, freeing only the chunks no other cached snapshot still
 //! references.
 
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::rc::Rc;
 
 use fireworks_guestmem::{ChunkRef, SnapshotFile, SnapshotManifest};
 use fireworks_microvm::{SnapshotTemplate, VmFullSnapshot};
 use fireworks_netsim::Ip;
-use fireworks_obs::{cat, Obs, Phase};
+use fireworks_obs::{cat, Counter, Obs, Phase};
 use fireworks_sim::fault::FaultSite;
 use fireworks_sim::Nanos;
 use fireworks_store::{ChunkStore, ChunkStoreStats};
@@ -60,6 +60,10 @@ pub(crate) struct SnapshotSupply {
     entries: IdMap<Entry>,
     evictions: u64,
     obs: Obs,
+    /// `core.cache.hits` and `core.cache.misses`, each resolved at its
+    /// first write: every invocation looks its snapshot up.
+    hits: OnceCell<Counter>,
+    misses: OnceCell<Counter>,
     /// `None` under [`SnapshotStorePolicy::Flat`].
     dedup: Option<Dedup>,
 }
@@ -91,6 +95,8 @@ impl SnapshotSupply {
             entries: IdMap::new(),
             evictions: 0,
             obs: env.obs.clone(),
+            hits: OnceCell::new(),
+            misses: OnceCell::new(),
             dedup,
         }
     }
@@ -228,11 +234,13 @@ impl SnapshotSupply {
             e.last_used = tick;
             e.snapshot.clone()
         });
-        self.count(if hit.is_some() {
-            "core.cache.hits"
-        } else {
-            "core.cache.misses"
-        });
+        let (counter, name) = match hit {
+            Some(_) => (&self.hits, "core.cache.hits"),
+            None => (&self.misses, "core.cache.misses"),
+        };
+        counter
+            .get_or_init(|| self.obs.metrics().counter(name, &[]))
+            .inc();
         hit
     }
 

@@ -27,5 +27,5 @@ pub mod vm;
 
 pub use error::VmError;
 pub use manager::VmManager;
-pub use reap::{ReapMode, ReapSession, WorkingSet};
+pub use reap::{ReapMetrics, ReapMode, ReapSession, WorkingSet};
 pub use vm::{MicroVm, MicroVmConfig, SnapshotTemplate, VmFullSnapshot, VmState};

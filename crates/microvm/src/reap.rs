@@ -12,6 +12,7 @@
 //! pages with one sequential read — turning many random major faults into
 //! one bulk prefetch.
 
+use std::cell::OnceCell;
 use std::collections::BTreeSet;
 
 use fireworks_guestmem::SnapshotFile;
@@ -76,6 +77,35 @@ impl WorkingSet {
     }
 }
 
+/// The observability plane [`ReapSession`]s record to, with the series
+/// every session updates resolved once: a host keeps one and hands it to
+/// each session, which then looks no name up.
+///
+/// Creating it resolves (creates) `microvm.reap.major_faults` and
+/// `microvm.reap.prefetch_hits`, as a session's start does; make it where
+/// the first session starts. `microvm.reap.prefetched_pages` is resolved
+/// at the first successful prefetch, its first write.
+#[derive(Debug, Clone)]
+pub struct ReapMetrics {
+    obs: Obs,
+    major_faults: Counter,
+    prefetch_hits: Counter,
+    prefetched_pages: OnceCell<Counter>,
+}
+
+impl ReapMetrics {
+    /// Resolves the per-session counters of `obs`.
+    pub fn new(obs: &Obs) -> Self {
+        let metrics = obs.metrics();
+        ReapMetrics {
+            obs: obs.clone(),
+            major_faults: metrics.counter("microvm.reap.major_faults", &[]),
+            prefetch_hits: metrics.counter("microvm.reap.prefetch_hits", &[]),
+            prefetched_pages: OnceCell::new(),
+        }
+    }
+}
+
 /// Tracks paging state of one restored VM whose snapshot lives in cold
 /// storage, charging faults or prefetches on the clock.
 #[derive(Debug)]
@@ -86,8 +116,8 @@ pub struct ReapSession {
     resident: BTreeSet<usize>,
     major_faults: u64,
     prefetched_pages: u64,
-    /// Fault/hit counters, resolved once: `touch` runs once per guest
-    /// page.
+    /// Fault/hit counters, shared with the host's [`ReapMetrics`]:
+    /// `touch` runs once per guest page.
     fault_ctr: Counter,
     hit_ctr: Counter,
 }
@@ -105,7 +135,7 @@ impl ReapSession {
     /// On failure the fixed prefetch-issue cost has already been charged;
     /// the per-page read cost is only charged when the read succeeds.
     ///
-    /// `obs` records the prefetch bulk read as a span (category
+    /// `metrics` records the prefetch bulk read as a span (category
     /// `prefetch`) plus prefetch/fault counters:
     /// `microvm.reap.prefetched_pages`, `microvm.reap.prefetch_hits`,
     /// `microvm.reap.major_faults`, and `microvm.reap.prefetch_failures`.
@@ -116,8 +146,9 @@ impl ReapSession {
         working_set: WorkingSet,
         injector: &SharedInjector,
         snapshot: &SnapshotFile,
-        obs: &Obs,
+        metrics: &ReapMetrics,
     ) -> Result<Self, VmError> {
+        let obs = &metrics.obs;
         let mut resident = BTreeSet::new();
         let mut prefetched_pages = 0;
         if mode == ReapMode::Prefetch && !working_set.is_empty() {
@@ -146,11 +177,12 @@ impl ReapSession {
             }
             resident.extend(working_set.pages.iter().copied());
             prefetched_pages = working_set.len() as u64;
-            obs.metrics()
-                .add("microvm.reap.prefetched_pages", &[], prefetched_pages);
+            metrics
+                .prefetched_pages
+                .get_or_init(|| obs.metrics().counter("microvm.reap.prefetched_pages", &[]))
+                .add(prefetched_pages);
             end_span(false);
         }
-        let metrics = obs.metrics();
         Ok(ReapSession {
             mode,
             costs: costs.clone(),
@@ -158,8 +190,8 @@ impl ReapSession {
             resident,
             major_faults: 0,
             prefetched_pages,
-            fault_ctr: metrics.counter("microvm.reap.major_faults", &[]),
-            hit_ctr: metrics.counter("microvm.reap.prefetch_hits", &[]),
+            fault_ctr: metrics.major_faults.clone(),
+            hit_ctr: metrics.prefetch_hits.clone(),
         })
     }
 
@@ -226,9 +258,9 @@ mod tests {
         injector: &SharedInjector,
         snapshot: &SnapshotFile,
     ) -> Result<ReapSession, VmError> {
-        let obs = Obs::new(clock.clone());
+        let metrics = ReapMetrics::new(&Obs::new(clock.clone()));
         let costs = MemCosts::default();
-        ReapSession::start(clock, mode, &costs, ws, injector, snapshot, &obs)
+        ReapSession::start(clock, mode, &costs, ws, injector, snapshot, &metrics)
     }
 
     /// Starts a session with nothing that fails: no armed fault, an

@@ -22,6 +22,9 @@
 //!   fixed-bucket histograms keyed by `&'static str` names plus label
 //!   pairs, with a [`Metrics::snapshot`] for tests and benches. Names
 //!   follow the `layer.component.event` convention (see DESIGN.md).
+//!   Per-invocation series are updated through [`Counter`], [`Gauge`]
+//!   and [`Histogram`] handles resolved at their first write; by-name
+//!   updates are for rare events.
 //! - [`export`] — a JSONL event log and a Chrome trace-event file
 //!   (loadable in `chrome://tracing` or Perfetto), both keyed to virtual
 //!   nanoseconds and byte-for-byte deterministic for a given schedule.
@@ -51,8 +54,14 @@
 //! assert_eq!(invoke.close().startup, Nanos::from_millis(125));
 //! assert_eq!(rec.total_under(id, "kernel_boot"), Nanos::from_millis(125));
 //!
-//! obs.metrics().inc("microvm.manager.boots", &[]);
-//! assert_eq!(obs.metrics().snapshot().counter("microvm.manager.boots", &[]), 1);
+//! // A per-invocation series: resolve its handle once, update through it.
+//! let attempts = obs.metrics().counter("core.invoke.attempts", &[("function", "fact")]);
+//! attempts.inc();
+//! // A rare event: by name.
+//! obs.metrics().inc("core.invoke.failures", &[("function", "fact")]);
+//! let snap = obs.metrics().snapshot();
+//! assert_eq!(snap.counter("core.invoke.attempts", &[("function", "fact")]), 1);
+//! assert_eq!(snap.counter("core.invoke.failures", &[("function", "fact")]), 1);
 //! ```
 
 #![warn(missing_docs)]
@@ -68,7 +77,7 @@ pub mod span;
 pub use attribution::{
     classify, slo_burn, Attribution, CriticalHop, PhaseClass, RequestTrace, SloReport, TraceForest,
 };
-pub use metrics::{Counter, Gauge, HistogramSnapshot, Metrics, MetricsSnapshot};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot};
 pub use sketch::LogHistogram;
 pub use span::{
     cat, AttrValue, Breakdown, Event, InstantRecord, Phase, Recorder, RootSpan, SpanContext,

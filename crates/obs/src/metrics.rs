@@ -1,15 +1,27 @@
 //! Deterministic metrics registry: counters, gauges, and fixed-bucket
 //! histograms keyed by `&'static str` names plus label pairs.
 //!
-//! Hot paths should resolve a [`Counter`] or [`Gauge`] handle once and
-//! then update through it — a handle update is a single `Cell` store,
-//! with no lookup, cheap enough for per-event paths (page faults,
-//! packets). The by-name
-//! [`Metrics::inc`] / [`Metrics::gauge_set`] / [`Metrics::observe`]
-//! entry points find an existing series by looking it up, with no heap
-//! allocation: the name selects a table of label sets kept sorted, which
-//! is binary-searched with the caller's labels sorted on the stack. Only
-//! the first update of a series allocates its key.
+//! Two ways in, for two kinds of event:
+//!
+//! - **Per-invocation series go through handles.** [`Metrics::counter`],
+//!   [`Metrics::gauge`] and [`Metrics::histogram`] resolve a series once
+//!   and return a [`Counter`], [`Gauge`] or [`Histogram`] that shares it;
+//!   an update through a handle is a `Cell` store (a histogram's, one
+//!   bucket search), with no name or label lookup. Resolving creates the
+//!   series, and a series appears in a [`Metrics::snapshot`] once it
+//!   exists, so a caller resolves a group of handles where it first
+//!   writes every member — typically into a `OnceCell` filled on first
+//!   use — not ahead of time.
+//! - **Rare events go by name.** [`Metrics::inc`], [`Metrics::add`],
+//!   [`Metrics::gauge_set`] and [`Metrics::observe`] resolve the series
+//!   on every call: the name selects a table of label sets kept sorted,
+//!   binary-searched with the caller's labels sorted on the stack. That
+//!   allocates nothing once the series exists (only its first update
+//!   allocates the key), but it is a lookup per update, so it belongs on
+//!   failures, retries and other events an invocation does not repeat.
+//!
+//! [`Metrics::lookups`] counts the by-name resolutions, so a test can pin
+//! that a path does none.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
@@ -66,14 +78,17 @@ fn cmp_labels(have: &Labels, want: &[(&'static str, &str)]) -> Ordering {
         .cmp(want.iter().copied())
 }
 
-/// The series `name{labels}` of `map`, created with `make` if absent.
-/// Finding an existing series allocates nothing.
+/// The series `name{labels}` of `map`, created with `make` if absent,
+/// counting the resolution in `lookups`. Finding an existing series
+/// allocates nothing.
 fn series<'m, T>(
     map: &'m mut BTreeMap<&'static str, Family<T>>,
+    lookups: &Cell<u64>,
     name: &'static str,
     labels: &[(&'static str, &str)],
     make: impl FnOnce() -> T,
 ) -> &'m mut T {
+    lookups.set(lookups.get() + 1);
     let family = map.entry(name).or_default();
     let i = with_sorted(labels, |sorted| {
         family
@@ -88,18 +103,23 @@ fn series<'m, T>(
 }
 
 /// Rendered form: `name` or `name{k=v,k2=v2}` with the labels in the
-/// order given (sorted, for every caller).
+/// order given (sorted, for every caller), built in one allocation: a
+/// snapshot renders every series.
 fn render<V: AsRef<str>>(name: &'static str, labels: &[(&'static str, V)]) -> String {
     if labels.is_empty() {
         return name.to_string();
     }
-    let mut out = String::from(name);
-    out.push('{');
+    let len: usize = labels
+        .iter()
+        .map(|(k, v)| k.len() + v.as_ref().len() + 2)
+        .sum();
+    let mut out = String::with_capacity(name.len() + len + 1);
+    out.push_str(name);
     for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{k}={}", v.as_ref());
+        out.push(if i == 0 { '{' } else { ',' });
+        out.push_str(k);
+        out.push('=');
+        out.push_str(v.as_ref());
     }
     out.push('}');
     out
@@ -126,7 +146,7 @@ fn rendered<T, V>(
 }
 
 #[derive(Debug, Clone)]
-struct Histogram {
+struct Buckets {
     bounds: Vec<u64>,
     /// One count per bound, plus a trailing overflow bucket.
     counts: Vec<u64>,
@@ -134,10 +154,10 @@ struct Histogram {
     sum: u128,
 }
 
-impl Histogram {
+impl Buckets {
     fn new(bounds: Vec<u64>) -> Self {
         let counts = vec![0; bounds.len() + 1];
-        Histogram {
+        Buckets {
             bounds,
             counts,
             count: 0,
@@ -161,10 +181,12 @@ impl Histogram {
 struct MetricsInner {
     counters: BTreeMap<&'static str, Family<Rc<Cell<u64>>>>,
     gauges: BTreeMap<&'static str, Family<Rc<Cell<i64>>>>,
-    histograms: BTreeMap<&'static str, Family<Histogram>>,
+    histograms: BTreeMap<&'static str, Family<Rc<RefCell<Buckets>>>>,
     /// Registered bucket bounds by metric name; unregistered names fall
     /// back to [`DEFAULT_BOUNDS`].
     bounds: BTreeMap<&'static str, Vec<u64>>,
+    /// By-name resolutions so far (see [`Metrics::lookups`]).
+    lookups: Cell<u64>,
 }
 
 /// A pre-resolved counter series: updates are a single `Cell` store.
@@ -215,6 +237,24 @@ impl Gauge {
     }
 }
 
+/// A pre-resolved histogram series: an update finds its bucket and
+/// bumps it, with no name or label lookup.
+///
+/// Obtained from [`Metrics::histogram`]; clones share the series.
+#[derive(Debug, Clone)]
+pub struct Histogram {
+    buckets: Rc<RefCell<Buckets>>,
+}
+
+impl Histogram {
+    /// Records one observation: it lands in the first bucket whose upper
+    /// bound is `>= value`, else overflow.
+    #[inline]
+    pub fn observe(&self, value: u64) {
+        self.buckets.borrow_mut().observe(value);
+    }
+}
+
 /// A registry of counters, gauges, and fixed-bucket histograms.
 ///
 /// Handles are cheap clones sharing one interior-mutable store, like
@@ -246,9 +286,17 @@ impl Metrics {
     /// series. Resolve once, then update through the handle on hot
     /// paths.
     pub fn counter(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Counter {
-        let mut inner = self.inner.borrow_mut();
-        let cell = Rc::clone(series(&mut inner.counters, name, labels, Rc::default));
-        Counter { cell }
+        let inner = &mut *self.inner.borrow_mut();
+        let cell = series(
+            &mut inner.counters,
+            &inner.lookups,
+            name,
+            labels,
+            Rc::default,
+        );
+        Counter {
+            cell: Rc::clone(cell),
+        }
     }
 
     /// Sets a gauge to `value` (last write wins).
@@ -259,42 +307,63 @@ impl Metrics {
     /// Resolves (creating if absent, initialized to 0) a [`Gauge`]
     /// handle for the series.
     pub fn gauge(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Gauge {
-        let mut inner = self.inner.borrow_mut();
-        let cell = Rc::clone(series(&mut inner.gauges, name, labels, Rc::default));
-        Gauge { cell }
+        let inner = &mut *self.inner.borrow_mut();
+        let cell = series(&mut inner.gauges, &inner.lookups, name, labels, Rc::default);
+        Gauge {
+            cell: Rc::clone(cell),
+        }
     }
 
     /// Registers custom bucket bounds for histogram `name` and creates
     /// the unlabeled series empty, so a registered histogram exports
     /// (with zero samples) even if nothing is ever observed. Must be
-    /// called before the first [`Metrics::observe`] of that name;
-    /// existing series keep the bounds they were created with.
+    /// called before the first [`Metrics::observe`] or
+    /// [`Metrics::histogram`] of that name; existing series keep the
+    /// bounds they were created with.
     pub fn register_histogram(&self, name: &'static str, bounds: &[u64]) {
         let mut sorted = bounds.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        let mut inner = self.inner.borrow_mut();
-        series(&mut inner.histograms, name, &[], || {
-            Histogram::new(sorted.clone())
+        let inner = &mut *self.inner.borrow_mut();
+        series(&mut inner.histograms, &inner.lookups, name, &[], || {
+            Rc::new(RefCell::new(Buckets::new(sorted.clone())))
         });
         inner.bounds.insert(name, sorted);
+    }
+
+    /// Resolves (creating if absent, empty, with the bounds registered
+    /// for `name` or else [`DEFAULT_BOUNDS`]) a [`Histogram`] handle for
+    /// the series.
+    pub fn histogram(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Histogram {
+        let inner = &mut *self.inner.borrow_mut();
+        let MetricsInner {
+            histograms,
+            bounds,
+            lookups,
+            ..
+        } = inner;
+        let buckets = series(histograms, lookups, name, labels, || {
+            let bounds = bounds
+                .get(name)
+                .map_or_else(|| DEFAULT_BOUNDS.to_vec(), Vec::clone);
+            Rc::new(RefCell::new(Buckets::new(bounds)))
+        });
+        Histogram {
+            buckets: Rc::clone(buckets),
+        }
     }
 
     /// Records one observation into histogram `name`. The value lands in
     /// the first bucket whose upper bound is `>= value`, else overflow.
     pub fn observe(&self, name: &'static str, labels: &[(&'static str, &str)], value: u64) {
-        let mut inner = self.inner.borrow_mut();
-        let MetricsInner {
-            histograms, bounds, ..
-        } = &mut *inner;
-        series(histograms, name, labels, || {
-            Histogram::new(
-                bounds
-                    .get(name)
-                    .map_or_else(|| DEFAULT_BOUNDS.to_vec(), Vec::clone),
-            )
-        })
-        .observe(value);
+        self.histogram(name, labels).observe(value);
+    }
+
+    /// How many times a series has been looked up by name and labels so
+    /// far: every by-name update and every handle resolution counts one.
+    /// Updates through a handle count none.
+    pub fn lookups(&self) -> u64 {
+        self.inner.borrow().lookups.get()
     }
 
     /// A point-in-time copy of every series, for assertions and export.
@@ -303,11 +372,14 @@ impl Metrics {
         MetricsSnapshot {
             counters: rendered(&inner.counters, |v| v.get()),
             gauges: rendered(&inner.gauges, |v| v.get()),
-            histograms: rendered(&inner.histograms, |h| HistogramSnapshot {
-                bounds: h.bounds.clone(),
-                counts: h.counts.clone(),
-                count: h.count,
-                sum: h.sum,
+            histograms: rendered(&inner.histograms, |h| {
+                let h = h.borrow();
+                HistogramSnapshot {
+                    bounds: h.bounds.clone(),
+                    counts: h.counts.clone(),
+                    count: h.count,
+                    sum: h.sum,
+                }
             }),
         }
     }
@@ -545,6 +617,52 @@ mod tests {
         m.gauge_set("engine.inflight", &[], 9);
         assert_eq!(g.get(), 9);
         assert_eq!(m.snapshot().gauge("engine.inflight", &[]), Some(9));
+    }
+
+    #[test]
+    fn histogram_handles_share_the_series_with_by_name_observes() {
+        let m = Metrics::new();
+        m.register_histogram("core.invoke.latency_ns", &[10, 100]);
+        let h = m.histogram("core.invoke.latency_ns", &[]);
+        h.observe(7);
+        m.observe("core.invoke.latency_ns", &[], 50);
+        h.observe(1_000);
+        let s = m.snapshot();
+        let got = s
+            .histogram("core.invoke.latency_ns", &[])
+            .expect("observed");
+        assert_eq!(got.bounds, vec![10, 100], "the registered bounds");
+        assert_eq!(got.counts, vec![1, 1, 1], "<=10, <=100, overflow");
+        assert_eq!((got.count, got.sum), (3, 1_057));
+
+        let labelled = m.histogram("core.invoke.latency_ns", &[("function", "fact")]);
+        m.observe("core.invoke.latency_ns", &[("function", "fact")], 5);
+        labelled.observe(5);
+        let s = m.snapshot();
+        let got = s
+            .histogram("core.invoke.latency_ns", &[("function", "fact")])
+            .expect("one series");
+        assert_eq!(got.bounds, vec![10, 100], "labelled series take them too");
+        assert_eq!(got.counts, vec![2, 0, 0]);
+    }
+
+    #[test]
+    fn lookups_count_by_name_resolutions_and_no_handle_updates() {
+        let m = Metrics::new();
+        let c = m.counter("a", &[]);
+        let g = m.gauge("b", &[]);
+        let h = m.histogram("c", &[]);
+        assert_eq!(m.lookups(), 3);
+        c.add(2);
+        g.set(4);
+        h.observe(9);
+        assert_eq!(m.lookups(), 3, "handle updates look nothing up");
+        m.inc("a", &[]);
+        m.gauge_set("b", &[], 1);
+        m.observe("c", &[], 1);
+        assert_eq!(m.lookups(), 6);
+        let _ = m.snapshot();
+        assert_eq!(m.lookups(), 6, "a snapshot is not a lookup");
     }
 
     #[test]

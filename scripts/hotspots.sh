@@ -7,22 +7,29 @@
 # libraries as object:symbol (e.g. libc.so.6:malloc), or object:~symbol
 # for a local function, after the nearest exported one below it.
 #
-#   scripts/hotspots.sh [--workload W] [--seed N] [--seconds S]
+#   scripts/hotspots.sh [--workload W] [--seed N] [--seconds S] [--callers PATTERN]
 #
 # The sampler takes one sample per 4 ms of CPU time, so a 6 s run gives
 # ~1 500 samples and the 25 largest shares of each column are printed.
 # Inlined functions count towards their caller. Samples, the sampler and
 # the build stay in target/hotspots/.
+#
+# --callers PATTERN (an awk regular expression, e.g. obs::metrics) adds a
+# third table: who calls the code PATTERN names. Each sample with a frame
+# matching PATTERN is charged to the frame that called the outermost
+# matching one, and the table gives each caller's share of all samples;
+# its heading gives their total.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-workload=warm_io seed=42 seconds=8
+workload=warm_io seed=42 seconds=8 callers=
 while [ $# -gt 0 ]; do
     case "$1" in
         --workload) workload="$2" ;;
         --seed) seed="$2" ;;
         --seconds) seconds="$2" ;;
+        --callers) callers="$2" ;;
         *)
-            echo "usage: $0 [--workload W] [--seed N] [--seconds S]" >&2
+            echo "usage: $0 [--workload W] [--seed N] [--seconds S] [--callers PATTERN]" >&2
             exit 2
             ;;
     esac
@@ -43,7 +50,7 @@ HOTSPOTS_OUT="$samples" LD_PRELOAD="$PWD/$out/libsampler.so" \
 # and every distinct function on the stack counts once (inclusive). An
 # offset is looked up in the executable's symbols; an object:symbol entry
 # is already named.
-nm -C -n --radix=d --defined-only "$bin" | awk -v what="$workload" '
+nm -C -n --radix=d --defined-only "$bin" | awk -v what="$workload" -v callers="$callers" '
     function lookup(a,    lo, hi, mid) {
         if (n == 0 || a < addr[0] || a > addr[n - 1] + 65536)
             return "[outside the executable]"
@@ -68,13 +75,21 @@ nm -C -n --radix=d --defined-only "$bin" | awk -v what="$workload" '
     {
         taken++
         split("", seen)
+        # The frame above the outermost one matching `callers`.
+        outer = 0
         for (i = 1; i <= NF; i++) {
             s = $i ~ /^-?[0-9]+$/ ? lookup($i + 0) : $i
+            frame[i] = s
             if (i == 1) self[s]++
             if (!(s in seen)) {
                 seen[s] = 1
                 incl[s]++
             }
+            if (callers != "" && s ~ callers) outer = i
+        }
+        if (outer) {
+            by[outer < NF ? frame[outer + 1] : "[no caller]"]++
+            matched++
         }
     }
     END {
@@ -88,6 +103,11 @@ nm -C -n --radix=d --defined-only "$bin" | awk -v what="$workload" '
         close(sort)
         printf "\n  incl %%  function\n"
         for (s in incl) printf "%6.1f  %s\n", 100 * incl[s] / taken, s | sort
+        close(sort)
+        if (callers == "") exit
+        printf "\n  callers of /%s/: %.1f %% of all samples\n", callers, 100 * matched / taken
+        printf "  share %%  caller\n"
+        for (s in by) printf "%6.1f  %s\n", 100 * by[s] / taken, s | sort
         close(sort)
     }
 ' - "$samples"

@@ -20,6 +20,7 @@ use std::cell::Cell;
 use fireworks::core::api::ConcurrentPlatform;
 use fireworks::core::cluster::{Cluster, ClusterConfig, LocalityAffinity};
 use fireworks::core::engine::EngineRequest;
+use fireworks::core::HostId;
 use fireworks::obs::{cat, Obs, Phase};
 use fireworks::prelude::*;
 use fireworks::workloads::azure::TraceSpec;
@@ -373,4 +374,80 @@ fn a_literal_span_and_a_by_name_update_allocate_nothing() {
         "spans with literal names and no attributes, closing them, folding the root and \
          updating existing series by name allocate nothing"
     );
+}
+
+/// By-name metric resolutions ([`fireworks::obs::Metrics::lookups`]) of
+/// `WARM_INVOKES` warm invokes of the trivial Node guest, after as many
+/// warm-up invokes on a fresh platform.
+fn warm_invoke_lookups() -> u64 {
+    let mut platform = FireworksPlatform::new(PlatformEnv::default_env());
+    let spec = trivial("lookup-budget-trivial");
+    platform.install(&spec).expect("install");
+    let function = fid(&spec.name);
+    let metrics = platform.env().obs.metrics().clone();
+    let mut invoke = |n: usize| {
+        for i in 0..n {
+            let req = InvokeRequest::new(function, x(i as i64));
+            platform.invoke(&req).expect("invoke");
+        }
+    };
+    invoke(WARM_INVOKES);
+    let before = metrics.lookups();
+    invoke(WARM_INVOKES);
+    metrics.lookups() - before
+}
+
+#[test]
+fn a_warm_invoke_looks_no_metric_up_by_name() {
+    // Measured: 0 (16 per invoke while every per-invocation series was
+    // updated by name).
+    assert_eq!(warm_invoke_lookups(), 0);
+}
+
+/// By-name metric resolutions of a `Cluster::run` of the first
+/// `requests` requests of the `cluster_request_heap` trace, on a cluster
+/// that has already served the whole trace once.
+fn cluster_run_lookups(requests: usize) -> u64 {
+    let spec = TraceSpec::new()
+        .tenants(4)
+        .functions_per_tenant(2)
+        .horizon(Nanos::from_secs(60))
+        .diurnal(0.6, Nanos::from_secs(60))
+        .total_invocations(400)
+        .seed(42);
+    let trace = spec.generate();
+    let mut cluster = Cluster::new(ClusterConfig::new(4, 4), |env, cfg| {
+        FireworksPlatform::with_config(env, cfg.clone())
+    });
+    for f in 0..spec.functions() {
+        let name = spec.function_id(f).name();
+        cluster.install_home(&trivial(&name)).expect("install");
+    }
+    let wave = |offset: Nanos, n: usize| -> Vec<EngineRequest> {
+        trace.events[..n]
+            .iter()
+            .enumerate()
+            .map(|(i, e)| {
+                EngineRequest::at(offset + e.at, InvokeRequest::new(e.function, x(i as i64)))
+            })
+            .collect()
+    };
+    let mut router = LocalityAffinity::new();
+    cluster.run(&mut router, &wave(Nanos::ZERO, trace.events.len()));
+    let metrics = cluster.obs().metrics().clone();
+    let before = metrics.lookups();
+    let offset = cluster.host_env(HostId::from_index(0)).clock.now();
+    cluster.run(&mut router, &wave(offset, requests));
+    metrics.lookups() - before
+}
+
+#[test]
+fn a_cluster_run_looks_up_a_number_of_series_that_does_not_grow_with_its_requests() {
+    let (short, long) = (cluster_run_lookups(100), cluster_run_lookups(400));
+    eprintln!("lookups per cluster run: {short} of 100 requests, {long} of 400");
+    // Measured: 1 each, the run's `cluster.*` totals (1 601 and 6 401,
+    // 16 per request, while every per-invocation series was updated by
+    // name).
+    assert_eq!(short, long, "per-request updates look nothing up");
+    assert!(long <= 1, "{long} lookups");
 }
