@@ -227,6 +227,11 @@ mod tests {
     }
 
     #[test]
+    fn a_warm_invoke_looks_nothing_up_by_name() {
+        both(contract::a_warm_invoke_looks_nothing_up_by_name);
+    }
+
+    #[test]
     fn cold_start_boots_a_full_vm() {
         let mut p = FirecrackerPlatform::new(PlatformEnv::default_env(), SnapshotPolicy::None);
         p.install(&spec()).expect("installs");

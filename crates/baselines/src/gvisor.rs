@@ -259,6 +259,11 @@ mod tests {
     }
 
     #[test]
+    fn a_warm_invoke_looks_nothing_up_by_name() {
+        both(contract::a_warm_invoke_looks_nothing_up_by_name);
+    }
+
+    #[test]
     fn checkpoint_mode_restores_instead_of_booting() {
         let mut p = GvisorPlatform::with_checkpoints(PlatformEnv::default_env(), true);
         let report = p.install(&spec()).expect("installs");

@@ -191,6 +191,11 @@ mod tests {
     }
 
     #[test]
+    fn a_warm_invoke_looks_nothing_up_by_name() {
+        contract::a_warm_invoke_looks_nothing_up_by_name(OpenWhiskPlatform::with_config);
+    }
+
+    #[test]
     fn unparsable_source_is_refused_at_install() {
         // Registration is metadata-only, but the action is compiled once
         // here: a bad source never reaches a container start.

@@ -14,7 +14,7 @@ use fireworks_core::env::PlatformEnv;
 use fireworks_core::host::NetMode;
 use fireworks_core::{fid, FunctionId, IdMap};
 use fireworks_lang::{compile, ExecStats, Program};
-use fireworks_obs::{cat, RootSpan};
+use fireworks_obs::{cat, Counter, RootSpan};
 use fireworks_runtime::Guest;
 use fireworks_sandbox::{IoPath, IsolationLevel};
 use fireworks_sim::Nanos;
@@ -124,6 +124,9 @@ pub struct PooledPlatform<F: Flavor> {
     keep_alive: Option<Nanos>,
     cold_starts: u64,
     warm_starts: u64,
+    /// `baseline.invoke.attempts{function}`, resolved at each function's
+    /// first invoke.
+    attempts: IdMap<Counter>,
 }
 
 impl<F: Flavor> PooledPlatform<F> {
@@ -140,6 +143,7 @@ impl<F: Flavor> PooledPlatform<F> {
             keep_alive: config.keep_alive,
             cold_starts: 0,
             warm_starts: 0,
+            attempts: IdMap::new(),
         }
     }
 
@@ -251,8 +255,15 @@ impl<F: Flavor> ConcurrentPlatform for PooledPlatform<F> {
         let fname = req.function.name();
         rec.attr_str(root.id(), "function", &fname);
         rec.attr_str(root.id(), "platform", self.flavor.name());
-        obs.metrics()
-            .inc("baseline.invoke.attempts", &[("function", &fname)]);
+        match self.attempts.get(req.function) {
+            Some(attempts) => attempts.inc(),
+            None => {
+                let labels = [("function", &*fname)];
+                let attempts = obs.metrics().counter("baseline.invoke.attempts", &labels);
+                attempts.inc();
+                self.attempts.insert(req.function, attempts);
+            }
+        }
         let result = self.serve(root, req);
         if result.is_err() {
             obs.metrics()
@@ -450,6 +461,20 @@ pub(crate) mod contract {
         assert_eq!(r.p.start_counts(), (1, 2));
         assert_eq!(r.counters(), (3, 0));
         (cold, warm)
+    }
+
+    /// A warm invoke resolves no metric series by name: the per-invoke
+    /// series are handles resolved at the function's first invoke.
+    pub fn a_warm_invoke_looks_nothing_up_by_name<F: Flavor>(make: Make<F>) {
+        let mut r = rig(make, None);
+        r.invoke(4, StartMode::Auto);
+        let metrics = r.env.obs.metrics().clone();
+        let before = metrics.lookups();
+        for n in 5..9 {
+            assert_eq!(r.invoke(n, StartMode::Warm).start, StartKind::WarmPool);
+        }
+        assert_eq!(metrics.lookups(), before);
+        assert_eq!(r.counters(), (5, 0));
     }
 
     /// `Warm` on an empty pool is refused with nothing left behind: no

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use fireworks_annotator::{BUS_CONSUME_CALL, DEFAULT_PARAMS_CALL, MMDS_CALL};
-use fireworks_lang::{Host, LangError, Value};
+use fireworks_lang::{Host, LangError, TaggedValue, Value};
 use fireworks_msgbus::MessageBus;
 use fireworks_sandbox::IoPath;
 use fireworks_sim::{Clock, Nanos};
@@ -102,24 +102,22 @@ impl GuestHost {
         t
     }
 
-    fn want_str<'a>(v: Option<&'a Value>, what: &str) -> Result<&'a str, LangError> {
-        match v {
-            Some(Value::Str(s)) => Ok(s),
-            other => Err(LangError::runtime(format!(
+    fn want_str<'a>(v: Option<&'a TaggedValue>, what: &str) -> Result<&'a str, LangError> {
+        v.and_then(TaggedValue::as_str).ok_or_else(|| {
+            LangError::runtime(format!(
                 "{what} must be a string, got {:?}",
-                other.map(|v| v.type_name())
-            ))),
-        }
+                v.map(TaggedValue::type_name)
+            ))
+        })
     }
 
-    fn want_int(v: Option<&Value>, what: &str) -> Result<i64, LangError> {
-        match v {
-            Some(Value::Int(i)) => Ok(*i),
-            other => Err(LangError::runtime(format!(
+    fn want_int(v: Option<&TaggedValue>, what: &str) -> Result<i64, LangError> {
+        v.and_then(TaggedValue::as_int).ok_or_else(|| {
+            LangError::runtime(format!(
                 "{what} must be an int, got {:?}",
-                other.map(|v| v.type_name())
-            ))),
-        }
+                v.map(TaggedValue::type_name)
+            ))
+        })
     }
 
     /// Runs a store request with bounded retries: a transient outage
@@ -143,7 +141,7 @@ impl GuestHost {
         }
     }
 
-    fn serve(&mut self, name: &str, args: &[Value]) -> Result<Value, LangError> {
+    fn serve(&mut self, name: &str, args: &[TaggedValue]) -> Result<Value, LangError> {
         match name {
             "io_read" | "io_write" => {
                 let _file = Self::want_str(args.first(), "file name")?;
@@ -172,7 +170,7 @@ impl GuestHost {
                 let id = Self::want_str(args.get(1), "document id")?;
                 let body = args
                     .get(2)
-                    .cloned()
+                    .map(TaggedValue::to_value)
                     .ok_or_else(|| LangError::runtime("db_put needs a document"))?;
                 self.clock.advance(self.net_packet(1));
                 let rev = Self::retry_store(&self.clock, || {
@@ -208,7 +206,7 @@ impl GuestHost {
                 let field = Self::want_str(args.get(1), "field")?;
                 let value = args
                     .get(2)
-                    .cloned()
+                    .map(TaggedValue::to_value)
                     .ok_or_else(|| LangError::runtime("db_find needs a value"))?;
                 self.clock.advance(self.net_packet(1));
                 // A missing database reads as empty (HTTP 404 → no rows),
@@ -263,7 +261,7 @@ impl GuestHost {
                 let topic = Self::want_str(args.first(), "topic")?;
                 let value = args
                     .get(1)
-                    .cloned()
+                    .map(TaggedValue::to_value)
                     .ok_or_else(|| LangError::runtime("bus_produce needs a value"))?;
                 let offset = self
                     .bus
@@ -281,7 +279,7 @@ impl GuestHost {
             "log" => {
                 let text = args
                     .iter()
-                    .map(Value::to_string)
+                    .map(TaggedValue::to_string)
                     .collect::<Vec<_>>()
                     .join(" ");
                 self.printed.push(text);
@@ -297,7 +295,7 @@ impl Host for GuestHost {
         self.printed.push(text.to_string());
     }
 
-    fn host_call(&mut self, name: &str, args: &[Value]) -> Result<Value, LangError> {
+    fn host_call(&mut self, name: &str, args: &[TaggedValue]) -> Result<Value, LangError> {
         self.calls_served += 1;
         let before = self.clock.now();
         let result = self.serve(name, args);
@@ -334,13 +332,19 @@ mod tests {
         )
     }
 
+    /// Serves `name` with `args` as the VM passes them: words it owns.
+    fn call(h: &mut GuestHost, name: &str, args: &[Value]) -> Result<Value, LangError> {
+        let words: Vec<TaggedValue> = args.iter().cloned().map(TaggedValue::from).collect();
+        h.host_call(name, &words)
+    }
+
     #[test]
     fn io_calls_charge_sandbox_path_costs() {
         let mut overlay = host(IoPathKind::OverlayFs, NetMode::Direct);
         let mut gvisor = host(IoPathKind::GvisorGofer, NetMode::Direct);
         let args = [Value::str("f"), Value::Int(10)];
-        overlay.host_call("io_write", &args).expect("ok");
-        gvisor.host_call("io_write", &args).expect("ok");
+        call(&mut overlay, "io_write", &args).expect("ok");
+        call(&mut gvisor, "io_write", &args).expect("ok");
         assert!(gvisor.external_time > overlay.external_time);
     }
 
@@ -348,18 +352,18 @@ mod tests {
     fn db_round_trip_through_host_calls() {
         let mut h = host(IoPathKind::VirtioBlk, NetMode::ThroughNat);
         let doc = Value::map([("x".to_string(), Value::Int(1))]);
-        let rev = h
-            .host_call("db_put", &[Value::str("db"), Value::str("id1"), doc])
-            .expect("puts");
+        let rev = call(
+            &mut h,
+            "db_put",
+            &[Value::str("db"), Value::str("id1"), doc],
+        )
+        .expect("puts");
         assert_eq!(rev, Value::Int(1));
-        let got = h
-            .host_call("db_get", &[Value::str("db"), Value::str("id1")])
-            .expect("gets");
+        let got = call(&mut h, "db_get", &[Value::str("db"), Value::str("id1")]).expect("gets");
         let Value::Map(m) = &got else { panic!("map") };
         assert_eq!(m.borrow()["x"], Value::Int(1));
-        let missing = h
-            .host_call("db_get", &[Value::str("db"), Value::str("nope")])
-            .expect("null");
+        let missing =
+            call(&mut h, "db_get", &[Value::str("db"), Value::str("nope")]).expect("null");
         assert_eq!(missing, Value::Null);
     }
 
@@ -367,11 +371,9 @@ mod tests {
     fn change_feed_surfaces_as_values() {
         let mut h = host(IoPathKind::VirtioBlk, NetMode::Direct);
         let doc = Value::map([("x".to_string(), Value::Int(1))]);
-        h.host_call("db_put", &[Value::str("db"), Value::str("a"), doc])
-            .expect("puts");
-        let changes = h
-            .host_call("db_changes", &[Value::str("db"), Value::Int(0)])
-            .expect("changes");
+        call(&mut h, "db_put", &[Value::str("db"), Value::str("a"), doc]).expect("puts");
+        let changes =
+            call(&mut h, "db_changes", &[Value::str("db"), Value::Int(0)]).expect("changes");
         let Value::Array(a) = &changes else {
             panic!("array")
         };
@@ -382,23 +384,23 @@ mod tests {
     fn bus_and_mmds_serve_instance_identity() {
         let mut h = host(IoPathKind::VirtioBlk, NetMode::ThroughNat);
         h.mmds_set("instance-id", "vm-42");
-        let id = h
-            .host_call("mmds_get", &[Value::str("instance-id")])
-            .expect("id");
+        let id = call(&mut h, "mmds_get", &[Value::str("instance-id")]).expect("id");
         assert_eq!(id, Value::str("vm-42"));
-        h.host_call("bus_produce", &[Value::str("params-vm-42"), Value::Int(99)])
-            .expect("produces");
-        let got = h
-            .host_call("bus_consume", &[Value::str("params-vm-42")])
-            .expect("consumes");
+        call(
+            &mut h,
+            "bus_produce",
+            &[Value::str("params-vm-42"), Value::Int(99)],
+        )
+        .expect("produces");
+        let got = call(&mut h, "bus_consume", &[Value::str("params-vm-42")]).expect("consumes");
         assert_eq!(got, Value::Int(99));
     }
 
     #[test]
     fn default_params_are_served_fresh() {
         let mut h = host(IoPathKind::VirtioBlk, NetMode::Direct);
-        let a = h.host_call("default_params", &[]).expect("params");
-        let b = h.host_call("default_params", &[]).expect("params");
+        let a = call(&mut h, "default_params", &[]).expect("params");
+        let b = call(&mut h, "default_params", &[]).expect("params");
         // Deep-cloned: mutating one must not affect the other.
         if let Value::Map(m) = &a {
             m.borrow_mut().insert("n".to_string(), Value::Int(-1));
@@ -411,11 +413,8 @@ mod tests {
     fn http_respond_collects_bodies_and_charges_nat() {
         let mut direct = host(IoPathKind::OverlayFs, NetMode::Direct);
         let mut nat = host(IoPathKind::VirtioBlk, NetMode::ThroughNat);
-        direct
-            .host_call("http_respond", &[Value::str("hello")])
-            .expect("ok");
-        nat.host_call("http_respond", &[Value::str("hello")])
-            .expect("ok");
+        call(&mut direct, "http_respond", &[Value::str("hello")]).expect("ok");
+        call(&mut nat, "http_respond", &[Value::str("hello")]).expect("ok");
         assert_eq!(direct.responses, vec!["hello"]);
         assert!(nat.external_time > direct.external_time, "NAT adds cost");
     }
@@ -423,6 +422,6 @@ mod tests {
     #[test]
     fn unknown_host_call_is_an_error() {
         let mut h = host(IoPathKind::VirtioBlk, NetMode::Direct);
-        assert!(h.host_call("launch_missiles", &[]).is_err());
+        assert!(call(&mut h, "launch_missiles", &[]).is_err());
     }
 }

@@ -1,10 +1,15 @@
 //! NaN-boxed (tagged) value representation for the VM hot loop.
 //!
-//! The interpreter's operand stack and globals hold [`TaggedValue`]s: a
-//! single `u64` word that is either a real IEEE-754 double or a tagged
-//! payload packed into the quiet-NaN space. Heap values (array elements,
-//! map entries, constant pools) keep the plain [`Value`] enum, so the
-//! compact form lives only where the dispatch loop touches it.
+//! The interpreter's operand stack, globals and constant pools hold
+//! [`TaggedValue`]s: a single `u64` word that is either a real IEEE-754
+//! double or a tagged payload packed into the quiet-NaN space. Heap
+//! values (array elements, map entries) keep the plain [`Value`] enum, so
+//! the compact form lives only where the dispatch loop touches it. It
+//! also crosses the builtin and host-call boundary: a builtin or a
+//! [`Host`](crate::Host) borrows its arguments as the words on top of the
+//! stack and reads them through the views below (`as_str`, `as_int`, ...),
+//! so a call copies nothing; [`TaggedValue::to_value`] converts one it
+//! keeps.
 //!
 //! Encoding: any bit pattern whose top 13 bits are *not* all ones is a
 //! plain double. Tagged values set the sign bit, the full exponent, and
@@ -106,27 +111,31 @@ impl TaggedValue {
         TaggedValue(encode(TAG_BOX, ptr), PhantomData)
     }
 
-    /// Converts from the enum representation, consuming it. Heap
-    /// references (arrays, maps) transfer their `Rc` without cloning
-    /// contents, so aliasing is preserved exactly.
+    /// Converts from the enum representation, consuming it. Scalars pack
+    /// inline at the call site; heap references (arrays, maps) transfer
+    /// their `Rc` without cloning contents, so aliasing is preserved
+    /// exactly.
+    #[inline(always)]
     pub fn from_value(v: Value) -> TaggedValue {
         match v {
             Value::Null => TaggedValue::null(),
             Value::Bool(b) => TaggedValue::bool(b),
             Value::Int(i) => TaggedValue::int(i),
             Value::Float(f) => TaggedValue::float(f),
-            s @ Value::Str(_) => TaggedValue::box_value(s),
-            Value::Array(rc) => {
-                let ptr = Rc::into_raw(rc) as u64;
-                debug_assert_eq!(ptr & !PAYLOAD_MASK, 0, "pointer exceeds 48 bits");
-                TaggedValue(encode(TAG_ARR, ptr), PhantomData)
-            }
-            Value::Map(rc) => {
-                let ptr = Rc::into_raw(rc) as u64;
-                debug_assert_eq!(ptr & !PAYLOAD_MASK, 0, "pointer exceeds 48 bits");
-                TaggedValue(encode(TAG_MAP, ptr), PhantomData)
-            }
+            heap => TaggedValue::from_heap(heap),
         }
+    }
+
+    #[inline(never)]
+    fn from_heap(v: Value) -> TaggedValue {
+        let (tag, ptr) = match v {
+            s @ Value::Str(_) => return TaggedValue::box_value(s),
+            Value::Array(rc) => (TAG_ARR, Rc::into_raw(rc) as u64),
+            Value::Map(rc) => (TAG_MAP, Rc::into_raw(rc) as u64),
+            _ => unreachable!("scalars pack in `from_value`"),
+        };
+        debug_assert_eq!(ptr & !PAYLOAD_MASK, 0, "pointer exceeds 48 bits");
+        TaggedValue(encode(tag, ptr), PhantomData)
     }
 
     #[inline]
@@ -301,35 +310,25 @@ impl TaggedValue {
     /// Converts to the enum representation, transferring ownership of the
     /// `Rc` strong reference held by this word (no count change).
     pub fn into_value(self) -> Value {
-        let bits = self.0;
-        std::mem::forget(self);
-        let this = TaggedValue(bits, PhantomData);
-        if !this.is_float() {
-            match this.tag() {
-                TAG_BOX => {
-                    let rc = unsafe { Rc::from_raw(this.payload() as *const Value) };
-                    std::mem::forget(this);
-                    return match Rc::try_unwrap(rc) {
-                        Ok(v) => v,
-                        Err(rc) => (*rc).clone(),
-                    };
+        let word = std::mem::ManuallyDrop::new(self);
+        if !word.is_float() {
+            let ptr = word.payload();
+            // SAFETY: a pointer word holds one strong count of its `Rc`,
+            // which moves into the `Rc` rebuilt here; `ManuallyDrop` keeps
+            // the word from giving it back a second time.
+            unsafe {
+                match word.tag() {
+                    TAG_BOX => {
+                        let rc = Rc::from_raw(ptr as *const Value);
+                        return Rc::try_unwrap(rc).unwrap_or_else(|rc| (*rc).clone());
+                    }
+                    TAG_ARR => return Value::Array(Rc::from_raw(ptr as *const _)),
+                    TAG_MAP => return Value::Map(Rc::from_raw(ptr as *const _)),
+                    _ => {}
                 }
-                TAG_ARR => {
-                    let rc = unsafe { Rc::from_raw(this.payload() as *const RefCell<Vec<Value>>) };
-                    std::mem::forget(this);
-                    return Value::Array(rc);
-                }
-                TAG_MAP => {
-                    let rc = unsafe { Rc::from_raw(this.payload() as *const RefCell<Map>) };
-                    std::mem::forget(this);
-                    return Value::Map(rc);
-                }
-                _ => {}
             }
         }
-        let v = this.to_value();
-        std::mem::forget(this);
-        v
+        word.to_value()
     }
 
     /// `==` for what is not a number: through the enum representation.
@@ -424,8 +423,18 @@ impl fmt::Display for TaggedValue {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The strong count of the `Rc` a boxed word (a string, a wide int)
+    /// holds a reference of.
+    pub(crate) fn box_count(w: &TaggedValue) -> usize {
+        assert!(!w.is_float() && w.tag() == TAG_BOX, "a boxed word");
+        // SAFETY: the word holds one strong count of this `Rc`, which
+        // `ManuallyDrop` leaves as it is.
+        let rc = std::mem::ManuallyDrop::new(unsafe { Rc::from_raw(w.payload() as *const Value) });
+        Rc::strong_count(&rc)
+    }
 
     #[test]
     fn scalars_round_trip() {

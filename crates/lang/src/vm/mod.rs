@@ -144,7 +144,14 @@ pub trait Host {
     fn print(&mut self, text: &str);
 
     /// Serves a named host call.
-    fn host_call(&mut self, name: &str, args: &[Value]) -> Result<Value, LangError>;
+    ///
+    /// `args` are the call's arguments in push order, borrowed where they
+    /// lie on the VM's operand stack and valid for this call only: read
+    /// them with [`TaggedValue::as_str`], [`TaggedValue::as_int`] and the
+    /// other views, and call [`TaggedValue::to_value`] on one the host
+    /// keeps. The VM drops them after the call returns, on success or
+    /// error alike.
+    fn host_call(&mut self, name: &str, args: &[TaggedValue]) -> Result<Value, LangError>;
 }
 
 /// A host that discards prints and rejects host calls.
@@ -154,7 +161,7 @@ pub struct NoopHost;
 impl Host for NoopHost {
     fn print(&mut self, _text: &str) {}
 
-    fn host_call(&mut self, name: &str, _args: &[Value]) -> Result<Value, LangError> {
+    fn host_call(&mut self, name: &str, _args: &[TaggedValue]) -> Result<Value, LangError> {
         Err(LangError::runtime(format!(
             "host call `{name}` not available in this environment"
         )))
@@ -470,7 +477,8 @@ impl Vm {
         self.pop().into_value()
     }
 
-    /// Pops the top `n` stack values, in push order.
+    /// Pops the top `n` stack values, in push order, into the aggregate
+    /// they build.
     fn pop_values(&mut self, n: usize) -> Vec<Value> {
         let at = self.stack.len() - n;
         let top = self.stack.split_off(at);
@@ -702,9 +710,10 @@ impl Vm {
                 }
                 Op::CallBuiltin { builtin, argc } => {
                     self.stats.builtin_calls += 1;
-                    let args = self.pop_values(argc as usize);
-                    let result = builtins::eval_builtin(builtin, args, host)?;
-                    self.push_value(result);
+                    let at = self.stack.len() - argc as usize;
+                    let result = builtins::eval_builtin(builtin, &self.stack[at..], host);
+                    self.stack.truncate(at);
+                    self.push_value(result?);
                 }
                 Op::CallHost { name, argc } => {
                     self.stats.host_calls += 1;
@@ -715,9 +724,10 @@ impl Vm {
                             name.type_name()
                         )));
                     };
-                    let args = self.pop_values(argc as usize);
-                    let result = host.host_call(name, &args)?;
-                    self.push_value(result);
+                    let at = self.stack.len() - argc as usize;
+                    let result = host.host_call(name, &self.stack[at..]);
+                    self.stack.truncate(at);
+                    self.push_value(result?);
                 }
                 Op::Snapshot => {
                     // The call's result (null) is pushed *before*

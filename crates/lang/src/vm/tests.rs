@@ -7,6 +7,8 @@ use crate::compile;
 struct TestHost {
     printed: Vec<String>,
     host_calls: Vec<String>,
+    /// The arguments of each `record(...)` call.
+    recorded: Vec<Vec<Value>>,
 }
 
 impl Host for TestHost {
@@ -14,11 +16,16 @@ impl Host for TestHost {
         self.printed.push(text.to_string());
     }
 
-    fn host_call(&mut self, name: &str, args: &[Value]) -> Result<Value, LangError> {
+    fn host_call(&mut self, name: &str, args: &[TaggedValue]) -> Result<Value, LangError> {
         self.host_calls.push(name.to_string());
         match name {
             "give_seven" => Ok(Value::Int(7)),
-            "echo" => Ok(args[0].clone()),
+            "echo" => Ok(args[0].to_value()),
+            "record" => {
+                self.recorded
+                    .push(args.iter().map(TaggedValue::to_value).collect());
+                Ok(Value::Int(args.len() as i64))
+            }
             other => Err(LangError::runtime(format!("unknown host call `{other}`"))),
         }
     }
@@ -155,6 +162,108 @@ fn host_calls_route_to_host() {
     assert!(v.eq_value(&Value::Int(12)));
     assert_eq!(host.host_calls, vec!["give_seven", "echo"]);
     assert_eq!(vm.stats().host_calls, 2);
+}
+
+#[test]
+fn host_call_sees_its_arguments_in_push_order() {
+    let mut host = TestHost::default();
+    let src = r#"fn main(x) { return record(1, "two", x, [3], 4.5, null) + record(); }"#;
+    let mut vm = Vm::new(Rc::new(compile(src).expect("compiles")));
+    vm.start("main", vec![Value::Int(-9)]).expect("starts");
+    assert_eq!(vm.run(&mut host), Ok(Outcome::Done(Value::Int(6))));
+    let first = vec![
+        Value::Int(1),
+        Value::str("two"),
+        Value::Int(-9),
+        Value::array(vec![Value::Int(3)]),
+        Value::Float(4.5),
+        Value::Null,
+    ];
+    assert_eq!(host.recorded, vec![first, vec![]]);
+}
+
+#[test]
+fn host_call_arguments_give_back_their_counts() {
+    use crate::tagged::tests::box_count;
+    let src = r#"fn main(x) {
+        for (let i = 0; i < 2; i = i + 1) { record("payload", x); }
+        fireworks_snapshot();
+        return 0;
+    }"#;
+    let program = Rc::new(compile(src).expect("compiles"));
+    let chunk = program.functions[program.function("main").expect("main")]
+        .chunk
+        .clone();
+    let word = chunk.consts.iter().find(|c| c.as_str() == Some("payload"));
+    let word = word.expect("a pooled string");
+    let before = box_count(word);
+    let mut host = TestHost::default();
+    let mut vm = Vm::new(program);
+    vm.start("main", vec![Value::Int(1)]).expect("starts");
+    assert_eq!(vm.run(&mut host), Ok(Outcome::Snapshot));
+    assert_eq!(box_count(word), before, "each call dropped the word it saw");
+    assert_eq!(
+        host.recorded,
+        vec![vec![Value::str("payload"), Value::Int(1)]; 2]
+    );
+    assert_eq!(vm.run(&mut host), Ok(Outcome::Done(Value::Int(0))));
+    drop(vm);
+    assert_eq!(box_count(word), before);
+}
+
+#[test]
+fn host_call_error_drops_each_argument_once() {
+    let arr = Value::array(vec![Value::Int(1)]);
+    let Value::Array(rc) = &arr else {
+        unreachable!("an array")
+    };
+    let src = r#"fn main(a) { return missing(a, "text", a); }"#;
+    let mut vm = Vm::new(Rc::new(compile(src).expect("compiles")));
+    vm.start("main", vec![arr.clone()]).expect("starts");
+    assert_eq!(
+        vm.run(&mut TestHost::default()),
+        Err(LangError::runtime("unknown host call `missing`"))
+    );
+    // This handle and the frame's local `a`: both copies passed are gone.
+    assert_eq!(Rc::strong_count(rc), 2);
+    drop(vm);
+    assert_eq!(Rc::strong_count(rc), 1);
+}
+
+#[test]
+fn builtin_arity_and_type_errors_keep_their_messages() {
+    for (call, message) in [
+        ("len(1, 2)", "builtin Len expects 1 arguments"),
+        ("substr(\"abc\", 1)", "builtin Substr expects 3 arguments"),
+        ("min(1)", "builtin Min expects 2 arguments"),
+        ("len(5)", "len() of int"),
+        ("push(1, 2)", "push() needs an array"),
+        ("pop([])", "pop() from empty array"),
+        ("keys([])", "keys() needs a map"),
+        ("has(1.5, 1)", "has() of float"),
+        ("has({ a: 1 }, 1)", "has() on a map needs a string key"),
+        ("has(\"ab\", 1)", "has() on a string needs a string"),
+        ("remove([], \"k\")", "remove() needs a map and a string key"),
+        ("int(\"x1\")", "int() cannot parse `x1`"),
+        ("int(null)", "int() of null"),
+        ("float(true)", "float() of bool"),
+        ("floor(\"1\")", "floor() of string"),
+        ("sqrt([])", "sqrt() of array"),
+        ("abs({ a: 1 })", "abs() of map"),
+        ("max(1, \"2\")", "min()/max() need numbers"),
+        ("split(\"a\", 1)", "split() needs two strings"),
+        ("join(\"a\", \",\")", "join() needs an array and a string"),
+        (
+            "substr(\"abc\", 1.0, 1)",
+            "substr() needs (string, int, int)",
+        ),
+    ] {
+        let src = format!("fn main(x) {{ return {call}; }}");
+        let mut vm = Vm::new(Rc::new(compile(&src).expect("compiles")));
+        vm.start("main", vec![Value::Int(0)]).expect("starts");
+        let err = vm.run(&mut TestHost::default());
+        assert_eq!(err, Err(LangError::runtime(message)), "{call}");
+    }
 }
 
 #[test]

@@ -5,7 +5,7 @@
 use std::rc::Rc;
 
 use fireworks_lang::{
-    compile, Host, IcSummary, JitPolicy, LangError, NoopHost, Outcome, Value, Vm,
+    compile, Host, IcSummary, JitPolicy, LangError, NoopHost, Outcome, TaggedValue, Value, Vm,
 };
 use proptest::prelude::*;
 
@@ -34,7 +34,7 @@ impl Host for Printed {
         self.0.push(text.to_string());
     }
 
-    fn host_call(&mut self, name: &str, args: &[Value]) -> Result<Value, LangError> {
+    fn host_call(&mut self, name: &str, args: &[TaggedValue]) -> Result<Value, LangError> {
         NoopHost.host_call(name, args)
     }
 }

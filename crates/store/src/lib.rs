@@ -19,11 +19,12 @@ pub mod chunk;
 
 pub use chunk::{ChunkStore, ChunkStoreStats};
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::fmt;
 
 use fireworks_lang::Value;
-use fireworks_obs::{cat, Obs};
+use fireworks_obs::{cat, Counter, Obs};
 use fireworks_sim::fault::{FaultSite, SharedInjector};
 use fireworks_sim::{Clock, Nanos};
 
@@ -140,6 +141,24 @@ impl Database {
     }
 }
 
+/// A request kind: the `op` label of `store.docstore.requests`.
+#[derive(Debug, Clone, Copy)]
+enum Request {
+    Put,
+    Get,
+    Delete,
+    Find,
+    Changes,
+}
+
+impl Request {
+    const LABELS: [&'static str; 5] = ["put", "get", "delete", "find", "changes"];
+
+    fn label(self) -> &'static str {
+        Request::LABELS[self as usize]
+    }
+}
+
 /// The document store service.
 #[derive(Debug)]
 pub struct DocumentStore {
@@ -148,6 +167,9 @@ pub struct DocumentStore {
     databases: BTreeMap<String, Database>,
     injector: Option<SharedInjector>,
     obs: Option<Obs>,
+    /// `store.docstore.requests{op}` per [`Request`], each resolved at its
+    /// kind's first request.
+    requests: [OnceCell<Counter>; Request::LABELS.len()],
 }
 
 impl DocumentStore {
@@ -159,6 +181,7 @@ impl DocumentStore {
             databases: BTreeMap::new(),
             injector: None,
             obs: None,
+            requests: Default::default(),
         }
     }
 
@@ -174,13 +197,19 @@ impl DocumentStore {
     /// `store.docstore.outages` plus an instant event.
     pub fn set_obs(&mut self, obs: Obs) {
         self.obs = Some(obs);
+        self.requests = Default::default();
     }
 
     /// Simulated outage check, performed at the front of every request.
-    /// `op` names the request kind for the per-operation request counter.
-    fn check_available(&self, op: &'static str) -> Result<(), StoreError> {
+    /// `op` is the request kind the per-operation request counter counts.
+    fn check_available(&self, op: Request) -> Result<(), StoreError> {
         if let Some(obs) = &self.obs {
-            obs.metrics().inc("store.docstore.requests", &[("op", op)]);
+            self.requests[op as usize]
+                .get_or_init(|| {
+                    let labels = [("op", op.label())];
+                    obs.metrics().counter("store.docstore.requests", &labels)
+                })
+                .inc();
         }
         let down = self
             .injector
@@ -190,8 +219,11 @@ impl DocumentStore {
         if down {
             if let Some(obs) = &self.obs {
                 obs.metrics().inc("store.docstore.outages", &[]);
-                obs.recorder()
-                    .instant_with("store_outage", cat::STORE, vec![("op", op.into())]);
+                obs.recorder().instant_with(
+                    "store_outage",
+                    cat::STORE,
+                    vec![("op", op.label().into())],
+                );
             }
             Err(StoreError::Unavailable)
         } else {
@@ -232,7 +264,7 @@ impl DocumentStore {
         body: &Value,
         expected_rev: Option<u64>,
     ) -> Result<u64, StoreError> {
-        self.check_available("put")?;
+        self.check_available(Request::Put)?;
         self.clock.advance(self.costs.put);
         self.create_db(db);
         let database = self.db_mut(db)?;
@@ -261,7 +293,7 @@ impl DocumentStore {
 
     /// Reads a document.
     pub fn get(&self, db: &str, id: &str) -> Result<Document, StoreError> {
-        self.check_available("get")?;
+        self.check_available(Request::Get)?;
         self.clock.advance(self.costs.get);
         let database = self.db(db)?;
         let doc = database.docs.get(id).ok_or_else(|| StoreError::NotFound {
@@ -277,7 +309,7 @@ impl DocumentStore {
 
     /// Deletes a document, recording a deletion change.
     pub fn delete(&mut self, db: &str, id: &str) -> Result<(), StoreError> {
-        self.check_available("delete")?;
+        self.check_available(Request::Delete)?;
         self.clock.advance(self.costs.put);
         let database = self.db_mut(db)?;
         let doc = database
@@ -295,7 +327,7 @@ impl DocumentStore {
     /// (structural equality). A linear scan, like an unindexed Mango
     /// query.
     pub fn find(&self, db: &str, field: &str, value: &Value) -> Result<Vec<Document>, StoreError> {
-        self.check_available("find")?;
+        self.check_available(Request::Find)?;
         let database = self.db(db)?;
         self.clock
             .advance(self.costs.scan_per_doc * database.docs.len() as u64);
@@ -319,7 +351,7 @@ impl DocumentStore {
     /// Changes with sequence number greater than `since` — the feed the
     /// Cloud trigger polls to start the Data-Analysis chain.
     pub fn changes_since(&self, db: &str, since: u64) -> Result<Vec<Change>, StoreError> {
-        self.check_available("changes")?;
+        self.check_available(Request::Changes)?;
         self.clock.advance(self.costs.changes);
         let database = self.db(db)?;
         Ok(database
@@ -510,5 +542,29 @@ mod tests {
         // Third request goes through.
         assert_eq!(s.get("db", "x").expect("recovered").rev, 1);
         assert!(StoreError::Unavailable.to_string().contains("unavailable"));
+    }
+
+    #[test]
+    fn repeated_requests_look_no_series_up_by_name() {
+        let clock = Clock::new();
+        let obs = Obs::new(clock.clone());
+        let mut s = DocumentStore::new(clock, StoreCosts::default());
+        s.set_obs(obs.clone());
+        let requests = |s: &mut DocumentStore| {
+            s.put("db", "x", &doc(1), None).expect("puts");
+            s.get("db", "x").expect("gets");
+        };
+        requests(&mut s);
+        let before = obs.metrics().lookups();
+        for _ in 0..8 {
+            requests(&mut s);
+        }
+        assert_eq!(obs.metrics().lookups(), before);
+        let m = obs.metrics().snapshot();
+        for op in ["put", "get"] {
+            assert_eq!(m.counter("store.docstore.requests", &[("op", op)]), 9);
+        }
+        let ops = m.counters().filter(|(k, _)| k.contains("docstore"));
+        assert_eq!(ops.count(), 2, "a series appears once written");
     }
 }

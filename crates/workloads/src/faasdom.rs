@@ -256,10 +256,10 @@ mod tests {
         fn host_call(
             &mut self,
             name: &str,
-            args: &[Value],
+            args: &[fireworks_lang::TaggedValue],
         ) -> Result<Value, fireworks_lang::LangError> {
             match name {
-                "io_read" => Ok(args[1].clone()),
+                "io_read" => Ok(args[1].to_value()),
                 "io_write" | "http_respond" | "net_send" => Ok(Value::Null),
                 other => Err(fireworks_lang::LangError::runtime(format!(
                     "unexpected host call {other}"

@@ -15,7 +15,7 @@
 
 use std::rc::Rc;
 
-use fireworks::lang::{compile, Host, JitPolicy, LangError, Outcome, Value, Vm};
+use fireworks::lang::{compile, Host, JitPolicy, LangError, Outcome, TaggedValue, Value, Vm};
 
 /// Serves prints to stdout and a few benign host calls.
 struct CliHost;
@@ -25,14 +25,14 @@ impl Host for CliHost {
         println!("{text}");
     }
 
-    fn host_call(&mut self, name: &str, args: &[Value]) -> Result<Value, LangError> {
+    fn host_call(&mut self, name: &str, args: &[TaggedValue]) -> Result<Value, LangError> {
         match name {
-            "io_read" => Ok(args.get(1).cloned().unwrap_or(Value::Int(0))),
+            "io_read" => Ok(args.get(1).map_or(Value::Int(0), TaggedValue::to_value)),
             "io_write" | "net_send" => Ok(Value::Null),
             "http_respond" => {
                 println!(
                     "[http response] {}",
-                    args.first().map(Value::to_string).unwrap_or_default()
+                    args.first().map(TaggedValue::to_string).unwrap_or_default()
                 );
                 Ok(Value::Null)
             }
