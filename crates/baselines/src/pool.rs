@@ -125,7 +125,7 @@ pub struct PooledPlatform<F: Flavor> {
     cold_starts: u64,
     warm_starts: u64,
     /// `baseline.invoke.attempts{function}`, resolved at each function's
-    /// first invoke.
+    /// first invoke: registering a function on every host must create no series.
     attempts: IdMap<Counter>,
 }
 

@@ -3,7 +3,7 @@
 //! stages — `admit`, `start`, `page_in`, `run`, `settle` — each a private
 //! function recording its own spans under the `invoke` root.
 
-use std::cell::{OnceCell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use fireworks_annotator::{FIREWORKS_MAIN, INSTANCE_ID_KEY, TOPIC_PREFIX};
@@ -74,37 +74,31 @@ struct FunctionEntry {
     /// Breaker state and reliability counters; `rebuilds` is also the
     /// security audit's refresh count.
     health: FunctionHealth,
-    /// The function's per-invocation metric handles.
-    metrics: FunctionMetrics,
+    /// The function's per-invocation metric handles, built at its first
+    /// attempt: registering a function on every host must create no series.
+    metrics: Option<FunctionMetrics>,
 }
 
-/// One function's per-invocation metric series, `{function=<name>}`,
-/// as handles. Each group is resolved where an invocation first writes
-/// every member, so a series still enters a snapshot only once written:
-/// a function whose first restore fails exports its attempt and failure
-/// counts and nothing of `settle`'s. Rare events (failures, retries,
-/// quarantines, refresh failures) stay by-name updates.
-#[derive(Default)]
+/// One function's per-invocation metric series, `{function=<name>}`, as
+/// handles. Rare events (failures, retries, quarantines, refresh
+/// failures) stay by-name updates.
+#[derive(Clone)]
 struct FunctionMetrics {
     /// `core.invoke.attempts`.
-    attempts: OnceCell<Counter>,
+    attempts: Counter,
     /// What every successful invocation's `settle` writes.
-    settle: OnceCell<SettleMetrics>,
+    settle: SettleMetrics,
     /// The guest runtime's gauges, which `settle` writes only for a clone
     /// with a runtime.
-    runtime: OnceCell<RuntimeGauges>,
+    runtime: RuntimeGauges,
 }
 
 impl FunctionMetrics {
-    fn attempts(&self, m: &Metrics, name: &str) -> &Counter {
-        self.attempts
-            .get_or_init(|| m.counter("core.invoke.attempts", &[("function", name)]))
-    }
-
-    fn settle(&self, m: &Metrics, name: &str) -> &SettleMetrics {
-        self.settle.get_or_init(|| {
-            let labels: &[(&'static str, &str)] = &[("function", name)];
-            SettleMetrics {
+    fn new(m: &Metrics, name: &str) -> Self {
+        let labels: &[(&'static str, &str)] = &[("function", name)];
+        FunctionMetrics {
+            attempts: m.counter("core.invoke.attempts", labels),
+            settle: SettleMetrics {
                 pss_bytes: m.gauge("guestmem.clone.pss_bytes", labels),
                 rss_bytes: m.gauge("guestmem.clone.rss_bytes", labels),
                 shared_pages: m.gauge("guestmem.clone.shared_pages", labels),
@@ -114,19 +108,13 @@ impl FunctionMetrics {
                 ic_misses: m.counter("vm.ic.misses", labels),
                 deopts: m.counter("vm.jit.deopts", labels),
                 code_evictions: m.counter("vm.code_cache.evictions", labels),
-            }
-        })
-    }
-
-    fn runtime(&self, m: &Metrics, name: &str) -> &RuntimeGauges {
-        self.runtime.get_or_init(|| {
-            let labels: &[(&'static str, &str)] = &[("function", name)];
-            RuntimeGauges {
+            },
+            runtime: RuntimeGauges {
                 code_cache_used_bytes: m.gauge("vm.code_cache.used_bytes", labels),
                 ic_sites: m.gauge("vm.ic.sites", labels),
                 megamorphic_sites: m.gauge("vm.ic.megamorphic_sites", labels),
-            }
-        })
+            },
+        }
     }
 }
 
@@ -147,6 +135,7 @@ struct SettleMetrics {
 }
 
 /// The guest runtime's code-cache and inline-cache gauges.
+#[derive(Clone)]
 struct RuntimeGauges {
     code_cache_used_bytes: Gauge,
     ic_sites: Gauge,
@@ -171,7 +160,7 @@ impl FunctionEntry {
             refresh_time: Nanos::ZERO,
             working_set: None,
             health: FunctionHealth::default(),
-            metrics: FunctionMetrics::default(),
+            metrics: None,
         })
     }
 }
@@ -238,9 +227,9 @@ pub struct FireworksPlatform {
     security: SecurityPolicy,
     paging: PagingPolicy,
     recovery: RecoveryPolicy,
-    /// What every REAP session of this host records to, resolved at the
-    /// first page-in ([`PagingPolicy::ColdStorage`] only).
-    reap_metrics: OnceCell<ReapMetrics>,
+    /// What every REAP session of this host records to
+    /// ([`PagingPolicy::ColdStorage`] only).
+    reap_metrics: Option<ReapMetrics>,
 }
 
 impl FireworksPlatform {
@@ -259,6 +248,8 @@ impl FireworksPlatform {
         mgr.set_fault_injector(env.injector.clone());
         mgr.set_obs(env.obs.clone());
         let supply = SnapshotSupply::new(config.cache_budget_bytes, config.snapshot_store, &env);
+        let cold = matches!(config.paging, PagingPolicy::ColdStorage { .. });
+        let reap_metrics = cold.then(|| ReapMetrics::new(&env.obs));
         FireworksPlatform {
             env,
             mgr,
@@ -268,7 +259,7 @@ impl FireworksPlatform {
             security: config.security,
             paging: config.paging,
             recovery: RecoveryPolicy::default(),
-            reap_metrics: OnceCell::new(),
+            reap_metrics,
         }
     }
 
@@ -414,13 +405,18 @@ impl FireworksPlatform {
         let obs = self.env.obs.clone();
         let root = obs.recorder().root("invoke", cat::INVOKE, trace_ctx);
         obs.recorder().attr_str(root.id(), "function", &name);
-        if let Some(entry) = self.registry.get(function) {
-            entry.metrics.attempts(obs.metrics(), &name).inc();
+        if let Some(entry) = self.registry.get_mut(function) {
+            let metrics = entry
+                .metrics
+                .get_or_insert_with(|| FunctionMetrics::new(obs.metrics(), &name));
+            metrics.attempts.inc();
         }
 
         let mut flight = self.start(function, &name, args)?;
-        if let PagingPolicy::ColdStorage { reap } = self.paging {
-            self.page_in(&name, reap, known_working_set, &mut flight);
+        if let (PagingPolicy::ColdStorage { reap }, Some(metrics)) =
+            (self.paging, &self.reap_metrics)
+        {
+            self.page_in(&name, reap, metrics, known_working_set, &mut flight);
         }
         let (result, host) =
             self.run(function, &name, timeout, default_params, &mut flight.clone)?;
@@ -615,6 +611,7 @@ impl FireworksPlatform {
         &self,
         name: &str,
         reap: bool,
+        metrics: &ReapMetrics,
         known_working_set: Option<WorkingSet>,
         flight: &mut Flight,
     ) {
@@ -628,7 +625,6 @@ impl FireworksPlatform {
         };
         let ws = known_working_set.unwrap_or_default();
         flight.recorded_ws = rec.scope_phase("paging", cat::PREFETCH, Phase::Exec, || {
-            let metrics = self.reap_metrics.get_or_init(|| ReapMetrics::new(obs));
             let start = |mode, ws| {
                 let (costs, injector) = (&self.env.costs.mem, &self.env.injector);
                 let snapshot = flight.snapshot.mem();
@@ -722,7 +718,8 @@ impl FireworksPlatform {
         let m = obs.metrics();
         let unknown = || PlatformError::UnknownFunction(name.to_string());
         let entry = self.registry.get(function).ok_or_else(unknown)?;
-        let handles = entry.metrics.settle(m, name).clone();
+        let metrics = entry.metrics.clone().expect("built at the first attempt");
+        let (handles, gauges) = (metrics.settle, metrics.runtime);
         let mut clone = flight.clone;
 
         rec.scope_phase("page_faults", cat::MEM, Phase::Exec, || {
@@ -771,8 +768,7 @@ impl FireworksPlatform {
         handles.ic_misses.add(stats.ic_misses);
         handles.deopts.add(stats.deopts);
         handles.code_evictions.add(stats.code_evictions);
-        if let (Some(rt), Some(entry)) = (clone.vm.runtime(), self.registry.get(function)) {
-            let gauges = entry.metrics.runtime(m, name);
+        if let Some(rt) = clone.vm.runtime() {
             let vm = rt.vm();
             gauges
                 .code_cache_used_bytes

@@ -15,7 +15,7 @@
 //! manifest, freeing only the chunks no other cached snapshot still
 //! references.
 
-use std::cell::{OnceCell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use fireworks_guestmem::{ChunkRef, SnapshotFile, SnapshotManifest};
@@ -60,10 +60,10 @@ pub(crate) struct SnapshotSupply {
     entries: IdMap<Entry>,
     evictions: u64,
     obs: Obs,
-    /// `core.cache.hits` and `core.cache.misses`, each resolved at its
-    /// first write: every invocation looks its snapshot up.
-    hits: OnceCell<Counter>,
-    misses: OnceCell<Counter>,
+    /// `core.cache.hits` and `core.cache.misses`: every invocation looks
+    /// its snapshot up.
+    hits: Counter,
+    misses: Counter,
     /// `None` under [`SnapshotStorePolicy::Flat`].
     dedup: Option<Dedup>,
 }
@@ -95,8 +95,8 @@ impl SnapshotSupply {
             entries: IdMap::new(),
             evictions: 0,
             obs: env.obs.clone(),
-            hits: OnceCell::new(),
-            misses: OnceCell::new(),
+            hits: env.obs.metrics().counter("core.cache.hits", &[]),
+            misses: env.obs.metrics().counter("core.cache.misses", &[]),
             dedup,
         }
     }
@@ -234,13 +234,10 @@ impl SnapshotSupply {
             e.last_used = tick;
             e.snapshot.clone()
         });
-        let (counter, name) = match hit {
-            Some(_) => (&self.hits, "core.cache.hits"),
-            None => (&self.misses, "core.cache.misses"),
-        };
-        counter
-            .get_or_init(|| self.obs.metrics().counter(name, &[]))
-            .inc();
+        match hit {
+            Some(_) => self.hits.inc(),
+            None => self.misses.inc(),
+        }
         hit
     }
 

@@ -1,6 +1,5 @@
 //! The microVM manager: lifecycle operations with their costs.
 
-use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -39,11 +38,9 @@ pub struct VmManager {
     next_id: u64,
     injector: Option<SharedInjector>,
     obs: Option<Obs>,
-    /// `microvm.restore.attempts`, resolved at the first restore.
-    restore_attempts: OnceCell<Counter>,
-    /// `microvm.restore.pages_verified`, resolved at the first verified
-    /// restore.
-    pages_verified: OnceCell<Counter>,
+    /// Every restore's `microvm.restore.attempts` and
+    /// `microvm.restore.pages_verified` on `obs`.
+    restores: Option<(Counter, Counter)>,
 }
 
 impl VmManager {
@@ -56,8 +53,7 @@ impl VmManager {
             next_id: 1,
             injector: None,
             obs: None,
-            restore_attempts: OnceCell::new(),
-            pages_verified: OnceCell::new(),
+            restores: None,
         }
     }
 
@@ -71,9 +67,12 @@ impl VmManager {
     /// spans (boot stages, pause/resume, snapshot capture/restore) and
     /// counters. Without one, operations record nothing.
     pub fn set_obs(&mut self, obs: Obs) {
+        let m = obs.metrics();
+        self.restores = Some((
+            m.counter("microvm.restore.attempts", &[]),
+            m.counter("microvm.restore.pages_verified", &[]),
+        ));
         self.obs = Some(obs);
-        self.restore_attempts = OnceCell::new();
-        self.pages_verified = OnceCell::new();
     }
 
     fn span_start(&self, name: &'static str, category: &'static str) -> Option<SpanId> {
@@ -91,17 +90,6 @@ impl VmManager {
     fn count(&self, name: &'static str, labels: &[(&'static str, &str)], delta: u64) {
         if let Some(obs) = &self.obs {
             obs.metrics().add(name, labels, delta);
-        }
-    }
-
-    /// Adds `delta` to the unlabelled counter `name` through the handle
-    /// in `handle`, resolving it on this first write: the per-restore
-    /// counters look nothing up after the first restore.
-    fn count_through(&self, handle: &OnceCell<Counter>, name: &'static str, delta: u64) {
-        if let Some(obs) = &self.obs {
-            handle
-                .get_or_init(|| obs.metrics().counter(name, &[]))
-                .add(delta);
         }
     }
 
@@ -306,7 +294,9 @@ impl VmManager {
         if let (Some(obs), Some(id)) = (&self.obs, restore_span) {
             obs.recorder().attr(id, "pages", mem.pages());
         }
-        self.count_through(&self.restore_attempts, "microvm.restore.attempts", 1);
+        if let Some((attempts, _)) = &self.restores {
+            attempts.inc();
+        }
         let read = self.span_start("restore_read", cat::RESTORE);
         self.clock.advance(self.costs.microvm.snapshot_restore_base);
         if self.should_fail(FaultSite::SnapshotRead) {
@@ -332,11 +322,9 @@ impl VmManager {
             self.span_end(restore_span);
             return Err(err.into());
         }
-        self.count_through(
-            &self.pages_verified,
-            "microvm.restore.pages_verified",
-            mem.pages() as u64,
-        );
+        if let Some((_, verified)) = &self.restores {
+            verified.add(mem.pages() as u64);
+        }
         self.span_end(verify);
         let map = self.span_start("map_pages", cat::RESTORE);
         self.clock

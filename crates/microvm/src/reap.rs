@@ -12,7 +12,6 @@
 //! pages with one sequential read — turning many random major faults into
 //! one bulk prefetch.
 
-use std::cell::OnceCell;
 use std::collections::BTreeSet;
 
 use fireworks_guestmem::SnapshotFile;
@@ -80,17 +79,12 @@ impl WorkingSet {
 /// The observability plane [`ReapSession`]s record to, with the series
 /// every session updates resolved once: a host keeps one and hands it to
 /// each session, which then looks no name up.
-///
-/// Creating it resolves (creates) `microvm.reap.major_faults` and
-/// `microvm.reap.prefetch_hits`, as a session's start does; make it where
-/// the first session starts. `microvm.reap.prefetched_pages` is resolved
-/// at the first successful prefetch, its first write.
 #[derive(Debug, Clone)]
 pub struct ReapMetrics {
     obs: Obs,
     major_faults: Counter,
     prefetch_hits: Counter,
-    prefetched_pages: OnceCell<Counter>,
+    prefetched_pages: Counter,
 }
 
 impl ReapMetrics {
@@ -101,7 +95,7 @@ impl ReapMetrics {
             obs: obs.clone(),
             major_faults: metrics.counter("microvm.reap.major_faults", &[]),
             prefetch_hits: metrics.counter("microvm.reap.prefetch_hits", &[]),
-            prefetched_pages: OnceCell::new(),
+            prefetched_pages: metrics.counter("microvm.reap.prefetched_pages", &[]),
         }
     }
 }
@@ -149,6 +143,9 @@ impl ReapSession {
         metrics: &ReapMetrics,
     ) -> Result<Self, VmError> {
         let obs = &metrics.obs;
+        // Every session exports its fault and hit counts, 0 included.
+        metrics.major_faults.add(0);
+        metrics.prefetch_hits.add(0);
         let mut resident = BTreeSet::new();
         let mut prefetched_pages = 0;
         if mode == ReapMode::Prefetch && !working_set.is_empty() {
@@ -177,10 +174,7 @@ impl ReapSession {
             }
             resident.extend(working_set.pages.iter().copied());
             prefetched_pages = working_set.len() as u64;
-            metrics
-                .prefetched_pages
-                .get_or_init(|| obs.metrics().counter("microvm.reap.prefetched_pages", &[]))
-                .add(prefetched_pages);
+            metrics.prefetched_pages.add(prefetched_pages);
             end_span(false);
         }
         Ok(ReapSession {

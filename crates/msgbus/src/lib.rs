@@ -5,8 +5,7 @@
 //! per-instance topic: the invoker *produces* the arguments before
 //! resuming the VM, and the resumed guest *consumes* the latest record
 //! (the paper shells out to `kafkacat -o -1 -c 1`). This crate provides
-//! exactly those semantics as an append-only log per topic with offsets,
-//! plus consumer groups for the platform's internal queues.
+//! exactly those semantics as an append-only log per topic with offsets.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -76,8 +75,6 @@ pub struct MessageBus<T> {
     clock: Clock,
     costs: BusCosts,
     topics: HashMap<String, Topic<T>>,
-    /// Committed offsets per (topic, group).
-    groups: HashMap<(String, String), u64>,
 }
 
 impl<T: Clone> MessageBus<T> {
@@ -87,7 +84,6 @@ impl<T: Clone> MessageBus<T> {
             clock,
             costs,
             topics: HashMap::new(),
-            groups: HashMap::new(),
         }
     }
 
@@ -156,21 +152,6 @@ impl<T: Clone> MessageBus<T> {
         Ok(record)
     }
 
-    /// Consumes the next record for a consumer group, advancing the
-    /// group's committed offset.
-    pub fn consume_group(
-        &mut self,
-        topic: &str,
-        group: &str,
-        approx_bytes: u64,
-    ) -> Result<(u64, T), BusError> {
-        let key = (topic.to_string(), group.to_string());
-        let offset = self.groups.get(&key).copied().unwrap_or(0);
-        let record = self.fetch(topic, offset, approx_bytes)?;
-        self.groups.insert(key, offset + 1);
-        Ok((offset, record))
-    }
-
     /// Number of records in a topic (0 for unknown topics).
     pub fn len(&self, topic: &str) -> u64 {
         self.topics
@@ -184,10 +165,9 @@ impl<T: Clone> MessageBus<T> {
         self.len(topic) == 0
     }
 
-    /// Deletes a topic and its group offsets.
+    /// Deletes a topic and its records.
     pub fn delete_topic(&mut self, topic: &str) {
         self.topics.remove(topic);
-        self.groups.retain(|(t, _), _| t != topic);
     }
 }
 
@@ -237,19 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn consumer_groups_track_independent_offsets() {
-        let mut b = bus();
-        for v in [1, 2, 3] {
-            b.produce("t", v, 8);
-        }
-        assert_eq!(b.consume_group("t", "a", 8), Ok((0, 1)));
-        assert_eq!(b.consume_group("t", "a", 8), Ok((1, 2)));
-        assert_eq!(b.consume_group("t", "b", 8), Ok((0, 1)));
-        assert_eq!(b.consume_group("t", "a", 8), Ok((2, 3)));
-        assert!(b.consume_group("t", "a", 8).is_err(), "log exhausted");
-    }
-
-    #[test]
     fn per_instance_topics_are_isolated() {
         // Two clones resumed from one snapshot read different topics keyed
         // by their MMDS instance id — the paper's argument-passing fix.
@@ -276,12 +243,12 @@ mod tests {
     fn delete_topic_removes_records_and_offsets() {
         let mut b = bus();
         b.produce("t", 1, 8);
-        b.consume_group("t", "g", 8).expect("consumes");
+        b.produce("t", 2, 8);
         b.delete_topic("t");
         assert!(b.is_empty("t"));
         assert!(!b.has_topic("t"));
-        // Group offset was reset too.
-        b.produce("t", 9, 8);
-        assert_eq!(b.consume_group("t", "g", 8), Ok((0, 9)));
+        // A re-created topic's offsets start again at 0.
+        assert_eq!(b.produce("t", 9, 8), 0);
+        assert_eq!(b.fetch("t", 0, 8), Ok(9));
     }
 }

@@ -22,9 +22,10 @@
 //!   fixed-bucket histograms keyed by `&'static str` names plus label
 //!   pairs, with a [`Metrics::snapshot`] for tests and benches. Names
 //!   follow the `layer.component.event` convention (see DESIGN.md).
-//!   Per-invocation series are updated through [`Counter`], [`Gauge`]
-//!   and [`Histogram`] handles resolved at their first write; by-name
-//!   updates are for rare events.
+//!   A series is exported once written. Per-invocation series are
+//!   updated through [`Counter`], [`Gauge`] and [`Histogram`] handles
+//!   their owner resolves when it is built; by-name updates are for rare
+//!   events.
 //! - [`export`] — a JSONL event log and a Chrome trace-event file
 //!   (loadable in `chrome://tracing` or Perfetto), both keyed to virtual
 //!   nanoseconds and byte-for-byte deterministic for a given schedule.

@@ -1,17 +1,20 @@
 //! Deterministic metrics registry: counters, gauges, and fixed-bucket
 //! histograms keyed by `&'static str` names plus label pairs.
 //!
+//! **A series is exported once written.** A counter or gauge is written
+//! once any update reaches it (`add(0)` and `set(0)` included), a
+//! histogram once it has been observed; [`Metrics::snapshot`], and so
+//! every export, skips the series nothing has written yet. Resolving a
+//! handle creates its series but exports nothing, so an owner of a fixed
+//! set of series resolves their handles where it is built.
+//!
 //! Two ways in, for two kinds of event:
 //!
 //! - **Per-invocation series go through handles.** [`Metrics::counter`],
 //!   [`Metrics::gauge`] and [`Metrics::histogram`] resolve a series once
 //!   and return a [`Counter`], [`Gauge`] or [`Histogram`] that shares it;
 //!   an update through a handle is a `Cell` store (a histogram's, one
-//!   bucket search), with no name or label lookup. Resolving creates the
-//!   series, and a series appears in a [`Metrics::snapshot`] once it
-//!   exists, so a caller resolves a group of handles where it first
-//!   writes every member — typically into a `OnceCell` filled on first
-//!   use — not ahead of time.
+//!   bucket search), with no name or label lookup.
 //! - **Rare events go by name.** [`Metrics::inc`], [`Metrics::add`],
 //!   [`Metrics::gauge_set`] and [`Metrics::observe`] resolve the series
 //!   on every call: the name selects a table of label sets kept sorted,
@@ -129,62 +132,51 @@ fn render_key(name: &'static str, labels: &[(&'static str, &str)]) -> String {
     with_sorted(labels, |sorted| render(name, sorted))
 }
 
-/// Every series of `map` in (name, labels) order, rendered, with `f` of
-/// its value.
+/// Every written series of `map` in (name, labels) order, rendered,
+/// with its value: `f` of a series is `None` while nothing has written it.
 fn rendered<T, V>(
     map: &BTreeMap<&'static str, Family<T>>,
-    f: impl Fn(&T) -> V,
+    f: impl Fn(&T) -> Option<V>,
 ) -> BTreeMap<String, V> {
     map.iter()
         .flat_map(|(&name, family)| {
             family
                 .iter()
-                .map(move |(labels, value)| (render(name, labels), value))
+                .map(move |(labels, value)| (name, labels, value))
         })
-        .map(|(key, value)| (key, f(value)))
+        .filter_map(|(name, labels, value)| f(value).map(|v| (render(name, labels), v)))
         .collect()
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Buckets {
-    bounds: Vec<u64>,
-    /// One count per bound, plus a trailing overflow bucket.
-    counts: Vec<u64>,
+    /// One count per bound of [`DEFAULT_BOUNDS`], plus a trailing
+    /// overflow bucket.
+    counts: [u64; DEFAULT_BOUNDS.len() + 1],
     count: u64,
     sum: u128,
 }
 
 impl Buckets {
-    fn new(bounds: Vec<u64>) -> Self {
-        let counts = vec![0; bounds.len() + 1];
-        Buckets {
-            bounds,
-            counts,
-            count: 0,
-            sum: 0,
-        }
-    }
-
     fn observe(&mut self, value: u64) {
-        let idx = self
-            .bounds
+        let idx = DEFAULT_BOUNDS
             .iter()
             .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
+            .unwrap_or(DEFAULT_BOUNDS.len());
         self.counts[idx] += 1;
         self.count += 1;
         self.sum += u128::from(value);
     }
 }
 
+/// A counter or gauge cell: `None` until its first update.
+type Scalar<T> = Rc<Cell<Option<T>>>;
+
 #[derive(Debug, Default)]
 struct MetricsInner {
-    counters: BTreeMap<&'static str, Family<Rc<Cell<u64>>>>,
-    gauges: BTreeMap<&'static str, Family<Rc<Cell<i64>>>>,
+    counters: BTreeMap<&'static str, Family<Scalar<u64>>>,
+    gauges: BTreeMap<&'static str, Family<Scalar<i64>>>,
     histograms: BTreeMap<&'static str, Family<Rc<RefCell<Buckets>>>>,
-    /// Registered bucket bounds by metric name; unregistered names fall
-    /// back to [`DEFAULT_BOUNDS`].
-    bounds: BTreeMap<&'static str, Vec<u64>>,
     /// By-name resolutions so far (see [`Metrics::lookups`]).
     lookups: Cell<u64>,
 }
@@ -196,7 +188,7 @@ struct MetricsInner {
 /// registry renders.
 #[derive(Debug, Clone)]
 pub struct Counter {
-    cell: Rc<Cell<u64>>,
+    cell: Scalar<u64>,
 }
 
 impl Counter {
@@ -209,31 +201,31 @@ impl Counter {
     /// Increments by `delta`.
     #[inline]
     pub fn add(&self, delta: u64) {
-        self.cell.set(self.cell.get().wrapping_add(delta));
+        self.cell.set(Some(self.get().wrapping_add(delta)));
     }
 
-    /// Current value.
+    /// Current value (0 until written).
     pub fn get(&self) -> u64 {
-        self.cell.get()
+        self.cell.get().unwrap_or(0)
     }
 }
 
 /// A pre-resolved gauge series: updates are a single `Cell` store.
 #[derive(Debug, Clone)]
 pub struct Gauge {
-    cell: Rc<Cell<i64>>,
+    cell: Scalar<i64>,
 }
 
 impl Gauge {
     /// Sets the gauge (last write wins).
     #[inline]
     pub fn set(&self, value: i64) {
-        self.cell.set(value);
+        self.cell.set(Some(value));
     }
 
-    /// Current value.
+    /// Current value (0 until set).
     pub fn get(&self) -> i64 {
-        self.cell.get()
+        self.cell.get().unwrap_or(0)
     }
 }
 
@@ -284,7 +276,8 @@ impl Metrics {
 
     /// Resolves (creating if absent) a [`Counter`] handle for the
     /// series. Resolve once, then update through the handle on hot
-    /// paths.
+    /// paths. The series is exported once an update reaches it, so an
+    /// owner resolves its handles where it is built.
     pub fn counter(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Counter {
         let inner = &mut *self.inner.borrow_mut();
         let cell = series(
@@ -304,8 +297,8 @@ impl Metrics {
         self.gauge(name, labels).set(value);
     }
 
-    /// Resolves (creating if absent, initialized to 0) a [`Gauge`]
-    /// handle for the series.
+    /// Resolves (creating if absent) a [`Gauge`] handle for the series,
+    /// exported once set.
     pub fn gauge(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Gauge {
         let inner = &mut *self.inner.borrow_mut();
         let cell = series(&mut inner.gauges, &inner.lookups, name, labels, Rc::default);
@@ -314,40 +307,17 @@ impl Metrics {
         }
     }
 
-    /// Registers custom bucket bounds for histogram `name` and creates
-    /// the unlabeled series empty, so a registered histogram exports
-    /// (with zero samples) even if nothing is ever observed. Must be
-    /// called before the first [`Metrics::observe`] or
-    /// [`Metrics::histogram`] of that name; existing series keep the
-    /// bounds they were created with.
-    pub fn register_histogram(&self, name: &'static str, bounds: &[u64]) {
-        let mut sorted = bounds.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let inner = &mut *self.inner.borrow_mut();
-        series(&mut inner.histograms, &inner.lookups, name, &[], || {
-            Rc::new(RefCell::new(Buckets::new(sorted.clone())))
-        });
-        inner.bounds.insert(name, sorted);
-    }
-
-    /// Resolves (creating if absent, empty, with the bounds registered
-    /// for `name` or else [`DEFAULT_BOUNDS`]) a [`Histogram`] handle for
-    /// the series.
+    /// Resolves (creating if absent, empty, over [`DEFAULT_BOUNDS`]) a
+    /// [`Histogram`] handle for the series, exported once observed.
     pub fn histogram(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Histogram {
         let inner = &mut *self.inner.borrow_mut();
-        let MetricsInner {
-            histograms,
-            bounds,
-            lookups,
-            ..
-        } = inner;
-        let buckets = series(histograms, lookups, name, labels, || {
-            let bounds = bounds
-                .get(name)
-                .map_or_else(|| DEFAULT_BOUNDS.to_vec(), Vec::clone);
-            Rc::new(RefCell::new(Buckets::new(bounds)))
-        });
+        let buckets = series(
+            &mut inner.histograms,
+            &inner.lookups,
+            name,
+            labels,
+            Rc::default,
+        );
         Histogram {
             buckets: Rc::clone(buckets),
         }
@@ -366,7 +336,8 @@ impl Metrics {
         self.inner.borrow().lookups.get()
     }
 
-    /// A point-in-time copy of every series, for assertions and export.
+    /// A point-in-time copy of every written series, for assertions and
+    /// export.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.inner.borrow();
         MetricsSnapshot {
@@ -374,12 +345,12 @@ impl Metrics {
             gauges: rendered(&inner.gauges, |v| v.get()),
             histograms: rendered(&inner.histograms, |h| {
                 let h = h.borrow();
-                HistogramSnapshot {
-                    bounds: h.bounds.clone(),
-                    counts: h.counts.clone(),
+                (h.count > 0).then(|| HistogramSnapshot {
+                    bounds: DEFAULT_BOUNDS.to_vec(),
+                    counts: h.counts.to_vec(),
                     count: h.count,
                     sum: h.sum,
-                }
+                })
             }),
         }
     }
@@ -536,19 +507,18 @@ mod tests {
     #[test]
     fn histogram_bucket_boundaries_are_inclusive_upper_bounds() {
         let m = Metrics::new();
-        m.register_histogram("lat", &[10, 100, 1_000]);
         // Exactly on a bound lands in that bucket; one past it spills over.
-        for v in [0, 10, 11, 100, 101, 1_000, 1_001, u64::MAX] {
+        for v in [0, 1_000, 1_001, 10_000, 10_001, u64::MAX] {
             m.observe("lat", &[], v);
         }
         let s = m.snapshot();
         let h = s.histogram("lat", &[]).expect("observed");
-        assert_eq!(h.bounds, vec![10, 100, 1_000]);
-        assert_eq!(h.counts, vec![2, 2, 2, 2], "<=10, <=100, <=1000, overflow");
-        assert_eq!(h.count, 8);
+        assert_eq!(h.bounds, DEFAULT_BOUNDS.to_vec());
+        assert_eq!(h.counts, vec![2, 2, 1, 0, 0, 0, 0, 0, 1]);
+        assert_eq!(h.count, 6);
         assert_eq!(
             h.sum,
-            10 + 11 + 100 + 101 + 1_000 + 1_001 + u128::from(u64::MAX)
+            1_000 + 1_001 + 10_000 + 10_001 + u128::from(u64::MAX)
         );
     }
 
@@ -572,13 +542,14 @@ mod tests {
         m.inc("z.last", &[]);
         m.inc("a.first", &[]);
         m.gauge_set("mid.gauge", &[], -5);
-        m.register_histogram("h", &[1, 2]);
         m.observe("h", &[], 2);
         let json = m.snapshot().to_json();
         assert_eq!(
             json,
             "{\"counters\":{\"a.first\":1,\"z.last\":1},\"gauges\":{\"mid.gauge\":-5},\
-             \"histograms\":{\"h\":{\"bounds\":[1,2],\"counts\":[0,1,0],\"count\":1,\"sum\":2}}}"
+             \"histograms\":{\"h\":{\"bounds\":[1000,10000,100000,1000000,10000000,\
+             100000000,1000000000,10000000000],\"counts\":[1,0,0,0,0,0,0,0,0],\
+             \"count\":1,\"sum\":2}}}"
         );
         crate::json::validate(&json).expect("well-formed");
         assert_eq!(json, m.snapshot().to_json(), "stable across snapshots");
@@ -622,18 +593,16 @@ mod tests {
     #[test]
     fn histogram_handles_share_the_series_with_by_name_observes() {
         let m = Metrics::new();
-        m.register_histogram("core.invoke.latency_ns", &[10, 100]);
         let h = m.histogram("core.invoke.latency_ns", &[]);
         h.observe(7);
-        m.observe("core.invoke.latency_ns", &[], 50);
-        h.observe(1_000);
+        m.observe("core.invoke.latency_ns", &[], 5_000);
+        h.observe(20_000_000_000);
         let s = m.snapshot();
         let got = s
             .histogram("core.invoke.latency_ns", &[])
             .expect("observed");
-        assert_eq!(got.bounds, vec![10, 100], "the registered bounds");
-        assert_eq!(got.counts, vec![1, 1, 1], "<=10, <=100, overflow");
-        assert_eq!((got.count, got.sum), (3, 1_057));
+        assert_eq!(got.counts, vec![1, 1, 0, 0, 0, 0, 0, 0, 1]);
+        assert_eq!((got.count, got.sum), (3, 20_000_005_007));
 
         let labelled = m.histogram("core.invoke.latency_ns", &[("function", "fact")]);
         m.observe("core.invoke.latency_ns", &[("function", "fact")], 5);
@@ -642,8 +611,7 @@ mod tests {
         let got = s
             .histogram("core.invoke.latency_ns", &[("function", "fact")])
             .expect("one series");
-        assert_eq!(got.bounds, vec![10, 100], "labelled series take them too");
-        assert_eq!(got.counts, vec![2, 0, 0]);
+        assert_eq!((got.counts[0], got.count), (2, 2));
     }
 
     #[test]
@@ -666,14 +634,47 @@ mod tests {
     }
 
     #[test]
-    fn registered_histograms_export_with_zero_samples() {
+    fn resolved_series_are_exported_only_once_written() {
         let m = Metrics::new();
-        m.register_histogram("never.observed", &[5, 50]);
+        let (c, g, h) = (
+            m.counter("c", &[]),
+            m.gauge("g", &[]),
+            m.histogram("h", &[]),
+        );
+        let empty = m.snapshot();
+        assert!(empty.is_empty(), "resolving writes nothing");
+        assert_eq!(
+            empty.to_json(),
+            "{\"counters\":{},\"gauges\":{},\"histograms\":{}}"
+        );
+        c.add(0);
+        g.set(0);
         let s = m.snapshot();
-        let h = s.histogram("never.observed", &[]).expect("series exists");
-        assert_eq!(h.count, 0);
-        assert_eq!(h.counts, vec![0, 0, 0]);
-        assert_eq!(h.sum, 0);
-        crate::json::validate(&s.to_json()).expect("zero-sample series render validly");
+        assert_eq!(s.counters().collect::<Vec<_>>(), [("c", 0)]);
+        assert_eq!(s.gauge("g", &[]), Some(0));
+        assert!(s.histogram("h", &[]).is_none(), "not observed yet");
+        h.observe(0);
+        let s = m.snapshot();
+        let got = s.histogram("h", &[]).expect("observed once");
+        assert_eq!((got.count, got.sum, got.counts[0]), (1, 0, 1));
+        crate::json::validate(&s.to_json()).expect("well-formed");
+    }
+
+    #[test]
+    fn a_handle_resolved_before_a_by_name_write_shares_its_series() {
+        let m = Metrics::new();
+        let (c, g, h) = (
+            m.counter("c", &[]),
+            m.gauge("g", &[]),
+            m.histogram("h", &[]),
+        );
+        m.inc("c", &[]);
+        m.gauge_set("g", &[], 3);
+        m.observe("h", &[], 9);
+        assert_eq!((c.get(), g.get()), (1, 3));
+        h.observe(1);
+        let s = m.snapshot();
+        assert_eq!((s.counter("c", &[]), s.gauge("g", &[])), (1, Some(3)));
+        assert_eq!(s.histogram("h", &[]).map(|h| h.count), Some(2));
     }
 }

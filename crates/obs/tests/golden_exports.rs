@@ -51,7 +51,6 @@ fn scenario() -> Obs {
         &[("function", "fact")],
         9_437_184,
     );
-    m.register_histogram("core.invoke.latency_ns", &[1_000_000, 10_000_000]);
     m.observe("core.invoke.latency_ns", &[], 2_750_000);
     obs
 }

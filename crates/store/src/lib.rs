@@ -19,7 +19,6 @@ pub mod chunk;
 
 pub use chunk::{ChunkStore, ChunkStoreStats};
 
-use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -166,10 +165,9 @@ pub struct DocumentStore {
     costs: StoreCosts,
     databases: BTreeMap<String, Database>,
     injector: Option<SharedInjector>,
-    obs: Option<Obs>,
-    /// `store.docstore.requests{op}` per [`Request`], each resolved at its
-    /// kind's first request.
-    requests: [OnceCell<Counter>; Request::LABELS.len()],
+    /// The attached plane and its `store.docstore.requests{op}` per
+    /// [`Request`].
+    obs: Option<(Obs, [Counter; Request::LABELS.len()])>,
 }
 
 impl DocumentStore {
@@ -181,7 +179,6 @@ impl DocumentStore {
             databases: BTreeMap::new(),
             injector: None,
             obs: None,
-            requests: Default::default(),
         }
     }
 
@@ -196,20 +193,18 @@ impl DocumentStore {
     /// `store.docstore.requests{op=...}` and injected outages become
     /// `store.docstore.outages` plus an instant event.
     pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = Some(obs);
-        self.requests = Default::default();
+        let requests = Request::LABELS.map(|op| {
+            obs.metrics()
+                .counter("store.docstore.requests", &[("op", op)])
+        });
+        self.obs = Some((obs, requests));
     }
 
     /// Simulated outage check, performed at the front of every request.
     /// `op` is the request kind the per-operation request counter counts.
     fn check_available(&self, op: Request) -> Result<(), StoreError> {
-        if let Some(obs) = &self.obs {
-            self.requests[op as usize]
-                .get_or_init(|| {
-                    let labels = [("op", op.label())];
-                    obs.metrics().counter("store.docstore.requests", &labels)
-                })
-                .inc();
+        if let Some((_, requests)) = &self.obs {
+            requests[op as usize].inc();
         }
         let down = self
             .injector
@@ -217,7 +212,7 @@ impl DocumentStore {
             .map(|inj| inj.borrow_mut().should_fail(FaultSite::StoreUnavailable))
             .unwrap_or(false);
         if down {
-            if let Some(obs) = &self.obs {
+            if let Some((obs, _)) = &self.obs {
                 obs.metrics().inc("store.docstore.outages", &[]);
                 obs.recorder().instant_with(
                     "store_outage",

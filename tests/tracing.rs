@@ -310,3 +310,29 @@ fn same_seed_cluster_traces_export_identically() {
     assert_eq!(run(7), run(7), "same-seed exports must be byte-identical");
     fireworks::obs::export::schema::check_jsonl(&run(7)).expect("export passes the schema check");
 }
+
+/// A series is exported once written, and building a front end writes
+/// none: a fixed cluster, an engine and an elastic cluster with nothing
+/// installed export an empty metrics snapshot.
+#[test]
+fn front_ends_built_with_nothing_installed_export_no_metrics() {
+    use fireworks::core::{CompletionPolicy, Engine};
+    let cluster = Cluster::new(ClusterConfig::new(4, 2), |env, cfg| {
+        FireworksPlatform::with_config(env, cfg.clone())
+    });
+    let env = PlatformEnv::default_env();
+    let platform = FireworksPlatform::new(env.clone());
+    let engine = Engine::new(platform, &env.clock, &env.obs, 2, CompletionPolicy::Release);
+    let elastic = dedup_elastic(ElasticPolicy::default(), FaultPlan::default());
+    for (front, obs) in [
+        ("cluster", cluster.obs()),
+        ("engine", engine.obs()),
+        ("elastic", elastic.obs()),
+    ] {
+        let json = obs.metrics().snapshot().to_json();
+        assert_eq!(
+            json, "{\"counters\":{},\"gauges\":{},\"histograms\":{}}",
+            "{front}"
+        );
+    }
+}
